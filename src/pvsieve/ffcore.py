@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: CRT over squarefree moduli, pairing histograms,
-and small finite-field extensions.
+"""Exact arithmetic kernels: CRT over squarefree moduli and pairing
+histograms.
 
 The central trick here is that the Fourier transform of a {0,1}-valued,
 dilation-invariant function on (Z/p)^r against a fixed target y is a rational
@@ -18,7 +18,7 @@ Everything in this module is exact (python ints / fractions.Fraction).
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 
 class InvalidModulusError(ValueError):
@@ -154,135 +154,3 @@ def ft_value_from_residue_histogram(counts, q, r):
     num = sum(by_gcd[g] * mobius_squarefree(q // g)
               for g in divisors_squarefree(q))
     return Fraction(num, q ** r)
-
-
-# ---------------------------------------------------------------------------
-# small extension fields F_{p^k}, k <= 4
-# ---------------------------------------------------------------------------
-
-def _poly_is_irreducible(coeffs, p):
-    """Is x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible over F_p?  k <= 4.
-
-    Degrees 2 and 3: irreducible iff no roots.  Degree 4: no roots and not a
-    product of two monic irreducible quadratics.
-    """
-    k = len(coeffs)
-
-    def evalp(x):
-        v = 1
-        for c in reversed(coeffs):      # leading coefficient 1
-            v = (v * x + c) % p
-        return v
-
-    if k == 1:
-        return True
-    if any(evalp(x) == 0 for x in range(p)) :
-        return False
-    if k <= 3:
-        return True
-    if k == 4:
-        # test divisibility by every monic irreducible quadratic x^2+bx+c
-        c3, c2, c1, c0 = coeffs[3], coeffs[2], coeffs[1], coeffs[0]
-        for b in range(p):
-            for c in range(p):
-                # x^2+bx+c irreducible iff it has no roots in F_p
-                if any((x * x + b * x + c) % p == 0 for x in range(p)):
-                    continue
-                # divide x^4 + c3 x^3 + c2 x^2 + c1 x + c0 by x^2 + b x + c
-                q1 = (c3 - b) % p
-                q0 = (c2 - c - b * q1) % p
-                r1 = (c1 - b * q0 - c * q1) % p
-                r0 = (c0 - c * q0) % p
-                if r1 == 0 and r0 == 0:
-                    return False
-        return True
-    raise ValueError("only k <= 4 supported")
-
-
-def irreducible_poly(p, k):
-    """Lexicographically least monic irreducible of degree k over F_p.
-
-    Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are scanned in increasing
-    order of the integer with base-p digits (c_{k-1}, ..., c_1, c_0), most
-    significant digit first.  Returns (c_0, ..., c_{k-1}).
-    """
-    if k == 1:
-        return (0,)
-    for n in range(p ** k):
-        digs = []
-        m = n
-        for _ in range(k):
-            digs.append(m % p)
-            m //= p
-        coeffs = tuple(digs)            # c_0 first
-        if _poly_is_irreducible(coeffs, p):
-            return coeffs
-    raise RuntimeError("unreachable: irreducibles of every degree exist")
-
-
-class ExtField:
-    """F_{p^k} with elements encoded as integers in [0, p^k): the element
-    sum a_i t^i has code sum a_i p^i, t a root of the fixed irreducible.
-
-    Arithmetic is vectorized over numpy arrays of codes; k <= 4.
-    """
-
-    def __init__(self, p, k):
-        import numpy as np
-        self.p, self.k = p, k
-        self.q = p ** k
-        self.modulus = irreducible_poly(p, k)
-        # reduction rows: t^(k+j) = sum_i R[j][i] t^i, j = 0..k-2
-        R = []
-        row = [(-c) % p for c in self.modulus]          # t^k
-        R.append(row[:])
-        for _ in range(k - 2):
-            carry = row[-1]                              # coefficient of t^(k-1)
-            row = [0] + row[:-1]                         # multiply by t
-            row = [(row[i] + carry * R[0][i]) % p for i in range(k)]
-            R.append(row[:])
-        self._np = np
-        self._red = np.array(R, dtype=np.int64) if R else np.zeros((0, k), np.int64)
-
-    def decode(self, codes):
-        np = self._np
-        codes = np.asarray(codes)
-        out = np.empty(codes.shape + (self.k,), dtype=np.int64)
-        c = codes.copy()
-        for i in range(self.k):
-            out[..., i] = c % self.p
-            c = c // self.p
-        return out
-
-    def encode(self, digits):
-        np = self._np
-        pw = self.p ** np.arange(self.k, dtype=np.int64)
-        return np.asarray(digits, dtype=np.int64) @ pw
-
-    def mul(self, a, b):
-        """Vectorized field multiplication of code arrays."""
-        np = self._np
-        da, db = self.decode(a), self.decode(b)
-        k = self.k
-        conv = np.zeros(np.broadcast(np.asarray(a), np.asarray(b)).shape + (2 * k - 1,),
-                        dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                conv[..., i + j] += da[..., i] * db[..., j]
-        low = conv[..., :k] % self.p
-        if k > 1:
-            high = conv[..., k:] % self.p
-            low = (low + high @ self._red) % self.p
-        return self.encode(low)
-
-    def add(self, a, b):
-        da, db = self.decode(a), self.decode(b)
-        return self.encode((da + db) % self.p)
-
-    def scalar_mul(self, c, a):
-        """Multiply codes a by base-field scalar(s) c: int or array
-        broadcastable against a's shape."""
-        np = self._np
-        da = self.decode(a)
-        c = np.asarray(c, dtype=np.int64)[..., None]
-        return self.encode((c * da) % self.p)

@@ -22,16 +22,26 @@ residue degrees); O_T11 and O_T2 are accepted as aliases of O_B11, O_B2.
 
 The classifier computes, per element: the resolvent cubic mod p, its
 discriminant / Hessian (triple-vs-double root), pencil span and common-
-kernel data via adjugates, square classes via the Legendre character, and
-base-locus point counts over F_p and F_{p^2}.  The signature -> label map
-below was calibrated against the exhaustive BFS partition at p = 3 and 5.
+kernel data via adjugates, square classes via the Legendre character, the
+base-locus point count over F_p, and the number of F_p-rational roots of
+the resolvent on P^1.  The signature -> label map below was calibrated
+against the exhaustive BFS partition at p = 3 and 5.
+
+On the nonsingular orbits (disc != 0 mod p) Frobenius permutes the four
+base points and, through its image in S_3, the three singular conics of
+the pencil (the roots of the resolvent cubic).  The splitting type is the
+cycle type of that permutation, and the pair (F_p base points, F_p roots
+of the resolvent on P^1) tells the five types apart (Bhargava,
+Higher composition laws III, Ann. Math. 2004; Wright-Yukie, Invent. Math.
+1992):
+
+    (4, 3) O_1111   (2, 1) O_112   (0, 3) O_22   (1, 0) O_13   (0, 1) O_4
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ffcore
 from .spaces import (CUBIC, ResourceLimitError, VElement, space_by_name)
 from .spaces import resolvent_cubic_mod as _resolvent_mod
 
@@ -344,8 +354,8 @@ def _bfs_orbits(p, chunk=1 << 21):
 def decompose_orbits(space, p):
     """Exhaustive orbit decomposition of the pair space mod p (p in {3,5}).
 
-    Labels each BFS orbit through classify(); the result must biject onto
-    the 20 labels for odd p."""
+    Labels the BFS representatives with one classify_batch() call; the
+    result must biject onto the 20 labels for odd p."""
     if space.space_id != "quartic":
         raise ValueError("orbit decomposition is for the pair space")
     if p in space.bad_primes:
@@ -354,7 +364,7 @@ def decompose_orbits(space, p):
         raise ResourceLimitError(f"p={p}: {p ** 12} states exceed the budget")
     sizes, reps, label = _bfs_orbits(p)
     rep_coords = decode_states(reps, p)
-    names = [classify(space, tuple(int(v) for v in rc), p) for rc in rep_coords]
+    names = [LABELS[c] for c in classify_batch(space, rep_coords, p)]
     if sorted(names) != sorted(LABELS):
         raise ClassifierIncompleteError(
             f"p={p}: BFS found {len(names)} orbits, labels {sorted(names)}")
@@ -415,40 +425,6 @@ def base_locus_count(coords, p):
     return ((qA == 0) & (qB == 0)).sum(axis=-1)
 
 
-def base_locus_count_ext(coords, p, k):
-    """Same count over F_{p^k}, via ExtField arithmetic (k <= 4)."""
-    F = ffcore.ExtField(p, k)
-    q = p ** k
-    one = np.int64(1)
-    ys = np.arange(q, dtype=np.int64)
-    # (1, y, z) block
-    Y, Z = np.meshgrid(ys, ys, indexing="ij")
-    pts = [np.stack([np.full(q * q, one), Y.ravel(), Z.ravel()], axis=-1),
-           np.stack([np.zeros(q, np.int64), np.full(q, one), ys], axis=-1),
-           np.array([[0, 0, 1]], dtype=np.int64)]
-    pts = np.concatenate(pts, axis=0)
-    v1, v2, v3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    two = 2 % p
-    mono = np.stack([F.mul(v1, v1), F.mul(v2, v2), F.mul(v3, v3),
-                     F.scalar_mul(two, F.mul(v1, v2)),
-                     F.scalar_mul(two, F.mul(v1, v3)),
-                     F.scalar_mul(two, F.mul(v2, v3))], axis=-1)
-    C = np.asarray(coords, dtype=np.int64) % p
-    n = C.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    # row-chunked: each chunk forms an (n_chunk, npts) code table per form
-    step = max(1, (1 << 22) // max(1, mono.shape[0]))
-    for lo in range(0, n, step):
-        rows = C[lo:lo + step]
-        qA = np.zeros((rows.shape[0], mono.shape[0]), dtype=np.int64)
-        qB = np.zeros_like(qA)
-        for j in range(6):
-            qA = F.add(qA, F.scalar_mul(rows[:, j, None], mono[None, :, j]))
-            qB = F.add(qB, F.scalar_mul(rows[:, 6 + j, None], mono[None, :, j]))
-        counts[lo:lo + step] = ((qA == 0) & (qB == 0)).sum(axis=1)
-    return counts
-
-
 _MINOR2_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _MINOR3_TRIPLES = [(i, j, k) for i in range(6) for j in range(i + 1, 6)
                    for k in range(j + 1, 6)]
@@ -480,6 +456,15 @@ def _common_kernel(C, p):
                                  - m[..., 1, 1] * m[..., 2, 0]))
         ok &= det % p == 0
     return ok
+
+
+def resolvent_root_count(r0, r1, r2, r3, p):
+    """#{[x:y] in P^1(F_p) : r0 x^3 + r1 x^2 y + r2 x y^2 + r3 y^3 = 0} per
+    entry: the root at infinity [1:0] when r0 = 0, plus the affine roots."""
+    count = (r0 % p == 0).astype(np.int64)
+    for x in range(p):
+        count += ((((r0 * x + r1) % p * x + r2) % p * x + r3) % p == 0)
+    return count
 
 
 def classify_batch(space, coords, p):
@@ -563,12 +548,19 @@ def classify_batch(space, coords, p):
             out[ins[m1 == 4]] = code["O_1111"]
             out[ins[m1 == 2]] = code["O_112"]
             out[ins[m1 == 1]] = code["O_13"]
-            need2 = m1 == 0
-            if need2.any():
-                n2 = base_locus_count_ext(C[ins[need2]], p, 2)
-                sub = ins[need2]
-                out[sub[n2 == 4]] = code["O_22"]
-                out[sub[n2 == 0]] = code["O_4"]
+            none = m1 == 0
+            if none.any():
+                sub = ins[none]
+                nr = resolvent_root_count(
+                    *(r[ns][none] for r in (r0, r1, r2, r3)), p)
+                odd = (nr != 1) & (nr != 3)
+                if odd.any():
+                    i = int(np.flatnonzero(odd)[0])
+                    raise ClassifierIncompleteError(
+                        f"p={p}: no F_p base point and {int(nr[i])} resolvent"
+                        f" roots at {tuple(int(v) for v in C[sub[i]])}")
+                out[sub[nr == 3]] = code["O_22"]
+                out[sub[nr == 1]] = code["O_4"]
             bad = (m1 == 3) | (m1 > 4)
             if bad.any():
                 raise ClassifierIncompleteError(

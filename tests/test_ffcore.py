@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
@@ -124,101 +124,3 @@ def test_residue_histogram_multiplicative():
     v3 = fc.ft_value_from_residue_histogram(counts_mod(pts3, 3), 3, r)
     v5 = fc.ft_value_from_residue_histogram(counts_mod(pts5, 5), 5, r)
     assert v15 == v3 * v5
-
-
-# ---------------------------------------------------------------------------
-# irreducible polynomials / extension fields
-# ---------------------------------------------------------------------------
-
-def test_irreducible_poly_lex_least():
-    # lowest-coefficient-first tuples (c0, c1, ..., c_{k-1}), monic x^k + ...
-    assert fc.irreducible_poly(2, 2) == (1, 1)          # x^2 + x + 1
-    assert fc.irreducible_poly(3, 2) == (1, 0)          # x^2 + 1
-    assert fc.irreducible_poly(5, 2) == (2, 0)          # x^2 + 2
-    assert fc.irreducible_poly(2, 3) == (1, 1, 0)       # x^3 + x + 1
-    assert fc.irreducible_poly(2, 4) == (1, 1, 0, 0)    # x^4 + x + 1
-
-
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
-                                 (3, 4), (5, 2), (5, 3), (5, 4), (7, 2)])
-def test_irreducible_poly_has_no_small_factor(p, k):
-    c = fc.irreducible_poly(p, k)
-    assert len(c) == k
-    # no roots in F_p
-    for t in range(p):
-        v = (pow(t, k, p) + sum(ci * pow(t, i, p) for i, ci in enumerate(c))) % p
-        assert v != 0
-
-
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 4), (2, 4), (7, 2)])
-def test_extfield_axioms(p, k):
-    F = fc.ExtField(p, k)
-    q = p ** k
-    rng = np.random.default_rng(1)
-    a = rng.integers(0, q, size=50)
-    b = rng.integers(0, q, size=50)
-    c = rng.integers(0, q, size=50)
-    ab = F.mul(a, b)
-    assert np.array_equal(ab, F.mul(b, a))
-    assert np.array_equal(F.mul(ab, c), F.mul(a, F.mul(b, c)))
-    assert np.array_equal(F.mul(a, F.add(b, c)),
-                          F.add(F.mul(a, b), F.mul(a, c)))
-    one = np.ones_like(a)
-    assert np.array_equal(F.mul(a, one), a)
-
-
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (2, 4), (3, 3)])
-def test_extfield_multiplicative_order(p, k):
-    # x^(q-1) = 1 for all x != 0  (so the modulus really was irreducible)
-    F = fc.ExtField(p, k)
-    q = p ** k
-    x = np.arange(1, q)
-    acc = np.ones(q - 1, dtype=np.int64)
-    e = q - 1
-    base = x.copy()
-    while e:
-        if e & 1:
-            acc = F.mul(acc, base)
-        base = F.mul(base, base)
-        e >>= 1
-    assert np.all(acc == 1)
-
-
-def test_extfield_frobenius_additive():
-    F = fc.ExtField(5, 2)
-    x = np.arange(25)
-    y = np.arange(25)[::-1]
-    frob = lambda a: F.mul(F.mul(F.mul(F.mul(a, a), F.mul(a, a)), a), np.ones_like(a))
-    fx, fy = frob(x), frob(y)
-    assert np.array_equal(frob(F.add(x, y)), F.add(fx, fy))
-
-
-def test_extfield_embeds_prime_field():
-    # codes 0..p-1 are the scalars and multiply like integers mod p
-    F = fc.ExtField(7, 2)
-    for a in range(7):
-        for b in range(7):
-            assert F.mul(np.array([a]), np.array([b]))[0] == (a * b) % 7
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 5 ** 4 - 1), st.integers(0, 5 ** 4 - 1))
-def test_extfield_poly_mul_matches_sympy_style(x, y):
-    # reference: multiply coefficient lists mod the modulus polynomial, slowly
-    p, k = 5, 4
-    F = fc.ExtField(p, k)
-    mod = fc.irreducible_poly(p, k)
-    xs = [(x // p ** i) % p for i in range(k)]
-    ys = [(y // p ** i) % p for i in range(k)]
-    prod = [0] * (2 * k - 1)
-    for i, xi in enumerate(xs):
-        for j, yj in enumerate(ys):
-            prod[i + j] = (prod[i + j] + xi * yj) % p
-    for deg in range(2 * k - 2, k - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for i, mi in enumerate(mod):
-                prod[deg - k + i] = (prod[deg - k + i] - c * mi) % p
-    want = sum(ci * p ** i for i, ci in enumerate(prod[:k]))
-    assert F.mul(np.array([x]), np.array([y]))[0] == want

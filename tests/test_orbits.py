@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pvsieve import orbits as ob
-from pvsieve.spaces import CUBIC, QUARTIC, VElement, disc, disc_mod, pairing_mod
+from pvsieve.spaces import (CUBIC, QUARTIC, VElement, disc, disc_mod,
+                            pairing_mod, resolvent_cubic_mod)
 
 # Exhaustive BFS results, frozen.  p=3 was additionally cross-checked against
 # an independent implementation of the same decomposition; the nonsingular
@@ -261,13 +262,38 @@ def test_classify_constant_on_orbits(p):
             assert ob.classify(QUARTIC, ob.act(QUARTIC, g, x), p) == base
 
 
+def _slow_count_fp2(c, p):
+    """#{[v] in P^2(F_{p^2}) : v A v^T = v B v^T = 0}, plain Python, with
+    F_{p^2} = F_p[t]/(t^2 - nu) and elements held as pairs (a, b) = a + b t."""
+    nu = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + nu * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    els = [(a, b) for a in range(p) for b in range(p)]
+    zero, one = (0, 0), (1, 0)
+    pts = ([(one, y, z) for y in els for z in els]
+           + [(zero, one, z) for z in els] + [(zero, zero, one)])
+    cnt = 0
+    for v in pts:
+        mono = [mul(v[0], v[0]), mul(v[1], v[1]), mul(v[2], v[2]),
+                mul(v[0], v[1]), mul(v[0], v[2]), mul(v[1], v[2])]
+        ok = True
+        for block in (c[:6], c[6:]):
+            w = [block[j] * (1 if j < 3 else 2) for j in range(6)]
+            ok &= (sum(wj * m[0] for wj, m in zip(w, mono)) % p == 0
+                   and sum(wj * m[1] for wj, m in zip(w, mono)) % p == 0)
+        cnt += ok
+    return cnt
+
+
 def test_base_locus_counts_match_bruteforce():
-    # independent slow oracle over F_p and F_{p^2} (p = 3) for a few elements
+    # independent slow oracles: the F_p count (p = 3) for a few elements,
+    # and the F_{p^2} count behind the O_22 / O_4 split
     import itertools
-    from pvsieve.ffcore import ExtField
     rng = np.random.default_rng(7)
     X = rng.integers(0, 3, size=(12, 12))
-    F = ExtField(3, 2)
 
     def slow_count_prime(c, p):
         cnt = 0
@@ -289,41 +315,45 @@ def test_base_locus_counts_match_bruteforce():
             cnt += qa == 0 and qb == 0
         return cnt
 
-    def slow_count_ext(c):
-        cnt = 0
-        seen = set()
-        for v in itertools.product(range(9), repeat=3):
-            if v == (0, 0, 0):
-                continue
-            # normalize by the inverse of the leading nonzero coordinate
-            lead = next(x for x in v if x)
-            inv = next(u for u in range(1, 9)
-                       if F.mul(np.array([lead]), np.array([u]))[0] == 1)
-            rep = tuple(int(F.mul(np.array([x]), np.array([inv]))[0])
-                        for x in v)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            va = np.array(rep)
-            mono = [F.mul(va[[0]], va[[0]])[0], F.mul(va[[1]], va[[1]])[0],
-                    F.mul(va[[2]], va[[2]])[0], F.mul(va[[0]], va[[1]])[0],
-                    F.mul(va[[0]], va[[2]])[0], F.mul(va[[1]], va[[2]])[0]]
-            ok = True
-            for block in (c[:6], c[6:]):
-                acc = np.array([0])
-                for j in range(6):
-                    w = int(block[j]) * (1 if j < 3 else 2) % 3
-                    acc = F.add(acc, F.scalar_mul(w, np.array([mono[j]])))
-                ok &= acc[0] == 0
-            cnt += ok
-        return cnt
-
     got1 = ob.base_locus_count(X, 3)
-    got2 = ob.base_locus_count_ext(X, 3, 2)
     for i in range(12):
         c = tuple(int(v) for v in X[i])
         assert got1[i] == slow_count_prime(c, 3)
-        assert got2[i] == slow_count_ext(c)
+
+    # nonsingular with no F_p base point: the four base points pair up over
+    # F_{p^2} (O_22, 4 points) or form one Frobenius 4-cycle (O_4, none)
+    for p in (3, 5, 7):
+        Y = rng.integers(0, p, size=(400, 12))
+        Y = Y[(disc_mod(QUARTIC, Y, p) != 0)
+              & (ob.base_locus_count(Y, p) == 0)][:24]
+        labels = [ob.LABELS[c] for c in ob.classify_batch(QUARTIC, Y, p)]
+        assert {"O_22", "O_4"} <= set(labels)
+        for y, name in zip(Y, labels):
+            n2 = _slow_count_fp2([int(v) for v in y], p)
+            assert (n2, name) in {(4, "O_22"), (0, "O_4")}, (p, y)
+
+
+def test_o22_with_resolvent_root_at_infinity():
+    # (A - B, B) with A = I, B = diag(1,2,3) is O_22 at p = 5, 7 (see
+    # test_classify_examples); its A-form diag(0,-1,-2) is singular, so one
+    # of the three resolvent roots is the point at infinity
+    x = (0, -1, -2, 0, 0, 0, 1, 2, 3, 0, 0, 0)
+    for p in (5, 7):
+        r0, r1, r2, r3 = resolvent_cubic_mod(np.array([x]), p)
+        assert r0[0] == 0 and disc_mod(QUARTIC, np.array([x]), p)[0] != 0
+        assert ob.resolvent_root_count(r0, r1, r2, r3, p)[0] == 3
+        assert ob.classify(QUARTIC, x, p) == "O_22"
+
+
+def test_unexpected_resolvent_root_count_raises(monkeypatch):
+    # no F_p base point and neither 1 nor 3 resolvent roots is a gap to
+    # report, not a state to label
+    x = (1, 1, 1, 0, 0, 0, 1, 2, 3, 0, 0, 0)
+    monkeypatch.setattr(ob, "resolvent_root_count",
+                        lambda r0, r1, r2, r3, p: np.full(r0.shape, 2))
+    with pytest.raises(ob.ClassifierIncompleteError,
+                       match=r"2 resolvent roots at \(1, 1, 1, 0"):
+        ob.classify(QUARTIC, x, 7)
 
 
 def test_orbit_table_roundtrip(tmp_path, table3):
