@@ -1,13 +1,16 @@
-"""Exact-arithmetic kernels: CRT, histograms, extension fields."""
+"""Exact-arithmetic kernels: CRT, histograms; and the plain-Python F_{p^k}
+oracle (tests/fpk.py) behind the F_{p^2} base-locus count in test_orbits."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
+
+import fpk
 
 
 # ---------------------------------------------------------------------------
@@ -124,3 +127,97 @@ def test_residue_histogram_multiplicative():
     v3 = fc.ft_value_from_residue_histogram(counts_mod(pts3, 3), 3, r)
     v5 = fc.ft_value_from_residue_histogram(counts_mod(pts5, 5), 5, r)
     assert v15 == v3 * v5
+
+
+# ---------------------------------------------------------------------------
+# the F_{p^k} test oracle: irreducible moduli and field arithmetic
+# ---------------------------------------------------------------------------
+
+def test_irreducible_poly_lex_least():
+    # lowest-coefficient-first tuples (c0, c1, ..., c_{k-1}), monic x^k + ...
+    assert fpk.least_irreducible(2, 2) == (1, 1)          # x^2 + x + 1
+    assert fpk.least_irreducible(3, 2) == (1, 0)          # x^2 + 1
+    assert fpk.least_irreducible(5, 2) == (2, 0)          # x^2 + 2
+    assert fpk.least_irreducible(2, 3) == (1, 1, 0)       # x^3 + x + 1
+    assert fpk.least_irreducible(2, 4) == (1, 1, 0, 0)    # x^4 + x + 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (3, 4), (5, 2), (5, 3), (5, 4), (7, 2)])
+def test_irreducible_poly_has_no_small_factor(p, k):
+    c = fpk.least_irreducible(p, k)
+    assert len(c) == k
+    # no roots in F_p
+    for t in range(p):
+        v = (pow(t, k, p) + sum(ci * pow(t, i, p) for i, ci in enumerate(c))) % p
+        assert v != 0
+    # and no monic factor of degree <= k/2, by the product of any two
+    # monic polynomials of degrees d and k - d not being it
+    for d in range(1, k // 2 + 1):
+        for u in range(p ** d):
+            for w in range(p ** (k - d)):
+                g = [(u // p ** i) % p for i in range(d)] + [1]
+                h = [(w // p ** i) % p for i in range(k - d)] + [1]
+                prod = [0] * (k + 1)
+                for i, gi in enumerate(g):
+                    for j, hj in enumerate(h):
+                        prod[i + j] = (prod[i + j] + gi * hj) % p
+                assert tuple(prod[:k]) != c
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 4), (2, 4), (7, 2)])
+def test_extfield_axioms(p, k):
+    F = fpk.Fpk(p, k)
+    q = p ** k
+    rng = np.random.default_rng(1)
+    for a, b, c in rng.integers(0, q, size=(50, 3)).tolist():
+        ab = F.mul(a, b)
+        assert ab == F.mul(b, a)
+        assert F.mul(ab, c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.mul(a, 1) == a
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (2, 4), (3, 3)])
+def test_extfield_multiplicative_order(p, k):
+    # x^(q-1) = 1 for all x != 0  (so the modulus really was irreducible)
+    F = fpk.Fpk(p, k)
+    q = p ** k
+    assert all(F.pow(x, q - 1) == 1 for x in range(1, q))
+
+
+def test_extfield_frobenius_additive():
+    F = fpk.Fpk(5, 2)
+    for x, y in zip(range(25), reversed(range(25))):
+        assert F.pow(F.add(x, y), 5) == F.add(F.pow(x, 5), F.pow(y, 5))
+
+
+def test_extfield_embeds_prime_field():
+    # codes 0..p-1 are the scalars and multiply like integers mod p
+    F = fpk.Fpk(7, 2)
+    for a in range(7):
+        for b in range(7):
+            assert F.mul(a, b) == (a * b) % 7
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 5 ** 4 - 1), st.integers(0, 5 ** 4 - 1))
+def test_extfield_poly_mul_matches_sympy_style(x, y):
+    # reference: multiply coefficient lists mod the modulus polynomial, slowly
+    p, k = 5, 4
+    F = fpk.Fpk(p, k)
+    mod = fpk.least_irreducible(p, k)
+    xs = [(x // p ** i) % p for i in range(k)]
+    ys = [(y // p ** i) % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            prod[i + j] = (prod[i + j] + xi * yj) % p
+    for deg in range(2 * k - 2, k - 1, -1):
+        c = prod[deg]
+        if c:
+            prod[deg] = 0
+            for i, mi in enumerate(mod):
+                prod[deg - k + i] = (prod[deg - k + i] - c * mi) % p
+    want = sum(ci * p ** i for i, ci in enumerate(prod[:k]))
+    assert F.mul(x, y) == want

@@ -7,6 +7,8 @@ from pvsieve import orbits as ob
 from pvsieve.spaces import (CUBIC, QUARTIC, VElement, disc, disc_mod,
                             pairing_mod, resolvent_cubic_mod)
 
+import fpk
+
 # Exhaustive BFS results, frozen.  p=3 was additionally cross-checked against
 # an independent implementation of the same decomposition; the nonsingular
 # orbit sizes follow exact S4 cycle-type proportions (1/24, 6/24, 3/24, 8/24,
@@ -264,26 +266,25 @@ def test_classify_constant_on_orbits(p):
 
 def _slow_count_fp2(c, p):
     """#{[v] in P^2(F_{p^2}) : v A v^T = v B v^T = 0}, plain Python, with
-    F_{p^2} = F_p[t]/(t^2 - nu) and elements held as pairs (a, b) = a + b t."""
+    F_{p^2} = F_p[t]/(t^2 - nu), nu the least non-residue (tests/fpk.py)."""
     nu = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+    F = fpk.Fpk(p, 2, modulus=(-nu, 0))
+    els = range(F.q)
+    mul = [[F.mul(a, b) for b in els] for a in els]
+    add = [[F.add(a, b) for b in els] for a in els]
 
-    def mul(x, y):
-        return ((x[0] * y[0] + nu * x[1] * y[1]) % p,
-                (x[0] * y[1] + x[1] * y[0]) % p)
-
-    els = [(a, b) for a in range(p) for b in range(p)]
-    zero, one = (0, 0), (1, 0)
-    pts = ([(one, y, z) for y in els for z in els]
-           + [(zero, one, z) for z in els] + [(zero, zero, one)])
+    pts = ([(1, y, z) for y in els for z in els]
+           + [(0, 1, z) for z in els] + [(0, 0, 1)])
     cnt = 0
     for v in pts:
-        mono = [mul(v[0], v[0]), mul(v[1], v[1]), mul(v[2], v[2]),
-                mul(v[0], v[1]), mul(v[0], v[2]), mul(v[1], v[2])]
+        mono = [mul[v[0]][v[0]], mul[v[1]][v[1]], mul[v[2]][v[2]],
+                mul[v[0]][v[1]], mul[v[0]][v[2]], mul[v[1]][v[2]]]
         ok = True
         for block in (c[:6], c[6:]):
-            w = [block[j] * (1 if j < 3 else 2) for j in range(6)]
-            ok &= (sum(wj * m[0] for wj, m in zip(w, mono)) % p == 0
-                   and sum(wj * m[1] for wj, m in zip(w, mono)) % p == 0)
+            q = 0
+            for j, m in enumerate(mono):
+                q = add[q][mul[block[j] * (1 if j < 3 else 2) % p][m]]
+            ok &= q == 0
         cnt += ok
     return cnt
 
