@@ -253,13 +253,11 @@ def cmd_lod(args):
             f"X={max(X_grid)} beyond the configured cap {args.X_cap}")
     if not 0 <= args.alpha < 1:
         raise ConfigError("alpha must lie in [0, 1)")
-    if args.eta <= 0:
-        raise ConfigError("eta must be positive")
     cfg_obj = experiments.LodConfig(X_grid=X_grid, alpha=args.alpha,
-                                    eta=args.eta, s=args.s)
+                                    s=args.s)
     rep = experiments.lod_error_sum(cfg_obj)
     cfg = {"X": ",".join(map(str, X_grid)), "alpha": args.alpha,
-           "eta": args.eta, "s": args.s, "X_cap": args.X_cap}
+           "s": args.s, "X_cap": args.X_cap}
     lines = [_header("lod", cfg),
              f"# fitted_c\t{rep.fitted_c:.6f}",
              f"# residuals\t{','.join(f'{r:.3e}' for r in rep.residuals)}",
@@ -412,7 +410,6 @@ def build_parser():
     p = sub.add_parser("lod", help="level-of-distribution error sums")
     p.add_argument("--X", default="1e5,1e6,1e7")
     p.add_argument("--alpha", type=float, default=0.45)
-    p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--X-cap", type=float, default=1e7)
     p.add_argument("--out", default=None)

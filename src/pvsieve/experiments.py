@@ -14,10 +14,13 @@ exactly in rationals, count the reducible (disc = 0) locus through its
 (qx - py)^2 (ux - vy) parametrization, and count geometric-sieve pairs
 (x, p) with p | disc(x) for p in a dyadic window.
 
-Floating-point policy: box accumulation is compensated (Kahan) in the
-direct mode and bucket-then-pairwise in the batched mode, both over a
-fixed lexicographic traversal, so every number here is reproducible
-bit-for-bit run to run.
+Floating-point policy: every box engine walks the box through one
+traversal, slice by slice of the leading coordinate in ascending order
+with the tail in lexicographic order.  weighted_count accumulates the
+slices with Kahan compensation; disc_value_buckets sums each slice by
+disc value and merges the slices in a fixed pairwise tree.  Either way
+the order of every floating-point operation is fixed, so every number
+here is reproducible bit-for-bit run to run.
 """
 
 import math
@@ -26,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from . import fourier, orbits, sieve
 from .spaces import (CUBIC, ResourceLimitError, box_axis, disc,
@@ -136,10 +138,6 @@ class SmoothWeight:
     def phi_hat0(self, r=4):
         return (self.s * self.psi_integral) ** r
 
-    def psihat_spline(self, t_max, n=1024):
-        ts = np.linspace(0, t_max, n)
-        return CubicSpline(ts, [self.psihat(t) for t in ts])
-
     def psi_sixth_l1(self):
         """||psi^(6)||_1, for the rapid-decay constant |psihat(t)| <=
         K6 / (2 pi t)^6; the prefactor polynomial is exact."""
@@ -173,9 +171,33 @@ def box_radius(X, s=1.0, d=4):
     return int(np.floor(s * X ** (1 / d) - 1e-12))
 
 
-def _axis_weights(R, scale, weight):
+def _box_weights(X, weight):
+    """(xs, w1, W3) for the box |x_i| <= box_radius(X): the axis, its bump
+    weights, and the weights of the three tail coordinates flattened in
+    lexicographic order.  Boxes beyond the point budget are refused."""
+    R = box_radius(X, weight.s)
+    if (2 * R + 1) ** 4 > 3e8:
+        raise ResourceLimitError(f"box radius {R} beyond the point budget")
     xs = np.arange(-R, R + 1, dtype=np.int64)
-    return xs, weight.psi(xs / scale)
+    w1 = weight.psi(xs / (weight.s * X ** 0.25))
+    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
+    return xs, w1, W3
+
+
+def _disc_slices(axes):
+    """Yield (i, disc) for each leading coordinate axes[0][i], with disc
+    taken over the meshgrid of axes[1:] in lexicographic order.
+
+    |disc| <= 54 M^4 (M the largest |coordinate|) bounds every partial sum
+    of disc_cubic, so the dtype is chosen once from that bound: int64 when
+    it fits, exact Python-int object arrays when it does not."""
+    M = max((abs(int(t)) for ax in axes for t in ax), default=0)
+    dtype = np.int64 if 54 * M ** 4 < 2 ** 63 else object
+    tail = np.meshgrid(*(np.asarray(ax, dtype=np.int64).astype(dtype)
+                         for ax in axes[1:]), indexing="ij")
+    B, C, D = (t.ravel() for t in tail)
+    for i, a in enumerate(axes[0]):
+        yield i, disc_cubic(np.full_like(B, int(a)), B, C, D)
 
 
 def main_term(q, X, weight):
@@ -191,60 +213,38 @@ def ffactor(q):
     return factor_squarefree(int(q))
 
 
-def weighted_count(q, X, weight=None, mode="direct"):
+def weighted_count(q, X, weight=None):
     """(lattice sum, main term, E(X,q)) for the cubic box count of
-    q | disc(x) with weight phi(x X^{-1/4}).
-
-    direct mode: one pass, Kahan-compensated accumulation over slices of
-    the leading coordinate in ascending order.  batched mode: routes
-    through the disc-value buckets used by lod_error_sum."""
+    q | disc(x) with weight phi(x X^{-1/4}): one pass, Kahan-compensated
+    over slices of the leading coordinate in ascending order."""
     weight = weight or SmoothWeight()
-    if mode == "batched":
-        vals, sums = disc_value_buckets(X, weight)
-        lat = serve_buckets(vals, sums, q)
-    else:
-        R = box_radius(X, weight.s)
-        scale = weight.s * X ** 0.25
-        xs, w1 = _axis_weights(R, scale, weight)
-        B, C, D = np.meshgrid(xs, xs, xs, indexing="ij")
-        W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
-        B, C, D = B.ravel(), C.ravel(), D.ravel()
-        total = 0.0
-        comp = 0.0
-        for ia, a in enumerate(xs):
-            disc = disc_cubic(np.full_like(B, a), B, C, D)
-            contrib = float(np.sum(W3[disc % q == 0])) * w1[ia]
-            y = contrib - comp                      # Kahan step
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        lat = total
+    xs, w1, W3 = _box_weights(X, weight)
+    total = 0.0
+    comp = 0.0
+    for ia, disc in _disc_slices((xs,) * 4):
+        contrib = float(np.sum(W3[disc % q == 0])) * w1[ia]
+        y = contrib - comp                          # Kahan step
+        t = total + y
+        comp = (t - total) - y
+        total = t
     main = main_term(q, X, weight)
-    return lat, main, lat - main
+    return total, main, total - main
 
 
-def disc_value_buckets(X, weight=None, compact_every=8):
+def disc_value_buckets(X, weight=None):
     """One box pass; returns (vals, sums): distinct disc values (sorted)
     and the total weight attached to each.  Serving any q | disc query
     afterwards is a divisibility scan of the value array."""
     weight = weight or SmoothWeight()
-    R = box_radius(X, weight.s)
-    scale = weight.s * X ** 0.25
-    xs, w1 = _axis_weights(R, scale, weight)
-    if (2 * R + 1) ** 4 > 3e8:
-        raise ResourceLimitError(f"box radius {R} beyond the point budget")
-    B, C, D = np.meshgrid(xs, xs, xs, indexing="ij")
-    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
-    B, C, D = B.ravel(), C.ravel(), D.ravel()
+    xs, w1, W3 = _box_weights(X, weight)
     groups = []
     pend_v, pend_s = [], []
-    for ia, a in enumerate(xs):
-        disc = disc_cubic(np.full_like(B, a), B, C, D)
+    for ia, disc in _disc_slices((xs,) * 4):
         v, inv = np.unique(disc, return_inverse=True)
         s = np.bincount(inv, weights=W3 * w1[ia])
         pend_v.append(v)
         pend_s.append(s)
-        if len(pend_v) >= compact_every or ia == len(xs) - 1:
+        if len(pend_v) >= 8 or ia == len(xs) - 1:     # merge every 8 slices
             groups.append(_merge_buckets(pend_v, pend_s))
             pend_v, pend_s = [], []
     while len(groups) > 1:                  # fixed pairwise merge tree
@@ -275,7 +275,6 @@ def serve_buckets(vals, sums, q):
 class LodConfig:
     X_grid: tuple = (10 ** 5, 10 ** 6, 10 ** 7)
     alpha: float = 0.45
-    eta: float = 0.05
     s: float = 1.0
 
 
@@ -291,7 +290,7 @@ class LodReport:
         cfg = self.config
         with open(path, "w") as fh:
             fh.write(f"# lod-report v{version} alpha={cfg.alpha} "
-                     f"eta={cfg.eta} s={cfg.s} fitted_c={self.fitted_c:.6f} "
+                     f"s={cfg.s} fitted_c={self.fitted_c:.6f} "
                      f"residuals={','.join(f'{r:.3e}' for r in self.residuals)}\n")
             fh.write("# X\tn_q\tdisc0_mass\tcum_abs_E\tcum_over_X\n")
             for X, n_q, w0, cum, ratio in self.per_X:
@@ -569,8 +568,7 @@ def geo_pair_count(query):
     P, P2 = query.prime_window()
     ps = [int(p) for p in sieve.primes_upto(P2)
           if P <= p <= P2 and query.m % p != 0]
-    axes = [np.array(box_axis(query.lam, query.x0[i], query.m),
-                     dtype=np.int64) for i in range(4)]
+    axes = [box_axis(query.lam, query.x0[i], query.m) for i in range(4)]
     n_pts = int(np.prod([len(ax) for ax in axes]))
     if n_pts > 2e8:
         raise ResourceLimitError(f"{n_pts} progression points in the box")
@@ -579,10 +577,7 @@ def geo_pair_count(query):
         if query.scheme == "all":
             count = n_pts * len(ps)
         elif query.scheme == "disc0":
-            B, C, D = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-            B, C, D = B.ravel(), C.ravel(), D.ravel()
-            for a in axes[0]:
-                disc = disc_cubic(np.full_like(B, int(a)), B, C, D)
+            for _, disc in _disc_slices(axes):
                 for p in ps:
                     count += int(np.count_nonzero(disc % p == 0))
         else:

@@ -153,23 +153,27 @@ def sym_from_cols(c):
     return M
 
 
-def cols_from_sym(M):
-    return np.stack([M[..., 0, 0], M[..., 1, 1], M[..., 2, 2],
-                     M[..., 0, 1], M[..., 0, 2], M[..., 1, 2]], axis=-1)
+_SYM_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _congruence_matrix(g3, p):
+    """The 6x6 matrix of A -> g3 A g3^T on the coordinates of sym_from_cols:
+    M[(i,j),(k,l)] = g_ik g_jl + [k != l] g_il g_jk, reduced mod p."""
+    g = np.asarray(g3, dtype=np.int64) % p
+    return np.array([[g[i, k] * g[j, l] + (k != l) * g[i, l] * g[j, k]
+                      for k, l in _SYM_INDEX] for i, j in _SYM_INDEX],
+                    dtype=np.int64) % p
 
 
 def act_pair_batch(g2, g3, coords, p):
     """(g2,g3).(A,B) = (r A' + s B', t A' + u B') with A' = g3 A g3^T."""
     C = np.asarray(coords, dtype=np.int64) % p
-    A = sym_from_cols(C[..., :6])
-    B = sym_from_cols(C[..., 6:])
-    G3 = np.asarray(g3, dtype=np.int64) % p
-    A2 = np.einsum("ij,...jk,lk->...il", G3, A, G3) % p
-    B2 = np.einsum("ij,...jk,lk->...il", G3, B, G3) % p
+    T = _congruence_matrix(g3, p).T
+    A2 = C[..., :6] @ T % p
+    B2 = C[..., 6:] @ T % p
     (r, s), (t, u) = g2
-    An = (r * A2 + s * B2) % p
-    Bn = (t * A2 + u * B2) % p
-    return np.concatenate([cols_from_sym(An), cols_from_sym(Bn)], axis=-1)
+    return np.concatenate([(r * A2 + s * B2) % p, (t * A2 + u * B2) % p],
+                          axis=-1)
 
 
 def act(space, g, x):
@@ -284,14 +288,13 @@ class OrbitTable:
         return cls(p, entries)
 
 
-def _bfs_orbits(p, chunk=1 << 21):
+def _bfs_orbits(p, chunk=1 << 19):
     """Label every state of (F_p)^12 with its orbit index.  Within one
     generator batch the action is a bijection, so candidate arrays carry no
     internal duplicates; marking the label array between generators removes
     the rest.  Seeds scan upward, so each representative is the smallest
     code in its orbit."""
     n_states = p ** 12
-    pow_p = p ** np.arange(12, dtype=np.int64)
     label = np.full(n_states, -1, dtype=np.int8)
     gens = [(np.array(g.g2, dtype=np.int64) % p,
              np.array(g.g3, dtype=np.int64) % p)
@@ -299,27 +302,10 @@ def _bfs_orbits(p, chunk=1 << 21):
 
     def act_codes(g2, g3, codes):
         res = np.empty(codes.size, dtype=np.int64)
-        G3 = g3.astype(np.int16)
-        r, s = int(g2[0, 0]), int(g2[0, 1])
-        t, u = int(g2[1, 0]), int(g2[1, 1])
         for lo in range(0, codes.size, chunk):
             sl = slice(lo, min(lo + chunk, codes.size))
-            C = decode_states(codes[sl], p)
-            A = sym_from_cols(C[:, :6])
-            B = sym_from_cols(C[:, 6:])
-            # int16 einsum is safe: intermediates < 9 p^3 << 2^15 for p <= 5
-            A2 = np.einsum("ij,njk,lk->nil", G3, A, G3, dtype=np.int16) % p
-            B2 = np.einsum("ij,njk,lk->nil", G3, B, G3, dtype=np.int16) % p
-            An = (r * A2 + s * B2) % p
-            Bn = (t * A2 + u * B2) % p
-            acc = np.zeros(C.shape[0], dtype=np.int64)
-            for i, col in enumerate(
-                    [An[:, 0, 0], An[:, 1, 1], An[:, 2, 2],
-                     An[:, 0, 1], An[:, 0, 2], An[:, 1, 2],
-                     Bn[:, 0, 0], Bn[:, 1, 1], Bn[:, 2, 2],
-                     Bn[:, 0, 1], Bn[:, 0, 2], Bn[:, 1, 2]]):
-                acc += col.astype(np.int64) * pow_p[i]
-            res[sl] = acc
+            res[sl] = encode_states(
+                act_pair_batch(g2, g3, decode_states(codes[sl], p), p), p)
         return res
 
     sizes, reps = [], []

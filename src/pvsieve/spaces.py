@@ -104,7 +104,9 @@ class DualElement:
 
 def disc_cubic(a, b, c, d):
     """Discriminant of a u^3 + b u^2 v + c u v^2 + d v^3.  Works on ints or
-    numpy arrays alike (callers watch for int64 overflow on arrays)."""
+    numpy arrays alike.  |disc| <= 54 M^4 for |coords| <= M, so int64
+    arrays wrap once M passes ~20 000; experiments._disc_slices, the box
+    traversal, picks int64 or exact object arrays from that bound."""
     return (b * b * c * c - 4 * a * c * c * c - 4 * b * b * b * d
             - 27 * a * a * d * d + 18 * a * b * c * d)
 
@@ -257,11 +259,8 @@ def dual_disc_cubic(k):
 
 
 # ---------------------------------------------------------------------------
-# box enumeration
+# boxes
 # ---------------------------------------------------------------------------
-
-BOX_POINT_LIMIT = 400_000_000
-
 
 def box_axis(Z, x0=0, m_prog=1):
     """Sorted integers t with |t| <= Z and t = x0 mod m_prog."""
@@ -270,44 +269,3 @@ def box_axis(Z, x0=0, m_prog=1):
         return list(range(-Z, Z + 1))
     lo = -Z + ((x0 + Z) % m_prog)
     return list(range(lo, Z + 1, m_prog))
-
-
-def box_point_count(space, Z, x0=None, m_prog=1):
-    x0 = x0 or (0,) * space.r
-    n = 1
-    for i in range(space.r):
-        n *= len(box_axis(Z, x0[i], m_prog))
-    return n
-
-
-def enumerate_box(space, Z, x0=None, m_prog=1, limit=BOX_POINT_LIMIT):
-    """Stream lattice points of the box |x_i| <= Z on the progression
-    x = x0 mod m_prog, in lexicographic coordinate order."""
-    import itertools
-    x0 = x0 or (0,) * space.r
-    if box_point_count(space, Z, x0, m_prog) > limit:
-        raise ResourceLimitError(f"box has more than {limit} points")
-    axes = [box_axis(Z, x0[i], m_prog) for i in range(space.r)]
-    for pt in itertools.product(*axes):
-        yield pt
-
-
-def box_chunks(space, Z, x0=None, m_prog=1, limit=BOX_POINT_LIMIT):
-    """Yield the same box as enumerate_box but as numpy (n, r) blocks, one
-    per leading coordinate, preserving lexicographic order within and across
-    blocks.  This is the kernel-facing variant."""
-    x0 = x0 or (0,) * space.r
-    if box_point_count(space, Z, x0, m_prog) > limit:
-        raise ResourceLimitError(f"box has more than {limit} points")
-    axes = [np.array(box_axis(Z, x0[i], m_prog), dtype=np.int64)
-            for i in range(space.r)]
-    tail = axes[1:]
-    grids = np.meshgrid(*tail, indexing="ij") if tail else []
-    tail_cols = [g.reshape(-1) for g in grids]
-    n_tail = tail_cols[0].size if tail_cols else 1
-    for lead in axes[0]:
-        block = np.empty((n_tail, space.r), dtype=np.int64)
-        block[:, 0] = lead
-        for j, col in enumerate(tail_cols):
-            block[:, j + 1] = col
-        yield block

@@ -170,5 +170,12 @@ def test_geosieve_single(capsys):
     assert "count\t" in out and "ratio\t" in out
 
 
+def test_geosieve_wide_box_is_exact(capsys):
+    # |disc| reaches ~5e21 in this box, past int64
+    assert run(["geosieve", "--lam", "100000", "--m", "10000",
+                "--window", "11", "22"]) == 0
+    assert "count\t53844\n" in capsys.readouterr().out
+
+
 def test_geosieve_bad_window():
     assert run(["geosieve", "--lam", "6", "--window", "14", "7"]) == 2

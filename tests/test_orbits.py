@@ -144,7 +144,6 @@ def test_disc_invariance_under_action(space, p):
 def test_disc_invariance_under_generators(space, p):
     # unimodular generators leave disc unchanged identically (checked on an
     # exhaustive small box reduced mod p)
-    from pvsieve.spaces import box_chunks
     gens = [g for g in ob.generators(space, p)
             if ob._det2(g.g2) % p == 1
             and (g.g3 is None or ob._det3(g.g3) % p == 1)]

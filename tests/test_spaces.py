@@ -168,27 +168,33 @@ def test_dual_disc_cubic_grading():
 # ---------------------------------------------------------------------------
 
 def test_box_counts():
-    assert list(sp.enumerate_box(CUBIC, 0)) == [(0, 0, 0, 0)]
-    assert len(list(sp.enumerate_box(CUBIC, 1))) == 81
-    pts = list(sp.enumerate_box(CUBIC, 2, x0=(0, 0, 0, 0), m_prog=2))
-    assert len(pts) == 81
-    assert all(all(c % 2 == 0 for c in x) for x in pts)
+    assert sp.box_axis(0) == [0]
+    assert len(sp.box_axis(1)) ** CUBIC.r == 81
+    axis = sp.box_axis(2, x0=0, m_prog=2)
+    assert len(axis) ** CUBIC.r == 81
+    assert all(t % 2 == 0 for t in axis)
+    assert sp.box_axis(2.9) == sp.box_axis(2)      # radius is floored
 
 
 def test_box_lex_order_and_chunks_agree():
-    stream = list(sp.enumerate_box(CUBIC, 2, x0=(1, 0, 1, 0), m_prog=3))
-    assert stream == sorted(stream)
-    blocks = list(sp.box_chunks(CUBIC, 2, x0=(1, 0, 1, 0), m_prog=3))
-    flat = [tuple(int(c) for c in row) for b in blocks for row in b]
-    assert flat == stream
+    # strictly increasing axes are what make a box traversal (one slice
+    # per leading coordinate, meshgrid tail) lexicographic
+    for Z, x0, m in ((2, 1, 3), (5, 2, 3), (7.5, -3, 4), (3, 0, 1)):
+        axis = sp.box_axis(Z, x0, m)
+        assert axis == sorted(set(axis))
 
 
 def test_box_progression_membership():
-    for x in sp.enumerate_box(CUBIC, 5, x0=(1, 2, 0, 2), m_prog=3):
-        assert all(abs(c) <= 5 for c in x)
-        assert all((c - x0) % 3 == 0 for c, x0 in zip(x, (1, 2, 0, 2)))
+    for x0 in (1, 2, 0, -4, 7):
+        axis = sp.box_axis(5, x0, 3)
+        assert all(abs(t) <= 5 and (t - x0) % 3 == 0 for t in axis)
+        assert axis == [t for t in range(-5, 6) if (t - x0) % 3 == 0]
 
 
 def test_box_resource_limit():
+    # X = 10^9 is a 355^4-point box, beyond the box engines' point budget
+    from pvsieve import experiments as ex
     with pytest.raises(sp.ResourceLimitError):
-        next(iter(sp.enumerate_box(QUARTIC, 4)))  # 9^12 points
+        ex.disc_value_buckets(10 ** 9)
+    with pytest.raises(sp.ResourceLimitError):
+        ex.weighted_count(1, 10 ** 9)
