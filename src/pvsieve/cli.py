@@ -6,11 +6,13 @@ a given invocation always produces byte-identical output (headers carry the
 package version and the full effective config, never timestamps).
 
 Brute-force transform tables are cached under --cache-dir keyed by
-(space, prime, condition, code version); a cache file whose header does not
-match the current schema/version is ignored and recomputed, never reused.
+(space, prime, condition, code version); fourier.cached_bruteforce reuses a
+cache file only when it is a whole, intact table of the current schema and
+recomputes it otherwise.
 """
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, experiments, fourier, orbits, sieve
-from .spaces import (BadPrimeError, ResourceLimitError, disc_cubic,
+from .spaces import (CUBIC, QUARTIC, BadPrimeError, ResourceLimitError,
                      space_by_name)
 
 EXIT_PASS = 0
@@ -35,15 +37,6 @@ class ConfigError(ValueError):
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def _parse_primes(text, space):
     """'5,7,11' (strict: a bad prime is a config error) or '3..23'
     (range: the space's bad primes are skipped, since the closed forms
@@ -56,8 +49,8 @@ def _parse_primes(text, space):
         if lo > hi:
             raise ConfigError(f"empty prime range {text!r}")
         ps = []
-        for n in range(max(lo, 2), hi + 1):
-            if not _is_prime(n):
+        for n in sieve.primes_upto(hi).tolist():
+            if n < lo:
                 continue
             if n in space.bad_primes:
                 skipped.append(n)
@@ -66,7 +59,9 @@ def _parse_primes(text, space):
     else:
         ps = [int(tok) for tok in text.split(",") if tok.strip()]
         for n in ps:
-            if not _is_prime(n):
+            # trial division by the primes up to sqrt(n)
+            if n < 2 or any(n % q == 0 for q in
+                            sieve.primes_upto(math.isqrt(n)).tolist()):
                 raise ConfigError(f"{n} is not prime")
             if n in space.bad_primes:
                 raise ConfigError(
@@ -97,24 +92,12 @@ def _cache_dir(args):
         os.path.join(os.path.expanduser("~"), ".cache", "pvsieve"))
 
 
-def _cached_bruteforce(cond, p, args, reps_by_name=None):
-    """Brute-force FourierTable with a versioned file cache."""
-    cdir = _cache_dir(args)
-    path = os.path.join(
-        cdir, f"ft-brute-{cond.space_id}-{cond.kind}-p{p}-v{__version__}.tsv")
-    if not args.no_cache and os.path.exists(path):
-        try:
-            tab = fourier.FourierTable.from_file(path)
-            if tab.p == p and tab.space_id == cond.space_id \
-                    and tab.source == "bruteforce":
-                return tab
-        except (ValueError, OSError):
-            pass                                   # stale or foreign: ignore
-    tab = fourier.fourier_table_bruteforce(cond, p, reps_by_name=reps_by_name)
-    if not args.no_cache:
-        os.makedirs(cdir, exist_ok=True)
-        tab.to_file(path)
-    return tab
+def _cached_bruteforce(cond, p, args):
+    """Brute-force FourierTable through the versioned file cache."""
+    path = None if args.no_cache else os.path.join(
+        _cache_dir(args),
+        f"ft-brute-{cond.space_id}-{cond.kind}-p{p}-v{__version__}.tsv")
+    return fourier.cached_bruteforce(cond, p, path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +107,11 @@ def _cached_bruteforce(cond, p, args, reps_by_name=None):
 def cmd_ft_verify(args):
     space = space_by_name(args.space)
     primes, skipped = _parse_primes(args.primes, space)
-    if args.mode == "exhaustive" and space.space_id != "cubic":
+    if args.mode == "exhaustive" and space is not CUBIC:
         raise ConfigError("exhaustive mode is only sized for the cubic space")
     # resource preflight before any sweep starts
     for p in primes:
-        n_states = p ** space.r
-        limit = fourier.CUBIC_SWEEP_LIMIT if space.space_id == "cubic" \
-            else fourier.FT_SWEEP_LIMIT
-        if n_states > limit:
-            raise ResourceLimitError(
-                f"p={p}: {n_states} states exceed the sweep budget")
+        space.check_sweep(p)
         if args.mode == "exhaustive" and p > 23:
             raise ResourceLimitError("exhaustive targets capped at p <= 23")
     cond = fourier.LocalCondition(space.space_id)
@@ -144,11 +122,7 @@ def cmd_ft_verify(args):
     mismatches = []
     for p in primes:
         closed = fourier.fourier_table_closed_form(cond, p)
-        reps = None
-        if space.space_id == "quartic":
-            table = orbits.decompose_orbits(space, p)
-            reps = {name: rep for name, (sz, rep) in table.entries.items()}
-        brute = _cached_bruteforce(cond, p, args, reps_by_name=reps)
+        brute = _cached_bruteforce(cond, p, args)
         for name, want in closed.values.items():
             got = brute.values[name]
             ok = got == want
@@ -160,15 +134,13 @@ def cmd_ft_verify(args):
             nums, den = fourier.ft_bruteforce_exhaustive_cubic(cond, p)
             scaled = []
             for c in fourier.CUBIC_CLASSES:
-                v = fourier.ft_closed_form_cubic(p, c) * den
+                v = fourier.ft_closed_form(cond, p, c) * den
                 assert v.denominator == 1
                 scaled.append(int(v))
             codes = np.arange(den, dtype=np.int64)
-            coords = orbits.decode_states(codes, p, r=4).astype(np.int64)
-            dm = disc_cubic(*coords.T) % p
-            inpv = (coords == 0).all(axis=1)
-            want_nums = np.where(inpv, scaled[0],
-                                 np.where(dm == 0, scaled[1], scaled[2]))
+            cls = fourier.cubic_class_batch(
+                orbits.decode_states(codes, p, r=4), p)
+            want_nums = np.array(scaled, dtype=np.int64)[cls]
             bad = int(np.count_nonzero(nums != want_nums))
             lines.append(f"{p}\texhaustive\t{p ** 4}\t{bad}\t"
                          f"{'ok' if bad == 0 else 'MISMATCH'}")
@@ -191,10 +163,9 @@ def cmd_ft_verify(args):
 
 def cmd_orbits(args):
     space = space_by_name(args.space)
-    if space.space_id != "quartic":
+    if space is not QUARTIC:
         raise ConfigError("the orbit table is for the quartic space")
-    if args.prime % 2 == 0 or not _is_prime(args.prime):
-        raise ConfigError(f"need an odd prime, got {args.prime}")
+    _parse_primes(str(args.prime), space)      # an odd prime, or ConfigError
     table = orbits.decompose_orbits(space, args.prime)
     cfg = {"space": args.space, "prime": args.prime}
     lines = [_header("orbits", cfg),
@@ -289,7 +260,7 @@ def cmd_dual_bound(args):
              f"disc0_part\t{rep.disc0_part}",
              f"nonzero_part\t{rep.nonzero_part}",
              f"qsplit_checked\t{rep.qsplit_checked}"]
-    if space.space_id == "cubic":
+    if space is CUBIC:
         maj0, maj1 = experiments.dual_bound_majorant(args.N, args.Z)
         ok = rep.disc0_part <= maj0 and rep.nonzero_part <= maj1
         lines.append(f"majorant_disc0\t{maj0}")

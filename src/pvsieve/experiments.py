@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from . import fourier, orbits, sieve
+from . import fourier, sieve
 from .spaces import (CUBIC, ResourceLimitError, box_axis, disc,
                      disc_cubic, space_by_name)
 

@@ -8,7 +8,8 @@ transform is
 an exact rational because the support is invariant under scalar dilation
 (the exponential sums collapse to (n_0 - n_1)/p^r, Ramanujan style).
 
-Closed forms, verified exhaustively against brute force:
+Closed forms, verified exhaustively against brute force and kept as one
+table, CLOSED_FORMS (space -> class -> (coefficient, exponent) pairs):
 
 cubic space (p != 3), graded by the target y:
     y = 0                : p^-1 + p^-2 - p^-3
@@ -32,25 +33,20 @@ lattice), the grading polynomial is dstar(k) = disc(rho(k))/27, which stays
 meaningful mod 3; the same three values apply at every p including 3.
 """
 
+import hashlib
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import ffcore, orbits
-from .spaces import (BadPrimeError, ResourceLimitError, VElement,
-                     disc_mod, dual_disc_cubic, pairing_weights_mod,
-                     space_by_name)
+from .spaces import (CUBIC, BadPrimeError, ResourceLimitError, disc_mod,
+                     dual_disc_cubic, pairing_weights_mod, space_by_name)
 
 
 class InvalidLabelError(ValueError):
     pass
-
-
-FT_SWEEP_LIMIT = 6 ** 12
-CUBIC_SWEEP_LIMIT = 60 ** 4
-
-CUBIC_CLASSES = ("pV", "disc0", "nonsing")
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,7 @@ class LocalCondition:
         return disc_mod(self.space, coords, p) == 0
 
     def indicator(self, x, p):
-        coords = x.coords if isinstance(x, VElement) else tuple(x)
-        return int(disc_mod(self.space, np.array([coords]), p)[0] == 0)
+        return int(disc_mod(self.space, np.array([tuple(x)]), p)[0] == 0)
 
 
 CUBIC_COND = LocalCondition("cubic")
@@ -79,85 +74,96 @@ QUARTIC_COND = LocalCondition("quartic")
 # closed forms
 # ---------------------------------------------------------------------------
 
+_DIM8 = ((-1, 5), (1, 6), (1, 7), (-1, 8))
+_LINEAR = ((1, 7), (-1, 8))
+
+# space -> class -> ((coefficient, exponent), ...), the value being
+# sum coefficient * p^-exponent; the first class of each space is y = 0,
+# and the quartic classes run in orbits.LABELS order.
+CLOSED_FORMS = {
+    "cubic": {
+        "pV": ((1, 1), (1, 2), (-1, 3)),
+        "disc0": ((1, 2), (-1, 3)),
+        "nonsing": ((-1, 3),),
+    },
+    "quartic": {
+        "O_0": ((1, 1), (2, 2), (-1, 3), (-2, 4), (-1, 5), (2, 6), (1, 7),
+                (-1, 8)),
+        "O_D1^2": ((1, 3), (-1, 4), (-2, 5), (2, 6), (1, 7), (-1, 8)),
+        "O_D11": ((2, 4), (-5, 5), (3, 6), (1, 7), (-1, 8)),
+        "O_Cs": ((1, 4), (-3, 5), (2, 6), (1, 7), (-1, 8)),
+        **dict.fromkeys(orbits.U_GROUPS[8], _DIM8),
+        "O_1^4": _LINEAR, "O_1^31": _LINEAR,
+        "O_1^21^2": ((-1, 6), (2, 7), (-1, 8)),
+        "O_2^2": ((1, 6), (-1, 8)),
+        "O_1^211": _LINEAR, "O_1^22": _LINEAR,
+        **dict.fromkeys(orbits.NONSINGULAR_LABELS, ((-1, 8),)),
+    },
+}
+
+CUBIC_CLASSES = tuple(CLOSED_FORMS["cubic"])
+
+
+def _lines(space):
+    """The closed-form table of one space: class -> (coefficient, exponent)
+    pairs."""
+    return CLOSED_FORMS[space.space_id]
+
+
 def _poly(p, *pairs):
     """sum of c * p^-e for (c, e) pairs, exact."""
     return sum(Fraction(c, p ** e) for c, e in pairs)
 
 
+def ft_closed_form(cond, p, label):
+    """The closed-form transform at a prime for a target class (cubic) or
+    orbit label (quartic, aliases accepted).  Bad primes are refused."""
+    space = cond.space
+    if p in space.bad_primes:
+        raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
+    label = orbits.LABEL_ALIASES.get(label, label)
+    try:
+        return _poly(p, *_lines(space)[label])
+    except KeyError:
+        raise InvalidLabelError(
+            f"unknown {space.space_id} class {label!r}") from None
+
+
 def ft_closed_form_cubic(p, cls):
-    if p == 3:
-        raise BadPrimeError("cubic closed forms exclude p = 3")
-    if cls == "pV":
-        return _poly(p, (1, 1), (1, 2), (-1, 3))
-    if cls == "disc0":
-        return _poly(p, (1, 2), (-1, 3))
-    if cls == "nonsing":
-        return _poly(p, (-1, 3))
-    raise InvalidLabelError(f"unknown cubic class {cls!r}")
-
-
-_QUARTIC_LINES = {
-    "O_0": ((1, 1), (2, 2), (-1, 3), (-2, 4), (-1, 5), (2, 6), (1, 7), (-1, 8)),
-    "O_D1^2": ((1, 3), (-1, 4), (-2, 5), (2, 6), (1, 7), (-1, 8)),
-    "O_D11": ((2, 4), (-5, 5), (3, 6), (1, 7), (-1, 8)),
-    "O_Cs": ((1, 4), (-3, 5), (2, 6), (1, 7), (-1, 8)),
-    "dim8": ((-1, 5), (1, 6), (1, 7), (-1, 8)),
-    "O_1^21^2": ((-1, 6), (2, 7), (-1, 8)),
-    "O_2^2": ((1, 6), (-1, 8)),
-    "deg-linear": ((1, 7), (-1, 8)),
-    "dim12": ((-1, 8),),
-}
-
-_LINE_OF_LABEL = {}
-for _name in orbits.LABELS:
-    if _name in _QUARTIC_LINES:
-        _LINE_OF_LABEL[_name] = _name
-    elif orbits.LABEL_DIM[_name] == 8:
-        _LINE_OF_LABEL[_name] = "dim8"
-    elif orbits.LABEL_DIM[_name] == 12:
-        _LINE_OF_LABEL[_name] = "dim12"
-    else:
-        _LINE_OF_LABEL[_name] = "deg-linear"
-
-
-def ft_closed_form_quartic(p, label):
-    if p == 2:
-        raise BadPrimeError("pair-space closed forms exclude p = 2")
-    label = orbits.canonical_label(label)
-    return _poly(p, *_QUARTIC_LINES[_LINE_OF_LABEL[label]])
-
-
-def ft_closed_form(cond, p, label_or_class):
-    if cond.space_id == "cubic":
-        return ft_closed_form_cubic(p, label_or_class)
-    return ft_closed_form_quartic(p, label_or_class)
+    return ft_closed_form(CUBIC_COND, p, cls)
 
 
 def omega(space, p):
     """Psi-hat_p(0) = density of p | disc, exact.
 
     Unlike the graded tables, the zero-target value stays correct at the
-    cubic space's bad prime: the count #{x in V(F_3): 3 | disc x} = 33
-    gives 33/81 = 11/27, which is what the polynomial evaluates to.
+    bad prime: the count #{x in V(F_3): 3 | disc x} = 33 gives
+    33/81 = 11/27 for the cubic space, which is what its line evaluates to.
     """
-    if space.space_id == "cubic":
-        return _poly(p, (1, 1), (1, 2), (-1, 3))
-    return ft_closed_form_quartic(p, "O_0")
+    return _poly(p, *next(iter(_lines(space).values())))
+
+
+def cubic_class_batch(coords, p):
+    """Index into CUBIC_CLASSES per row: 0 y = 0, 1 disc(y) = 0 and y != 0,
+    2 nonsingular."""
+    C = np.asarray(coords, dtype=np.int64) % p
+    return _three_classes(C, disc_mod(CUBIC, C, p))
 
 
 def cubic_class(y, p):
-    coords = y.coords if isinstance(y, VElement) else tuple(y)
-    arr = np.array([coords], dtype=np.int64) % p
-    if not arr.any():
-        return "pV"
-    space = space_by_name("cubic")
-    return "disc0" if disc_mod(space, arr, p)[0] == 0 else "nonsing"
+    return CUBIC_CLASSES[cubic_class_batch(np.array([tuple(y)]), p)[0]]
+
+
+def _three_classes(K, grading):
+    cls = np.where(grading == 0, 1, 2).astype(np.int8)
+    cls[~K.any(axis=-1)] = 0
+    return cls
 
 
 def classify_target(cond, y, p):
     """Class/label of a transform argument: cubic coarse class or the
     orbit label of the pair space."""
-    if cond.space_id == "cubic":
+    if cond.space is CUBIC:
         return cubic_class(y, p)
     return orbits.classify(cond.space, y, p)
 
@@ -172,26 +178,19 @@ def _targets_matrix(cond, targets, p):
     return (T * w) % p
 
 
-def ft_histograms(cond, p, targets, code_range=None, chunk=1 << 20):
+def ft_histograms(cond, p, targets, *, chunk=1 << 20):
     """Pairing histograms of <x, y_j> over the support {p | disc x}, all
-    targets served by one sweep over the code range (default: everything).
-
-    code_range=(lo, hi) sweeps a sub-range only; histograms over disjoint
-    ranges merge additively to the full-sweep result.
-    """
+    targets served by one sweep over every state."""
     space = cond.space
     if p in space.bad_primes:
         raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
+    space.check_sweep(p)
     n_states = p ** space.r
-    limit = CUBIC_SWEEP_LIMIT if space.space_id == "cubic" else FT_SWEEP_LIMIT
-    if n_states > limit:
-        raise ResourceLimitError(f"p={p}: {n_states} states exceed the budget")
-    lo, hi = code_range if code_range is not None else (0, n_states)
     WT = _targets_matrix(cond, targets, p)
     k = WT.shape[0]
     counts = np.zeros((k, p), dtype=np.int64)
-    for start in range(lo, hi, chunk):
-        codes = np.arange(start, min(start + chunk, hi), dtype=np.int64)
+    for start in range(0, n_states, chunk):
+        codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
         C = orbits.decode_states(codes, p, r=space.r)
         sup = C[cond.support_mask(C, p)]
         if not sup.size:
@@ -202,25 +201,24 @@ def ft_histograms(cond, p, targets, code_range=None, chunk=1 << 20):
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
 
 
-def ft_bruteforce_multi(cond, p, targets, chunk=1 << 20):
+def ft_bruteforce_multi(cond, p, targets):
     """Exact transform values at several targets from a single sweep."""
-    hists = ft_histograms(cond, p, targets, chunk=chunk)
+    hists = ft_histograms(cond, p, targets)
     return [ffcore.ft_value_from_histogram(h, cond.space.r) for h in hists]
 
 
-def ft_bruteforce(cond, p, y, chunk=1 << 20):
-    coords = y.coords if isinstance(y, VElement) else tuple(y)
-    return ft_bruteforce_multi(cond, p, [coords], chunk=chunk)[0]
+def ft_bruteforce(cond, p, y):
+    return ft_bruteforce_multi(cond, p, [tuple(y)])[0]
 
 
 def ft_bruteforce_exhaustive_cubic(cond, p):
     """(numerators, p^4): exact FT numerators at every y in V(F_p), from one
     pass of the full support against all p^4 targets (target axis chunked:
     the pairing matrix at p = 23 would otherwise run to ~30 GB)."""
-    if cond.space_id != "cubic":
+    if cond.space is not CUBIC:
         raise ValueError("exhaustive mode is for the cubic space")
-    if p == 3:
-        raise BadPrimeError("p=3 excluded (bad prime)")
+    if p in CUBIC.bad_primes:
+        raise BadPrimeError(f"p={p} excluded (bad prime)")
     if p > 23:
         raise ResourceLimitError("exhaustive targets capped at p <= 23")
     n = p ** 4
@@ -247,21 +245,17 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
 def dual_cubic_class_batch(kcoords, p):
     """0: k = 0; 1: dstar(k) = 0, k != 0; 2: nonsingular."""
     K = np.asarray(kcoords, dtype=np.int64) % p
-    ds = dual_disc_cubic(K) % p
-    cls = np.where(ds == 0, 1, 2).astype(np.int8)
-    cls[~K.any(axis=-1)] = 0
-    return cls
+    return _three_classes(K, dual_disc_cubic(K) % p)
+
 
 def dual_ft_value(p, cls):
-    """Dual-side cubic values; same three rationals as the direct table but
-    valid at every p (the dstar grading absorbs the bad prime 3)."""
-    if cls == 0:
-        return _poly(p, (1, 1), (1, 2), (-1, 3))
-    if cls == 1:
-        return _poly(p, (1, 2), (-1, 3))
-    if cls == 2:
-        return _poly(p, (-1, 3))
-    raise InvalidLabelError(f"dual class {cls!r}")
+    """Dual-side cubic values: the direct table's three lines, by class
+    index, but valid at every p (the dstar grading absorbs the bad prime
+    3)."""
+    lines = tuple(_lines(CUBIC).values())
+    if cls not in range(len(lines)):
+        raise InvalidLabelError(f"dual class {cls!r}")
+    return _poly(p, *lines[cls])
 
 
 def dual_ft_bruteforce(p):
@@ -270,8 +264,7 @@ def dual_ft_bruteforce(p):
     n = p ** 4
     codes = np.arange(n, dtype=np.int64)
     C = orbits.decode_states(codes, p, r=4)
-    space = space_by_name("cubic")
-    sup = C[disc_mod(space, C, p) == 0].astype(np.int64)
+    sup = C[CUBIC_COND.support_mask(C, p)].astype(np.int64)
     P = sup @ C.astype(np.int64).T % p
     numer = np.empty(n, dtype=np.int64)
     for j in range(n):
@@ -290,7 +283,7 @@ def ft_on_lattice(cond, q, y):
     dropped (the dual-lattice index m acts trivially there), the rest is the
     per-prime closed form, multiplied out."""
     space = cond.space
-    coords = y.coords if isinstance(y, VElement) else tuple(y)
+    coords = tuple(y)
     q_eff = q // np.gcd(q, space.m)
     value = Fraction(1)
     for p in ffcore.factor_squarefree(int(q_eff)):
@@ -301,7 +294,7 @@ def ft_on_lattice(cond, q, y):
 def ft_qsplit_check(cond, q0, q1, x):
     """The split identity: for x in q0 V(Z) and coprime squarefree q0, q1,
     FT_{q0 q1}(x) = FT_{q0}(x) * FT_{q1}(x / q0)."""
-    coords = x.coords if isinstance(x, VElement) else tuple(x)
+    coords = tuple(x)
     if any(c % q0 for c in coords):
         raise ValueError(f"x not in {q0}V(Z)")
     if np.gcd(q0, q1) != 1:
@@ -316,6 +309,9 @@ def ft_qsplit_check(cond, q0, q1, x):
 # serialized tables
 # ---------------------------------------------------------------------------
 
+TABLE_VERSION = 2      # v2 added the checksum line; older files are stale
+
+
 @dataclass
 class FourierTable:
     p: int
@@ -323,59 +319,97 @@ class FourierTable:
     values: dict            # label/class -> Fraction
     source: str             # bruteforce | closed_form
 
-    def to_file(self, path, version="1"):
-        with open(path, "w") as fh:
-            fh.write(f"# fourier-table v{version} space={self.space_id} "
-                     "prime label num den source\n")
-            for name, v in self.values.items():
-                fh.write(f"{self.p}\t{name}\t{v.numerator}\t{v.denominator}"
-                         f"\t{self.source}\n")
+    def to_file(self, path):
+        """Header, one row per class, and a sha256 line over both, written
+        to a temporary file that then replaces path."""
+        body = (f"# fourier-table v{TABLE_VERSION} space={self.space_id} "
+                "prime label num den source\n"
+                + "".join(f"{self.p}\t{name}\t{v.numerator}\t{v.denominator}"
+                          f"\t{self.source}\n"
+                          for name, v in self.values.items()))
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
+            fh.write(f"{body}# sha256 {_sha256(body)}\n")
+        os.replace(tmp, path)
 
     @classmethod
-    def from_file(cls, path, version="1"):
-        values = {}
-        p = src = space_id = None
+    def from_file(cls, path):
+        """Read a table; ValueError unless the header has the current
+        version and the checksum line matches everything above it."""
         with open(path) as fh:
-            head = fh.readline()
-            if not head.startswith(f"# fourier-table v{version} "):
-                raise ValueError(f"stale or foreign fourier table: {head!r}")
-            space_id = head.split("space=")[1].split()[0]
-            for line in fh:
-                ps, name, num, den, src = line.rstrip("\n").split("\t")
-                p = int(ps)
-                values[name] = Fraction(int(num), int(den))
-        return cls(p=p, space_id=space_id, values=values, source=src)
+            text = fh.read()
+        body, _, digest = text.rpartition("# sha256 ")
+        if (not body.startswith(f"# fourier-table v{TABLE_VERSION} space=")
+                or digest != f"{_sha256(body)}\n"):
+            raise ValueError(f"stale, foreign or damaged fourier table "
+                             f"{os.fspath(path)!r}")
+        head, *rows = body.splitlines()
+        values, p, src = {}, None, None
+        for line in rows:
+            ps, name, num, den, src = line.split("\t")
+            p = int(ps)
+            values[name] = Fraction(int(num), int(den))
+        return cls(p=p, space_id=head.split("space=")[1].split()[0],
+                   values=values, source=src)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def fourier_table_closed_form(cond, p):
-    names = CUBIC_CLASSES if cond.space_id == "cubic" else orbits.LABELS
     return FourierTable(p=p, space_id=cond.space_id, source="closed_form",
-                        values={n: ft_closed_form(cond, p, n) for n in names})
+                        values={n: ft_closed_form(cond, p, n)
+                                for n in _lines(cond.space)})
 
 
-def fourier_table_bruteforce(cond, p, reps_by_name=None, chunk=1 << 20):
-    """Brute-force table at class/orbit representatives.  For the pair space
-    reps_by_name should come from decompose_orbits; for the cubic space
-    canonical small representatives are built in."""
-    if cond.space_id == "cubic":
-        reps_by_name = reps_by_name or _cubic_class_reps(p)
+def fourier_table_bruteforce(cond, p, reps_by_name=None):
+    """Brute-force table at class/orbit representatives, by default the
+    built-in small forms for the cubic space and the decompose_orbits
+    representatives for the pair space."""
     if reps_by_name is None:
-        raise ValueError("pair space needs orbit representatives")
+        reps_by_name = _default_reps(cond.space, p)
     names = list(reps_by_name)
-    vals = ft_bruteforce_multi(cond, p, [reps_by_name[n] for n in names],
-                               chunk=chunk)
+    vals = ft_bruteforce_multi(cond, p, [reps_by_name[n] for n in names])
     return FourierTable(p=p, space_id=cond.space_id, source="bruteforce",
                         values=dict(zip(names, vals)))
 
 
+def cached_bruteforce(cond, p, path, reps_by_name=None):
+    """(table, hit): the brute-force table for (cond, p), read from path
+    when that file is a whole current-version table for the same prime,
+    space and source holding every class of the space (hit = True), else
+    computed and written to path.  Missing, stale, truncated, altered and
+    foreign files are all recomputed.  path=None computes and writes
+    nothing."""
+    if path is not None:
+        try:
+            tab = FourierTable.from_file(path)
+            if ((tab.p, tab.space_id, tab.source)
+                    == (p, cond.space_id, "bruteforce")
+                    and set(tab.values) == set(_lines(cond.space))):
+                return tab, True
+        except (OSError, ValueError):
+            pass
+    tab = fourier_table_bruteforce(cond, p, reps_by_name)
+    if path is not None:
+        os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+        tab.to_file(path)
+    return tab, False
+
+
+def _default_reps(space, p):
+    if space is CUBIC:
+        return _cubic_class_reps(p)
+    table = orbits.decompose_orbits(space, p)
+    return {name: rep for name, (_, rep) in table.entries.items()}
+
+
 def _cubic_class_reps(p):
-    # (1,0,0,0) = u^3 has disc 0; find any nonsingular form by scanning
-    space = space_by_name("cubic")
-    nonsing = None
-    for code in range(1, p ** 4):
-        c = tuple(int(v) for v in orbits.decode_states(
-            np.array([code], dtype=np.int64), p, r=4)[0])
-        if disc_mod(space, np.array([c]), p)[0] != 0:
-            nonsing = c
-            break
-    return {"pV": (0, 0, 0, 0), "disc0": (1, 0, 0, 0), "nonsing": nonsing}
+    # u^3 has disc 0; the nonsingular representative is the first one in
+    # code order, found among codes up to that of u^2 v + u v^2 (p + p^2)
+    codes = np.arange(1, p + p * p + 1, dtype=np.int64)
+    forms = orbits.decode_states(codes, p, r=4)
+    nonsing = forms[cubic_class_batch(forms, p) == 2][0]
+    return {"pV": (0, 0, 0, 0), "disc0": (1, 0, 0, 0),
+            "nonsing": tuple(int(v) for v in nonsing)}

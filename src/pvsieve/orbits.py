@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (CUBIC, ResourceLimitError, VElement, space_by_name)
+from .spaces import QUARTIC, ResourceLimitError
 from .spaces import resolvent_cubic_mod as _resolvent_mod
 
 
@@ -177,19 +177,16 @@ def act_pair_batch(g2, g3, coords, p):
 
 
 def act(space, g, x):
-    """Single-element action; accepts VElement or a coordinate tuple."""
-    coords = x.coords if isinstance(x, VElement) else tuple(x)
-    arr = np.array(coords, dtype=np.int64)[None, :]
-    if space.space_id == "cubic":
+    """Single-element action on a coordinate tuple; the result is reduced
+    mod g.p."""
+    arr = np.array(tuple(x), dtype=np.int64)[None, :]
+    if space is not QUARTIC:
         out = act_cubic_batch(g.g2, arr, g.p)[0]
+    elif g.g3 is None:
+        raise InvalidGroupElementError("pair space needs a g3 factor")
     else:
-        if g.g3 is None:
-            raise InvalidGroupElementError("pair space needs a g3 factor")
         out = act_pair_batch(g.g2, g.g3, arr, g.p)[0]
-    out = tuple(int(v) for v in out)
-    if isinstance(x, VElement):
-        return VElement(x.space_id, out, modulus=g.p)
-    return out
+    return tuple(int(v) for v in out)
 
 
 def primitive_root(p):
@@ -208,7 +205,7 @@ def generators(space, p):
     primitive-root diagonal twist, per GL factor."""
     r = primitive_root(p)
     g2s = [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((r, 0), (0, 1))]
-    if space.space_id == "cubic":
+    if space is not QUARTIC:
         return [GroupElement(p, g2) for g2 in g2s]
     I2 = ((1, 0), (0, 1))
     I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -298,7 +295,7 @@ def _bfs_orbits(p, chunk=1 << 19):
     label = np.full(n_states, -1, dtype=np.int8)
     gens = [(np.array(g.g2, dtype=np.int64) % p,
              np.array(g.g3, dtype=np.int64) % p)
-            for g in generators(space_by_name("quartic"), p)]
+            for g in generators(QUARTIC, p)]
 
     def act_codes(g2, g3, codes):
         res = np.empty(codes.size, dtype=np.int64)
@@ -342,10 +339,7 @@ def decompose_orbits(space, p):
 
     Labels the BFS representatives with one classify_batch() call; the
     result must biject onto the 20 labels for odd p."""
-    if space.space_id != "quartic":
-        raise ValueError("orbit decomposition is for the pair space")
-    if p in space.bad_primes:
-        raise ValueError(f"p={p} excluded (bad prime)")
+    _check_pair_space(space, p)
     if p ** 12 > ORBIT_STATE_LIMIT:
         raise ResourceLimitError(f"p={p}: {p ** 12} states exceed the budget")
     sizes, reps, label = _bfs_orbits(p)
@@ -453,12 +447,16 @@ def resolvent_root_count(r0, r1, r2, r3, p):
     return count
 
 
-def classify_batch(space, coords, p):
-    """Label codes (index into LABELS) for an (n, 12) array mod p."""
-    if space.space_id != "quartic":
-        raise ValueError("classify is for the pair space")
+def _check_pair_space(space, p):
+    if space is not QUARTIC:
+        raise ValueError("orbits and their labels are for the pair space")
     if p in space.bad_primes:
         raise ValueError(f"p={p} excluded (bad prime)")
+
+
+def classify_batch(space, coords, p):
+    """Label codes (index into LABELS) for an (n, 12) array mod p."""
+    _check_pair_space(space, p)
     C = np.asarray(coords, dtype=np.int64) % p
     n = C.shape[0]
     chi = legendre_table(p)
@@ -580,6 +578,5 @@ def classify_batch(space, coords, p):
 
 
 def classify(space, x, p):
-    coords = x.coords if isinstance(x, VElement) else tuple(x)
-    codes = classify_batch(space, np.array([coords], dtype=np.int64), p)
+    codes = classify_batch(space, np.array([tuple(x)], dtype=np.int64), p)
     return LABELS[int(codes[0])]

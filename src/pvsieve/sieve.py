@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ffcore, fourier
+from . import fourier
 from .orbits import FC_BY_DIM
 
 SINGULAR_DIMS = (4, 7, 8, 10, 11, 12)
@@ -194,8 +194,8 @@ def sieve_product_bound(space, z_max=10_000):
 
 def omega_squarefree(space, q):
     """Multiplicative extension of omega to squarefree q (m-part dropped)."""
-    cond = fourier.CUBIC_COND if space.space_id == "cubic" else fourier.QUARTIC_COND
-    return fourier.ft_on_lattice(cond, q, (0,) * space.r)
+    return fourier.ft_on_lattice(fourier.LocalCondition(space.space_id), q,
+                                 (0,) * space.r)
 
 
 def _divisors(n):

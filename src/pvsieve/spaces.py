@@ -7,14 +7,30 @@ quartic : V(Z) = pairs (A, B) of integral symmetric 3x3 matrices, coords
           entries (so the quadratic form has cross coefficient 2*a12 etc.),
           r = d = 12, acted on by GL_2 x GL_3.
 
-disc(x) for the quartic space is the binary-cubic discriminant of the
-resolvent 4*det(Ax + By).
+A SpaceDescriptor carries everything the Fourier pipeline needs to know
+about its space, as data:
 
-The dual lattice sits inside V(Z) via the bilinear pairing:
-  cubic   [x,y] = x1 y1 + (1/3)(x2 y2 + x3 y3) + x4 y4 ;  image = forms whose
-          two middle coefficients are multiples of 3;  index parameter m = 3.
-  quartic [x,y] = tr(A A') + tr(B B') = sum(diag*diag) + 2*sum(off*off);
-          image = pairs with even off-diagonal entries;  m = 2.
+  space_id, r, d  name, dimension of V, degree of disc (r = d for both);
+  m, bad_primes   the dual-lattice index parameter and the primes where
+                  the pairing degenerates (cubic 3, {3}; quartic 2, {2});
+  weights         the pairing [x, y] = sum w_i x_i y_i over Q:
+                  cubic (1, 1/3, 1/3, 1), i.e. x1 y1 + (x2 y2 + x3 y3)/3
+                  + x4 y4; quartic (1,1,1,2,2,2) on each matrix, i.e.
+                  tr(A A') + tr(B B');
+  rho             rho : V*(Z) -> V(Z) multiplies coordinate i by rho_i:
+                  cubic (1, 3, 3, 1), quartic (1,1,1,2,2,2) twice, so the
+                  image of the dual lattice is the forms with middle
+                  coefficients divisible by 3 (cubic) or the pairs with even
+                  off-diagonal entries (quartic);
+  binary_cubic,   coords -> the binary cubic whose discriminant is disc(x),
+  binary_cubic_mod  exactly and mod p: the form itself for the cubic space,
+                  the resolvent 4*det(Ax + By) for the quartic space;
+  sweep_limit     the most states p^r a finite-field sweep may visit
+                  (cubic 60^4, quartic 6^12: 5^12 passes, 7^12 does not).
+
+disc, disc_mod, pairing, pairing_weights_mod, rho_apply, rho_image_check
+and rho_inverse read these fields and never branch on the space.  Elements
+are plain coordinate tuples or (n, r) integer arrays.
 """
 
 from dataclasses import dataclass
@@ -33,69 +49,6 @@ class NotInDualLatticeError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    space_id: str
-    r: int              # dimension of V
-    d: int              # degree of disc
-    m: int              # dual lattice index parameter
-    bad_primes: frozenset
-
-    def __post_init__(self):
-        assert self.r == self.d, "both supported spaces have r = d"
-
-
-CUBIC = SpaceDescriptor("cubic", 4, 4, 3, frozenset({3}))
-QUARTIC = SpaceDescriptor("quartic", 12, 12, 2, frozenset({2}))
-
-_SPACES = {"cubic": CUBIC, "quartic": QUARTIC}
-
-
-def space_by_name(name):
-    try:
-        return _SPACES[name]
-    except KeyError:
-        raise ValueError(f"unknown space {name!r} (cubic|quartic)") from None
-
-
-@dataclass(frozen=True)
-class VElement:
-    space_id: str
-    coords: tuple
-    modulus: int = 0        # 0 = over Z, else mod-q coords in [0, q)
-
-    def __post_init__(self):
-        sp = space_by_name(self.space_id)
-        if len(self.coords) != sp.r:
-            raise ValueError(f"{self.space_id} element needs {sp.r} coords")
-        if self.modulus:
-            assert all(0 <= c < self.modulus for c in self.coords)
-
-    def to_line(self):
-        return f"{self.space_id} " + ",".join(str(c) for c in self.coords)
-
-    @classmethod
-    def from_line(cls, line):
-        name, _, rest = line.strip().partition(" ")
-        return cls(name, tuple(int(t) for t in rest.split(",")))
-
-
-@dataclass(frozen=True)
-class DualElement:
-    """Element of V*(Z) in dual coordinates; rho() lands it in V(Z)."""
-    space_id: str
-    coords: tuple
-
-    def __post_init__(self):
-        sp = space_by_name(self.space_id)
-        if len(self.coords) != sp.r:
-            raise ValueError(f"{self.space_id} dual element needs {sp.r} coords")
-
-    def rho(self):
-        return VElement(self.space_id,
-                        rho_apply(space_by_name(self.space_id), self.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -156,47 +109,87 @@ def resolvent_cubic_mod(coords, p):
     return (4 * c0) % p, (4 * c1) % p, (4 * c2) % p, (4 * c3) % p
 
 
+def _form_itself(coords, p=None):
+    """A binary cubic's own coefficients: the columns of an array, or the
+    tuple as given."""
+    if isinstance(coords, np.ndarray):
+        return tuple(coords[..., i] for i in range(4))
+    return tuple(coords)
+
+
+# ---------------------------------------------------------------------------
+# the descriptors
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpaceDescriptor:
+    space_id: str
+    r: int                  # dimension of V
+    d: int                  # degree of disc
+    m: int                  # dual lattice index parameter
+    bad_primes: frozenset
+    weights: tuple          # pairing weights, as Fractions
+    rho: tuple              # rho : V*(Z) -> V(Z) coordinate multipliers
+    binary_cubic: object    # coords -> cubic with disc(x) as its disc
+    binary_cubic_mod: object  # (coords, p) -> that cubic mod p
+    sweep_limit: int        # most states p^r a sweep may visit
+
+    def __post_init__(self):
+        assert self.r == self.d, "both supported spaces have r = d"
+
+    def check_sweep(self, p):
+        """Refuse a finite-field sweep of p^r states beyond sweep_limit."""
+        if p ** self.r > self.sweep_limit:
+            raise ResourceLimitError(
+                f"p={p}: {p ** self.r} states exceed the sweep budget")
+
+
+_PAIR_W = (1, 1, 1, 2, 2, 2) * 2
+
+CUBIC = SpaceDescriptor("cubic", 4, 4, 3, frozenset({3}),
+                        weights=tuple(map(Fraction, (1, "1/3", "1/3", 1))),
+                        rho=(1, 3, 3, 1),
+                        binary_cubic=_form_itself,
+                        binary_cubic_mod=_form_itself,
+                        sweep_limit=60 ** 4)
+QUARTIC = SpaceDescriptor("quartic", 12, 12, 2, frozenset({2}),
+                          weights=tuple(map(Fraction, _PAIR_W)),
+                          rho=_PAIR_W,
+                          binary_cubic=resolvent_cubic,
+                          binary_cubic_mod=resolvent_cubic_mod,
+                          sweep_limit=6 ** 12)
+
+_SPACES = {"cubic": CUBIC, "quartic": QUARTIC}
+
+
+def space_by_name(name):
+    try:
+        return _SPACES[name]
+    except KeyError:
+        raise ValueError(f"unknown space {name!r} (cubic|quartic)") from None
+
+
 def disc(space, coords):
     """Exact integer discriminant.  For scalar inputs prefer python ints in
     coords (no overflow); numpy arrays are fine within int64 range."""
-    if isinstance(coords, (VElement, DualElement)):
-        coords = coords.coords
-    if space.space_id == "cubic":
-        a, b, c, d = (coords[..., i] for i in range(4)) if isinstance(
-            coords, np.ndarray) else coords
-        return disc_cubic(a, b, c, d)
-    if isinstance(coords, np.ndarray):
-        return disc_cubic(*resolvent_cubic(coords))
-    x = np.array([int(c) for c in coords], dtype=object)  # exact bigints
-    return int(disc_cubic(*resolvent_cubic(x)))
+    return disc_cubic(*space.binary_cubic(coords))
 
 
 def disc_mod(space, coords, p):
     """disc reduced mod p, vectorized, int64-safe."""
     C = np.asarray(coords, dtype=np.int64) % p
-    if space.space_id == "cubic":
-        return disc_cubic(C[..., 0], C[..., 1], C[..., 2], C[..., 3]) % p
-    a, b, c, d = resolvent_cubic_mod(C, p)
-    return disc_cubic(a, b, c, d) % p
+    return disc_cubic(*space.binary_cubic_mod(C, p)) % p
 
 
 # ---------------------------------------------------------------------------
 # pairing and the dual lattice
 # ---------------------------------------------------------------------------
 
-_QUARTIC_W = np.array([1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2], dtype=np.int64)
-
-
 def pairing(space, x, y):
-    """[x, y] over Q (cubic) or Z (quartic).  Integer whenever y is in the
-    image of the dual lattice."""
-    x = x.coords if isinstance(x, VElement) else x
-    y = y.coords if isinstance(y, VElement) else y
-    if space.space_id == "cubic":
-        v = (Fraction(x[0] * y[0]) + Fraction(x[1] * y[1], 3)
-             + Fraction(x[2] * y[2], 3) + Fraction(x[3] * y[3]))
-        return int(v) if v.denominator == 1 else v
-    return int(sum(int(w) * a * b for w, a, b in zip(_QUARTIC_W, x, y)))
+    """[x, y] over Q.  Integer whenever y is in the image of the dual
+    lattice."""
+    v = sum(w * a * b for w, a, b in zip(space.weights, x, y))
+    return int(v) if v.denominator == 1 else v
 
 
 def pairing_weights_mod(space, p):
@@ -204,10 +197,8 @@ def pairing_weights_mod(space, p):
     [x,y] = sum w_i x_i y_i mod p).  Bad primes are refused."""
     if p in space.bad_primes:
         raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
-    if space.space_id == "cubic":
-        i3 = pow(3, -1, p)
-        return np.array([1, i3, i3, 1], dtype=np.int64)
-    return _QUARTIC_W % p
+    return np.array([w.numerator * pow(w.denominator, -1, p) % p
+                     for w in space.weights], dtype=np.int64)
 
 
 def pairing_mod(space, x, y, p):
@@ -217,33 +208,20 @@ def pairing_mod(space, x, y, p):
 
 
 def rho_apply(space, dual_coords):
-    """rho : V*(Z) -> V(Z).  cubic (k1,k2,k3,k4) -> (k1, 3k2, 3k3, k4);
-    quartic doubles the six off-diagonal coordinates."""
-    if isinstance(dual_coords, DualElement):
-        dual_coords = dual_coords.coords
-    k = tuple(dual_coords)
-    if space.space_id == "cubic":
-        return (k[0], 3 * k[1], 3 * k[2], k[3])
-    return tuple(c * (2 if w == 2 else 1) for c, w in zip(k, _QUARTIC_W))
+    """rho : V*(Z) -> V(Z), coordinatewise multiplication by space.rho."""
+    return tuple(k * m for k, m in zip(dual_coords, space.rho))
 
 
 def rho_image_check(space, y):
-    y = y.coords if isinstance(y, VElement) else y
-    if space.space_id == "cubic":
-        return y[1] % 3 == 0 and y[2] % 3 == 0
-    return all(y[i] % 2 == 0 for i in (3, 4, 5, 9, 10, 11))
+    return all(c % m == 0 for c, m in zip(y, space.rho))
 
 
 def rho_inverse(space, y):
-    """Preimage under rho as a DualElement, or NotInDualLatticeError."""
-    c = y.coords if isinstance(y, VElement) else tuple(y)
+    """Preimage under rho as a coordinate tuple, or NotInDualLatticeError."""
+    c = tuple(y)
     if not rho_image_check(space, c):
         raise NotInDualLatticeError(f"{c} not in rho(V*(Z))")
-    if space.space_id == "cubic":
-        k = (c[0], c[1] // 3, c[2] // 3, c[3])
-    else:
-        k = tuple(ci // (2 if w == 2 else 1) for ci, w in zip(c, _QUARTIC_W))
-    return DualElement(space.space_id, k)
+    return tuple(ci // m for ci, m in zip(c, space.rho))
 
 
 def dual_disc_cubic(k):

@@ -71,22 +71,10 @@ def _p5_cache_path():
 def ft5_brute():
     """Quartic brute table at p = 5: cache if valid, else the ~3.5 minute
     single-sweep kernel (written back to the cache afterwards)."""
-    path = _p5_cache_path()
-    if os.path.exists(path):
-        try:
-            tab = fourier.FourierTable.from_file(path)
-            if (tab.p == 5 and tab.space_id == "quartic"
-                    and tab.source == "bruteforce"
-                    and set(tab.values) == set(orbits.LABELS)):
-                return tab, "cache"
-        except (ValueError, OSError):
-            pass
     reps = {name: rep for name, (rep, _) in P5_ORBITS.items()}
-    tab = fourier.fourier_table_bruteforce(QUARTIC_COND, 5,
-                                           reps_by_name=reps)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tab.to_file(path)
-    return tab, "kernel sweep"
+    tab, hit = fourier.cached_bruteforce(QUARTIC_COND, 5, _p5_cache_path(),
+                                         reps_by_name=reps)
+    return tab, "cache" if hit else "kernel sweep"
 
 
 # ---------------------------------------------------------------------------

@@ -95,17 +95,29 @@ def test_reruns_byte_identical(tmp_path):
     assert b"timestamp" not in a.read_bytes()
 
 
-def test_stale_cache_ignored_and_refreshed(tmp_path):
+def test_stale_cache_ignored_and_refreshed(tmp_path, capsys):
     cdir = tmp_path / "cache"
     argv = ["ft-verify", "--space", "cubic", "--primes", "5",
             "--cache-dir", str(cdir)]
+    assert run(argv[:-2] + ["--no-cache"]) == 0
+    want = capsys.readouterr().out.replace("cache=False", "cache=True")
     assert run(argv) == 0
+    assert capsys.readouterr().out == want
     (fname,) = os.listdir(cdir)
     assert "v0.1.0" in fname and "-p5-" in fname
     path = cdir / fname
-    path.write_text("# fourier-table v999 some future format\n")
-    assert run(argv) == 0                       # recomputes, still passes
-    tab = fourier.FourierTable.from_file(path)  # rewritten in current format
+    good = path.read_text()
+    lines = good.splitlines(keepends=True)
+    for damaged in ("# fourier-table v999 some future format\n",
+                    "".join(lines[:3]),                  # header + two rows
+                    good.replace("\tdisc0\t4\t", "\tdisc0\t5\t")):
+        assert damaged != good
+        path.write_text(damaged)
+        assert run(argv) == 0                   # recomputes, still passes
+        assert capsys.readouterr().out == want
+        assert path.read_text() == good         # rewritten whole
+        assert os.listdir(cdir) == [fname]
+    tab = fourier.FourierTable.from_file(path)
     assert tab.p == 5 and tab.values["pV"].denominator == 125
 
 
@@ -123,11 +135,11 @@ def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
 def test_mismatch_exit_code(tmp_path, monkeypatch, capsys):
     # corrupt the closed form for one class: the command must notice,
     # name the culprit, and exit 1
-    real = fourier.ft_closed_form_cubic
-    def crooked(p, cls):
-        v = real(p, cls)
+    real = fourier.ft_closed_form
+    def crooked(cond, p, cls):
+        v = real(cond, p, cls)
         return v + 1 if cls == "disc0" else v
-    monkeypatch.setattr(fourier, "ft_closed_form_cubic", crooked)
+    monkeypatch.setattr(fourier, "ft_closed_form", crooked)
     assert run(["ft-verify", "--space", "cubic", "--primes", "5",
                 "--no-cache"]) == 1
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Exact-arithmetic kernels: CRT, histograms; and the plain-Python F_{p^k}
-oracle (tests/fpk.py) behind the F_{p^2} base-locus count in test_orbits."""
+"""Exact-arithmetic kernels: squarefree factoring, histograms; and the
+plain-Python F_{p^k} oracle (tests/fpk.py) behind the F_{p^2} base-locus
+count in test_orbits."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import fpk
 
 
 # ---------------------------------------------------------------------------
-# squarefree helpers / CRT
+# squarefree factoring
 # ---------------------------------------------------------------------------
 
 def test_factor_squarefree():
@@ -27,30 +28,6 @@ def test_factor_squarefree():
         fc.factor_squarefree(0)
 
 
-def test_mobius_divisors():
-    assert fc.mobius_squarefree(1) == 1
-    assert fc.mobius_squarefree(5) == -1
-    assert fc.mobius_squarefree(15) == 1
-    assert sorted(fc.divisors_squarefree(15)) == [1, 3, 5, 15]
-
-
-def test_crt_pair():
-    # x = 2 mod 3, x = 3 mod 5  ->  8 mod 15
-    assert fc.crt_combine({3: 2, 5: 3}) == (8, 15)
-    assert fc.crt_combine({3: 1}) == (1, 3)
-    assert fc.crt_combine({}) == (0, 1)
-
-
-@given(st.sets(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4),
-       st.integers(0, 10 ** 6))
-def test_crt_roundtrip(primes, x):
-    res = {p: x % p for p in primes}
-    v, q = fc.crt_combine(res)
-    assert q == int(np.prod(sorted(primes)))
-    assert all(v % p == x % p for p in primes)
-    assert 0 <= v < q
-
-
 # ---------------------------------------------------------------------------
 # pairing histograms -> Fourier values
 # ---------------------------------------------------------------------------
@@ -58,9 +35,7 @@ def test_crt_roundtrip(primes, x):
 def test_histogram_identity_small():
     # a set that is one full line {t*(1,0) : t} in F_5^2 paired against y=(1,0):
     # pairing values t -> each residue hit once
-    h = fc.PairingHistogram(5)
-    for t in range(5):
-        h.add(t)
+    h = fc.PairingHistogram(5, [1] * 5)
     assert h.total() == 5
     # n0=1, n1=1 -> (1-1)/25 = 0
     assert fc.ft_value_from_histogram(h, 2) == 0
@@ -69,64 +44,14 @@ def test_histogram_identity_small():
 def test_histogram_identity_point_mass():
     # support {0} in F_p^r: pairing always 0, FT constant p^-r
     for p, r in [(3, 4), (5, 4), (7, 2)]:
-        h = fc.PairingHistogram(p)
-        h.add(0)
+        h = fc.PairingHistogram(p, [1] + [0] * (p - 1))
         assert fc.ft_value_from_histogram(h, r) == Fraction(1, p ** r)
 
 
 def test_histogram_nonuniform_rejected():
-    h = fc.PairingHistogram(5)
-    h.add_counts([7, 3, 3, 3, 2])   # nonzero classes unequal
+    h = fc.PairingHistogram(5, [7, 3, 3, 3, 2])   # nonzero classes unequal
     with pytest.raises(fc.NonInvariantSupportError):
         fc.ft_value_from_histogram(h, 4)
-
-
-def test_histogram_merge():
-    h1 = fc.PairingHistogram(3)
-    h1.add_counts([4, 1, 1])
-    h2 = fc.PairingHistogram(3)
-    h2.add_counts([0, 2, 2])
-    h1.merge(h2)
-    assert h1.counts == [4, 3, 3]
-    assert fc.ft_value_from_histogram(h1, 4) == Fraction(4 - 3, 81)
-
-
-def test_residue_histogram_prime_matches_plain():
-    # for q prime the squarefree-q reduction must agree with the direct form
-    counts = [11, 2, 2, 2, 2]
-    h = fc.PairingHistogram(5)
-    h.add_counts(counts)
-    assert (fc.ft_value_from_residue_histogram(counts, 5, 4)
-            == fc.ft_value_from_histogram(h, 4))
-
-
-def test_residue_histogram_multiplicative():
-    # product supports mod 15 factor through the CRT: value(15) = value(3)*value(5)
-    r = 2
-
-    def dilation_closure(seed, q):
-        return {tuple((u * c) % q for c in x)
-                for x in seed for u in range(1, q) if np.gcd(u, q) == 1}
-
-    pts3 = dilation_closure({(1, 0), (0, 1)}, 3)
-    pts5 = dilation_closure({(1, 1), (2, 3), (0, 1)}, 5)
-    pts15 = set()
-    for a in pts3:
-        for b in pts5:
-            pts15.add(tuple(fc.crt_combine({3: int(x), 5: int(y)})[0]
-                            for x, y in zip(a, b)))
-    k = (7, 11)
-
-    def counts_mod(pts, q):
-        cnt = [0] * q
-        for x in pts:
-            cnt[sum(xi * ki for xi, ki in zip(x, k)) % q] += 1
-        return cnt
-
-    v15 = fc.ft_value_from_residue_histogram(counts_mod(pts15, 15), 15, r)
-    v3 = fc.ft_value_from_residue_histogram(counts_mod(pts3, 3), 3, r)
-    v5 = fc.ft_value_from_residue_histogram(counts_mod(pts5, 5), 5, r)
-    assert v15 == v3 * v5
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvsieve import ffcore, fourier, orbits
+from pvsieve import fourier, orbits
 from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc_mod,
                             ResourceLimitError)
+
+
+def _quartic(p, label):
+    return fourier.ft_closed_form(fourier.QUARTIC_COND, p, label)
 
 
 @pytest.fixture(scope="module")
@@ -37,20 +41,19 @@ def test_cubic_closed_form_values():
 
 def test_quartic_closed_form_values():
     assert fourier.omega(QUARTIC, 3) == Fraction(3233, 6561)
-    assert fourier.ft_closed_form_quartic(3, "O_2^2") == Fraction(8, 6561)
-    assert fourier.ft_closed_form_quartic(3, "O_D1^2") == Fraction(128, 6561)
+    assert _quartic(3, "O_2^2") == Fraction(8, 6561)
+    assert _quartic(3, "O_D1^2") == Fraction(128, 6561)
     for name in orbits.NONSINGULAR_LABELS:
-        assert fourier.ft_closed_form_quartic(3, name) == Fraction(-1, 6561)
+        assert _quartic(3, name) == Fraction(-1, 6561)
     # aliases resolve
-    assert (fourier.ft_closed_form_quartic(5, "O_T11")
-            == fourier.ft_closed_form_quartic(5, "O_B11"))
+    assert _quartic(5, "O_T11") == _quartic(5, "O_B11")
 
 
 def test_bad_primes_rejected():
     with pytest.raises(BadPrimeError):
         fourier.ft_closed_form_cubic(3, "pV")
     with pytest.raises(BadPrimeError):
-        fourier.ft_closed_form_quartic(2, "O_0")
+        _quartic(2, "O_0")
     with pytest.raises(BadPrimeError):
         fourier.ft_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
 
@@ -59,7 +62,7 @@ def test_unknown_label_rejected():
     with pytest.raises(fourier.InvalidLabelError):
         fourier.ft_closed_form_cubic(5, "bogus")
     with pytest.raises(ValueError):
-        fourier.ft_closed_form_quartic(5, "O_bogus")
+        _quartic(5, "O_bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +77,11 @@ def test_cubic_exhaustive_vs_closed_form(p):
     C = orbits.decode_states(codes, p, r=4)
     d0 = disc_mod(CUBIC, C, p) == 0
     zero = ~C.any(axis=1)
-    for cls, mask in (("pV", zero), ("disc0", d0 & ~zero), ("nonsing", ~d0)):
+    cls_of = fourier.cubic_class_batch(C, p)
+    for i, (cls, mask) in enumerate((("pV", zero), ("disc0", d0 & ~zero),
+                                     ("nonsing", ~d0))):
+        assert fourier.CUBIC_CLASSES[i] == cls
+        assert np.array_equal(cls_of == i, mask)
         want = fourier.ft_closed_form_cubic(p, cls)
         got = {int(v) for v in num[mask]}
         assert got == {want.numerator * (den // want.denominator)}
@@ -83,7 +90,7 @@ def test_cubic_exhaustive_vs_closed_form(p):
 def test_quartic_p3_all_reps_vs_closed_form(brute3):
     assert set(brute3.values) == set(orbits.LABELS)
     for name, val in brute3.values.items():
-        assert val == fourier.ft_closed_form_quartic(3, name), name
+        assert val == _quartic(3, name), name
 
 
 def test_delta_identity_p3(table3, brute3):
@@ -114,15 +121,6 @@ def test_multi_target_matches_single():
     assert multi == singles
 
 
-def test_histograms_merge_across_code_ranges():
-    y = [(1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1)]
-    mid = 3 ** 12 // 2
-    h_lo = fourier.ft_histograms(fourier.QUARTIC_COND, 3, y, (0, mid))[0]
-    h_hi = fourier.ft_histograms(fourier.QUARTIC_COND, 3, y, (mid, 3 ** 12))[0]
-    h_all = fourier.ft_histograms(fourier.QUARTIC_COND, 3, y)[0]
-    assert h_lo.merge(h_hi).counts == h_all.counts
-
-
 def test_constant_on_orbits_bruteforce(table3):
     rng = np.random.default_rng(11)
     rep = table3.representative("O_D11")
@@ -132,7 +130,7 @@ def test_constant_on_orbits_bruteforce(table3):
         pts.append(orbits.act(QUARTIC, g, pts[-1]))
     vals = fourier.ft_bruteforce_multi(fourier.QUARTIC_COND, 3, pts)
     assert vals[0] == vals[1] == vals[2]
-    assert vals[0] == fourier.ft_closed_form_quartic(3, "O_D11")
+    assert vals[0] == _quartic(3, "O_D11")
 
 
 def _rand_gl(rng, n, p):
@@ -159,7 +157,7 @@ def test_sweep_resource_limit():
 @pytest.mark.parametrize("p", [3, 5, 11, 101])
 def test_value_bounded_by_conductor_exponent(p):
     for name in orbits.LABELS:
-        v = fourier.ft_closed_form_quartic(p, name)
+        v = _quartic(p, name)
         assert abs(v) <= 2 * Fraction(p) ** orbits.LABEL_FC[name], name
 
 
@@ -171,7 +169,7 @@ def test_l1_mass_of_transform(table3, p):
         ent = table3.entries
     else:
         ent = {n: (sz, None) for n, sz in P5_SIZES.items()}
-    mass = sum(Fraction(sz) * abs(fourier.ft_closed_form_quartic(p, n))
+    mass = sum(Fraction(sz) * abs(_quartic(p, n))
                for n, (sz, _) in ent.items())
     assert mass <= 8 * p ** 4
 
@@ -220,7 +218,7 @@ def test_lattice_drops_m_part():
     v = fourier.ft_on_lattice(fourier.CUBIC_COND, 15, (1, 2, 0, 1))
     assert v == fourier.ft_closed_form_cubic(5, fourier.cubic_class((1, 2, 0, 1), 5))
     vq = fourier.ft_on_lattice(fourier.QUARTIC_COND, 6, (1,) + (0,) * 11)
-    assert vq == fourier.ft_closed_form_quartic(
+    assert vq == _quartic(
         3, orbits.classify(QUARTIC, (1,) + (0,) * 11, 3))
 
 
@@ -269,9 +267,9 @@ def test_fourier_table_stale_header(tmp_path):
 
 def test_closed_form_table_complete():
     t = fourier.fourier_table_closed_form(fourier.QUARTIC_COND, 7)
-    assert set(t.values) == set(orbits.LABELS)
+    assert tuple(t.values) == orbits.LABELS
     tc = fourier.fourier_table_closed_form(fourier.CUBIC_COND, 7)
-    assert set(tc.values) == {"pV", "disc0", "nonsing"}
+    assert tuple(tc.values) == ("pV", "disc0", "nonsing")
 
 
 def test_cubic_class_reps_scan():

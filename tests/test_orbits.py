@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pvsieve import orbits as ob
-from pvsieve.spaces import (CUBIC, QUARTIC, VElement, disc, disc_mod,
-                            pairing_mod, resolvent_cubic_mod)
+from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_mod, pairing_mod,
+                            resolvent_cubic_mod)
 
 import fpk
 
@@ -76,13 +76,6 @@ def test_act_identity_and_swap():
     swap = ob.GroupElement(p, ((0, 1), (1, 0)), e3)
     y = ob.act(QUARTIC, swap, x)
     assert y == tuple(c % p for c in x[6:] + x[:6])
-
-
-def test_act_velement_passthrough():
-    g = ob.GroupElement(5, ((1, 1), (0, 1)))
-    x = VElement("cubic", (1, 2, 3, 4))
-    y = ob.act(CUBIC, g, x)
-    assert isinstance(y, VElement) and y.modulus == 5
 
 
 def test_singular_group_element_rejected():

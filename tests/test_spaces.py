@@ -1,12 +1,14 @@
 """Space models: disc, resolvent, pairing, dual lattice, boxes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pvsieve import spaces as sp
-from pvsieve.spaces import CUBIC, QUARTIC, DualElement, VElement
+from pvsieve.spaces import CUBIC, QUARTIC
 
 
 def test_descriptors():
@@ -17,15 +19,6 @@ def test_descriptors():
     assert sp.space_by_name("cubic") is CUBIC
     with pytest.raises(ValueError):
         sp.space_by_name("quintic")
-
-
-def test_velement_roundtrip():
-    x = VElement("cubic", (1, -2, 0, 7))
-    assert VElement.from_line(x.to_line()) == x
-    y = VElement("quartic", tuple(range(12)))
-    assert VElement.from_line(y.to_line()) == y
-    with pytest.raises(ValueError):
-        VElement("cubic", (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +94,6 @@ def test_pairing_examples():
 
 
 def test_pairing_fractional_off_dual():
-    from fractions import Fraction
     v = sp.pairing(CUBIC, (0, 1, 0, 0), (0, 1, 0, 0))
     assert v == Fraction(1, 3)
 
@@ -123,23 +115,33 @@ def test_rho_examples():
     assert not sp.rho_image_check(QUARTIC, (0, 0, 0, 1) + (0,) * 8)
 
 
-@given(st.lists(st.integers(-20, 20), min_size=4, max_size=4))
-def test_rho_roundtrip_cubic(k):
-    ke = DualElement("cubic", tuple(k))
-    y = ke.rho()
-    assert sp.rho_image_check(CUBIC, y)
-    assert sp.rho_inverse(CUBIC, y) == ke
-    # pairing against the rho image is the plain dot product (hence integral)
-    x = (3, 1, -4, 1)
-    assert sp.pairing(CUBIC, x, y) == sum(a * b for a, b in zip(x, k))
+def _mod_p(v, p):
+    """A rational with denominator prime to p, reduced mod p."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, p) % p
 
 
-@given(st.lists(st.integers(-9, 9), min_size=12, max_size=12))
-def test_rho_roundtrip_quartic(k):
-    ke = DualElement("quartic", tuple(k))
-    y = ke.rho()
-    assert sp.rho_image_check(QUARTIC, y)
-    assert sp.rho_inverse(QUARTIC, y) == ke
+@pytest.mark.parametrize("space", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+def test_descriptor_pairing_and_rho(space):
+    # the descriptor's weights and rho multipliers against the written-out
+    # pairing [x, y] and the dual lattice
+    rng = np.random.default_rng(6)
+    for p in (5, 7, 11, 13):
+        w = sp.pairing_weights_mod(space, p)
+        for _ in range(200):
+            x, y = rng.integers(-50, 51, size=(2, space.r))
+            assert int(w @ (x * y)) % p == _mod_p(sp.pairing(space, x, y), p)
+    for _ in range(200):
+        x, k = (tuple(int(v) for v in rng.integers(-20, 21, space.r))
+                for _ in range(2))
+        y = sp.rho_apply(space, k)
+        assert sp.rho_image_check(space, y)
+        assert sp.rho_inverse(space, y) == k
+        assert isinstance(sp.pairing(space, x, y), int)    # integral on rho(V*)
+    # against the rho image the cubic pairing is the plain dot product
+    x, k = (3, 1, -4, 1), (2, -5, 7, 1)
+    assert sp.pairing(CUBIC, x, sp.rho_apply(CUBIC, k)) == sum(
+        a * b for a, b in zip(x, k))
 
 
 @pytest.mark.parametrize("space", [CUBIC, QUARTIC])
