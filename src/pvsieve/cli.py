@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, experiments, fourier, orbits, sieve
-from .spaces import (CUBIC, QUARTIC, BadPrimeError, ResourceLimitError,
-                     space_by_name)
+from . import __version__, experiments, ffcore, fourier, orbits, sieve
+from .spaces import (CUBIC, QUARTIC, BadPrimeError, MismatchError,
+                     ResourceLimitError, space_by_name)
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -37,6 +37,14 @@ class ConfigError(ValueError):
 # small helpers
 # ---------------------------------------------------------------------------
 
+def _parse(convert, text, what):
+    """convert(text), a malformed value being a configuration error."""
+    try:
+        return convert(text)
+    except (ValueError, ArithmeticError) as e:
+        raise ConfigError(f"bad {what} {text!r}: {e}") from None
+
+
 def _parse_primes(text, space):
     """'5,7,11' (strict: a bad prime is a config error) or '3..23'
     (range: the space's bad primes are skipped, since the closed forms
@@ -44,8 +52,7 @@ def _parse_primes(text, space):
     text = text.strip()
     skipped = []
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = (_parse(int, t, "prime") for t in text.split("..", 1))
         if lo > hi:
             raise ConfigError(f"empty prime range {text!r}")
         ps = []
@@ -57,7 +64,8 @@ def _parse_primes(text, space):
             else:
                 ps.append(n)
     else:
-        ps = [int(tok) for tok in text.split(",") if tok.strip()]
+        ps = [_parse(int, tok, "prime") for tok in text.split(",")
+              if tok.strip()]
         for n in ps:
             # trial division by the primes up to sqrt(n)
             if n < 2 or any(n % q == 0 for q in
@@ -105,15 +113,15 @@ def _cached_bruteforce(cond, p, args):
 # ---------------------------------------------------------------------------
 
 def cmd_ft_verify(args):
-    space = space_by_name(args.space)
+    space = _parse(space_by_name, args.space, "space")
     primes, skipped = _parse_primes(args.primes, space)
     if args.mode == "exhaustive" and space is not CUBIC:
         raise ConfigError("exhaustive mode is only sized for the cubic space")
     # resource preflight before any sweep starts
     for p in primes:
         space.check_sweep(p)
-        if args.mode == "exhaustive" and p > 23:
-            raise ResourceLimitError("exhaustive targets capped at p <= 23")
+        if args.mode == "exhaustive":
+            ffcore.check_radon(p, space.r)
     cond = fourier.LocalCondition(space.space_id)
     cfg = {"space": args.space, "primes": ",".join(map(str, primes)),
            "skipped_bad": ",".join(map(str, skipped)) or "none",
@@ -132,16 +140,14 @@ def cmd_ft_verify(args):
                 mismatches.append((p, name, want, got))
         if args.mode == "exhaustive":
             nums, den = fourier.ft_bruteforce_exhaustive_cubic(cond, p)
-            scaled = []
-            for c in fourier.CUBIC_CLASSES:
-                v = fourier.ft_closed_form(cond, p, c) * den
-                assert v.denominator == 1
-                scaled.append(int(v))
+            vals = [closed.values[c] for c in fourier.CUBIC_CLASSES]
             codes = np.arange(den, dtype=np.int64)
             cls = fourier.cubic_class_batch(
                 orbits.decode_states(codes, p, r=4), p)
-            want_nums = np.array(scaled, dtype=np.int64)[cls]
-            bad = int(np.count_nonzero(nums != want_nums))
+            num = np.array([v.numerator for v in vals], dtype=np.int64)
+            dnm = np.array([v.denominator for v in vals], dtype=np.int64)
+            # nums / den == num / dnm per target, as exact cross products
+            bad = int(np.count_nonzero(nums * dnm[cls] != num[cls] * den))
             lines.append(f"{p}\texhaustive\t{p ** 4}\t{bad}\t"
                          f"{'ok' if bad == 0 else 'MISMATCH'}")
             if bad:
@@ -162,7 +168,7 @@ def cmd_ft_verify(args):
 
 
 def cmd_orbits(args):
-    space = space_by_name(args.space)
+    space = _parse(space_by_name, args.space, "space")
     if space is not QUARTIC:
         raise ConfigError("the orbit table is for the quartic space")
     _parse_primes(str(args.prime), space)      # an odd prime, or ConfigError
@@ -181,7 +187,7 @@ def cmd_orbits(args):
 
 
 def cmd_exponents(args):
-    space = space_by_name(args.space)
+    space = _parse(space_by_name, args.space, "space")
     rows, alpha_max, bottleneck = sieve.exponent_table(space)
     cfg = {"space": args.space}
     lines = [_header("exponents", cfg),
@@ -198,17 +204,14 @@ def cmd_exponents(args):
 
 
 def cmd_sieve_t(args):
-    try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad alpha {args.alpha!r}: {e}")
+    alpha = _parse(Fraction, args.alpha, "alpha")
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
     constant = None
     if args.constant == "greaves":
         constant = sieve.GREAVES_CONSTANT
     elif args.constant:
-        constant = Fraction(args.constant)
+        constant = _parse(Fraction, args.constant, "constant")
     t = sieve.weighted_sieve_t(alpha, constant=constant)
     cfg = {"alpha": alpha, "constant": args.constant or "log4/log3"}
     _emit([_header("sieve-t", cfg), f"t\t{t}"], args.out)
@@ -216,7 +219,8 @@ def cmd_sieve_t(args):
 
 
 def cmd_lod(args):
-    X_grid = tuple(int(float(tok)) for tok in args.X.split(","))
+    X_grid = tuple(_parse(lambda t: int(float(t)), tok, "X")
+                   for tok in args.X.split(","))
     if not X_grid or any(x < 100 for x in X_grid):
         raise ConfigError("X grid must hold values >= 100")
     if max(X_grid) > args.X_cap:
@@ -243,7 +247,7 @@ def cmd_lod(args):
 
 
 def cmd_dual_bound(args):
-    space = space_by_name(args.space)
+    space = _parse(space_by_name, args.space, "space")
     if args.N < 1 or args.Z < 0:
         raise ConfigError("need N >= 1 and Z >= 0")
     n_pts = (2 * args.Z + 1) ** space.r
@@ -312,7 +316,7 @@ def cmd_geosieve(args):
 
 
 def cmd_reducible(args):
-    Y_grid = tuple(int(tok) for tok in args.Y.split(","))
+    Y_grid = tuple(_parse(int, tok, "Y") for tok in args.Y.split(","))
     if any(y < 0 for y in Y_grid) or not Y_grid:
         raise ConfigError("Y grid must hold nonnegative integers")
     if max(Y_grid) > args.Y_cap:
@@ -423,6 +427,9 @@ def main(argv=None):
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MismatchError as e:
+        print(f"MISMATCH {e}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

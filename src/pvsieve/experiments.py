@@ -31,8 +31,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import fourier, sieve
-from .spaces import (CUBIC, ResourceLimitError, box_axis, disc,
-                     disc_cubic, space_by_name)
+from .spaces import (CUBIC, MismatchError, ResourceLimitError, box_axis,
+                     disc, disc_cubic, disc_dtype, space_by_name)
 
 
 class QuadratureError(RuntimeError):
@@ -188,11 +188,11 @@ def _disc_slices(axes):
     """Yield (i, disc) for each leading coordinate axes[0][i], with disc
     taken over the meshgrid of axes[1:] in lexicographic order.
 
-    |disc| <= 54 M^4 (M the largest |coordinate|) bounds every partial sum
-    of disc_cubic, so the dtype is chosen once from that bound: int64 when
-    it fits, exact Python-int object arrays when it does not."""
+    The dtype is chosen once, by spaces.disc_dtype from the largest
+    |coordinate|: int64 when disc fits, exact Python-int object arrays when
+    it does not."""
     M = max((abs(int(t)) for ax in axes for t in ax), default=0)
-    dtype = np.int64 if 54 * M ** 4 < 2 ** 63 else object
+    dtype = disc_dtype(M)
     tail = np.meshgrid(*(np.asarray(ax, dtype=np.int64).astype(dtype)
                          for ax in axes[1:]), indexing="ij")
     B, C, D = (t.ravel() for t in tail)
@@ -285,19 +285,6 @@ class LodReport:
     fitted_c: float
     residuals: list
     q_rows: list         # (q, lattice, main, E) at the largest X
-
-    def to_file(self, path, version="1"):
-        cfg = self.config
-        with open(path, "w") as fh:
-            fh.write(f"# lod-report v{version} alpha={cfg.alpha} "
-                     f"s={cfg.s} fitted_c={self.fitted_c:.6f} "
-                     f"residuals={','.join(f'{r:.3e}' for r in self.residuals)}\n")
-            fh.write("# X\tn_q\tdisc0_mass\tcum_abs_E\tcum_over_X\n")
-            for X, n_q, w0, cum, ratio in self.per_X:
-                fh.write(f"{X}\t{n_q}\t{w0:.10e}\t{cum:.10e}\t{ratio:.10e}\n")
-            fh.write("# q\tlattice\tmain\tE\n")
-            for q, lat, mn, err in self.q_rows:
-                fh.write(f"{q}\t{lat:.10e}\t{mn:.10e}\t{err:.10e}\n")
 
 
 def _fit_loglog(xs, ys):
@@ -465,7 +452,9 @@ def dual_bound_sum(N, Z, space_id="cubic", check_qsplit=True):
                 q0 = math.gcd(q, math.gcd(*[abs(c) for c in x])) if any(x) else 1
                 q0 = _squarefree_part_dividing(q0, q)
                 if q0 > 1:
-                    assert fourier.ft_qsplit_check(cond, q0, q // q0, x)
+                    if not fourier.ft_qsplit_check(cond, q0, q // q0, x):
+                        raise MismatchError(
+                            f"split identity fails at q0={q0}, q={q}, x={x}")
                     checked += 1
     return DualBoundReport(N=N, Z=Z, total=total, disc0_part=d0,
                            nonzero_part=total - d0, n_q=len(qs),

@@ -1,4 +1,5 @@
-"""Exact arithmetic kernels: squarefree factoring and pairing histograms.
+"""Exact arithmetic kernels: squarefree factoring, pairing histograms and
+the all-target Radon histogram.
 
 The central trick here is that the Fourier transform of a {0,1}-valued,
 dilation-invariant function on (Z/p)^r against a fixed target y is a rational
@@ -9,10 +10,19 @@ the nonzero p-th roots of unity sum to -1,
     p^r * FT(y) = n_0 - n_1.
 
 No floating point, no roots of unity.  Everything in this module is exact
-(python ints / fractions.Fraction).
+(python ints / fractions.Fraction / int64 counts); radon_numerators counts
+n_0 - n_1 at every target at once.
 """
 
 from fractions import Fraction
+
+import numpy as np
+
+from .spaces import ResourceLimitError
+
+# Cells of one p^(r+1) Radon histogram; the kernel holds two int64 copies,
+# 512 MiB together, which admits the cubic space (r = 4) up to p = 31.
+RADON_CELL_LIMIT = 2 ** 25
 
 
 class InvalidModulusError(ValueError):
@@ -59,16 +69,45 @@ class PairingHistogram:
         return sum(self.counts)
 
 
-def ft_value_from_histogram(h, r):
-    """Exact FT value (n_0 - n_1)/p^r from a pairing histogram.
-
-    Requires counts[1] = ... = counts[p-1]; raises NonInvariantSupportError
-    otherwise (the support was not dilation-invariant, or the histogram was
-    built against an inconsistent target).
-    """
-    p = h.p
-    if p > 1 and len(set(h.counts[1:])) > 1:
+def _numerators(H):
+    """n_0 - n_1 along the last axis of pairing counts, or
+    NonInvariantSupportError unless n_1 = ... = n_{p-1} throughout."""
+    if (H[..., 2:] != H[..., 1:2]).any():
         raise NonInvariantSupportError(
-            f"nonzero classes unequal mod {p}: {h.counts}")
-    n1 = h.counts[1] if p > 1 else 0
-    return Fraction(h.counts[0] - n1, p ** r)
+            f"nonzero classes unequal mod {H.shape[-1]}")
+    return H[..., 0] - H[..., 1]
+
+
+def ft_value_from_histogram(h, r):
+    """Exact FT value (n_0 - n_1)/p^r from a pairing histogram."""
+    return Fraction(int(_numerators(np.array(h.counts))), h.p ** r)
+
+
+def check_radon(p, r):
+    """Refuse a Radon histogram of p^(r+1) cells beyond RADON_CELL_LIMIT."""
+    if p ** (r + 1) > RADON_CELL_LIMIT:
+        raise ResourceLimitError(f"p={p}: all-target histogram beyond "
+                                 f"{RADON_CELL_LIMIT} cells")
+
+
+def radon_numerators(support, weights, p):
+    """n_0 - n_1 of H[y, k] = #{x in supp : sum w_i x_i y_i = k mod p} at
+    every y, in state-code order (r = len(weights) >= 2).  A step replaces
+    the front axis x_i by y_i, adding k-slices shifted by w_i x_i y_i, and
+    moves y_i to the back; codes are little-endian, so w runs backwards."""
+    r = len(weights)
+    check_radon(p, r)
+    n = p ** r
+    H = np.zeros((p, p, n // p), dtype=np.int64)
+    H[:, 0] = np.asarray(support).reshape(p, n // p)
+    out = np.empty_like(H)
+    for w in reversed([int(v) % p for v in weights]):
+        out.fill(0)
+        for y in range(p):
+            for x in range(p):
+                s = w * x * y % p
+                out[y, s:] += H[x, :p - s]
+                out[y, :s] += H[x, p - s:]
+        H.reshape(p, p, -1, p)[...] = out.reshape(p, p, p, -1).transpose(
+            2, 1, 3, 0)
+    return _numerators(np.moveaxis(H, 1, -1)).reshape(n)

@@ -41,8 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ffcore, orbits
-from .spaces import (CUBIC, BadPrimeError, ResourceLimitError, disc_mod,
-                     dual_disc_cubic, pairing_weights_mod, space_by_name)
+from .spaces import (CUBIC, BadPrimeError, disc_mod, dual_disc_cubic,
+                     pairing_weights_mod, space_by_name)
 
 
 class InvalidLabelError(ValueError):
@@ -172,21 +172,14 @@ def classify_target(cond, y, p):
 # brute force
 # ---------------------------------------------------------------------------
 
-def _targets_matrix(cond, targets, p):
-    w = pairing_weights_mod(cond.space, p)
-    T = np.asarray(targets, dtype=np.int64).reshape(-1, cond.space.r) % p
-    return (T * w) % p
-
-
 def ft_histograms(cond, p, targets, *, chunk=1 << 20):
     """Pairing histograms of <x, y_j> over the support {p | disc x}, all
     targets served by one sweep over every state."""
     space = cond.space
-    if p in space.bad_primes:
-        raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
+    w = pairing_weights_mod(space, p)          # refuses bad primes
     space.check_sweep(p)
     n_states = p ** space.r
-    WT = _targets_matrix(cond, targets, p)
+    WT = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p * w % p
     k = WT.shape[0]
     counts = np.zeros((k, p), dtype=np.int64)
     for start in range(0, n_states, chunk):
@@ -212,30 +205,14 @@ def ft_bruteforce(cond, p, y):
 
 
 def ft_bruteforce_exhaustive_cubic(cond, p):
-    """(numerators, p^4): exact FT numerators at every y in V(F_p), from one
-    pass of the full support against all p^4 targets (target axis chunked:
-    the pairing matrix at p = 23 would otherwise run to ~30 GB)."""
+    """(numerators, p^4): exact FT numerators at every y in V(F_p), in
+    state-code order, from the Radon histogram of the support."""
     if cond.space is not CUBIC:
         raise ValueError("exhaustive mode is for the cubic space")
-    if p in CUBIC.bad_primes:
-        raise BadPrimeError(f"p={p} excluded (bad prime)")
-    if p > 23:
-        raise ResourceLimitError("exhaustive targets capped at p <= 23")
-    n = p ** 4
-    codes = np.arange(n, dtype=np.int64)
-    C = orbits.decode_states(codes, p, r=4)
-    sup = C[cond.support_mask(C, p)].astype(np.int64)
-    WT = _targets_matrix(cond, C, p)
-    numer = np.empty(n, dtype=np.int64)
-    block = max(1, int(1.5e7) // max(len(sup), 1))
-    for lo in range(0, n, block):
-        P = sup @ WT[lo:lo + block].T % p    # (support, <=block)
-        k = P.shape[1]
-        cnt = np.bincount((P + np.arange(k, dtype=np.int64) * p).ravel(),
-                          minlength=k * p).reshape(k, p)
-        assert (cnt[:, 1:] == cnt[:, 1:2]).all()   # dilation invariance
-        numer[lo:lo + block] = cnt[:, 0] - cnt[:, 1]
-    return numer, n
+    w = pairing_weights_mod(CUBIC, p)
+    ffcore.check_radon(p, CUBIC.r)
+    C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
+    return ffcore.radon_numerators(cond.support_mask(C, p), w, p), p ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +233,6 @@ def dual_ft_value(p, cls):
     if cls not in range(len(lines)):
         raise InvalidLabelError(f"dual class {cls!r}")
     return _poly(p, *lines[cls])
-
-
-def dual_ft_bruteforce(p):
-    """(numerators, p^4) of the dual-side transform at every k in (Z/p)^4:
-    plain dot-product character over the support {p | disc x}."""
-    n = p ** 4
-    codes = np.arange(n, dtype=np.int64)
-    C = orbits.decode_states(codes, p, r=4)
-    sup = C[CUBIC_COND.support_mask(C, p)].astype(np.int64)
-    P = sup @ C.astype(np.int64).T % p
-    numer = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        cnt = np.bincount(P[:, j], minlength=p)
-        assert len(set(cnt[1:].tolist())) == 1
-        numer[j] = cnt[0] - cnt[1]
-    return numer, n
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ class OrbitTable:
     """Orbits of the pair space mod p: label -> (cardinality, representative).
 
     orbit_of holds the full state-code -> orbit-index map from the BFS and
-    index_label the orbit-index -> label assignment (not serialized)."""
+    index_label the orbit-index -> label assignment."""
     p: int
     entries: dict
     orbit_of: np.ndarray = field(default=None, repr=False, compare=False)
@@ -257,32 +257,6 @@ class OrbitTable:
 
     def group_cardinality(self, i):
         return sum(self.entries[n][0] for n in U_GROUPS[i])
-
-    def to_file(self, path, version="1"):
-        with open(path, "w") as fh:
-            fh.write(f"# orbit-table v{version} p={self.p} "
-                     "label dim fc cardinality rep\n")
-            for name in LABELS:
-                size, rep = self.entries[name]
-                rep_s = ",".join(str(c) for c in rep)
-                fh.write(f"{name}\t{LABEL_DIM[name]}\t{LABEL_FC[name]}\t"
-                         f"{size}\t{rep_s}\n")
-
-    @classmethod
-    def from_file(cls, path, version="1"):
-        entries = {}
-        with open(path) as fh:
-            head = fh.readline()
-            if not head.startswith(f"# orbit-table v{version} "):
-                raise ValueError(f"stale or foreign orbit table: {head!r}")
-            p = int(head.split("p=")[1].split()[0])
-            for line in fh:
-                name, dim, fc, size, rep_s = line.rstrip("\n").split("\t")
-                if (int(dim), int(fc)) != (LABEL_DIM[name], LABEL_FC[name]):
-                    raise ValueError(f"corrupt row for {name}")
-                rep = tuple(int(t) for t in rep_s.split(","))
-                entries[name] = (int(size), rep)
-        return cls(p, entries)
 
 
 def _bfs_orbits(p, chunk=1 << 19):

@@ -63,7 +63,6 @@ def exponent_table(space):
                           x_exponent=1 - Fraction(j, d),
                           n_exponent=n_exp,
                           alpha_cap=Fraction(j, d * n_exp))
-        assert row.x_exponent + row.alpha_cap * row.n_exponent == 1
         rows.append(row)
     alpha_max = min(r.alpha_cap for r in rows)
     bottleneck = next(r.j for r in rows if r.alpha_cap == alpha_max)

@@ -51,17 +51,26 @@ class ResourceLimitError(RuntimeError):
     pass
 
 
+class MismatchError(ArithmeticError):
+    """An identity the computation checks failed to hold."""
+
+
 # ---------------------------------------------------------------------------
 # discriminants
 # ---------------------------------------------------------------------------
 
 def disc_cubic(a, b, c, d):
     """Discriminant of a u^3 + b u^2 v + c u v^2 + d v^3.  Works on ints or
-    numpy arrays alike.  |disc| <= 54 M^4 for |coords| <= M, so int64
-    arrays wrap once M passes ~20 000; experiments._disc_slices, the box
-    traversal, picks int64 or exact object arrays from that bound."""
+    numpy arrays alike; arrays should have the dtype disc_dtype picks."""
     return (b * b * c * c - 4 * a * c * c * c - 4 * b * b * b * d
             - 27 * a * a * d * d + 18 * a * b * c * d)
+
+
+def disc_dtype(M):
+    """int64 when |coords| <= M keeps disc_cubic and its partial sums in
+    int64 (they are bounded by 54 M^4), exact object arrays otherwise; int64
+    would wrap once M passes ~20 000."""
+    return np.int64 if 54 * M ** 4 < 2 ** 63 else object
 
 
 def _det3_sym(a11, a22, a33, a12, a13, a23):
@@ -135,7 +144,8 @@ class SpaceDescriptor:
     sweep_limit: int        # most states p^r a sweep may visit
 
     def __post_init__(self):
-        assert self.r == self.d, "both supported spaces have r = d"
+        if self.r != self.d:
+            raise ValueError("both supported spaces have r = d")
 
     def check_sweep(self, p):
         """Refuse a finite-field sweep of p^r states beyond sweep_limit."""
@@ -176,9 +186,13 @@ def disc(space, coords):
 
 
 def disc_mod(space, coords, p):
-    """disc reduced mod p, vectorized, int64-safe."""
+    """disc reduced mod p as int64, vectorized; exact at every p, the
+    binary cubic's coefficients (reduced mod p) going through disc_dtype."""
     C = np.asarray(coords, dtype=np.int64) % p
-    return disc_cubic(*space.binary_cubic_mod(C, p)) % p
+    dtype = disc_dtype(p - 1)
+    cubic = (np.asarray(c).astype(dtype, copy=False)
+             for c in space.binary_cubic_mod(C, p))
+    return (disc_cubic(*cubic) % p).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from pvsieve import cli, fourier
+from pvsieve import cli, ffcore, fourier, sieve
+from pvsieve.spaces import CUBIC
 
 
 def run(argv):
@@ -54,11 +55,42 @@ def test_nonprime_rejected():
                 "--no-cache"]) == 2
 
 
-def test_resource_cap_before_work():
+@pytest.mark.parametrize("argv", [
+    ["lod", "--X", "abc"],
+    ["lod", "--X", "inf"],
+    ["reducible", "--Y", "x"],
+    ["ft-verify", "--primes", "abc", "--no-cache"],
+    ["ft-verify", "--primes", "5..x", "--no-cache"],
+    ["sieve-t", "--alpha", "1/2", "--constant", "x"],
+    ["dual-bound", "--space", "foo", "--N", "3", "--Z", "1"],
+    ["exponents", "--space", "foo"],
+    ["orbits", "--space", "foo"],
+], ids=" ".join)
+def test_malformed_input_is_config_error(argv, capsys):
+    assert run(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_resource_cap_before_work(monkeypatch):
     assert run(["lod", "--X", "1e9"]) == 3
     assert run(["dual-bound", "--space", "quartic", "--N", "3", "--Z",
                 "2"]) == 3
     assert run(["ft-verify", "--space", "cubic", "--primes", "61",
+                "--no-cache"]) == 3
+    # the first prime past the exhaustive cap is refused before the sweep
+    # at the prime below it starts
+    primes = sieve.primes_upto(100).tolist()
+    over = next(p for p in primes
+                if p ** (CUBIC.r + 1) > ffcore.RADON_CELL_LIMIT)
+    below = primes[primes.index(over) - 1]
+    ffcore.check_radon(below, CUBIC.r)
+
+    def boom(*a, **k):
+        raise AssertionError("a sweep started before the preflight")
+    monkeypatch.setattr(fourier, "ft_histograms", boom)
+    monkeypatch.setattr(fourier, "ft_bruteforce_exhaustive_cubic", boom)
+    assert run(["ft-verify", "--space", "cubic", "--primes",
+                f"{below},{over}", "--mode", "exhaustive",
                 "--no-cache"]) == 3
 
 
@@ -174,6 +206,12 @@ def test_dual_bound_majorant_line(capsys):
     out = capsys.readouterr().out
     assert "majorant_holds\tTrue" in out
     assert "qsplit_checked" in out
+
+
+def test_failed_split_identity_is_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(fourier, "ft_qsplit_check", lambda *a: False)
+    assert run(["dual-bound", "--N", "5", "--Z", "2"]) == 1
+    assert "split identity fails" in capsys.readouterr().err
 
 
 def test_geosieve_single(capsys):

@@ -188,16 +188,6 @@ def test_lod_alpha_zero_only_q1():
     assert [row[0] for row in rep.q_rows] == [1]
 
 
-def test_lod_report_roundtrip(tmp_path):
-    rep = ex.lod_error_sum(ex.LodConfig(X_grid=(10 ** 4,)))
-    path = tmp_path / "lod.tsv"
-    rep.to_file(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# lod-report v1 alpha=0.45")
-    data = [ln for ln in lines if not ln.startswith("#")]
-    assert len(data) == 1 + len(rep.q_rows)
-
-
 def test_fit_loglog_recovers_power_law():
     xs = [10.0, 100.0, 1000.0]
     slope, intercept, resid = ex._fit_loglog(xs, [3 * x ** 1.7 for x in xs])

@@ -1,4 +1,5 @@
-"""Exact-arithmetic kernels: squarefree factoring, histograms; and the
+"""Exact-arithmetic kernels: squarefree factoring, histograms, the
+all-target Radon histogram against a pairing-matrix oracle; and the
 plain-Python F_{p^k} oracle (tests/fpk.py) behind the F_{p^2} base-locus
 count in test_orbits."""
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
+from pvsieve import orbits, sieve
+from pvsieve.spaces import (CUBIC, ResourceLimitError, disc_mod,
+                            pairing_weights_mod)
 
 import fpk
 
@@ -52,6 +56,75 @@ def test_histogram_nonuniform_rejected():
     h = fc.PairingHistogram(5, [7, 3, 3, 3, 2])   # nonzero classes unequal
     with pytest.raises(fc.NonInvariantSupportError):
         fc.ft_value_from_histogram(h, 4)
+
+
+# ---------------------------------------------------------------------------
+# the all-target Radon histogram against the pairing-matrix oracle
+# ---------------------------------------------------------------------------
+
+def slow_radon_histogram(support, weights, p, block=1 << 22):
+    """H[y, k] = #{x in supp : sum w_i x_i y_i = k mod p} for every target
+    y in state-code order: the support's rows times a block of weighted
+    targets, one bincount per block."""
+    r = len(weights)
+    n = p ** r
+    C = orbits.decode_states(np.arange(n, dtype=np.int64), p, r=r)
+    C = C.astype(np.int64)
+    sup = C[np.asarray(support, dtype=bool)]
+    WT = C * np.asarray(weights, dtype=np.int64) % p
+    H = np.empty((n, p), dtype=np.int64)
+    step = max(1, block // max(len(sup), 1))
+    for lo in range(0, n, step):
+        P = sup @ WT[lo:lo + step].T % p              # (support, targets)
+        k = P.shape[1]
+        H[lo:lo + k] = np.bincount(
+            (P + np.arange(k, dtype=np.int64) * p).ravel(),
+            minlength=k * p).reshape(k, p)
+    return H
+
+
+def _disc_support(p):
+    C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
+    return disc_mod(CUBIC, C, p) == 0
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("unit", [False, True], ids=["pairing", "unit"])
+def test_radon_matches_oracle_on_disc_support(p, unit):
+    w = (1, 1, 1, 1) if unit else tuple(pairing_weights_mod(CUBIC, p))
+    sup = _disc_support(p)
+    H = slow_radon_histogram(sup, w, p)
+    assert (H[:, 1:] == H[:, 1:2]).all()
+    assert np.array_equal(fc.radon_numerators(sup, w, p),
+                          H[:, 0] - H[:, 1])
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (7, 2), (3, 5)])
+def test_radon_matches_oracle_on_random_cones(p, r):
+    # a union of punctured lines through random points is dilation-invariant
+    rng = np.random.default_rng(p * r)
+    pts = rng.integers(0, p, size=(4, r))
+    lines = (np.arange(1, p)[:, None, None] * pts[None]).reshape(-1, r) % p
+    sup = np.zeros(p ** r, dtype=bool)
+    sup[orbits.encode_states(lines, p)] = True
+    w = rng.integers(1, p, size=r)
+    H = slow_radon_histogram(sup, w, p)
+    assert np.array_equal(fc.radon_numerators(sup, w, p),
+                          H[:, 0] - H[:, 1])
+
+
+def test_radon_rejects_noninvariant_support():
+    sup = np.zeros(5 ** 4, dtype=bool)
+    sup[1] = True                              # the single point (1, 0, 0, 0)
+    with pytest.raises(fc.NonInvariantSupportError):
+        fc.radon_numerators(sup, (1, 1, 1, 1), 5)
+
+
+def test_radon_cell_limit():
+    over = next(p for p in sieve.primes_upto(100).tolist()
+                if p ** 5 > fc.RADON_CELL_LIMIT)
+    with pytest.raises(ResourceLimitError):
+        fc.radon_numerators(np.zeros(over ** 4, dtype=bool), (1,) * 4, over)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvsieve import fourier, orbits
+from pvsieve import ffcore, fourier, orbits
 from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc_mod,
                             ResourceLimitError)
 
@@ -191,10 +191,12 @@ P5_SIZES = {
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_dual_table_exhaustive(p):
     """Plain-dot dual transform is graded by dstar at every p, including 3."""
-    num, den = fourier.dual_ft_bruteforce(p)
-    K = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
+    den = p ** 4
+    K = orbits.decode_states(np.arange(den, dtype=np.int64), p, r=4)
+    num = ffcore.radon_numerators(fourier.CUBIC_COND.support_mask(K, p),
+                                  (1, 1, 1, 1), p)
     cls = fourier.dual_cubic_class_batch(K, p)
-    for i in range(p ** 4):
+    for i in range(den):
         want = fourier.dual_ft_value(p, int(cls[i]))
         assert Fraction(int(num[i]), den) == want
 
@@ -220,6 +222,14 @@ def test_lattice_drops_m_part():
     vq = fourier.ft_on_lattice(fourier.QUARTIC_COND, 6, (1,) + (0,) * 11)
     assert vq == _quartic(
         3, orbits.classify(QUARTIC, (1,) + (0,) * 11, 3))
+
+
+def test_lattice_exact_past_int64():
+    # disc(-1, 1, 1, -1) = 0; int64 discriminants used to wrap mod 24439
+    # and file the target as nonsingular
+    p = 24439
+    v = fourier.ft_on_lattice(fourier.CUBIC_COND, p, (-1, 1, 1, -1))
+    assert v == Fraction(p - 1, p ** 3)
 
 
 def test_lattice_multiplicative():

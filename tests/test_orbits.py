@@ -347,13 +347,3 @@ def test_unexpected_resolvent_root_count_raises(monkeypatch):
     with pytest.raises(ob.ClassifierIncompleteError,
                        match=r"2 resolvent roots at \(1, 1, 1, 0"):
         ob.classify(QUARTIC, x, 7)
-
-
-def test_orbit_table_roundtrip(tmp_path, table3):
-    path = tmp_path / "orbits_p3.tsv"
-    table3.to_file(path)
-    back = ob.OrbitTable.from_file(path)
-    assert back.p == 3
-    assert back.entries == table3.entries
-    with pytest.raises(ValueError):
-        ob.OrbitTable.from_file(path, version="2")

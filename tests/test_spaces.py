@@ -1,5 +1,6 @@
 """Space models: disc, resolvent, pairing, dual lattice, boxes."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ def test_descriptors():
     assert sp.space_by_name("cubic") is CUBIC
     with pytest.raises(ValueError):
         sp.space_by_name("quintic")
+    with pytest.raises(ValueError, match="r = d"):
+        dataclasses.replace(CUBIC, d=3)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +78,21 @@ def test_disc_mod_matches_exact(space, p):
     dm = sp.disc_mod(space, X, p)
     for i in range(60):
         assert dm[i] == sp.disc(space, tuple(int(v) for v in X[i])) % p
+
+
+@pytest.mark.parametrize("p", [24439, 40009, 99991])
+def test_disc_mod_exact_past_int64(p):
+    # 54 (p-1)^4 passes 2^63 here; int64 disc_mod gave 81701 for
+    # (-1, -1, -1, 1) at p = 99991 and a nonzero value for the disc = 0
+    # form (-1, 1, 1, -1) at p = 24439
+    rng = np.random.default_rng(p)
+    X = np.vstack([[(-1, -1, -1, 1), (-1, 1, 1, -1), (p - 1,) * 4],
+                   rng.integers(0, p, size=(100, 4))])
+    want = [sp.disc(CUBIC, tuple(row)) % p for row in X.tolist()]
+    assert sp.disc_mod(CUBIC, X, p).tolist() == want
+    Q = rng.integers(0, p, size=(20, 12))
+    want = [sp.disc(QUARTIC, tuple(row)) % p for row in Q.tolist()]
+    assert sp.disc_mod(QUARTIC, Q, p).tolist() == want
 
 
 def test_resolvent_mod_bad_prime():
