@@ -4,11 +4,6 @@ Exit codes: 0 = pass, 1 = mathematical mismatch, 2 = configuration error,
 3 = resource limit.  Configuration is validated before any heavy work, and
 a given invocation always produces byte-identical output (headers carry the
 package version and the full effective config, never timestamps).
-
-Brute-force transform tables are cached under --cache-dir keyed by
-(space, prime, condition, code version); fourier.cached_bruteforce reuses a
-cache file only when it is a whole, intact table of the current schema and
-recomputes it otherwise.
 """
 
 import argparse
@@ -92,22 +87,6 @@ def _emit(lines, out_path):
     sys.stdout.write(text)
 
 
-def _cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get(
-        "PVSIEVE_CACHE",
-        os.path.join(os.path.expanduser("~"), ".cache", "pvsieve"))
-
-
-def _cached_bruteforce(cond, p, args):
-    """Brute-force FourierTable through the versioned file cache."""
-    path = None if args.no_cache else os.path.join(
-        _cache_dir(args),
-        f"ft-brute-{cond.space_id}-{cond.kind}-p{p}-v{__version__}.tsv")
-    return fourier.cached_bruteforce(cond, p, path)[0]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -117,20 +96,21 @@ def cmd_ft_verify(args):
     primes, skipped = _parse_primes(args.primes, space)
     if args.mode == "exhaustive" and space is not CUBIC:
         raise ConfigError("exhaustive mode is only sized for the cubic space")
-    # resource preflight before any sweep starts
+    kernel = fourier.bruteforce_kernel(space)
+    # resource preflight before any kernel starts
     for p in primes:
-        space.check_sweep(p)
+        kernel.check(p)
         if args.mode == "exhaustive":
             ffcore.check_radon(p, space.r)
     cond = fourier.LocalCondition(space.space_id)
     cfg = {"space": args.space, "primes": ",".join(map(str, primes)),
            "skipped_bad": ",".join(map(str, skipped)) or "none",
-           "mode": args.mode, "cache": not args.no_cache}
+           "mode": args.mode, "cache": False}
     lines = [_header("ft-verify", cfg)]
     mismatches = []
     for p in primes:
         closed = fourier.fourier_table_closed_form(cond, p)
-        brute = _cached_bruteforce(cond, p, args)
+        brute = fourier.fourier_table_bruteforce(cond, p)
         for name, want in closed.values.items():
             got = brute.values[name]
             ok = got == want
@@ -161,7 +141,9 @@ def cmd_ft_verify(args):
     _emit(lines, args.out)
     if mismatches:
         for p, name, want, got in mismatches:
-            print(f"MISMATCH p={p} class={name}: closed={want} brute={got}",
+            suspects = kernel.suspects(p)
+            print(f"MISMATCH p={p} class={name}: closed={want} brute={got}"
+                  + (f" ({suspects} is at fault)" if suspects else ""),
                   file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_PASS
@@ -359,8 +341,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--out-dir", default=None,
                    help="where to drop the table files")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-cache", action="store_true")
+    p.add_argument("--no-cache", action="store_true",
+                   help="accepted and ignored: nothing is cached")
     p.set_defaults(func=cmd_ft_verify)
 
     p = sub.add_parser("orbits", help="orbit table at a prime")

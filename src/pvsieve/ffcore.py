@@ -10,8 +10,8 @@ the nonzero p-th roots of unity sum to -1,
     p^r * FT(y) = n_0 - n_1.
 
 No floating point, no roots of unity.  Everything in this module is exact
-(python ints / fractions.Fraction / int64 counts); radon_numerators counts
-n_0 - n_1 at every target at once.
+(python ints / fractions.Fraction / int64 counts); radon_histogram counts
+the n_k at every target at once, and _numerators collapses them to n_0 - n_1.
 """
 
 from fractions import Fraction
@@ -21,7 +21,8 @@ import numpy as np
 from .spaces import ResourceLimitError
 
 # Cells of one p^(r+1) Radon histogram; the kernel holds two int64 copies,
-# 512 MiB together, which admits the cubic space (r = 4) up to p = 31.
+# 512 MiB together, which admits the cubic space (r = 4) up to p = 31 and a
+# fibre of the pair space (r = 6) up to p = 11.
 RADON_CELL_LIMIT = 2 ** 25
 
 
@@ -90,11 +91,12 @@ def check_radon(p, r):
                                  f"{RADON_CELL_LIMIT} cells")
 
 
-def radon_numerators(support, weights, p):
-    """n_0 - n_1 of H[y, k] = #{x in supp : sum w_i x_i y_i = k mod p} at
-    every y, in state-code order (r = len(weights) >= 2).  A step replaces
-    the front axis x_i by y_i, adding k-slices shifted by w_i x_i y_i, and
-    moves y_i to the back; codes are little-endian, so w runs backwards."""
+def radon_histogram(support, weights, p):
+    """H[y, k] = #{x in supp : sum w_i x_i y_i = k mod p} at every target y,
+    as a (p^r, p) int64 array in state-code order (r = len(weights) >= 2).
+    A step replaces the front axis x_i by y_i, adding k-slices shifted by
+    w_i x_i y_i, and moves y_i to the back; codes are little-endian, so w
+    runs backwards."""
     r = len(weights)
     check_radon(p, r)
     n = p ** r
@@ -110,4 +112,5 @@ def radon_numerators(support, weights, p):
                 out[y, :s] += H[x, p - s:]
         H.reshape(p, p, -1, p)[...] = out.reshape(p, p, p, -1).transpose(
             2, 1, 3, 0)
-    return _numerators(np.moveaxis(H, 1, -1)).reshape(n)
+    del out                     # two p^(r+1) buffers at most
+    return np.moveaxis(H, 1, -1).reshape(n, p)

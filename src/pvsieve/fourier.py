@@ -34,15 +34,15 @@ meaningful mod 3; the same three values apply at every p including 3.
 """
 
 import hashlib
-import os
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import ffcore, orbits
-from .spaces import (CUBIC, BadPrimeError, disc_mod, dual_disc_cubic,
-                     pairing_weights_mod, space_by_name)
+from .spaces import (CUBIC, QUARTIC, BadPrimeError, disc_dtype, disc_mod,
+                     dual_disc_cubic, pairing_weights_mod, space_by_name)
 
 
 class InvalidLabelError(ValueError):
@@ -194,9 +194,62 @@ def ft_histograms(cond, p, targets, *, chunk=1 << 20):
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
 
 
+def ft_fibered_histograms(cond, p, targets):
+    """Pairing histograms of the pair space at the targets (alpha, beta),
+    fibred over B.
+
+    The support is invariant under (A, B) -> (g A g^T, g B g^T), g in GL_3,
+    and <(A, B), (alpha, beta)> = tr(A alpha) + tr(B beta).  Writing
+    B = g_B B_c g_B^T (orbits.form_classes), the counts split as
+
+        N[k] = sum_B H_c[g_B^T alpha g_B, k - tr(B beta)],
+
+    H_c the Radon histogram of the fibre {A : (A, B_c) in supp}.  One H_c is
+    held at a time, so the peak is the Radon kernel's own two p^7-cell
+    buffers."""
+    space = cond.space
+    if space is not QUARTIC:
+        raise ValueError("the fibred kernel is for the pair space")
+    w = pairing_weights_mod(space, p)          # refuses bad primes
+    half = space.r // 2
+    ffcore.check_radon(p, half)
+    T = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
+    alphas = orbits.sym_from_cols(T[:, :half])
+    wbeta = T[:, half:] * w[half:] % p
+    cls, reps, g = orbits.form_classes(p)
+    forms = orbits.decode_states(np.arange(p ** half, dtype=np.int64), p,
+                                 r=half)
+    counts = np.zeros((len(T), p), dtype=np.int64)
+    for c, rep in enumerate(reps):
+        fibre = np.concatenate([   # {A : (A, B_c) in supp}, in p slices
+            cond.support_mask(np.hstack([A, np.broadcast_to(
+                forms[rep], A.shape)]), p) for A in np.split(forms, p)])
+        H = ffcore.radon_histogram(fibre, w[:half], p).ravel()
+        counts += _fibre_counts(H, g[cls == c], forms[cls == c], alphas,
+                                wbeta, p)
+        del H
+    return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
+
+
+def _fibre_counts(H, g, forms, alphas, wbeta, p):
+    """(targets, p) counts sum_B H[g_B^T alpha g_B, k - tr(B beta)] over the
+    forms B of one class, H flattened and beta weighted."""
+    rows, cols = zip(*orbits._SYM_INDEX)
+    g = g.astype(np.int64)
+    counts = np.empty((len(alphas), p), dtype=np.int64)
+    for j, alpha in enumerate(alphas):
+        moved = (g.transpose(0, 2, 1) @ alpha @ g % p)[:, rows, cols]
+        base = orbits.encode_states(moved, p) * p
+        shift = forms @ wbeta[j] % p
+        for k in range(p):
+            counts[j, k] = H[base + (k - shift) % p].sum()
+    return counts
+
+
 def ft_bruteforce_multi(cond, p, targets):
-    """Exact transform values at several targets from a single sweep."""
-    hists = ft_histograms(cond, p, targets)
+    """Exact transform values at several targets from the space's
+    brute-force kernel."""
+    hists = bruteforce_kernel(cond.space).histograms(cond, p, targets)
     return [ffcore.ft_value_from_histogram(h, cond.space.r) for h in hists]
 
 
@@ -212,7 +265,32 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
     w = pairing_weights_mod(CUBIC, p)
     ffcore.check_radon(p, CUBIC.r)
     C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
-    return ffcore.radon_numerators(cond.support_mask(C, p), w, p), p ** 4
+    H = ffcore.radon_histogram(cond.support_mask(C, p), w, p)
+    return ffcore._numerators(H), p ** 4
+
+
+BruteForceKernel = namedtuple("BruteForceKernel",
+                              "histograms check reps suspects")
+
+
+def bruteforce_kernel(space):
+    """The brute-force kernel of a space, chosen here and only here: its
+    histograms (cond, p, targets), the check that refuses a prime past its
+    cap, its default targets (p -> one per class) and what a mismatch at p
+    implicates (p -> text or None).
+
+    Cubic: ft_histograms sweeps every state, within the sweep budget.
+    Quartic: ft_fibered_histograms, capped by its Radon fibres (p <= 11);
+    its targets come from the classifier, which past the orbit BFS budget
+    (p >= 7) no BFS checks."""
+    if space is CUBIC:
+        return BruteForceKernel(ft_histograms, space.check_sweep,
+                                _cubic_class_reps, lambda p: None)
+    return BruteForceKernel(
+        ft_fibered_histograms,
+        lambda p: ffcore.check_radon(p, space.r // 2), _quartic_label_reps,
+        lambda p: ("the closed form or the classifier"
+                   if p ** space.r > orbits.ORBIT_STATE_LIMIT else None))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +300,7 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
 def dual_cubic_class_batch(kcoords, p):
     """0: k = 0; 1: dstar(k) = 0, k != 0; 2: nonsingular."""
     K = np.asarray(kcoords, dtype=np.int64) % p
-    return _three_classes(K, dual_disc_cubic(K) % p)
+    return _three_classes(K, dual_disc_cubic(K.astype(disc_dtype(p - 1))) % p)
 
 
 def dual_ft_value(p, cls):
@@ -270,7 +348,7 @@ def ft_qsplit_check(cond, q0, q1, x):
 # serialized tables
 # ---------------------------------------------------------------------------
 
-TABLE_VERSION = 2      # v2 added the checksum line; older files are stale
+TABLE_VERSION = 2      # v2 added the checksum line
 
 
 @dataclass
@@ -281,41 +359,15 @@ class FourierTable:
     source: str             # bruteforce | closed_form
 
     def to_file(self, path):
-        """Header, one row per class, and a sha256 line over both, written
-        to a temporary file that then replaces path."""
+        """Header, one row per class, and a sha256 line over both."""
         body = (f"# fourier-table v{TABLE_VERSION} space={self.space_id} "
                 "prime label num den source\n"
                 + "".join(f"{self.p}\t{name}\t{v.numerator}\t{v.denominator}"
                           f"\t{self.source}\n"
                           for name, v in self.values.items()))
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(f"{body}# sha256 {_sha256(body)}\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def from_file(cls, path):
-        """Read a table; ValueError unless the header has the current
-        version and the checksum line matches everything above it."""
-        with open(path) as fh:
-            text = fh.read()
-        body, _, digest = text.rpartition("# sha256 ")
-        if (not body.startswith(f"# fourier-table v{TABLE_VERSION} space=")
-                or digest != f"{_sha256(body)}\n"):
-            raise ValueError(f"stale, foreign or damaged fourier table "
-                             f"{os.fspath(path)!r}")
-        head, *rows = body.splitlines()
-        values, p, src = {}, None, None
-        for line in rows:
-            ps, name, num, den, src = line.split("\t")
-            p = int(ps)
-            values[name] = Fraction(int(num), int(den))
-        return cls(p=p, space_id=head.split("space=")[1].split()[0],
-                   values=values, source=src)
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        with open(path, "w") as fh:
+            fh.write(f"{body}# sha256 {digest}\n")
 
 
 def fourier_table_closed_form(cond, p):
@@ -326,44 +378,14 @@ def fourier_table_closed_form(cond, p):
 
 def fourier_table_bruteforce(cond, p, reps_by_name=None):
     """Brute-force table at class/orbit representatives, by default the
-    built-in small forms for the cubic space and the decompose_orbits
-    representatives for the pair space."""
+    kernel's own targets: small forms for the cubic space, classifier-found
+    states for the pair space."""
     if reps_by_name is None:
-        reps_by_name = _default_reps(cond.space, p)
+        reps_by_name = bruteforce_kernel(cond.space).reps(p)
     names = list(reps_by_name)
     vals = ft_bruteforce_multi(cond, p, [reps_by_name[n] for n in names])
     return FourierTable(p=p, space_id=cond.space_id, source="bruteforce",
                         values=dict(zip(names, vals)))
-
-
-def cached_bruteforce(cond, p, path, reps_by_name=None):
-    """(table, hit): the brute-force table for (cond, p), read from path
-    when that file is a whole current-version table for the same prime,
-    space and source holding every class of the space (hit = True), else
-    computed and written to path.  Missing, stale, truncated, altered and
-    foreign files are all recomputed.  path=None computes and writes
-    nothing."""
-    if path is not None:
-        try:
-            tab = FourierTable.from_file(path)
-            if ((tab.p, tab.space_id, tab.source)
-                    == (p, cond.space_id, "bruteforce")
-                    and set(tab.values) == set(_lines(cond.space))):
-                return tab, True
-        except (OSError, ValueError):
-            pass
-    tab = fourier_table_bruteforce(cond, p, reps_by_name)
-    if path is not None:
-        os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
-        tab.to_file(path)
-    return tab, False
-
-
-def _default_reps(space, p):
-    if space is CUBIC:
-        return _cubic_class_reps(p)
-    table = orbits.decompose_orbits(space, p)
-    return {name: rep for name, (_, rep) in table.entries.items()}
 
 
 def _cubic_class_reps(p):
@@ -374,3 +396,27 @@ def _cubic_class_reps(p):
     nonsing = forms[cubic_class_batch(forms, p) == 2][0]
     return {"pV": (0, 0, 0, 0), "disc0": (1, 0, 0, 0),
             "nonsing": tuple(int(v) for v in nonsing)}
+
+
+def _quartic_label_reps(p):
+    """The first state of each orbit label, in code order, among the 3^12
+    states with entries in {0, 1, nu}, nu the least non-residue mod p,
+    labelled by the classifier in chunks.  At p = 3 these are all states,
+    so each is the smallest code of its orbit: the decompose_orbits
+    representative."""
+    nu = int(np.argmax(orbits.legendre_table(p) < 0))
+    entries = np.array([0, 1, nu], dtype=np.int64)
+    found, chunk = {}, 1 << 16
+    for start in range(0, 3 ** 12, chunk):
+        codes = np.arange(start, min(start + chunk, 3 ** 12), dtype=np.int64)
+        C = entries[orbits.decode_states(codes, 3)]
+        labels, first = np.unique(orbits.classify_batch(QUARTIC, C, p),
+                                  return_index=True)
+        for i, lab in sorted(zip(first, labels)):
+            found.setdefault(orbits.LABELS[lab], tuple(int(v) for v in C[i]))
+        if len(found) == len(orbits.LABELS):
+            return found
+    missing = [n for n in orbits.LABELS if n not in found]
+    raise orbits.ClassifierIncompleteError(
+        f"p={p}: no state with entries in {{0, 1, {nu}}} has label "
+        f"{', '.join(missing)}")

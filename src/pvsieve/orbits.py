@@ -255,9 +255,6 @@ class OrbitTable:
     def representative(self, name):
         return self.entries[canonical_label(name)][1]
 
-    def group_cardinality(self, i):
-        return sum(self.entries[n][0] for n in U_GROUPS[i])
-
 
 def _bfs_orbits(p, chunk=1 << 19):
     """Label every state of (F_p)^12 with its orbit index.  Within one
@@ -306,6 +303,40 @@ def _bfs_orbits(p, chunk=1 << 19):
         reps.append(seed)
         oid += 1
     return np.array(sizes), np.array(reps, dtype=np.int64), label
+
+
+def form_classes(p):
+    """GL_3(F_p)-classes of the ternary forms B (six coordinates, as in
+    sym_from_cols) under B -> g B g^T.
+
+    Returns (cls, reps, g) over the p^6 forms in state-code order: cls the
+    class index, reps the smallest code of each class, and g an element of
+    GL_3 with B = g B_c g^T, B_c the representative of B's class.  A BFS
+    from each seed under the three GL_3 generators; moving B by h multiplies
+    its g by h on the left."""
+    n = p ** 6
+    forms = decode_states(np.arange(n, dtype=np.int64), p, r=6)
+    gens = [np.array(e.g3, dtype=np.int64) for e in generators(QUARTIC, p)[3:]]
+    acts = [_congruence_matrix(h, p).T for h in gens]
+    cls = np.full(n, -1, dtype=np.int8)
+    g = np.zeros((n, 3, 3), dtype=np.int16)
+    reps = []
+    while (cls < 0).any():
+        seed = int(np.argmax(cls < 0))
+        cls[seed] = len(reps)
+        g[seed] = np.eye(3, dtype=np.int16)
+        frontier = np.array([seed], dtype=np.int64)
+        while frontier.size:
+            nxt = []
+            for h, T in zip(gens, acts):
+                cand = encode_states(forms[frontier] @ T % p, p)
+                fresh = cls[cand] < 0
+                cls[cand[fresh]] = len(reps)
+                g[cand[fresh]] = h @ g[frontier[fresh]] % p
+                nxt.append(cand[fresh])
+            frontier = np.concatenate(nxt)
+        reps.append(seed)
+    return cls, np.array(reps, dtype=np.int64), g
 
 
 def decompose_orbits(space, p):

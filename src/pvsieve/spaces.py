@@ -80,7 +80,7 @@ def _det3_sym(a11, a22, a33, a12, a13, a23):
 
 def resolvent_cubic(coords):
     """Coefficients (c0, c1, c2, c3) of 4*det(Ax + By) for a quartic-space
-    element.  Exact integers; array-friendly.
+    element.  Exact integers, on tuples and on integer arrays alike.
 
     det(Ax+By) is cubic in (x,y); four evaluations determine it:
     det A, det B, det(A+B), det(A-B).
@@ -88,6 +88,10 @@ def resolvent_cubic(coords):
     if not isinstance(coords, np.ndarray):
         x = np.array([int(c) for c in coords], dtype=object)
         return tuple(int(c) for c in resolvent_cubic(x))
+    # with |entries| <= M every determinant, partial sum and coefficient
+    # below stays within 216 M^3; int64 while that fits, else exact
+    M = int(np.abs(coords).max(initial=0))
+    coords = coords.astype(np.int64 if 216 * M ** 3 < 2 ** 63 else object)
     A = coords[..., 0:6]
     B = coords[..., 6:12]
     dA = _det3_sym(*(A[..., i] for i in range(6)))
@@ -180,9 +184,14 @@ def space_by_name(name):
 
 
 def disc(space, coords):
-    """Exact integer discriminant.  For scalar inputs prefer python ints in
-    coords (no overflow); numpy arrays are fine within int64 range."""
-    return disc_cubic(*space.binary_cubic(coords))
+    """Exact integer discriminant of a coordinate tuple (Python ints) or an
+    integer array; on arrays the binary cubic goes through disc_dtype of its
+    largest coefficient, as in disc_mod."""
+    cubic = space.binary_cubic(coords)
+    if isinstance(coords, np.ndarray):
+        M = max(int(np.abs(c).max(initial=0)) for c in cubic)
+        cubic = (np.asarray(c).astype(disc_dtype(M)) for c in cubic)
+    return disc_cubic(*cubic)
 
 
 def disc_mod(space, coords, p):

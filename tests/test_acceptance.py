@@ -9,18 +9,15 @@ The p = 5 orbit data embedded below (P5_ORBITS) was produced by the same
 breadth-first closure that decompose_orbits runs at p = 3; at p = 5 that
 sweep costs about half an hour, so its output is frozen here and
 revalidated cheaply through classify_batch, which never saw the BFS.
-The p = 5 transform table is recomputed by the single-sweep kernel unless
-a cache produced by an earlier run (or by `pvsieve ft-verify`) is found
-under the standard cache directory.
+The p = 5 transform table comes from the fibred kernel, in about a second.
 """
 
-import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pvsieve import __version__, experiments, fourier, orbits, sieve
+from pvsieve import experiments, fourier, orbits, sieve
 from pvsieve.fourier import CUBIC_COND, QUARTIC_COND
 from pvsieve.spaces import CUBIC, QUARTIC, disc, disc_cubic, pairing_mod
 
@@ -59,22 +56,12 @@ def weight():
     return experiments.SmoothWeight()
 
 
-def _p5_cache_path():
-    cdir = os.environ.get(
-        "PVSIEVE_CACHE",
-        os.path.join(os.path.expanduser("~"), ".cache", "pvsieve"))
-    return os.path.join(
-        cdir, f"ft-brute-quartic-disc-divisible-p5-v{__version__}.tsv")
-
-
 @pytest.fixture(scope="session")
 def ft5_brute():
-    """Quartic brute table at p = 5: cache if valid, else the ~3.5 minute
-    single-sweep kernel (written back to the cache afterwards)."""
+    """Quartic brute table at p = 5, at the frozen BFS representatives."""
     reps = {name: rep for name, (rep, _) in P5_ORBITS.items()}
-    tab, hit = fourier.cached_bruteforce(QUARTIC_COND, 5, _p5_cache_path(),
-                                         reps_by_name=reps)
-    return tab, "cache" if hit else "kernel sweep"
+    return fourier.fourier_table_bruteforce(QUARTIC_COND, 5,
+                                            reps_by_name=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +104,12 @@ def test_criterion_02_quartic_ft_exact(table3, ft5_brute):
     bad = [n for n in orbits.LABELS if brute3.values[n] != closed3.values[n]]
     assert not bad, f"p=3 line mismatch at {bad}"
 
-    tab5, how = ft5_brute
+    tab5 = ft5_brute
     closed5 = fourier.fourier_table_closed_form(QUARTIC_COND, 5)
     bad = [n for n in orbits.LABELS if tab5.values[n] != closed5.values[n]]
     assert not bad, f"p=5 line mismatch at {bad}"
-    print(f"PASS criterion 2: quartic transform exact on all 20 lines at "
-          f"p=3 (live) and p=5 ({how})")
+    print("PASS criterion 2: quartic transform exact on all 20 lines at "
+          "p=3 and p=5")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Command-line behavior: exit codes, validation order, deterministic
-output, cache versioning."""
-
-import os
+output, no state on disk."""
 
 import pytest
 
-from pvsieve import cli, ffcore, fourier, sieve
+from pvsieve import cli, ffcore, fourier, orbits, sieve
 from pvsieve.spaces import CUBIC
 
 
@@ -86,12 +84,18 @@ def test_resource_cap_before_work(monkeypatch):
     ffcore.check_radon(below, CUBIC.r)
 
     def boom(*a, **k):
-        raise AssertionError("a sweep started before the preflight")
-    monkeypatch.setattr(fourier, "ft_histograms", boom)
-    monkeypatch.setattr(fourier, "ft_bruteforce_exhaustive_cubic", boom)
+        raise AssertionError("a kernel started before the preflight")
+    for module, name in ((fourier, "ft_histograms"),
+                         (fourier, "ft_bruteforce_exhaustive_cubic"),
+                         (fourier, "ft_fibered_histograms"),
+                         (ffcore, "radon_histogram"),
+                         (orbits, "classify_batch")):
+        monkeypatch.setattr(module, name, boom)
     assert run(["ft-verify", "--space", "cubic", "--primes",
                 f"{below},{over}", "--mode", "exhaustive",
                 "--no-cache"]) == 3
+    # the fibred quartic kernel stops at p = 11
+    assert run(["ft-verify", "--space", "quartic", "--primes", "11,13"]) == 3
 
 
 def test_exhaustive_mode_cubic_only():
@@ -115,53 +119,30 @@ def test_exponent_rows(capsys):
     assert "alpha_max\t7/48\tbottleneck_j\t7" in text
 
 
-# -- determinism and caching ------------------------------------------------
+# -- determinism and state -------------------------------------------------
 
 def test_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     argv = ["ft-verify", "--space", "cubic", "--primes", "5,7",
-            "--mode", "exhaustive", "--cache-dir", str(tmp_path / "c")]
+            "--mode", "exhaustive"]
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert b"timestamp" not in a.read_bytes()
 
 
-def test_stale_cache_ignored_and_refreshed(tmp_path, capsys):
-    cdir = tmp_path / "cache"
-    argv = ["ft-verify", "--space", "cubic", "--primes", "5",
-            "--cache-dir", str(cdir)]
-    assert run(argv[:-2] + ["--no-cache"]) == 0
-    want = capsys.readouterr().out.replace("cache=False", "cache=True")
-    assert run(argv) == 0
-    assert capsys.readouterr().out == want
-    (fname,) = os.listdir(cdir)
-    assert "v0.1.0" in fname and "-p5-" in fname
-    path = cdir / fname
-    good = path.read_text()
-    lines = good.splitlines(keepends=True)
-    for damaged in ("# fourier-table v999 some future format\n",
-                    "".join(lines[:3]),                  # header + two rows
-                    good.replace("\tdisc0\t4\t", "\tdisc0\t5\t")):
-        assert damaged != good
-        path.write_text(damaged)
-        assert run(argv) == 0                   # recomputes, still passes
-        assert capsys.readouterr().out == want
-        assert path.read_text() == good         # rewritten whole
-        assert os.listdir(cdir) == [fname]
-    tab = fourier.FourierTable.from_file(path)
-    assert tab.p == 5 and tab.values["pV"].denominator == 125
-
-
-def test_cache_hit_skips_recompute(tmp_path, monkeypatch):
-    cdir = tmp_path / "cache"
-    argv = ["ft-verify", "--space", "cubic", "--primes", "5",
-            "--cache-dir", str(cdir)]
-    assert run(argv) == 0
-    def boom(*a, **k):
-        raise AssertionError("bruteforce re-run despite warm cache")
-    monkeypatch.setattr(fourier, "fourier_table_bruteforce", boom)
-    assert run(argv) == 0
+def test_no_state_on_disk(tmp_path, monkeypatch, capsys):
+    # nothing is written under the home directory or a cache variable
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("PVSIEVE_CACHE", str(tmp_path))
+    assert run(["ft-verify", "--space", "quartic", "--prime", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "cache=False" in out and out.count("\tok\n") == 20
+    assert list(tmp_path.iterdir()) == []
+    # --no-cache is still accepted, and changes nothing
+    assert run(["ft-verify", "--space", "quartic", "--prime", "3",
+                "--no-cache"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_mismatch_exit_code(tmp_path, monkeypatch, capsys):
@@ -170,12 +151,21 @@ def test_mismatch_exit_code(tmp_path, monkeypatch, capsys):
     real = fourier.ft_closed_form
     def crooked(cond, p, cls):
         v = real(cond, p, cls)
-        return v + 1 if cls == "disc0" else v
+        return v + 1 if cls in ("disc0", "O_Cs") else v
     monkeypatch.setattr(fourier, "ft_closed_form", crooked)
     assert run(["ft-verify", "--space", "cubic", "--primes", "5",
                 "--no-cache"]) == 1
     err = capsys.readouterr().err
     assert "MISMATCH" in err and "p=5" in err and "disc0" in err
+    assert "at fault" not in err
+    # past the orbit BFS (p >= 7) the quartic targets' labels come from the
+    # classifier alone, and the message says so
+    assert run(["ft-verify", "--space", "quartic", "--primes", "5,7"]) == 1
+    err5, err7 = capsys.readouterr().err.splitlines()
+    assert err5.startswith("MISMATCH p=5 class=O_Cs")
+    assert "at fault" not in err5
+    assert err7.startswith("MISMATCH p=7 class=O_Cs")
+    assert err7.endswith("(the closed form or the classifier is at fault)")
 
 
 def test_header_records_version_and_config(capsys):

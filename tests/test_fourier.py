@@ -1,6 +1,7 @@
 """Transform tables: brute force against closed forms, dual-side grading,
 squarefree moduli, and the split identity."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from pvsieve import ffcore, fourier, orbits
 from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc_mod,
-                            ResourceLimitError)
+                            dual_disc_cubic, ResourceLimitError)
 
 
 def _quartic(p, label):
@@ -37,6 +38,9 @@ def test_cubic_closed_form_values():
     assert fourier.ft_closed_form_cubic(5, "disc0") == Fraction(4, 125)
     assert fourier.ft_closed_form_cubic(5, "nonsing") == Fraction(-1, 125)
     assert fourier.omega(CUBIC, 7) == Fraction(49 + 7 - 1, 343)
+    # the zero-target line holds at the bad prime too: 33 of the 81 forms
+    # mod 3 have 3 | disc
+    assert fourier.omega(CUBIC, 3) == Fraction(33, 81)
 
 
 def test_quartic_closed_form_values():
@@ -150,6 +154,49 @@ def test_sweep_resource_limit():
         fourier.ft_histograms(fourier.QUARTIC_COND, 7, [(0,) * 12])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_fibered_kernel_matches_sweep_p3(seed):
+    """All p counts of the fibred histograms against the plain sweep, at
+    random targets."""
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, 3, size=(5, 12))
+    fib = fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 3, targets)
+    sweep = fourier.ft_histograms(fourier.QUARTIC_COND, 3, targets)
+    assert [h.counts for h in fib] == [h.counts for h in sweep]
+
+
+def test_quartic_label_reps_are_bfs_reps_p3(table3):
+    reps = fourier._quartic_label_reps(3)
+    assert list(reps.items()) == [(name, rep) for name, (_, rep)
+                                  in table3.entries.items()]
+
+
+def test_quartic_label_reps_missing_label(monkeypatch):
+    # a classifier that never says O_4 leaves that line without a target
+    real = orbits.classify_batch
+
+    def no_o4(space, coords, p):
+        labels = real(space, coords, p)
+        labels[labels == orbits.LABELS.index("O_4")] = 0
+        return labels
+    monkeypatch.setattr(orbits, "classify_batch", no_o4)
+    with pytest.raises(orbits.ClassifierIncompleteError, match="O_4"):
+        fourier._quartic_label_reps(7)
+
+
+def test_fibered_kernel_cap():
+    check = fourier.bruteforce_kernel(QUARTIC).check
+    check(11)
+    with pytest.raises(ResourceLimitError):
+        check(13)
+    with pytest.raises(ResourceLimitError):
+        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 13, [(0,) * 12])
+    with pytest.raises(BadPrimeError):
+        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
+    with pytest.raises(ValueError, match="pair space"):
+        fourier.ft_fibered_histograms(fourier.CUBIC_COND, 5, [(0,) * 4])
+
+
 # ---------------------------------------------------------------------------
 # size bounds implied by the closed forms
 # ---------------------------------------------------------------------------
@@ -193,12 +240,20 @@ def test_dual_table_exhaustive(p):
     """Plain-dot dual transform is graded by dstar at every p, including 3."""
     den = p ** 4
     K = orbits.decode_states(np.arange(den, dtype=np.int64), p, r=4)
-    num = ffcore.radon_numerators(fourier.CUBIC_COND.support_mask(K, p),
-                                  (1, 1, 1, 1), p)
+    num = ffcore._numerators(ffcore.radon_histogram(
+        fourier.CUBIC_COND.support_mask(K, p), (1, 1, 1, 1), p))
     cls = fourier.dual_cubic_class_batch(K, p)
     for i in range(den):
         want = fourier.dual_ft_value(p, int(cls[i]))
         assert Fraction(int(num[i]), den) == want
+
+
+def test_dual_classes_exact_past_int64():
+    # dstar(1, 66663, 66666, 12) = 0 mod 99991; int64 wrapped it to nonzero
+    p = 99991
+    k = (1, 66663, 66666, 12)
+    assert dual_disc_cubic(k) % p == 0
+    assert fourier.dual_cubic_class_batch(np.array([k]), p).tolist() == [1]
 
 
 def test_dual_values_at_3():
@@ -238,6 +293,13 @@ def test_lattice_multiplicative():
     v5 = fourier.ft_on_lattice(fourier.CUBIC_COND, 5, y)
     v7 = fourier.ft_on_lattice(fourier.CUBIC_COND, 7, y)
     assert v35 == v5 * v7
+    # at the zero target the transform is the density omega, multiplied out
+    # over the primes of q with the m-part dropped
+    zero = fourier.ft_on_lattice(fourier.CUBIC_COND, 15, (0,) * 4)
+    assert zero == fourier.omega(CUBIC, 5)
+    zero = fourier.ft_on_lattice(fourier.QUARTIC_COND, 105, (0,) * 12)
+    assert zero == (fourier.omega(QUARTIC, 3) * fourier.omega(QUARTIC, 5)
+                    * fourier.omega(QUARTIC, 7))
 
 
 @given(st.tuples(*[st.integers(-12, 12)] * 4),
@@ -261,18 +323,20 @@ def test_qsplit_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def test_fourier_table_roundtrip(tmp_path, brute3):
+    # the --out-dir format: header, one row per class, sha256 of both
     path = tmp_path / "ft3.tsv"
     brute3.to_file(path)
-    back = fourier.FourierTable.from_file(path)
-    assert back.values == brute3.values
-    assert (back.p, back.space_id, back.source) == (3, "quartic", "bruteforce")
-
-
-def test_fourier_table_stale_header(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("# fourier-table v0 space=cubic ...\n")
-    with pytest.raises(ValueError):
-        fourier.FourierTable.from_file(path)
+    head, *rows, tail = path.read_text().splitlines(keepends=True)
+    assert head.startswith("# fourier-table v2 space=quartic ")
+    assert tail == ("# sha256 " + hashlib.sha256(
+        "".join([head, *rows]).encode()).hexdigest() + "\n")
+    back = {}
+    for line in rows:
+        p, name, num, den, source = line.rstrip("\n").split("\t")
+        assert (p, source) == ("3", "bruteforce")
+        back[name] = Fraction(int(num), int(den))
+    assert back == brute3.values
+    assert list(back) == list(brute3.values)
 
 
 def test_closed_form_table_complete():

@@ -210,6 +210,21 @@ def test_decompose_rejects(table3):
         ob.decompose_orbits(QUARTIC, 7)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_form_classes(p):
+    """Seven GL_3-classes of ternary forms, each form B = g_B B_c g_B^T with
+    g_B invertible and B_c the smallest code of its class."""
+    cls, reps, g = ob.form_classes(p)
+    assert len(reps) == 7 and sorted(set(cls.tolist())) == list(range(7))
+    forms = ob.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
+    G = g.astype(np.int64)
+    Bc = ob.sym_from_cols(forms[reps].astype(np.int64))[cls]
+    moved = np.einsum("nij,njk,nlk->nil", G, Bc, G) % p
+    assert np.array_equal(moved, ob.sym_from_cols(forms.astype(np.int64)))
+    assert all(ob._det3(m.tolist()) % p for m in G)
+    assert [int(np.argmax(cls == c)) for c in range(7)] == reps.tolist()
+
+
 def test_classify_agrees_with_bfs_everywhere_p3(table3):
     codes = np.arange(3 ** 12, dtype=np.int64)
     coords = ob.decode_states(codes, 3)

@@ -1,4 +1,4 @@
-"""Exponent table, sieve thresholds, and the linear-sieve hypotheses."""
+"""Exponent table, sieve thresholds, the prime sieve."""
 
 from fractions import Fraction
 
@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvsieve import fourier, sieve
-from pvsieve.spaces import CUBIC, QUARTIC
+from pvsieve import sieve
+from pvsieve.spaces import QUARTIC
 
 
 # ---------------------------------------------------------------------------
@@ -87,74 +87,10 @@ def test_weighted_sieve_monotone(a1, a2):
 
 
 # ---------------------------------------------------------------------------
-# linear-sieve hypotheses
+# primes
 # ---------------------------------------------------------------------------
 
 def test_primes_upto():
     assert sieve.primes_upto(1).size == 0
     assert sieve.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(sieve.primes_upto(10_000)) == 1229
-
-
-def test_linear_sieve_cubic_small():
-    # |11/27 - 1/3| = 2/27 < 1/9: C = 1 already works at p = 3
-    assert abs(fourier.omega(CUBIC, 3) - Fraction(1, 3)) == Fraction(2, 27)
-    rep = sieve.linear_sieve_check(CUBIC, 100)
-    assert rep.smallest_int_c == 1
-    assert rep.c3_strict and rep.omega_below_one
-
-
-def test_linear_sieve_full_range():
-    rep_c = sieve.linear_sieve_check(CUBIC, 10_000)
-    rep_q = sieve.linear_sieve_check(QUARTIC, 10_000)
-    assert rep_c.c_witness == Fraction(9972, 9973)   # 1 - 1/p at the top prime
-    assert rep_c.smallest_int_c == 1
-    assert rep_q.smallest_int_c == 2
-    assert rep_q.c_witness < 2
-    assert rep_c.c3_strict and rep_q.c3_strict
-    assert rep_c.omega_below_one and rep_q.omega_below_one
-
-
-def test_product_bound_witness():
-    Kc, nc = sieve.sieve_product_bound(CUBIC, 3_000)
-    Kq, nq = sieve.sieve_product_bound(QUARTIC, 3_000)
-    # frozen from the 10^4 run (1.3021 / 1.9715); margins for the short range
-    assert 1.0 <= Kc < 1.5
-    assert 1.0 <= Kq < 2.2
-    assert nc == nq - 1          # cubic also drops p = 3
-
-
-def test_omega_squarefree_multiplicative():
-    assert sieve.omega_squarefree(CUBIC, 15) == fourier.omega(CUBIC, 5)  # 3 drops
-    v = sieve.omega_squarefree(QUARTIC, 105)
-    assert v == (fourier.omega(QUARTIC, 3) * fourier.omega(QUARTIC, 5)
-                 * fourier.omega(QUARTIC, 7))
-
-
-# ---------------------------------------------------------------------------
-# gcd-sum bound
-# ---------------------------------------------------------------------------
-
-def test_gcd_sum_examples():
-    assert sieve.gcd_sum_check(1, 10) == (11, 11)
-    exact, major = sieve.gcd_sum_check(6, 6)
-    assert exact == sum(__import__("math").gcd(6, n) for n in range(6, 13))
-    assert major == 36
-    assert exact <= major
-    # prime beyond the window contributes nothing
-    assert sieve.gcd_sum_check(97, 10)[0] == 11
-
-
-def test_gcd_sum_domain():
-    with pytest.raises(ValueError):
-        sieve.gcd_sum_check(0, 5)
-    with pytest.raises(ValueError):
-        sieve.gcd_sum_check(4, 0)
-
-
-@given(st.integers(min_value=-400, max_value=400).filter(bool),
-       st.integers(min_value=1, max_value=300))
-@settings(max_examples=120, deadline=None)
-def test_gcd_sum_bound_always_holds(m, N):
-    exact, major = sieve.gcd_sum_check(m, N)
-    assert exact <= major

@@ -54,6 +54,24 @@ def test_disc_array_matches_scalar():
         assert d[i] == sp.disc(QUARTIC, tuple(int(v) for v in X[i]))
 
 
+@pytest.mark.parametrize("space,row", [
+    (QUARTIC, (50, -49, 48, 1, 2, 3, -47, 51, -50, 4, 5, 6)),
+    (QUARTIC, (10 ** 6, -999999, 999998, 3, 5, 7,
+               -10 ** 6, 999997, -999996, 11, 13, 17)),
+    (CUBIC, (30000, -29999, 29998, 30000)),
+], ids=["quartic", "quartic-resolvent", "cubic"])
+def test_disc_array_exact_past_int64(space, row):
+    # |disc| passes 2^63 on every row (the first quartic row's resolvent
+    # has coefficients near 1.4e6); on the second the resolvent itself
+    # passes 2^63.  int64 arrays used to wrap
+    want = sp.disc(space, row)
+    assert abs(want) >= 2 ** 63
+    assert sp.disc(space, np.array([row, row])).tolist() == [want, want]
+    if space is QUARTIC:
+        got = sp.resolvent_cubic(np.array([row]))
+        assert tuple(int(c[0]) for c in got) == sp.resolvent_cubic(row)
+
+
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
        st.integers(-30, 30), st.integers(-2, 2))
 def test_disc_homogeneous_cubic(a, b, c, d, lam):
