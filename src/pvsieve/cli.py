@@ -232,11 +232,7 @@ def cmd_dual_bound(args):
     space = _parse(space_by_name, args.space, "space")
     if args.N < 1 or args.Z < 0:
         raise ConfigError("need N >= 1 and Z >= 0")
-    n_pts = (2 * args.Z + 1) ** space.r
-    if n_pts * max(args.N, 1) > 5e7:
-        raise ResourceLimitError(
-            f"{n_pts} lattice points with q in [{args.N}, {2 * args.N}] "
-            "exceeds the exact-arithmetic budget")
+    experiments.check_dual_bound(args.N, args.Z, space)
     rep = experiments.dual_bound_sum(args.N, args.Z, space_id=args.space)
     cfg = {"space": args.space, "N": args.N, "Z": args.Z}
     lines = [_header("dual-bound", cfg),

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import fourier, sieve
+from .ffcore import factor_squarefree
 from .spaces import (CUBIC, MismatchError, ResourceLimitError, box_axis,
                      disc, disc_cubic, disc_dtype, space_by_name)
 
@@ -203,14 +204,9 @@ def _disc_slices(axes):
 def main_term(q, X, weight):
     """omega(q) phihat(0) X^{r/d} for the cubic space, squarefree q."""
     dens = 1.0
-    for p in ffactor(q):
+    for p in factor_squarefree(int(q)):
         dens *= float(fourier.omega(CUBIC, p))
     return dens * weight.phi_hat0(4) * X
-
-
-def ffactor(q):
-    from .ffcore import factor_squarefree
-    return factor_squarefree(int(q))
 
 
 def weighted_count(q, X, weight=None):
@@ -362,7 +358,7 @@ def _dual_value_grid(q):
     grids = np.meshgrid(t, t, t, t, indexing="ij")
     K = np.stack([g.ravel() for g in grids], axis=1)
     V = np.ones(K.shape[0])
-    for p in ffactor(q):
+    for p in factor_squarefree(int(q)):
         cls = fourier.dual_cubic_class_batch(K % p, p)
         tab = np.array([float(fourier.dual_ft_value(p, c)) for c in range(3)])
         V *= tab[cls]
@@ -415,6 +411,16 @@ def poisson_check(q, X=10 ** 4, weight=None, Z=None):
 # the dual-side central sum, exactly
 # ---------------------------------------------------------------------------
 
+# Budget of one dual_bound_sum.  Work: per modulus, a step per box point
+# (tally) and a trial division up to sqrt(2N) (factoring); per box point
+# and prime, target_grading's cost.  A step took ~15 ns on a 2-core VM, so
+# the cap is about five minutes.  Bytes: the moduli sieve, three copies of
+# the box (building it, reducing it mod p) and a class byte per point and
+# prime.
+DUAL_BOUND_WORK = 2 * 10 ** 10
+DUAL_BOUND_BYTES = 2 ** 30
+
+
 @dataclass
 class DualBoundReport:
     N: int
@@ -427,52 +433,94 @@ class DualBoundReport:
     qsplit_checked: int    # identity verified on every q0-divisible point
 
 
-def dual_bound_sum(N, Z, space_id="cubic", check_qsplit=True):
+def _nonzero_box(Z, r):
+    """The nonzero points of the box |x_i| <= Z as an (n, r) int64 array,
+    in lexicographic order."""
+    side = 2 * Z + 1
+    Y = np.indices((side,) * r, dtype=np.int64).reshape(r, -1).T - Z
+    return np.delete(Y, side ** r // 2, axis=0)
+
+
+def _box_row(X, Z):
+    """Row of each nonzero point of X in _nonzero_box(Z, r)."""
+    shape = (2 * Z + 1,) * X.shape[1]
+    full = np.ravel_multi_index(tuple((X + Z).T), shape)
+    return full - (full > np.prod(shape) // 2)
+
+
+def check_dual_bound(N, Z, space):
+    """The moduli of dual_bound_sum(N, Z) on the space, {q: primes of
+    q / (q, m)}, or ResourceLimitError past the budget.  Nothing is graded,
+    and the moduli are listed only once N + 1 of them would fit."""
+    n = (2 * Z + 1) ** space.r - 1
+    per_q = n + 1 + math.isqrt(2 * N)
+    work, size = (N + 1) * per_q, 2 * N + 24 * space.r * n
+    moduli = {}
+    if work <= DUAL_BOUND_WORK and size <= DUAL_BOUND_BYTES:
+        moduli = {int(q): [p for p in factor_squarefree(int(q)) if space.m % p]
+                  for q in sieve.squarefree_upto(2 * N) if q >= N}
+        primes = set().union(*moduli.values())
+        cost = fourier.target_grading(space).cost
+        work = len(moduli) * per_q + n * sum(map(cost, primes))
+        size += n * len(primes)
+    if work > DUAL_BOUND_WORK or size > DUAL_BOUND_BYTES:
+        raise ResourceLimitError(
+            f"{n} lattice points with q in [{N}, {2 * N}]: {work:.3g} steps"
+            f" and {size:.3g} bytes exceed the dual-bound budget")
+    return moduli
+
+
+def dual_bound_sum(N, Z, space_id="cubic"):
     """Exact sum over squarefree q in [N, 2N] and nonzero lattice x with
     |x_i| <= Z of |FT_q(x)|, split by disc(x) = 0 / != 0.
 
-    Every (q, x) with x in q0 V(Z) for some q0 | q, q0 > 1 also gets the
-    split identity verified when check_qsplit is set."""
+    The box is graded once per prime p of the moduli (p not dividing m) by
+    fourier.target_classes.  FT_q(x) is the product over the primes of
+    q / (q, m) of the closed form of x's class, so each q tallies the class
+    tuples of its primes (mixed-radix codes) over the box and over its
+    disc = 0 points, and sums count times value over the tuples that occur.
+
+    Every (q, x) with q0 = gcd(q, content of x) > 1 has the split identity
+    FT_q(x) = FT_{q0}(x) FT_{q/q0}(x/q0) checked, as the equality of the
+    classes of x and x/q0 at the primes of q/q0 not dividing m."""
     space = space_by_name(space_id)
-    cond = fourier.LocalCondition(space_id)
-    qs = [int(q) for q in sieve.squarefree_upto(2 * N) if q >= N]
-    axis = box_axis(Z)
-    pts = [p for p in _box_points(axis, space.r) if any(p)]
-    total = Fraction(0)
-    d0 = Fraction(0)
+    moduli = check_dual_bound(N, Z, space)
+    cond = fourier.LocalCondition(space.space_id)
+    names = tuple(fourier.CLOSED_FORMS[space.space_id])
+    Y = _nonzero_box(Z, space.r)
+    d0 = disc(space, Y) == 0
+    content = np.gcd.reduce(Y, axis=1)
+    cls, absval = {}, {}
+    for p in sorted(set().union(*moduli.values())):
+        cls[p] = fourier.target_classes(space, Y, p)
+        absval[p] = [abs(fourier.ft_closed_form(cond, p, n)) for n in names]
+    total = disc0 = Fraction(0)
     checked = 0
-    for x in pts:
-        dz = int(disc(space, np.array([x], dtype=np.int64))[0]) == 0
-        for q in qs:
-            v = abs(fourier.ft_on_lattice(cond, q, x))
-            total += v
-            if dz:
-                d0 += v
-            if check_qsplit:
-                q0 = math.gcd(q, math.gcd(*[abs(c) for c in x])) if any(x) else 1
-                q0 = _squarefree_part_dividing(q0, q)
-                if q0 > 1:
-                    if not fourier.ft_qsplit_check(cond, q0, q // q0, x):
-                        raise MismatchError(
-                            f"split identity fails at q0={q0}, q={q}, x={x}")
-                    checked += 1
-    return DualBoundReport(N=N, Z=Z, total=total, disc0_part=d0,
-                           nonzero_part=total - d0, n_q=len(qs),
-                           n_points=len(pts), qsplit_checked=checked)
-
-
-def _box_points(axis, r):
-    import itertools
-    return itertools.product(axis, repeat=r)
-
-
-def _squarefree_part_dividing(g, q):
-    """Largest divisor of q dividing g (q squarefree)."""
-    out = 1
-    for p in ffactor(q):
-        if g % p == 0:
-            out *= p
-    return out
+    for q, ps in moduli.items():
+        codes = np.zeros(len(Y), dtype=np.int64)
+        values = [Fraction(1)]              # by code, most significant first
+        for p in ps:
+            codes = codes * len(names) + cls[p]
+            values = [v * w for v in values for w in absval[p]]
+        tally = np.bincount(codes, minlength=len(values))
+        tally0 = np.bincount(codes[d0], minlength=len(values))
+        for c in np.flatnonzero(tally):
+            total += int(tally[c]) * values[c]
+            disc0 += int(tally0[c]) * values[c]
+        q0 = np.gcd(content, q)
+        for g in np.unique(q0[q0 > 1]).tolist():
+            rows = np.flatnonzero(q0 == g)
+            scaled = _box_row(Y[rows] // g, Z)
+            for p in (p for p in ps if g % p):
+                bad = np.flatnonzero(cls[p][rows] != cls[p][scaled])
+                if bad.size:
+                    x = tuple(int(v) for v in Y[rows[bad[0]]])
+                    raise MismatchError(
+                        f"split identity fails at q0={g}, q={q}, x={x}")
+            checked += rows.size
+    return DualBoundReport(N=N, Z=Z, total=total, disc0_part=disc0,
+                           nonzero_part=total - disc0, n_q=len(moduli),
+                           n_points=len(Y), qsplit_checked=checked)
 
 
 def dual_bound_majorant(N, Z):
@@ -480,44 +528,35 @@ def dual_bound_majorant(N, Z):
     points are counted through the reducible-locus parametrization with the
     largest class value per prime, and disc != 0 points go through
     |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
-    sum_{f | m} f (N/f^{1/3} + 1).  Exact rational output (maj0, maj1)."""
-    qs = [int(q) for q in sieve.squarefree_upto(2 * N) if q >= N]
-    n_disc0 = reducible_count(Z) - 1
-    maj0 = Fraction(0)
-    for q in qs:
-        m0 = Fraction(1)
-        for p in ffactor(q):
-            if p != 3:
-                m0 *= Fraction(p ** 2 + p - 1, p ** 3)
-        maj0 += m0 * n_disc0
-    axis = box_axis(Z)
-    maj1 = Fraction(0)
+    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|.  Exact
+    rational output (maj0, maj1), within the dual_bound_sum budget."""
+    maj0 = (reducible_count(Z) - 1) * sum(
+        (math.prod((Fraction(p ** 2 + p - 1, p ** 3) for p in ps), start=1)
+         for ps in check_dual_bound(N, Z, CUBIC).values()), Fraction(0))
+    D = np.abs(disc(CUBIC, _nonzero_box(Z, 4)))
+    values, counts = np.unique(D[D != 0], return_counts=True)
     n_star = max(1, -(-N // 3))        # least possible q* = q / (q,3)
-    for x in _box_points(axis, 4):
-        if not any(x):
-            continue
-        D = abs(disc_cubic(*x))
-        if D == 0:
-            continue
-        gs = Fraction(0)
-        for f in sieve._divisors(D):
+    weights = {}       # icbrt(f) -> sum of count * f over f | disc, f <= 8N^3
+    for value, count in zip(values.tolist(), counts.tolist()):
+        for f in sieve._divisors(value):
             if f <= (2 * N) ** 3:
-                # q squarefree, f | q^3  =>  rad(f) | q and f <= rad(f)^3,
-                # so the interval holds at most N / f^(1/3) + 1 such q
-                gs += Fraction(f) * (N * Fraction(_icbrt_floor_inv(f)) + 1)
-        maj1 += gs / n_star ** 3
+                c = _icbrt(f)
+                weights[c] = weights.get(c, 0) + count * f
+    # q squarefree, f | q^3  =>  rad(f) | q and f <= rad(f)^3, so the
+    # interval holds at most N / f^(1/3) + 1 <= N / c + 1 such q
+    maj1 = sum((w * (Fraction(N, c) + 1) for c, w in weights.items()),
+               Fraction(0)) / n_star ** 3
     return maj0, maj1
 
 
-def _icbrt_floor_inv(f):
-    """Rational upper bound for f^(-1/3): with c the largest integer whose
-    cube is <= f, 1/c >= f^(-1/3)."""
+def _icbrt(f):
+    """The largest integer whose cube is <= f."""
     c = round(f ** (1 / 3))
     while c ** 3 > f:
         c -= 1
     while (c + 1) ** 3 <= f:
         c += 1
-    return Fraction(1, max(c, 1))
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +667,6 @@ def reducible_count(Y):
                   & ((U != 0) | (W != 0)))
             count += int(np.count_nonzero(ok))
     return count
-
-
-def reducible_count_bruteforce(Y):
-    """Oracle: disc over the whole (2Y+1)^4 grid.  Small Y only."""
-    xs = np.arange(-Y, Y + 1, dtype=np.int64)
-    A, B, C, D = np.meshgrid(xs, xs, xs, xs, indexing="ij")
-    return int(np.count_nonzero(disc_cubic(A, B, C, D) == 0))
 
 
 def reducible_exponent(Y_grid=(25, 50, 100, 200, 400)):

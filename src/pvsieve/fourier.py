@@ -51,9 +51,8 @@ class InvalidLabelError(ValueError):
 
 @dataclass(frozen=True)
 class LocalCondition:
-    """Indicator of p | disc(x) for each prime p (the only built-in kind)."""
+    """Indicator of p | disc(x) for each prime p."""
     space_id: str
-    kind: str = "disc-divisible"
 
     @property
     def space(self):
@@ -61,9 +60,6 @@ class LocalCondition:
 
     def support_mask(self, coords, p):
         return disc_mod(self.space, coords, p) == 0
-
-    def indicator(self, x, p):
-        return int(disc_mod(self.space, np.array([tuple(x)]), p)[0] == 0)
 
 
 CUBIC_COND = LocalCondition("cubic")
@@ -150,22 +146,31 @@ def cubic_class_batch(coords, p):
     return _three_classes(C, disc_mod(CUBIC, C, p))
 
 
-def cubic_class(y, p):
-    return CUBIC_CLASSES[cubic_class_batch(np.array([tuple(y)]), p)[0]]
-
-
 def _three_classes(K, grading):
     cls = np.where(grading == 0, 1, 2).astype(np.int8)
     cls[~K.any(axis=-1)] = 0
     return cls
 
 
-def classify_target(cond, y, p):
-    """Class/label of a transform argument: cubic coarse class or the
-    orbit label of the pair space."""
-    if cond.space is CUBIC:
-        return cubic_class(y, p)
-    return orbits.classify(cond.space, y, p)
+TargetGrading = namedtuple("TargetGrading", "classes cost")
+
+
+def target_grading(space):
+    """How a space grades transform arguments, chosen here and only here:
+    classes (Y, p) -> each row's index into the space's CLOSED_FORMS lines,
+    and cost p -> the steps grading one row takes, a step being one point
+    of the quartic base-locus count.  Cubic: cubic_class_batch, about eight
+    steps.  Quartic: the labels of orbits.classify_batch, whose base-locus
+    count visits the p^2 + p + 1 points of P^2(F_p)."""
+    if space is CUBIC:
+        return TargetGrading(cubic_class_batch, lambda p: 8)
+    return TargetGrading(lambda Y, p: orbits.classify_batch(space, Y, p),
+                         lambda p: p * p + p + 1)
+
+
+def target_classes(space, Y, p):
+    """CLOSED_FORMS class index of each row of the (n, r) array Y at p."""
+    return target_grading(space).classes(Y, p)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +327,12 @@ def ft_on_lattice(cond, q, y):
     dropped (the dual-lattice index m acts trivially there), the rest is the
     per-prime closed form, multiplied out."""
     space = cond.space
-    coords = tuple(y)
-    q_eff = q // np.gcd(q, space.m)
+    row = np.array([tuple(y)], dtype=np.int64)
+    names = tuple(_lines(space))
     value = Fraction(1)
-    for p in ffcore.factor_squarefree(int(q_eff)):
-        value *= ft_closed_form(cond, p, classify_target(cond, coords, p))
+    for p in ffcore.factor_squarefree(int(q // np.gcd(q, space.m))):
+        label = names[target_classes(space, row, p)[0]]
+        value *= ft_closed_form(cond, p, label)
     return value
 
 

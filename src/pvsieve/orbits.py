@@ -91,13 +91,6 @@ LABEL_ALIASES = {"O_T11": "O_B11", "O_T2": "O_B2"}
 NONSINGULAR_LABELS = U_GROUPS[12]
 
 
-def canonical_label(name):
-    name = LABEL_ALIASES.get(name, name)
-    if name not in LABEL_DIM:
-        raise ValueError(f"unknown orbit label {name!r}")
-    return name
-
-
 # ---------------------------------------------------------------------------
 # group elements and the action
 # ---------------------------------------------------------------------------
@@ -249,12 +242,6 @@ class OrbitTable:
     orbit_of: np.ndarray = field(default=None, repr=False, compare=False)
     index_label: tuple = field(default=None, repr=False, compare=False)
 
-    def cardinality(self, name):
-        return self.entries[canonical_label(name)][0]
-
-    def representative(self, name):
-        return self.entries[canonical_label(name)][1]
-
 
 def _bfs_orbits(p, chunk=1 << 19):
     """Label every state of (F_p)^12 with its orbit index.  Within one
@@ -397,17 +384,32 @@ def _proj_points_prime(p):
     return np.array(pts, dtype=np.int64)
 
 
+# Cells of one (rows, p^2 + p + 1) block of base_locus_count; its float64
+# temporaries stay some tens of MB at every p.
+_BASE_LOCUS_CELLS = 1 << 21
+
+
 def base_locus_count(coords, p):
-    """#{[v] in P^2(F_p) : v A v^T = v B v^T = 0} per row of coords."""
-    C = np.asarray(coords, dtype=np.int64) % p
+    """#{[v] in P^2(F_p) : v A v^T = v B v^T = 0} per row of coords, by
+    blocks of rows.  The forms are evaluated in float64 (BLAS), exactly:
+    each value is an integer below 6 p^2 < 2^53, and its correctly rounded
+    quotient by p is an integer only when p divides it."""
+    C = (np.asarray(coords, dtype=np.int64) % p).astype(np.float64)
     pts = _proj_points_prime(p)
     # quadratic monomials (v1^2, v2^2, v3^2, 2v1v2, 2v1v3, 2v2v3)
-    M = np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
-                  2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
-                  2 * pts[:, 1] * pts[:, 2]], axis=-1) % p
-    qA = C[..., :6] @ M.T % p
-    qB = C[..., 6:] @ M.T % p
-    return ((qA == 0) & (qB == 0)).sum(axis=-1)
+    MT = np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
+                   2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
+                   2 * pts[:, 1] * pts[:, 2]]) % p
+    out = np.empty(C.shape[0], dtype=np.int64)
+    step = max(1, _BASE_LOCUS_CELLS // len(pts))
+    for lo in range(0, C.shape[0], step):
+        hit = True
+        for half in (C[lo:lo + step, :6], C[lo:lo + step, 6:]):
+            q = half @ MT
+            q /= p
+            hit = hit & (q == np.floor(q))
+        out[lo:lo + step] = hit.sum(axis=-1)
+    return out
 
 
 _MINOR2_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
@@ -580,8 +582,3 @@ def classify_batch(space, coords, p):
         raise ClassifierIncompleteError(
             f"p={p}: unrecognized signature at {tuple(int(v) for v in C[i])}")
     return out
-
-
-def classify(space, x, p):
-    codes = classify_batch(space, np.array([tuple(x)], dtype=np.int64), p)
-    return LABELS[int(codes[0])]

@@ -12,6 +12,7 @@ Two small pieces of exact arithmetic sit underneath the counting work:
   flip on floating-point noise.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,12 +133,7 @@ def squarefree_upto(n):
 
 
 def _divisors(n):
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
-    return sorted(out)
+    """The divisors of a positive integer n < 2^63, ascending."""
+    small = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
+    small = small[n % small == 0].tolist()
+    return sorted(set(small + [n // f for f in small]))

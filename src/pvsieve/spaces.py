@@ -17,20 +17,15 @@ about its space, as data:
                   cubic (1, 1/3, 1/3, 1), i.e. x1 y1 + (x2 y2 + x3 y3)/3
                   + x4 y4; quartic (1,1,1,2,2,2) on each matrix, i.e.
                   tr(A A') + tr(B B');
-  rho             rho : V*(Z) -> V(Z) multiplies coordinate i by rho_i:
-                  cubic (1, 3, 3, 1), quartic (1,1,1,2,2,2) twice, so the
-                  image of the dual lattice is the forms with middle
-                  coefficients divisible by 3 (cubic) or the pairs with even
-                  off-diagonal entries (quartic);
   binary_cubic,   coords -> the binary cubic whose discriminant is disc(x),
   binary_cubic_mod  exactly and mod p: the form itself for the cubic space,
                   the resolvent 4*det(Ax + By) for the quartic space;
   sweep_limit     the most states p^r a finite-field sweep may visit
                   (cubic 60^4, quartic 6^12: 5^12 passes, 7^12 does not).
 
-disc, disc_mod, pairing, pairing_weights_mod, rho_apply, rho_image_check
-and rho_inverse read these fields and never branch on the space.  Elements
-are plain coordinate tuples or (n, r) integer arrays.
+disc, disc_mod, pairing and pairing_weights_mod read these fields and
+never branch on the space.  Elements are plain coordinate tuples or (n, r)
+integer arrays.
 """
 
 from dataclasses import dataclass
@@ -40,10 +35,6 @@ import numpy as np
 
 
 class BadPrimeError(ValueError):
-    pass
-
-
-class NotInDualLatticeError(ValueError):
     pass
 
 
@@ -142,7 +133,6 @@ class SpaceDescriptor:
     m: int                  # dual lattice index parameter
     bad_primes: frozenset
     weights: tuple          # pairing weights, as Fractions
-    rho: tuple              # rho : V*(Z) -> V(Z) coordinate multipliers
     binary_cubic: object    # coords -> cubic with disc(x) as its disc
     binary_cubic_mod: object  # (coords, p) -> that cubic mod p
     sweep_limit: int        # most states p^r a sweep may visit
@@ -162,13 +152,11 @@ _PAIR_W = (1, 1, 1, 2, 2, 2) * 2
 
 CUBIC = SpaceDescriptor("cubic", 4, 4, 3, frozenset({3}),
                         weights=tuple(map(Fraction, (1, "1/3", "1/3", 1))),
-                        rho=(1, 3, 3, 1),
                         binary_cubic=_form_itself,
                         binary_cubic_mod=_form_itself,
                         sweep_limit=60 ** 4)
 QUARTIC = SpaceDescriptor("quartic", 12, 12, 2, frozenset({2}),
                           weights=tuple(map(Fraction, _PAIR_W)),
-                          rho=_PAIR_W,
                           binary_cubic=resolvent_cubic,
                           binary_cubic_mod=resolvent_cubic_mod,
                           sweep_limit=6 ** 12)
@@ -230,25 +218,9 @@ def pairing_mod(space, x, y, p):
                       np.asarray(y, dtype=np.int64) % p) % p)
 
 
-def rho_apply(space, dual_coords):
-    """rho : V*(Z) -> V(Z), coordinatewise multiplication by space.rho."""
-    return tuple(k * m for k, m in zip(dual_coords, space.rho))
-
-
-def rho_image_check(space, y):
-    return all(c % m == 0 for c, m in zip(y, space.rho))
-
-
-def rho_inverse(space, y):
-    """Preimage under rho as a coordinate tuple, or NotInDualLatticeError."""
-    c = tuple(y)
-    if not rho_image_check(space, c):
-        raise NotInDualLatticeError(f"{c} not in rho(V*(Z))")
-    return tuple(ci // m for ci, m in zip(c, space.rho))
-
-
 def dual_disc_cubic(k):
-    """The discriminant polynomial seen by the dual coordinates:
+    """The discriminant polynomial seen by the dual coordinates: the dual
+    lattice maps into V(Z) by rho(a, q, r, d) = (a, 3q, 3r, d), and
     disc(rho(k)) = 27 * dual_disc_cubic(k), identically.  This is the right
     grading for plain-dot-product Fourier transforms on the dual side, and
     unlike disc itself it stays meaningful mod 3.

@@ -1,10 +1,17 @@
 """Command-line behavior: exit codes, validation order, deterministic
 output, no state on disk."""
 
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from pvsieve import cli, ffcore, fourier, orbits, sieve
+from pvsieve import cli, experiments, ffcore, fourier, orbits, sieve
 from pvsieve.spaces import CUBIC
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(argv):
@@ -199,9 +206,58 @@ def test_dual_bound_majorant_line(capsys):
 
 
 def test_failed_split_identity_is_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(fourier, "ft_qsplit_check", lambda *a: False)
+    # a grading that is not scale-invariant: x and x/q0 get different classes
+    real = fourier.target_classes
+
+    def skewed(space, Y, p):
+        cls = real(space, Y, p)
+        return np.where(np.asarray(Y)[:, 0] % p == 1, 2, cls)
+    monkeypatch.setattr(fourier, "target_classes", skewed)
     assert run(["dual-bound", "--N", "5", "--Z", "2"]) == 1
     assert "split identity fails" in capsys.readouterr().err
+
+
+def test_dual_bound_budget_before_work(monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("grading started before the preflight")
+    monkeypatch.setattr(orbits, "classify_batch", boom)
+    monkeypatch.setattr(fourier, "cubic_class_batch", boom)
+    for Z, N in (("2", "3"), ("1", "90")):
+        assert run(["dual-bound", "--space", "quartic", "--N", N,
+                    "--Z", Z]) == 3
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*a, **k):
+        raise Admitted
+    monkeypatch.setattr(experiments, "dual_bound_sum", admitted)
+    for argv in (["--N", "200", "--Z", "20"],
+                 ["--space", "quartic", "--N", "30", "--Z", "1"]):
+        with pytest.raises(Admitted):
+            run(["dual-bound", *argv])
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded read-only by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("job", ["dual-bound", "reducible", "ft-exhaustive",
+                                 "ft-verify-quartic"])
+def test_benchmark_digests(job, capsys):
+    # the stdout of each fast digested benchmark job is byte-identical to
+    # the one recorded in perfbench/expected.json
+    workloads = _workloads()
+    argv = next(j.argv for jobs in workloads.JOBS.values() for j in jobs
+                if j.name == job)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())[job]
+    assert run(list(argv)) == 0
+    assert workloads.digest(capsys.readouterr().out) == expected
 
 
 def test_geosieve_single(capsys):

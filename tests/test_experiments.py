@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from pvsieve import experiments as ex
-from pvsieve import fourier, sieve
-from pvsieve.spaces import box_axis, disc_cubic
+from pvsieve import fourier, orbits, sieve
+from pvsieve.spaces import QUARTIC, box_axis, disc_cubic
 
 
 @pytest.fixture(scope="module")
@@ -240,26 +240,53 @@ def test_dual_bound_sum_empty_box():
     assert rep.total == 0
 
 
+def _dual_bound_oracle(N, Z):
+    """The six report fields of the cubic dual_bound_sum, point by point:
+    |ft_on_lattice| per (q, x), and ft_qsplit_check wherever gcd(q, x) > 1."""
+    qs = [int(q) for q in sieve.squarefree_upto(2 * N) if q >= N]
+    pts = [x for x in itertools.product(range(-Z, Z + 1), repeat=4) if any(x)]
+    total = d0 = Fraction(0)
+    checked = 0
+    for x in pts:
+        for q in qs:
+            v = abs(fourier.ft_on_lattice(fourier.CUBIC_COND, q, x))
+            total += v
+            d0 += v if disc_cubic(*x) == 0 else 0
+            q0 = math.gcd(q, *x)
+            if q0 > 1:
+                assert fourier.ft_qsplit_check(fourier.CUBIC_COND, q0,
+                                               q // q0, x)
+                checked += 1
+    return (total, d0, total - d0, len(qs), len(pts), checked)
+
+
+@pytest.mark.parametrize("N,Z", [(5, 2), (10, 3)])
+def test_dual_bound_sum_matches_per_point_oracle(N, Z):
+    rep = ex.dual_bound_sum(N, Z)
+    assert (rep.total, rep.disc0_part, rep.nonzero_part, rep.n_q,
+            rep.n_points, rep.qsplit_checked) == _dual_bound_oracle(N, Z)
+
+
 def test_dual_bound_sum_prime_q_class_counts():
     # independent evaluation: classify every box point mod 5 and weight the
     # three closed-form values by exact class counts
     Z = 2
-    got = ex.dual_bound_sum(5, Z, check_qsplit=False)
-    vals = {c: abs(fourier.ft_closed_form_cubic(5, c))
-            for c in fourier.CUBIC_CLASSES}
-    import itertools
-    want_q5 = Fraction(0)
-    for x in itertools.product(range(-Z, Z + 1), repeat=4):
-        if not any(x):
-            continue
-        want_q5 += vals[fourier.cubic_class(x, 5)]
-    # got.total sums q in {5, 6, 7, 10}; redo the remaining q the same way
+    got = ex.dual_bound_sum(5, Z)
+    vals = [abs(fourier.ft_closed_form_cubic(5, c))
+            for c in fourier.CUBIC_CLASSES]
+    box = [x for x in itertools.product(range(-Z, Z + 1), repeat=4) if any(x)]
+    want = sum(vals[c] for c in fourier.cubic_class_batch(box, 5))
+    # got.total sums q in {5, 6, 7, 10}; redo the remaining q point by point
     for q in (6, 7, 10):
-        for x in itertools.product(range(-Z, Z + 1), repeat=4):
-            if not any(x):
-                continue
-            want_q5 += abs(fourier.ft_on_lattice(fourier.CUBIC_COND, q, x))
-    assert got.total == want_q5
+        want += sum(abs(fourier.ft_on_lattice(fourier.CUBIC_COND, q, x))
+                    for x in box)
+    assert got.total == want
+
+
+@pytest.mark.parametrize("N,Z,want", [(5, 2, 160), (10, 3, 240),
+                                      (20, 4, 3440)])
+def test_dual_bound_sum_qsplit_count(N, Z, want):
+    assert ex.dual_bound_sum(N, Z).qsplit_checked == want
 
 
 def test_dual_bound_sum_qsplit_and_split_parts():
@@ -269,29 +296,58 @@ def test_dual_bound_sum_qsplit_and_split_parts():
     assert rep.disc0_part > 0 and rep.nonzero_part > 0
 
 
+def test_dual_bound_quartic_matches_orbit_sizes():
+    # q in {2, 3}: q = 2 is the dual-lattice index, so FT_2 = 1 at every
+    # point; mod 3 the box {-1, 0, 1}^12 is V(F_3) itself, so the q = 3 sum
+    # runs over the orbits of its nonzero states
+    table = orbits.decompose_orbits(QUARTIC, 3)
+    want = 3 ** 12 - 1 + sum(
+        size * abs(fourier.ft_closed_form(fourier.QUARTIC_COND, 3, name))
+        for name, (size, _) in table.entries.items() if name != "O_0")
+    rep = ex.dual_bound_sum(2, 1, space_id="quartic")
+    assert rep.total == want == Fraction(3488019184, 6561)
+    assert (rep.n_q, rep.n_points, rep.qsplit_checked) == (2, 3 ** 12 - 1, 0)
+
+
+def _majorant_oracle(N, Z):
+    """maj1 of dual_bound_majorant, one box point at a time."""
+    n_star = max(1, -(-N // 3))
+    maj1 = Fraction(0)
+    for x in itertools.product(range(-Z, Z + 1), repeat=4):
+        D = abs(disc_cubic(*x))
+        for f in (f for f in range(1, D + 1) if D % f == 0):
+            if f <= (2 * N) ** 3:
+                c = max(k for k in range(1, f + 1) if k ** 3 <= f)
+                maj1 += Fraction(f) * (Fraction(N, c) + 1) / n_star ** 3
+    return maj1
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_dual_bound_majorant_matches_per_point(N):
+    assert ex.dual_bound_majorant(N, 2)[1] == _majorant_oracle(N, 2)
+
+
 def test_dual_bound_majorant_dominates():
     for N in (5, 7):
-        rep = ex.dual_bound_sum(N, 2, check_qsplit=False)
+        rep = ex.dual_bound_sum(N, 2)
         maj0, maj1 = ex.dual_bound_majorant(N, 2)
         assert rep.disc0_part <= maj0
         assert rep.nonzero_part <= maj1
 
 
 def test_dual_bound_disc0_scaling():
-    pts = [(Z, float(ex.dual_bound_sum(3, Z, check_qsplit=False).disc0_part))
+    pts = [(Z, float(ex.dual_bound_sum(3, Z).disc0_part))
            for Z in (1, 2, 3, 4)]
     slope, _, _ = ex._fit_loglog([z for z, _ in pts], [v for _, v in pts])
     assert 1.3 <= slope <= 2.7
 
 
 def test_dual_bound_quartic_propagates_classifier_gap(monkeypatch):
-    def boom(space, p, y):
-        from pvsieve.orbits import ClassifierIncompleteError
-        raise ClassifierIncompleteError("p=11: forced for the test")
-    monkeypatch.setattr(fourier, "classify_target", boom)
-    from pvsieve.orbits import ClassifierIncompleteError
-    with pytest.raises(ClassifierIncompleteError):
-        ex.dual_bound_sum(11, 1, space_id="quartic", check_qsplit=False)
+    def boom(space, coords, p):
+        raise orbits.ClassifierIncompleteError("p=11: forced for the test")
+    monkeypatch.setattr(orbits, "classify_batch", boom)
+    with pytest.raises(orbits.ClassifierIncompleteError):
+        ex.dual_bound_sum(11, 1, space_id="quartic")
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +418,11 @@ def test_geo_unknown_scheme():
 # ---------------------------------------------------------------------------
 
 def test_reducible_count_bruteforce_oracle():
+    # oracle: disc over the whole (2Y+1)^4 grid
     for Y in (0, 1, 2, 5, 8):
-        assert ex.reducible_count(Y) == ex.reducible_count_bruteforce(Y)
+        grid = np.meshgrid(*[np.arange(-Y, Y + 1, dtype=np.int64)] * 4)
+        want = np.count_nonzero(disc_cubic(*grid) == 0)
+        assert ex.reducible_count(Y) == want
 
 
 def test_reducible_count_y1_is_21():
