@@ -170,6 +170,8 @@ def cmd_orbits(args):
 
 def cmd_exponents(args):
     space = _parse(space_by_name, args.space, "space")
+    if space is not QUARTIC:
+        raise ConfigError("the exponent table is for the quartic space")
     rows, alpha_max, bottleneck = sieve.exponent_table(space)
     cfg = {"space": args.space}
     lines = [_header("exponents", cfg),
@@ -210,6 +212,10 @@ def cmd_lod(args):
             f"X={max(X_grid)} beyond the configured cap {args.X_cap}")
     if not 0 <= args.alpha < 1:
         raise ConfigError("alpha must lie in [0, 1)")
+    if (not math.isfinite(args.s)
+            or experiments.box_radius(min(X_grid), args.s) < 0):
+        raise ConfigError(f"need a finite s whose box at X={min(X_grid)} "
+                          f"is nonempty, not {args.s}")
     cfg_obj = experiments.LodConfig(X_grid=X_grid, alpha=args.alpha,
                                     s=args.s)
     rep = experiments.lod_error_sum(cfg_obj)

@@ -177,7 +177,11 @@ def target_classes(space, Y, p):
 # brute force
 # ---------------------------------------------------------------------------
 
-def ft_histograms(cond, p, targets, *, chunk=1 << 20):
+# states decoded at a time by the ft_histograms sweep
+_SWEEP_CHUNK = 1 << 20
+
+
+def ft_histograms(cond, p, targets):
     """Pairing histograms of <x, y_j> over the support {p | disc x}, all
     targets served by one sweep over every state."""
     space = cond.space
@@ -187,8 +191,9 @@ def ft_histograms(cond, p, targets, *, chunk=1 << 20):
     WT = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p * w % p
     k = WT.shape[0]
     counts = np.zeros((k, p), dtype=np.int64)
-    for start in range(0, n_states, chunk):
-        codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
+    for start in range(0, n_states, _SWEEP_CHUNK):
+        codes = np.arange(start, min(start + _SWEEP_CHUNK, n_states),
+                          dtype=np.int64)
         C = orbits.decode_states(codes, p, r=space.r)
         sup = C[cond.support_mask(C, p)]
         if not sup.size:
@@ -295,7 +300,7 @@ def bruteforce_kernel(space):
         ft_fibered_histograms,
         lambda p: ffcore.check_radon(p, space.r // 2), _quartic_label_reps,
         lambda p: ("the closed form or the classifier"
-                   if p ** space.r > orbits.ORBIT_STATE_LIMIT else None))
+                   if p ** space.r > space.sweep_limit else None))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """G(F_p)-orbits on the two spaces: action, exhaustive BFS decomposition,
 and the invariant classifier for pairs of ternary quadratic forms.
 
+One closure (_closure) serves both breadth-first searches: the orbits of
+the pair space (decompose_orbits) and the GL_3-classes of ternary forms
+(form_classes) that the fibred quartic kernel walks.
+
 The 20 orbit labels for the pair space (p odd) and their grouping by
 dimension i, with fc the Fourier-decay exponent (|FT| <= 2 p^fc):
 
@@ -42,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import QUARTIC, ResourceLimitError
-from .spaces import resolvent_cubic_mod as _resolvent_mod
+from .spaces import QUARTIC, disc_cubic, resolvent_cubic
 
 
 class InvalidGroupElementError(ValueError):
@@ -213,9 +216,6 @@ def generators(space, p):
 # exhaustive orbit decomposition (pair space, p in {3,5})
 # ---------------------------------------------------------------------------
 
-ORBIT_STATE_LIMIT = 6 ** 12   # distinguishes 5^12 (ok) from 7^12 (not)
-
-
 def decode_states(codes, p, r=12):
     out = np.empty((codes.size, r), dtype=np.int16)
     c = codes.copy()
@@ -243,53 +243,54 @@ class OrbitTable:
     index_label: tuple = field(default=None, repr=False, compare=False)
 
 
-def _bfs_orbits(p, chunk=1 << 19):
-    """Label every state of (F_p)^12 with its orbit index.  Within one
-    generator batch the action is a bijection, so candidate arrays carry no
-    internal duplicates; marking the label array between generators removes
-    the rest.  Seeds scan upward, so each representative is the smallest
-    code in its orbit."""
-    n_states = p ** 12
-    label = np.full(n_states, -1, dtype=np.int8)
-    gens = [(np.array(g.g2, dtype=np.int64) % p,
-             np.array(g.g3, dtype=np.int64) % p)
-            for g in generators(QUARTIC, p)]
+def _closure(n, moves, reached=None):
+    """Orbits of n state codes under the group the moves generate, by BFS.
 
-    def act_codes(g2, g3, codes):
-        res = np.empty(codes.size, dtype=np.int64)
-        for lo in range(0, codes.size, chunk):
-            sl = slice(lo, min(lo + chunk, codes.size))
-            res[sl] = encode_states(
-                act_pair_batch(g2, g3, decode_states(codes[sl], p), p), p)
-        return res
-
+    Each move maps an array of codes to their images under one generator.
+    Within one move the action is a bijection, so its images carry no
+    duplicates; marking the index between moves removes the rest.  Seeds
+    scan upward, so each representative is the smallest code in its orbit.
+    reached(j, parents, children), if given, is told of the codes move j
+    reached first.  Returns (index, sizes, reps), index the int8 orbit of
+    every code."""
+    index = np.full(n, -1, dtype=np.int8)
     sizes, reps = [], []
-    scan_from, oid = 0, 0
-    scan_block = 1 << 22
-    while True:
-        rem = np.flatnonzero(label[scan_from:scan_from + scan_block] < 0)
-        while rem.size == 0 and scan_from < n_states:
-            scan_from += scan_block
-            rem = np.flatnonzero(label[scan_from:scan_from + scan_block] < 0)
-        if scan_from >= n_states:
-            break
-        seed = scan_from + int(rem[0])
-        label[seed] = oid
-        frontier = np.array([seed], dtype=np.int64)
-        total = 1
-        while frontier.size:
-            nxt = []
-            for g2, g3 in gens:
-                cand = act_codes(g2, g3, frontier)
-                fresh = cand[label[cand] < 0]
-                label[fresh] = oid
-                nxt.append(fresh)
-            frontier = np.concatenate(nxt)
-            total += int(frontier.size)
-        sizes.append(total)
-        reps.append(seed)
-        oid += 1
-    return np.array(sizes), np.array(reps, dtype=np.int64), label
+    block = 1 << 22         # the seed scan never builds an n-sized mask
+    for lo in range(0, n, block):
+        while (index[lo:lo + block] < 0).any():
+            seed = lo + int(np.argmax(index[lo:lo + block] < 0))
+            index[seed] = len(reps)
+            frontier = np.array([seed], dtype=np.int64)
+            total = 1
+            while frontier.size:
+                nxt = []
+                for j, move in enumerate(moves):
+                    cand = move(frontier)
+                    fresh = index[cand] < 0
+                    index[cand[fresh]] = len(reps)
+                    if reached is not None:
+                        reached(j, frontier[fresh], cand[fresh])
+                    nxt.append(cand[fresh])
+                frontier = np.concatenate(nxt)
+                total += int(frontier.size)
+            sizes.append(total)
+            reps.append(seed)
+    return index, np.array(sizes), np.array(reps, dtype=np.int64)
+
+
+def _pair_move(g, p):
+    """The codes -> codes map of one pair-space group element, decoding
+    2^19 codes at a time."""
+    chunk = 1 << 19
+
+    def move(codes):
+        out = np.empty(codes.size, dtype=np.int64)
+        for lo in range(0, codes.size, chunk):
+            sl = slice(lo, lo + chunk)
+            out[sl] = encode_states(
+                act_pair_batch(g.g2, g.g3, decode_states(codes[sl], p), p), p)
+        return out
+    return move
 
 
 def form_classes(p):
@@ -298,32 +299,21 @@ def form_classes(p):
 
     Returns (cls, reps, g) over the p^6 forms in state-code order: cls the
     class index, reps the smallest code of each class, and g an element of
-    GL_3 with B = g B_c g^T, B_c the representative of B's class.  A BFS
-    from each seed under the three GL_3 generators; moving B by h multiplies
+    GL_3 with B = g B_c g^T, B_c the representative of B's class.  The
+    closure runs under the three GL_3 generators; moving B by h multiplies
     its g by h on the left."""
     n = p ** 6
     forms = decode_states(np.arange(n, dtype=np.int64), p, r=6)
     gens = [np.array(e.g3, dtype=np.int64) for e in generators(QUARTIC, p)[3:]]
-    acts = [_congruence_matrix(h, p).T for h in gens]
-    cls = np.full(n, -1, dtype=np.int8)
-    g = np.zeros((n, 3, 3), dtype=np.int16)
-    reps = []
-    while (cls < 0).any():
-        seed = int(np.argmax(cls < 0))
-        cls[seed] = len(reps)
-        g[seed] = np.eye(3, dtype=np.int16)
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            nxt = []
-            for h, T in zip(gens, acts):
-                cand = encode_states(forms[frontier] @ T % p, p)
-                fresh = cls[cand] < 0
-                cls[cand[fresh]] = len(reps)
-                g[cand[fresh]] = h @ g[frontier[fresh]] % p
-                nxt.append(cand[fresh])
-            frontier = np.concatenate(nxt)
-        reps.append(seed)
-    return cls, np.array(reps, dtype=np.int64), g
+    g = np.tile(np.eye(3, dtype=np.int16), (n, 1, 1))
+
+    def reached(j, parents, children):
+        g[children] = gens[j] @ g[parents] % p
+
+    moves = [lambda codes, T=_congruence_matrix(h, p).T:
+             encode_states(forms[codes] @ T % p, p) for h in gens]
+    cls, _, reps = _closure(n, moves, reached)
+    return cls, reps, g
 
 
 def decompose_orbits(space, p):
@@ -332,9 +322,9 @@ def decompose_orbits(space, p):
     Labels the BFS representatives with one classify_batch() call; the
     result must biject onto the 20 labels for odd p."""
     _check_pair_space(space, p)
-    if p ** 12 > ORBIT_STATE_LIMIT:
-        raise ResourceLimitError(f"p={p}: {p ** 12} states exceed the budget")
-    sizes, reps, label = _bfs_orbits(p)
+    space.check_sweep(p)
+    label, sizes, reps = _closure(
+        p ** 12, [_pair_move(g, p) for g in generators(space, p)])
     rep_coords = decode_states(reps, p)
     names = [LABELS[c] for c in classify_batch(space, rep_coords, p)]
     if sorted(names) != sorted(LABELS):
@@ -357,15 +347,9 @@ def legendre_table(p):
     return chi
 
 
-def _adj_diag(c, p):
-    """Diagonal of the adjugate of a symmetric 3x3 given as 6 columns."""
-    a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
-    return ((a22 * a33 - a23 * a23) % p,
-            (a11 * a33 - a13 * a13) % p,
-            (a11 * a22 - a12 * a12) % p)
-
-
 def _adj_full(c, p):
+    """The adjugate of a symmetric 3x3 given as 6 columns, in the same
+    column order (diagonal first)."""
     a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
     return np.stack([
         (a22 * a33 - a23 * a23) % p,
@@ -431,17 +415,10 @@ def _common_kernel(C, p):
     rows of A and B has rank <= 2, i.e. all twenty 3x3 row-minors vanish."""
     A = sym_from_cols(C[..., :6].astype(np.int64))
     B = sym_from_cols(C[..., 6:].astype(np.int64))
-    rows = np.concatenate([A, B], axis=-2)      # (..., 6, 3)
+    rows = np.moveaxis(np.concatenate([A, B], axis=-2), 0, -1)  # (6, 3, n)
     ok = np.ones(C.shape[:-1], dtype=bool)
     for i, j, k in _MINOR3_TRIPLES:
-        m = rows[..., (i, j, k), :]
-        det = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2]
-                               - m[..., 1, 2] * m[..., 2, 1])
-               - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2]
-                                 - m[..., 1, 2] * m[..., 2, 0])
-               + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1]
-                                 - m[..., 1, 1] * m[..., 2, 0]))
-        ok &= det % p == 0
+        ok &= _det3((rows[i], rows[j], rows[k])) % p == 0
     return ok
 
 
@@ -473,7 +450,7 @@ def classify_batch(space, coords, p):
     zero = ~C.any(axis=1)
     out[zero] = code["O_0"]
 
-    c0, c1, c2, c3 = _resolvent_mod(C, p)
+    c0, c1, c2, c3 = (c % p for c in resolvent_cubic(C))
     f0 = (c0 == 0) & (c1 == 0) & (c2 == 0) & (c3 == 0) & ~zero
 
     # --- resolvent identically zero: pencil data ------------------------
@@ -511,9 +488,8 @@ def classify_batch(space, coords, p):
             if ker.any():
                 ik = i2[ker]
                 Ck = C[ik]
-                dA = _adj_diag(Ck[:, :6], p)
-                dB = _adj_diag(Ck[:, 6:], p)
-                dS = _adj_diag((Ck[:, :6] + Ck[:, 6:]) % p, p)
+                dA, dB, dS = (_adj_full(F, p)[:, :3].T for F in (
+                    Ck[:, :6], Ck[:, 6:], (Ck[:, :6] + Ck[:, 6:]) % p))
                 s = np.zeros(ik.size, dtype=np.int64)
                 for i in range(3):
                     mid = (dS[i] - dA[i] - dB[i]) % p
@@ -528,8 +504,7 @@ def classify_batch(space, coords, p):
     if live.any():
         il = np.flatnonzero(live)
         r0, r1, r2, r3 = c0[il], c1[il], c2[il], c3[il]
-        disc = (r1 * r1 * r2 * r2 - 4 * r0 * r2 ** 3 - 4 * r1 ** 3 * r3
-                - 27 * r0 * r0 * r3 * r3 + 18 * r0 * r1 * r2 * r3) % p
+        disc = disc_cubic(r0, r1, r2, r3) % p
         n1 = base_locus_count(C[il], p)
 
         ns = disc != 0

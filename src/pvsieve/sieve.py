@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .orbits import FC_BY_DIM
+from .spaces import QUARTIC
 
 SINGULAR_DIMS = (4, 7, 8, 10, 11, 12)
 
@@ -38,7 +39,10 @@ class ExponentRow:
 def exponent_table(space):
     """Per-dimension error exponents and the level-of-distribution cap.
 
-    Returns (rows, alpha_max, bottleneck_j)."""
+    Returns (rows, alpha_max, bottleneck_j).  The orbit dimensions are the
+    pair space's, so any other space is refused."""
+    if space is not QUARTIC:
+        raise ValueError("the exponent table is for the pair space")
     d = space.d
     rows = []
     for j in SINGULAR_DIMS:

@@ -17,15 +17,15 @@ about its space, as data:
                   cubic (1, 1/3, 1/3, 1), i.e. x1 y1 + (x2 y2 + x3 y3)/3
                   + x4 y4; quartic (1,1,1,2,2,2) on each matrix, i.e.
                   tr(A A') + tr(B B');
-  binary_cubic,   coords -> the binary cubic whose discriminant is disc(x),
-  binary_cubic_mod  exactly and mod p: the form itself for the cubic space,
-                  the resolvent 4*det(Ax + By) for the quartic space;
+  binary_cubic    coords -> the binary cubic whose discriminant is disc(x),
+                  exactly: the form itself for the cubic space, the
+                  resolvent 4*det(Ax + By) for the quartic space;
   sweep_limit     the most states p^r a finite-field sweep may visit
                   (cubic 60^4, quartic 6^12: 5^12 passes, 7^12 does not).
 
-disc, disc_mod, pairing and pairing_weights_mod read these fields and
-never branch on the space.  Elements are plain coordinate tuples or (n, r)
-integer arrays.
+disc, disc_mod and pairing_weights_mod read these fields and never branch
+on the space.  Elements are plain coordinate tuples or (n, r) integer
+arrays.
 """
 
 from dataclasses import dataclass
@@ -95,25 +95,7 @@ def resolvent_cubic(coords):
     return 4 * c0, 4 * c1, 4 * c2, 4 * c3
 
 
-def resolvent_cubic_mod(coords, p):
-    """Same as resolvent_cubic but entirely mod an odd prime p (int64-safe
-    for p up to ~40000)."""
-    if p == 2:
-        raise BadPrimeError("resolvent mod 2 unsupported (bad prime)")
-    inv2 = pow(2, -1, p)
-    C = np.asarray(coords, dtype=np.int64) % p
-    A, B = C[..., 0:6], C[..., 6:12]
-    dA = _det3_sym(*(A[..., i] for i in range(6))) % p
-    dB = _det3_sym(*(B[..., i] for i in range(6))) % p
-    dP = _det3_sym(*((A[..., i] + B[..., i]) % p for i in range(6))) % p
-    dM = _det3_sym(*((A[..., i] - B[..., i]) % p for i in range(6))) % p
-    c0, c3 = dA, dB
-    c1 = ((dP - dM) * inv2 - c3) % p
-    c2 = ((dP + dM) * inv2 - c0) % p
-    return (4 * c0) % p, (4 * c1) % p, (4 * c2) % p, (4 * c3) % p
-
-
-def _form_itself(coords, p=None):
+def _form_itself(coords):
     """A binary cubic's own coefficients: the columns of an array, or the
     tuple as given."""
     if isinstance(coords, np.ndarray):
@@ -134,7 +116,6 @@ class SpaceDescriptor:
     bad_primes: frozenset
     weights: tuple          # pairing weights, as Fractions
     binary_cubic: object    # coords -> cubic with disc(x) as its disc
-    binary_cubic_mod: object  # (coords, p) -> that cubic mod p
     sweep_limit: int        # most states p^r a sweep may visit
 
     def __post_init__(self):
@@ -153,12 +134,10 @@ _PAIR_W = (1, 1, 1, 2, 2, 2) * 2
 CUBIC = SpaceDescriptor("cubic", 4, 4, 3, frozenset({3}),
                         weights=tuple(map(Fraction, (1, "1/3", "1/3", 1))),
                         binary_cubic=_form_itself,
-                        binary_cubic_mod=_form_itself,
                         sweep_limit=60 ** 4)
 QUARTIC = SpaceDescriptor("quartic", 12, 12, 2, frozenset({2}),
                           weights=tuple(map(Fraction, _PAIR_W)),
                           binary_cubic=resolvent_cubic,
-                          binary_cubic_mod=resolvent_cubic_mod,
                           sweep_limit=6 ** 12)
 
 _SPACES = {"cubic": CUBIC, "quartic": QUARTIC}
@@ -183,25 +162,18 @@ def disc(space, coords):
 
 
 def disc_mod(space, coords, p):
-    """disc reduced mod p as int64, vectorized; exact at every p, the
-    binary cubic's coefficients (reduced mod p) going through disc_dtype."""
-    C = np.asarray(coords, dtype=np.int64) % p
+    """disc reduced mod p as int64, vectorized; exact at every p: the
+    binary cubic is exact, and its coefficients, reduced mod p, go through
+    disc_dtype."""
     dtype = disc_dtype(p - 1)
-    cubic = (np.asarray(c).astype(dtype, copy=False)
-             for c in space.binary_cubic_mod(C, p))
+    cubic = (np.asarray(c % p).astype(dtype, copy=False)
+             for c in space.binary_cubic(np.asarray(coords, dtype=np.int64)))
     return (disc_cubic(*cubic) % p).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # pairing and the dual lattice
 # ---------------------------------------------------------------------------
-
-def pairing(space, x, y):
-    """[x, y] over Q.  Integer whenever y is in the image of the dual
-    lattice."""
-    v = sum(w * a * b for w, a, b in zip(space.weights, x, y))
-    return int(v) if v.denominator == 1 else v
-
 
 def pairing_weights_mod(space, p):
     """The pairing as an integer weight vector mod p (so that

@@ -69,6 +69,10 @@ def test_nonprime_rejected():
     ["sieve-t", "--alpha", "1/2", "--constant", "x"],
     ["dual-bound", "--space", "foo", "--N", "3", "--Z", "1"],
     ["exponents", "--space", "foo"],
+    ["exponents", "--space", "cubic"],
+    ["lod", "--X", "1e4", "--s", "0"],
+    ["lod", "--X", "1e4", "--s", "-1"],
+    ["lod", "--X", "1e4", "--s", "nan"],
     ["orbits", "--space", "foo"],
 ], ids=" ".join)
 def test_malformed_input_is_config_error(argv, capsys):

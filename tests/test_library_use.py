@@ -1,0 +1,70 @@
+"""Every module-level function, class and constant of pvsieve is read by the
+program itself, by the benchmark harness or by the acceptance tests: library
+code whose only caller is a unit test is either deleted or given a real
+caller.  A read is a loaded name, an attribute or an imported name; the
+definition itself is not one."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pvsieve"
+READERS = (sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def module_level_names(source):
+    """Names a module defines at top level: functions, classes and assigned
+    constants (dunder names excluded)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("__")]
+
+
+def read_names(source):
+    """Every name the source reads: loaded names, attributes, and the
+    names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread(defining, readers):
+    """(module, name) of each top-level name of the defining sources
+    ({module: source}) that none of the reader sources reads."""
+    read = set().union(*map(read_names, readers))
+    return [(module, name) for module, source in sorted(defining.items())
+            for name in module_level_names(source) if name not in read]
+
+
+def test_library_names_have_a_real_reader():
+    defining = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unread(defining, [p.read_text() for p in READERS]) == []
+
+
+def test_unread_name_detected():
+    lib = ("import numpy as np\n"
+           "LIMIT = 3\n__version__ = '1'\n"
+           "class Used:\n    pass\n"
+           "def helper(x):\n    return helper(x - 1)\n"
+           "def kernel():\n    return Used()\n")
+    caller = "from lib import kernel\nprint(lib.LIMIT)\n"
+    assert unread({"lib": lib}, [lib, caller]) == []
+    # a call of helper inside helper is a read; nothing reads kernel
+    assert unread({"lib": lib}, [lib]) == [("lib", "LIMIT"),
+                                          ("lib", "kernel")]
+    assert unread({"lib": lib}, ["x = 1\n"]) == [
+        ("lib", "LIMIT"), ("lib", "Used"), ("lib", "helper"),
+        ("lib", "kernel")]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import sieve
-from pvsieve.spaces import QUARTIC
+from pvsieve.spaces import CUBIC, QUARTIC
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +28,9 @@ def test_exponent_table_values():
     assert (by_j[12].x_exponent, by_j[12].alpha_cap) == (0, Fraction(1, 5))
     assert alpha_max == Fraction(7, 48)
     assert bottleneck == 7
+    # the orbit dimensions are the pair space's: no table for the cubic
+    with pytest.raises(ValueError, match="pair space"):
+        sieve.exponent_table(CUBIC)
 
 
 def test_exponent_rows_solve_balance_equation():
