@@ -221,10 +221,12 @@ def cmd_lod(args):
     rep = experiments.lod_error_sum(cfg_obj)
     cfg = {"X": ",".join(map(str, X_grid)), "alpha": args.alpha,
            "s": args.s, "X_cap": args.X_cap}
-    lines = [_header("lod", cfg),
-             f"# fitted_c\t{rep.fitted_c:.6f}",
-             f"# residuals\t{','.join(f'{r:.3e}' for r in rep.residuals)}",
-             "# X\tn_q\tdisc0_mass\tcum_abs_E\tcum_over_X"]
+    lines = [_header("lod", cfg)]
+    if rep.fitted_c is not None:
+        lines.append(f"# fitted_c\t{rep.fitted_c:.6f}")
+        lines.append(
+            f"# residuals\t{','.join(f'{r:.3e}' for r in rep.residuals)}")
+    lines.append("# X\tn_q\tdisc0_mass\tcum_abs_E\tcum_over_X")
     for X, n_q, w0, cum, ratio in rep.per_X:
         lines.append(f"{X}\t{n_q}\t{w0:.10e}\t{cum:.10e}\t{ratio:.10e}")
     lines.append("# q\tlattice\tmain\tE   (largest X)")
@@ -306,15 +308,12 @@ def cmd_reducible(args):
     if max(Y_grid) > args.Y_cap:
         raise ResourceLimitError(
             f"Y={max(Y_grid)} beyond the configured cap {args.Y_cap}")
-    counts = [experiments.reducible_count(Y) for Y in Y_grid]
+    counts, slope, resid = experiments.reducible_exponent(Y_grid)
     cfg = {"Y": ",".join(map(str, Y_grid)), "Y_cap": args.Y_cap}
     lines = [_header("reducible", cfg), "# Y\tcount"]
     for Y, c in zip(Y_grid, counts):
         lines.append(f"{Y}\t{c}")
-    pos = [(Y, c) for Y, c in zip(Y_grid, counts) if Y > 0 and c > 0]
-    if len({Y for Y, _ in pos}) >= 2:
-        slope, _, resid = experiments._fit_loglog([Y for Y, _ in pos],
-                                                  [c for _, c in pos])
+    if slope is not None:
         lines.append(f"# fitted_exponent\t{slope:.4f}")
         lines.append(f"# residuals\t{','.join(f'{r:.3e}' for r in resid)}")
     _emit(lines, args.out)

@@ -1,6 +1,7 @@
-"""Desk-scale counting engines for the cubic space.
+"""Desk-scale counting engines.
 
-The chain being exercised: a smooth box count of q | disc(x) splits as
+The chain being exercised: a smooth box count of q | disc(x) over the
+cubic space splits as
 
     sum_x Psi_q(x) phi(x X^{-1/4})
         = omega(q) phihat(0) X  +  E(X, q)
@@ -10,24 +11,26 @@ so E(X, q) is both directly measurable (box minus main term) and
 expressible through the dual-side transform.  The engines here measure
 E(X, q) sums over q <= X^alpha, validate the Poisson identity with an
 honest truncation-tail certificate, evaluate the dual-side central sum
-exactly in rationals, count the reducible (disc = 0) locus through its
-(qx - py)^2 (ux - vy) parametrization, and count geometric-sieve pairs
-(x, p) with p | disc(x) for p in a dyadic window.
+exactly in rationals on either space (with a majorant on the cubic one),
+count the reducible (disc = 0) locus through its (qx - py)^2 (ux - vy)
+parametrization, and count geometric-sieve pairs (x, p) with p | disc(x)
+for p in a dyadic window.
 
-Floating-point policy: every box engine walks the box through one
-traversal, slice by slice of the leading coordinate in ascending order
-with the tail in lexicographic order.  weighted_count accumulates the
-slices with Kahan compensation; disc_value_buckets sums each slice by
-disc value and merges the slices in a fixed pairwise tree.  Either way
-the order of every floating-point operation is fixed, so every number
+Floating-point policy: every weighted box count is served from
+disc_value_buckets, which walks the box slice by slice of the leading
+coordinate in ascending order with the tail in lexicographic order, sums
+each slice by disc value and merges the slices in a fixed pairwise tree.
+The order of every floating-point operation is fixed, so every number
 here is reproducible bit-for-bit run to run.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 from scipy.integrate import quad
 
 from . import fourier, sieve
@@ -44,48 +47,83 @@ class QuadratureError(RuntimeError):
 # the smooth weight
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _poly_der(a):
-    return [i * c for i, c in enumerate(a)][1:] or [Fraction(0)]
-
-
 def _psi_deriv_rational(n):
     """psi^(n) = P(u) / (1-u^2)^k * psi(u), exact; returns (P, k).
 
     Recursion: d/du [P/(1-u^2)^k psi] adds the derivative of the rational
-    prefactor plus P * g' with g' = -2u/(1-u^2)^2; both land on k+2."""
-    one_minus = [Fraction(1), Fraction(0), Fraction(-1)]
-    P, k = [Fraction(1)], 0
+    prefactor plus P * g' with g' = -2u/(1-u^2)^2; both land on k+2.  The
+    coefficients are Fractions in numpy object arrays."""
+    one_minus = np.array([Fraction(1), Fraction(0), Fraction(-1)])
+    P, k = np.array([Fraction(1)]), 0
     for _ in range(n):
-        num = _poly_add(_poly_mul(_poly_der(P), one_minus),
-                        _poly_mul([Fraction(0), Fraction(2 * k)], P))
-        P = _poly_add(_poly_mul(num, one_minus),
-                      _poly_mul([Fraction(0), Fraction(-2)], P))
+        num = poly.polyadd(poly.polymul(poly.polyder(P), one_minus),
+                           poly.polymul([0, 2 * k], P))
+        P = poly.polysub(poly.polymul(num, one_minus),
+                         poly.polymul([0, 2], P))
         k += 2
-    while len(P) > 1 and P[-1] == 0:
-        P.pop()
-    return P, k
+    return poly.polytrim(P).tolist(), k
 
 
-@dataclass
+def _psi1(x):
+    w = 1 - x * x
+    return math.exp(1 - 1 / w) if w > 1e-15 else 0.0
+
+
+@functools.cache
+def _psi_mass():
+    v, err = quad(_psi1, 0, 1, epsabs=1e-14, epsrel=1e-12, limit=200)
+    if err > 1e-10:
+        raise QuadratureError(f"psi mass uncertain by {err}")
+    return 2 * v
+
+
+@functools.cache
+def _psihat(t):
+    """2 int_0^1 psi(x) cos(2 pi t x) dx for t >= 0."""
+    if t < 1e-12:
+        return _psi_mass()
+    if t < 0.5:
+        # not yet oscillatory; the plain adaptive rule is sharper than the
+        # QAWO error estimate here
+        v, err = quad(lambda x: _psi1(x) * math.cos(2 * math.pi * t * x),
+                      0, 1, epsabs=1e-14, epsrel=1e-12, limit=200)
+        if err > 1e-10:
+            raise QuadratureError(f"psihat({t}) uncertain by {err}")
+    else:
+        v, err = quad(_psi1, 0, 1, weight="cos", wvar=2 * math.pi * t,
+                      epsabs=1e-14, limit=300)
+        if err > 1e-9:
+            raise QuadratureError(f"psihat({t}) uncertain by {err}")
+    return 2 * v
+
+
+@functools.cache
+def _psi_sixth_l1():
+    P, k = _psi_deriv_rational(6)
+    coeffs = np.array([float(c) for c in P])
+
+    def integrand(u):
+        w = 1 - u * u
+        if w < 1e-12:
+            return 0.0
+        log_scale = 1 - 1 / w - k * math.log(w)
+        if log_scale < -700:
+            return 0.0
+        return abs(poly.polyval(u, coeffs)) * math.exp(log_scale)
+
+    v, err = quad(integrand, -1, 1, epsabs=1e-4, epsrel=1e-9, limit=400)
+    if err > 1e-5 * abs(v):
+        raise QuadratureError(f"K6 uncertain by {err}")
+    return v
+
+
+@dataclass(frozen=True)
 class SmoothWeight:
-    """Tensor bump phi(x) = prod psi(x_i / s), psi(u) = exp(1 - 1/(1-u^2))."""
+    """Tensor bump phi(x) = prod psi(x_i / s), psi(u) = exp(1 - 1/(1-u^2)).
+
+    The transforms of psi do not depend on s; they are computed once per
+    process and shared by every weight."""
     s: float = 1.0
-    _hat_cache: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def psi(u):
@@ -95,46 +133,13 @@ class SmoothWeight:
         out[m] = np.exp(1 - 1 / (1 - u[m] ** 2))
         return out
 
-    @staticmethod
-    def _psi1(x):
-        w = 1 - x * x
-        return math.exp(1 - 1 / w) if w > 1e-15 else 0.0
-
     @property
     def psi_integral(self):
-        if "I" not in self._hat_cache:
-            v, err = quad(self._psi1, 0, 1,
-                          epsabs=1e-14, epsrel=1e-12, limit=200)
-            if err > 1e-10:
-                raise QuadratureError(f"psi mass uncertain by {err}")
-            self._hat_cache["I"] = 2 * v
-        return self._hat_cache["I"]
+        return _psi_mass()
 
     def psihat(self, t):
         """One-dimensional transform 2 int_0^1 psi(x) cos(2 pi t x) dx."""
-        t = abs(float(t))
-        key = round(t, 12)
-        if key not in self._hat_cache:
-            if t < 1e-12:
-                val = self.psi_integral
-            elif t < 0.5:
-                # not yet oscillatory; the plain adaptive rule is sharper
-                # than the QAWO error estimate here
-                v, err = quad(lambda x: self._psi1(x)
-                              * math.cos(2 * math.pi * t * x),
-                              0, 1, epsabs=1e-14, epsrel=1e-12, limit=200)
-                if err > 1e-10:
-                    raise QuadratureError(f"psihat({t}) uncertain by {err}")
-                val = 2 * v
-            else:
-                v, err = quad(self._psi1, 0, 1,
-                              weight="cos", wvar=2 * math.pi * t,
-                              epsabs=1e-14, limit=300)
-                if err > 1e-9:
-                    raise QuadratureError(f"psihat({t}) uncertain by {err}")
-                val = 2 * v
-            self._hat_cache[key] = val
-        return self._hat_cache[key]
+        return _psihat(abs(float(t)))
 
     def phi_hat0(self, r=4):
         return (self.s * self.psi_integral) ** r
@@ -142,26 +147,7 @@ class SmoothWeight:
     def psi_sixth_l1(self):
         """||psi^(6)||_1, for the rapid-decay constant |psihat(t)| <=
         K6 / (2 pi t)^6; the prefactor polynomial is exact."""
-        if "K6" not in self._hat_cache:
-            P, k = _psi_deriv_rational(6)
-            coeffs = np.array([float(c) for c in P])
-
-            def integrand(u):
-                w = 1 - u * u
-                if w < 1e-12:
-                    return 0.0
-                log_scale = 1 - 1 / w - k * math.log(w)
-                if log_scale < -700:
-                    return 0.0
-                return abs(np.polynomial.polynomial.polyval(u, coeffs)) \
-                    * math.exp(log_scale)
-
-            v, err = quad(integrand, -1, 1, epsabs=1e-4, epsrel=1e-9,
-                          limit=400)
-            if err > 1e-5 * abs(v):
-                raise QuadratureError(f"K6 uncertain by {err}")
-            self._hat_cache["K6"] = v
-        return self._hat_cache["K6"]
+        return _psi_sixth_l1()
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +156,6 @@ class SmoothWeight:
 
 def box_radius(X, s=1.0, d=4):
     return int(np.floor(s * X ** (1 / d) - 1e-12))
-
-
-def _box_weights(X, weight):
-    """(xs, w1, W3) for the box |x_i| <= box_radius(X): the axis, its bump
-    weights, and the weights of the three tail coordinates flattened in
-    lexicographic order.  Boxes beyond the point budget are refused."""
-    R = box_radius(X, weight.s)
-    if (2 * R + 1) ** 4 > 3e8:
-        raise ResourceLimitError(f"box radius {R} beyond the point budget")
-    xs = np.arange(-R, R + 1, dtype=np.int64)
-    w1 = weight.psi(xs / (weight.s * X ** 0.25))
-    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
-    return xs, w1, W3
 
 
 def _disc_slices(axes):
@@ -211,28 +184,25 @@ def main_term(q, X, weight):
 
 def weighted_count(q, X, weight=None):
     """(lattice sum, main term, E(X,q)) for the cubic box count of
-    q | disc(x) with weight phi(x X^{-1/4}): one pass, Kahan-compensated
-    over slices of the leading coordinate in ascending order."""
+    q | disc(x) with weight phi(x X^{-1/4}), served from the buckets."""
     weight = weight or SmoothWeight()
-    xs, w1, W3 = _box_weights(X, weight)
-    total = 0.0
-    comp = 0.0
-    for ia, disc in _disc_slices((xs,) * 4):
-        contrib = float(np.sum(W3[disc % q == 0])) * w1[ia]
-        y = contrib - comp                          # Kahan step
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    total = serve_buckets(*disc_value_buckets(X, weight), q)
     main = main_term(q, X, weight)
     return total, main, total - main
 
 
 def disc_value_buckets(X, weight=None):
-    """One box pass; returns (vals, sums): distinct disc values (sorted)
-    and the total weight attached to each.  Serving any q | disc query
-    afterwards is a divisibility scan of the value array."""
+    """One pass over the box |x_i| <= box_radius(X); returns (vals, sums):
+    distinct disc values (sorted) and the total weight attached to each.
+    Serving any q | disc query afterwards is a divisibility scan of the
+    value array.  Boxes beyond the point budget are refused."""
     weight = weight or SmoothWeight()
-    xs, w1, W3 = _box_weights(X, weight)
+    R = box_radius(X, weight.s)
+    if (2 * R + 1) ** 4 > 3e8:
+        raise ResourceLimitError(f"box radius {R} beyond the point budget")
+    xs = np.arange(-R, R + 1, dtype=np.int64)
+    w1 = weight.psi(xs / (weight.s * X ** 0.25))
+    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
     groups = []
     pend_v, pend_s = [], []
     for ia, disc in _disc_slices((xs,) * 4):
@@ -276,15 +246,20 @@ class LodConfig:
 
 @dataclass
 class LodReport:
-    config: LodConfig
     per_X: list          # (X, n_q, reducible mass, cum |E|, cum / X)
-    fitted_c: float
+    fitted_c: float      # None below two distinct X
     residuals: list
     q_rows: list         # (q, lattice, main, E) at the largest X
 
 
 def _fit_loglog(xs, ys):
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
+    """(slope, intercept, residuals) of the least-squares line through
+    (log x, log y) over the pairs with x, y > 0; None unless two distinct
+    x remain."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    if len({x for x, _ in pairs}) < 2:
+        return None
+    lx, ly = np.log(np.array(pairs, float)).T
     A = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, ly, rcond=None)
     resid = ly - (slope * lx + intercept)
@@ -299,7 +274,8 @@ def reducible_mass(vals, sums):
 
 def lod_error_sum(cfg=None):
     """Cumulative sum of |E(X, q)| over squarefree q <= X^alpha for each X
-    on the grid, plus the fitted growth exponent.
+    on the grid, plus the fitted growth exponent (None below two distinct
+    X).
 
     E here is the sieve-sequence error: the weights a(n) live on n >= 1,
     n = |disc|, so the disc = 0 locus is not part of the sequence and its
@@ -326,9 +302,9 @@ def lod_error_sum(cfg=None):
         per_X.append((X, len(qs), w0, cum, cum / X))
         q_rows = rows
     slope, _, resid = _fit_loglog([row[0] for row in per_X],
-                                  [row[3] for row in per_X])
-    return LodReport(config=cfg, per_X=per_X, fitted_c=slope,
-                     residuals=resid, q_rows=q_rows)
+                                  [row[3] for row in per_X]) or (None,) * 3
+    return LodReport(per_X=per_X, fitted_c=slope, residuals=resid,
+                     q_rows=q_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +330,7 @@ class PoissonReport:
 
 def _dual_value_grid(q):
     """float array over (Z/q)^4 of the dual transform, multiplicative."""
-    t = np.arange(q, dtype=np.int64)
-    grids = np.meshgrid(t, t, t, t, indexing="ij")
-    K = np.stack([g.ravel() for g in grids], axis=1)
+    K = np.indices((q,) * 4, dtype=np.int64).reshape(4, -1).T
     V = np.ones(K.shape[0])
     for p in factor_squarefree(int(q)):
         cls = fourier.dual_cubic_class_batch(K % p, p)
@@ -525,15 +499,16 @@ def dual_bound_sum(N, Z, space_id="cubic"):
 
 def dual_bound_majorant(N, Z):
     """Assembled upper bound for the cubic dual_bound_sum: the disc = 0
-    points are counted through the reducible-locus parametrization with the
-    largest class value per prime, and disc != 0 points go through
-    |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
-    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|.  Exact
-    rational output (maj0, maj1), within the dual_bound_sum budget."""
-    maj0 = (reducible_count(Z) - 1) * sum(
-        (math.prod((Fraction(p ** 2 + p - 1, p ** 3) for p in ps), start=1)
-         for ps in check_dual_bound(N, Z, CUBIC).values()), Fraction(0))
+    points of the box are counted with the largest class value per prime,
+    and disc != 0 points go through |FT_q(x)| <= q*^-3 gcd(disc x, q*^3)
+    and the divisor-sum bound sum_{f | m} f (N/f^{1/3} + 1), once per
+    distinct |disc|.  Exact rational output (maj0, maj1), within the
+    dual_bound_sum budget."""
+    moduli = check_dual_bound(N, Z, CUBIC)
     D = np.abs(disc(CUBIC, _nonzero_box(Z, 4)))
+    maj0 = int(np.count_nonzero(D == 0)) * sum(
+        (math.prod((Fraction(p ** 2 + p - 1, p ** 3) for p in ps), start=1)
+         for ps in moduli.values()), Fraction(0))
     values, counts = np.unique(D[D != 0], return_counts=True)
     n_star = max(1, -(-N // 3))        # least possible q* = q / (q,3)
     weights = {}       # icbrt(f) -> sum of count * f over f | disc, f <= 8N^3
@@ -593,13 +568,13 @@ class GeoPairReport:
 def geo_pair_count(query):
     """Exact count of pairs (x, p): x in the lam-box on the progression
     x0 + m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p."""
+    axes = [box_axis(query.lam, query.x0[i], query.m) for i in range(4)]
+    n_pts = math.prod(map(len, axes))
+    if n_pts > 2e8:
+        raise ResourceLimitError(f"{n_pts} progression points in the box")
     P, P2 = query.prime_window()
     ps = [int(p) for p in sieve.primes_upto(P2)
           if P <= p <= P2 and query.m % p != 0]
-    axes = [box_axis(query.lam, query.x0[i], query.m) for i in range(4)]
-    n_pts = int(np.prod([len(ax) for ax in axes]))
-    if n_pts > 2e8:
-        raise ResourceLimitError(f"{n_pts} progression points in the box")
     count = 0
     if ps:
         if query.scheme == "all":
@@ -670,6 +645,8 @@ def reducible_count(Y):
 
 
 def reducible_exponent(Y_grid=(25, 50, 100, 200, 400)):
+    """(counts, fitted exponent, residuals); the fit is None below two
+    distinct positive Y."""
     counts = [reducible_count(Y) for Y in Y_grid]
-    slope, _, resid = _fit_loglog(Y_grid, counts)
+    slope, _, resid = _fit_loglog(Y_grid, counts) or (None,) * 3
     return counts, slope, resid

@@ -208,9 +208,9 @@ def dual_disc_cubic(k):
 # ---------------------------------------------------------------------------
 
 def box_axis(Z, x0=0, m_prog=1):
-    """Sorted integers t with |t| <= Z and t = x0 mod m_prog."""
+    """The range of integers t with |t| <= Z and t = x0 mod m_prog, in
+    ascending order; its length costs nothing to take."""
     Z = int(np.floor(Z))
     if m_prog <= 1:
-        return list(range(-Z, Z + 1))
-    lo = -Z + ((x0 + Z) % m_prog)
-    return list(range(lo, Z + 1, m_prog))
+        return range(-Z, Z + 1)
+    return range(-Z + ((x0 + Z) % m_prog), Z + 1, m_prog)

@@ -86,6 +86,8 @@ def test_resource_cap_before_work(monkeypatch):
                 "2"]) == 3
     assert run(["ft-verify", "--space", "cubic", "--primes", "61",
                 "--no-cache"]) == 3
+    # 60001^4 box points: past int64, refused before the primes are sieved
+    assert run(["geosieve", "--lam", "30000"]) == 3
     # the first prime past the exhaustive cap is refused before the sweep
     # at the prime below it starts
     primes = sieve.primes_upto(100).tolist()
@@ -200,6 +202,15 @@ def test_lod_small_grid(tmp_path):
     ratios = [float(l.split("\t")[4]) for l in lines
               if l and not l.startswith("#") and len(l.split("\t")) == 5]
     assert len(ratios) == 2 and ratios[1] < ratios[0]
+
+
+def test_lod_single_X_prints_no_fit(capsys):
+    # one distinct X has no growth exponent to fit
+    for X in ("1e4", "1e4,1e4"):
+        assert run(["lod", "--X", X]) == 0
+        out = capsys.readouterr().out
+        assert "fitted_c" not in out and "residuals" not in out
+        assert "\n10000\t39\t" in out
 
 
 def test_dual_bound_majorant_line(capsys):

@@ -14,7 +14,7 @@ import pytest
 
 from pvsieve import experiments as ex
 from pvsieve import fourier, orbits, sieve
-from pvsieve.spaces import QUARTIC, box_axis, disc_cubic
+from pvsieve.spaces import QUARTIC, ResourceLimitError, box_axis, disc_cubic
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,12 @@ def test_psi_derivative_recursion_first_order(weight):
     P, k = ex._psi_deriv_rational(1)
     assert k == 2
     assert P == [Fraction(0), Fraction(-2)]
+    # by hand: (-2u)'(1-u^2) + 4u(-2u) = -2 - 6u^2, and then
+    # (-2 - 6u^2)(1-u^2) - 2u(-2u) = -2 + 6u^4 over (1-u^2)^4
+    P, k = ex._psi_deriv_rational(2)
+    assert k == 4
+    assert P == [Fraction(-2), 0, 0, 0, Fraction(6)]
+    assert all(type(c) is Fraction for c in P)
     # sixth derivative L1 mass, frozen from two independent quadratures
     assert weight.psi_sixth_l1() == pytest.approx(1.445198e7, rel=1e-4)
 
@@ -112,14 +118,6 @@ def test_weighted_count_restriction_monotone(weight):
     assert 0 < lat3 <= lat1
 
 
-def test_direct_and_batched_agree(weight):
-    # the Kahan pass and the disc-value buckets sum the same box
-    vals, sums = ex.disc_value_buckets(10 ** 4, weight)
-    for q in (1, 6, 15, 35):
-        lat, _, _ = ex.weighted_count(q, 10 ** 4, weight)
-        assert ex.serve_buckets(vals, sums, q) == pytest.approx(lat, rel=1e-12)
-
-
 @pytest.mark.parametrize("Z,m", [(3, 1), (100000, 10000)],
                          ids=["int64", "exact"])
 def test_disc_slices_exact_in_lex_order(Z, m):
@@ -143,8 +141,13 @@ def test_buckets_serve_and_reducible_mass(weight):
     A, B, C, D = np.meshgrid(xs, xs, xs, xs, indexing="ij")
     W = (w1[:, None, None, None] * w1[None, :, None, None]
          * w1[None, None, :, None] * w1[None, None, None, :])
-    ref = float(W[disc_cubic(A, B, C, D) == 0].sum())
+    disc = disc_cubic(A, B, C, D)
+    ref = float(W[disc == 0].sum())
     assert ex.reducible_mass(vals, sums) == pytest.approx(ref, rel=1e-12)
+    # q | disc served from the buckets against the masked meshgrid sum
+    for q in (1, 6, 15, 35):
+        ref = float(W[disc % q == 0].sum())
+        assert ex.serve_buckets(vals, sums, q) == pytest.approx(ref, rel=1e-12)
 
 
 def test_reducible_mass_absent_bucket():
@@ -180,6 +183,8 @@ def test_lod_sieve_error_excludes_zero_locus(weight):
     lat_p, main_p, err_p = ex.weighted_count(1, 10 ** 4, weight)
     assert lat == pytest.approx(lat_p, rel=1e-12)
     assert err == pytest.approx(err_p - w0, rel=1e-9)
+    # one X has no growth exponent to fit
+    assert rep.fitted_c is None and rep.residuals is None
 
 
 def test_lod_alpha_zero_only_q1():
@@ -194,6 +199,15 @@ def test_fit_loglog_recovers_power_law():
     assert slope == pytest.approx(1.7, abs=1e-12)
     assert math.exp(intercept) == pytest.approx(3.0, rel=1e-12)
     assert max(abs(r) for r in resid) < 1e-12
+
+
+def test_fit_loglog_needs_two_distinct_positive_x():
+    # nonpositive pairs are dropped before the fit, and one distinct x
+    # left has no slope
+    assert ex._fit_loglog([0, 5, 5], [1, 2, 3]) is None
+    assert ex._fit_loglog([2, 5], [0, 3]) is None
+    slope, _, resid = ex._fit_loglog([0, 2, 4], [7, 2, 8])
+    assert slope == pytest.approx(2.0, abs=1e-12) and len(resid) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +422,17 @@ def test_geo_pair_count_progression(lam, m, window):
     assert rep.count == want
 
 
+def test_geo_point_budget_before_work(monkeypatch):
+    # (2 lam + 1)^4 at lam = 30000 wraps in int64; the budget is checked
+    # on the exact count before any prime or box is built
+    def boom(*a, **k):
+        raise AssertionError("work started before the point budget")
+    monkeypatch.setattr(ex, "_disc_slices", boom)
+    monkeypatch.setattr(sieve, "primes_upto", boom)
+    with pytest.raises(ResourceLimitError, match="12960864021600240001"):
+        ex.geo_pair_count(ex.GeoSieveQuery(lam=30000))
+
+
 def test_geo_unknown_scheme():
     with pytest.raises(ValueError):
         ex.geo_pair_count(ex.GeoSieveQuery(lam=4, window=(3, 5), scheme="no"))
@@ -440,3 +465,4 @@ def test_reducible_exponent_near_two():
     counts, slope, resid = ex.reducible_exponent((25, 50, 100))
     assert counts == sorted(counts)
     assert 1.7 <= slope <= 2.3
+    assert ex.reducible_exponent((0, 25)) == ([1, 7781], None, None)

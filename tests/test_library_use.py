@@ -2,7 +2,8 @@
 program itself, by the benchmark harness or by the acceptance tests: library
 code whose only caller is a unit test is either deleted or given a real
 caller.  A read is a loaded name, an attribute or an imported name; the
-definition itself is not one."""
+definition itself is not one.  Likewise every field of a pvsieve dataclass
+is read as an attribute by those readers."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,36 @@ def unread(defining, readers):
             for name in module_level_names(source) if name not in read]
 
 
+def dataclass_fields(source):
+    """(class, field) of each annotated field of a @dataclass class defined
+    at the top level of the source."""
+    def is_dataclass(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return (getattr(dec, "id", None) == "dataclass"
+                or getattr(dec, "attr", None) == "dataclass")
+    return [(node.name, stmt.target.id)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def attributes_read(source):
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(defining, readers):
+    """(module, class, field) of each dataclass field of the defining
+    sources that none of the reader sources reads as an attribute."""
+    read = set().union(*map(attributes_read, readers))
+    return [(module, cls, name) for module, source in sorted(defining.items())
+            for cls, name in dataclass_fields(source) if name not in read]
+
+
 def test_library_names_have_a_real_reader():
     defining = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert unread(defining, [p.read_text() for p in READERS]) == []
@@ -68,3 +99,22 @@ def test_unread_name_detected():
     assert unread({"lib": lib}, ["x = 1\n"]) == [
         ("lib", "LIMIT"), ("lib", "Used"), ("lib", "helper"),
         ("lib", "kernel")]
+
+
+def test_dataclass_fields_have_a_real_reader():
+    defining = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_fields(defining, [p.read_text() for p in READERS]) == []
+
+
+def test_unread_field_detected():
+    lib = ("import dataclasses\nfrom dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass Report:\n"
+           "    total: int\n    spare: int = 0\n"
+           "    def twice(self):\n        return 2 * self.total\n"
+           "@dataclasses.dataclass\nclass Query:\n    lam: int\n"
+           "class Plain:\n    width: int\n")
+    # a keyword argument or an assignment is not a read of the field
+    caller = "q = Query(lam=3)\nq.lam = 4\nprint(Report(1, spare=2))\n"
+    assert unread_fields({"lib": lib}, [lib, caller]) == [
+        ("lib", "Report", "spare"), ("lib", "Query", "lam")]
+    assert unread_fields({"lib": lib}, [lib, "print(q.lam, r.spare)\n"]) == []

@@ -203,7 +203,7 @@ def test_dual_disc_cubic_grading():
 # ---------------------------------------------------------------------------
 
 def test_box_counts():
-    assert sp.box_axis(0) == [0]
+    assert list(sp.box_axis(0)) == [0]
     assert len(sp.box_axis(1)) ** CUBIC.r == 81
     axis = sp.box_axis(2, x0=0, m_prog=2)
     assert len(axis) ** CUBIC.r == 81
@@ -216,14 +216,14 @@ def test_box_lex_order_and_chunks_agree():
     # per leading coordinate, meshgrid tail) lexicographic
     for Z, x0, m in ((2, 1, 3), (5, 2, 3), (7.5, -3, 4), (3, 0, 1)):
         axis = sp.box_axis(Z, x0, m)
-        assert axis == sorted(set(axis))
+        assert list(axis) == sorted(set(axis))
 
 
 def test_box_progression_membership():
     for x0 in (1, 2, 0, -4, 7):
         axis = sp.box_axis(5, x0, 3)
         assert all(abs(t) <= 5 and (t - x0) % 3 == 0 for t in axis)
-        assert axis == [t for t in range(-5, 6) if (t - x0) % 3 == 0]
+        assert list(axis) == [t for t in range(-5, 6) if (t - x0) % 3 == 0]
 
 
 def test_box_resource_limit():
