@@ -94,9 +94,10 @@ def _emit(lines, out_path):
 def cmd_ft_verify(args):
     space = _parse(space_by_name, args.space, "space")
     primes, skipped = _parse_primes(args.primes, space)
-    if args.mode == "exhaustive" and space is not CUBIC:
-        raise ConfigError("exhaustive mode is only sized for the cubic space")
-    kernel = fourier.bruteforce_kernel(space)
+    kernel = fourier.space_kernel(space)
+    if args.mode == "exhaustive" and kernel.exhaustive is None:
+        raise ConfigError(
+            f"exhaustive mode has no kernel for the {space.space_id} space")
     # resource preflight before any kernel starts
     for p in primes:
         kernel.check(p)
@@ -119,16 +120,16 @@ def cmd_ft_verify(args):
             if not ok:
                 mismatches.append((p, name, want, got))
         if args.mode == "exhaustive":
-            nums, den = fourier.ft_bruteforce_exhaustive_cubic(cond, p)
-            vals = [closed.values[c] for c in fourier.CUBIC_CLASSES]
-            codes = np.arange(den, dtype=np.int64)
-            cls = fourier.cubic_class_batch(
-                orbits.decode_states(codes, p, r=4), p)
+            nums, den = kernel.exhaustive(cond, p)
+            vals = list(closed.values.values())
+            codes = np.arange(len(nums), dtype=np.int64)
+            cls = fourier.target_classes(
+                space, orbits.decode_states(codes, p, r=space.r), p)
             num = np.array([v.numerator for v in vals], dtype=np.int64)
             dnm = np.array([v.denominator for v in vals], dtype=np.int64)
             # nums / den == num / dnm per target, as exact cross products
             bad = int(np.count_nonzero(nums * dnm[cls] != num[cls] * den))
-            lines.append(f"{p}\texhaustive\t{p ** 4}\t{bad}\t"
+            lines.append(f"{p}\texhaustive\t{len(nums)}\t{bad}\t"
                          f"{'ok' if bad == 0 else 'MISMATCH'}")
             if bad:
                 mismatches.append((p, "exhaustive", bad, "targets differ"))
@@ -207,6 +208,8 @@ def cmd_lod(args):
                    for tok in args.X.split(","))
     if not X_grid or any(x < 100 for x in X_grid):
         raise ConfigError("X grid must hold values >= 100")
+    if not args.X_cap > 0:
+        raise ConfigError(f"X cap must be positive, not {args.X_cap}")
     if max(X_grid) > args.X_cap:
         raise ResourceLimitError(
             f"X={max(X_grid)} beyond the configured cap {args.X_cap}")
@@ -285,13 +288,13 @@ def cmd_geosieve(args):
         raise ConfigError("need lam >= 1 and m >= 1")
     window = tuple(args.window) if args.window else None
     query = experiments.GeoSieveQuery(lam=args.lam, m=args.m, window=window,
-                                      scheme=args.scheme, a=args.a)
+                                      scheme=args.scheme)
     P, P2 = query.prime_window()
     if P < 2 or P2 < P:
         raise ConfigError(f"bad prime window [{P}, {P2}]")
     rep = experiments.geo_pair_count(query)
     cfg = {"lam": args.lam, "m": args.m, "window": f"{P},{P2}",
-           "scheme": args.scheme, "a": args.a}
+           "scheme": args.scheme, "a": experiments.GEO_CODIM[args.scheme]}
     lines = [_header("geosieve", cfg),
              f"count\t{rep.count}",
              f"n_primes\t{rep.n_primes}",
@@ -305,6 +308,8 @@ def cmd_reducible(args):
     Y_grid = tuple(_parse(int, tok, "Y") for tok in args.Y.split(","))
     if any(y < 0 for y in Y_grid) or not Y_grid:
         raise ConfigError("Y grid must hold nonnegative integers")
+    if args.Y_cap < 0:
+        raise ConfigError(f"Y cap must be nonnegative, not {args.Y_cap}")
     if max(Y_grid) > args.Y_cap:
         raise ResourceLimitError(
             f"Y={max(Y_grid)} beyond the configured cap {args.Y_cap}")
@@ -384,8 +389,8 @@ def build_parser():
     p.add_argument("--lam", type=int, default=20)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--window", type=int, nargs=2, default=None)
-    p.add_argument("--scheme", default="disc0", choices=["disc0", "all"])
-    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--scheme", default="disc0",
+                   choices=list(experiments.GEO_CODIM))
     p.add_argument("--sweep", action="store_true",
                    help="run the standard (lam, m) ladder")
     p.add_argument("--out", default=None)

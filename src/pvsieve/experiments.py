@@ -387,7 +387,7 @@ def poisson_check(q, X=10 ** 4, weight=None, Z=None):
 
 # Budget of one dual_bound_sum.  Work: per modulus, a step per box point
 # (tally) and a trial division up to sqrt(2N) (factoring); per box point
-# and prime, target_grading's cost.  A step took ~15 ns on a 2-core VM, so
+# and prime, space_kernel's cost.  A step took ~15 ns on a 2-core VM, so
 # the cap is about five minutes.  Bytes: the moduli sieve, three copies of
 # the box (building it, reducing it mod p) and a class byte per point and
 # prime.
@@ -434,7 +434,7 @@ def check_dual_bound(N, Z, space):
         moduli = {int(q): [p for p in factor_squarefree(int(q)) if space.m % p]
                   for q in sieve.squarefree_upto(2 * N) if q >= N}
         primes = set().union(*moduli.values())
-        cost = fourier.target_grading(space).cost
+        cost = fourier.space_kernel(space).cost
         work = len(moduli) * per_q + n * sum(map(cost, primes))
         size += n * len(primes)
     if work > DUAL_BOUND_WORK or size > DUAL_BOUND_BYTES:
@@ -538,14 +538,16 @@ def _icbrt(f):
 # geometric-sieve pair counts
 # ---------------------------------------------------------------------------
 
+GEO_CODIM = {"disc0": 1, "all": 0}     # the codimension a of each scheme
+
+
 @dataclass
 class GeoSieveQuery:
     lam: int
     m: int = 1
     x0: tuple = (0, 0, 0, 0)
     window: tuple = None      # (P, 2P); default P = 2*lam/m + 1
-    a: int = 1                # codimension of the scheme
-    scheme: str = "disc0"     # "disc0": p | disc(x); "all": every x (a = 0)
+    scheme: str = "disc0"     # "disc0": p | disc(x); "all": every x
 
     def prime_window(self):
         if self.window is not None:
@@ -567,7 +569,10 @@ class GeoPairReport:
 
 def geo_pair_count(query):
     """Exact count of pairs (x, p): x in the lam-box on the progression
-    x0 + m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p."""
+    x0 + m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p
+    (every x for the scheme "all")."""
+    if query.scheme not in GEO_CODIM:
+        raise ValueError(f"unknown scheme {query.scheme!r}")
     axes = [box_axis(query.lam, query.x0[i], query.m) for i in range(4)]
     n_pts = math.prod(map(len, axes))
     if n_pts > 2e8:
@@ -579,14 +584,12 @@ def geo_pair_count(query):
     if ps:
         if query.scheme == "all":
             count = n_pts * len(ps)
-        elif query.scheme == "disc0":
+        else:
             for _, disc in _disc_slices(axes):
                 for p in ps:
                     count += int(np.count_nonzero(disc % p == 0))
-        else:
-            raise ValueError(f"unknown scheme {query.scheme!r}")
     lam_over_m = query.lam / query.m
-    bound = lam_over_m ** (4 - query.a) * P * query.lam ** 0.1
+    bound = lam_over_m ** (4 - GEO_CODIM[query.scheme]) * P * query.lam ** 0.1
     return GeoPairReport(query=query, count=count, n_primes=len(ps),
                          bound_shape=bound)
 

@@ -152,25 +152,41 @@ def _three_classes(K, grading):
     return cls
 
 
-TargetGrading = namedtuple("TargetGrading", "classes cost")
+SpaceKernel = namedtuple("SpaceKernel",
+                         "classes cost histograms check suspects exhaustive")
 
 
-def target_grading(space):
-    """How a space grades transform arguments, chosen here and only here:
-    classes (Y, p) -> each row's index into the space's CLOSED_FORMS lines,
-    and cost p -> the steps grading one row takes, a step being one point
-    of the quartic base-locus count.  Cubic: cubic_class_batch, about eight
-    steps.  Quartic: the labels of orbits.classify_batch, whose base-locus
-    count visits the p^2 + p + 1 points of P^2(F_p)."""
+def space_kernel(space):
+    """A space's transform machinery, chosen here and only here: classes
+    (Y, p) -> each row's index into the space's CLOSED_FORMS lines; cost
+    p -> the steps grading one row takes, a step being one point of the
+    quartic base-locus count; histograms (cond, p, targets) -> brute-force
+    pairing histograms; check p, which refuses a prime past their cap;
+    suspects p -> what a mismatch at p implicates (text or None); and
+    exhaustive (cond, p) -> (numerators, denominator) at every target in
+    code order, or None.  The kernels are looked up at each call.
+
+    Cubic: cubic_class_batch (about eight steps), ft_histograms within the
+    sweep budget, the Radon all-target kernel.  Quartic: the labels of
+    orbits.classify_batch, whose base-locus count visits the p^2 + p + 1
+    points of P^2(F_p); ft_fibered_histograms, capped by its Radon fibres
+    (p <= 11), at targets whose labels past the orbit BFS budget (p >= 7)
+    no BFS checks; no all-target kernel."""
     if space is CUBIC:
-        return TargetGrading(cubic_class_batch, lambda p: 8)
-    return TargetGrading(lambda Y, p: orbits.classify_batch(space, Y, p),
-                         lambda p: p * p + p + 1)
+        return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
+                           space.check_sweep, lambda p: None,
+                           ft_bruteforce_exhaustive_cubic)
+    return SpaceKernel(
+        lambda Y, p: orbits.classify_batch(space, Y, p),
+        lambda p: p * p + p + 1, ft_fibered_histograms,
+        lambda p: ffcore.check_radon(p, space.r // 2),
+        lambda p: ("the closed form or the classifier"
+                   if p ** space.r > space.sweep_limit else None), None)
 
 
 def target_classes(space, Y, p):
     """CLOSED_FORMS class index of each row of the (n, r) array Y at p."""
-    return target_grading(space).classes(Y, p)
+    return space_kernel(space).classes(Y, p)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +275,7 @@ def _fibre_counts(H, g, forms, alphas, wbeta, p):
 def ft_bruteforce_multi(cond, p, targets):
     """Exact transform values at several targets from the space's
     brute-force kernel."""
-    hists = bruteforce_kernel(cond.space).histograms(cond, p, targets)
+    hists = space_kernel(cond.space).histograms(cond, p, targets)
     return [ffcore.ft_value_from_histogram(h, cond.space.r) for h in hists]
 
 
@@ -277,30 +293,6 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
     C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
     H = ffcore.radon_histogram(cond.support_mask(C, p), w, p)
     return ffcore._numerators(H), p ** 4
-
-
-BruteForceKernel = namedtuple("BruteForceKernel",
-                              "histograms check reps suspects")
-
-
-def bruteforce_kernel(space):
-    """The brute-force kernel of a space, chosen here and only here: its
-    histograms (cond, p, targets), the check that refuses a prime past its
-    cap, its default targets (p -> one per class) and what a mismatch at p
-    implicates (p -> text or None).
-
-    Cubic: ft_histograms sweeps every state, within the sweep budget.
-    Quartic: ft_fibered_histograms, capped by its Radon fibres (p <= 11);
-    its targets come from the classifier, which past the orbit BFS budget
-    (p >= 7) no BFS checks."""
-    if space is CUBIC:
-        return BruteForceKernel(ft_histograms, space.check_sweep,
-                                _cubic_class_reps, lambda p: None)
-    return BruteForceKernel(
-        ft_fibered_histograms,
-        lambda p: ffcore.check_radon(p, space.r // 2), _quartic_label_reps,
-        lambda p: ("the closed form or the classifier"
-                   if p ** space.r > space.sweep_limit else None))
 
 
 # ---------------------------------------------------------------------------
@@ -388,46 +380,39 @@ def fourier_table_closed_form(cond, p):
 
 
 def fourier_table_bruteforce(cond, p, reps_by_name=None):
-    """Brute-force table at class/orbit representatives, by default the
-    kernel's own targets: small forms for the cubic space, classifier-found
-    states for the pair space."""
+    """Brute-force table at class/orbit representatives, by default those
+    of _class_reps."""
     if reps_by_name is None:
-        reps_by_name = bruteforce_kernel(cond.space).reps(p)
+        reps_by_name = _class_reps(cond.space, p)
     names = list(reps_by_name)
     vals = ft_bruteforce_multi(cond, p, [reps_by_name[n] for n in names])
     return FourierTable(p=p, space_id=cond.space_id, source="bruteforce",
                         values=dict(zip(names, vals)))
 
 
-def _cubic_class_reps(p):
-    # u^3 has disc 0; the nonsingular representative is the first one in
-    # code order, found among codes up to that of u^2 v + u v^2 (p + p^2)
-    codes = np.arange(1, p + p * p + 1, dtype=np.int64)
-    forms = orbits.decode_states(codes, p, r=4)
-    nonsing = forms[cubic_class_batch(forms, p) == 2][0]
-    return {"pV": (0, 0, 0, 0), "disc0": (1, 0, 0, 0),
-            "nonsing": tuple(int(v) for v in nonsing)}
-
-
-def _quartic_label_reps(p):
-    """The first state of each orbit label, in code order, among the 3^12
-    states with entries in {0, 1, nu}, nu the least non-residue mod p,
-    labelled by the classifier in chunks.  At p = 3 these are all states,
-    so each is the smallest code of its orbit: the decompose_orbits
-    representative."""
+def _class_reps(space, p):
+    """The first state of each class of the space's CLOSED_FORMS lines, in
+    code order, among the 3^r states with entries in {0, 1, nu}, nu the
+    least non-residue mod p, graded by target_classes in chunks.  At p = 3
+    these are all states, so each quartic one is the smallest code of its
+    orbit: the decompose_orbits representative."""
+    names = tuple(_lines(space))
     nu = int(np.argmax(orbits.legendre_table(p) < 0))
     entries = np.array([0, 1, nu], dtype=np.int64)
-    found, chunk = {}, 1 << 16
-    for start in range(0, 3 ** 12, chunk):
-        codes = np.arange(start, min(start + chunk, 3 ** 12), dtype=np.int64)
-        C = entries[orbits.decode_states(codes, 3)]
-        labels, first = np.unique(orbits.classify_batch(QUARTIC, C, p),
-                                  return_index=True)
-        for i, lab in sorted(zip(first, labels)):
-            found.setdefault(orbits.LABELS[lab], tuple(int(v) for v in C[i]))
-        if len(found) == len(orbits.LABELS):
+    found, n_states, chunk = {}, 3 ** space.r, 1 << 16
+    for start in range(0, n_states, chunk):
+        codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
+        C = entries[orbits.decode_states(codes, 3, r=space.r)]
+        cls, first = np.unique(target_classes(space, C, p), return_index=True)
+        for i, c in sorted(zip(first, cls)):
+            found.setdefault(names[c], tuple(int(v) for v in C[i]))
+        if len(found) == len(names):
             return found
-    missing = [n for n in orbits.LABELS if n not in found]
+    missing = [n for n in names if n not in found]
     raise orbits.ClassifierIncompleteError(
-        f"p={p}: no state with entries in {{0, 1, {nu}}} has label "
+        f"p={p}: no state with entries in {{0, 1, {nu}}} has class "
         f"{', '.join(missing)}")
+
+
+def _cubic_class_reps(p):
+    return _class_reps(CUBIC, p)

@@ -74,6 +74,9 @@ def test_nonprime_rejected():
     ["lod", "--X", "1e4", "--s", "-1"],
     ["lod", "--X", "1e4", "--s", "nan"],
     ["orbits", "--space", "foo"],
+    ["lod", "--X", "1e4", "--X-cap", "nan"],
+    ["lod", "--X-cap", "0"],
+    ["reducible", "--Y", "25", "--Y-cap", "-1"],
 ], ids=" ".join)
 def test_malformed_input_is_config_error(argv, capsys):
     assert run(argv) == 2
@@ -193,6 +196,7 @@ def test_reducible_counts(capsys):
     assert run(["reducible", "--Y", "0,1,2"]) == 0
     out = capsys.readouterr().out
     assert "0\t1" in out and "1\t21" in out and "2\t65" in out
+    assert run(["reducible", "--Y", "0", "--Y-cap", "0"]) == 0
 
 
 def test_lod_small_grid(tmp_path):
@@ -262,6 +266,21 @@ def _workloads():
     return mod
 
 
+def test_benchmark_argv_parse():
+    # every benchmark command line still parses: a deleted flag fails here
+    # rather than in a benchmark run
+    workloads = _workloads()
+    parser = cli.build_parser()
+    for jobs in (*workloads.JOBS.values(), *workloads.PROBES.values()):
+        for job in jobs:
+            if job.argv is None:
+                continue
+            try:
+                parser.parse_args(list(job.argv))
+            except SystemExit:
+                pytest.fail(f"{job.name}: {' '.join(job.argv)} does not parse")
+
+
 @pytest.mark.parametrize("job", ["dual-bound", "reducible", "ft-exhaustive",
                                  "ft-verify-quartic"])
 def test_benchmark_digests(job, capsys):
@@ -279,6 +298,11 @@ def test_geosieve_single(capsys):
     assert run(["geosieve", "--lam", "6", "--window", "7", "14"]) == 0
     out = capsys.readouterr().out
     assert "count\t" in out and "ratio\t" in out
+    # the scheme "all" has codimension 0: its bound is (lam/m)^4 P lam^0.1
+    assert run(["geosieve", "--lam", "3", "--scheme", "all"]) == 0
+    out = capsys.readouterr().out
+    assert " a=0 " in out
+    assert "bound\t6.328418e+02\n" in out and "ratio\t11.381991\n" in out
 
 
 def test_geosieve_wide_box_is_exact(capsys):

@@ -400,7 +400,7 @@ def test_geo_pair_count_monotone():
     assert base.count <= more_p.count
     # scheme implication: disc0 pairs are a subset of all pairs
     allp = ex.geo_pair_count(ex.GeoSieveQuery(lam=8, window=(5, 10),
-                                              scheme="all", a=0))
+                                              scheme="all"))
     assert base.count <= allp.count
 
 
@@ -436,6 +436,10 @@ def test_geo_point_budget_before_work(monkeypatch):
 def test_geo_unknown_scheme():
     with pytest.raises(ValueError):
         ex.geo_pair_count(ex.GeoSieveQuery(lam=4, window=(3, 5), scheme="no"))
+    # refused up front, also when the window holds no prime
+    with pytest.raises(ValueError):
+        ex.geo_pair_count(ex.GeoSieveQuery(lam=4, window=(24, 28),
+                                           scheme="no"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvsieve import ffcore, fourier, orbits
+from pvsieve import ffcore, fourier, orbits, sieve
 from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc_mod,
                             dual_disc_cubic, ResourceLimitError)
 
@@ -164,27 +164,45 @@ def test_fibered_kernel_matches_sweep_p3(seed):
     assert [h.counts for h in fib] == [h.counts for h in sweep]
 
 
-def test_quartic_label_reps_are_bfs_reps_p3(table3):
-    reps = fourier._quartic_label_reps(3)
+def test_class_reps_are_bfs_reps_p3(table3):
+    reps = fourier._class_reps(QUARTIC, 3)
     assert list(reps.items()) == [(name, rep) for name, (_, rep)
                                   in table3.entries.items()]
 
 
-def test_quartic_label_reps_missing_label(monkeypatch):
-    # a classifier that never says O_4 leaves that line without a target
-    real = orbits.classify_batch
+def test_class_reps_cubic():
+    for p in sieve.primes_upto(59).tolist():
+        if p == 3:
+            continue
+        nonsing = (0, 1, 1, 0) if p == 2 else (1, 0, 1, 0)
+        assert list(fourier._class_reps(CUBIC, p).items()) == [
+            ("pV", (0, 0, 0, 0)), ("disc0", (1, 0, 0, 0)),
+            ("nonsing", nonsing)], p
 
-    def no_o4(space, coords, p):
-        labels = real(space, coords, p)
-        labels[labels == orbits.LABELS.index("O_4")] = 0
-        return labels
-    monkeypatch.setattr(orbits, "classify_batch", no_o4)
-    with pytest.raises(orbits.ClassifierIncompleteError, match="O_4"):
-        fourier._quartic_label_reps(7)
+
+@pytest.mark.parametrize("space,module,grading,dropped", [
+    (CUBIC, fourier, "cubic_class_batch", "nonsing"),
+    (QUARTIC, orbits, "classify_batch", "O_4"),
+], ids=["cubic", "quartic"])
+def test_class_reps_missing_class(monkeypatch, space, module, grading,
+                                  dropped):
+    # a grading that never gives one class leaves its line without a target
+    real = getattr(module, grading)
+    drop = tuple(fourier.CLOSED_FORMS[space.space_id]).index(dropped)
+
+    def never(*args):
+        cls = real(*args)
+        cls[cls == drop] = 0
+        return cls
+    monkeypatch.setattr(module, grading, never)
+    with pytest.raises(orbits.ClassifierIncompleteError, match=dropped):
+        fourier._class_reps(space, 7)
 
 
 def test_fibered_kernel_cap():
-    check = fourier.bruteforce_kernel(QUARTIC).check
+    kernel = fourier.space_kernel(QUARTIC)
+    assert kernel.exhaustive is None
+    check = kernel.check
     check(11)
     with pytest.raises(ResourceLimitError):
         check(13)
