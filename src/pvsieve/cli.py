@@ -243,7 +243,6 @@ def cmd_dual_bound(args):
     space = _parse(space_by_name, args.space, "space")
     if args.N < 1 or args.Z < 0:
         raise ConfigError("need N >= 1 and Z >= 0")
-    experiments.check_dual_bound(args.N, args.Z, space)
     rep = experiments.dual_bound_sum(args.N, args.Z, space_id=args.space)
     cfg = {"space": args.space, "N": args.N, "Z": args.Z}
     lines = [_header("dual-bound", cfg),
@@ -267,6 +266,11 @@ def cmd_dual_bound(args):
 
 def cmd_geosieve(args):
     if args.sweep:
+        given = [f"--{k}" for k in ("lam", "m", "window", "scheme")
+                 if getattr(args, k) is not None]
+        if given:
+            raise ConfigError(f"--sweep runs the fixed ladder and takes no "
+                              f"{', '.join(given)}")
         reports, slope = experiments.geo_sweep()
         cfg = {"sweep": True,
                "grid": ";".join(f"{l},{m}" for l, m in experiments.GEO_GRID)}
@@ -284,17 +288,20 @@ def cmd_geosieve(args):
                      f"{','.join(map(str, exceeded)) or 'none'}")
         _emit(lines, args.out)
         return EXIT_PASS if not exceeded else EXIT_MISMATCH
-    if args.lam < 1 or args.m < 1:
+    lam = 20 if args.lam is None else args.lam
+    m = 1 if args.m is None else args.m
+    scheme = args.scheme or "disc0"
+    if lam < 1 or m < 1:
         raise ConfigError("need lam >= 1 and m >= 1")
     window = tuple(args.window) if args.window else None
-    query = experiments.GeoSieveQuery(lam=args.lam, m=args.m, window=window,
-                                      scheme=args.scheme)
+    query = experiments.GeoSieveQuery(lam=lam, m=m, window=window,
+                                      scheme=scheme)
     P, P2 = query.prime_window()
     if P < 2 or P2 < P:
         raise ConfigError(f"bad prime window [{P}, {P2}]")
     rep = experiments.geo_pair_count(query)
-    cfg = {"lam": args.lam, "m": args.m, "window": f"{P},{P2}",
-           "scheme": args.scheme, "a": experiments.GEO_CODIM[args.scheme]}
+    cfg = {"lam": lam, "m": m, "window": f"{P},{P2}",
+           "scheme": scheme, "a": experiments.GEO_CODIM[scheme]}
     lines = [_header("geosieve", cfg),
              f"count\t{rep.count}",
              f"n_primes\t{rep.n_primes}",
@@ -386,13 +393,15 @@ def build_parser():
     p.set_defaults(func=cmd_dual_bound)
 
     p = sub.add_parser("geosieve", help="pair counts for the disc=0 scheme")
-    p.add_argument("--lam", type=int, default=20)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--lam", type=int, default=None, help="default 20")
+    p.add_argument("--m", type=int, default=None, help="default 1")
     p.add_argument("--window", type=int, nargs=2, default=None)
-    p.add_argument("--scheme", default="disc0",
-                   choices=list(experiments.GEO_CODIM))
+    p.add_argument("--scheme", default=None,
+                   choices=list(experiments.GEO_CODIM),
+                   help="default disc0")
     p.add_argument("--sweep", action="store_true",
-                   help="run the standard (lam, m) ladder")
+                   help="run the standard (lam, m) ladder; takes none of "
+                        "the four flags above")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_geosieve)
 

@@ -499,15 +499,15 @@ def dual_bound_sum(N, Z, space_id="cubic"):
 
 def dual_bound_majorant(N, Z):
     """Assembled upper bound for the cubic dual_bound_sum: the disc = 0
-    points of the box are counted with the largest class value per prime,
-    and disc != 0 points go through |FT_q(x)| <= q*^-3 gcd(disc x, q*^3)
-    and the divisor-sum bound sum_{f | m} f (N/f^{1/3} + 1), once per
-    distinct |disc|.  Exact rational output (maj0, maj1), within the
+    points of the box are counted with the largest |class value| per prime
+    (the y = 0 line, fourier.omega), and disc != 0 points go through
+    |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
+    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|.  Exact rational output (maj0, maj1), within the
     dual_bound_sum budget."""
     moduli = check_dual_bound(N, Z, CUBIC)
     D = np.abs(disc(CUBIC, _nonzero_box(Z, 4)))
     maj0 = int(np.count_nonzero(D == 0)) * sum(
-        (math.prod((Fraction(p ** 2 + p - 1, p ** 3) for p in ps), start=1)
+        (math.prod((fourier.omega(CUBIC, p) for p in ps), start=1)
          for ps in moduli.values()), Fraction(0))
     values, counts = np.unique(D[D != 0], return_counts=True)
     n_star = max(1, -(-N // 3))        # least possible q* = q / (q,3)

@@ -24,22 +24,23 @@ common kernel.  The remaining labels follow the splitting type of the four
 base points of the two conics (exponents mark multiplicity, digits the
 residue degrees); O_T11 and O_T2 are accepted as aliases of O_B11, O_B2.
 
-The classifier computes, per element: the resolvent cubic mod p, its
-discriminant / Hessian (triple-vs-double root), pencil span and common-
-kernel data via adjugates, square classes via the Legendre character, the
-base-locus point count over F_p, and the number of F_p-rational roots of
-the resolvent on P^1.  The signature -> label map below was calibrated
-against the exhaustive BFS partition at p = 3 and 5.
-
-On the nonsingular orbits (disc != 0 mod p) Frobenius permutes the four
-base points and, through its image in S_3, the three singular conics of
-the pencil (the roots of the resolvent cubic).  The splitting type is the
-cycle type of that permutation, and the pair (F_p base points, F_p roots
-of the resolvent on P^1) tells the five types apart (Bhargava,
-Higher composition laws III, Ann. Math. 2004; Wright-Yukie, Invent. Math.
-1992):
-
-    (4, 3) O_1111   (2, 1) O_112   (0, 3) O_22   (1, 0) O_13   (0, 1) O_4
+The classifier reads one signature per nonzero element, (kind, n1).  kind
+is the type of the resolvent cubic 4 det(Ax + By) mod p: nonzero
+discriminant, triple root (its Hessian vanishes), double root, or
+identically zero, the last split by the span of the pencil (one form or
+two).  n1 is the number of F_p-points of the base locus A = B = 0 in P^2.
+signature_table(p) maps 17 signatures to the 19 nonzero labels.  Two
+signatures name two labels each, and one more invariant splits them: the
+quadratic character of the pencil's binary determinant form (split B11,
+nonsplit B2), and the number of F_p roots of the resolvent on P^1 (3: O_22,
+1: O_4).  On the nonsingular orbits Frobenius permutes the four base
+points and, through S_3, the three roots of the resolvent; the pair (F_p
+base points, F_p roots) reads off the cycle type (Bhargava, Higher
+composition laws III, Ann. Math. 2004; Wright-Yukie, Invent. Math. 1992).
+Any other signature or split value raises ClassifierIncompleteError.  The
+map was checked over every orbit: against the exhaustive BFS at p = 3 and
+5, and on the rows (A, B_c), B_c running over the classes of form_classes,
+at p = 3, 5, 7 and 11, where the same 18 signatures (O_0 counted) occur.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +55,8 @@ class InvalidGroupElementError(ValueError):
 
 
 class ClassifierIncompleteError(RuntimeError):
-    """An invariant signature not seen during calibration.  Never expected
-    at p in {3,5}; elsewhere it marks a genuine gap to report."""
+    """A state whose signature, or split value, the classifier's table does
+    not hold: a genuine gap to report, never seen at the primes checked."""
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +379,18 @@ def base_locus_count(coords, p):
     blocks of rows.  The forms are evaluated in float64 (BLAS), exactly:
     each value is an integer below 6 p^2 < 2^53, and its correctly rounded
     quotient by p is an integer only when p divides it."""
-    C = (np.asarray(coords, dtype=np.int64) % p).astype(np.float64)
+    coords = np.asarray(coords)
     pts = _proj_points_prime(p)
     # quadratic monomials (v1^2, v2^2, v3^2, 2v1v2, 2v1v3, 2v2v3)
     MT = np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
                    2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
                    2 * pts[:, 1] * pts[:, 2]]) % p
-    out = np.empty(C.shape[0], dtype=np.int64)
+    out = np.empty(coords.shape[0], dtype=np.int64)
     step = max(1, _BASE_LOCUS_CELLS // len(pts))
-    for lo in range(0, C.shape[0], step):
+    for lo in range(0, coords.shape[0], step):
+        C = (coords[lo:lo + step].astype(np.int64) % p).astype(np.float64)
         hit = True
-        for half in (C[lo:lo + step, :6], C[lo:lo + step, 6:]):
+        for half in (C[:, :6], C[:, 6:]):
             q = half @ MT
             q /= p
             hit = hit & (q == np.floor(q))
@@ -397,8 +399,6 @@ def base_locus_count(coords, p):
 
 
 _MINOR2_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-_MINOR3_TRIPLES = [(i, j, k) for i in range(6) for j in range(i + 1, 6)
-                   for k in range(j + 1, 6)]
 
 
 def _span_le_1(C, p):
@@ -408,18 +408,6 @@ def _span_le_1(C, p):
     for i, j in _MINOR2_PAIRS:
         dep &= (A[..., i] * B[..., j] - A[..., j] * B[..., i]) % p == 0
     return dep
-
-
-def _common_kernel(C, p):
-    """True where some nonzero v has Av = Bv = 0: the stacked 6x3 matrix of
-    rows of A and B has rank <= 2, i.e. all twenty 3x3 row-minors vanish."""
-    A = sym_from_cols(C[..., :6].astype(np.int64))
-    B = sym_from_cols(C[..., 6:].astype(np.int64))
-    rows = np.moveaxis(np.concatenate([A, B], axis=-2), 0, -1)  # (6, 3, n)
-    ok = np.ones(C.shape[:-1], dtype=bool)
-    for i, j, k in _MINOR3_TRIPLES:
-        ok &= _det3((rows[i], rows[j], rows[k])) % p == 0
-    return ok
 
 
 def resolvent_root_count(r0, r1, r2, r3, p):
@@ -438,122 +426,84 @@ def _check_pair_space(space, p):
         raise ValueError(f"p={p} excluded (bad prime)")
 
 
+# the resolvent's type, the first half of a signature
+KINDS = ("one-form pencil", "two-form pencil", "nonsingular", "triple root",
+         "double root")
+
+
+def signature_table(p):
+    """(kind, n1) -> label at the odd prime p, or the pair of labels that
+    _SPLITS decides between; kind indexes KINDS."""
+    return {
+        (0, 1): "O_D2", (0, p + 1): "O_D1^2", (0, 2 * p + 1): "O_D11",
+        (1, 1): ("O_B11", "O_B2"), (1, p + 1): "O_Cs", (1, p + 2): "O_Cns",
+        (2, 0): ("O_22", "O_4"), (2, 1): "O_13", (2, 2): "O_112",
+        (2, 4): "O_1111",
+        (3, 1): "O_1^4", (3, 2): "O_1^31", (3, p + 1): "O_Dns",
+        (4, 0): "O_2^2", (4, 1): "O_1^22", (4, 2): "O_1^21^2",
+        (4, 3): "O_1^211",
+    }
+
+
+def _determinant_character(C, r, p):
+    """+1 / -1 where a common-kernel pencil's binary determinant form splits
+    / does not, read off the nonvanishing diagonal adjugate entries."""
+    chi = legendre_table(p)
+    dA, dB, dS = (_adj_full(F, p)[:, :3].T for F in (
+        C[:, :6], C[:, 6:], (C[:, :6] + C[:, 6:]) % p))
+    s = 0
+    for i in range(3):
+        mid = (dS[i] - dA[i] - dB[i]) % p
+        s = s + chi[(mid * mid - 4 * dA[i] * dB[i]) % p]
+    return np.sign(s)
+
+
+# signature -> (invariant (C, resolvent, p) -> value per row, its value on
+# each label of the signature's pair)
+_SPLITS = {
+    (1, 1): (_determinant_character, (1, -1)),
+    (2, 0): (lambda C, r, p: resolvent_root_count(*r, p), (3, 1)),
+}
+
+
+def _incomplete(p, kind, n1, state, why):
+    return ClassifierIncompleteError(
+        f"p={p}: signature ({KINDS[kind]}, n1={n1}) {why} at "
+        f"{tuple(int(v) for v in state)}")
+
+
 def classify_batch(space, coords, p):
-    """Label codes (index into LABELS) for an (n, 12) array mod p."""
+    """Label codes (index into LABELS) for an (n, 12) array mod p: each
+    nonzero state's signature (kind, n1) looked up in signature_table."""
     _check_pair_space(space, p)
     C = np.asarray(coords, dtype=np.int64) % p
-    n = C.shape[0]
-    chi = legendre_table(p)
-    out = np.full(n, -1, dtype=np.int8)
-    code = {name: LABELS.index(name) for name in LABELS}
+    r0, r1, r2, r3 = r = tuple(c % p for c in resolvent_cubic(C))
+    triple = (((r1 * r1 - 3 * r0 * r2) % p == 0)
+              & ((r1 * r2 - 9 * r0 * r3) % p == 0)
+              & ((r2 * r2 - 3 * r1 * r3) % p == 0))
+    kind = np.where(disc_cubic(r0, r1, r2, r3) % p != 0, 2,
+                    np.where(triple, 3, 4))
+    f0 = np.flatnonzero((r0 == 0) & (r1 == 0) & (r2 == 0) & (r3 == 0))
+    kind[f0] = np.where(_span_le_1(C[f0], p), 0, 1)
+    n1 = base_locus_count(C, p)
+    width = p * p + p + 2                       # n1 <= p^2 + p + 1
+    sig = kind * width + n1
 
-    zero = ~C.any(axis=1)
-    out[zero] = code["O_0"]
-
-    c0, c1, c2, c3 = (c % p for c in resolvent_cubic(C))
-    f0 = (c0 == 0) & (c1 == 0) & (c2 == 0) & (c3 == 0) & ~zero
-
-    # --- resolvent identically zero: pencil data ------------------------
-    if f0.any():
-        idx = np.flatnonzero(f0)
-        Cf = C[idx]
-        span1 = _span_le_1(Cf, p)
-
-        # one-form pencils: grade the single conic
-        if span1.any():
-            i1 = idx[span1]
-            C1 = C[i1]
-            useA = C1[:, :6].any(axis=1)
-            form = np.where(useA[:, None], C1[:, :6], C1[:, 6:])
-            adj = _adj_full(form, p)
-            rank1 = ~adj.any(axis=1)
-            out[i1[rank1]] = code["O_D1^2"]
-            r2 = ~rank1
-            # split vs conjugate line pair: character of -kappa, read off
-            # any nonzero diagonal adjugate entry (they differ by squares)
-            sgn = np.sign(sum(chi[(-adj[r2, i]) % p] for i in range(3)))
-            i2 = i1[r2]
-            out[i2[sgn > 0]] = code["O_D11"]
-            out[i2[sgn < 0]] = code["O_D2"]
-            if (sgn == 0).any():
-                raise ClassifierIncompleteError(
-                    f"p={p}: rank-2 single form with vanishing character")
-
-        span2 = ~span1
-        if span2.any():
-            i2 = idx[span2]
-            C2 = C[i2]
-            ker = _common_kernel(C2, p)
-            out[i2[~ker]] = code["O_Cns"]
-            if ker.any():
-                ik = i2[ker]
-                Ck = C[ik]
-                dA, dB, dS = (_adj_full(F, p)[:, :3].T for F in (
-                    Ck[:, :6], Ck[:, 6:], (Ck[:, :6] + Ck[:, 6:]) % p))
-                s = np.zeros(ik.size, dtype=np.int64)
-                for i in range(3):
-                    mid = (dS[i] - dA[i] - dB[i]) % p
-                    s += chi[(mid * mid - 4 * dA[i] * dB[i]) % p]
-                sgn = np.sign(s)
-                out[ik[sgn > 0]] = code["O_B11"]
-                out[ik[sgn < 0]] = code["O_B2"]
-                out[ik[sgn == 0]] = code["O_Cs"]
-
-    # --- nonzero resolvent: discriminant, multiplicity, base locus ------
-    live = ~zero & ~f0
-    if live.any():
-        il = np.flatnonzero(live)
-        r0, r1, r2, r3 = c0[il], c1[il], c2[il], c3[il]
-        disc = disc_cubic(r0, r1, r2, r3) % p
-        n1 = base_locus_count(C[il], p)
-
-        ns = disc != 0
-        if ns.any():
-            ins = il[ns]
-            m1 = n1[ns]
-            out[ins[m1 == 4]] = code["O_1111"]
-            out[ins[m1 == 2]] = code["O_112"]
-            out[ins[m1 == 1]] = code["O_13"]
-            none = m1 == 0
-            if none.any():
-                sub = ins[none]
-                nr = resolvent_root_count(
-                    *(r[ns][none] for r in (r0, r1, r2, r3)), p)
-                odd = (nr != 1) & (nr != 3)
-                if odd.any():
-                    i = int(np.flatnonzero(odd)[0])
-                    raise ClassifierIncompleteError(
-                        f"p={p}: no F_p base point and {int(nr[i])} resolvent"
-                        f" roots at {tuple(int(v) for v in C[sub[i]])}")
-                out[sub[nr == 3]] = code["O_22"]
-                out[sub[nr == 1]] = code["O_4"]
-            bad = (m1 == 3) | (m1 > 4)
-            if bad.any():
-                raise ClassifierIncompleteError(
-                    f"p={p}: nonsingular base locus of size {n1[ns][bad][0]}")
-
-        dg = ~ns
-        if dg.any():
-            idg = il[dg]
-            h0 = (r1 * r1 - 3 * r0 * r2)[dg] % p
-            h1 = (r1 * r2 - 9 * r0 * r3)[dg] % p
-            h2 = (r2 * r2 - 3 * r1 * r3)[dg] % p
-            trp = (h0 == 0) & (h1 == 0) & (h2 == 0)
-            m1 = n1[dg]
-            itr = idg[trp]
-            mt = m1[trp]
-            out[itr[mt == p + 1]] = code["O_Dns"]
-            out[itr[mt == 2]] = code["O_1^31"]
-            out[itr[mt == 1]] = code["O_1^4"]
-            idb = idg[~trp]
-            md = m1[~trp]
-            out[idb[md == 0]] = code["O_2^2"]
-            out[idb[md == 2]] = code["O_1^21^2"]
-            out[idb[md == 3]] = code["O_1^211"]
-            out[idb[md == 1]] = code["O_1^22"]
-
+    out = np.full(len(C), -1, dtype=np.int8)
+    for (k, m), name in signature_table(p).items():
+        rows = np.flatnonzero(sig == k * width + m)
+        if isinstance(name, str):
+            out[rows] = LABELS.index(name)
+            continue
+        invariant, values = _SPLITS[k, m]
+        v = invariant(C[rows], tuple(c[rows] for c in r), p)
+        out[rows] = np.where(v == values[0], *map(LABELS.index, name))
+        odd = np.flatnonzero(~np.isin(v, values))
+        if odd.size:
+            raise _incomplete(p, k, m, C[rows[odd[0]]],
+                              f"splits to {v[odd[0]]}")
+    out[~C.any(axis=1)] = LABELS.index("O_0")
     if (out < 0).any():
         i = int(np.flatnonzero(out < 0)[0])
-        raise ClassifierIncompleteError(
-            f"p={p}: unrecognized signature at {tuple(int(v) for v in C[i])}")
+        raise _incomplete(p, kind[i], n1[i], C[i], "is not in the table")
     return out

@@ -21,7 +21,8 @@ import numpy as np
 from .orbits import FC_BY_DIM
 from .spaces import QUARTIC
 
-SINGULAR_DIMS = (4, 7, 8, 10, 11, 12)
+# the orbit dimensions other than the zero orbit's
+SINGULAR_DIMS = tuple(j for j in sorted(FC_BY_DIM) if j)
 
 # truncation of the Greaves constant 1.124...; replaces log4/log3 when the
 # sharper weighted sieve is wanted

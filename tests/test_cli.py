@@ -294,6 +294,16 @@ def test_benchmark_digests(job, capsys):
     assert workloads.digest(capsys.readouterr().out) == expected
 
 
+def test_benchmark_label_check():
+    # the benchmark's own p = 5 label check on the seed-1 sample: a
+    # mislabel fails here before it fails a benchmark run
+    workloads = _workloads()
+    inputs = workloads.make_inputs("quartic-orbits", 1)
+    job = next(j for j in workloads.JOBS["quartic-orbits"]
+               if j.name == "classify")
+    assert workloads.check(job, job.run(inputs), inputs) == []
+
+
 def test_geosieve_single(capsys):
     assert run(["geosieve", "--lam", "6", "--window", "7", "14"]) == 0
     out = capsys.readouterr().out
@@ -310,6 +320,19 @@ def test_geosieve_wide_box_is_exact(capsys):
     assert run(["geosieve", "--lam", "100000", "--m", "10000",
                 "--window", "11", "22"]) == 0
     assert "count\t53844\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--scheme", "all"], ["--lam", "3"],
+                                   ["--scheme", "disc0"], ["--lam", "20"],
+                                   ["--m", "1"], ["--window", "7", "14"]])
+def test_geosieve_sweep_refuses_query_flags(flags, capsys, monkeypatch):
+    # the ladder fixes its own queries, so a query flag beside --sweep,
+    # even at its default value, is refused before any work and named
+    monkeypatch.setattr(experiments, "geo_sweep", lambda: pytest.fail(
+        "the sweep ran"))
+    assert run(["geosieve", "--sweep", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flags[0] in err
 
 
 def test_geosieve_bad_window():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvsieve import orbits as ob
+from pvsieve.sieve import primes_upto
 from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_mod, pairing_mod,
                             resolvent_cubic)
 
@@ -385,5 +386,66 @@ def test_unexpected_resolvent_root_count_raises(monkeypatch):
     monkeypatch.setattr(ob, "resolvent_root_count",
                         lambda r0, r1, r2, r3, p: np.full(r0.shape, 2))
     with pytest.raises(ob.ClassifierIncompleteError,
-                       match=r"2 resolvent roots at \(1, 1, 1, 0"):
+                       match=r"p=7: signature \(nonsingular, n1=0\) splits"
+                             r" to 2 at \(1, 1, 1, 0"):
         _classify(QUARTIC, x, 7)
+
+
+def test_unknown_signature_raises(monkeypatch):
+    # three F_p base points on a nonsingular pencil is no signature of the
+    # table
+    x = (1, 1, 1, 0, 0, 0, 1, 2, 3, 0, 0, 0)
+    monkeypatch.setattr(ob, "base_locus_count",
+                        lambda coords, p: np.full(len(coords), 3))
+    with pytest.raises(ob.ClassifierIncompleteError,
+                       match=r"p=7: signature \(nonsingular, n1=3\) is not"
+                             r" in the table at \(1, 1, 1, 0"):
+        _classify(QUARTIC, x, 7)
+
+
+@pytest.mark.parametrize("p", primes_upto(101)[1:].tolist())
+def test_signature_table_keys(p):
+    # 17 signatures, distinct within each kind at every odd prime (a key
+    # that collided would shrink the dict), naming 17 distinct entries
+    # that with O_0 cover the 20 labels once each
+    table = ob.signature_table(p)
+    assert len(table) == 17
+    assert {k for k, _ in table} == set(range(len(ob.KINDS)))
+    assert len(set(table.values())) == 17
+    names = [n for v in table.values()
+             for n in ((v,) if isinstance(v, str) else v)]
+    assert sorted(names + ["O_0"]) == sorted(ob.LABELS)
+
+
+def _census(p):
+    """|O_l| for each label at p: sum over the GL_3-classes c of ternary
+    forms of |class c| #{A : label(A, B_c) = l}.  Every pair (A, B) with B
+    in class c is g.(A', B_c) for one A', so the rows (A, B_c) meet every
+    orbit."""
+    cls, reps, _ = ob.form_classes(p)
+    A = ob.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
+    sizes = np.zeros(len(ob.LABELS), dtype=np.int64)
+    for c, code in enumerate(reps):
+        Bc = ob.decode_states(np.array([code]), p, r=6)
+        X = np.concatenate([A, np.repeat(Bc, len(A), axis=0)], axis=1)
+        counts = np.bincount(ob.classify_batch(QUARTIC, X, p),
+                             minlength=len(ob.LABELS))
+        sizes += int(np.count_nonzero(cls == c)) * counts
+    return dict(zip(ob.LABELS, sizes.tolist()))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_census_identities(p):
+    # Fourier inversion at 0, Parseval, and the count of singular states,
+    # summed over the census orbit sizes with the closed-form transforms
+    from pvsieve import fourier
+    sizes = _census(p)
+    assert sum(sizes.values()) == p ** 12
+    assert sizes == {3: P3_SIZES, 5: P5_SIZES}.get(p, sizes)
+    ft = {n: fourier.ft_closed_form(fourier.QUARTIC_COND, p, n)
+          for n in ob.LABELS}
+    assert sum(sizes[n] * ft[n] for n in ob.LABELS) == 1
+    assert sum(sizes[n] * ft[n] ** 2 for n in ob.LABELS) == ft["O_0"]
+    singular = sum(sizes[n] for n in ob.LABELS
+                   if n not in ob.NONSINGULAR_LABELS)
+    assert singular == p ** 12 * ft["O_0"]
