@@ -19,9 +19,15 @@ for p in a dyadic window.
 Floating-point policy: every weighted box count is served from
 disc_value_buckets, which walks the box slice by slice of the leading
 coordinate in ascending order with the tail in lexicographic order, sums
-each slice by disc value and merges the slices in a fixed pairwise tree.
-The order of every floating-point operation is fixed, so every number
-here is reproducible bit-for-bit run to run.
+each slice by disc value, merges every 8 slices into a group and merges
+the groups as a binary counter: a new group merges with the last one of
+the same level, and at the end the leftovers merge from the newest back.
+That is the tree of merging the groups pairwise level by level with an
+odd last group carried up, built eagerly, so only about log2(groups)
+tables are alive at once.  A merge adds the terms of each value in run
+order, and a q-query sums the matching buckets in value order.  The
+order of every floating-point operation is fixed, so every number here
+is reproducible bit-for-bit run to run.
 """
 
 import functools
@@ -182,20 +188,58 @@ def main_term(q, X, weight):
     return dens * weight.phi_hat0(4) * X
 
 
-def weighted_count(q, X, weight=None):
+def weighted_count(q, X, weight=None, buckets=None):
     """(lattice sum, main term, E(X,q)) for the cubic box count of
-    q | disc(x) with weight phi(x X^{-1/4}), served from the buckets."""
+    q | disc(x) with weight phi(x X^{-1/4}), served from buckets, the
+    (vals, sums) of disc_value_buckets(X, weight), or from a fresh pass."""
     weight = weight or SmoothWeight()
-    total = serve_buckets(*disc_value_buckets(X, weight), q)
+    total = serve_buckets(*(buckets or disc_value_buckets(X, weight)), q)
     main = main_term(q, X, weight)
     return total, main, total - main
+
+
+def divisible(vals, d):
+    """Exact boolean mask of d | vals, for an integer d >= 1.
+
+    On a signed integer array this is the multiply-by-inverse test of
+    Granlund and Montgomery ("Division by invariant integers using
+    multiplication", PLDI 1994) on the w-bit unsigned view, with no
+    division.  Write d = 2^e m with m odd, m' = m^-1 mod 2^w and
+    L = floor((2^(w-1) - 1) / m).  The multiples of m in the signed range
+    are k m with |k| <= L, and v -> v m' mod 2^w is a bijection sending
+    k m to k, so m | v exactly when (v m' + L) mod 2^w <= 2L; and 2^e | v
+    exactly when the low e bits of v are zero.  The test holds for every
+    d and every value, the dtype's minimum included.  Other arrays
+    (object, unsigned) take `% d`."""
+    d = int(d)
+    if d < 1:
+        raise ValueError(f"divisor must be >= 1, got {d}")
+    if vals.dtype.kind != "i":
+        return vals % d == 0
+    w = 8 * vals.dtype.itemsize
+    u = vals.view(f"u{vals.dtype.itemsize}")
+    word = u.dtype.type
+    e = (d & -d).bit_length() - 1
+    m = d >> e
+    if m > 1:
+        L = ((1 << (w - 1)) - 1) // m
+        t = u * word(pow(m, -1, 1 << w))
+        t += word(L)
+        ok = t <= word(2 * L)
+    else:
+        ok = np.ones(vals.shape, dtype=bool)
+    if e:
+        ok &= (u & word((1 << min(e, w)) - 1)) == 0
+    return ok
 
 
 def disc_value_buckets(X, weight=None):
     """One pass over the box |x_i| <= box_radius(X); returns (vals, sums):
     distinct disc values (sorted) and the total weight attached to each.
-    Serving any q | disc query afterwards is a divisibility scan of the
-    value array.  Boxes beyond the point budget are refused."""
+    The values are int32 when the bound |disc| <= 54 R^4 allows it (always,
+    within the point budget), int64 otherwise.  Serving any q | disc query
+    afterwards is a divisibility scan of the value array.  Boxes beyond
+    the point budget are refused."""
     weight = weight or SmoothWeight()
     R = box_radius(X, weight.s)
     if (2 * R + 1) ** 4 > 3e8:
@@ -203,38 +247,49 @@ def disc_value_buckets(X, weight=None):
     xs = np.arange(-R, R + 1, dtype=np.int64)
     w1 = weight.psi(xs / (weight.s * X ** 0.25))
     W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
-    groups = []
+    # int32 halves the bytes every sort, merge and q-scan moves
+    dtype = np.int32 if 54 * R ** 4 < 2 ** 31 else np.int64
+    counter = []                    # (level, vals, sums), levels decreasing
     pend_v, pend_s = [], []
     for ia, disc in _disc_slices((xs,) * 4):
-        v, inv = np.unique(disc, return_inverse=True)
+        v, inv = np.unique(disc.astype(dtype), return_inverse=True)
         s = np.bincount(inv, weights=W3 * w1[ia])
         pend_v.append(v)
         pend_s.append(s)
         if len(pend_v) >= 8 or ia == len(xs) - 1:     # merge every 8 slices
-            groups.append(_merge_buckets(pend_v, pend_s))
+            level, (v, s) = 0, _merge_buckets(pend_v, pend_s)
             pend_v, pend_s = [], []
-    while len(groups) > 1:                  # fixed pairwise merge tree
-        groups = [_merge_buckets([a[0], b[0]], [a[1], b[1]])
-                  for a, b in zip(groups[::2], groups[1::2])] + \
-                 ([groups[-1]] if len(groups) % 2 else [])
-    vals, sums = groups[0]
-    if vals.size and max(-int(vals[0]), int(vals[-1])) < 2 ** 31:
-        vals = vals.astype(np.int32)        # halves the q-serving cost
+            while counter and counter[-1][0] == level:
+                _, v0, s0 = counter.pop()
+                level, (v, s) = level + 1, _merge_buckets([v0, v], [s0, s])
+            counter.append((level, v, s))
+    _, vals, sums = counter.pop()
+    while counter:
+        _, v0, s0 = counter.pop()
+        vals, sums = _merge_buckets([v0, vals], [s0, sums])
     return vals, sums
 
 
 def _merge_buckets(vs, ss):
-    vals, inv = np.unique(np.concatenate(vs), return_inverse=True)
-    sums = np.bincount(inv, weights=np.concatenate(ss))
-    return vals, sums
+    """Merge sorted (vals, sums) runs into one.  The stable argsort (a
+    timsort, which merges sorted runs in linear time) keeps equal values
+    in run order, and bincount adds each value's terms in that order."""
+    v = np.concatenate(vs)
+    order = np.argsort(v, kind="stable")
+    v, s = v[order], np.concatenate(ss)[order]
+    del order
+    new = np.empty(v.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    ids = np.cumsum(new)
+    ids -= 1
+    return v[new], np.bincount(ids, weights=s)
 
 
 def serve_buckets(vals, sums, q):
-    if q == 1:
-        return float(np.sum(sums))
-    if q >= np.iinfo(vals.dtype).max:
-        return float(np.sum(sums[vals.astype(np.int64) % q == 0]))
-    return float(np.sum(sums[vals % vals.dtype.type(q) == 0]))
+    """Weight of the buckets whose value q divides: one exact divisibility
+    scan of vals, the matching sums added in value order."""
+    return float(np.sum(sums[divisible(vals, q)]))
 
 
 @dataclass
@@ -289,16 +344,27 @@ def lod_error_sum(cfg=None):
     per_X = []
     q_rows = []
     for X in cfg.X_grid:
-        qs = sieve.squarefree_upto(int(X ** cfg.alpha))
+        qs = [int(q) for q in sieve.squarefree_upto(int(X ** cfg.alpha))]
         vals, sums = disc_value_buckets(X, weight)
         w0 = reducible_mass(vals, sums)
+        # serve each q from the values its largest prime P divides: they
+        # hold every value q divides, in the same order, so each sum is
+        # bit-identical to a scan of the whole table
+        by_P = {}
+        for q in qs:
+            by_P.setdefault(max(factor_squarefree(q), default=1), []).append(q)
+        lat = {}
+        for P, group in by_P.items():
+            keep = divisible(vals, P)
+            vP, sP = vals[keep], sums[keep]
+            for q in group:
+                lat[q] = serve_buckets(vP, sP, q)
         cum = 0.0
         rows = []
         for q in qs:
-            lat = serve_buckets(vals, sums, int(q))
-            mn = main_term(int(q), X, weight)
-            rows.append((int(q), lat, mn, lat - w0 - mn))
-            cum += abs(lat - w0 - mn)
+            mn = main_term(q, X, weight)
+            rows.append((q, lat[q], mn, lat[q] - w0 - mn))
+            cum += abs(lat[q] - w0 - mn)
         per_X.append((X, len(qs), w0, cum, cum / X))
         q_rows = rows
     slope, _, resid = _fit_loglog([row[0] for row in per_X],
@@ -371,10 +437,19 @@ def poisson_tail_bound(q, X, weight, Z):
     return X * ((T + tau) ** 4 - T ** 4)
 
 
+@functools.lru_cache(maxsize=1)
+def _poisson_buckets(X, weight):
+    """disc_value_buckets(X, weight), shared by consecutive Poisson checks
+    of one box; read-only, so no caller can change the cached table."""
+    vals, sums = disc_value_buckets(X, weight)
+    vals.flags.writeable = sums.flags.writeable = False
+    return vals, sums
+
+
 def poisson_check(q, X=10 ** 4, weight=None, Z=None):
     weight = weight or SmoothWeight()
     Z = Z if Z is not None else 2 + 2 * q
-    lhs, _, _ = weighted_count(q, X, weight)
+    lhs, _, _ = weighted_count(q, X, weight, _poisson_buckets(X, weight))
     return PoissonReport(q=q, X=X, Z=Z, lhs=lhs,
                          rhs=poisson_rhs(q, X, weight, Z),
                          rhs_double=poisson_rhs(q, X, weight, 2 * Z),
@@ -570,7 +645,9 @@ class GeoPairReport:
 def geo_pair_count(query):
     """Exact count of pairs (x, p): x in the lam-box on the progression
     x0 + m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p
-    (every x for the scheme "all")."""
+    (every x for the scheme "all").  Each box slice is tested once per
+    prime by divisible: a multiply-by-inverse on int64 discriminants, `%`
+    on the exact object path."""
     if query.scheme not in GEO_CODIM:
         raise ValueError(f"unknown scheme {query.scheme!r}")
     axes = [box_axis(query.lam, query.x0[i], query.m) for i in range(4)]
@@ -587,7 +664,7 @@ def geo_pair_count(query):
         else:
             for _, disc in _disc_slices(axes):
                 for p in ps:
-                    count += int(np.count_nonzero(disc % p == 0))
+                    count += int(np.count_nonzero(divisible(disc, p)))
     lam_over_m = query.lam / query.m
     bound = lam_over_m ** (4 - GEO_CODIM[query.scheme]) * P * query.lam ** 0.1
     return GeoPairReport(query=query, count=count, n_primes=len(ps),

@@ -150,6 +150,101 @@ def test_buckets_serve_and_reducible_mass(weight):
         assert ex.serve_buckets(vals, sums, q) == pytest.approx(ref, rel=1e-12)
 
 
+DIVISORS = (1, 2, 3, 6, 30, 210, 821, 1642, 2 ** 31 - 1, 2 ** 31 + 11,
+            2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object],
+                         ids=["int32", "int64", "object"])
+def test_divisible_matches_python_int(dtype):
+    info = np.iinfo(np.int64 if dtype is object else dtype)
+    lo, hi = int(info.min), int(info.max)
+    rng = np.random.default_rng(7)
+    edges = [0, 1, -1, lo, lo + 1, hi, hi - 1]
+    if dtype is object:        # exact integers past int64 as well
+        edges += [3 * 2 ** 70, -(2 ** 61 - 1) * 2 ** 40, 821 * 10 ** 30]
+    randoms = [int(v) for v in rng.integers(lo, hi, 2000, dtype=np.int64)]
+    for d in DIVISORS:
+        k = [int(v) for v in rng.integers(-(hi // d), hi // d + 1, 200)]
+        vals = np.array(edges + randoms + [d * t for t in k], dtype=dtype)
+        want = [int(v) % d == 0 for v in vals]
+        got = ex.divisible(vals, d)
+        assert got.dtype == bool and got.tolist() == want, d
+    with pytest.raises(ValueError):
+        ex.divisible(np.arange(3), 0)
+
+
+def _buckets_oracle(X, weight):
+    """The bucket build as a per-slice np.unique, a merge every 8 slices
+    by np.unique over the concatenation, a pairwise merge tree level by
+    level with an odd last group carried up, and one int32 cast at the
+    end."""
+    R = ex.box_radius(X, weight.s)
+    xs = np.arange(-R, R + 1, dtype=np.int64)
+    w1 = weight.psi(xs / (weight.s * X ** 0.25))
+    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
+
+    def merge(vs, ss):
+        v, inv = np.unique(np.concatenate(vs), return_inverse=True)
+        return v, np.bincount(inv, weights=np.concatenate(ss))
+
+    groups, pend = [], []
+    for ia, disc in ex._disc_slices((xs,) * 4):
+        v, inv = np.unique(disc, return_inverse=True)
+        pend.append((v, np.bincount(inv, weights=W3 * w1[ia])))
+        if len(pend) >= 8 or ia == len(xs) - 1:
+            groups.append(merge(*zip(*pend)))
+            pend = []
+    while len(groups) > 1:
+        groups = [merge((a[0], b[0]), (a[1], b[1]))
+                  for a, b in zip(groups[::2], groups[1::2])] + \
+                 ([groups[-1]] if len(groups) % 2 else [])
+    vals, sums = groups[0]
+    assert max(-int(vals[0]), int(vals[-1])) < 2 ** 31
+    return vals.astype(np.int32), sums
+
+
+@pytest.mark.parametrize("X", [10 ** 4, 3 * 10 ** 4, 10 ** 5, 4 * 10 ** 5])
+def test_buckets_bit_identical_to_pairwise_tree(X, weight):
+    # 21, 27, 35 and 51 slices: 3, 4, 5 and 7 groups of 8, so the binary
+    # counter ends with two, one, two and three tables left to fold, and
+    # only three tables tell the fold's order apart
+    vals, sums = ex.disc_value_buckets(X, weight)
+    want_vals, want_sums = _buckets_oracle(X, weight)
+    assert vals.dtype == want_vals.dtype == np.int32
+    assert np.array_equal(vals, want_vals)
+    assert sums.tobytes() == want_sums.tobytes()
+
+
+def test_lod_served_by_largest_prime_bit_identical(weight):
+    X = 10 ** 5
+    rep = ex.lod_error_sum(ex.LodConfig(X_grid=(X,)))
+    vals, sums = _buckets_oracle(X, weight)
+    wide = vals.astype(np.int64)
+    qs = [row[0] for row in rep.q_rows]
+    assert qs == [int(q) for q in sieve.squarefree_upto(int(X ** 0.45))]
+    for q, lat, _, _ in rep.q_rows:
+        assert lat == float(np.sum(sums[wide % q == 0])), q
+
+
+def test_poisson_check_shares_one_read_only_table(weight, monkeypatch):
+    built = []
+    real = ex.disc_value_buckets
+    monkeypatch.setattr(ex, "disc_value_buckets",
+                        lambda *a: built.append(a) or real(*a))
+    ex._poisson_buckets.cache_clear()
+    try:
+        lhs = [ex.poisson_check(q, 10 ** 4, weight).lhs for q in (1, 3, 5)]
+        vals, sums = ex._poisson_buckets(10 ** 4, weight)
+    finally:
+        ex._poisson_buckets.cache_clear()
+    assert len(built) == 1
+    assert not vals.flags.writeable and not sums.flags.writeable
+    with pytest.raises(ValueError):
+        sums[0] = 0.0
+    assert lhs == [ex.weighted_count(q, 10 ** 4, weight)[0] for q in (1, 3, 5)]
+
+
 def test_reducible_mass_absent_bucket():
     assert ex.reducible_mass(np.array([2, 5]), np.array([1.0, 1.0])) == 0.0
     assert ex.reducible_mass(np.array([-3, 5]), np.array([1.0, 1.0])) == 0.0
