@@ -17,12 +17,15 @@ parametrization, and count geometric-sieve pairs (x, p) with p | disc(x)
 for p in a dyadic window.
 
 Floating-point policy: every weighted box count is served from
-disc_value_buckets, which walks the box slice by slice of the leading
-coordinate in ascending order with the tail in lexicographic order, sums
-each slice by disc value, merges every 8 slices into a group and merges
-the groups as a binary counter: a new group merges with the last one of
-the same level, and at the end the leftovers merge from the newest back.
-That is the tree of merging the groups pairwise level by level with an
+disc_value_buckets, which walks the slices a = 0..R of the box's
+fundamental domain under its order-8 symmetry group (_disc_slices, the
+one box walk of the cubic engines) in ascending order, with the tail
+ordered by d, then b, then c.  Each point's weight is its bump value
+times its multiplicity, a power of two, so folding the multiplicity in
+is exact.  The pass sums each slice by disc value, merges every 8 slices
+into a group and merges the groups as a binary counter: a new group
+merges with the last one of the same level, and at the end the leftovers
+merge from the newest back.  That is the tree of merging the groups pairwise level by level with an
 odd last group carried up, built eagerly, so only about log2(groups)
 tables are alive at once.  A merge adds the terms of each value in run
 order, and a q-query sums the matching buckets in value order.  The
@@ -164,20 +167,43 @@ def box_radius(X, s=1.0, d=4):
     return int(np.floor(s * X ** (1 / d) - 1e-12))
 
 
-def _disc_slices(axes):
-    """Yield (i, disc) for each leading coordinate axes[0][i], with disc
-    taken over the meshgrid of axes[1:] in lexicographic order.
+def _disc_slices(axis):
+    """Walk the fundamental domain of the box axis^4 (axis symmetric about
+    0) under the order-8 group generated by (a,b,c,d) -> (d,c,b,a),
+    (a,b,c,d) -> (-a,b,-c,d) and x -> -x, which preserves disc, the box
+    and every tensor weight prod w(x_i) with w even.
 
-    The dtype is chosen once, by spaces.disc_dtype from the largest
-    |coordinate|: int64 when disc fits, exact Python-int object arrays when
-    it does not."""
-    M = max((abs(int(t)) for ax in axes for t in ax), default=0)
-    dtype = disc_dtype(M)
-    tail = np.meshgrid(*(np.asarray(ax, dtype=np.int64).astype(dtype)
-                         for ax in axes[1:]), indexing="ij")
-    B, C, D = (t.ravel() for t in tail)
-    for i, a in enumerate(axes[0]):
-        yield i, disc_cubic(np.full_like(B, int(a)), B, C, D)
+    The domain is a >= 0, b >= 0, all c, |d| <= a.  Reversal carries
+    |d| > |a| onto |a| > |d|, the second generator flips the sign of a and
+    keeps |a|, |d| and c's axis, and the composite (a,-b,c,-d) flips the
+    sign of b; so a domain point stands for w(a) w(b) v(a, d) box points,
+    w(t) = 2 for t > 0 and 1 for t = 0, v = 2 for |d| < a and 1 for
+    |d| = a.
+
+    Yields (ia, disc, mult, (ib, ic, id)) for each axis[ia] >= 0 in
+    ascending order: the slice's discriminants, multiplicities and indices
+    into axis, with d, then b, then c ascending.  The dtype is chosen once,
+    by spaces.disc_dtype from max |t|."""
+    axis = np.asarray(axis, dtype=np.int64)
+    n = axis.size
+    if n % 2 == 0 or not np.array_equal(axis, -axis[::-1]):
+        raise ValueError("the box axis must be symmetric about 0")
+    z = n // 2                                 # axis[z] = 0
+    dtype = disc_dtype(int(axis[-1]))
+    idx = np.indices((n, n - z, n)).reshape(3, -1)
+    idx[1] += z
+    id_, ib, ic = idx
+    D, B, C = (axis[i].astype(dtype) for i in idx)
+    per_d = (n - z) * n                        # points of one d in the tail
+    w_b = np.where(ib[:per_d] == z, 1, 2)      # w(b) over one d's (b, c)
+    for i in range(n - z):
+        rows = slice((z - i) * per_d, (z + i + 1) * per_d)
+        v = np.full(2 * i + 1, 2)              # v(a, d) for d = -a..a
+        v[[0, -1]] = 1
+        mult = ((2 if i else 1) * v[:, None] * w_b).ravel()
+        a = np.asarray(axis[z + i]).astype(dtype)
+        yield (z + i, disc_cubic(a, B[rows], C[rows], D[rows]), mult,
+               (ib[rows], ic[rows], id_[rows]))
 
 
 def main_term(q, X, weight):
@@ -236,24 +262,24 @@ def divisible(vals, d):
 def disc_value_buckets(X, weight=None):
     """One pass over the box |x_i| <= box_radius(X); returns (vals, sums):
     distinct disc values (sorted) and the total weight attached to each.
-    The values are int32 when the bound |disc| <= 54 R^4 allows it (always,
-    within the point budget), int64 otherwise.  Serving any q | disc query
-    afterwards is a divisibility scan of the value array.  Boxes beyond
-    the point budget are refused."""
+    The pass walks the box's fundamental domain (_disc_slices), and each
+    point weighs w1[a] w1[b] w1[c] w1[d] times its multiplicity, a power
+    of two, so the product is exact.  The values keep the walk's dtype:
+    int32 within the point budget (54 R^4 < 2^31 up to R = 79).  Serving
+    any q | disc query afterwards is a divisibility scan of the value
+    array.  Boxes beyond the point budget are refused."""
     weight = weight or SmoothWeight()
     R = box_radius(X, weight.s)
     if (2 * R + 1) ** 4 > 3e8:
         raise ResourceLimitError(f"box radius {R} beyond the point budget")
     xs = np.arange(-R, R + 1, dtype=np.int64)
     w1 = weight.psi(xs / (weight.s * X ** 0.25))
-    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
-    # int32 halves the bytes every sort, merge and q-scan moves
-    dtype = np.int32 if 54 * R ** 4 < 2 ** 31 else np.int64
     counter = []                    # (level, vals, sums), levels decreasing
     pend_v, pend_s = [], []
-    for ia, disc in _disc_slices((xs,) * 4):
-        v, inv = np.unique(disc.astype(dtype), return_inverse=True)
-        s = np.bincount(inv, weights=W3 * w1[ia])
+    for ia, disc, mult, (ib, ic, id_) in _disc_slices(xs):
+        v, inv = np.unique(disc, return_inverse=True)
+        s = np.bincount(inv, weights=w1[ia] * w1[ib] * w1[ic] * w1[id_]
+                        * mult)
         pend_v.append(v)
         pend_s.append(s)
         if len(pend_v) >= 8 or ia == len(xs) - 1:     # merge every 8 slices
@@ -281,7 +307,7 @@ def _merge_buckets(vs, ss):
     new = np.empty(v.size, dtype=bool)
     new[:1] = True
     np.not_equal(v[1:], v[:-1], out=new[1:])
-    ids = np.cumsum(new)
+    ids = np.cumsum(new, dtype=np.int32)    # tables stay below 2^31
     ids -= 1
     return v[new], np.bincount(ids, weights=s)
 
@@ -577,14 +603,18 @@ def dual_bound_majorant(N, Z):
     points of the box are counted with the largest |class value| per prime
     (the y = 0 line, fourier.omega), and disc != 0 points go through
     |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
-    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|.  Exact rational output (maj0, maj1), within the
-    dual_bound_sum budget."""
+    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|, counted over
+    the box's fundamental domain with multiplicities.  Exact rational
+    output (maj0, maj1), within the dual_bound_sum budget."""
     moduli = check_dual_bound(N, Z, CUBIC)
-    D = np.abs(disc(CUBIC, _nonzero_box(Z, 4)))
-    maj0 = int(np.count_nonzero(D == 0)) * sum(
+    D, mult = zip(*((abs(d), m) for _, d, m, _ in _disc_slices(box_axis(Z))))
+    values, inv = np.unique(np.concatenate(D), return_inverse=True)
+    counts = np.bincount(inv, weights=np.concatenate(mult)).astype(np.int64)
+    # values[0] = 0 always, and the origin is not a point of the sum
+    maj0 = (int(counts[0]) - 1) * sum(
         (math.prod((fourier.omega(CUBIC, p) for p in ps), start=1)
          for ps in moduli.values()), Fraction(0))
-    values, counts = np.unique(D[D != 0], return_counts=True)
+    values, counts = values[1:], counts[1:]
     n_star = max(1, -(-N // 3))        # least possible q* = q / (q,3)
     weights = {}       # icbrt(f) -> sum of count * f over f | disc, f <= 8N^3
     for value, count in zip(values.tolist(), counts.tolist()):
@@ -620,9 +650,9 @@ GEO_CODIM = {"disc0": 1, "all": 0}     # the codimension a of each scheme
 class GeoSieveQuery:
     lam: int
     m: int = 1
-    x0: tuple = (0, 0, 0, 0)
     window: tuple = None      # (P, 2P); default P = 2*lam/m + 1
     scheme: str = "disc0"     # "disc0": p | disc(x); "all": every x
+    x0 = (0, 0, 0, 0)         # the box centre, fixed: the walk needs symmetry
 
     def prime_window(self):
         if self.window is not None:
@@ -644,14 +674,16 @@ class GeoPairReport:
 
 def geo_pair_count(query):
     """Exact count of pairs (x, p): x in the lam-box on the progression
-    x0 + m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p
-    (every x for the scheme "all").  Each box slice is tested once per
-    prime by divisible: a multiply-by-inverse on int64 discriminants, `%`
-    on the exact object path."""
+    m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p
+    (every x for the scheme "all").  The fundamental domain of the box is
+    walked once; each slice counts its primes per point by divisible (a
+    multiply-by-inverse on int32 and int64 discriminants, `%` on the exact
+    object path), and one dot product with the multiplicities adds them
+    up."""
     if query.scheme not in GEO_CODIM:
         raise ValueError(f"unknown scheme {query.scheme!r}")
-    axes = [box_axis(query.lam, query.x0[i], query.m) for i in range(4)]
-    n_pts = math.prod(map(len, axes))
+    axis = box_axis(query.lam, 0, query.m)
+    n_pts = len(axis) ** 4
     if n_pts > 2e8:
         raise ResourceLimitError(f"{n_pts} progression points in the box")
     P, P2 = query.prime_window()
@@ -662,9 +694,11 @@ def geo_pair_count(query):
         if query.scheme == "all":
             count = n_pts * len(ps)
         else:
-            for _, disc in _disc_slices(axes):
+            for _, disc, mult, _ in _disc_slices(axis):
+                hits = np.zeros(disc.shape, dtype=np.int32)
                 for p in ps:
-                    count += int(np.count_nonzero(divisible(disc, p)))
+                    hits += divisible(disc, p)
+                count += int(np.dot(hits, mult))
     lam_over_m = query.lam / query.m
     bound = lam_over_m ** (4 - GEO_CODIM[query.scheme]) * P * query.lam ** 0.1
     return GeoPairReport(query=query, count=count, n_primes=len(ps),

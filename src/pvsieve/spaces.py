@@ -58,10 +58,14 @@ def disc_cubic(a, b, c, d):
 
 
 def disc_dtype(M):
-    """int64 when |coords| <= M keeps disc_cubic and its partial sums in
-    int64 (they are bounded by 54 M^4), exact object arrays otherwise; int64
-    would wrap once M passes ~20 000."""
-    return np.int64 if 54 * M ** 4 < 2 ** 63 else object
+    """The narrowest exact dtype for disc_cubic on |coords| <= M: every
+    partial sum is bounded by 54 M^4, so int32 while that is below 2^31
+    (M <= 79), int64 below 2^63 (M up to ~20 000), exact object arrays
+    beyond."""
+    bound = 54 * M ** 4
+    if bound < 2 ** 31:
+        return np.int32
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def _det3_sym(a11, a22, a33, a12, a13, a23):

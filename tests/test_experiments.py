@@ -14,7 +14,8 @@ import pytest
 
 from pvsieve import experiments as ex
 from pvsieve import fourier, orbits, sieve
-from pvsieve.spaces import QUARTIC, ResourceLimitError, box_axis, disc_cubic
+from pvsieve.spaces import (QUARTIC, ResourceLimitError, box_axis,
+                            disc_cubic, disc_dtype)
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +119,61 @@ def test_weighted_count_restriction_monotone(weight):
     assert 0 < lat3 <= lat1
 
 
-@pytest.mark.parametrize("Z,m", [(3, 1), (100000, 10000)],
-                         ids=["int64", "exact"])
-def test_disc_slices_exact_in_lex_order(Z, m):
-    # |coords| ~ 1e5 puts disc past int64, so the second box takes the
-    # object-array path; both must match Python-int disc point by point
-    axes = [box_axis(Z, x0, m) for x0 in (1, 0, -1, 2)]
-    slices = list(ex._disc_slices(axes))
-    assert [i for i, _ in slices] == list(range(len(axes[0])))
-    got = [int(v) for _, d in slices for v in d]
-    assert got == [disc_cubic(*x) for x in itertools.product(*axes)]
+def _canonical(x):
+    """The fundamental-domain image of a box point: reverse when |a| < |d|,
+    then make a >= 0 by (a,b,c,d) -> (-a,b,-c,d) and b >= 0 by
+    (a,b,c,d) -> (a,-b,c,-d)."""
+    a, b, c, d = x if abs(x[0]) >= abs(x[3]) else x[::-1]
+    if a < 0:
+        a, c = -a, -c
+    if b < 0:
+        b, d = -b, -d
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("Z,m", [(3, 1), (200, 50), (100000, 10000),
+                                 (0, 1), (1, 1), (6, 3)],
+                         ids=["int32", "int64", "exact", "origin", "R1",
+                              "progression"])
+def test_disc_slices_walk_the_box_with_multiplicities(Z, m):
+    # the three dtype tiers: |coords| <= 3, <= 200 and ~1e5 (disc past
+    # int64, so object arrays); each point's disc must equal the Python-int
+    # disc of its indices, and its multiplicity the number of box points
+    # whose canonical image it is
+    axis = box_axis(Z, 0, m)
+    M = max(axis)
+    mult_of, values, weights = {}, [], []
+    slices = list(ex._disc_slices(axis))
+    assert [ia for ia, *_ in slices] == [i for i, t in enumerate(axis)
+                                         if t >= 0]
+    for ia, d, mult, (ib, ic, id_) in slices:
+        assert d.dtype == disc_dtype(M)
+        for t, k, x in zip(d.tolist(), mult.tolist(),
+                           zip([ia] * d.size, ib, ic, id_)):
+            x = tuple(axis[i] for i in x)
+            assert int(t) == disc_cubic(*x) and x not in mult_of
+            mult_of[x] = k
+        values += d.tolist()
+        weights += mult.tolist()
+    assert sum(weights) == len(axis) ** 4
+    images = {}
+    for x in itertools.product(axis, repeat=4):
+        images[_canonical(x)] = images.get(_canonical(x), 0) + 1
+    assert mult_of == images
+    # the multiplicity-weighted histogram is the box's, in Python ints
+    A, B, C, D = np.meshgrid(*[np.array(axis, dtype=disc_dtype(M))] * 4,
+                             indexing="ij")
+    want = np.unique(disc_cubic(A, B, C, D).ravel(), return_counts=True)
+    got = {}
+    for t, k in zip(values, weights):
+        got[int(t)] = got.get(int(t), 0) + k
+    assert got == {int(t): int(k) for t, k in zip(*want)}
+
+
+def test_disc_slices_refuse_an_asymmetric_axis():
+    for axis in (range(-2, 4), range(-3, 4, 2), box_axis(5, 1, 3)):
+        with pytest.raises(ValueError, match="symmetric"):
+            next(ex._disc_slices(axis))
 
 
 def test_buckets_serve_and_reducible_mass(weight):
@@ -175,23 +221,23 @@ def test_divisible_matches_python_int(dtype):
 
 
 def _buckets_oracle(X, weight):
-    """The bucket build as a per-slice np.unique, a merge every 8 slices
-    by np.unique over the concatenation, a pairwise merge tree level by
-    level with an odd last group carried up, and one int32 cast at the
-    end."""
+    """The bucket build over the same fundamental-domain walk, as a
+    per-slice np.unique, a merge every 8 slices by np.unique over the
+    concatenation, and a pairwise merge tree level by level with an odd
+    last group carried up."""
     R = ex.box_radius(X, weight.s)
     xs = np.arange(-R, R + 1, dtype=np.int64)
     w1 = weight.psi(xs / (weight.s * X ** 0.25))
-    W3 = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
 
     def merge(vs, ss):
         v, inv = np.unique(np.concatenate(vs), return_inverse=True)
         return v, np.bincount(inv, weights=np.concatenate(ss))
 
     groups, pend = [], []
-    for ia, disc in ex._disc_slices((xs,) * 4):
+    for ia, disc, mult, (ib, ic, id_) in ex._disc_slices(xs):
         v, inv = np.unique(disc, return_inverse=True)
-        pend.append((v, np.bincount(inv, weights=W3 * w1[ia])))
+        pend.append((v, np.bincount(
+            inv, weights=w1[ia] * w1[ib] * w1[ic] * w1[id_] * mult)))
         if len(pend) >= 8 or ia == len(xs) - 1:
             groups.append(merge(*zip(*pend)))
             pend = []
@@ -199,16 +245,16 @@ def _buckets_oracle(X, weight):
         groups = [merge((a[0], b[0]), (a[1], b[1]))
                   for a, b in zip(groups[::2], groups[1::2])] + \
                  ([groups[-1]] if len(groups) % 2 else [])
-    vals, sums = groups[0]
-    assert max(-int(vals[0]), int(vals[-1])) < 2 ** 31
-    return vals.astype(np.int32), sums
+    return groups[0]
 
 
-@pytest.mark.parametrize("X", [10 ** 4, 3 * 10 ** 4, 10 ** 5, 4 * 10 ** 5])
+@pytest.mark.parametrize("X", [10 ** 4, 3 * 10 ** 4, 10 ** 5, 4 * 10 ** 5,
+                               54 * 10 ** 5])
 def test_buckets_bit_identical_to_pairwise_tree(X, weight):
-    # 21, 27, 35 and 51 slices: 3, 4, 5 and 7 groups of 8, so the binary
-    # counter ends with two, one, two and three tables left to fold, and
-    # only three tables tell the fold's order apart
+    # R + 1 = 10, 14, 18, 26 and 49 slices of the fundamental domain: 2,
+    # 2, 3, 4 and 7 groups of 8, so the binary counter ends with one, one,
+    # two, one and three tables left to fold, and only three tables tell
+    # the fold's order apart
     vals, sums = ex.disc_value_buckets(X, weight)
     want_vals, want_sums = _buckets_oracle(X, weight)
     assert vals.dtype == want_vals.dtype == np.int32
@@ -464,21 +510,25 @@ def test_dual_bound_quartic_propagates_classifier_gap(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_geo_pair_count_oracle_double_loop():
-    lam = 6
-    query = ex.GeoSieveQuery(lam=lam, window=(7, 14))
-    rep = ex.geo_pair_count(query)
-    want = 0
-    primes = [7, 11, 13]
-    for a in range(-lam, lam + 1):
-        for b in range(-lam, lam + 1):
-            for c in range(-lam, lam + 1):
-                for d in range(-lam, lam + 1):
-                    D = disc_cubic(a, b, c, d)
-                    for p in primes:
-                        if D % p == 0:
-                            want += 1
-    assert rep.count == want
-    assert rep.n_primes == 3
+    # the windows with 2, 3 and 5 are where a wrong multiplicity on the
+    # a = 0, b = 0 or |d| = a faces of the fundamental domain would show
+    for lam, m, window, primes in ((6, 1, (7, 14), [7, 11, 13]),
+                                   (5, 1, (2, 7), [2, 3, 5, 7]),
+                                   (5, 2, (2, 7), [3, 5, 7])):
+        query = ex.GeoSieveQuery(lam=lam, m=m, window=window)
+        rep = ex.geo_pair_count(query)
+        axis = range(-lam + lam % m, lam + 1, m)
+        want = 0
+        for a in axis:
+            for b in axis:
+                for c in axis:
+                    for d in axis:
+                        D = disc_cubic(a, b, c, d)
+                        for p in primes:
+                            if D % p == 0:
+                                want += 1
+        assert rep.count == want, (lam, m)
+        assert rep.n_primes == len(primes)
 
 
 def test_geo_pair_count_degenerate():
