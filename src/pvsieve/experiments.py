@@ -381,7 +381,7 @@ def lod_error_sum(cfg=None):
             by_P.setdefault(max(factor_squarefree(q), default=1), []).append(q)
         lat = {}
         for P, group in by_P.items():
-            keep = divisible(vals, P)
+            keep = np.flatnonzero(divisible(vals, P))
             vP, sP = vals[keep], sums[keep]
             for q in group:
                 lat[q] = serve_buckets(vP, sP, q)

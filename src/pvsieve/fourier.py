@@ -166,8 +166,9 @@ def space_kernel(space):
     exhaustive (cond, p) -> (numerators, denominator) at every target in
     code order, or None.  The kernels are looked up at each call.
 
-    Cubic: cubic_class_batch (about eight steps), ft_histograms within the
-    sweep budget, the Radon all-target kernel.  Quartic: the labels of
+    Cubic: cubic_class_batch (about eight steps), ft_histograms (one walk
+    of the support slices serving every target) within the sweep budget,
+    the Radon all-target kernel over the same slices.  Quartic: the labels of
     orbits.classify_batch, whose base-locus count visits the p^2 + p + 1
     points of P^2(F_p); ft_fibered_histograms, capped by its Radon fibres
     (p <= 11), at targets whose labels past the orbit BFS budget (p >= 7)
@@ -193,30 +194,78 @@ def target_classes(space, Y, p):
 # brute force
 # ---------------------------------------------------------------------------
 
-# states decoded at a time by the ft_histograms sweep
-_SWEEP_CHUNK = 1 << 20
+def _support_slices(cond, p, n, suffix=()):
+    """The support {p | disc x} over the states x = (tail, t, *suffix) of
+    V(F_p), tail running over the p^(n-1) states of the first n - 1
+    coordinates: one boolean mask over the tail, in state-code order, for
+    each t = 0, ..., p - 1.  Concatenated, the masks cover the p^n codes of
+    the first n coordinates in code order; suffix fixes the other r - n.
+
+    The tail grid is decoded once.  Along t, disc(tail, t, *suffix) is an
+    integer polynomial f(t) of degree <= space.d (disc is homogeneous of
+    degree d), so its (d + 1)-th forward difference vanishes identically
+    over Z.  The walker takes f(0), ..., f(d) from disc_mod, turns them into
+    the differences Delta^k f(0), and steps them along t by
+    Delta^k f(t + 1) = Delta^k f(t) + Delta^(k+1) f(t).  Reduction mod p is a
+    ring map, so the recurrence is exact on residues at every p; each step
+    is d additions of 32-bit residues.  When p <= d + 1 every slice comes
+    from disc_mod."""
+    space = cond.space
+    X = np.empty((p ** (n - 1), space.r), dtype=np.int16)
+    X[:, :n - 1] = orbits.decode_states(
+        np.arange(p ** (n - 1), dtype=np.int64), p, r=n - 1)
+    X[:, n:] = suffix
+
+    def at(t):
+        X[:, n - 1] = t
+        return X
+    if p <= space.d + 1:
+        for t in range(p):
+            yield cond.support_mask(at(t), p)
+        return
+    # D[k] = Delta^k f(0) mod p, by Newton's differences of the seeds
+    D = [disc_mod(space, at(t), p).astype(np.uint32)
+         for t in range(space.d + 1)]
+    for k in range(1, len(D)):
+        for j in range(len(D) - 1, k - 1, -1):
+            D[j] = (D[j] + (p - D[j - 1])) % p
+    spill = np.empty_like(D[0])
+    for t in range(p):
+        yield D[0] == 0
+        for k in range(len(D) - 1):
+            # a + b mod p for residues a, b: the sum is below 2p, and
+            # a + b - p wraps past it in unsigned arithmetic when a + b < p
+            D[k] += D[k + 1]
+            np.subtract(D[k], np.uint32(p), out=spill)
+            np.minimum(D[k], spill, out=D[k])
 
 
 def ft_histograms(cond, p, targets):
-    """Pairing histograms of <x, y_j> over the support {p | disc x}, all
-    targets served by one sweep over every state."""
+    """Pairing histograms of <x, y_j> over the cubic support {p | disc x},
+    every target served by one walk of the support slices.
+
+    x = (tail, t) with t the slowest coordinate, so <x, y> is the tail
+    pairing plus t w_3 y_3.  The tail pairing with each target is computed
+    once over the p^3 tail grid; each slice bincounts it over its mask,
+    and the counts are rolled by t w_3 y_3 mod p into the totals."""
     space = cond.space
+    if space is not CUBIC:
+        raise ValueError("the per-target sweep is for the cubic space")
     w = pairing_weights_mod(space, p)          # refuses bad primes
     space.check_sweep(p)
-    n_states = p ** space.r
     WT = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p * w % p
     k = WT.shape[0]
+    tail = orbits.decode_states(np.arange(p ** (space.r - 1), dtype=np.int64),
+                                p, r=space.r - 1)
+    # tail pairing of every tail state with target j, offset into row j
+    TP = (tail.astype(np.int64) @ WT[:, :-1].T % p
+          + np.arange(k, dtype=np.int64) * p)
+    rows = np.arange(k)[:, None]
+    cols = np.arange(p)[None, :]
     counts = np.zeros((k, p), dtype=np.int64)
-    for start in range(0, n_states, _SWEEP_CHUNK):
-        codes = np.arange(start, min(start + _SWEEP_CHUNK, n_states),
-                          dtype=np.int64)
-        C = orbits.decode_states(codes, p, r=space.r)
-        sup = C[cond.support_mask(C, p)]
-        if not sup.size:
-            continue
-        P = sup.astype(np.int64) @ WT.T % p
-        for j in range(k):
-            counts[j] += np.bincount(P[:, j], minlength=p)
+    for t, mask in enumerate(_support_slices(cond, p, space.r)):
+        h = np.bincount(TP[mask].ravel(), minlength=k * p).reshape(k, p)
+        counts[rows, (cols + t * WT[:, -1:]) % p] += h
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
 
 
@@ -247,9 +296,8 @@ def ft_fibered_histograms(cond, p, targets):
                                  r=half)
     counts = np.zeros((len(T), p), dtype=np.int64)
     for c, rep in enumerate(reps):
-        fibre = np.concatenate([   # {A : (A, B_c) in supp}, in p slices
-            cond.support_mask(np.hstack([A, np.broadcast_to(
-                forms[rep], A.shape)]), p) for A in np.split(forms, p)])
+        fibre = np.concatenate(list(   # {A : (A, B_c) in supp}
+            _support_slices(cond, p, half, suffix=forms[rep])))
         H = ffcore.radon_histogram(fibre, w[:half], p).ravel()
         counts += _fibre_counts(H, g[cls == c], forms[cls == c], alphas,
                                 wbeta, p)
@@ -290,8 +338,8 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
         raise ValueError("exhaustive mode is for the cubic space")
     w = pairing_weights_mod(CUBIC, p)
     ffcore.check_radon(p, CUBIC.r)
-    C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
-    H = ffcore.radon_histogram(cond.support_mask(C, p), w, p)
+    support = np.concatenate(list(_support_slices(cond, p, CUBIC.r)))
+    H = ffcore.radon_histogram(support, w, p)
     return ffcore._numerators(H), p ** 4
 
 

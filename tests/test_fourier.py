@@ -3,6 +3,7 @@ squarefree moduli, and the split identity."""
 
 import hashlib
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,8 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore, fourier, orbits, sieve
-from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc_mod,
-                            dual_disc_cubic, ResourceLimitError)
+from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc, disc_mod,
+                            dual_disc_cubic, pairing_weights_mod,
+                            ResourceLimitError)
+
+
+def _sweep_oracle(cond, p, targets):
+    """Pairing histograms by the plain sweep: decode every state in chunks
+    of 2^20, keep the support, count <x, y_j> mod p."""
+    space, chunk = cond.space, 1 << 20
+    WT = (np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
+          * pairing_weights_mod(space, p) % p)
+    counts = np.zeros((len(WT), p), dtype=np.int64)
+    n_states = p ** space.r
+    for start in range(0, n_states, chunk):
+        codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
+        C = orbits.decode_states(codes, p, r=space.r)
+        P = C[cond.support_mask(C, p)].astype(np.int64) @ WT.T % p
+        for j in range(len(WT)):
+            counts[j] += np.bincount(P[:, j], minlength=p)
+    return counts.tolist()
 
 
 def _quartic(p, label):
@@ -59,7 +78,9 @@ def test_bad_primes_rejected():
     with pytest.raises(BadPrimeError):
         _quartic(2, "O_0")
     with pytest.raises(BadPrimeError):
-        fourier.ft_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
+        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
+    with pytest.raises(BadPrimeError):
+        fourier.ft_histograms(fourier.CUBIC_COND, 3, [(0,) * 4])
 
 
 def test_unknown_label_rejected():
@@ -150,7 +171,12 @@ def _rand_gl(rng, n, p):
 
 def test_sweep_resource_limit():
     with pytest.raises(ResourceLimitError):
-        fourier.ft_histograms(fourier.QUARTIC_COND, 7, [(0,) * 12])
+        fourier.ft_histograms(fourier.CUBIC_COND, 61, [(0,) * 4])
+
+
+def test_sweep_is_for_the_cubic_space():
+    with pytest.raises(ValueError, match="cubic space"):
+        fourier.ft_histograms(fourier.QUARTIC_COND, 3, [(0,) * 12])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -160,8 +186,61 @@ def test_fibered_kernel_matches_sweep_p3(seed):
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, 3, size=(5, 12))
     fib = fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 3, targets)
-    sweep = fourier.ft_histograms(fourier.QUARTIC_COND, 3, targets)
-    assert [h.counts for h in fib] == [h.counts for h in sweep]
+    assert [h.counts for h in fib] == _sweep_oracle(fourier.QUARTIC_COND, 3,
+                                                     targets)
+
+
+# p below, at and above d + 1 = 5, where the walker starts its recurrence
+@pytest.mark.parametrize("p", [2, 5, 7, 11, 13])
+def test_cubic_sweep_matches_plain_sweep(p):
+    """All p counts of the slice walk against the plain sweep, at the class
+    representatives and at random targets."""
+    rng = np.random.default_rng(p)
+    targets = [*fourier._class_reps(CUBIC, p).values(),
+               *rng.integers(-60, 60, size=(6, 4)).tolist()]
+    got = fourier.ft_histograms(fourier.CUBIC_COND, p, targets)
+    assert [h.counts for h in got] == _sweep_oracle(fourier.CUBIC_COND, p,
+                                                    targets)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_support_slices_cubic(p):
+    """The concatenated slices are the support over every state, in code
+    order."""
+    C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
+    slices = list(fourier._support_slices(fourier.CUBIC_COND, p, 4))
+    assert len(slices) == p
+    assert np.array_equal(np.concatenate(slices),
+                          fourier.CUBIC_COND.support_mask(C, p))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_support_slices_quartic_fibres(p):
+    """With B fixed to each form-class representative, the slices are the
+    fibre {A : (A, B_c) in supp} in code order."""
+    A = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
+    _, reps, _ = orbits.form_classes(p)
+    for rep in reps:
+        B = orbits.decode_states(np.array([rep]), p, r=6)[0]
+        want = fourier.QUARTIC_COND.support_mask(
+            np.hstack([A, np.broadcast_to(B, A.shape)]), p)
+        got = np.concatenate(list(fourier._support_slices(
+            fourier.QUARTIC_COND, p, 6, suffix=B)))
+        assert np.array_equal(got, want), rep
+
+
+@pytest.mark.parametrize("space", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+def test_disc_degree_bound_along_each_coordinate(space):
+    """disc has degree <= d in any one coordinate: the (d + 1)-th forward
+    difference along it vanishes, in Python ints, at random points."""
+    rng = np.random.default_rng(space.r)
+    n = space.d + 1
+    binom = [(-1) ** (n - k) * comb(n, k) for k in range(n + 1)]
+    for x in rng.integers(-9, 10, size=(4, space.r)).tolist():
+        for i in range(space.r):
+            f = [disc(space, tuple(x[:i] + [x[i] + k] + x[i + 1:]))
+                 for k in range(n + 1)]
+            assert sum(c * v for c, v in zip(binom, f)) == 0, (x, i)
 
 
 def test_class_reps_are_bfs_reps_p3(table3):
