@@ -30,17 +30,17 @@ odd last group carried up, built eagerly, so only about log2(groups)
 tables are alive at once.  A merge adds the terms of each value in run
 order, and a q-query sums the matching buckets in value order.  The
 order of every floating-point operation is fixed, so every number here
-is reproducible bit-for-bit run to run.
+is reproducible bit-for-bit run to run.  The bump's transform, and with
+it the mass in every main term, is one trapezoid rule whose alias error
+is bounded (SmoothWeight.psihat).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
-from scipy.integrate import quad
 
 from . import fourier, sieve
 from .ffcore import factor_squarefree
@@ -73,65 +73,20 @@ def _psi_deriv_rational(n):
     return poly.polytrim(P).tolist(), k
 
 
-def _psi1(x):
-    w = 1 - x * x
-    return math.exp(1 - 1 / w) if w > 1e-15 else 0.0
-
-
-@functools.cache
-def _psi_mass():
-    v, err = quad(_psi1, 0, 1, epsabs=1e-14, epsrel=1e-12, limit=200)
-    if err > 1e-10:
-        raise QuadratureError(f"psi mass uncertain by {err}")
-    return 2 * v
-
-
-@functools.cache
-def _psihat(t):
-    """2 int_0^1 psi(x) cos(2 pi t x) dx for t >= 0."""
-    if t < 1e-12:
-        return _psi_mass()
-    if t < 0.5:
-        # not yet oscillatory; the plain adaptive rule is sharper than the
-        # QAWO error estimate here
-        v, err = quad(lambda x: _psi1(x) * math.cos(2 * math.pi * t * x),
-                      0, 1, epsabs=1e-14, epsrel=1e-12, limit=200)
-        if err > 1e-10:
-            raise QuadratureError(f"psihat({t}) uncertain by {err}")
-    else:
-        v, err = quad(_psi1, 0, 1, weight="cos", wvar=2 * math.pi * t,
-                      epsabs=1e-14, limit=300)
-        if err > 1e-9:
-            raise QuadratureError(f"psihat({t}) uncertain by {err}")
-    return 2 * v
-
-
-@functools.cache
-def _psi_sixth_l1():
-    P, k = _psi_deriv_rational(6)
-    coeffs = np.array([float(c) for c in P])
-
-    def integrand(u):
-        w = 1 - u * u
-        if w < 1e-12:
-            return 0.0
-        log_scale = 1 - 1 / w - k * math.log(w)
-        if log_scale < -700:
-            return 0.0
-        return abs(poly.polyval(u, coeffs)) * math.exp(log_scale)
-
-    v, err = quad(integrand, -1, 1, epsabs=1e-4, epsrel=1e-9, limit=400)
-    if err > 1e-5 * abs(v):
-        raise QuadratureError(f"K6 uncertain by {err}")
-    return v
+# psihat's trapezoid rule: PSIHAT_NODES equal intervals of [-1, 1], and the
+# largest |t| it serves
+PSIHAT_NODES = 2 ** 12
+PSIHAT_DOMAIN = 768
 
 
 @dataclass(frozen=True)
 class SmoothWeight:
     """Tensor bump phi(x) = prod psi(x_i / s), psi(u) = exp(1 - 1/(1-u^2)).
 
-    The transforms of psi do not depend on s; they are computed once per
-    process and shared by every weight."""
+    The transforms of psi do not depend on s.  psihat is one trapezoid
+    rule, the mass is its value at 0 (a module constant, PSI_MASS), and
+    K6 = ||psi^(6)||_1 comes from the exact numerators of psi^(5) and
+    psi^(6)."""
     s: float = 1.0
 
     @staticmethod
@@ -142,21 +97,63 @@ class SmoothWeight:
         out[m] = np.exp(1 - 1 / (1 - u[m] ** 2))
         return out
 
+    @staticmethod
+    def psihat(t):
+        """psihat(t) = int_{-1}^{1} psi(x) cos(2 pi t x) dx at each t of an
+        array, by the trapezoid rule on N = PSIHAT_NODES = 2^12 equal
+        intervals.
+
+        psi and all its derivatives vanish at +-1, so by Poisson summation
+        the rule returns exactly sum_j psihat(t + j N/2): its error is the
+        aliases j != 0.  With |psihat(tau)| <= K6 / (2 pi tau)^6 that error
+        is at most sum_{j >= 1} K6 (2 pi)^-6 ((j N/2 - |t|)^-6
+        + (j N/2 + |t|)^-6), below 6e-17 for |t| <= PSIHAT_DOMAIN = 768
+        (K6 = 1.4452e7); the Poisson checks of every box within the point
+        budget ask for |t| <= 8 * 66 = 528.  Any other t raises
+        QuadratureError: no comparison of the rule with itself sees an
+        alias (t = N/2 returns psihat(0)).  Rounding is apart from that
+        bound: about 4e-16 at |t| = 768.  Each value is one dot product of
+        its cosines with the node weights, so it does not depend on the
+        other t of the call."""
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.abs(t) <= PSIHAT_DOMAIN):
+            raise QuadratureError(
+                f"psihat serves |t| <= {PSIHAT_DOMAIN}, asked for "
+                f"{float(np.max(np.abs(t)))}")
+        x = np.linspace(-1, 1, PSIHAT_NODES + 1)
+        w = SmoothWeight.psi(x) * (2 / PSIHAT_NODES)
+        cos = np.cos(2 * np.pi * t.reshape(-1, 1) * x)
+        return np.array([np.dot(c, w) for c in cos]).reshape(t.shape)
+
     @property
     def psi_integral(self):
-        return _psi_mass()
+        return PSI_MASS
 
-    def psihat(self, t):
-        """One-dimensional transform 2 int_0^1 psi(x) cos(2 pi t x) dx."""
-        return _psihat(abs(float(t)))
+    @property
+    def phi_hat0(self):
+        """phihat(0) = (s * psi mass)^4, the mass of the 4-dimensional
+        bump."""
+        return (self.s * self.psi_integral) ** 4
 
-    def phi_hat0(self, r=4):
-        return (self.s * self.psi_integral) ** r
+    @staticmethod
+    def psi_sixth_l1():
+        """K6 = ||psi^(6)||_1, for |psihat(t)| <= K6 / (2 pi t)^6.
 
-    def psi_sixth_l1(self):
-        """||psi^(6)||_1, for the rapid-decay constant |psihat(t)| <=
-        K6 / (2 pi t)^6; the prefactor polynomial is exact."""
-        return _psi_sixth_l1()
+        psi^(n) = P_n(u) / (1-u^2)^k psi(u) with P_n exact, so psi^(6)
+        changes sign only at the real roots r_1 < ... < r_m of P_6 in
+        (-1, 1) (m = 10), and K6 is the total variation of psi^(5):
+        sum_i |psi^(5)(r_{i+1}) - psi^(5)(r_i)|, with r_0 = -1, r_{m+1} = 1
+        and psi^(5)(+-1) = 0.  psi^(6) vanishes at each root, so a root's
+        float error moves K6 only to second order."""
+        r = poly.polyroots(np.array(_psi_deriv_rational(6)[0], dtype=float))
+        r = np.sort(r.real[np.isreal(r) & (np.abs(r) < 1)])
+        P5, k = _psi_deriv_rational(5)
+        d5 = (poly.polyval(r, np.array(P5, dtype=float)) / (1 - r * r) ** k
+              * SmoothWeight.psi(r))
+        return float(np.sum(np.abs(np.diff(d5, prepend=0.0, append=0.0))))
+
+
+PSI_MASS = float(SmoothWeight.psihat(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +208,15 @@ def main_term(q, X, weight):
     dens = 1.0
     for p in factor_squarefree(int(q)):
         dens *= float(fourier.omega(CUBIC, p))
-    return dens * weight.phi_hat0(4) * X
+    return dens * weight.phi_hat0 * X
 
 
-def weighted_count(q, X, weight=None, buckets=None):
+def weighted_count(q, X, weight=None):
     """(lattice sum, main term, E(X,q)) for the cubic box count of
-    q | disc(x) with weight phi(x X^{-1/4}), served from buckets, the
-    (vals, sums) of disc_value_buckets(X, weight), or from a fresh pass."""
+    q | disc(x) with weight phi(x X^{-1/4}), served from one
+    disc_value_buckets pass."""
     weight = weight or SmoothWeight()
-    total = serve_buckets(*(buckets or disc_value_buckets(X, weight)), q)
+    total = serve_buckets(*disc_value_buckets(X, weight), q)
     main = main_term(q, X, weight)
     return total, main, total - main
 
@@ -437,8 +434,7 @@ def poisson_rhs(q, X, weight, Z):
     Y = X ** 0.25
     V = _dual_value_grid(q)
     ks = np.arange(-Z, Z + 1)
-    phv = weight.s * np.array([weight.psihat(weight.s * k * Y / q)
-                               for k in ks])
+    phv = weight.s * weight.psihat(weight.s * ks * Y / q)
     S = np.zeros(q)
     for k, v in zip(ks, phv):
         S[k % q] += v
@@ -452,30 +448,22 @@ def poisson_tail_bound(q, X, weight, Z):
         X * ((T_Z + tau)^4 - T_Z^4),
         tau = 2 s K6 (q / (2 pi s Y))^6 * Z^-5 / 5,
 
-    T_Z the per-axis truncated |psihat| mass.  A 2% inflation covers the
-    quadrature error in K6."""
+    T_Z the per-axis truncated |psihat| mass.  A 2% inflation of K6
+    covers K6's float error (its roots and rounding, about 1e-12 relative)
+    and psihat's, which moves T_Z by about 1e-16."""
     Y = X ** 0.25
     s = weight.s
-    T = sum(s * abs(weight.psihat(s * k * Y / q))
-            for k in range(-Z, Z + 1))
+    T = float(np.sum(s * np.abs(weight.psihat(s * np.arange(-Z, Z + 1)
+                                              * Y / q))))
     K6 = weight.psi_sixth_l1() * 1.02
     tau = 2 * s * K6 * (q / (2 * math.pi * s * Y)) ** 6 / (5 * Z ** 5)
     return X * ((T + tau) ** 4 - T ** 4)
 
 
-@functools.lru_cache(maxsize=1)
-def _poisson_buckets(X, weight):
-    """disc_value_buckets(X, weight), shared by consecutive Poisson checks
-    of one box; read-only, so no caller can change the cached table."""
-    vals, sums = disc_value_buckets(X, weight)
-    vals.flags.writeable = sums.flags.writeable = False
-    return vals, sums
-
-
 def poisson_check(q, X=10 ** 4, weight=None, Z=None):
     weight = weight or SmoothWeight()
     Z = Z if Z is not None else 2 + 2 * q
-    lhs, _, _ = weighted_count(q, X, weight, _poisson_buckets(X, weight))
+    lhs, _, _ = weighted_count(q, X, weight)
     return PoissonReport(q=q, X=X, Z=Z, lhs=lhs,
                          rhs=poisson_rhs(q, X, weight, Z),
                          rhs_double=poisson_rhs(q, X, weight, 2 * Z),

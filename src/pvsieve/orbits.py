@@ -348,17 +348,13 @@ def legendre_table(p):
     return chi
 
 
-def _adj_full(c, p):
-    """The adjugate of a symmetric 3x3 given as 6 columns, in the same
-    column order (diagonal first)."""
+def _adj_diag(c, p):
+    """The diagonal of the adjugate of a symmetric 3x3 given as 6 columns
+    (diagonal first), as 3 rows."""
     a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
-    return np.stack([
-        (a22 * a33 - a23 * a23) % p,
-        (a11 * a33 - a13 * a13) % p,
-        (a11 * a22 - a12 * a12) % p,
-        (a13 * a23 - a12 * a33) % p,
-        (a12 * a23 - a13 * a22) % p,
-        (a12 * a13 - a11 * a23) % p], axis=-1)
+    return np.stack([(a22 * a33 - a23 * a23) % p,
+                     (a11 * a33 - a13 * a13) % p,
+                     (a11 * a22 - a12 * a12) % p])
 
 
 def _proj_points_prime(p):
@@ -449,7 +445,7 @@ def _determinant_character(C, r, p):
     """+1 / -1 where a common-kernel pencil's binary determinant form splits
     / does not, read off the nonvanishing diagonal adjugate entries."""
     chi = legendre_table(p)
-    dA, dB, dS = (_adj_full(F, p)[:, :3].T for F in (
+    dA, dB, dS = (_adj_diag(F, p) for F in (
         C[:, :6], C[:, 6:], (C[:, :6] + C[:, 6:]) % p))
     s = 0
     for i in range(3):

@@ -66,10 +66,79 @@ def test_psihat_rapid_decay(weight):
         assert abs(weight.psihat(t)) <= K6 / (2 * math.pi * t) ** 6
 
 
+def _gauss_legendre(panels=256, n=32):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each of
+    `panels` equal panels of [-1, 1]: an oracle independent of psihat's
+    trapezoid rule."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    edges = np.linspace(-1, 1, panels + 1)
+    half = np.diff(edges) / 2
+    x = (edges[:-1, None] + half[:, None] * (1 + u)).ravel()
+    return x, (half[:, None] * w).ravel()
+
+
+def test_psi_mass_against_gauss_legendre(weight):
+    x, w = _gauss_legendre()
+    assert weight.psi_integral == pytest.approx(
+        float(np.sum(weight.psi(x) * w)), rel=1e-15)
+    assert weight.psi_integral == ex.PSI_MASS == weight.psihat(0.0)
+
+
+def test_psihat_against_gauss_legendre_to_the_domain_edge(weight):
+    # the oracle's cosine arguments reach 2 pi 768, so its own rounding is
+    # about 1e-14; psihat's alias error is below 6e-17
+    x, w = _gauss_legendre()
+    ts = np.linspace(0, ex.PSIHAT_DOMAIN, 193)
+    ref = np.cos(2 * np.pi * ts[:, None] * x) @ (weight.psi(x) * w)
+    assert np.max(np.abs(weight.psihat(ts) - ref)) < 5e-14
+    assert np.array_equal(weight.psihat(ts),
+                          [weight.psihat(t) for t in ts[::-1]][::-1])
+
+
+def test_psihat_alias_bound_on_the_domain(weight):
+    # the rule's error at t is sum_{j != 0} psihat(t + j N/2); bound it by
+    # |psihat(tau)| <= K6 / (2 pi tau)^6 at the domain edge, where it is
+    # largest
+    K6, T, half = weight.psi_sixth_l1() * 1.02, ex.PSIHAT_DOMAIN, \
+        ex.PSIHAT_NODES // 2
+    bound = sum(K6 / (2 * math.pi) ** 6
+                * ((j * half - T) ** -6.0 + (j * half + T) ** -6.0)
+                for j in range(1, 10 ** 4))
+    assert bound < 6e-17
+    # the largest box within the point budget has R = 65, so Y < 66, and the
+    # default Poisson check at q = 1 (Z = 4, rhs_double at 2Z) asks for
+    # |t| <= 8 Y < 528
+    X = 66 ** 4 * (1 - 1e-9)
+    assert ex.box_radius(X) == 65 and (2 * 65 + 1) ** 4 <= 3e8 < 133 ** 4
+    assert math.isfinite(ex.poisson_rhs(1, X, weight, 8))
+
+
+def test_psihat_refuses_past_the_domain_and_at_an_alias(weight):
+    T, N = ex.PSIHAT_DOMAIN, ex.PSIHAT_NODES
+    weight.psihat([-T, T])
+    for t in (np.nextafter(T, np.inf), -np.nextafter(T, np.inf), N / 2,
+              [0.0, N / 2], np.nan):
+        with pytest.raises(ex.QuadratureError):
+            weight.psihat(t)
+
+
+def test_psi_sixth_l1_against_midpoint_sum(weight):
+    # independent of the roots: a dense midpoint sum of |psi^(6)|, with the
+    # exact prefactor polynomial and psi taken on the log scale
+    P, k = ex._psi_deriv_rational(6)
+    M = 10 ** 6
+    u = -1 + (np.arange(M) + 0.5) * (2 / M)
+    w = 1 - u * u
+    dense = float(np.sum(np.abs(np.polynomial.polynomial.polyval(
+        u, np.array(P, dtype=float))) * np.exp(1 - 1 / w - k * np.log(w)))
+        * (2 / M))
+    assert weight.psi_sixth_l1() == pytest.approx(dense, rel=1e-6)
+
+
 def test_phi_hat0_scales_with_s():
     w1, w2 = ex.SmoothWeight(s=1.0), ex.SmoothWeight(s=2.0)
-    assert w1.phi_hat0(4) == pytest.approx(w1.psi_integral ** 4)
-    assert w2.phi_hat0(4) == pytest.approx(16 * w1.phi_hat0(4))
+    assert w1.phi_hat0 == pytest.approx(w1.psi_integral ** 4)
+    assert w2.phi_hat0 == pytest.approx(16 * w1.phi_hat0)
 
 
 def test_psi_derivative_recursion_first_order(weight):
@@ -109,7 +178,7 @@ def test_weighted_count_q1_is_plain_box_sum(weight):
     xs = np.arange(-R, R + 1)
     w1 = weight.psi(xs / X ** 0.25)
     assert lat == pytest.approx(float(np.sum(w1)) ** 4, rel=1e-12)
-    assert main == pytest.approx(weight.phi_hat0(4) * X, rel=1e-12)
+    assert main == pytest.approx(weight.phi_hat0 * X, rel=1e-12)
     assert err == lat - main
 
 
@@ -273,21 +342,8 @@ def test_lod_served_by_largest_prime_bit_identical(weight):
         assert lat == float(np.sum(sums[wide % q == 0])), q
 
 
-def test_poisson_check_shares_one_read_only_table(weight, monkeypatch):
-    built = []
-    real = ex.disc_value_buckets
-    monkeypatch.setattr(ex, "disc_value_buckets",
-                        lambda *a: built.append(a) or real(*a))
-    ex._poisson_buckets.cache_clear()
-    try:
-        lhs = [ex.poisson_check(q, 10 ** 4, weight).lhs for q in (1, 3, 5)]
-        vals, sums = ex._poisson_buckets(10 ** 4, weight)
-    finally:
-        ex._poisson_buckets.cache_clear()
-    assert len(built) == 1
-    assert not vals.flags.writeable and not sums.flags.writeable
-    with pytest.raises(ValueError):
-        sums[0] = 0.0
+def test_poisson_check_lhs_is_weighted_count(weight):
+    lhs = [ex.poisson_check(q, 10 ** 4, weight).lhs for q in (1, 3, 5)]
     assert lhs == [ex.weighted_count(q, 10 ** 4, weight)[0] for q in (1, 3, 5)]
 
 
@@ -299,7 +355,7 @@ def test_reducible_mass_absent_bucket():
 def test_main_term_multiplicative(weight):
     m15 = ex.main_term(15, 10 ** 4, weight)
     dens = float(fourier.omega(ex.CUBIC, 3) * fourier.omega(ex.CUBIC, 5))
-    assert m15 == pytest.approx(dens * weight.phi_hat0(4) * 10 ** 4)
+    assert m15 == pytest.approx(dens * weight.phi_hat0 * 10 ** 4)
 
 
 # ---------------------------------------------------------------------------
