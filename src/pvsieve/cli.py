@@ -102,7 +102,7 @@ def cmd_ft_verify(args):
     for p in primes:
         kernel.check(p)
         if args.mode == "exhaustive":
-            ffcore.check_radon(p, space.r)
+            ffcore.ntt_modulus(p, space.r)
     cond = fourier.LocalCondition(space.space_id)
     cfg = {"space": args.space, "primes": ",".join(map(str, primes)),
            "skipped_bad": ",".join(map(str, skipped)) or "none",

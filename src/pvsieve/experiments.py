@@ -35,6 +35,7 @@ it the mass in every main term, is one trapezoid rule whose alias error
 is bounded (SmoothWeight.psihat).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,12 +57,13 @@ class QuadratureError(RuntimeError):
 # the smooth weight
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _psi_deriv_rational(n):
-    """psi^(n) = P(u) / (1-u^2)^k * psi(u), exact; returns (P, k).
+    """psi^(n) = P(u) / (1-u^2)^k * psi(u), exact; returns (P, k), cached.
 
     Recursion: d/du [P/(1-u^2)^k psi] adds the derivative of the rational
-    prefactor plus P * g' with g' = -2u/(1-u^2)^2; both land on k+2.  The
-    coefficients are Fractions in numpy object arrays."""
+    prefactor plus P * g' with g' = -2u/(1-u^2)^2; both land on k+2.  P is
+    a tuple of Fractions, built in numpy object arrays."""
     one_minus = np.array([Fraction(1), Fraction(0), Fraction(-1)])
     P, k = np.array([Fraction(1)]), 0
     for _ in range(n):
@@ -70,7 +72,7 @@ def _psi_deriv_rational(n):
         P = poly.polysub(poly.polymul(num, one_minus),
                          poly.polymul([0, 2], P))
         k += 2
-    return poly.polytrim(P).tolist(), k
+    return tuple(poly.polytrim(P).tolist()), k
 
 
 # psihat's trapezoid rule: PSIHAT_NODES equal intervals of [-1, 1], and the

@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: squarefree factoring, pairing histograms and
-the all-target Radon histogram.
+"""Exact arithmetic kernels: squarefree factoring, primitive roots, pairing
+histograms and the all-target character sum.
 
 The central trick here is that the Fourier transform of a {0,1}-valued,
 dilation-invariant function on (Z/p)^r against a fixed target y is a rational
@@ -9,21 +9,18 @@ the nonzero p-th roots of unity sum to -1,
 
     p^r * FT(y) = n_0 - n_1.
 
-No floating point, no roots of unity.  Everything in this module is exact
-(python ints / fractions.Fraction / int64 counts); radon_histogram counts
-the n_k at every target at once, and _numerators collapses them to n_0 - n_1.
+Everything in this module is exact (python ints / fractions.Fraction / int64
+counts).  character_sums finds n_0 - n_1 at every target at once, with an
+element of order p in a prime field F_l in place of the root of unity;
+_numerators collapses pairing counts to n_0 - n_1.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .spaces import ResourceLimitError
-
-# Cells of one p^(r+1) Radon histogram; the kernel holds two int64 copies,
-# 512 MiB together, which admits the cubic space (r = 4) up to p = 31 and a
-# fibre of the pair space (r = 6) up to p = 11.
-RADON_CELL_LIMIT = 2 ** 25
 
 
 class InvalidModulusError(ValueError):
@@ -31,8 +28,8 @@ class InvalidModulusError(ValueError):
 
 
 class NonInvariantSupportError(ValueError):
-    """Histogram classes that should be equal are not; the rational FT
-    shortcut does not apply to this support."""
+    """The support is not dilation-invariant (pairing classes that should
+    be equal are not); the rational FT shortcut does not apply to it."""
 
 
 def factor_squarefree(q):
@@ -84,33 +81,52 @@ def ft_value_from_histogram(h, r):
     return Fraction(int(_numerators(np.array(h.counts))), h.p ** r)
 
 
-def check_radon(p, r):
-    """Refuse a Radon histogram of p^(r+1) cells beyond RADON_CELL_LIMIT."""
-    if p ** (r + 1) > RADON_CELL_LIMIT:
-        raise ResourceLimitError(f"p={p}: all-target histogram beyond "
-                                 f"{RADON_CELL_LIMIT} cells")
+def primitive_root(p):
+    """The least generator of the units mod a prime p."""
+    return next(g for g in range(1, p)
+                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
 
 
-def radon_histogram(support, weights, p):
-    """H[y, k] = #{x in supp : sum w_i x_i y_i = k mod p} at every target y,
-    as a (p^r, p) int64 array in state-code order (r = len(weights) >= 2).
-    A step replaces the front axis x_i by y_i, adding k-slices shifted by
-    w_i x_i y_i, and moves y_i to the back; codes are little-endian, so w
-    runs backwards."""
+def ntt_modulus(p, r):
+    """(l, w): l the least prime l = 1 mod p with l > 2 p^r and
+    p (l/2)^2 < 2^53, w of order p in F_l; ResourceLimitError when there is
+    none.  That is character_sums' only cap: r = 4 up to p = 59, r = 6 up to
+    p = 13."""
+    # l = 1 mod p from the least past 2 p^r while p l^2 < 2^55
+    for l in range(2 * p ** r + 1, math.isqrt((2 ** 55 - 1) // p) + 1, p):
+        if all(l % d for d in range(2, math.isqrt(l) + 1)):
+            return l, next(v for v in (pow(a, (l - 1) // p, l)
+                                       for a in range(2, l)) if v != 1)
+    raise ResourceLimitError(f"p={p}: no prime l = 1 mod p with 2 p^{r} < l "
+                             f"and p (l/2)^2 < 2^53 for F_p^{r}")
+
+
+def character_sums(support, weights, p):
+    """n_0 - n_1 = sum_{x in supp} w^<x, y>, <x, y> = sum weights_i x_i y_i,
+    at every target y, as p^r int64 in state-code order (r = len(weights));
+    NonInvariantSupportError unless S(cx) = S(x), c a primitive root mod p.
+
+    The sum runs in F_l, (l, w) = ntt_modulus(p, r), one axis at a time: a
+    float64 product of the p x p matrix w^(weight x y) with the p x p^(r-1)
+    array, both centred residues (|v| <= (l-1)/2), re-centred after.  Every
+    partial sum is an integer below p ((l-1)/2)^2 < 2^53, so a step is exact
+    whatever order BLAS sums in.  Each step moves the slowest axis to the
+    fastest, so the weights run backwards.  sum_k n_k w^k = n_0 - n_1 mod l
+    by invariance, and |n_0 - n_1| <= p^r < l/2 fixes the integer."""
     r = len(weights)
-    check_radon(p, r)
-    n = p ** r
-    H = np.zeros((p, p, n // p), dtype=np.int64)
-    H[:, 0] = np.asarray(support).reshape(p, n // p)
-    out = np.empty_like(H)
-    for w in reversed([int(v) % p for v in weights]):
-        out.fill(0)
-        for y in range(p):
-            for x in range(p):
-                s = w * x * y % p
-                out[y, s:] += H[x, :p - s]
-                out[y, :s] += H[x, p - s:]
-        H.reshape(p, p, -1, p)[...] = out.reshape(p, p, p, -1).transpose(
-            2, 1, 3, 0)
-    del out                     # two p^(r+1) buffers at most
-    return np.moveaxis(H, 1, -1).reshape(n, p)
+    l, w = ntt_modulus(p, r)
+    S = np.asarray(support, dtype=bool).reshape((p,) * r)
+    perm = np.arange(p) * primitive_root(p) % p
+    if not np.array_equal(S[np.ix_(*[perm] * r)], S):
+        raise NonInvariantSupportError(f"support not invariant mod {p}")
+    powers = np.array([pow(w, k, l) for k in range(p)], dtype=np.float64)
+    powers[powers > l // 2] -= l
+    xy = np.arange(p)[:, None] * np.arange(p)
+    A = S.reshape(p, -1).astype(np.float64)
+    B = np.empty_like(A)
+    for wi in reversed([int(v) % p for v in weights]):
+        np.matmul(powers[wi * xy % p], A, out=B)
+        np.remainder(B, l, out=B)
+        np.subtract(B, l, out=B, where=B > l // 2)
+        A.reshape(-1, p)[...] = B.T
+    return A.reshape(-1).astype(np.int64)

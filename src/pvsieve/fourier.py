@@ -168,11 +168,11 @@ def space_kernel(space):
 
     Cubic: cubic_class_batch (about eight steps), ft_histograms (one walk
     of the support slices serving every target) within the sweep budget,
-    the Radon all-target kernel over the same slices.  Quartic: the labels of
-    orbits.classify_batch, whose base-locus count visits the p^2 + p + 1
-    points of P^2(F_p); ft_fibered_histograms, capped by its Radon fibres
-    (p <= 11), at targets whose labels past the orbit BFS budget (p >= 7)
-    no BFS checks; no all-target kernel."""
+    the character sums of ffcore over the same slices (p <= 59).  Quartic:
+    the labels of orbits.classify_batch, whose base-locus count visits the
+    p^2 + p + 1 points of P^2(F_p); ft_fibered_histograms (p <= 13), exact
+    as disc(cx) = c^12 disc(x) makes the support jointly dilation-invariant,
+    at targets that, past the orbit BFS budget (p >= 7), no BFS checks."""
     if space is CUBIC:
         return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
                            space.check_sweep, lambda p: None,
@@ -180,7 +180,7 @@ def space_kernel(space):
     return SpaceKernel(
         lambda Y, p: orbits.classify_batch(space, Y, p),
         lambda p: p * p + p + 1, ft_fibered_histograms,
-        lambda p: ffcore.check_radon(p, space.r // 2),
+        lambda p: ffcore.ntt_modulus(p, space.r // 2),
         lambda p: ("the closed form or the classifier"
                    if p ** space.r > space.sweep_limit else None), None)
 
@@ -274,50 +274,43 @@ def ft_fibered_histograms(cond, p, targets):
     fibred over B.
 
     The support is invariant under (A, B) -> (g A g^T, g B g^T), g in GL_3,
-    and <(A, B), (alpha, beta)> = tr(A alpha) + tr(B beta).  Writing
-    B = g_B B_c g_B^T (orbits.form_classes), the counts split as
-
-        N[k] = sum_B H_c[g_B^T alpha g_B, k - tr(B beta)],
-
-    H_c the Radon histogram of the fibre {A : (A, B_c) in supp}.  One H_c is
-    held at a time, so the peak is the Radon kernel's own two p^7-cell
-    buffers."""
+    and <(A, B), (alpha, beta)> = tr(A alpha) + tr(B beta).  diag(c, 1) in
+    GL_2 scales disc by c^6, so each fibre {A : (A, B_c) in supp} has exact
+    character sums F_c (ffcore).  With B = g_B B_c g_B^T (form_classes),
+    the support's sum at a target is sum_k w^k G_k, G_k the sum of
+    F_c(g_B^T alpha g_B) over the B with tr(B beta) = k.  disc(cx) =
+    c^12 disc(x) makes the support jointly dilation-invariant, so
+    G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1; n_1 follows from the
+    support size N = sum_c |class c| |fibre c|.  ffcore.ntt_modulus caps p
+    (p <= 13) before form_classes runs, and keeps |G_k| <= p^12 < 2^53."""
     space = cond.space
     if space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
     w = pairing_weights_mod(space, p)          # refuses bad primes
     half = space.r // 2
-    ffcore.check_radon(p, half)
+    ffcore.ntt_modulus(p, half)
     T = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
     alphas = orbits.sym_from_cols(T[:, :half])
     wbeta = T[:, half:] * w[half:] % p
     cls, reps, g = orbits.form_classes(p)
     forms = orbits.decode_states(np.arange(p ** half, dtype=np.int64), p,
                                  r=half)
-    counts = np.zeros((len(T), p), dtype=np.int64)
+    rows, cols = zip(*orbits._SYM_INDEX)
+    G, N = np.zeros((len(T), p)), 0
     for c, rep in enumerate(reps):
         fibre = np.concatenate(list(   # {A : (A, B_c) in supp}
             _support_slices(cond, p, half, suffix=forms[rep])))
-        H = ffcore.radon_histogram(fibre, w[:half], p).ravel()
-        counts += _fibre_counts(H, g[cls == c], forms[cls == c], alphas,
-                                wbeta, p)
-        del H
+        F = ffcore.character_sums(fibre, w[:half], p)
+        gc, Bc = g[cls == c].astype(np.int64), forms[cls == c]
+        N += len(Bc) * F[0]           # F_c(0) = |fibre c|
+        for j, alpha in enumerate(alphas):
+            moved = (gc.transpose(0, 2, 1) @ alpha @ gc % p)[:, rows, cols]
+            G[j] += np.bincount(Bc @ wbeta[j] % p, minlength=p,
+                                weights=F[orbits.encode_states(moved, p)])
+    num = ffcore._numerators(G.astype(np.int64))
+    counts = np.repeat(((N - num) // p)[:, None], p, axis=1)
+    counts[:, 0] += num
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
-
-
-def _fibre_counts(H, g, forms, alphas, wbeta, p):
-    """(targets, p) counts sum_B H[g_B^T alpha g_B, k - tr(B beta)] over the
-    forms B of one class, H flattened and beta weighted."""
-    rows, cols = zip(*orbits._SYM_INDEX)
-    g = g.astype(np.int64)
-    counts = np.empty((len(alphas), p), dtype=np.int64)
-    for j, alpha in enumerate(alphas):
-        moved = (g.transpose(0, 2, 1) @ alpha @ g % p)[:, rows, cols]
-        base = orbits.encode_states(moved, p) * p
-        shift = forms @ wbeta[j] % p
-        for k in range(p):
-            counts[j, k] = H[base + (k - shift) % p].sum()
-    return counts
 
 
 def ft_bruteforce_multi(cond, p, targets):
@@ -333,14 +326,12 @@ def ft_bruteforce(cond, p, y):
 
 def ft_bruteforce_exhaustive_cubic(cond, p):
     """(numerators, p^4): exact FT numerators at every y in V(F_p), in
-    state-code order, from the Radon histogram of the support."""
+    state-code order, from the character sums over the support."""
     if cond.space is not CUBIC:
         raise ValueError("exhaustive mode is for the cubic space")
     w = pairing_weights_mod(CUBIC, p)
-    ffcore.check_radon(p, CUBIC.r)
     support = np.concatenate(list(_support_slices(cond, p, CUBIC.r)))
-    H = ffcore.radon_histogram(support, w, p)
-    return ffcore._numerators(H), p ** 4
+    return ffcore.character_sums(support, w, p), p ** 4
 
 
 # ---------------------------------------------------------------------------

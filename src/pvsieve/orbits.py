@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ffcore
 from .spaces import QUARTIC, disc_cubic, resolvent_cubic
 
 
@@ -186,21 +187,10 @@ def act(space, g, x):
     return tuple(int(v) for v in out)
 
 
-def primitive_root(p):
-    for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no primitive root mod {p}?")
-
-
 def generators(space, p):
     """Standard generating set: transvection, coordinate permutation, and a
     primitive-root diagonal twist, per GL factor."""
-    r = primitive_root(p)
+    r = ffcore.primitive_root(p)
     g2s = [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((r, 0), (0, 1))]
     if space is not QUARTIC:
         return [GroupElement(p, g2) for g2 in g2s]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvsieve import cli, experiments, ffcore, fourier, orbits, sieve
+from pvsieve import cli, experiments, ffcore, fourier, orbits
 from pvsieve.spaces import CUBIC
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -93,25 +93,21 @@ def test_resource_cap_before_work(monkeypatch):
     assert run(["geosieve", "--lam", "30000"]) == 3
     # the first prime past the exhaustive cap is refused before the sweep
     # at the prime below it starts
-    primes = sieve.primes_upto(100).tolist()
-    over = next(p for p in primes
-                if p ** (CUBIC.r + 1) > ffcore.RADON_CELL_LIMIT)
-    below = primes[primes.index(over) - 1]
-    ffcore.check_radon(below, CUBIC.r)
+    ffcore.ntt_modulus(59, CUBIC.r)
 
     def boom(*a, **k):
         raise AssertionError("a kernel started before the preflight")
     for module, name in ((fourier, "ft_histograms"),
                          (fourier, "ft_bruteforce_exhaustive_cubic"),
                          (fourier, "ft_fibered_histograms"),
-                         (ffcore, "radon_histogram"),
+                         (ffcore, "character_sums"),
+                         (orbits, "form_classes"),
                          (orbits, "classify_batch")):
         monkeypatch.setattr(module, name, boom)
-    assert run(["ft-verify", "--space", "cubic", "--primes",
-                f"{below},{over}", "--mode", "exhaustive",
-                "--no-cache"]) == 3
-    # the fibred quartic kernel stops at p = 11
-    assert run(["ft-verify", "--space", "quartic", "--primes", "11,13"]) == 3
+    assert run(["ft-verify", "--space", "cubic", "--primes", "59,61",
+                "--mode", "exhaustive", "--no-cache"]) == 3
+    # the fibred quartic kernel stops at p = 13
+    assert run(["ft-verify", "--space", "quartic", "--primes", "13,17"]) == 3
 
 
 def test_exhaustive_mode_cubic_only():

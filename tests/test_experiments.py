@@ -135,6 +135,15 @@ def test_psi_sixth_l1_against_midpoint_sum(weight):
     assert weight.psi_sixth_l1() == pytest.approx(dense, rel=1e-6)
 
 
+def test_tail_bound_builds_the_exact_polynomials_once(weight, monkeypatch):
+    first = ex.poisson_tail_bound(3, 10 ** 4, weight, 8)
+
+    def boom(*a, **k):
+        raise AssertionError("the rational recursion ran again")
+    monkeypatch.setattr(ex.poly, "polyder", boom)
+    assert ex.poisson_tail_bound(3, 10 ** 4, weight, 8) == first
+
+
 def test_phi_hat0_scales_with_s():
     w1, w2 = ex.SmoothWeight(s=1.0), ex.SmoothWeight(s=2.0)
     assert w1.phi_hat0 == pytest.approx(w1.psi_integral ** 4)
@@ -145,12 +154,12 @@ def test_psi_derivative_recursion_first_order(weight):
     # psi' = -2u/(1-u^2)^2 psi, and the recursion must say so exactly
     P, k = ex._psi_deriv_rational(1)
     assert k == 2
-    assert P == [Fraction(0), Fraction(-2)]
+    assert P == (Fraction(0), Fraction(-2))
     # by hand: (-2u)'(1-u^2) + 4u(-2u) = -2 - 6u^2, and then
     # (-2 - 6u^2)(1-u^2) - 2u(-2u) = -2 + 6u^4 over (1-u^2)^4
     P, k = ex._psi_deriv_rational(2)
     assert k == 4
-    assert P == [Fraction(-2), 0, 0, 0, Fraction(6)]
+    assert P == (Fraction(-2), 0, 0, 0, Fraction(6))
     assert all(type(c) is Fraction for c in P)
     # sixth derivative L1 mass, frozen from two independent quadratures
     assert weight.psi_sixth_l1() == pytest.approx(1.445198e7, rel=1e-4)

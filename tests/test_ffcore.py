@@ -1,8 +1,9 @@
 """Exact-arithmetic kernels: squarefree factoring, histograms, the
-all-target Radon histogram against a pairing-matrix oracle; and the
-plain-Python F_{p^k} oracle (tests/fpk.py) behind the F_{p^2} base-locus
-count in test_orbits."""
+all-target character sum against a pairing-matrix oracle and its derived
+cap; and the plain-Python F_{p^k} oracle (tests/fpk.py) behind the F_{p^2}
+base-locus count in test_orbits."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
-from pvsieve import orbits, sieve
+from pvsieve import orbits
 from pvsieve.spaces import (CUBIC, ResourceLimitError, disc_mod,
                             pairing_weights_mod)
 
@@ -59,7 +60,8 @@ def test_histogram_nonuniform_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the all-target Radon histogram against the pairing-matrix oracle
+# the all-target character sums against the Radon histogram of the
+# pairing-matrix oracle, collapsed to n_0 - n_1 (the test names keep "radon")
 # ---------------------------------------------------------------------------
 
 def slow_radon_histogram(support, weights, p, block=1 << 22):
@@ -95,8 +97,8 @@ def test_radon_matches_oracle_on_disc_support(p, unit):
     sup = _disc_support(p)
     H = slow_radon_histogram(sup, w, p)
     assert (H[:, 1:] == H[:, 1:2]).all()
-    assert np.array_equal(fc.radon_histogram(sup, w, p), H)
     assert np.array_equal(fc._numerators(H), H[:, 0] - H[:, 1])
+    assert np.array_equal(fc.character_sums(sup, w, p), fc._numerators(H))
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (7, 2), (3, 5), (3, 6)])
@@ -108,26 +110,36 @@ def test_radon_matches_oracle_on_random_cones(p, r):
     sup = np.zeros(p ** r, dtype=bool)
     sup[orbits.encode_states(lines, p)] = True
     w = rng.integers(1, p, size=r)
-    assert np.array_equal(fc.radon_histogram(sup, w, p),
-                          slow_radon_histogram(sup, w, p))
+    assert np.array_equal(fc.character_sums(sup, w, p),
+                          fc._numerators(slow_radon_histogram(sup, w, p)))
 
 
 def test_radon_rejects_noninvariant_support():
-    # a single point is no cone: the histogram is still exact, and only
-    # the collapse to n_0 - n_1 refuses it
+    # a single point is no cone: its transform is no rational integer, and
+    # both the kernel and the collapse of the oracle's counts refuse it
     sup = np.zeros(5 ** 4, dtype=bool)
     sup[1] = True                              # the single point (1, 0, 0, 0)
-    H = fc.radon_histogram(sup, (1, 1, 1, 1), 5)
-    assert np.array_equal(H, slow_radon_histogram(sup, (1, 1, 1, 1), 5))
     with pytest.raises(fc.NonInvariantSupportError):
-        fc._numerators(H)
+        fc.character_sums(sup, (1, 1, 1, 1), 5)
+    with pytest.raises(fc.NonInvariantSupportError):
+        fc._numerators(slow_radon_histogram(sup, (1, 1, 1, 1), 5))
 
 
-def test_radon_cell_limit():
-    over = next(p for p in sieve.primes_upto(100).tolist()
-                if p ** 5 > fc.RADON_CELL_LIMIT)
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("r,last,refused", [(4, 59, 61), (6, 13, 17)])
+def test_ntt_modulus_derives_the_cap(r, last, refused):
+    # the modulus alone, no transform: the least prime l = 1 mod p past
+    # 2 p^r, with every float64 partial sum p (l/2)^2 below 2^53
+    l, w = fc.ntt_modulus(last, r)
+    assert _is_prime(l) and l % last == 1
+    assert 2 * last ** r < l and last * (l / 2) ** 2 < 2 ** 53
+    assert not any(_is_prime(m) for m in range(2 * last ** r + 1, l, last))
+    assert w != 1 and pow(w, last, l) == 1
     with pytest.raises(ResourceLimitError):
-        fc.radon_histogram(np.zeros(over ** 4, dtype=bool), (1,) * 4, over)
+        fc.ntt_modulus(refused, r)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,9 @@ def test_unknown_label_rejected():
 # brute force vs closed form
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", [5, 7])
+# 2: the dilations are trivial; 37: the first prime past the Radon
+# histogram's old 2^25-cell cap
+@pytest.mark.parametrize("p", [2, 5, 7, 37])
 def test_cubic_exhaustive_vs_closed_form(p):
     """Every target y in V(F_p) hits its class value exactly."""
     num, den = fourier.ft_bruteforce_exhaustive_cubic(fourier.CUBIC_COND, p)
@@ -278,15 +280,19 @@ def test_class_reps_missing_class(monkeypatch, space, module, grading,
         fourier._class_reps(space, 7)
 
 
-def test_fibered_kernel_cap():
+def test_fibered_kernel_cap(monkeypatch):
     kernel = fourier.space_kernel(QUARTIC)
     assert kernel.exhaustive is None
     check = kernel.check
-    check(11)
+    check(13)
     with pytest.raises(ResourceLimitError):
-        check(13)
+        check(17)
+
+    def boom(*a, **k):
+        raise AssertionError("form_classes started before the cap")
+    monkeypatch.setattr(orbits, "form_classes", boom)
     with pytest.raises(ResourceLimitError):
-        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 13, [(0,) * 12])
+        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 17, [(0,) * 12])
     with pytest.raises(BadPrimeError):
         fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
     with pytest.raises(ValueError, match="pair space"):
@@ -336,8 +342,8 @@ def test_dual_table_exhaustive(p):
     """Plain-dot dual transform is graded by dstar at every p, including 3."""
     den = p ** 4
     K = orbits.decode_states(np.arange(den, dtype=np.int64), p, r=4)
-    num = ffcore._numerators(ffcore.radon_histogram(
-        fourier.CUBIC_COND.support_mask(K, p), (1, 1, 1, 1), p))
+    num = ffcore.character_sums(fourier.CUBIC_COND.support_mask(K, p),
+                                (1, 1, 1, 1), p)
     cls = fourier.dual_cubic_class_batch(K, p)
     for i in range(den):
         want = fourier.dual_ft_value(p, int(cls[i]))
