@@ -122,9 +122,11 @@ def cmd_ft_verify(args):
         if args.mode == "exhaustive":
             nums, den = kernel.exhaustive(cond, p)
             vals = list(closed.values.values())
-            codes = np.arange(len(nums), dtype=np.int64)
-            cls = fourier.target_classes(
-                space, orbits.decode_states(codes, p, r=space.r), p)
+            # graded 2^20 codes at a time, so no p^4-row copy is ever held
+            cls = np.concatenate([fourier.target_classes(
+                space, orbits.decode_states(np.arange(
+                    s, min(s + (1 << 20), len(nums)), dtype=np.int64),
+                    p, r=space.r), p) for s in range(0, len(nums), 1 << 20)])
             num = np.array([v.numerator for v in vals], dtype=np.int64)
             dnm = np.array([v.denominator for v in vals], dtype=np.int64)
             # nums / den == num / dnm per target, as exact cross products
@@ -161,8 +163,8 @@ def cmd_orbits(args):
              "# label\tdim\tfc\tcardinality\trep"]
     for name in orbits.LABELS:
         size, rep = table.entries[name]
-        lines.append(f"{name}\t{orbits.LABEL_DIM[name]}\t"
-                     f"{orbits.LABEL_FC[name]}\t{size}\t"
+        dim = orbits.LABEL_DIM[name]
+        lines.append(f"{name}\t{dim}\t{fourier.FC_BY_DIM[dim]}\t{size}\t"
                      f"{','.join(map(str, rep))}")
     lines.append(f"# total\t{sum(sz for sz, _ in table.entries.values())}")
     _emit(lines, args.out)

@@ -9,7 +9,8 @@ an exact rational because the support is invariant under scalar dilation
 (the exponential sums collapse to (n_0 - n_1)/p^r, Ramanujan style).
 
 Closed forms, verified exhaustively against brute force and kept as one
-table, CLOSED_FORMS (space -> class -> (coefficient, exponent) pairs):
+table, CLOSED_FORMS (space -> class -> (coefficient, exponent) pairs),
+from which FC_BY_DIM, the pair space's decay exponents behind 7/48, is read:
 
 cubic space (p != 3), graded by the target y:
     y = 0                : p^-1 + p^-2 - p^-3
@@ -96,6 +97,12 @@ CLOSED_FORMS = {
         **dict.fromkeys(orbits.NONSINGULAR_LABELS, ((-1, 8),)),
     },
 }
+
+# the decay exponent fc of each pair-space orbit dimension j, |FT| <= 2 p^fc
+# on U_GROUPS[j]: the slowest leading exponent -min e over the group's lines
+FC_BY_DIM = {j: max(-min(e for _, e in CLOSED_FORMS["quartic"][n])
+                    for n in names)
+             for j, names in orbits.U_GROUPS.items()}
 
 CUBIC_CLASSES = tuple(CLOSED_FORMS["cubic"])
 
@@ -438,7 +445,7 @@ def _class_reps(space, p):
     names = tuple(_lines(space))
     nu = int(np.argmax(orbits.legendre_table(p) < 0))
     entries = np.array([0, 1, nu], dtype=np.int64)
-    found, n_states, chunk = {}, 3 ** space.r, 1 << 16
+    found, n_states, chunk = {}, 3 ** space.r, 1 << 12
     for start in range(0, n_states, chunk):
         codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
         C = entries[orbits.decode_states(codes, 3, r=space.r)]

@@ -6,15 +6,16 @@ the pair space (decompose_orbits) and the GL_3-classes of ternary forms
 (form_classes) that the fibred quartic kernel walks.
 
 The 20 orbit labels for the pair space (p odd) and their grouping by
-dimension i, with fc the Fourier-decay exponent (|FT| <= 2 p^fc):
+dimension i (LABEL_DIM); the Fourier-decay exponent of each group,
+fourier.FC_BY_DIM, is derived from the closed forms there:
 
-    i=0   O_0                                          fc=-1
-    i=4   O_D1^2                                       fc=-3
-    i=7   O_D11  O_Cs                                  fc=-4
-    i=8   O_D2  O_Dns  O_Cns  O_B11  O_B2              fc=-5
-    i=10  O_1^4  O_1^31  O_1^21^2  O_2^2               fc=-6
-    i=11  O_1^211  O_1^22                              fc=-7
-    i=12  O_1111  O_112  O_22  O_13  O_4               fc=-8
+    i=0   O_0
+    i=4   O_D1^2
+    i=7   O_D11  O_Cs
+    i=8   O_D2  O_Dns  O_Cns  O_B11  O_B2
+    i=10  O_1^4  O_1^31  O_1^21^2  O_2^2
+    i=11  O_1^211  O_1^22
+    i=12  O_1111  O_112  O_22  O_13  O_4
 
 D* = decomposable pairs (lambda*C, mu*C), graded by the conic C: double
 line (D1^2), split / conjugate line pair (D11 / D2), nonsingular (Dns).
@@ -64,16 +65,6 @@ class ClassifierIncompleteError(RuntimeError):
 # labels
 # ---------------------------------------------------------------------------
 
-LABELS = (
-    "O_0",
-    "O_D1^2",
-    "O_D11", "O_Cs",
-    "O_D2", "O_Dns", "O_Cns", "O_B11", "O_B2",
-    "O_1^4", "O_1^31", "O_1^21^2", "O_2^2",
-    "O_1^211", "O_1^22",
-    "O_1111", "O_112", "O_22", "O_13", "O_4",
-)
-
 LABEL_DIM = {
     "O_0": 0, "O_D1^2": 4,
     "O_D11": 7, "O_Cs": 7,
@@ -83,9 +74,7 @@ LABEL_DIM = {
     "O_1111": 12, "O_112": 12, "O_22": 12, "O_13": 12, "O_4": 12,
 }
 
-FC_BY_DIM = {0: -1, 4: -3, 7: -4, 8: -5, 10: -6, 11: -7, 12: -8}
-
-LABEL_FC = {name: FC_BY_DIM[i] for name, i in LABEL_DIM.items()}
+LABELS = tuple(LABEL_DIM)
 
 U_GROUPS = {i: tuple(n for n in LABELS if LABEL_DIM[n] == i)
             for i in sorted(set(LABEL_DIM.values()))}

@@ -5,7 +5,9 @@ Two small pieces of exact arithmetic sit underneath the counting work:
 * the exponent table for the pair space: summing X^{1-j/12} N^{j+fc+1}
   over the singular orbit dimensions j and asking where each term stays
   below X forces N <= X^alpha with alpha < j / (12 (j + fc + 1)); the
-  minimum over rows is 7/48, attained at j = 7;
+  minimum over rows is 7/48, attained at j = 7.  The decay exponents fc
+  are fourier.FC_BY_DIM, read off the closed forms that brute force
+  verifies, so no fc is typed in here;
 
 * the weighted-sieve prime budget t >= 1/alpha + log4/log3 - 1, decided
   by integer comparisons of powers of 3 and 4 so a threshold can never
@@ -18,11 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .orbits import FC_BY_DIM
+from .fourier import FC_BY_DIM
 from .spaces import QUARTIC
-
-# the orbit dimensions other than the zero orbit's
-SINGULAR_DIMS = tuple(j for j in sorted(FC_BY_DIM) if j)
 
 # truncation of the Greaves constant 1.124...; replaces log4/log3 when the
 # sharper weighted sieve is wanted
@@ -46,7 +45,7 @@ def exponent_table(space):
         raise ValueError("the exponent table is for the pair space")
     d = space.d
     rows = []
-    for j in SINGULAR_DIMS:
+    for j in sorted(FC_BY_DIM.keys() - {0}):    # the singular dimensions
         n_exp = j + FC_BY_DIM[j] + 1
         row = ExponentRow(j=j,
                           x_exponent=1 - Fraction(j, d),

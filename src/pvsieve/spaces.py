@@ -86,7 +86,8 @@ def resolvent_cubic(coords):
     # with |entries| <= M every determinant, partial sum and coefficient
     # below stays within 216 M^3; int64 while that fits, else exact
     M = int(np.abs(coords).max(initial=0))
-    coords = coords.astype(np.int64 if 216 * M ** 3 < 2 ** 63 else object)
+    coords = coords.astype(np.int64 if 216 * M ** 3 < 2 ** 63 else object,
+                           copy=False)
     A = coords[..., 0:6]
     B = coords[..., 6:12]
     dA = _det3_sym(*(A[..., i] for i in range(6)))

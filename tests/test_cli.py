@@ -115,20 +115,48 @@ def test_exhaustive_mode_cubic_only():
                 "--mode", "exhaustive", "--no-cache"]) == 2
 
 
-def test_orbit_table_output(tmp_path):
+def test_orbit_table_output(tmp_path, capsys):
     out = tmp_path / "orbits.txt"
     assert run(["orbits", "--prime", "3", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    text = capsys.readouterr().out
+    assert out.read_text() == text
+    lines = text.splitlines()
     assert lines[-1] == "# total\t531441"
     assert sum(1 for l in lines if l.startswith("O_")) == 20
+    # the whole table byte for byte, the fc column included
+    assert _workloads().digest(text) == (
+        "83c7aee165bfc4cfc8a360e51b115f8f40ba58f4007991fe9374b8590834c0e7")
 
 
 def test_exponent_rows(capsys):
     assert run(["exponents"]) == 0
     text = capsys.readouterr().out
-    assert "X^{2/3} N^2" in text
-    assert "\nN^5" in text or "\t N^5" in text or "12\tN^5" in text
-    assert "alpha_max\t7/48\tbottleneck_j\t7" in text
+    header, body = text.split("\n", 1)
+    assert header.startswith("# pvsieve v")
+    assert header.endswith(" cmd=exponents space=quartic")
+    assert body == (
+        "# j\tterm\talpha_cap\n"
+        "4\tX^{2/3} N^2\t1/6\n"
+        "7\tX^{5/12} N^4\t7/48\n"
+        "8\tX^{1/3} N^4\t1/6\n"
+        "10\tX^{1/6} N^5\t1/6\n"
+        "11\tX^{1/12} N^5\t11/60\n"
+        "12\tN^5\t1/5\n"
+        "# alpha_max\t7/48\tbottleneck_j\t7\n")
+
+
+def test_exhaustive_mode_grades_in_blocks(monkeypatch, capsys):
+    # the p^4 targets are graded 2^20 codes at a time, never all at once
+    target_classes, most = fourier.target_classes, [0]
+
+    def recorded(space, Y, p):
+        most[0] = max(most[0], len(Y))
+        return target_classes(space, Y, p)
+    monkeypatch.setattr(fourier, "target_classes", recorded)
+    assert run(["ft-verify", "--space", "cubic", "--primes", "37",
+                "--mode", "exhaustive"]) == 0
+    assert "37\texhaustive\t1874161\t0\tok" in capsys.readouterr().out
+    assert 0 < most[0] <= 1 << 20
 
 
 # -- determinism and state -------------------------------------------------

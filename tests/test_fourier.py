@@ -307,7 +307,8 @@ def test_fibered_kernel_cap(monkeypatch):
 def test_value_bounded_by_conductor_exponent(p):
     for name in orbits.LABELS:
         v = _quartic(p, name)
-        assert abs(v) <= 2 * Fraction(p) ** orbits.LABEL_FC[name], name
+        fc = fourier.FC_BY_DIM[orbits.LABEL_DIM[name]]
+        assert abs(v) <= 2 * Fraction(p) ** fc, name
 
 
 @pytest.mark.parametrize("p", [3, 5])

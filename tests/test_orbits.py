@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvsieve import orbits as ob
+from pvsieve.fourier import FC_BY_DIM
 from pvsieve.sieve import primes_upto
 from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_mod, pairing_mod,
                             resolvent_cubic)
@@ -41,7 +42,7 @@ def test_label_tables():
     assert len(ob.LABELS) == 20
     assert set(ob.LABEL_DIM) == set(ob.LABELS)
     # (i, fc) pairs exactly as published
-    assert sorted(set((i, ob.FC_BY_DIM[i]) for i in ob.LABEL_DIM.values())) == [
+    assert sorted(set((i, FC_BY_DIM[i]) for i in ob.LABEL_DIM.values())) == [
         (0, -1), (4, -3), (7, -4), (8, -5), (10, -6), (11, -7), (12, -8)]
     assert ob.LABEL_ALIASES == {"O_T11": "O_B11", "O_T2": "O_B2"}
     assert set(ob.U_GROUPS[12]) == {"O_1111", "O_112", "O_22", "O_13", "O_4"}
