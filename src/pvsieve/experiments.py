@@ -19,20 +19,22 @@ for p in a dyadic window.
 Floating-point policy: every weighted box count is served from
 disc_value_buckets, which walks the slices a = 0..R of the box's
 fundamental domain under its order-8 symmetry group (_disc_slices, the
-one box walk of the cubic engines) in ascending order, with the tail
-ordered by d, then b, then c.  Each point's weight is its bump value
-times its multiplicity, a power of two, so folding the multiplicity in
-is exact.  The pass sums each slice by disc value, merges every 8 slices
-into a group and merges the groups as a binary counter: a new group
-merges with the last one of the same level, and at the end the leftovers
-merge from the newest back.  That is the tree of merging the groups pairwise level by level with an
-odd last group carried up, built eagerly, so only about log2(groups)
-tables are alive at once.  A merge adds the terms of each value in run
-order, and a q-query sums the matching buckets in value order.  The
-order of every floating-point operation is fixed, so every number here
-is reproducible bit-for-bit run to run.  The bump's transform, and with
-it the mass in every main term, is one trapezoid rule whose alias error
-is bounded (SmoothWeight.psihat).
+one box walk of the cubic engines, the dual-side sum's too; on the pair
+space that sum halves the box by x -> -x) in ascending order, with the
+tail ordered by d, then b, then c.  Each point's weight is its bump
+value times its multiplicity, a power of two, so folding the
+multiplicity in is exact.  The pass sums each slice by disc value,
+merges every 8 slices into a group and merges the groups as a binary
+counter: a new group merges with the last one of the same level, and at
+the end the leftovers merge from the newest back.  That is the tree of
+merging the groups pairwise level by level with an odd last group
+carried up, built eagerly, so only about log2(groups) tables are alive
+at once.  A merge adds the terms of each value in run order, and a
+q-query sums the matching buckets in value order.  The order of every
+floating-point operation is fixed, so every number here is reproducible
+bit-for-bit run to run.  The bump's transform, and with it the mass in
+every main term, is one trapezoid rule whose alias error is bounded
+(SmoothWeight.psihat).
 """
 
 import functools
@@ -234,13 +236,13 @@ def divisible(vals, d):
     are k m with |k| <= L, and v -> v m' mod 2^w is a bijection sending
     k m to k, so m | v exactly when (v m' + L) mod 2^w <= 2L; and 2^e | v
     exactly when the low e bits of v are zero.  The test holds for every
-    d and every value, the dtype's minimum included.  Other arrays
-    (object, unsigned) take `% d`."""
+    d and every value, the dtype's minimum included.  Any other dtype is
+    refused."""
     d = int(d)
     if d < 1:
         raise ValueError(f"divisor must be >= 1, got {d}")
     if vals.dtype.kind != "i":
-        return vals % d == 0
+        raise TypeError(f"divisible takes signed integers, not {vals.dtype}")
     w = 8 * vals.dtype.itemsize
     u = vals.view(f"u{vals.dtype.itemsize}")
     word = u.dtype.type
@@ -481,7 +483,7 @@ def poisson_check(q, X=10 ** 4, weight=None, Z=None):
 # and prime, space_kernel's cost.  A step took ~15 ns on a 2-core VM, so
 # the cap is about five minutes.  Bytes: the moduli sieve, three copies of
 # the box (building it, reducing it mod p) and a class byte per point and
-# prime.
+# prime.  It prices the full box, not the _dual_box rows, on purpose.
 DUAL_BOUND_WORK = 2 * 10 ** 10
 DUAL_BOUND_BYTES = 2 ** 30
 
@@ -498,19 +500,20 @@ class DualBoundReport:
     qsplit_checked: int    # identity verified on every q0-divisible point
 
 
-def _nonzero_box(Z, r):
-    """The nonzero points of the box |x_i| <= Z as an (n, r) int64 array,
-    in lexicographic order."""
-    side = 2 * Z + 1
-    Y = np.indices((side,) * r, dtype=np.int64).reshape(r, -1).T - Z
-    return np.delete(Y, side ** r // 2, axis=0)
-
-
-def _box_row(X, Z):
-    """Row of each nonzero point of X in _nonzero_box(Z, r)."""
-    shape = (2 * Z + 1,) * X.shape[1]
-    full = np.ravel_multi_index(tuple((X + Z).T), shape)
-    return full - (full > np.prod(shape) // 2)
+def _dual_box(space, Z):
+    """(Y, mult): the nonzero points of |x_i| <= Z up to a symmetry keeping
+    disc, content and every class, with the box points each stands for.
+    Cubic: _disc_slices's order-8 domain.  Pair space: the points after the
+    origin in lexicographic order, each with its negative (-1 in GL_2)."""
+    if space is CUBIC:
+        pieces = [(np.column_stack(np.broadcast_arrays(ia, *idx)) - Z, m)
+                  for ia, _, m, idx in _disc_slices(np.arange(-Z, Z + 1))]
+        Y, mult = (np.concatenate(c) for c in zip(*pieces))
+        keep = Y.any(axis=1)
+        return Y[keep], mult[keep]
+    n = (2 * Z + 1) ** space.r
+    Y = np.unravel_index(np.arange(n // 2 + 1, n), (2 * Z + 1,) * space.r)
+    return np.stack(Y, axis=1) - Z, np.full(n // 2, 2)
 
 
 def check_dual_bound(N, Z, space):
@@ -539,11 +542,11 @@ def dual_bound_sum(N, Z, space_id="cubic"):
     """Exact sum over squarefree q in [N, 2N] and nonzero lattice x with
     |x_i| <= Z of |FT_q(x)|, split by disc(x) = 0 / != 0.
 
-    The box is graded once per prime p of the moduli (p not dividing m) by
-    fourier.target_classes.  FT_q(x) is the product over the primes of
-    q / (q, m) of the closed form of x's class, so each q tallies the class
-    tuples of its primes (mixed-radix codes) over the box and over its
-    disc = 0 points, and sums count times value over the tuples that occur.
+    The rows of _dual_box are graded once per prime p of the moduli (p not
+    dividing m) by fourier.target_classes.  FT_q(x) is the product over the
+    primes of q / (q, m) of the closed form of x's class, so each q tallies
+    the class tuples of its primes (mixed-radix codes) by multiplicity over
+    the rows and their disc = 0 part, and sums count times value.
 
     Every (q, x) with q0 = gcd(q, content of x) > 1 has the split identity
     FT_q(x) = FT_{q0}(x) FT_{q/q0}(x/q0) checked, as the equality of the
@@ -552,8 +555,8 @@ def dual_bound_sum(N, Z, space_id="cubic"):
     moduli = check_dual_bound(N, Z, space)
     cond = fourier.LocalCondition(space.space_id)
     names = tuple(fourier.CLOSED_FORMS[space.space_id])
-    Y = _nonzero_box(Z, space.r)
-    d0 = disc(space, Y) == 0
+    Y, mult = _dual_box(space, Z)
+    mult0 = mult * (disc(space, Y) == 0)        # the disc = 0 points
     content = np.gcd.reduce(Y, axis=1)
     cls, absval = {}, {}
     for p in sorted(set().union(*moduli.values())):
@@ -567,25 +570,25 @@ def dual_bound_sum(N, Z, space_id="cubic"):
         for p in ps:
             codes = codes * len(names) + cls[p]
             values = [v * w for v in values for w in absval[p]]
-        tally = np.bincount(codes, minlength=len(values))
-        tally0 = np.bincount(codes[d0], minlength=len(values))
+        tally = np.bincount(codes, weights=mult, minlength=len(values))
+        tally0 = np.bincount(codes, weights=mult0, minlength=len(values))
         for c in np.flatnonzero(tally):
             total += int(tally[c]) * values[c]
             disc0 += int(tally0[c]) * values[c]
         q0 = np.gcd(content, q)
         for g in np.unique(q0[q0 > 1]).tolist():
             rows = np.flatnonzero(q0 == g)
-            scaled = _box_row(Y[rows] // g, Z)
             for p in (p for p in ps if g % p):
-                bad = np.flatnonzero(cls[p][rows] != cls[p][scaled])
+                scaled = fourier.target_classes(space, Y[rows] // g, p)
+                bad = np.flatnonzero(cls[p][rows] != scaled)
                 if bad.size:
                     x = tuple(int(v) for v in Y[rows[bad[0]]])
                     raise MismatchError(
                         f"split identity fails at q0={g}, q={q}, x={x}")
-            checked += rows.size
+            checked += int(mult[rows].sum())
     return DualBoundReport(N=N, Z=Z, total=total, disc0_part=disc0,
                            nonzero_part=total - disc0, n_q=len(moduli),
-                           n_points=len(Y), qsplit_checked=checked)
+                           n_points=int(mult.sum()), qsplit_checked=checked)
 
 
 def dual_bound_majorant(N, Z):
@@ -594,17 +597,16 @@ def dual_bound_majorant(N, Z):
     (the y = 0 line, fourier.omega), and disc != 0 points go through
     |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
     sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|, counted over
-    the box's fundamental domain with multiplicities.  Exact rational
+    the rows of _dual_box with their multiplicities.  Exact rational
     output (maj0, maj1), within the dual_bound_sum budget."""
     moduli = check_dual_bound(N, Z, CUBIC)
-    D, mult = zip(*((abs(d), m) for _, d, m, _ in _disc_slices(box_axis(Z))))
-    values, inv = np.unique(np.concatenate(D), return_inverse=True)
-    counts = np.bincount(inv, weights=np.concatenate(mult)).astype(np.int64)
-    # values[0] = 0 always, and the origin is not a point of the sum
-    maj0 = (int(counts[0]) - 1) * sum(
+    Y, mult = _dual_box(CUBIC, Z)
+    D = np.abs(disc(CUBIC, Y))
+    maj0 = int(mult[D == 0].sum()) * sum(
         (math.prod((fourier.omega(CUBIC, p) for p in ps), start=1)
          for ps in moduli.values()), Fraction(0))
-    values, counts = values[1:], counts[1:]
+    values, inv = np.unique(D[D > 0], return_inverse=True)
+    counts = np.bincount(inv, weights=mult[D > 0]).astype(np.int64)
     n_star = max(1, -(-N // 3))        # least possible q* = q / (q,3)
     weights = {}       # icbrt(f) -> sum of count * f over f | disc, f <= 8N^3
     for value, count in zip(values.tolist(), counts.tolist()):
@@ -665,14 +667,14 @@ class GeoPairReport:
 def geo_pair_count(query):
     """Exact count of pairs (x, p): x in the lam-box on the progression
     m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p
-    (every x for the scheme "all").  The fundamental domain of the box is
-    walked once; each slice counts its primes per point by divisible (a
-    multiply-by-inverse on int32 and int64 discriminants, `%` on the exact
-    object path), and one dot product with the multiplicities adds them
-    up."""
+    (every x for the scheme "all").  x = m k with |k_i| <= lam // m, and
+    disc(x) = m^4 disc(k), so the fundamental domain of the k-box is walked
+    once (in int32: lam // m <= 58 within the point budget); each slice
+    counts its primes per point by divisible, and one dot product with the
+    multiplicities adds them up."""
     if query.scheme not in GEO_CODIM:
         raise ValueError(f"unknown scheme {query.scheme!r}")
-    axis = box_axis(query.lam, 0, query.m)
+    axis = box_axis(query.lam // query.m)
     n_pts = len(axis) ** 4
     if n_pts > 2e8:
         raise ResourceLimitError(f"{n_pts} progression points in the box")
@@ -729,8 +731,6 @@ def reducible_count(Y):
     for qq in range(0, rt + 1):
         for pp in range(-rt, rt + 1):
             if math.gcd(qq, pp) != 1 or (qq == 0 and pp != 1):
-                continue
-            if qq == 0 and pp <= 0:
                 continue
             u_cap = Y // (qq * qq) if qq else Y
             v_cap = Y // (pp * pp) if pp else Y

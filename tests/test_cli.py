@@ -318,6 +318,25 @@ def test_benchmark_digests(job, capsys):
     assert workloads.digest(capsys.readouterr().out) == expected
 
 
+@pytest.mark.parametrize("space,N,Z,want", [
+    ("cubic", 5, 2,
+     "87335b1edf7b08941ddc336fef11d99f8b8b77831afdcc204dc13f21a6a29ef6"),
+    ("cubic", 30, 6,
+     "d8352e695a2236893ae54b42103105f208cd34da468c0a98cfc3d469ad867e26"),
+    ("cubic", 3, 0,
+     "5c6aad070ba036d255258526055163b687bddfeaba3afc2ef6fb6df3dfc7cd30"),
+    ("quartic", 2, 1,
+     "030dfbf1fb284b762eea519cd31903929bf89a74a6db73ea6394b9ce4350869e"),
+    ("quartic", 3, 0,
+     "8e846a94b9a9733b60fb6dd5e94e1b565050870c726d0f2b860f71d689c2800e")])
+def test_dual_bound_output(space, N, Z, want, capsys):
+    # dual-bound's whole stdout, byte for byte: the exact sums, the point
+    # and split-check counts and, on the cubic space, the majorant
+    assert run(["dual-bound", "--space", space, "--N", str(N),
+                "--Z", str(Z)]) == 0
+    assert _workloads().digest(capsys.readouterr().out) == want
+
+
 def test_benchmark_label_check():
     # the benchmark's own p = 5 label check on the seed-1 sample: a
     # mislabel fails here before it fails a benchmark run
@@ -340,7 +359,8 @@ def test_geosieve_single(capsys):
 
 
 def test_geosieve_wide_box_is_exact(capsys):
-    # |disc| reaches ~5e21 in this box, past int64
+    # |disc| reaches ~5e21 on the points m k of this box, past int64; the
+    # count is walked over k, whose discriminants fit int32
     assert run(["geosieve", "--lam", "100000", "--m", "10000",
                 "--window", "11", "22"]) == 0
     assert "count\t53844\n" in capsys.readouterr().out

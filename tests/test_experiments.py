@@ -14,8 +14,8 @@ import pytest
 
 from pvsieve import experiments as ex
 from pvsieve import fourier, orbits, sieve
-from pvsieve.spaces import (QUARTIC, ResourceLimitError, box_axis,
-                            disc_cubic, disc_dtype)
+from pvsieve.spaces import (CUBIC, QUARTIC, ResourceLimitError, box_axis,
+                            disc, disc_cubic, disc_dtype)
 
 
 @pytest.fixture(scope="module")
@@ -281,12 +281,18 @@ DIVISORS = (1, 2, 3, 6, 30, 210, 821, 1642, 2 ** 31 - 1, 2 ** 31 + 11,
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, object],
                          ids=["int32", "int64", "object"])
 def test_divisible_matches_python_int(dtype):
-    info = np.iinfo(np.int64 if dtype is object else dtype)
+    if dtype is object:
+        # only signed integer arrays are served; an unsigned view of a
+        # negative value would otherwise read as a large positive one
+        for vals in (np.array([3, 3 * 2 ** 70], dtype=object),
+                     np.array([-3], dtype=np.int64).view(np.uint64)):
+            with pytest.raises(TypeError, match=str(vals.dtype)):
+                ex.divisible(vals, 3)
+        return
+    info = np.iinfo(dtype)
     lo, hi = int(info.min), int(info.max)
     rng = np.random.default_rng(7)
     edges = [0, 1, -1, lo, lo + 1, hi, hi - 1]
-    if dtype is object:        # exact integers past int64 as well
-        edges += [3 * 2 ** 70, -(2 ** 61 - 1) * 2 ** 40, 821 * 10 ** 30]
     randoms = [int(v) for v in rng.integers(lo, hi, 2000, dtype=np.int64)]
     for d in DIVISORS:
         k = [int(v) for v in rng.integers(-(hi // d), hi // d + 1, 200)]
@@ -460,6 +466,57 @@ def test_dual_bound_sum_empty_box():
     assert rep.total == 0
 
 
+def _weighted_histogram(keys, weights):
+    hist = {}
+    for key, w in zip(keys, weights):
+        hist[key] = hist.get(key, 0) + int(w)
+    return hist
+
+
+@pytest.mark.parametrize("space,Z", [(CUBIC, 0), (CUBIC, 1), (CUBIC, 2),
+                                     (CUBIC, 3), (QUARTIC, 0), (QUARTIC, 1)],
+                         ids=["cubic0", "cubic1", "cubic2", "cubic3",
+                              "quartic0", "quartic1"])
+def test_dual_box_stands_for_the_nonzero_box(space, Z):
+    # the rows are distinct nonzero points standing for (2Z + 1)^r - 1 box
+    # points, and carry the box's histogram of (disc, content) and, on the
+    # cubic space, of the class at p = 2, 5, 7 as well
+    Y, mult = ex._dual_box(space, Z)
+    r = space.r
+    assert int(mult.sum()) == (2 * Z + 1) ** r - 1
+    assert len({tuple(y) for y in Y.tolist()}) == len(Y)
+    assert Y.any(axis=1).all()
+    box = np.indices((2 * Z + 1,) * r, dtype=np.int64).reshape(r, -1).T - Z
+    box = box[box.any(axis=1)]
+
+    def keys(X, *ps):
+        cols = [disc(space, X).tolist(), np.gcd.reduce(X, axis=1).tolist()]
+        cols += [fourier.cubic_class_batch(X, p).tolist() for p in ps]
+        return zip(*cols)
+    ps = (2, 5, 7) if space is CUBIC else ()
+    assert (_weighted_histogram(keys(Y, *ps), mult)
+            == _weighted_histogram(keys(box, *ps), np.ones(len(box))))
+    if space is QUARTIC:
+        # each row stands for itself and its negative: -1 in GL_2
+        assert np.array_equal(orbits.classify_batch(space, Y, 3),
+                              orbits.classify_batch(space, -Y, 3))
+
+
+@pytest.mark.parametrize("N,Z,space_id,cap", [(10, 3, "cubic", 447),
+                                              (2, 1, "quartic", 265720)])
+def test_dual_bound_sum_grades_the_domain(N, Z, space_id, cap, monkeypatch):
+    # the nonzero box has 2400 and 531 440 rows; the graded domain is its
+    # order-8 fundamental domain (cubic) and its x -> -x half (quartic)
+    real, sizes = fourier.target_classes, []
+
+    def spy(space, Y, p):
+        sizes.append(len(Y))
+        return real(space, Y, p)
+    monkeypatch.setattr(fourier, "target_classes", spy)
+    ex.dual_bound_sum(N, Z, space_id)
+    assert sizes and max(sizes) <= cap
+
+
 def _dual_bound_oracle(N, Z):
     """The six report fields of the cubic dual_bound_sum, point by point:
     |ft_on_lattice| per (q, x), and ft_qsplit_check wherever gcd(q, x) > 1."""
@@ -619,7 +676,8 @@ def test_geo_pair_count_monotone():
                          ids=["narrow", "wide"])
 def test_geo_pair_count_progression(lam, m, window):
     # m Z^4 inside [-lam, lam]: axis {-6, -3, 0, 3, 6} for the narrow box;
-    # the wide box's discriminants reach ~5e21, past int64
+    # the wide box's discriminants reach ~5e21, past int64 (the walk, over
+    # k = x / m, stays in int32)
     rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=lam, m=m, window=window))
     ps = [p for p in range(window[0], window[1] + 1)
           if all(p % d for d in range(2, p)) and m % p]
@@ -630,6 +688,22 @@ def test_geo_pair_count_progression(lam, m, window):
         D = disc_cubic(*x)
         want += sum(1 for p in ps if D % p == 0)
     assert rep.count == want
+
+
+def test_geo_wide_walk_is_int32(monkeypatch):
+    # the wide query's box is m times the box |k_i| <= lam // m = 10, so its
+    # walk builds int32 discriminants and no object array
+    real, dtypes = ex._disc_slices, []
+
+    def spy(axis):
+        for piece in real(axis):
+            dtypes.append(piece[1].dtype)
+            yield piece
+    monkeypatch.setattr(ex, "_disc_slices", spy)
+    rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=100000, m=10000,
+                                             window=(11, 22)))
+    assert rep.count == 53844
+    assert set(dtypes) == {np.dtype(np.int32)}
 
 
 def test_geo_point_budget_before_work(monkeypatch):
