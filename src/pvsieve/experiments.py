@@ -13,15 +13,16 @@ E(X, q) sums over q <= X^alpha, validate the Poisson identity with an
 honest truncation-tail certificate, evaluate the dual-side central sum
 exactly in rationals on either space (with a majorant on the cubic one),
 count the reducible (disc = 0) locus through its (qx - py)^2 (ux - vy)
-parametrization, and count geometric-sieve pairs (x, p) with p | disc(x)
-for p in a dyadic window.
+parametrization, one interval of v per root direction and u, and count
+geometric-sieve pairs (x, p) with p | disc(x) for p in a dyadic window by
+the roots mod p of disc, a quadratic in a, on each fibre (b, c, d).
 
 Floating-point policy: every weighted box count is served from
 disc_value_buckets, which walks the slices a = 0..R of the box's
 fundamental domain under its order-8 symmetry group (_disc_slices, the
-one box walk of the cubic engines, the dual-side sum's too; on the pair
-space that sum halves the box by x -> -x) in ascending order, with the
-tail ordered by d, then b, then c.  Each point's weight is its bump
+one box walk of the weighted counts, the majorant and the dual-side sum;
+on the pair space that sum halves the box by x -> -x) in ascending order,
+with the tail ordered by d, then b, then c.  Each point's weight is its bump
 value times its multiplicity, a power of two, so folding the
 multiplicity in is exact.  The pass sums each slice by disc value,
 merges every 8 slices into a group and merges the groups as a binary
@@ -644,7 +645,7 @@ class GeoSieveQuery:
     m: int = 1
     window: tuple = None      # (P, 2P); default P = 2*lam/m + 1
     scheme: str = "disc0"     # "disc0": p | disc(x); "all": every x
-    x0 = (0, 0, 0, 0)         # the box centre, fixed: the walk needs symmetry
+    x0 = (0, 0, 0, 0)         # the box centre, fixed: the count needs symmetry
 
     def prime_window(self):
         if self.window is not None:
@@ -668,17 +669,22 @@ def geo_pair_count(query):
     """Exact count of pairs (x, p): x in the lam-box on the progression
     m Z^4, p prime in the window, p not dividing m, disc(x) = 0 mod p
     (every x for the scheme "all").  x = m k with |k_i| <= lam // m, and
-    disc(x) = m^4 disc(k), so the fundamental domain of the k-box is walked
-    once (in int32: lam // m <= 58 within the point budget); each slice
-    counts its primes per point by divisible, and one dot product with the
-    multiplicities adds them up."""
+    disc(x) = m^4 disc(k), so the disc0 count is _fibre_pair_count on the
+    k-box: the roots of disc on each a-fibre.  On that fibre
+    disc = alpha a^2 + beta a + gamma, whose discriminant in a is
+    beta^2 - 4 alpha gamma = 16 h^3 with h = c^2 - 3bd, the y^2
+    coefficient of the Hessian.  (a,b,c,d) -> (-a,b,-c,d) and
+    (a,b,c,d) -> (a,-b,c,-d) keep disc and map each fibre onto a fibre, so
+    only the fibres with b, c >= 0 are counted."""
     if query.scheme not in GEO_CODIM:
         raise ValueError(f"unknown scheme {query.scheme!r}")
-    axis = box_axis(query.lam // query.m)
-    n_pts = len(axis) ** 4
+    K = query.lam // query.m
+    n_pts = len(box_axis(K)) ** 4
     if n_pts > 2e8:
         raise ResourceLimitError(f"{n_pts} progression points in the box")
     P, P2 = query.prime_window()
+    if P2 >= 2 ** 31:
+        raise ResourceLimitError(f"prime window up to {P2}, past 2^31")
     ps = [int(p) for p in sieve.primes_upto(P2)
           if P <= p <= P2 and query.m % p != 0]
     count = 0
@@ -686,15 +692,151 @@ def geo_pair_count(query):
         if query.scheme == "all":
             count = n_pts * len(ps)
         else:
-            for _, disc, mult, _ in _disc_slices(axis):
-                hits = np.zeros(disc.shape, dtype=np.int32)
-                for p in ps:
-                    hits += divisible(disc, p)
-                count += int(np.dot(hits, mult))
+            count = _fibre_pair_count(K, ps)
     lam_over_m = query.lam / query.m
     bound = lam_over_m ** (4 - GEO_CODIM[query.scheme]) * P * query.lam ** 0.1
     return GeoPairReport(query=query, count=count, n_primes=len(ps),
                          bound_shape=bound)
+
+
+def _mod(x, p):
+    """x mod p in place, by floor division (several times faster than %)."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+def _pow_mod(x, e, p):
+    """x^e mod p at each x of an array (0 <= x < p < 2^31), by squaring."""
+    out = np.ones_like(x)
+    for bit in bin(e)[2:]:
+        out = _mod(out * out, p)
+        if bit == "1":
+            out = _mod(out * x, p)
+    return out
+
+
+def _sqrt_mod(a, p):
+    """A square root mod the odd prime p of each residue of an int64 array
+    (0 <= a < p < 2^31), or -1 where it is not a square.  For p below
+    64 max(len(a), 1024), one scatter of the squares mod p (p/2 writes);
+    above, Tonelli-Shanks on the whole array, whose O(log^2 p) passes over
+    a do not grow with p: with p - 1 = q 2^S, x = a^((q+1)/2) and t = a^q
+    satisfy x^2 = a t, and each step i = S-1..1 multiplies x by c and t by
+    c^2 where t^(2^(i-1)) = -1, c = z^(q 2^(S-1-i)) for a non-square z;
+    a is a square iff t ends at 1 (or a = 0)."""
+    if p < 64 * max(a.size, 1024):
+        r = np.arange((p + 1) // 2, dtype=np.int64)
+        sqrt = np.full(p, -1, dtype=np.int32)
+        sqrt[_mod(r * r, p)] = r
+        return sqrt[a]
+    S = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> S
+    w = _pow_mod(a, (q - 1) // 2, p)
+    x = _mod(w * a, p)
+    t = _mod(w * x, p)
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c = pow(z, q, p)
+    for i in range(S - 1, 0, -1):
+        b = t
+        for _ in range(i - 1):
+            b = _mod(b * b, p)
+        flip = b != 1
+        x = np.where(flip, _mod(x * c, p), x)
+        c = c * c % p
+        t = np.where(flip, _mod(t * c, p), t)
+    return np.where((t == 1) | (a == 0), x, -1)
+
+
+def _fibre_pair_count(K, ps):
+    """Sum over the primes p of ps of #{x in [-K, K]^4 : p | disc(x)}, by
+    counting the roots of disc in a on each fibre (b, c, d), b, c >= 0,
+    weighted w(b) w(c) (w(t) = 2 for t > 0, 1 for t = 0).
+
+    With alpha = -27 d^2, beta = 18bcd - 4c^3, gamma = b^2 c^2 - 4b^3 d and
+    h = c^2 - 3bd:
+    - p >= 5, p not dividing d: a = (-beta +- 4 h s) / (2 alpha), s^2 = h
+      mod p: two roots when h is a nonzero square, one when p | h, none
+      otherwise;
+    - p | d: disc = c^2 (b^2 - 4ac) mod p: the one root b^2 / (4c) when p
+      does not divide c, every a when it does;
+    - p in {2, 3}: 2 alpha = 0 mod p, so each residue of a is tried;
+    - p > 54 K^4, past every |disc| of the box: p | disc only where
+      disc = 0, so each such p adds reducible_count(K).
+    A root r stands for the Q + [(r + K) mod p < R] points of [-K, K] in
+    its class, 2K + 1 = Q p + R.  The shift by K is folded into the
+    numerator (j = a + K solves 2 alpha j = 2 alpha K - beta +- 4 h s), and
+    each factor is reduced mod p before a product, so no value reaches
+    2 p^2: int32 for p < 2^15, int64 for p < 2^31.  Per prime, the square
+    roots of every h (_sqrt_mod) and the inverses of 2 alpha per d and of
+    4c are found; the fibres are then counted for a block of primes at
+    once, about 2^18 (prime, fibre) cells."""
+    t = np.arange(-K, K + 1, dtype=np.int64)
+    d, b, c = t[:, None, None], t[K:, None], t[K:]
+    alpha = -27 * d * d
+    beta = 18 * b * c * d - 4 * c ** 3
+    gamma = b * b * c * c - 4 * b ** 3 * d
+    w = (np.where(b > 0, 2, 1) * np.where(c > 0, 2, 1)).astype(np.int32)
+    big = sum(p > 54 * K ** 4 for p in ps)      # past every |disc| of the box
+    count = big * reducible_count(K) if big else 0
+    ps = [p for p in ps if p <= 54 * K ** 4]
+    for p in (p for p in ps if p < 5):
+        Q, R = divmod(2 * K + 1, p)
+        hits = sum((_mod(alpha * r * r + beta * r + gamma, p) == 0)
+                   * (Q + ((r + K) % p < R)) for r in range(p))
+        count += int(np.sum(hits * w))
+    ps = [p for p in ps if p >= 5]
+    rows = (t.size, (K + 1) ** 2)             # fibres: d, then (b, c)
+    num = (2 * K * alpha - beta).reshape(rows)
+    hs = np.arange(-3 * K * K, 4 * K * K + 1)         # every h of the box
+    h_at = (c * c - 3 * b * d - hs[0]).reshape(rows)
+    w = w.ravel()
+    b2, c_bc = (np.broadcast_to(v, (K + 1, K + 1)).ravel() for v in (b * b, c))
+    per_block = max(1, 2 ** 18 // num.size)
+    for i0 in range(0, len(ps), per_block):
+        block = ps[i0:i0 + per_block]
+        dt = np.int32 if max(block) < 2 ** 15 else np.int64
+        # per prime: s^2 = h mod p (-1 where h is not a square), and the
+        # inverses of 2 alpha by |d| and of 4c by c (0 where p divides them)
+        P = np.array(block, dtype=np.int64)[:, None]
+        hp = _mod(np.broadcast_to(hs, (len(block), hs.size)).copy(), P)
+        s = np.empty(hp.shape, dtype=np.int64)
+        inv2a = np.empty((len(block), K + 1), dtype=dt)
+        inv4c = np.empty((len(block), K + 1), dtype=dt)
+        for i, p in enumerate(block):
+            s[i] = _sqrt_mod(hp[i], p)
+            inv = [pow(x, -1, p) if x % p else 0 for x in range(K + 1)]
+            k2a, k4 = pow(-54, -1, p), pow(4, -1, p)
+            inv2a[i] = [k2a * y * y % p for y in inv]
+            inv4c[i] = [k4 * y % p for y in inv]
+        v_of_h = np.where(s < 0, -1, _mod(4 * hp * s, P)).astype(dt)
+        P = P.astype(dt)
+        Q, R = np.divmod(2 * K + 1, P)
+        P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]
+        # p not dividing d: the shifted roots j = (u +- v) / (2 alpha), with
+        # u = 2 alpha K - beta and v = 4 h s
+        u = _mod(np.broadcast_to(num.astype(dt), (len(block), *rows)).copy(),
+                 P3)
+        v = np.take(v_of_h, h_at, axis=1)
+        k = inv2a[:, np.abs(t), None]
+        x = u + v
+        x *= k
+        j1 = _mod(x, P3) < R3
+        u -= v
+        u *= k
+        j2 = _mod(u, P3) < R3
+        one, two = v >= 0, v > 0                # at least one, two roots
+        hits = np.add(one & j1, two & j2, dtype=np.int8)
+        if min(block) <= 2 * K + 1:             # Q >= 1 for some p
+            hits += np.add(one, two, dtype=np.int8) * Q3
+        per_d = np.einsum("idk,k->id", hits, w)
+        count += int(np.sum(per_d * (t % P != 0)))
+        # p | d: the planes d = 0 mod p, all alike
+        j = _mod(b2 * inv4c[:, c_bc] + K, P)
+        plane = np.where(c_bc % P == 0, 2 * K + 1, Q + (j < R))
+        count += int((2 * (K // P[:, 0]) + 1) @ (plane @ w))
+    return count
 
 
 GEO_GRID = ((20, 1), (50, 1), (100, 5), (200, 5))
@@ -721,8 +863,13 @@ def reducible_count(Y):
     """#{binary cubics, disc = 0, all |coeffs| <= Y}, exactly.
 
     Every nonzero such form factors as (qx - py)^2 (ux - vy) with (q, p)
-    primitive and sign-normalized, uniquely, so the enumeration is a loop
-    over root directions times a rectangle of (u, v); the zero form adds 1."""
+    primitive and sign-normalized, uniquely.  Its coefficients are q^2 u,
+    -(2pq u + q^2 v), p^2 u + 2pq v and -p^2 v: the outer two cap |u| and
+    |v|, and for each root direction and each u the middle two are
+    |A + B v| <= Y, an integer interval of v (a test of u alone when
+    B = 0).  The count adds the lengths of the intersections over one row
+    of u per direction, less the point u = v = 0, which every direction's
+    u = 0 interval holds; the zero form adds 1."""
     Y = int(Y)
     if Y < 0:
         raise ValueError("Y must be >= 0")
@@ -735,16 +882,17 @@ def reducible_count(Y):
             u_cap = Y // (qq * qq) if qq else Y
             v_cap = Y // (pp * pp) if pp else Y
             u = np.arange(-u_cap, u_cap + 1, dtype=np.int64)
-            v = np.arange(-v_cap, v_cap + 1, dtype=np.int64)
-            U, W = np.meshgrid(u, v, indexing="ij")
-            c0 = qq * qq * U
-            c1 = -(2 * pp * qq * U + qq * qq * W)
-            c2 = pp * pp * U + 2 * pp * qq * W
-            c3 = -pp * pp * W
-            ok = ((np.abs(c0) <= Y) & (np.abs(c1) <= Y)
-                  & (np.abs(c2) <= Y) & (np.abs(c3) <= Y)
-                  & ((U != 0) | (W != 0)))
-            count += int(np.count_nonzero(ok))
+            lo, hi = np.full(u.size, -v_cap), np.full(u.size, v_cap)
+            for A, B in ((-2 * pp * qq * u, -qq * qq),
+                         (pp * pp * u, 2 * pp * qq)):
+                if B == 0:
+                    hi[np.abs(A) > Y] = -v_cap - 1         # empty
+                    continue
+                if B < 0:
+                    A, B = -A, -B
+                np.maximum(lo, -((Y + A) // B), out=lo)
+                np.minimum(hi, (Y - A) // B, out=hi)
+            count += int(np.maximum(hi - lo + 1, 0).sum()) - 1
     return count
 
 

@@ -672,12 +672,14 @@ def test_geo_pair_count_monotone():
 
 
 @pytest.mark.parametrize("lam,m,window", [(6, 3, (5, 10)),
-                                          (100000, 10000, (11, 22))],
-                         ids=["narrow", "wide"])
+                                          (100000, 10000, (11, 22)),
+                                          (6, 1, (46341, 46400))],
+                         ids=["narrow", "wide", "past-int32-residues"])
 def test_geo_pair_count_progression(lam, m, window):
     # m Z^4 inside [-lam, lam]: axis {-6, -3, 0, 3, 6} for the narrow box;
-    # the wide box's discriminants reach ~5e21, past int64 (the walk, over
-    # k = x / m, stays in int32)
+    # the wide box's discriminants reach ~5e21, past int64 (the count, over
+    # k = x / m, stays in int32); p > 46340 in the last window puts p^2
+    # past 2^31, where int32 residue products would wrap
     rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=lam, m=m, window=window))
     ps = [p for p in range(window[0], window[1] + 1)
           if all(p % d for d in range(2, p)) and m % p]
@@ -691,30 +693,88 @@ def test_geo_pair_count_progression(lam, m, window):
 
 
 def test_geo_wide_walk_is_int32(monkeypatch):
-    # the wide query's box is m times the box |k_i| <= lam // m = 10, so its
-    # walk builds int32 discriminants and no object array
-    real, dtypes = ex._disc_slices, []
+    # the wide query's box is m times the box |k_i| <= lam // m = 10, so
+    # the root count runs on that k-box, in int32 (residues below 2^15),
+    # not on the x-box, whose discriminants pass int64
+    real, calls = ex._fibre_pair_count, []
 
-    def spy(axis):
-        for piece in real(axis):
-            dtypes.append(piece[1].dtype)
-            yield piece
-    monkeypatch.setattr(ex, "_disc_slices", spy)
+    def spy(K, ps):
+        calls.append((K, list(ps)))
+        return real(K, ps)
+    monkeypatch.setattr(ex, "_fibre_pair_count", spy)
     rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=100000, m=10000,
                                              window=(11, 22)))
     assert rep.count == 53844
-    assert set(dtypes) == {np.dtype(np.int32)}
+    assert calls == [(10, [11, 13, 17, 19])]
 
 
 def test_geo_point_budget_before_work(monkeypatch):
     # (2 lam + 1)^4 at lam = 30000 wraps in int64; the budget is checked
-    # on the exact count before any prime or box is built
+    # on the exact count before any prime or fibre is built
     def boom(*a, **k):
         raise AssertionError("work started before the point budget")
-    monkeypatch.setattr(ex, "_disc_slices", boom)
+    monkeypatch.setattr(ex, "_fibre_pair_count", boom)
     monkeypatch.setattr(sieve, "primes_upto", boom)
     with pytest.raises(ResourceLimitError, match="12960864021600240001"):
         ex.geo_pair_count(ex.GeoSieveQuery(lam=30000))
+
+
+def test_geo_prime_window_past_2_31_refused(monkeypatch):
+    # residue products reach 2 p^2, past int64 for p >= 2^31: refused
+    # before the window's primes are sieved
+    def boom(*a, **k):
+        raise AssertionError("primes sieved past the window bound")
+    monkeypatch.setattr(sieve, "primes_upto", boom)
+    with pytest.raises(ResourceLimitError, match="2147483648"):
+        ex.geo_pair_count(ex.GeoSieveQuery(lam=2, window=(2 ** 30,
+                                                          2 ** 31)))
+
+
+def _walk_pair_count(K, ps):
+    """The domain walk: disc at every point of the box's order-8 domain,
+    each prime tested by divisible, weighted by the multiplicities."""
+    count = 0
+    for _, D, mult, _ in ex._disc_slices(np.arange(-K, K + 1)):
+        hits = np.zeros(D.shape, dtype=np.int32)
+        for p in ps:
+            hits += ex.divisible(D, p)
+        count += int(np.dot(hits, mult))
+    return count
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8])
+def test_fibre_root_count_matches_the_walk(K):
+    # p < 2K + 1 puts several box points in one class; p = 2, 3 take the
+    # residue sum; the planes p | d (with p | c among them) and the fibres
+    # with p | h are all met at these K
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        assert ex._fibre_pair_count(K, [p]) == _walk_pair_count(K, [p]), p
+    ps = [2, 3, 5, 7, 11, 13, 17]
+    assert ex._fibre_pair_count(K, ps) == _walk_pair_count(K, ps)
+
+
+@pytest.mark.parametrize("K,window", [(5, (65521, 65600)),
+                                      (8, (786431, 786450)),
+                                      (3, (4349, 4410))])
+def test_fibre_root_count_large_primes(K, window):
+    # with |h| <= 4 K^2 the square roots come from Tonelli-Shanks from 2^16
+    # on: 65537 - 1 is 2^16 and 786433 - 1 is 3 * 2^18, so every step of it
+    # runs; at K = 3 the window straddles 54 K^4 = 4374, past which each
+    # prime adds the disc = 0 count
+    ps = [int(p) for p in sieve.primes_upto(window[1]) if p >= window[0]]
+    assert {65537, 786433, 4391} & set(ps)
+    assert ex._fibre_pair_count(K, ps) == _walk_pair_count(K, ps)
+
+
+@pytest.mark.parametrize("p", [5, 101, 65537, 786433, 2 ** 31 - 1])
+def test_sqrt_mod_against_euler(p):
+    # a root where Euler's criterion says square, -1 elsewhere
+    a = np.unique(np.r_[np.arange(min(p, 500)), p - np.arange(1, min(p, 500)),
+                        np.random.default_rng(p).integers(0, p, 500)])
+    s = ex._sqrt_mod(a.astype(np.int64), p)
+    for x, r in zip(a.tolist(), s.tolist()):
+        square = x == 0 or pow(x, (p - 1) // 2, p) == 1
+        assert (r >= 0) == square and (r < 0 or (r * r - x) % p == 0), x
 
 
 def test_geo_unknown_scheme():
@@ -736,6 +796,30 @@ def test_reducible_count_bruteforce_oracle():
         grid = np.meshgrid(*[np.arange(-Y, Y + 1, dtype=np.int64)] * 4)
         want = np.count_nonzero(disc_cubic(*grid) == 0)
         assert ex.reducible_count(Y) == want
+
+
+def _meshgrid_reducible_count(Y):
+    """The (u, v) rectangle of each root direction, tested point by point."""
+    count = 1
+    rt = math.isqrt(Y)
+    for qq in range(0, rt + 1):
+        for pp in range(-rt, rt + 1):
+            if math.gcd(qq, pp) != 1 or (qq == 0 and pp != 1):
+                continue
+            u_cap = Y // (qq * qq) if qq else Y
+            v_cap = Y // (pp * pp) if pp else Y
+            U, W = np.meshgrid(np.arange(-u_cap, u_cap + 1),
+                               np.arange(-v_cap, v_cap + 1), indexing="ij")
+            coeffs = (qq * qq * U, -(2 * pp * qq * U + qq * qq * W),
+                      pp * pp * U + 2 * pp * qq * W, -pp * pp * W)
+            ok = np.all([np.abs(x) <= Y for x in coeffs], axis=0)
+            count += int(np.count_nonzero(ok & ((U != 0) | (W != 0))))
+    return count
+
+
+@pytest.mark.parametrize("Y", [0, 1, 4, 9, 25, 50, 100])
+def test_reducible_count_meshgrid_oracle(Y):
+    assert ex.reducible_count(Y) == _meshgrid_reducible_count(Y)
 
 
 def test_reducible_count_y1_is_21():
