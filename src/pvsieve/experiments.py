@@ -684,7 +684,8 @@ def geo_pair_count(query):
         raise ResourceLimitError(f"{n_pts} progression points in the box")
     P, P2 = query.prime_window()
     if P2 >= 2 ** 31:
-        raise ResourceLimitError(f"prime window up to {P2}, past 2^31")
+        raise ResourceLimitError(f"prime window up to {P2}: sieving it "
+                                 f"takes a {P2 + 1}-byte mask")
     ps = [int(p) for p in sieve.primes_upto(P2)
           if P <= p <= P2 and query.m % p != 0]
     count = 0
@@ -719,14 +720,16 @@ def _pow_mod(x, e, p):
 
 def _sqrt_mod(a, p):
     """A square root mod the odd prime p of each residue of an int64 array
-    (0 <= a < p < 2^31), or -1 where it is not a square.  For p below
-    64 max(len(a), 1024), one scatter of the squares mod p (p/2 writes);
-    above, Tonelli-Shanks on the whole array, whose O(log^2 p) passes over
-    a do not grow with p: with p - 1 = q 2^S, x = a^((q+1)/2) and t = a^q
+    (0 <= a < p < 2^31), or -1 where it is not a square.  A scatter of the
+    squares mod p costs p/2 writes; Tonelli-Shanks costs O(log^2 p) passes
+    over a, whatever p.  Timed per prime on the h met in the boxes K = 5
+    to 58 (len(a) = 88 to 13 498), the two cost the same near
+    p = 16 (len(a) + 2048), so the scatter is taken below that.
+    Tonelli-Shanks: with p - 1 = q 2^S, x = a^((q+1)/2) and t = a^q
     satisfy x^2 = a t, and each step i = S-1..1 multiplies x by c and t by
     c^2 where t^(2^(i-1)) = -1, c = z^(q 2^(S-1-i)) for a non-square z;
     a is a square iff t ends at 1 (or a = 0)."""
-    if p < 64 * max(a.size, 1024):
+    if p < 16 * (a.size + 2048):
         r = np.arange((p + 1) // 2, dtype=np.int64)
         sqrt = np.full(p, -1, dtype=np.int32)
         sqrt[_mod(r * r, p)] = r
@@ -766,12 +769,15 @@ def _fibre_pair_count(K, ps):
       disc = 0, so each such p adds reducible_count(K).
     A root r stands for the Q + [(r + K) mod p < R] points of [-K, K] in
     its class, 2K + 1 = Q p + R.  The shift by K is folded into the
-    numerator (j = a + K solves 2 alpha j = 2 alpha K - beta +- 4 h s), and
-    each factor is reduced mod p before a product, so no value reaches
-    2 p^2: int32 for p < 2^15, int64 for p < 2^31.  Per prime, the square
-    roots of every h (_sqrt_mod) and the inverses of 2 alpha per d and of
-    4c are found; the fibres are then counted for a block of primes at
-    once, about 2^18 (prime, fibre) cells."""
+    numerator (j = a + K solves 2 alpha j = 2 alpha K - beta +- 4 h s).
+    Each product is of a residue mod p with a value below 2p or with
+    b^2 <= K^2, so nothing reaches p max(2p, K^2 + 1): int32 holds it for
+    p < 2^15 (K <= 58 within geo_pair_count's point budget), and int64
+    above, where the primes that reach the fibres are at most
+    54 K^4 < 2^30.  Per prime, the square roots of the h met (_sqrt_mod)
+    and the inverses of 2 alpha per d and of 4c are found; the fibres are
+    then counted for a block of primes at once, about 2^18 (prime, fibre)
+    cells."""
     t = np.arange(-K, K + 1, dtype=np.int64)
     d, b, c = t[:, None, None], t[K:, None], t[K:]
     alpha = -27 * d * d
@@ -789,8 +795,8 @@ def _fibre_pair_count(K, ps):
     ps = [p for p in ps if p >= 5]
     rows = (t.size, (K + 1) ** 2)             # fibres: d, then (b, c)
     num = (2 * K * alpha - beta).reshape(rows)
-    hs = np.arange(-3 * K * K, 4 * K * K + 1)         # every h of the box
-    h_at = (c * c - 3 * b * d - hs[0]).reshape(rows)
+    h_at = (c * c - 3 * b * d + 3 * K * K).reshape(rows)    # h + 3K^2 >= 0
+    hs = np.flatnonzero(np.bincount(h_at.ravel())) - 3 * K * K  # h met
     w = w.ravel()
     b2, c_bc = (np.broadcast_to(v, (K + 1, K + 1)).ravel() for v in (b * b, c))
     per_block = max(1, 2 ** 18 // num.size)
@@ -810,7 +816,9 @@ def _fibre_pair_count(K, ps):
             k2a, k4 = pow(-54, -1, p), pow(4, -1, p)
             inv2a[i] = [k2a * y * y % p for y in inv]
             inv4c[i] = [k4 * y % p for y in inv]
-        v_of_h = np.where(s < 0, -1, _mod(4 * hp * s, P)).astype(dt)
+        v_of_h = np.full((len(block), 7 * K * K + 1), -1, dtype=dt)
+        v_of_h[:, hs + 3 * K * K] = np.where(s < 0, -1,
+                                             _mod(_mod(4 * hp, P) * s, P))
         P = P.astype(dt)
         Q, R = np.divmod(2 * K + 1, P)
         P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]

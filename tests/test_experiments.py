@@ -694,18 +694,28 @@ def test_geo_pair_count_progression(lam, m, window):
 
 def test_geo_wide_walk_is_int32(monkeypatch):
     # the wide query's box is m times the box |k_i| <= lam // m = 10, so
-    # the root count runs on that k-box, in int32 (residues below 2^15),
-    # not on the x-box, whose discriminants pass int64
-    real, calls = ex._fibre_pair_count, []
+    # the root count runs on that k-box, not on the x-box, whose
+    # discriminants pass int64; its fibre residues (the 3-d arrays: prime,
+    # d, (b, c)) are int32, as every prime is below 2^15, and no residue
+    # array is an object array
+    real_count, real_mod, calls, dtypes = (ex._fibre_pair_count, ex._mod,
+                                           [], [])
 
-    def spy(K, ps):
+    def spy_count(K, ps):
         calls.append((K, list(ps)))
-        return real(K, ps)
-    monkeypatch.setattr(ex, "_fibre_pair_count", spy)
+        return real_count(K, ps)
+
+    def spy_mod(x, p):
+        dtypes.append((x.ndim, x.dtype))
+        return real_mod(x, p)
+    monkeypatch.setattr(ex, "_fibre_pair_count", spy_count)
+    monkeypatch.setattr(ex, "_mod", spy_mod)
     rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=100000, m=10000,
                                              window=(11, 22)))
     assert rep.count == 53844
     assert calls == [(10, [11, 13, 17, 19])]
+    assert {dt for nd, dt in dtypes if nd == 3} == {np.dtype(np.int32)}
+    assert np.dtype(object) not in {dt for _, dt in dtypes}
 
 
 def test_geo_point_budget_before_work(monkeypatch):
@@ -720,8 +730,8 @@ def test_geo_point_budget_before_work(monkeypatch):
 
 
 def test_geo_prime_window_past_2_31_refused(monkeypatch):
-    # residue products reach 2 p^2, past int64 for p >= 2^31: refused
-    # before the window's primes are sieved
+    # sieving primes up to 2^31 takes a 2 GB mask: refused before the
+    # window's primes are sieved
     def boom(*a, **k):
         raise AssertionError("primes sieved past the window bound")
     monkeypatch.setattr(sieve, "primes_upto", boom)
@@ -757,10 +767,11 @@ def test_fibre_root_count_matches_the_walk(K):
                                       (8, (786431, 786450)),
                                       (3, (4349, 4410))])
 def test_fibre_root_count_large_primes(K, window):
-    # with |h| <= 4 K^2 the square roots come from Tonelli-Shanks from 2^16
-    # on: 65537 - 1 is 2^16 and 786433 - 1 is 3 * 2^18, so every step of it
-    # runs; at K = 3 the window straddles 54 K^4 = 4374, past which each
-    # prime adds the disc = 0 count
+    # at K = 5 and 8 the square roots of the h met come from
+    # Tonelli-Shanks (p past 16 (len(h) + 2048) < 2^16): 65537 - 1 is 2^16
+    # and 786433 - 1 is 3 * 2^18, so every step of it runs; at K = 3 they
+    # come from the table, and the window straddles 54 K^4 = 4374, past
+    # which each prime adds the disc = 0 count
     ps = [int(p) for p in sieve.primes_upto(window[1]) if p >= window[0]]
     assert {65537, 786433, 4391} & set(ps)
     assert ex._fibre_pair_count(K, ps) == _walk_pair_count(K, ps)
