@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial import polynomial as poly
 
 from . import fourier, sieve
-from .ffcore import factor_squarefree
+from .ffcore import factor_squarefree, mod, sqrt_mod
 from .spaces import (CUBIC, MismatchError, ResourceLimitError, box_axis,
                      disc, disc_cubic, disc_dtype, space_by_name)
 
@@ -700,58 +700,6 @@ def geo_pair_count(query):
                          bound_shape=bound)
 
 
-def _mod(x, p):
-    """x mod p in place, by floor division (several times faster than %)."""
-    q = x // p
-    q *= p
-    x -= q
-    return x
-
-
-def _pow_mod(x, e, p):
-    """x^e mod p at each x of an array (0 <= x < p < 2^31), by squaring."""
-    out = np.ones_like(x)
-    for bit in bin(e)[2:]:
-        out = _mod(out * out, p)
-        if bit == "1":
-            out = _mod(out * x, p)
-    return out
-
-
-def _sqrt_mod(a, p):
-    """A square root mod the odd prime p of each residue of an int64 array
-    (0 <= a < p < 2^31), or -1 where it is not a square.  A scatter of the
-    squares mod p costs p/2 writes; Tonelli-Shanks costs O(log^2 p) passes
-    over a, whatever p.  Timed per prime on the h met in the boxes K = 5
-    to 58 (len(a) = 88 to 13 498), the two cost the same near
-    p = 16 (len(a) + 2048), so the scatter is taken below that.
-    Tonelli-Shanks: with p - 1 = q 2^S, x = a^((q+1)/2) and t = a^q
-    satisfy x^2 = a t, and each step i = S-1..1 multiplies x by c and t by
-    c^2 where t^(2^(i-1)) = -1, c = z^(q 2^(S-1-i)) for a non-square z;
-    a is a square iff t ends at 1 (or a = 0)."""
-    if p < 16 * (a.size + 2048):
-        r = np.arange((p + 1) // 2, dtype=np.int64)
-        sqrt = np.full(p, -1, dtype=np.int32)
-        sqrt[_mod(r * r, p)] = r
-        return sqrt[a]
-    S = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> S
-    w = _pow_mod(a, (q - 1) // 2, p)
-    x = _mod(w * a, p)
-    t = _mod(w * x, p)
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c = pow(z, q, p)
-    for i in range(S - 1, 0, -1):
-        b = t
-        for _ in range(i - 1):
-            b = _mod(b * b, p)
-        flip = b != 1
-        x = np.where(flip, _mod(x * c, p), x)
-        c = c * c % p
-        t = np.where(flip, _mod(t * c, p), t)
-    return np.where((t == 1) | (a == 0), x, -1)
-
-
 def _fibre_pair_count(K, ps):
     """Sum over the primes p of ps of #{x in [-K, K]^4 : p | disc(x)}, by
     counting the roots of disc in a on each fibre (b, c, d), b, c >= 0,
@@ -774,7 +722,7 @@ def _fibre_pair_count(K, ps):
     b^2 <= K^2, so nothing reaches p max(2p, K^2 + 1): int32 holds it for
     p < 2^15 (K <= 58 within geo_pair_count's point budget), and int64
     above, where the primes that reach the fibres are at most
-    54 K^4 < 2^30.  Per prime, the square roots of the h met (_sqrt_mod)
+    54 K^4 < 2^30.  Per prime, the square roots of the h met (sqrt_mod)
     and the inverses of 2 alpha per d and of 4c are found; the fibres are
     then counted for a block of primes at once, about 2^18 (prime, fibre)
     cells."""
@@ -789,7 +737,7 @@ def _fibre_pair_count(K, ps):
     ps = [p for p in ps if p <= 54 * K ** 4]
     for p in (p for p in ps if p < 5):
         Q, R = divmod(2 * K + 1, p)
-        hits = sum((_mod(alpha * r * r + beta * r + gamma, p) == 0)
+        hits = sum((mod(alpha * r * r + beta * r + gamma, p) == 0)
                    * (Q + ((r + K) % p < R)) for r in range(p))
         count += int(np.sum(hits * w))
     ps = [p for p in ps if p >= 5]
@@ -806,34 +754,34 @@ def _fibre_pair_count(K, ps):
         # per prime: s^2 = h mod p (-1 where h is not a square), and the
         # inverses of 2 alpha by |d| and of 4c by c (0 where p divides them)
         P = np.array(block, dtype=np.int64)[:, None]
-        hp = _mod(np.broadcast_to(hs, (len(block), hs.size)).copy(), P)
+        hp = mod(np.broadcast_to(hs, (len(block), hs.size)).copy(), P)
         s = np.empty(hp.shape, dtype=np.int64)
         inv2a = np.empty((len(block), K + 1), dtype=dt)
         inv4c = np.empty((len(block), K + 1), dtype=dt)
         for i, p in enumerate(block):
-            s[i] = _sqrt_mod(hp[i], p)
+            s[i] = sqrt_mod(hp[i], p)
             inv = [pow(x, -1, p) if x % p else 0 for x in range(K + 1)]
             k2a, k4 = pow(-54, -1, p), pow(4, -1, p)
             inv2a[i] = [k2a * y * y % p for y in inv]
             inv4c[i] = [k4 * y % p for y in inv]
         v_of_h = np.full((len(block), 7 * K * K + 1), -1, dtype=dt)
         v_of_h[:, hs + 3 * K * K] = np.where(s < 0, -1,
-                                             _mod(_mod(4 * hp, P) * s, P))
+                                             mod(mod(4 * hp, P) * s, P))
         P = P.astype(dt)
         Q, R = np.divmod(2 * K + 1, P)
         P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]
         # p not dividing d: the shifted roots j = (u +- v) / (2 alpha), with
         # u = 2 alpha K - beta and v = 4 h s
-        u = _mod(np.broadcast_to(num.astype(dt), (len(block), *rows)).copy(),
+        u = mod(np.broadcast_to(num.astype(dt), (len(block), *rows)).copy(),
                  P3)
         v = np.take(v_of_h, h_at, axis=1)
         k = inv2a[:, np.abs(t), None]
         x = u + v
         x *= k
-        j1 = _mod(x, P3) < R3
+        j1 = mod(x, P3) < R3
         u -= v
         u *= k
-        j2 = _mod(u, P3) < R3
+        j2 = mod(u, P3) < R3
         one, two = v >= 0, v > 0                # at least one, two roots
         hits = np.add(one & j1, two & j2, dtype=np.int8)
         if min(block) <= 2 * K + 1:             # Q >= 1 for some p
@@ -841,7 +789,7 @@ def _fibre_pair_count(K, ps):
         per_d = np.einsum("idk,k->id", hits, w)
         count += int(np.sum(per_d * (t % P != 0)))
         # p | d: the planes d = 0 mod p, all alike
-        j = _mod(b2 * inv4c[:, c_bc] + K, P)
+        j = mod(b2 * inv4c[:, c_bc] + K, P)
         plane = np.where(c_bc % P == 0, 2 * K + 1, Q + (j < R))
         count += int((2 * (K // P[:, 0]) + 1) @ (plane @ w))
     return count

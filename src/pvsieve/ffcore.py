@@ -1,5 +1,6 @@
-"""Exact arithmetic kernels: squarefree factoring, primitive roots, pairing
-histograms and the all-target character sum.
+"""Exact arithmetic kernels: squarefree factoring, residues, powers and
+square roots mod p over arrays, primitive roots, pairing histograms and the
+all-target character sum.
 
 The central trick here is that the Fourier transform of a {0,1}-valued,
 dilation-invariant function on (Z/p)^r against a fixed target y is a rational
@@ -79,6 +80,58 @@ def _numerators(H):
 def ft_value_from_histogram(h, r):
     """Exact FT value (n_0 - n_1)/p^r from a pairing histogram."""
     return Fraction(int(_numerators(np.array(h.counts))), h.p ** r)
+
+
+def mod(x, p):
+    """x mod p in place, by floor division (several times faster than %)."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+def pow_mod(x, e, p):
+    """x^e mod p at each x of an array (0 <= x < p < 2^31), by squaring."""
+    out = np.ones_like(x)
+    for bit in bin(e)[2:]:
+        out = mod(out * out, p)
+        if bit == "1":
+            out = mod(out * x, p)
+    return out
+
+
+def sqrt_mod(a, p):
+    """A square root mod the odd prime p of each residue of an int64 array
+    (0 <= a < p < 2^31), or -1 where it is not a square.  A scatter of the
+    squares mod p costs p/2 writes; Tonelli-Shanks costs O(log^2 p) passes
+    over a, whatever p.  Timed per prime on the h met in the geometric-sieve
+    boxes K = 5 to 58 (len(a) = 88 to 13 498), the two cost the same near
+    p = 16 (len(a) + 2048), so the scatter is taken below that.
+    Tonelli-Shanks: with p - 1 = q 2^S, x = a^((q+1)/2) and t = a^q
+    satisfy x^2 = a t, and each step i = S-1..1 multiplies x by c and t by
+    c^2 where t^(2^(i-1)) = -1, c = z^(q 2^(S-1-i)) for a non-square z;
+    a is a square iff t ends at 1 (or a = 0)."""
+    if p < 16 * (a.size + 2048):
+        r = np.arange((p + 1) // 2, dtype=np.int64)
+        sqrt = np.full(p, -1, dtype=np.int32)
+        sqrt[mod(r * r, p)] = r
+        return sqrt[a]
+    S = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> S
+    w = pow_mod(a, (q - 1) // 2, p)
+    x = mod(w * a, p)
+    t = mod(w * x, p)
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c = pow(z, q, p)
+    for i in range(S - 1, 0, -1):
+        b = t
+        for _ in range(i - 1):
+            b = mod(b * b, p)
+        flip = b != 1
+        x = np.where(flip, mod(x * c, p), x)
+        c = c * c % p
+        t = np.where(flip, mod(t * c, p), t)
+    return np.where((t == 1) | (a == 0), x, -1)
 
 
 def primitive_root(p):

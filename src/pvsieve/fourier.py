@@ -173,9 +173,9 @@ def space_kernel(space):
     exhaustive (cond, p) -> (numerators, denominator) at every target in
     code order, or None.  The kernels are looked up at each call.
 
-    Cubic: cubic_class_batch (about eight steps), ft_histograms (one walk
-    of the support slices serving every target) within the sweep budget,
-    the character sums of ffcore over the same slices (p <= 59).  Quartic:
+    Cubic: cubic_class_batch (about eight steps), ft_histograms (the roots
+    on the p^3 a-fibres serving every target) within the sweep budget, the
+    character sums of ffcore over the support slices (p <= 59).  Quartic:
     the labels of orbits.classify_batch, whose base-locus count visits the
     p^2 + p + 1 points of P^2(F_p); ft_fibered_histograms (p <= 13), exact
     as disc(cx) = c^12 disc(x) makes the support jointly dilation-invariant,
@@ -247,33 +247,64 @@ def _support_slices(cond, p, n, suffix=()):
             np.minimum(D[k], spill, out=D[k])
 
 
+def _cubic_support(p):
+    """The support {p | disc x} of V(F_p) as (a, f): for each of its states
+    (a, b, c, d), a and the fibre code f = b + c p + d p^2 (so the state
+    code, as orbits.encode_states, is a + p f).  The states are found by
+    counting the roots of disc on each a-fibre (b, c, d) of F_p^3 (the
+    geometric sieve's root count, over F_p).  On a fibre
+    disc = alpha a^2 + beta a + gamma, with alpha = -27 d^2,
+    beta = 18bcd - 4c^3 and gamma = b^2 c^2 - 4b^3 d, whose discriminant in
+    a is 16 h^3, h = c^2 - 3bd:
+    - p >= 5, p not dividing d: a = (-beta +- 4 h s) / (2 alpha), s^2 = h:
+      two roots when h is a nonzero square, one when p | h, none otherwise;
+    - p | d: disc = c^2 (b^2 - 4ac): the one root b^2 / (4c) when p does not
+      divide c, every a when it does (p fibres, listed as their p^2 states);
+    - p = 2, 3: 2 alpha = 0 mod p, so each residue of a is tried.
+    The fibre arrays are indexed [d, c, b], so f is their flat index; the
+    square roots of all residues are taken once."""
+    t = np.arange(p, dtype=np.int64)
+    d, c, b = t[:, None, None], t[:, None], t
+    beta = (18 * b * c * d - 4 * c ** 3) % p
+    if p < 5:
+        alpha, gamma = -27 * d * d, b * b * c * c - 4 * b ** 3 * d
+        on = [np.flatnonzero((alpha * a * a + beta * a + gamma) % p == 0)
+              for a in range(p)]
+        roots = [np.full(len(f), a) for a, f in enumerate(on)]
+    else:
+        inv = np.array([0, *(pow(x, -1, p) for x in range(1, p))])
+        h = (c * c - 3 * b * d) % p
+        s = ffcore.sqrt_mod(t, p)[h]                # -1: h not a square
+        v = 4 * h * s
+        k = pow(-54, -1, p) * inv[d] ** 2 % p      # 1 / (2 alpha)
+        one, two = (d != 0) & (s >= 0), (d != 0) & (s > 0)
+        c1 = t[1:, None]                           # d = 0, c != 0
+        on = [np.flatnonzero(one), np.flatnonzero(two),
+              (b + c1 * p).ravel(), np.tile(t, p)]
+        roots = [((v - beta) * k % p)[one], ((-v - beta) * k % p)[two],
+                 (b * b * inv[c1] * inv[4] % p).ravel(), np.repeat(t, p)]
+    return np.concatenate(roots), np.concatenate(on)
+
+
 def ft_histograms(cond, p, targets):
     """Pairing histograms of <x, y_j> over the cubic support {p | disc x},
-    every target served by one walk of the support slices.
-
-    x = (tail, t) with t the slowest coordinate, so <x, y> is the tail
-    pairing plus t w_3 y_3.  The tail pairing with each target is computed
-    once over the p^3 tail grid; each slice bincounts it over its mask,
-    and the counts are rolled by t w_3 y_3 mod p into the totals."""
+    every target served by one listing of the support (_cubic_support, about
+    p^3 states): per target, the pairing of each fibre (0, b, c, d), and one
+    bincount of w_1 y_1 a plus that over the support's states."""
     space = cond.space
     if space is not CUBIC:
         raise ValueError("the per-target sweep is for the cubic space")
     w = pairing_weights_mod(space, p)          # refuses bad primes
     space.check_sweep(p)
     WT = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p * w % p
-    k = WT.shape[0]
-    tail = orbits.decode_states(np.arange(p ** (space.r - 1), dtype=np.int64),
-                                p, r=space.r - 1)
-    # tail pairing of every tail state with target j, offset into row j
-    TP = (tail.astype(np.int64) @ WT[:, :-1].T % p
-          + np.arange(k, dtype=np.int64) * p)
-    rows = np.arange(k)[:, None]
-    cols = np.arange(p)[None, :]
-    counts = np.zeros((k, p), dtype=np.int64)
-    for t, mask in enumerate(_support_slices(cond, p, space.r)):
-        h = np.bincount(TP[mask].ravel(), minlength=k * p).reshape(k, p)
-        counts[rows, (cols + t * WT[:, -1:]) % p] += h
-    return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
+    a, f = _cubic_support(p)
+    t = np.arange(p, dtype=np.int64)
+    hists = []
+    for wa, wb, wc, wd in WT.tolist():
+        rest = wb * t + wc * t[:, None] + wd * t[:, None, None]
+        counts = np.bincount((wa * a + rest.ravel()[f]) % p, minlength=p)
+        hists.append(ffcore.PairingHistogram(p, counts.tolist()))
+    return hists
 
 
 def ft_fibered_histograms(cond, p, targets):

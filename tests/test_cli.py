@@ -306,7 +306,8 @@ def test_benchmark_argv_parse():
 
 
 @pytest.mark.parametrize("job", ["dual-bound", "reducible", "ft-exhaustive",
-                                 "ft-verify-quartic", "geosieve-sweep"])
+                                 "ft-per-class", "ft-verify-quartic",
+                                 "geosieve-sweep"])
 def test_benchmark_digests(job, capsys):
     # the stdout of each fast digested benchmark job is byte-identical to
     # the one recorded in perfbench/expected.json

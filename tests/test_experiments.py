@@ -698,7 +698,7 @@ def test_geo_wide_walk_is_int32(monkeypatch):
     # discriminants pass int64; its fibre residues (the 3-d arrays: prime,
     # d, (b, c)) are int32, as every prime is below 2^15, and no residue
     # array is an object array
-    real_count, real_mod, calls, dtypes = (ex._fibre_pair_count, ex._mod,
+    real_count, real_mod, calls, dtypes = (ex._fibre_pair_count, ex.mod,
                                            [], [])
 
     def spy_count(K, ps):
@@ -709,7 +709,7 @@ def test_geo_wide_walk_is_int32(monkeypatch):
         dtypes.append((x.ndim, x.dtype))
         return real_mod(x, p)
     monkeypatch.setattr(ex, "_fibre_pair_count", spy_count)
-    monkeypatch.setattr(ex, "_mod", spy_mod)
+    monkeypatch.setattr(ex, "mod", spy_mod)
     rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=100000, m=10000,
                                              window=(11, 22)))
     assert rep.count == 53844
@@ -775,17 +775,6 @@ def test_fibre_root_count_large_primes(K, window):
     ps = [int(p) for p in sieve.primes_upto(window[1]) if p >= window[0]]
     assert {65537, 786433, 4391} & set(ps)
     assert ex._fibre_pair_count(K, ps) == _walk_pair_count(K, ps)
-
-
-@pytest.mark.parametrize("p", [5, 101, 65537, 786433, 2 ** 31 - 1])
-def test_sqrt_mod_against_euler(p):
-    # a root where Euler's criterion says square, -1 elsewhere
-    a = np.unique(np.r_[np.arange(min(p, 500)), p - np.arange(1, min(p, 500)),
-                        np.random.default_rng(p).integers(0, p, 500)])
-    s = ex._sqrt_mod(a.astype(np.int64), p)
-    for x, r in zip(a.tolist(), s.tolist()):
-        square = x == 0 or pow(x, (p - 1) // 2, p) == 1
-        assert (r >= 0) == square and (r < 0 or (r * r - x) % p == 0), x
 
 
 def test_geo_unknown_scheme():

@@ -1,7 +1,7 @@
-"""Exact-arithmetic kernels: squarefree factoring, histograms, the
-all-target character sum against a pairing-matrix oracle and its derived
-cap; and the plain-Python F_{p^k} oracle (tests/fpk.py) behind the F_{p^2}
-base-locus count in test_orbits."""
+"""Exact-arithmetic kernels: squarefree factoring, square roots mod p,
+histograms, the all-target character sum against a pairing-matrix oracle
+and its derived cap; and the plain-Python F_{p^k} oracle (tests/fpk.py)
+behind the F_{p^2} base-locus count in test_orbits."""
 
 import math
 from fractions import Fraction
@@ -31,6 +31,22 @@ def test_factor_squarefree():
         fc.factor_squarefree(12)
     with pytest.raises(fc.InvalidModulusError):
         fc.factor_squarefree(0)
+
+
+# ---------------------------------------------------------------------------
+# square roots mod p
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [5, 101, 65537, 786433, 2 ** 31 - 1])
+def test_sqrt_mod_against_euler(p):
+    # a root where Euler's criterion says square, -1 elsewhere
+    a = np.unique(np.r_[np.arange(min(p, 500)), p - np.arange(1, min(p, 500)),
+                        np.random.default_rng(p).integers(0, p, 500)])
+    s = fc.sqrt_mod(a.astype(np.int64), p)
+    for x, r in zip(a.tolist(), s.tolist()):
+        square = x == 0 or pow(x, (p - 1) // 2, p) == 1
+        assert (r >= 0) == square and (r < 0 or (r * r - x) % p == 0), x
+
 
 
 # ---------------------------------------------------------------------------

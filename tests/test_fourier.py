@@ -33,6 +33,30 @@ def _sweep_oracle(cond, p, targets):
     return counts.tolist()
 
 
+def _slice_walk_histograms(cond, p, targets):
+    """Pairing histograms of the cubic support by the slice walk: the tail
+    pairing of every tail state (a, b, c) with each target, bincounted over
+    each slice d = t of _support_slices and rolled by t w_4 y_4 mod p."""
+    space = cond.space
+    WT = (np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
+          * pairing_weights_mod(space, p) % p)
+    k = WT.shape[0]
+    tail = orbits.decode_states(np.arange(p ** (space.r - 1), dtype=np.int64),
+                                p, r=space.r - 1)
+    TP = (tail.astype(np.int64) @ WT[:, :-1].T % p
+          + np.arange(k, dtype=np.int64) * p)
+    rows = np.arange(k)[:, None]
+    cols = np.arange(p)[None, :]
+    counts = np.zeros((k, p), dtype=np.int64)
+    for t, mask in enumerate(fourier._support_slices(cond, p, space.r)):
+        h = np.bincount(TP[mask].ravel(), minlength=k * p).reshape(k, p)
+        counts[rows, (cols + t * WT[:, -1:]) % p] += h
+    return counts.tolist()
+
+
+GOOD_CUBIC_PRIMES = [p for p in sieve.primes_upto(59).tolist() if p != 3]
+
+
 def _quartic(p, label):
     return fourier.ft_closed_form(fourier.QUARTIC_COND, p, label)
 
@@ -203,6 +227,48 @@ def test_cubic_sweep_matches_plain_sweep(p):
     got = fourier.ft_histograms(fourier.CUBIC_COND, p, targets)
     assert [h.counts for h in got] == _sweep_oracle(fourier.CUBIC_COND, p,
                                                     targets)
+
+
+@pytest.mark.parametrize("p", GOOD_CUBIC_PRIMES)
+def test_cubic_root_count_matches_slice_walk(p):
+    """All p counts of the a-fibre root count against the slice walk, at
+    the class representatives, at targets with y_a = 0 and y_a != 0 mod p,
+    and at random targets."""
+    rng = np.random.default_rng(p)
+    targets = [*fourier._class_reps(CUBIC, p).values(), (p, 1, 2, 3),
+               (-p, 0, 0, 1), (2 * p + 1, 1, 0, 5),
+               *rng.integers(-60, 60, size=(6, 4)).tolist()]
+    assert {y[0] % p == 0 for y in targets} == {True, False}
+    got = fourier.ft_histograms(fourier.CUBIC_COND, p, targets)
+    assert [h.counts for h in got] == _slice_walk_histograms(
+        fourier.CUBIC_COND, p, targets)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 59])
+def test_cubic_support_roots_per_fibre(p):
+    """The listed support is {p | disc x}, each state once.  For p >= 5 each
+    a-fibre (b, c, d) carries as many roots as its kind says, and every kind
+    is met: p not dividing d, two roots when h = c^2 - 3bd is a nonzero
+    square, one when p | h, none when h is a non-square; p | d, one root
+    when p does not divide c, p roots when it does."""
+    a, f = fourier._cubic_support(p)
+    C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
+    assert np.array_equal(np.sort(a + p * f),
+                          np.flatnonzero(disc_mod(CUBIC, C, p) == 0))
+    if p < 5:
+        return
+    roots = np.bincount(f, minlength=p ** 3)
+    b, c, d = orbits.decode_states(np.arange(p ** 3, dtype=np.int64), p,
+                                   r=3).astype(np.int64).T
+    chi = orbits.legendre_table(p)[(c * c - 3 * b * d) % p]
+    kinds = {"h square": (d != 0) & (chi == 1), "p | h": (d != 0) & (chi == 0),
+             "h non-square": (d != 0) & (chi == -1),
+             "p | d": (d == 0) & (c != 0), "p | d, c": (d == 0) & (c == 0)}
+    want = {"h square": 2, "p | h": 1, "h non-square": 0, "p | d": 1,
+            "p | d, c": p}
+    for kind, on in kinds.items():
+        assert on.any(), kind
+        assert (roots[on] == want[kind]).all(), kind
 
 
 @pytest.mark.parametrize("p", [5, 7])
