@@ -289,8 +289,9 @@ def _cubic_support(p):
 def ft_histograms(cond, p, targets):
     """Pairing histograms of <x, y_j> over the cubic support {p | disc x},
     every target served by one listing of the support (_cubic_support, about
-    p^3 states): per target, the pairing of each fibre (0, b, c, d), and one
-    bincount of w_1 y_1 a plus that over the support's states."""
+    p^3 states).  <x, y> = w_1 y_1 a + <(0, b, c, d), y>, the second term
+    taken once per fibre; each target's histogram is one bincount over the
+    states."""
     space = cond.space
     if space is not CUBIC:
         raise ValueError("the per-target sweep is for the cubic space")
