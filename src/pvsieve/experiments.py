@@ -24,14 +24,18 @@ one box walk of the weighted counts, the majorant and the dual-side sum;
 on the pair space that sum halves the box by x -> -x) in ascending order,
 with the tail ordered by d, then b, then c.  Each point's weight is its bump
 value times its multiplicity, a power of two, so folding the
-multiplicity in is exact.  The pass sums each slice by disc value,
-merges every 8 slices into a group and merges the groups as a binary
-counter: a new group merges with the last one of the same level, and at
-the end the leftovers merge from the newest back.  That is the tree of
-merging the groups pairwise level by level with an odd last group
-carried up, built eagerly, so only about log2(groups) tables are alive
-at once.  A merge adds the terms of each value in run order, and a
-q-query sums the matching buckets in value order.  The order of every
+multiplicity in is exact.  The pass sorts every group of 8 slices once,
+by disc value, then slice, then point (_group_buckets), sums each slice
+by value in point order and then the group by value in slice order, and
+merges the groups as a binary counter: a new group merges with the last
+one of the same level, and at the end the leftovers merge from the
+newest back.  That is the tree of merging the groups pairwise level by
+level with an odd last group carried up, built eagerly, so only about
+log2(groups) tables are alive at once.  A merge adds the terms of each
+value in run order, and a q-query sums the matching buckets in value
+order: one q through serve_buckets, every squarefree q <= Q of an
+E(X, q) sum through _serve_squarefree, whose prime pass and divisor-tree
+descent select the same buckets in the same order.  The order of every
 floating-point operation is fixed, so every number here is reproducible
 bit-for-bit run to run.  The bump's transform, and with it the mass in
 every main term, is one trapezoid rule whose alias error is bounded
@@ -40,7 +44,7 @@ every main term, is one trapezoid rule whose alias error is bounded
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -91,8 +95,11 @@ class SmoothWeight:
     The transforms of psi do not depend on s.  psihat is one trapezoid
     rule, the mass is its value at 0 (a module constant, PSI_MASS), and
     K6 = ||psi^(6)||_1 comes from the exact numerators of psi^(5) and
-    psi^(6)."""
+    psi^(6).  A weight keeps the widest psihat row evaluated for each
+    (q, X) of the Poisson checks (_psihat_row)."""
     s: float = 1.0
+    _rows: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     @staticmethod
     def psi(u):
@@ -279,13 +286,10 @@ def disc_value_buckets(X, weight=None):
     counter = []                    # (level, vals, sums), levels decreasing
     pend_v, pend_s = [], []
     for ia, disc, mult, (ib, ic, id_) in _disc_slices(xs):
-        v, inv = np.unique(disc, return_inverse=True)
-        s = np.bincount(inv, weights=w1[ia] * w1[ib] * w1[ic] * w1[id_]
-                        * mult)
-        pend_v.append(v)
-        pend_s.append(s)
-        if len(pend_v) >= 8 or ia == len(xs) - 1:     # merge every 8 slices
-            level, (v, s) = 0, _merge_buckets(pend_v, pend_s)
+        pend_v.append(disc)
+        pend_s.append(w1[ia] * w1[ib] * w1[ic] * w1[id_] * mult)
+        if len(pend_v) >= 8 or ia == len(xs) - 1:     # a group of 8 slices
+            level, (v, s) = 0, _group_buckets(pend_v, pend_s)
             pend_v, pend_s = [], []
             while counter and counter[-1][0] == level:
                 _, v0, s0 = counter.pop()
@@ -298,26 +302,111 @@ def disc_value_buckets(X, weight=None):
     return vals, sums
 
 
+def _group_buckets(discs, weights):
+    """(vals, sums) of a group of at most 8 slices: the distinct values of
+    the int32 disc arrays, sorted, and each value's weight, summed first
+    within each slice in point order and then over the slices in order.
+
+    One sort of the int64 keys disc << 32 | slice << 29 | position
+    (position counted over the group, below 2^29) orders the points by
+    value, then slice, then point; the slice sums and the group sums are
+    two bincounts over the segments of that order.  Any other dtype is
+    refused: the shift holds a value exactly only below 2^31 in
+    magnitude."""
+    if any(d.dtype != np.int32 for d in discs):
+        raise TypeError("the group sort packs int32 values only, not "
+                        f"{sorted({str(d.dtype) for d in discs})}")
+    key = np.concatenate(discs).astype(np.int64)
+    if len(discs) > 8 or key.size >= 1 << 29:
+        raise ValueError(f"{len(discs)} slices of {key.size} points do not "
+                         "fit the group key")
+    key <<= 32
+    key |= np.repeat(np.arange(len(discs)) << 29, [d.size for d in discs])
+    key |= np.arange(key.size)
+    key.sort()
+    w = np.concatenate(weights)[key & ((1 << 29) - 1)]
+    new_seg = _run_starts(key >> 29)                # (value, slice) runs
+    key >>= 32
+    new_v = _run_starts(key)
+    ids = np.cumsum(new_seg, dtype=np.int32)    # tables stay below 2^31
+    ids -= 1
+    slice_sums = np.bincount(ids, weights=w)
+    ids = np.cumsum(new_v[new_seg], dtype=np.int32)
+    ids -= 1
+    return (key[np.flatnonzero(new_v)].astype(np.int32),
+            np.bincount(ids, weights=slice_sums))
+
+
+def _run_starts(v):
+    """Boolean mask of the first entry of each run of equal values."""
+    new = np.empty(v.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return new
+
+
 def _merge_buckets(vs, ss):
     """Merge sorted (vals, sums) runs into one.  The stable argsort (a
     timsort, which merges sorted runs in linear time) keeps equal values
     in run order, and bincount adds each value's terms in that order."""
     v = np.concatenate(vs)
     order = np.argsort(v, kind="stable")
-    v, s = v[order], np.concatenate(ss)[order]
+    v = v[order]
+    s = np.concatenate(ss)[order]
     del order
-    new = np.empty(v.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(v[1:], v[:-1], out=new[1:])
+    new = _run_starts(v)
+    v = v[np.flatnonzero(new)]
     ids = np.cumsum(new, dtype=np.int32)    # tables stay below 2^31
     ids -= 1
-    return v[new], np.bincount(ids, weights=s)
+    return v, np.bincount(ids, weights=s)
 
 
 def serve_buckets(vals, sums, q):
     """Weight of the buckets whose value q divides: one exact divisibility
-    scan of vals, the matching sums added in value order."""
-    return float(np.sum(sums[divisible(vals, q)]))
+    scan of vals, the matching sums added in value order.  The sums are
+    gathered by index: a boolean-mask gather branches on every entry, and
+    on a dense mask costs several times more."""
+    return float(np.sum(sums[np.flatnonzero(divisible(vals, q))]))
+
+
+_SERVE_BLOCK = 1 << 17       # values per block of the prime pass
+
+
+def _serve_squarefree(vals, sums, Q):
+    """{q: serve_buckets(vals, sums, q)} for every squarefree q <= Q, each
+    sum bit-identical to that whole-table scan.
+
+    One pass over the values in blocks of _SERVE_BLOCK runs divisible once
+    per prime P <= Q per block and keeps P's matching indices.  A
+    composite q is then served from its parent q / p, p = pmin(q), down
+    the divisor tree: the parent's values and sums, in value order, are
+    kept while its children are served, and q's are the ones p divides.
+    Those are exactly the buckets a scan of the whole table for q selects,
+    in the same order, so np.sum adds the same terms in the same order."""
+    ps = [int(p) for p in sieve.primes_upto(Q)]
+    hits = [[] for _ in ps]
+    for i0 in range(0, vals.size, _SERVE_BLOCK):
+        block = vals[i0:i0 + _SERVE_BLOCK]
+        for p, h in zip(ps, hits):
+            keep = np.flatnonzero(divisible(block, p)).astype(np.int32)
+            keep += i0                  # tables stay below 2^31
+            h.append(keep)
+    lat = {1: float(np.sum(sums))}
+
+    def descend(q, v, s, i):
+        """Serve q's children p q, p = ps[j] for j < i (p below pmin(q))."""
+        lat[q] = float(np.sum(s))
+        for j, p in enumerate(ps[:i]):
+            if p * q > Q:
+                break
+            keep = np.flatnonzero(divisible(v, p))
+            descend(p * q, v[keep], s[keep], j)
+
+    for i, p in enumerate(ps):
+        idx = np.concatenate(hits[i])
+        hits[i] = None
+        descend(p, vals[idx], sums[idx], i)
+    return lat
 
 
 @dataclass
@@ -366,27 +455,24 @@ def lod_error_sum(cfg=None):
     is not cosmetic at these scales: the zero locus carries weight on the
     order of sqrt(X), which every q <= X^alpha "divides", so leaving it in
     floors |E(X, q)| at that mass and the normalized cumulative loses the
-    distribution savings it is supposed to exhibit."""
+    distribution savings it is supposed to exhibit.
+
+    Each X builds one disc_value_buckets table and serves every q from it
+    by _serve_squarefree: one blocked pass of the primes P <= X^alpha,
+    then each composite q from q / pmin(q) down the divisor tree; every
+    lattice value is bit-identical to serve_buckets on the whole table.
+    q_rows are the rows of the largest X of the grid, wherever it
+    stands."""
     cfg = cfg or LodConfig()
     weight = SmoothWeight(s=cfg.s)
     per_X = []
     q_rows = []
     for X in cfg.X_grid:
-        qs = [int(q) for q in sieve.squarefree_upto(int(X ** cfg.alpha))]
+        Q = int(X ** cfg.alpha)
+        qs = [int(q) for q in sieve.squarefree_upto(Q)]
         vals, sums = disc_value_buckets(X, weight)
         w0 = reducible_mass(vals, sums)
-        # serve each q from the values its largest prime P divides: they
-        # hold every value q divides, in the same order, so each sum is
-        # bit-identical to a scan of the whole table
-        by_P = {}
-        for q in qs:
-            by_P.setdefault(max(factor_squarefree(q), default=1), []).append(q)
-        lat = {}
-        for P, group in by_P.items():
-            keep = np.flatnonzero(divisible(vals, P))
-            vP, sP = vals[keep], sums[keep]
-            for q in group:
-                lat[q] = serve_buckets(vP, sP, q)
+        lat = _serve_squarefree(vals, sums, Q)
         cum = 0.0
         rows = []
         for q in qs:
@@ -394,7 +480,8 @@ def lod_error_sum(cfg=None):
             rows.append((q, lat[q], mn, lat[q] - w0 - mn))
             cum += abs(lat[q] - w0 - mn)
         per_X.append((X, len(qs), w0, cum, cum / X))
-        q_rows = rows
+        if X == max(cfg.X_grid):
+            q_rows = rows
     slope, _, resid = _fit_loglog([row[0] for row in per_X],
                                   [row[3] for row in per_X]) or (None,) * 3
     return LodReport(per_X=per_X, fitted_c=slope, residuals=resid,
@@ -422,26 +509,42 @@ class PoissonReport:
         return abs(self.lhs - self.rhs_double) / abs(self.lhs)
 
 
+@functools.lru_cache(maxsize=1)
 def _dual_value_grid(q):
-    """float array over (Z/q)^4 of the dual transform, multiplicative."""
+    """float array over (Z/q)^4 of the dual transform, multiplicative.
+    Read-only; the last q's grid is kept, so the dual sums of one
+    poisson_check build it once."""
     K = np.indices((q,) * 4, dtype=np.int64).reshape(4, -1).T
     V = np.ones(K.shape[0])
     for p in factor_squarefree(int(q)):
         cls = fourier.dual_cubic_class_batch(K % p, p)
         tab = np.array([float(fourier.dual_ft_value(p, c)) for c in range(3)])
         V *= tab[cls]
+    V.setflags(write=False)
     return V.reshape((q,) * 4)
+
+
+def _psihat_row(q, X, weight, Z):
+    """psihat(s k X^{1/4} / q) at k = -Z..Z, read-only.  The weight keeps
+    the widest row asked for each (q, X), and a narrower one is its
+    middle: each value depends on its own k only, so the slice has the
+    bytes of its own evaluation."""
+    row = weight._rows.get((q, X))
+    if row is None or row.size < 2 * Z + 1:
+        row = weight.psihat(weight.s * np.arange(-Z, Z + 1) * X ** 0.25 / q)
+        row.setflags(write=False)
+        weight._rows[q, X] = row
+    mid = row.size // 2
+    return row[mid - Z:mid + Z + 1]
 
 
 def poisson_rhs(q, X, weight, Z):
     """Truncated dual side: X * sum over |k_i| <= Z of the dual transform
     times the separable phihat factor, collapsed to residues mod q."""
-    Y = X ** 0.25
     V = _dual_value_grid(q)
-    ks = np.arange(-Z, Z + 1)
-    phv = weight.s * weight.psihat(weight.s * ks * Y / q)
+    phv = weight.s * _psihat_row(q, X, weight, Z)
     S = np.zeros(q)
-    for k, v in zip(ks, phv):
+    for k, v in zip(range(-Z, Z + 1), phv):
         S[k % q] += v
     return X * float(np.einsum("abcd,a,b,c,d->", V, S, S, S, S))
 
@@ -458,20 +561,25 @@ def poisson_tail_bound(q, X, weight, Z):
     and psihat's, which moves T_Z by about 1e-16."""
     Y = X ** 0.25
     s = weight.s
-    T = float(np.sum(s * np.abs(weight.psihat(s * np.arange(-Z, Z + 1)
-                                              * Y / q))))
+    T = float(np.sum(s * np.abs(_psihat_row(q, X, weight, Z))))
     K6 = weight.psi_sixth_l1() * 1.02
     tau = 2 * s * K6 * (q / (2 * math.pi * s * Y)) ** 6 / (5 * Z ** 5)
     return X * ((T + tau) ** 4 - T ** 4)
 
 
 def poisson_check(q, X=10 ** 4, weight=None, Z=None):
+    """The Poisson identity at q: the weighted count against the dual sums
+    of radius Z and 2Z, with the tail bound of radius Z.  The radius-2Z sum
+    comes first, so the radius-Z sum and the tail read the middle of its
+    psihat row, and all three share one dual grid: 4Z + 1 psihat values
+    and one grid a check."""
     weight = weight or SmoothWeight()
     Z = Z if Z is not None else 2 + 2 * q
     lhs, _, _ = weighted_count(q, X, weight)
+    rhs_double = poisson_rhs(q, X, weight, 2 * Z)
     return PoissonReport(q=q, X=X, Z=Z, lhs=lhs,
                          rhs=poisson_rhs(q, X, weight, Z),
-                         rhs_double=poisson_rhs(q, X, weight, 2 * Z),
+                         rhs_double=rhs_double,
                          tail_bound=poisson_tail_bound(q, X, weight, Z))
 
 

@@ -232,6 +232,17 @@ def test_lod_small_grid(tmp_path):
     assert len(ratios) == 2 and ratios[1] < ratios[0]
 
 
+def test_lod_prints_the_q_rows_of_the_largest_X(capsys):
+    # the q rows belong to the largest X of the grid, not the last one
+    rows = []
+    for grid in ("3e4,1e4", "1e4,3e4"):
+        assert run(["lod", "--X", grid]) == 0
+        out = capsys.readouterr().out.split("# q\t", 1)[1]
+        rows.append(out.splitlines()[1:])
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == 64          # the squarefree q <= 3e4^0.45 = 103
+
+
 def test_lod_single_X_prints_no_fit(capsys):
     # one distinct X has no growth exponent to fit
     for X in ("1e4", "1e4,1e4"):

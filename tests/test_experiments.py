@@ -357,6 +357,59 @@ def test_lod_served_by_largest_prime_bit_identical(weight):
         assert lat == float(np.sum(sums[wide % q == 0])), q
 
 
+def test_lod_divisor_tree_over_four_blocks_bit_identical(weight):
+    # 471 578 values span four blocks of the prime pass, and q = 210 and
+    # 330 are served three levels down the divisor tree
+    X = 4 * 10 ** 5
+    rep = ex.lod_error_sum(ex.LodConfig(X_grid=(X,)))
+    vals, sums = _buckets_oracle(X, weight)
+    assert vals.size == 471578
+    assert 3 * ex._SERVE_BLOCK < vals.size <= 4 * ex._SERVE_BLOCK
+    wide = vals.astype(np.int64)
+    qs = [row[0] for row in rep.q_rows]
+    assert qs == [int(q) for q in sieve.squarefree_upto(331)]
+    assert {210, 330} <= set(qs)
+    for q, lat, _, _ in rep.q_rows:
+        assert lat == float(np.sum(sums[wide % q == 0])), q
+
+
+def test_group_sort_refuses_values_that_are_not_int32():
+    # disc << 32 holds a value exactly only below 2^31 in magnitude; an
+    # int64 value would wrap silently
+    w = [np.ones(3)]
+    for dtype in (np.int64, np.int16, np.uint32):
+        with pytest.raises(TypeError, match="int32"):
+            ex._group_buckets([np.array([2 ** 40 if dtype is np.int64 else 1,
+                                         0, 1], dtype=dtype)], w)
+    vals, sums = ex._group_buckets([np.array([5, -3, 5], dtype=np.int32)], w)
+    assert vals.tolist() == [-3, 5] and sums.tolist() == [1.0, 2.0]
+
+
+def test_poisson_check_reads_one_row_of_radius_2Z(monkeypatch):
+    # one check evaluates 4Z + 1 psihat values and one dual grid, and its
+    # numbers have the bytes of separate evaluations at each radius
+    psihat, n_t = ex.SmoothWeight.psihat, []
+
+    def counted(t):
+        n_t.append(np.size(t))
+        return psihat(t)
+
+    monkeypatch.setattr(ex.SmoothWeight, "psihat", staticmethod(counted))
+    ex._dual_value_grid.cache_clear()
+    for q in (1, 3, 5, 7, 11, 15):
+        n_t.clear()
+        rep = ex.poisson_check(q, 10 ** 4, ex.SmoothWeight())
+        Z = rep.Z
+        assert sum(n_t) == 4 * Z + 1, q
+        assert ex._dual_value_grid.cache_info().misses == 1, q
+        ex._dual_value_grid.cache_clear()
+        fresh = [f(q, 10 ** 4, ex.SmoothWeight(), radius)
+                 for f, radius in ((ex.poisson_rhs, Z), (ex.poisson_rhs, 2 * Z),
+                                   (ex.poisson_tail_bound, Z))]
+        assert [rep.rhs, rep.rhs_double, rep.tail_bound] == fresh, q
+        ex._dual_value_grid.cache_clear()
+
+
 def test_poisson_check_lhs_is_weighted_count(weight):
     lhs = [ex.poisson_check(q, 10 ** 4, weight).lhs for q in (1, 3, 5)]
     assert lhs == [ex.weighted_count(q, 10 ** 4, weight)[0] for q in (1, 3, 5)]
