@@ -403,9 +403,9 @@ def test_poisson_check_reads_one_row_of_radius_2Z(monkeypatch):
         assert sum(n_t) == 4 * Z + 1, q
         assert ex._dual_value_grid.cache_info().misses == 1, q
         ex._dual_value_grid.cache_clear()
-        fresh = [f(q, 10 ** 4, ex.SmoothWeight(), radius)
-                 for f, radius in ((ex.poisson_rhs, Z), (ex.poisson_rhs, 2 * Z),
-                                   (ex.poisson_tail_bound, Z))]
+        fresh = [f(q, 10 ** 4, ex.SmoothWeight(), radius) for f, radius in
+                 ((ex.poisson_rhs, Z), (ex.poisson_rhs, 2 * Z),
+                  (ex.poisson_tail_bound, Z))]
         assert [rep.rhs, rep.rhs_double, rep.tail_bound] == fresh, q
         ex._dual_value_grid.cache_clear()
 
