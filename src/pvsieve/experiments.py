@@ -24,22 +24,28 @@ one box walk of the weighted counts, the majorant and the dual-side sum;
 on the pair space that sum halves the box by x -> -x) in ascending order,
 with the tail ordered by d, then b, then c.  Each point's weight is its bump
 value times its multiplicity, a power of two, so folding the
-multiplicity in is exact.  The pass sorts every group of 8 slices once,
+multiplicity in is exact.  The walk is kept, and its value range is cut
+into shards of at most _SHARD_POINTS points (a value with more keeps a
+shard of its own); each shard is built from its own points, in walk
+order.  Within a shard the pass sorts every group of 8 slices once,
 by disc value, then slice, then point (_group_buckets), sums each slice
 by value in point order and then the group by value in slice order, and
 merges the groups as a binary counter: a new group merges with the last
 one of the same level, and at the end the leftovers merge from the
 newest back.  That is the tree of merging the groups pairwise level by
 level with an odd last group carried up, built eagerly, so only about
-log2(groups) tables are alive at once.  A merge adds the terms of each
-value in run order, and a q-query sums the matching buckets in value
-order: one q through serve_buckets, every squarefree q <= Q of an
-E(X, q) sum through _serve_squarefree, whose prime pass and divisor-tree
-descent select the same buckets in the same order.  The order of every
-floating-point operation is fixed, so every number here is reproducible
-bit-for-bit run to run.  The bump's transform, and with it the mass in
-every main term, is one trapezoid rule whose alias error is bounded
-(SmoothWeight.psihat).
+log2(groups) tables are alive at once.  Every group enters the counter
+of every shard, with or without points there, and a value's points all
+lie in one shard, so its sum is the expression one unsharded build would
+evaluate, and the shard tables concatenate in value order.  A merge adds
+the terms of each value in run order, and a q-query sums the matching
+buckets in value order: one q through serve_buckets, every squarefree
+q <= Q of an E(X, q) sum through _serve_squarefree, whose prime pass and
+divisor-tree descent select the same buckets in the same order.  The
+order of every floating-point operation is fixed, so every number here
+is reproducible bit-for-bit run to run.  The bump's transform, and with
+it the mass in every main term, is one trapezoid rule whose alias error
+is bounded (SmoothWeight.psihat).
 """
 
 import functools
@@ -268,6 +274,19 @@ def divisible(vals, d):
     return ok
 
 
+_SHARD_POINTS = 2 ** 21      # domain points of one value-range shard, at most
+_SAMPLE_STRIDE = 64          # every 64th point of a slice places the cuts
+
+
+def _bucket_radius(X, s):
+    """box_radius(X, s) of a disc_value_buckets box, or ResourceLimitError
+    past the point budget (2R + 1)^4 <= 3e8."""
+    R = box_radius(X, s)
+    if (2 * R + 1) ** 4 > 3e8:
+        raise ResourceLimitError(f"box radius {R} beyond the point budget")
+    return R
+
+
 def disc_value_buckets(X, weight=None):
     """One pass over the box |x_i| <= box_radius(X); returns (vals, sums):
     distinct disc values (sorted) and the total weight attached to each.
@@ -276,29 +295,101 @@ def disc_value_buckets(X, weight=None):
     of two, so the product is exact.  The values keep the walk's dtype:
     int32 within the point budget (54 R^4 < 2^31 up to R = 79).  Serving
     any q | disc query afterwards is a divisibility scan of the value
-    array.  Boxes beyond the point budget are refused."""
+    array.  Boxes beyond the point budget are refused.
+
+    The walk runs once and keeps each slice's discriminants and its
+    multiplicities (int8).  The value range is then cut into shards of at
+    most _SHARD_POINTS points (_shard_cuts; a value with more keeps a
+    shard of its own), each shard's table is built from its points alone
+    (_shard_buckets), and the tables concatenate in value order.  A
+    value's terms all fall in one shard, in walk order, and every group
+    of 8 slices enters each shard's merge tree, empty or not, so each sum
+    is the floating-point expression of one unsharded build, bit for bit.
+    Only one shard is being built at a time, beside the finished tables
+    and the walk, and the walk is freed before the concatenation."""
     weight = weight or SmoothWeight()
-    R = box_radius(X, weight.s)
-    if (2 * R + 1) ** 4 > 3e8:
-        raise ResourceLimitError(f"box radius {R} beyond the point budget")
+    R = _bucket_radius(X, weight.s)
     xs = np.arange(-R, R + 1, dtype=np.int64)
     w1 = weight.psi(xs / (weight.s * X ** 0.25))
+    walk = [(ia, disc, mult.astype(np.int8), tail)
+            for ia, disc, mult, tail in _disc_slices(xs)]
+    cuts = _shard_cuts([disc for _, disc, _, _ in walk])
+    tables = [_shard_buckets(walk, w1, lo, hi)
+              for lo, hi in zip([None, *cuts], [*cuts, None])]
+    del walk
+    if len(tables) == 1:
+        return tables[0]
+    vals, sums = zip(*tables)
+    return np.concatenate(vals), np.concatenate(sums)
+
+
+def _shard_cuts(discs):
+    """The values cutting the walked discriminants into value ranges of at
+    most _SHARD_POINTS points each; a value with more points than that
+    keeps a range of its own.
+
+    The first cuts are the S - 1 quantiles of a sample of every
+    _SAMPLE_STRIDE-th point of each slice, S = ceil(n / _SHARD_POINTS)
+    for the n points (equal quantiles collapse).  The points below each
+    cut are then counted exactly, and a range that the sample left too
+    large is cut again at exact ranks of its own sorted values."""
+    n = sum(d.size for d in discs)
+    S = -(-n // _SHARD_POINTS)
+    sample = np.sort(np.concatenate([d[::_SAMPLE_STRIDE] for d in discs]))
+    cuts = np.unique(sample[np.arange(1, S) * sample.size // S]).tolist()
+    below = [0] + [sum(int(np.count_nonzero(d < c)) for d in discs)
+                   for c in cuts] + [n]
+    out = []
+    for lo, hi, k in zip([None, *cuts], [*cuts, None], np.diff(below)):
+        if k > _SHARD_POINTS:
+            v = np.sort(np.concatenate([d[_rows_in(d, lo, hi)]
+                                        for d in discs]))
+            i = 0
+            while v.size - i > _SHARD_POINTS:
+                j = np.searchsorted(v, v[i + _SHARD_POINTS])
+                if j == i:              # one value past the bound: whole
+                    j = np.searchsorted(v, v[i], side="right")
+                    if j == v.size:
+                        break
+                out.append(int(v[j]))
+                i = j
+        if hi is not None:
+            out.append(hi)
+    return out
+
+
+def _rows_in(disc, lo, hi):
+    """Indices of the entries with lo <= disc < hi, None leaving that side
+    open; every entry (a slice) when both sides are."""
+    if lo is None and hi is None:
+        return slice(None)
+    if lo is None:
+        return np.flatnonzero(disc < hi)
+    if hi is None:
+        return np.flatnonzero(disc >= lo)
+    return np.flatnonzero((disc >= lo) & (disc < hi))
+
+
+def _shard_buckets(walk, w1, lo, hi):
+    """(vals, sums) of the walked points with lo <= disc < hi (None: no
+    bound on that side).  Each slice keeps its shard's points in walk
+    order, and its groups of 8 slices go through _group_buckets and a
+    binary counter: a new group merges with the last one of the same
+    level, and at the end the leftovers merge from the newest back."""
     counter = []                    # (level, vals, sums), levels decreasing
-    pend_v, pend_s = [], []
-    for ia, disc, mult, (ib, ic, id_) in _disc_slices(xs):
-        pend_v.append(disc)
-        pend_s.append(w1[ia] * w1[ib] * w1[ic] * w1[id_] * mult)
-        if len(pend_v) >= 8 or ia == len(xs) - 1:     # a group of 8 slices
-            level, (v, s) = 0, _group_buckets(pend_v, pend_s)
-            pend_v, pend_s = [], []
-            while counter and counter[-1][0] == level:
-                _, v0, s0 = counter.pop()
-                level, (v, s) = level + 1, _merge_buckets([v0, v], [s0, s])
-            counter.append((level, v, s))
+    for g in range(0, len(walk), 8):
+        discs, weights = [], []
+        for ia, disc, mult, (ib, ic, id_) in walk[g:g + 8]:
+            keep = _rows_in(disc, lo, hi)
+            discs.append(disc[keep])
+            weights.append(w1[ia] * w1[ib[keep]] * w1[ic[keep]]
+                           * w1[id_[keep]] * mult[keep])
+        counter.append((0, *_group_buckets(discs, weights)))
+        while len(counter) > 1 and counter[-2][0] == counter[-1][0]:
+            _merge_newest(counter)
+    while len(counter) > 1:
+        _merge_newest(counter)
     _, vals, sums = counter.pop()
-    while counter:
-        _, v0, s0 = counter.pop()
-        vals, sums = _merge_buckets([v0, vals], [s0, sums])
     return vals, sums
 
 
@@ -312,7 +403,8 @@ def _group_buckets(discs, weights):
     value, then slice, then point; the slice sums and the group sums are
     two bincounts over the segments of that order.  Any other dtype is
     refused: the shift holds a value exactly only below 2^31 in
-    magnitude."""
+    magnitude.  Both lists are emptied once concatenated, so slices that
+    only they hold are freed before the sort."""
     if any(d.dtype != np.int32 for d in discs):
         raise TypeError("the group sort packs int32 values only, not "
                         f"{sorted({str(d.dtype) for d in discs})}")
@@ -323,8 +415,11 @@ def _group_buckets(discs, weights):
     key <<= 32
     key |= np.repeat(np.arange(len(discs)) << 29, [d.size for d in discs])
     key |= np.arange(key.size)
+    w = np.concatenate(weights)
+    discs.clear()
+    weights.clear()
     key.sort()
-    w = np.concatenate(weights)[key & ((1 << 29) - 1)]
+    w = w[key & ((1 << 29) - 1)]
     new_seg = _run_starts(key >> 29)                # (value, slice) runs
     key >>= 32
     new_v = _run_starts(key)
@@ -345,20 +440,27 @@ def _run_starts(v):
     return new
 
 
-def _merge_buckets(vs, ss):
-    """Merge sorted (vals, sums) runs into one.  The stable argsort (a
-    timsort, which merges sorted runs in linear time) keeps equal values
-    in run order, and bincount adds each value's terms in that order."""
-    v = np.concatenate(vs)
+def _merge_newest(counter):
+    """Replace the two newest (level, vals, sums) tables of the counter by
+    their merge, one level up.  The stable argsort (a timsort, which
+    merges two sorted runs in linear time) keeps equal values in run
+    order, older run first, and bincount adds each value's terms in that
+    order.  The inputs are dropped as soon as they are concatenated."""
+    (level, v0, s0), (_, v1, s1) = counter[-2:]
+    del counter[-2:]
+    v = np.concatenate([v0, v1])
+    del v0, v1
     order = np.argsort(v, kind="stable")
     v = v[order]
-    s = np.concatenate(ss)[order]
+    s = np.concatenate([s0, s1])
+    del s0, s1
+    s = s[order]
     del order
     new = _run_starts(v)
     v = v[np.flatnonzero(new)]
     ids = np.cumsum(new, dtype=np.int32)    # tables stay below 2^31
     ids -= 1
-    return v, np.bincount(ids, weights=s)
+    counter.append((level + 1, v, np.bincount(ids, weights=s)))
 
 
 def serve_buckets(vals, sums, q):
@@ -462,8 +564,11 @@ def lod_error_sum(cfg=None):
     then each composite q from q / pmin(q) down the divisor tree; every
     lattice value is bit-identical to serve_buckets on the whole table.
     q_rows are the rows of the largest X of the grid, wherever it
-    stands."""
+    stands.  A grid with any X past the point budget is refused before
+    any table is built."""
     cfg = cfg or LodConfig()
+    for X in cfg.X_grid:
+        _bucket_radius(X, cfg.s)
     weight = SmoothWeight(s=cfg.s)
     per_X = []
     q_rows = []

@@ -243,6 +243,26 @@ def test_lod_prints_the_q_rows_of_the_largest_X(capsys):
     assert len(rows[0]) == 64          # the squarefree q <= 3e4^0.45 = 103
 
 
+def test_lod_output_does_not_depend_on_the_shard_size(monkeypatch, capsys):
+    # 5 and 19 value-range shards of the bucket build print the same bytes
+    # as one
+    outs = []
+    for points in (experiments._SHARD_POINTS, 2 ** 12):
+        monkeypatch.setattr(experiments, "_SHARD_POINTS", points)
+        assert run(["lod", "--X", "1e4,3e4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_lod_budget_before_work(monkeypatch, capsys):
+    # X = 1e8 is past the point budget, so no X of the grid is built
+    def boom(*a, **k):
+        raise AssertionError("a table was built before the budget check")
+    monkeypatch.setattr(experiments, "disc_value_buckets", boom)
+    assert run(["lod", "--X", "1e6,1e8", "--X-cap", "1e8"]) == 3
+    assert "point budget" in capsys.readouterr().err
+
+
 def test_lod_single_X_prints_no_fit(capsys):
     # one distinct X has no growth exponent to fit
     for X in ("1e4", "1e4,1e4"):

@@ -7,6 +7,7 @@ everything here is sized to run in seconds.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -344,6 +345,65 @@ def test_buckets_bit_identical_to_pairwise_tree(X, weight):
     assert vals.dtype == want_vals.dtype == np.int32
     assert np.array_equal(vals, want_vals)
     assert sums.tobytes() == want_sums.tobytes()
+
+
+@pytest.mark.parametrize("X, shard_points, n_shards, empty_group", [
+    (10 ** 4, 10 ** 4, 2, False),
+    (3 * 10 ** 4, 3 * 10 ** 4, 3, False),
+    (10 ** 5, 2 ** 14, 13, True),
+    (10 ** 4, 2 ** 11, 13, False),     # two ranges recut past the sample
+])
+def test_sharded_buckets_bit_identical(X, shard_points, n_shards,
+                                       empty_group, weight, monkeypatch):
+    # each value range builds its table alone, and every group enters its
+    # merge tree, empty or not, so the shard tables concatenate to the
+    # bytes of one unsharded build
+    sizes, group = [], ex._group_buckets
+
+    def spy(discs, weights):
+        sizes.append(sum(d.size for d in discs))
+        return group(discs, weights)
+
+    monkeypatch.setattr(ex, "_SHARD_POINTS", shard_points)
+    monkeypatch.setattr(ex, "_group_buckets", spy)
+    vals, sums = ex.disc_value_buckets(X, weight)
+    want_vals, want_sums = _buckets_oracle(X, weight)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert sums.tobytes() == want_sums.tobytes()
+    R = ex.box_radius(X)
+    per_shard = np.reshape(sizes, (n_shards, -(-(R + 1) // 8)))
+    assert per_shard.sum() == (R + 1) ** 3 * (2 * R + 1)    # domain points
+    assert per_shard.sum(axis=1).max() <= shard_points
+    assert (per_shard == 0).any() == empty_group
+
+
+def test_shard_cuts_are_exact(monkeypatch):
+    # the sample's cuts are recounted exactly: every range holds at most
+    # _SHARD_POINTS points, except a value with more (disc = 0, 169
+    # points of the X = 1e4 domain), which keeps a range of its own
+    monkeypatch.setattr(ex, "_SHARD_POINTS", 100)
+    discs = [d for _, d, _, _ in ex._disc_slices(np.arange(-9, 10))]
+    every = np.sort(np.concatenate(discs))
+    cuts = ex._shard_cuts(discs)
+    assert cuts == sorted(set(cuts)) and {0, 1} <= set(cuts)
+    counts = np.diff([0, *np.searchsorted(every, cuts), every.size])
+    assert counts[cuts.index(1)] == np.count_nonzero(every == 0) == 169
+    assert sorted(counts)[-2] <= 100
+
+
+def test_sharding_bounds_the_build_memory(weight, monkeypatch):
+    # five shards of at most 2^17 points against one: the traced peak of
+    # the build falls to at most 60 %
+    peaks = []
+    for points in (2 ** 40, 2 ** 17):
+        monkeypatch.setattr(ex, "_SHARD_POINTS", points)
+        tracemalloc.start()
+        try:
+            ex.disc_value_buckets(3 * 10 ** 5, weight)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 0.6 * peaks[0]
 
 
 def test_lod_served_by_largest_prime_bit_identical(weight):
