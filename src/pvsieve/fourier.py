@@ -42,8 +42,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import ffcore, orbits
-from .spaces import (CUBIC, QUARTIC, BadPrimeError, disc_dtype, disc_mod,
-                     dual_disc_cubic, pairing_weights_mod, space_by_name)
+from .spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc_dtype,
+                     disc_mod, dual_disc_cubic, pairing_weights_mod,
+                     space_by_name)
 
 
 class InvalidLabelError(ValueError):
@@ -58,9 +59,6 @@ class LocalCondition:
     @property
     def space(self):
         return space_by_name(self.space_id)
-
-    def support_mask(self, coords, p):
-        return disc_mod(self.space, coords, p) == 0
 
 
 CUBIC_COND = LocalCondition("cubic")
@@ -175,11 +173,13 @@ def space_kernel(space):
 
     Cubic: cubic_class_batch (about eight steps), ft_histograms (the roots
     on the p^3 a-fibres serving every target) within the sweep budget, the
-    character sums of ffcore over the support slices (p <= 59).  Quartic:
-    the labels of orbits.classify_batch, whose base-locus count visits the
-    p^2 + p + 1 points of P^2(F_p); ft_fibered_histograms (p <= 13), exact
-    as disc(cx) = c^12 disc(x) makes the support jointly dilation-invariant,
-    at targets that, past the orbit BFS budget (p >= 7), no BFS checks."""
+    character sums of ffcore over the same roots scattered into one p^4
+    mask (p <= 59).  Quartic: the labels of orbits.classify_batch, whose
+    base-locus count visits the p^2 + p + 1 points of P^2(F_p);
+    ft_fibered_histograms (p <= 13), its fibres gathered from that mask
+    through the resolvent, exact as disc(cx) = c^12 disc(x) makes the
+    support jointly dilation-invariant, at targets that, past the orbit BFS
+    budget (p >= 7), no BFS checks."""
     if space is CUBIC:
         return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
                            space.check_sweep, lambda p: None,
@@ -200,52 +200,6 @@ def target_classes(space, Y, p):
 # ---------------------------------------------------------------------------
 # brute force
 # ---------------------------------------------------------------------------
-
-def _support_slices(cond, p, n, suffix=()):
-    """The support {p | disc x} over the states x = (tail, t, *suffix) of
-    V(F_p), tail running over the p^(n-1) states of the first n - 1
-    coordinates: one boolean mask over the tail, in state-code order, for
-    each t = 0, ..., p - 1.  Concatenated, the masks cover the p^n codes of
-    the first n coordinates in code order; suffix fixes the other r - n.
-
-    The tail grid is decoded once.  Along t, disc(tail, t, *suffix) is an
-    integer polynomial f(t) of degree <= space.d (disc is homogeneous of
-    degree d), so its (d + 1)-th forward difference vanishes identically
-    over Z.  The walker takes f(0), ..., f(d) from disc_mod, turns them into
-    the differences Delta^k f(0), and steps them along t by
-    Delta^k f(t + 1) = Delta^k f(t) + Delta^(k+1) f(t).  Reduction mod p is a
-    ring map, so the recurrence is exact on residues at every p; each step
-    is d additions of 32-bit residues.  When p <= d + 1 every slice comes
-    from disc_mod."""
-    space = cond.space
-    X = np.empty((p ** (n - 1), space.r), dtype=np.int16)
-    X[:, :n - 1] = orbits.decode_states(
-        np.arange(p ** (n - 1), dtype=np.int64), p, r=n - 1)
-    X[:, n:] = suffix
-
-    def at(t):
-        X[:, n - 1] = t
-        return X
-    if p <= space.d + 1:
-        for t in range(p):
-            yield cond.support_mask(at(t), p)
-        return
-    # D[k] = Delta^k f(0) mod p, by Newton's differences of the seeds
-    D = [disc_mod(space, at(t), p).astype(np.uint32)
-         for t in range(space.d + 1)]
-    for k in range(1, len(D)):
-        for j in range(len(D) - 1, k - 1, -1):
-            D[j] = (D[j] + (p - D[j - 1])) % p
-    spill = np.empty_like(D[0])
-    for t in range(p):
-        yield D[0] == 0
-        for k in range(len(D) - 1):
-            # a + b mod p for residues a, b: the sum is below 2p, and
-            # a + b - p wraps past it in unsigned arithmetic when a + b < p
-            D[k] += D[k + 1]
-            np.subtract(D[k], np.uint32(p), out=spill)
-            np.minimum(D[k], spill, out=D[k])
-
 
 def _cubic_support(p):
     """The support {p | disc x} of V(F_p) as (a, f): for each of its states
@@ -286,6 +240,39 @@ def _cubic_support(p):
     return np.concatenate(roots), np.concatenate(on)
 
 
+def _cubic_mask(p):
+    """The support {p | disc x} of V(F_p) as a p^4 boolean mask in
+    state-code order: the codes a + p f of _cubic_support, scattered."""
+    a, f = _cubic_support(p)
+    mask = np.zeros(p ** 4, dtype=bool)
+    mask[a + p * f] = True
+    return mask
+
+
+def _pair_fibres(p, forms, Bs):
+    """For each B of Bs, the fibre {A : (A, B) in supp} of the pair space as
+    a boolean mask over forms, the p^6 forms A in code order (int16, as
+    decode_states gives them).
+
+    disc(A, B) is the disc of the resolvent cubic 4 det(Ax + By), whose
+    coefficients, in spaces.resolvent_cubic's order, are 4 (det A,
+    tr(adj(A) B), tr(A adj(B)), det B).  So each fibre is one gather from
+    _cubic_mask at the code of those four mod p.  det A and adj(A) are taken
+    once for all the Bs, in int16: for p <= 13 every product of residues,
+    every sum of six such and every code (< p^4) is below 2^15."""
+    mask = _cubic_mask(p)
+    w = np.array([1, 1, 1, 2, 2, 2], dtype=np.int16)   # tr(XY) = sum w x y
+    adj = orbits.sym_adjugate(forms) % p
+    code = 4 * (_det3_sym(*forms.T) % p) % p
+    fibres = []
+    for B in Bs:
+        c1 = adj @ (w * B) * 4 % p
+        c2 = forms @ (w * orbits.sym_adjugate(B) % p) * 4 % p
+        c3 = 4 * _det3_sym(*B.tolist()) % p
+        fibres.append(mask[code + p * c1 + p * p * c2 + p ** 3 * c3])
+    return fibres
+
+
 def ft_histograms(cond, p, targets):
     """Pairing histograms of <x, y_j> over the cubic support {p | disc x},
     every target served by one listing of the support (_cubic_support, about
@@ -320,8 +307,10 @@ def ft_fibered_histograms(cond, p, targets):
     F_c(g_B^T alpha g_B) over the B with tr(B beta) = k.  disc(cx) =
     c^12 disc(x) makes the support jointly dilation-invariant, so
     G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1; n_1 follows from the
-    support size N = sum_c |class c| |fibre c|.  ffcore.ntt_modulus caps p
-    (p <= 13) before form_classes runs, and keeps |G_k| <= p^12 < 2^53."""
+    support size N = sum_c |class c| |fibre c|.  The seven fibres come from
+    _pair_fibres, all listed before the per-target gathers, in int16, which
+    is exact while p^4 < 2^15.  ffcore.ntt_modulus caps p (p <= 13) before
+    form_classes runs, and keeps |G_k| <= p^12 < 2^53."""
     space = cond.space
     if space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
@@ -336,10 +325,10 @@ def ft_fibered_histograms(cond, p, targets):
                                  r=half)
     rows, cols = zip(*orbits._SYM_INDEX)
     G, N = np.zeros((len(T), p)), 0
-    for c, rep in enumerate(reps):
-        fibre = np.concatenate(list(   # {A : (A, B_c) in supp}
-            _support_slices(cond, p, half, suffix=forms[rep])))
-        F = ffcore.character_sums(fibre, w[:half], p)
+    fibres = _pair_fibres(p, forms, forms[reps])
+    for c in range(len(reps)):
+        # each mask is dropped once summed, before its class's gathers
+        F = ffcore.character_sums(fibres.pop(0), w[:half], p)
         gc, Bc = g[cls == c].astype(np.int64), forms[cls == c]
         N += len(Bc) * F[0]           # F_c(0) = |fibre c|
         for j, alpha in enumerate(alphas):
@@ -369,8 +358,7 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
     if cond.space is not CUBIC:
         raise ValueError("exhaustive mode is for the cubic space")
     w = pairing_weights_mod(CUBIC, p)
-    support = np.concatenate(list(_support_slices(cond, p, CUBIC.r)))
-    return ffcore.character_sums(support, w, p), p ** 4
+    return ffcore.character_sums(_cubic_mask(p), w, p), p ** 4
 
 
 # ---------------------------------------------------------------------------

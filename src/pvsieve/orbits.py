@@ -143,6 +143,16 @@ def sym_from_cols(c):
 _SYM_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
+def sym_adjugate(c):
+    """The adjugate of symmetric 3x3 matrices given as the (..., 6) columns
+    of sym_from_cols, as the same 6 columns (the adjugate of a symmetric
+    matrix is symmetric), unreduced, in c's dtype."""
+    a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
+    return np.stack([a22 * a33 - a23 * a23, a11 * a33 - a13 * a13,
+                     a11 * a22 - a12 * a12, a13 * a23 - a12 * a33,
+                     a12 * a23 - a13 * a22, a12 * a13 - a11 * a23], axis=-1)
+
+
 def _congruence_matrix(g3, p):
     """The 6x6 matrix of A -> g3 A g3^T on the coordinates of sym_from_cols:
     M[(i,j),(k,l)] = g_ik g_jl + [k != l] g_il g_jk, reduced mod p."""
@@ -327,15 +337,6 @@ def legendre_table(p):
     return chi
 
 
-def _adj_diag(c, p):
-    """The diagonal of the adjugate of a symmetric 3x3 given as 6 columns
-    (diagonal first), as 3 rows."""
-    a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
-    return np.stack([(a22 * a33 - a23 * a23) % p,
-                     (a11 * a33 - a13 * a13) % p,
-                     (a11 * a22 - a12 * a12) % p])
-
-
 def _proj_points_prime(p):
     """Representatives of P^2(F_p): (1,y,z), (0,1,z), (0,0,1)."""
     pts = [(1, y, z) for y in range(p) for z in range(p)]
@@ -424,12 +425,12 @@ def _determinant_character(C, r, p):
     """+1 / -1 where a common-kernel pencil's binary determinant form splits
     / does not, read off the nonvanishing diagonal adjugate entries."""
     chi = legendre_table(p)
-    dA, dB, dS = (_adj_diag(F, p) for F in (
+    dA, dB, dS = (sym_adjugate(F)[:, :3] % p for F in (
         C[:, :6], C[:, 6:], (C[:, :6] + C[:, 6:]) % p))
     s = 0
     for i in range(3):
-        mid = (dS[i] - dA[i] - dB[i]) % p
-        s = s + chi[(mid * mid - 4 * dA[i] * dB[i]) % p]
+        mid = (dS[:, i] - dA[:, i] - dB[:, i]) % p
+        s = s + chi[(mid * mid - 4 * dA[:, i] * dB[:, i]) % p]
     return np.sign(s)
 
 

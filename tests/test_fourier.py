@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore, fourier, orbits, sieve
-from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc, disc_mod,
-                            dual_disc_cubic, pairing_weights_mod,
-                            ResourceLimitError)
+from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc,
+                            disc_mod, dual_disc_cubic, pairing_weights_mod,
+                            resolvent_cubic, ResourceLimitError)
 
 
 def _sweep_oracle(cond, p, targets):
@@ -27,10 +27,51 @@ def _sweep_oracle(cond, p, targets):
     for start in range(0, n_states, chunk):
         codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
         C = orbits.decode_states(codes, p, r=space.r)
-        P = C[cond.support_mask(C, p)].astype(np.int64) @ WT.T % p
+        P = C[disc_mod(space, C, p) == 0].astype(np.int64) @ WT.T % p
         for j in range(len(WT)):
             counts[j] += np.bincount(P[:, j], minlength=p)
     return counts.tolist()
+
+
+def _support_slices(space, p, n, suffix=()):
+    """The support {p | disc x} over the states x = (tail, t, *suffix) of
+    V(F_p), tail running over the p^(n-1) states of the first n - 1
+    coordinates: one boolean mask over the tail, in state-code order, for
+    each t = 0, ..., p - 1.  Concatenated, the masks cover the p^n codes of
+    the first n coordinates in code order; suffix fixes the other r - n.
+
+    The slow oracle of the support kernels, by a second algorithm: the
+    state-by-state walk.  The tail grid is decoded once.  Along t,
+    disc(tail, t, *suffix) is an integer polynomial f(t) of degree
+    <= space.d (disc is homogeneous of degree d;
+    test_disc_degree_bound_along_each_coordinate), so its (d + 1)-th
+    forward difference vanishes identically over Z.  The walker takes
+    f(0), ..., f(d) from disc_mod, turns them into the differences
+    Delta^k f(0), and steps them along t by
+    Delta^k f(t + 1) = Delta^k f(t) + Delta^(k+1) f(t).  Reduction mod p is
+    a ring map, so the recurrence is exact on residues at every p.  When
+    p <= d + 1 every slice comes from disc_mod."""
+    X = np.empty((p ** (n - 1), space.r), dtype=np.int16)
+    X[:, :n - 1] = orbits.decode_states(
+        np.arange(p ** (n - 1), dtype=np.int64), p, r=n - 1)
+    X[:, n:] = suffix
+
+    def at(t):
+        X[:, n - 1] = t
+        return X
+    if p <= space.d + 1:
+        for t in range(p):
+            yield disc_mod(space, at(t), p) == 0
+        return
+    # D[k] = Delta^k f(0) mod p, by Newton's differences of the seeds
+    D = [disc_mod(space, at(t), p) for t in range(space.d + 1)]
+    for k in range(1, len(D)):
+        for j in range(len(D) - 1, k - 1, -1):
+            D[j] = (D[j] - D[j - 1]) % p
+    for t in range(p):
+        yield D[0] == 0
+        for k in range(len(D) - 1):
+            D[k] = (D[k] + D[k + 1]) % p
 
 
 def _slice_walk_histograms(cond, p, targets):
@@ -48,7 +89,7 @@ def _slice_walk_histograms(cond, p, targets):
     rows = np.arange(k)[:, None]
     cols = np.arange(p)[None, :]
     counts = np.zeros((k, p), dtype=np.int64)
-    for t, mask in enumerate(fourier._support_slices(cond, p, space.r)):
+    for t, mask in enumerate(_support_slices(space, p, space.r)):
         h = np.bincount(TP[mask].ravel(), minlength=k * p).reshape(k, p)
         counts[rows, (cols + t * WT[:, -1:]) % p] += h
     return counts.tolist()
@@ -216,11 +257,12 @@ def test_fibered_kernel_matches_sweep_p3(seed):
                                                      targets)
 
 
-# p below, at and above d + 1 = 5, where the walker starts its recurrence
+# p = 2, where the root count tries each a, and p >= 5, where it solves the
+# quadratic in a
 @pytest.mark.parametrize("p", [2, 5, 7, 11, 13])
 def test_cubic_sweep_matches_plain_sweep(p):
-    """All p counts of the slice walk against the plain sweep, at the class
-    representatives and at random targets."""
+    """All p counts of the a-fibre root count against the plain sweep, at
+    the class representatives and at random targets."""
     rng = np.random.default_rng(p)
     targets = [*fourier._class_reps(CUBIC, p).values(),
                *rng.integers(-60, 60, size=(6, 4)).tolist()]
@@ -271,30 +313,51 @@ def test_cubic_support_roots_per_fibre(p):
         assert (roots[on] == want[kind]).all(), kind
 
 
-@pytest.mark.parametrize("p", [5, 7])
+# p below, at and above d + 1 = 5, where the walker starts its recurrence;
+# the root count tries each a at p = 2 and 3, and the pair space reads p = 3
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_support_slices_cubic(p):
-    """The concatenated slices are the support over every state, in code
-    order."""
+    """The scattered support mask is the walker's concatenated slices, and
+    both are the support over every state, in code order."""
     C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
-    slices = list(fourier._support_slices(fourier.CUBIC_COND, p, 4))
+    slices = list(_support_slices(CUBIC, p, 4))
     assert len(slices) == p
-    assert np.array_equal(np.concatenate(slices),
-                          fourier.CUBIC_COND.support_mask(C, p))
+    walked = np.concatenate(slices)
+    assert np.array_equal(walked, disc_mod(CUBIC, C, p) == 0)
+    assert np.array_equal(fourier._cubic_mask(p), walked)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_support_slices_quartic_fibres(p):
-    """With B fixed to each form-class representative, the slices are the
-    fibre {A : (A, B_c) in supp} in code order."""
+    """The resolvent-gather fibre over each form-class representative B_c is
+    the walker's {A : (A, B_c) in supp}, in code order; at p = 3 both are
+    also the support over every A."""
     A = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
     _, reps, _ = orbits.form_classes(p)
-    for rep in reps:
-        B = orbits.decode_states(np.array([rep]), p, r=6)[0]
-        want = fourier.QUARTIC_COND.support_mask(
-            np.hstack([A, np.broadcast_to(B, A.shape)]), p)
-        got = np.concatenate(list(fourier._support_slices(
-            fourier.QUARTIC_COND, p, 6, suffix=B)))
-        assert np.array_equal(got, want), rep
+    got = fourier._pair_fibres(p, A, A[reps])
+    assert len(got) == len(reps) == 7
+    for rep, fibre in zip(reps, got):
+        walked = np.concatenate(list(_support_slices(QUARTIC, p, 6,
+                                                     suffix=A[rep])))
+        assert np.array_equal(fibre, walked), rep
+        if p == 3:
+            plain = disc_mod(QUARTIC, np.hstack(
+                [A, np.broadcast_to(A[rep], A.shape)]), p) == 0
+            assert np.array_equal(fibre, plain), rep
+
+
+def test_resolvent_coefficient_order():
+    """The fibres' coefficients (det A, tr(adj(A) B), tr(A adj(B)), det B)
+    are resolvent_cubic's, divided by 4, in its order, on random integer
+    pairs."""
+    rng = np.random.default_rng(12)
+    X = rng.integers(-50, 51, size=(1000, 12))
+    A, B = X[:, :6], X[:, 6:]
+    w = np.array([1, 1, 1, 2, 2, 2])             # tr(XY) = sum w x y
+    ours = (_det3_sym(*A.T), (orbits.sym_adjugate(A) * B) @ w,
+            (A * orbits.sym_adjugate(B)) @ w, _det3_sym(*B.T))
+    for got, want in zip(ours, resolvent_cubic(X)):
+        assert np.array_equal(4 * got, want)
 
 
 @pytest.mark.parametrize("space", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
@@ -409,8 +472,7 @@ def test_dual_table_exhaustive(p):
     """Plain-dot dual transform is graded by dstar at every p, including 3."""
     den = p ** 4
     K = orbits.decode_states(np.arange(den, dtype=np.int64), p, r=4)
-    num = ffcore.character_sums(fourier.CUBIC_COND.support_mask(K, p),
-                                (1, 1, 1, 1), p)
+    num = ffcore.character_sums(disc_mod(CUBIC, K, p) == 0, (1, 1, 1, 1), p)
     cls = fourier.dual_cubic_class_batch(K, p)
     for i in range(den):
         want = fourier.dual_ft_value(p, int(cls[i]))

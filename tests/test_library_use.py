@@ -1,7 +1,7 @@
-"""Every module-level function, class and constant of pvsieve is read by the
-program itself, by the benchmark harness or by the acceptance tests: library
-code whose only caller is a unit test is either deleted or given a real
-caller.  A read is a loaded name, an attribute or an imported name; the
+"""Every module-level function, class and constant of pvsieve, and every
+method and property of its top-level classes, is read by the program itself,
+by the benchmark harness or by the acceptance tests: library code whose only
+caller is a unit test is either deleted or given a real caller.  A read is a loaded name, an attribute or an imported name; the
 definition itself is not one.  Likewise every field of a pvsieve dataclass
 is read as an attribute by those readers."""
 
@@ -16,11 +16,16 @@ READERS = (sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 def module_level_names(source):
     """Names a module defines at top level: functions, classes and assigned
-    constants (dunder names excluded)."""
+    constants, and the methods and properties of its classes, as
+    Class.method (dunder names excluded)."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{stmt.name}" for stmt in node.body
+                      if isinstance(stmt, ast.FunctionDef)
+                      and not stmt.name.startswith("__")]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [
                 node.target]
@@ -47,7 +52,8 @@ def unread(defining, readers):
     ({module: source}) that none of the reader sources reads."""
     read = set().union(*map(read_names, readers))
     return [(module, name) for module, source in sorted(defining.items())
-            for name in module_level_names(source) if name not in read]
+            for name in module_level_names(source)
+            if name.rpartition(".")[2] not in read]
 
 
 def dataclass_fields(source):
@@ -99,6 +105,23 @@ def test_unread_name_detected():
     assert unread({"lib": lib}, ["x = 1\n"]) == [
         ("lib", "LIMIT"), ("lib", "Used"), ("lib", "helper"),
         ("lib", "kernel")]
+
+
+def test_unread_method_detected():
+    lib = ("class Cond:\n"
+           "    def __init__(self):\n        self.n = 0\n"
+           "    @property\n    def space(self):\n        return self.n\n"
+           "    def mask(self, x):\n        return x\n"
+           "    def walk(self):\n        return self.walk()\n")
+    caller = "print(Cond().space, Cond().mask(1))\n"
+    # a method is read as an attribute; a dunder is never reported, and a
+    # call of walk inside walk is a read
+    assert unread({"lib": lib}, [lib, caller]) == []
+    assert unread({"lib": lib}, [lib, "print(Cond().space)\n"]) == [
+        ("lib", "Cond.mask")]
+    assert unread({"lib": lib}, ["x = 1\n"]) == [
+        ("lib", "Cond"), ("lib", "Cond.space"), ("lib", "Cond.mask"),
+        ("lib", "Cond.walk")]
 
 
 def test_dataclass_fields_have_a_real_reader():

@@ -65,6 +65,14 @@ def test_frozen_sizes_are_consistent():
 # action
 # ---------------------------------------------------------------------------
 
+def test_sym_adjugate_times_matrix_is_det():
+    """adj(A) A = det(A) I on random integer symmetric matrices."""
+    c = np.random.default_rng(6).integers(-40, 41, size=(500, 6))
+    A, adj = ob.sym_from_cols(c), ob.sym_from_cols(ob.sym_adjugate(c))
+    det = np.linalg.det(A.astype(float)).round().astype(np.int64)
+    assert np.array_equal(adj @ A, det[:, None, None] * np.eye(3, dtype=int))
+
+
 def test_act_identity_and_swap():
     p = 7
     e2 = ((1, 0), (0, 1))
