@@ -1,9 +1,10 @@
 """Every module-level function, class and constant of pvsieve, and every
 method and property of its top-level classes, is read by the program itself,
 by the benchmark harness or by the acceptance tests: library code whose only
-caller is a unit test is either deleted or given a real caller.  A read is a loaded name, an attribute or an imported name; the
-definition itself is not one.  Likewise every field of a pvsieve dataclass
-is read as an attribute by those readers."""
+caller is a unit test is either deleted or given a real caller.  A read is
+a loaded name, an attribute or an imported name; the definition itself is
+not one.  Likewise every field of a pvsieve dataclass is read as an
+attribute by those readers."""
 
 import ast
 from pathlib import Path
