@@ -40,35 +40,44 @@ def _parse(convert, text, what):
         raise ConfigError(f"bad {what} {text!r}: {e}") from None
 
 
+# The largest value --primes and --prime may name, far above every kernel's
+# reach (cubic per class p <= 60, quartic p <= 13, orbits p <= 5): checked
+# before the one sieve of the parse, which it keeps below 64 KB.
+PRIME_ARG_MAX = 2 ** 16
+
+
 def _parse_primes(text, space):
     """'5,7,11' (strict: a bad prime is a config error) or '3..23'
     (range: the space's bad primes are skipped, since the closed forms
-    claim nothing there)."""
+    claim nothing there).  Both forms read one sieve, up to the list's
+    largest value or the range's end; past PRIME_ARG_MAX that is a
+    resource limit, refused before the sieve."""
     text = text.strip()
-    skipped = []
     if ".." in text:
         lo, hi = (_parse(int, t, "prime") for t in text.split("..", 1))
         if lo > hi:
             raise ConfigError(f"empty prime range {text!r}")
-        ps = []
-        for n in sieve.primes_upto(hi).tolist():
-            if n < lo:
-                continue
-            if n in space.bad_primes:
-                skipped.append(n)
-            else:
-                ps.append(n)
+        asked = None
     else:
-        ps = [_parse(int, tok, "prime") for tok in text.split(",")
-              if tok.strip()]
-        for n in ps:
-            # trial division by the primes up to sqrt(n)
-            if n < 2 or any(n % q == 0 for q in
-                            sieve.primes_upto(math.isqrt(n)).tolist()):
+        asked = [_parse(int, tok, "prime") for tok in text.split(",")
+                 if tok.strip()]
+        hi = max(asked, default=0)
+    if hi > PRIME_ARG_MAX:
+        raise ResourceLimitError(
+            f"p = {hi} is past {PRIME_ARG_MAX}, beyond every kernel")
+    primes = sieve.primes_upto(hi).tolist()
+    if asked is None:
+        skipped = [n for n in primes if n >= lo and n in space.bad_primes]
+        ps = [n for n in primes if n >= lo and n not in space.bad_primes]
+    else:
+        known = set(primes)
+        for n in asked:
+            if n not in known:
                 raise ConfigError(f"{n} is not prime")
             if n in space.bad_primes:
                 raise ConfigError(
                     f"p = {n} is a bad prime for the {space.space_id} space")
+        ps, skipped = asked, []
     if not ps:
         raise ConfigError(f"no usable primes in {text!r}")
     return ps, skipped
@@ -425,6 +434,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as e:          # numpy's _ArrayMemoryError included
+        print(f"resource limit: allocation failed: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except MismatchError as e:
         print(f"MISMATCH {e}", file=sys.stderr)

@@ -50,7 +50,7 @@ is bounded (SmoothWeight.psihat).
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -101,11 +101,8 @@ class SmoothWeight:
     The transforms of psi do not depend on s.  psihat is one trapezoid
     rule, the mass is its value at 0 (a module constant, PSI_MASS), and
     K6 = ||psi^(6)||_1 comes from the exact numerators of psi^(5) and
-    psi^(6).  A weight keeps the widest psihat row evaluated for each
-    (q, X) of the Poisson checks (_psihat_row)."""
+    psi^(6).  A weight is its scale s and nothing else."""
     s: float = 1.0
-    _rows: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
 
     @staticmethod
     def psi(u):
@@ -144,14 +141,10 @@ class SmoothWeight:
         return np.array([np.dot(c, w) for c in cos]).reshape(t.shape)
 
     @property
-    def psi_integral(self):
-        return PSI_MASS
-
-    @property
     def phi_hat0(self):
         """phihat(0) = (s * psi mass)^4, the mass of the 4-dimensional
         bump."""
-        return (self.s * self.psi_integral) ** 4
+        return (self.s * PSI_MASS) ** 4
 
     @staticmethod
     def psi_sixth_l1():
@@ -614,59 +607,54 @@ class PoissonReport:
         return abs(self.lhs - self.rhs_double) / abs(self.lhs)
 
 
-@functools.lru_cache(maxsize=1)
 def _dual_value_grid(q):
-    """float array over (Z/q)^4 of the dual transform, multiplicative.
-    Read-only; the last q's grid is kept, so the dual sums of one
-    poisson_check build it once."""
+    """float array over (Z/q)^4 of the dual transform, multiplicative."""
     K = np.indices((q,) * 4, dtype=np.int64).reshape(4, -1).T
     V = np.ones(K.shape[0])
     for p in factor_squarefree(int(q)):
         cls = fourier.dual_cubic_class_batch(K % p, p)
         tab = np.array([float(fourier.dual_ft_value(p, c)) for c in range(3)])
         V *= tab[cls]
-    V.setflags(write=False)
     return V.reshape((q,) * 4)
 
 
 def _psihat_row(q, X, weight, Z):
-    """psihat(s k X^{1/4} / q) at k = -Z..Z, read-only.  The weight keeps
-    the widest row asked for each (q, X), and a narrower one is its
-    middle: each value depends on its own k only, so the slice has the
-    bytes of its own evaluation."""
-    row = weight._rows.get((q, X))
-    if row is None or row.size < 2 * Z + 1:
-        row = weight.psihat(weight.s * np.arange(-Z, Z + 1) * X ** 0.25 / q)
-        row.setflags(write=False)
-        weight._rows[q, X] = row
-    mid = row.size // 2
-    return row[mid - Z:mid + Z + 1]
+    """s psihat(s k X^{1/4} / q) at k = -Z..Z, the row of the dual sums of
+    radius Z.  Each value is one dot product of its own cosines, so the
+    middle 2Z' + 1 entries have the bytes of the row of radius Z'."""
+    s = weight.s
+    return s * weight.psihat(s * np.arange(-Z, Z + 1) * X ** 0.25 / q)
 
 
-def poisson_rhs(q, X, weight, Z):
+def poisson_rhs(X, V, row):
     """Truncated dual side: X * sum over |k_i| <= Z of the dual transform
-    times the separable phihat factor, collapsed to residues mod q."""
-    V = _dual_value_grid(q)
-    phv = weight.s * _psihat_row(q, X, weight, Z)
+    V = _dual_value_grid(q) times the separable phihat factor, the row
+    _psihat_row of radius Z = len(row) // 2 collapsed to residues mod q."""
+    q = V.shape[0]
+    Z = row.size // 2
     S = np.zeros(q)
-    for k, v in zip(range(-Z, Z + 1), phv):
+    for k, v in zip(range(-Z, Z + 1), row):
         S[k % q] += v
     return X * float(np.einsum("abcd,a,b,c,d->", V, S, S, S, S))
 
 
-def poisson_tail_bound(q, X, weight, Z):
-    """Explicit bound on the dropped |k_i| > Z dual mass: |dual FT| <= 1
-    and |psihat(t)| <= K6/(2 pi t)^6 give
+def poisson_tail_bound(q, X, weight, row):
+    """Explicit bound on the dropped |k_i| > Z dual mass, Z = len(row) // 2
+    for the _psihat_row of radius Z: |dual FT| <= 1 and
+    |psihat(t)| <= K6/(2 pi t)^6 give
 
         X * ((T_Z + tau)^4 - T_Z^4),
         tau = 2 s K6 (q / (2 pi s Y))^6 * Z^-5 / 5,
 
-    T_Z the per-axis truncated |psihat| mass.  A 2% inflation of K6
-    covers K6's float error (its roots and rounding, about 1e-12 relative)
-    and psihat's, which moves T_Z by about 1e-16."""
+    T_Z = sum |row|, the per-axis truncated s |psihat| mass (s > 0, and
+    rounding is symmetric about 0, so |s psihat| is s |psihat| to the
+    bit).  A 2% inflation of K6 covers K6's float error (its roots and
+    rounding, about 1e-12 relative) and psihat's, which moves T_Z by
+    about 1e-16."""
     Y = X ** 0.25
     s = weight.s
-    T = float(np.sum(s * np.abs(_psihat_row(q, X, weight, Z))))
+    Z = row.size // 2
+    T = float(np.sum(np.abs(row)))
     K6 = weight.psi_sixth_l1() * 1.02
     tau = 2 * s * K6 * (q / (2 * math.pi * s * Y)) ** 6 / (5 * Z ** 5)
     return X * ((T + tau) ** 4 - T ** 4)
@@ -674,18 +662,20 @@ def poisson_tail_bound(q, X, weight, Z):
 
 def poisson_check(q, X=10 ** 4, weight=None, Z=None):
     """The Poisson identity at q: the weighted count against the dual sums
-    of radius Z and 2Z, with the tail bound of radius Z.  The radius-2Z sum
-    comes first, so the radius-Z sum and the tail read the middle of its
-    psihat row, and all three share one dual grid: 4Z + 1 psihat values
-    and one grid a check."""
+    of radius Z and 2Z, with the tail bound of radius Z.  One psihat row of
+    radius 2Z and one dual grid are built and passed down; the radius-Z sum
+    and the tail read the middle of the row: 4Z + 1 psihat values and one
+    grid a check, and nothing is kept after it."""
     weight = weight or SmoothWeight()
     Z = Z if Z is not None else 2 + 2 * q
     lhs, _, _ = weighted_count(q, X, weight)
-    rhs_double = poisson_rhs(q, X, weight, 2 * Z)
+    V = _dual_value_grid(q)
+    row = _psihat_row(q, X, weight, 2 * Z)
+    mid = row[Z:3 * Z + 1]
     return PoissonReport(q=q, X=X, Z=Z, lhs=lhs,
-                         rhs=poisson_rhs(q, X, weight, Z),
-                         rhs_double=rhs_double,
-                         tail_bound=poisson_tail_bound(q, X, weight, Z))
+                         rhs=poisson_rhs(X, V, mid),
+                         rhs_double=poisson_rhs(X, V, row),
+                         tail_bound=poisson_tail_bound(q, X, weight, mid))
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +690,13 @@ def poisson_check(q, X=10 ** 4, weight=None, Z=None):
 # prime.  It prices the full box, not the _dual_box rows, on purpose.
 DUAL_BOUND_WORK = 2 * 10 ** 10
 DUAL_BOUND_BYTES = 2 ** 30
+
+# Bytes of geo_pair_count's prime sieve up to the window's top P2: the
+# (P2 + 1)-byte mask, two int64 arrays of the primes (sieve.primes_upto's
+# nonzero and its copy) and the window's list of Python ints, about 40
+# bytes a prime, with pi(P2) < 1.25506 P2 / ln P2 (Rosser-Schoenfeld).
+# The same gigabyte as the dual-bound budget: P2 up to about 2.3e8.
+GEO_SIEVE_BYTES = 2 ** 30
 
 
 @dataclass
@@ -896,9 +893,11 @@ def geo_pair_count(query):
     if n_pts > 2e8:
         raise ResourceLimitError(f"{n_pts} progression points in the box")
     P, P2 = query.prime_window()
-    if P2 >= 2 ** 31:
+    n_primes = 1.25506 * P2 / math.log(P2) if P2 > 1 else 0
+    size = P2 + 1 + 56 * n_primes
+    if size > GEO_SIEVE_BYTES:
         raise ResourceLimitError(f"prime window up to {P2}: sieving it "
-                                 f"takes a {P2 + 1}-byte mask")
+                                 f"takes {size:.3g} bytes")
     ps = [int(p) for p in sieve.primes_upto(P2)
           if P <= p <= P2 and query.m % p != 0]
     count = 0

@@ -3,6 +3,7 @@ output, no state on disk."""
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,39 @@ def test_resource_cap_before_work(monkeypatch):
                 "--mode", "exhaustive", "--no-cache"]) == 3
     # the fibred quartic kernel stops at p = 13
     assert run(["ft-verify", "--space", "quartic", "--primes", "13,17"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["geosieve", "--lam", "1", "--window", "1000000000", "2000000000"],
+    ["ft-verify", "--primes", "100000000000000000039"],
+    ["ft-verify", "--primes", "97..100000000000"],
+    ["orbits", "--prime", "100000000000000000039"],
+], ids=" ".join)
+def test_oversized_primes_refused_before_any_sieve(argv, monkeypatch,
+                                                   capsys):
+    # cli and experiments both read sieve.primes_upto from the one module
+    primes_upto = cli.sieve.primes_upto
+    assert experiments.sieve is cli.sieve
+
+    def bounded(n):
+        if n > cli.PRIME_ARG_MAX:
+            raise AssertionError(f"primes sieved up to {n}")
+        return primes_upto(n)
+
+    monkeypatch.setattr(cli.sieve, "primes_upto", bounded)
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+def test_allocation_failure_is_a_resource_limit(monkeypatch, capsys):
+    def oom(*a, **k):
+        raise MemoryError("Unable to allocate 9.31 GiB")
+    monkeypatch.setattr(experiments, "reducible_count", oom)
+    assert run(["reducible", "--Y", "25"]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: allocation failed: Unable to allocate 9.31 GiB\n")
 
 
 def test_exhaustive_mode_cubic_only():

@@ -24,6 +24,17 @@ def weight():
     return ex.SmoothWeight()
 
 
+def _rhs(q, X, weight, Z):
+    """The truncated dual sum of radius Z, from its own row and grid."""
+    return ex.poisson_rhs(X, ex._dual_value_grid(q),
+                          ex._psihat_row(q, X, weight, Z))
+
+
+def _tail(q, X, weight, Z):
+    """The tail bound of radius Z, from its own row."""
+    return ex.poisson_tail_bound(q, X, weight, ex._psihat_row(q, X, weight, Z))
+
+
 # ---------------------------------------------------------------------------
 # the smooth weight
 # ---------------------------------------------------------------------------
@@ -43,12 +54,12 @@ def test_psi_integral_against_simpson(weight):
     # independent oracle: Simpson's rule on a fine grid
     xs = np.linspace(-1, 1, 20001)
     ref = float(np.trapezoid(weight.psi(xs), xs))
-    assert weight.psi_integral == pytest.approx(ref, rel=1e-7)
-    assert weight.psi_integral == pytest.approx(1.2069003224, rel=1e-9)
+    assert ex.PSI_MASS == pytest.approx(ref, rel=1e-7)
+    assert ex.PSI_MASS == pytest.approx(1.2069003224, rel=1e-9)
 
 
 def test_psihat_zero_is_mass(weight):
-    assert weight.psihat(0.0) == weight.psi_integral
+    assert weight.psihat(0.0) == ex.PSI_MASS
     assert weight.psihat(0.0) == weight.psihat(-0.0)
 
 
@@ -80,9 +91,9 @@ def _gauss_legendre(panels=256, n=32):
 
 def test_psi_mass_against_gauss_legendre(weight):
     x, w = _gauss_legendre()
-    assert weight.psi_integral == pytest.approx(
+    assert ex.PSI_MASS == pytest.approx(
         float(np.sum(weight.psi(x) * w)), rel=1e-15)
-    assert weight.psi_integral == ex.PSI_MASS == weight.psihat(0.0)
+    assert ex.PSI_MASS == weight.psihat(0.0)
 
 
 def test_psihat_against_gauss_legendre_to_the_domain_edge(weight):
@@ -111,7 +122,7 @@ def test_psihat_alias_bound_on_the_domain(weight):
     # |t| <= 8 Y < 528
     X = 66 ** 4 * (1 - 1e-9)
     assert ex.box_radius(X) == 65 and (2 * 65 + 1) ** 4 <= 3e8 < 133 ** 4
-    assert math.isfinite(ex.poisson_rhs(1, X, weight, 8))
+    assert math.isfinite(_rhs(1, X, weight, 8))
 
 
 def test_psihat_refuses_past_the_domain_and_at_an_alias(weight):
@@ -137,17 +148,17 @@ def test_psi_sixth_l1_against_midpoint_sum(weight):
 
 
 def test_tail_bound_builds_the_exact_polynomials_once(weight, monkeypatch):
-    first = ex.poisson_tail_bound(3, 10 ** 4, weight, 8)
+    first = _tail(3, 10 ** 4, weight, 8)
 
     def boom(*a, **k):
         raise AssertionError("the rational recursion ran again")
     monkeypatch.setattr(ex.poly, "polyder", boom)
-    assert ex.poisson_tail_bound(3, 10 ** 4, weight, 8) == first
+    assert _tail(3, 10 ** 4, weight, 8) == first
 
 
 def test_phi_hat0_scales_with_s():
     w1, w2 = ex.SmoothWeight(s=1.0), ex.SmoothWeight(s=2.0)
-    assert w1.phi_hat0 == pytest.approx(w1.psi_integral ** 4)
+    assert w1.phi_hat0 == pytest.approx(ex.PSI_MASS ** 4)
     assert w2.phi_hat0 == pytest.approx(16 * w1.phi_hat0)
 
 
@@ -448,26 +459,31 @@ def test_group_sort_refuses_values_that_are_not_int32():
 def test_poisson_check_reads_one_row_of_radius_2Z(monkeypatch):
     # one check evaluates 4Z + 1 psihat values and one dual grid, and its
     # numbers have the bytes of separate evaluations at each radius
-    psihat, n_t = ex.SmoothWeight.psihat, []
+    psihat, grid, n_t, n_grid = (ex.SmoothWeight.psihat, ex._dual_value_grid,
+                                 [], [])
 
     def counted(t):
         n_t.append(np.size(t))
         return psihat(t)
 
+    def counted_grid(q):
+        n_grid.append(q)
+        return grid(q)
+
     monkeypatch.setattr(ex.SmoothWeight, "psihat", staticmethod(counted))
-    ex._dual_value_grid.cache_clear()
+    monkeypatch.setattr(ex, "_dual_value_grid", counted_grid)
     for q in (1, 3, 5, 7, 11, 15):
-        n_t.clear()
-        rep = ex.poisson_check(q, 10 ** 4, ex.SmoothWeight())
-        Z = rep.Z
-        assert sum(n_t) == 4 * Z + 1, q
-        assert ex._dual_value_grid.cache_info().misses == 1, q
-        ex._dual_value_grid.cache_clear()
-        fresh = [f(q, 10 ** 4, ex.SmoothWeight(), radius) for f, radius in
-                 ((ex.poisson_rhs, Z), (ex.poisson_rhs, 2 * Z),
-                  (ex.poisson_tail_bound, Z))]
-        assert [rep.rhs, rep.rhs_double, rep.tail_bound] == fresh, q
-        ex._dual_value_grid.cache_clear()
+        for s in (1.0, 1.3):
+            n_t.clear()
+            n_grid.clear()
+            rep = ex.poisson_check(q, 10 ** 4, ex.SmoothWeight(s=s))
+            Z = rep.Z
+            assert sum(n_t) == 4 * Z + 1, q
+            assert n_grid == [q]
+            w = ex.SmoothWeight(s=s)
+            fresh = [_rhs(q, 10 ** 4, w, Z), _rhs(q, 10 ** 4, w, 2 * Z),
+                     _tail(q, 10 ** 4, w, Z)]
+            assert [rep.rhs, rep.rhs_double, rep.tail_bound] == fresh, q
 
 
 def test_poisson_check_lhs_is_weighted_count(weight):
@@ -549,15 +565,15 @@ def test_poisson_check_small_moduli(weight):
 
 def test_poisson_rhs_converges_in_Z(weight):
     # doubling the radius must not move the dual sum at the gap scale
-    r1 = ex.poisson_rhs(3, 10 ** 4, weight, 8)
-    r2 = ex.poisson_rhs(3, 10 ** 4, weight, 32)
-    r3 = ex.poisson_rhs(3, 10 ** 4, weight, 64)
+    r1 = _rhs(3, 10 ** 4, weight, 8)
+    r2 = _rhs(3, 10 ** 4, weight, 32)
+    r3 = _rhs(3, 10 ** 4, weight, 64)
     assert abs(r2 - r3) < abs(r1 - r3)
     assert abs(r2 - r3) / abs(r3) < 1e-9
 
 
 def test_poisson_tail_bound_decreases_in_Z(weight):
-    b = [ex.poisson_tail_bound(3, 10 ** 4, weight, Z) for Z in (4, 8, 16)]
+    b = [_tail(3, 10 ** 4, weight, Z) for Z in (4, 8, 16)]
     assert b[0] > b[1] > b[2] > 0
 
 
@@ -851,6 +867,15 @@ def test_geo_prime_window_past_2_31_refused(monkeypatch):
     with pytest.raises(ResourceLimitError, match="2147483648"):
         ex.geo_pair_count(ex.GeoSieveQuery(lam=2, window=(2 ** 30,
                                                           2 ** 31)))
+
+
+def test_geo_prime_window_prices_the_primes(monkeypatch):
+    # the budget prices the primes as well as the mask: a (P2 + 1)-byte
+    # mask of 201 bytes fits 1000, the ~46 primes up to 200 do not
+    monkeypatch.setattr(ex, "GEO_SIEVE_BYTES", 1000)
+    assert ex.geo_pair_count(ex.GeoSieveQuery(lam=6, window=(7, 14))).count
+    with pytest.raises(ResourceLimitError, match="up to 200"):
+        ex.geo_pair_count(ex.GeoSieveQuery(lam=6, window=(100, 200)))
 
 
 def _walk_pair_count(K, ps):
