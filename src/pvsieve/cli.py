@@ -42,7 +42,7 @@ def _parse(convert, text, what):
 
 # The largest value --primes and --prime may name, far above every kernel's
 # reach (cubic per class p <= 60, quartic p <= 13, orbits p <= 5): checked
-# before the one sieve of the parse, which it keeps below 64 KB.
+# before the one sieve of the parse, whose mask it keeps within 64 KB.
 PRIME_ARG_MAX = 2 ** 16
 
 

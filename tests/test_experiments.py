@@ -476,11 +476,12 @@ def test_poisson_check_reads_one_row_of_radius_2Z(monkeypatch):
         for s in (1.0, 1.3):
             n_t.clear()
             n_grid.clear()
-            rep = ex.poisson_check(q, 10 ** 4, ex.SmoothWeight(s=s))
+            w = ex.SmoothWeight(s=s)
+            rep = ex.poisson_check(q, 10 ** 4, w)
             Z = rep.Z
             assert sum(n_t) == 4 * Z + 1, q
             assert n_grid == [q]
-            w = ex.SmoothWeight(s=s)
+            assert vars(w) == {"s": s}          # the weight keeps nothing
             fresh = [_rhs(q, 10 ** 4, w, Z), _rhs(q, 10 ** 4, w, 2 * Z),
                      _tail(q, 10 ** 4, w, Z)]
             assert [rep.rhs, rep.rhs_double, rep.tail_bound] == fresh, q
