@@ -612,7 +612,7 @@ def _dual_value_grid(q):
     K = np.indices((q,) * 4, dtype=np.int64).reshape(4, -1).T
     V = np.ones(K.shape[0])
     for p in factor_squarefree(int(q)):
-        cls = fourier.dual_cubic_class_batch(K % p, p)
+        cls = fourier.dual_cubic_class_batch(K, p)
         tab = np.array([float(fourier.dual_ft_value(p, c)) for c in range(3)])
         V *= tab[cls]
     return V.reshape((q,) * 4)
@@ -692,10 +692,11 @@ DUAL_BOUND_WORK = 2 * 10 ** 10
 DUAL_BOUND_BYTES = 2 ** 30
 
 # Bytes of geo_pair_count's prime sieve up to the window's top P2: the
-# (P2 + 1)-byte mask, two int64 arrays of the primes (sieve.primes_upto's
-# nonzero and its copy) and the window's list of Python ints, about 40
-# bytes a prime, with pi(P2) < 1.25506 P2 / ln P2 (Rosser-Schoenfeld).
-# The same gigabyte as the dual-bound budget: P2 up to about 2.3e8.
+# (P2 + 1)-byte mask, one int64 array of the primes (sieve.primes_upto's
+# flatnonzero) and the window's list of Python ints, about 40 bytes a
+# prime, so 48 bytes a prime, with pi(P2) < 1.25506 P2 / ln P2
+# (Rosser-Schoenfeld).  The same gigabyte as the dual-bound budget: P2 up
+# to about 2.6e8.
 GEO_SIEVE_BYTES = 2 ** 30
 
 
@@ -894,7 +895,7 @@ def geo_pair_count(query):
         raise ResourceLimitError(f"{n_pts} progression points in the box")
     P, P2 = query.prime_window()
     n_primes = 1.25506 * P2 / math.log(P2) if P2 > 1 else 0
-    size = P2 + 1 + 56 * n_primes
+    size = P2 + 1 + 48 * n_primes
     if size > GEO_SIEVE_BYTES:
         raise ResourceLimitError(f"prime window up to {P2}: sieving it "
                                  f"takes {size:.3g} bytes")
@@ -954,7 +955,8 @@ def _fibre_pair_count(K, ps):
         count += int(np.sum(hits * w))
     ps = [p for p in ps if p >= 5]
     rows = (t.size, (K + 1) ** 2)             # fibres: d, then (b, c)
-    num = (2 * K * alpha - beta).reshape(rows)
+    # |2 K alpha - beta| < 76 K^3 < 2^31 (K <= 58): int32 for every block
+    num = (2 * K * alpha - beta).reshape(rows).astype(np.int32)
     h_at = (c * c - 3 * b * d + 3 * K * K).reshape(rows)    # h + 3K^2 >= 0
     hs = np.flatnonzero(np.bincount(h_at.ravel())) - 3 * K * K  # h met
     w = w.ravel()
@@ -966,7 +968,7 @@ def _fibre_pair_count(K, ps):
         # per prime: s^2 = h mod p (-1 where h is not a square), and the
         # inverses of 2 alpha by |d| and of 4c by c (0 where p divides them)
         P = np.array(block, dtype=np.int64)[:, None]
-        hp = mod(np.broadcast_to(hs, (len(block), hs.size)).copy(), P)
+        hp = mod(np.broadcast_to(hs, (len(block), hs.size)), P)
         s = np.empty(hp.shape, dtype=np.int64)
         inv2a = np.empty((len(block), K + 1), dtype=dt)
         inv4c = np.empty((len(block), K + 1), dtype=dt)
@@ -984,8 +986,7 @@ def _fibre_pair_count(K, ps):
         P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]
         # p not dividing d: the shifted roots j = (u +- v) / (2 alpha), with
         # u = 2 alpha K - beta and v = 4 h s
-        u = mod(np.broadcast_to(num.astype(dt), (len(block), *rows)).copy(),
-                 P3)
+        u = mod(np.broadcast_to(num, (len(block), *rows)), P3)
         v = np.take(v_of_h, h_at, axis=1)
         k = inv2a[:, np.abs(t), None]
         x = u + v

@@ -14,6 +14,12 @@ Everything in this module is exact (python ints / fractions.Fraction / int64
 counts).  character_sums finds n_0 - n_1 at every target at once, with an
 element of order p in a prime field F_l in place of the root of unity;
 _numerators collapses pairing counts to n_0 - n_1.
+
+Every reduction of an integer array mod p in the package goes through mod,
+by floor division: numpy's floor division of an integer array by a scalar
+multiplies by a precomputed inverse, where % (np.remainder) divides each
+element.  The float64 steps of character_sums reduce by rounding the
+quotient (round_off) instead of by np.remainder.
 """
 
 import math
@@ -21,7 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import ResourceLimitError
+
+class ResourceLimitError(RuntimeError):
+    pass
 
 
 class InvalidModulusError(ValueError):
@@ -83,11 +91,17 @@ def ft_value_from_histogram(h, r):
 
 
 def mod(x, p):
-    """x mod p in place, by floor division (several times faster than %)."""
+    """x mod p, in [0, p), as a new array: x - (x // p) p, formed in the one
+    array x // p allocates, as % allocates one; x is left as it is.
+
+    Serves integer arrays whose dtype holds p (int16, int32, int64) and
+    object arrays of Python ints, exactly: the residue fits the dtype, and
+    an intermediate (x // p) p that wraps round wraps back in the
+    subtraction.  A dtype too narrow for p raises OverflowError.  p may also
+    be an integer array that broadcasts against x."""
     q = x // p
     q *= p
-    x -= q
-    return x
+    return np.subtract(x, q, out=q)
 
 
 def pow_mod(x, e, p):
@@ -154,22 +168,55 @@ def ntt_modulus(p, r):
                              f"and p (l/2)^2 < 2^53 for F_p^{r}")
 
 
+def round_off(B, l, quot):
+    """B - l rint(B / l) over B in place, quot a float64 scratch array of B's
+    shape.  B holds integers with |B| + l/2 + 1 < 2^53, l odd.  The result r
+    is B mod l with |r| <= (l + 1) / 2, by one division and no remainder.
+
+    Why: fl(B / l) is correctly rounded, so it is off from B / l by at most
+    2^-53 |B / l| < 1 / l.  Its nearest integer m then has
+    |B / l - m| < 1/2 + 1/l, so the integer B - l m is below l/2 + 1 in size,
+    hence at most (l + 1) / 2 as l is odd.  l m, an integer below
+    |B| + l/2 + 1 < 2^53 in size, and B - l m are exact in float64."""
+    np.divide(B, l, out=quot)
+    np.rint(quot, out=quot)
+    quot *= l
+    B -= quot
+    return B
+
+
+def centre(x, l):
+    """The residue of each entry of an integer array mod the odd l, in
+    [-(l-1)/2, (l-1)/2]; x is shifted in place and the result is new."""
+    x += l // 2
+    x = mod(x, l)
+    x -= l // 2
+    return x
+
+
 def character_sums(support, weights, p):
     """n_0 - n_1 = sum_{x in supp} w^<x, y>, <x, y> = sum weights_i x_i y_i,
     at every target y, as p^r int64 in state-code order (r = len(weights));
     NonInvariantSupportError unless S(cx) = S(x), c a primitive root mod p.
 
     The sum runs in F_l, (l, w) = ntt_modulus(p, r), one axis at a time: a
-    float64 product of the p x p matrix w^(weight x y) with the p x p^(r-1)
-    array, both centred residues (|v| <= (l-1)/2), re-centred after.  Every
-    partial sum is an integer below p ((l-1)/2)^2 < 2^53, so a step is exact
-    whatever order BLAS sums in.  Each step moves the slowest axis to the
-    fastest, so the weights run backwards.  sum_k n_k w^k = n_0 - n_1 mod l
-    by invariance, and |n_0 - n_1| <= p^r < l/2 fixes the integer."""
+    float64 product of the p x p matrix w^(weight x y), centred residues
+    (|v| <= (l-1)/2), with the p x p^(r-1) array, whose entries are 0 or 1
+    at the first step and residues |v| <= (l+1)/2 after (round_off, the
+    quotient put in A's buffer, dead until the transpose back).  Each row of
+    the matrix holds w^0 = 1 at y = 0, so every partial sum is an integer
+    of size at most (p-1) ((l-1)/2) ((l+1)/2) + (l+1)/2, and that plus
+    l/2 + 1 is at most p (l/2)^2 < 2^53 (ntt_modulus' condition; it takes
+    l^2 - 4l + p - 7 >= 0, true as l > 2 p^r >= 4).  So a step is exact
+    whatever order BLAS sums in, and round_off is exact after it.  Each
+    step moves the slowest axis to the fastest, so the weights run
+    backwards.  sum_k n_k w^k = n_0 - n_1 mod l by invariance, and
+    |n_0 - n_1| <= p^r < l/2 fixes the integer, read off once at the end
+    (centre)."""
     r = len(weights)
     l, w = ntt_modulus(p, r)
     S = np.asarray(support, dtype=bool).reshape((p,) * r)
-    perm = np.arange(p) * primitive_root(p) % p
+    perm = mod(np.arange(p) * primitive_root(p), p)
     if not np.array_equal(S[np.ix_(*[perm] * r)], S):
         raise NonInvariantSupportError(f"support not invariant mod {p}")
     powers = np.array([pow(w, k, l) for k in range(p)], dtype=np.float64)
@@ -178,8 +225,10 @@ def character_sums(support, weights, p):
     A = S.reshape(p, -1).astype(np.float64)
     B = np.empty_like(A)
     for wi in reversed([int(v) % p for v in weights]):
-        np.matmul(powers[wi * xy % p], A, out=B)
-        np.remainder(B, l, out=B)
-        np.subtract(B, l, out=B, where=B > l // 2)
+        np.matmul(powers[mod(wi * xy, p)], A, out=B)
+        round_off(B, l, A)
         A.reshape(-1, p)[...] = B.T
-    return A.reshape(-1).astype(np.int64)
+    del B                   # the int64 copy and centre's quotient take its place
+    n = A.reshape(-1).astype(np.int64)
+    del A
+    return centre(n, l)

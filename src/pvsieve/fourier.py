@@ -42,6 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ffcore, orbits
+from .ffcore import mod
 from .spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc_dtype,
                      disc_mod, dual_disc_cubic, pairing_weights_mod,
                      space_by_name)
@@ -147,7 +148,7 @@ def omega(space, p):
 def cubic_class_batch(coords, p):
     """Index into CUBIC_CLASSES per row: 0 y = 0, 1 disc(y) = 0 and y != 0,
     2 nonsingular."""
-    C = np.asarray(coords, dtype=np.int64) % p
+    C = mod(np.asarray(coords, dtype=np.int64), p)
     return _three_classes(C, disc_mod(CUBIC, C, p))
 
 
@@ -219,24 +220,24 @@ def _cubic_support(p):
     square roots of all residues are taken once."""
     t = np.arange(p, dtype=np.int64)
     d, c, b = t[:, None, None], t[:, None], t
-    beta = (18 * b * c * d - 4 * c ** 3) % p
+    beta = 18 * b * c * d - 4 * c ** 3      # below 22 p^3, reduced in use
     if p < 5:
         alpha, gamma = -27 * d * d, b * b * c * c - 4 * b ** 3 * d
-        on = [np.flatnonzero((alpha * a * a + beta * a + gamma) % p == 0)
+        on = [np.flatnonzero(mod(alpha * a * a + beta * a + gamma, p) == 0)
               for a in range(p)]
         roots = [np.full(len(f), a) for a, f in enumerate(on)]
     else:
         inv = np.array([0, *(pow(x, -1, p) for x in range(1, p))])
-        h = (c * c - 3 * b * d) % p
+        h = mod(c * c - 3 * b * d, p)
         s = ffcore.sqrt_mod(t, p)[h]                # -1: h not a square
         v = 4 * h * s
-        k = pow(-54, -1, p) * inv[d] ** 2 % p      # 1 / (2 alpha)
+        k = mod(pow(-54, -1, p) * inv[d] ** 2, p)  # 1 / (2 alpha)
         one, two = (d != 0) & (s >= 0), (d != 0) & (s > 0)
         c1 = t[1:, None]                           # d = 0, c != 0
         on = [np.flatnonzero(one), np.flatnonzero(two),
               (b + c1 * p).ravel(), np.tile(t, p)]
-        roots = [((v - beta) * k % p)[one], ((-v - beta) * k % p)[two],
-                 (b * b * inv[c1] * inv[4] % p).ravel(), np.repeat(t, p)]
+        roots = [mod(((v - beta) * k)[one], p), mod(((-v - beta) * k)[two], p),
+                 mod(b * b * inv[c1] * inv[4], p).ravel(), np.repeat(t, p)]
     return np.concatenate(roots), np.concatenate(on)
 
 
@@ -262,12 +263,12 @@ def _pair_fibres(p, forms, Bs):
     every sum of six such and every code (< p^4) is below 2^15."""
     mask = _cubic_mask(p)
     w = np.array([1, 1, 1, 2, 2, 2], dtype=np.int16)   # tr(XY) = sum w x y
-    adj = orbits.sym_adjugate(forms) % p
-    code = 4 * (_det3_sym(*forms.T) % p) % p
+    adj = mod(orbits.sym_adjugate(forms), p)
+    code = mod(4 * mod(_det3_sym(*forms.T), p), p)
     fibres = []
     for B in Bs:
-        c1 = adj @ (w * B) * 4 % p
-        c2 = forms @ (w * orbits.sym_adjugate(B) % p) * 4 % p
+        c1 = mod(adj @ (w * B) * 4, p)
+        c2 = mod(forms @ mod(w * orbits.sym_adjugate(B), p) * 4, p)
         c3 = 4 * _det3_sym(*B.tolist()) % p
         fibres.append(mask[code + p * c1 + p * p * c2 + p ** 3 * c3])
     return fibres
@@ -277,20 +278,23 @@ def ft_histograms(cond, p, targets):
     """Pairing histograms of <x, y_j> over the cubic support {p | disc x},
     every target served by one listing of the support (_cubic_support, about
     p^3 states).  <x, y> = w_1 y_1 a + <(0, b, c, d), y>, the second term
-    taken once per fibre; each target's histogram is one bincount over the
-    states."""
+    taken once per fibre; each target's histogram is one bincount of the
+    unreduced pairings, all below 4 p^2, folded mod p (its bins summed in
+    strides of p), so the states are never reduced one by one."""
     space = cond.space
     if space is not CUBIC:
         raise ValueError("the per-target sweep is for the cubic space")
     w = pairing_weights_mod(space, p)          # refuses bad primes
     space.check_sweep(p)
-    WT = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p * w % p
+    WT = mod(mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
+             * w, p)
     a, f = _cubic_support(p)
     t = np.arange(p, dtype=np.int64)
     hists = []
     for wa, wb, wc, wd in WT.tolist():
         rest = wb * t + wc * t[:, None] + wd * t[:, None, None]
-        counts = np.bincount((wa * a + rest.ravel()[f]) % p, minlength=p)
+        counts = np.bincount(wa * a + rest.ravel()[f], minlength=4 * p * p)
+        counts = counts.reshape(-1, p).sum(axis=0)
         hists.append(ffcore.PairingHistogram(p, counts.tolist()))
     return hists
 
@@ -317,9 +321,9 @@ def ft_fibered_histograms(cond, p, targets):
     w = pairing_weights_mod(space, p)          # refuses bad primes
     half = space.r // 2
     ffcore.ntt_modulus(p, half)
-    T = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
+    T = mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
     alphas = orbits.sym_from_cols(T[:, :half])
-    wbeta = T[:, half:] * w[half:] % p
+    wbeta = mod(T[:, half:] * w[half:], p)
     cls, reps, g = orbits.form_classes(p)
     forms = orbits.decode_states(np.arange(p ** half, dtype=np.int64), p,
                                  r=half)
@@ -332,8 +336,8 @@ def ft_fibered_histograms(cond, p, targets):
         gc, Bc = g[cls == c].astype(np.int64), forms[cls == c]
         N += len(Bc) * F[0]           # F_c(0) = |fibre c|
         for j, alpha in enumerate(alphas):
-            moved = (gc.transpose(0, 2, 1) @ alpha @ gc % p)[:, rows, cols]
-            G[j] += np.bincount(Bc @ wbeta[j] % p, minlength=p,
+            moved = mod(gc.transpose(0, 2, 1) @ alpha @ gc, p)[:, rows, cols]
+            G[j] += np.bincount(mod(Bc @ wbeta[j], p), minlength=p,
                                 weights=F[orbits.encode_states(moved, p)])
     num = ffcore._numerators(G.astype(np.int64))
     counts = np.repeat(((N - num) // p)[:, None], p, axis=1)
@@ -367,8 +371,9 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
 
 def dual_cubic_class_batch(kcoords, p):
     """0: k = 0; 1: dstar(k) = 0, k != 0; 2: nonsingular."""
-    K = np.asarray(kcoords, dtype=np.int64) % p
-    return _three_classes(K, dual_disc_cubic(K.astype(disc_dtype(p - 1))) % p)
+    K = mod(np.asarray(kcoords, dtype=np.int64), p)
+    D = mod(dual_disc_cubic(K.astype(disc_dtype(p - 1))), p)
+    return _three_classes(K, D)
 
 
 def dual_ft_value(p, cls):

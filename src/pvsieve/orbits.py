@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ffcore
+from .ffcore import mod
 from .spaces import QUARTIC, disc_cubic, resolvent_cubic
 
 
@@ -117,7 +118,7 @@ def _det3(g):
 def act_cubic_batch(g2, coords, p):
     """Substitution action on coefficient rows: (g.f)(x,y) = f((x,y) g)."""
     (a, b), (c, d) = g2
-    C = np.asarray(coords, dtype=np.int64) % p
+    C = mod(np.asarray(coords, dtype=np.int64), p)
     c0, c1, c2, c3 = (C[..., i] for i in range(4))
     n0 = c0 * a ** 3 + c1 * a * a * b + c2 * a * b * b + c3 * b ** 3
     n1 = (3 * a * a * c * c0 + (a * a * d + 2 * a * b * c) * c1
@@ -125,7 +126,7 @@ def act_cubic_batch(g2, coords, p):
     n2 = (3 * a * c * c * c0 + (2 * a * c * d + b * c * c) * c1
           + (a * d * d + 2 * b * c * d) * c2 + 3 * b * d * d * c3)
     n3 = c0 * c ** 3 + c1 * c * c * d + c2 * c * d * d + c3 * d ** 3
-    return np.stack([n0 % p, n1 % p, n2 % p, n3 % p], axis=-1)
+    return mod(np.stack([n0, n1, n2, n3], axis=-1), p)
 
 
 def sym_from_cols(c):
@@ -156,21 +157,20 @@ def sym_adjugate(c):
 def _congruence_matrix(g3, p):
     """The 6x6 matrix of A -> g3 A g3^T on the coordinates of sym_from_cols:
     M[(i,j),(k,l)] = g_ik g_jl + [k != l] g_il g_jk, reduced mod p."""
-    g = np.asarray(g3, dtype=np.int64) % p
-    return np.array([[g[i, k] * g[j, l] + (k != l) * g[i, l] * g[j, k]
-                      for k, l in _SYM_INDEX] for i, j in _SYM_INDEX],
-                    dtype=np.int64) % p
+    g = mod(np.asarray(g3, dtype=np.int64), p)
+    return mod(np.array([[g[i, k] * g[j, l] + (k != l) * g[i, l] * g[j, k]
+                          for k, l in _SYM_INDEX] for i, j in _SYM_INDEX],
+                        dtype=np.int64), p)
 
 
 def act_pair_batch(g2, g3, coords, p):
     """(g2,g3).(A,B) = (r A' + s B', t A' + u B') with A' = g3 A g3^T."""
-    C = np.asarray(coords, dtype=np.int64) % p
+    C = mod(np.asarray(coords, dtype=np.int64), p)
     T = _congruence_matrix(g3, p).T
-    A2 = C[..., :6] @ T % p
-    B2 = C[..., 6:] @ T % p
+    A2 = mod(C[..., :6] @ T, p)
+    B2 = mod(C[..., 6:] @ T, p)
     (r, s), (t, u) = g2
-    return np.concatenate([(r * A2 + s * B2) % p, (t * A2 + u * B2) % p],
-                          axis=-1)
+    return mod(np.concatenate([r * A2 + s * B2, t * A2 + u * B2], axis=-1), p)
 
 
 def act(space, g, x):
@@ -207,16 +207,20 @@ def generators(space, p):
 # ---------------------------------------------------------------------------
 
 def decode_states(codes, p, r=12):
+    """The r base-p digits of each state code, lowest first, as int16: one
+    floor division a digit, the digit read as c - (c // p) p."""
     out = np.empty((codes.size, r), dtype=np.int16)
     c = codes.copy()
     for i in range(r):
-        out[:, i] = c % p
-        c //= p
+        q = c // p
+        c -= q * p
+        out[:, i] = c
+        c = q
     return out
 
 
 def encode_states(coords, p):
-    coords = np.asarray(coords, dtype=np.int64) % p
+    coords = mod(np.asarray(coords, dtype=np.int64), p)
     pow_p = p ** np.arange(coords.shape[-1], dtype=np.int64)
     return coords @ pow_p
 
@@ -298,10 +302,10 @@ def form_classes(p):
     g = np.tile(np.eye(3, dtype=np.int16), (n, 1, 1))
 
     def reached(j, parents, children):
-        g[children] = gens[j] @ g[parents] % p
+        g[children] = mod(gens[j] @ g[parents], p)
 
     moves = [lambda codes, T=_congruence_matrix(h, p).T:
-             encode_states(forms[codes] @ T % p, p) for h in gens]
+             encode_states(forms[codes] @ T, p) for h in gens]
     cls, _, reps = _closure(n, moves, reached)
     return cls, reps, g
 
@@ -333,7 +337,7 @@ def decompose_orbits(space, p):
 def legendre_table(p):
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
-    chi[np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)] = 1
+    chi[np.unique(mod(np.arange(1, p, dtype=np.int64) ** 2, p))] = 1
     return chi
 
 
@@ -351,20 +355,21 @@ _BASE_LOCUS_CELLS = 1 << 21
 
 
 def base_locus_count(coords, p):
-    """#{[v] in P^2(F_p) : v A v^T = v B v^T = 0} per row of coords, by
-    blocks of rows.  The forms are evaluated in float64 (BLAS), exactly:
-    each value is an integer below 6 p^2 < 2^53, and its correctly rounded
-    quotient by p is an integer only when p divides it."""
+    """#{[v] in P^2(F_p) : v A v^T = v B v^T = 0} per row of coords, whose
+    entries are reduced mod p, by blocks of rows.  The forms are evaluated
+    in float64 (BLAS), exactly: each value is an integer below
+    6 p^2 < 2^53, and its correctly rounded quotient by p is an integer only
+    when p divides it."""
     coords = np.asarray(coords)
     pts = _proj_points_prime(p)
     # quadratic monomials (v1^2, v2^2, v3^2, 2v1v2, 2v1v3, 2v2v3)
-    MT = np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
-                   2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
-                   2 * pts[:, 1] * pts[:, 2]]) % p
+    MT = mod(np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
+                       2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
+                       2 * pts[:, 1] * pts[:, 2]]), p)
     out = np.empty(coords.shape[0], dtype=np.int64)
     step = max(1, _BASE_LOCUS_CELLS // len(pts))
     for lo in range(0, coords.shape[0], step):
-        C = (coords[lo:lo + step].astype(np.int64) % p).astype(np.float64)
+        C = coords[lo:lo + step].astype(np.float64)
         hit = True
         for half in (C[:, :6], C[:, 6:]):
             q = half @ MT
@@ -382,16 +387,16 @@ def _span_le_1(C, p):
     A, B = C[..., :6], C[..., 6:]
     dep = np.ones(C.shape[:-1], dtype=bool)
     for i, j in _MINOR2_PAIRS:
-        dep &= (A[..., i] * B[..., j] - A[..., j] * B[..., i]) % p == 0
+        dep &= mod(A[..., i] * B[..., j] - A[..., j] * B[..., i], p) == 0
     return dep
 
 
 def resolvent_root_count(r0, r1, r2, r3, p):
     """#{[x:y] in P^1(F_p) : r0 x^3 + r1 x^2 y + r2 x y^2 + r3 y^3 = 0} per
     entry: the root at infinity [1:0] when r0 = 0, plus the affine roots."""
-    count = (r0 % p == 0).astype(np.int64)
+    count = (mod(r0, p) == 0).astype(np.int64)
     for x in range(p):
-        count += ((((r0 * x + r1) % p * x + r2) % p * x + r3) % p == 0)
+        count += mod(mod(mod(r0 * x + r1, p) * x + r2, p) * x + r3, p) == 0
     return count
 
 
@@ -425,12 +430,12 @@ def _determinant_character(C, r, p):
     """+1 / -1 where a common-kernel pencil's binary determinant form splits
     / does not, read off the nonvanishing diagonal adjugate entries."""
     chi = legendre_table(p)
-    dA, dB, dS = (sym_adjugate(F)[:, :3] % p for F in (
-        C[:, :6], C[:, 6:], (C[:, :6] + C[:, 6:]) % p))
+    dA, dB, dS = (mod(sym_adjugate(F)[:, :3], p) for F in (
+        C[:, :6], C[:, 6:], mod(C[:, :6] + C[:, 6:], p)))
     s = 0
     for i in range(3):
-        mid = (dS[:, i] - dA[:, i] - dB[:, i]) % p
-        s = s + chi[(mid * mid - 4 * dA[:, i] * dB[:, i]) % p]
+        mid = mod(dS[:, i] - dA[:, i] - dB[:, i], p)
+        s = s + chi[mod(mid * mid - 4 * dA[:, i] * dB[:, i], p)]
     return np.sign(s)
 
 
@@ -452,12 +457,12 @@ def classify_batch(space, coords, p):
     """Label codes (index into LABELS) for an (n, 12) array mod p: each
     nonzero state's signature (kind, n1) looked up in signature_table."""
     _check_pair_space(space, p)
-    C = np.asarray(coords, dtype=np.int64) % p
-    r0, r1, r2, r3 = r = tuple(c % p for c in resolvent_cubic(C))
-    triple = (((r1 * r1 - 3 * r0 * r2) % p == 0)
-              & ((r1 * r2 - 9 * r0 * r3) % p == 0)
-              & ((r2 * r2 - 3 * r1 * r3) % p == 0))
-    kind = np.where(disc_cubic(r0, r1, r2, r3) % p != 0, 2,
+    C = mod(np.asarray(coords, dtype=np.int64), p)
+    r0, r1, r2, r3 = r = tuple(mod(c, p) for c in resolvent_cubic(C))
+    triple = ((mod(r1 * r1 - 3 * r0 * r2, p) == 0)
+              & (mod(r1 * r2 - 9 * r0 * r3, p) == 0)
+              & (mod(r2 * r2 - 3 * r1 * r3, p) == 0))
+    kind = np.where(mod(disc_cubic(r0, r1, r2, r3), p) != 0, 2,
                     np.where(triple, 3, 4))
     f0 = np.flatnonzero((r0 == 0) & (r1 == 0) & (r2 == 0) & (r3 == 0))
     kind[f0] = np.where(_span_le_1(C[f0], p), 0, 1)

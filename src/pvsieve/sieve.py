@@ -122,7 +122,7 @@ def primes_upto(n):
     for p in range(2, int(n ** 0.5) + 1):
         if mask[p]:
             mask[p * p::p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(mask)
 
 
 def squarefree_upto(n):

@@ -33,12 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ffcore import ResourceLimitError, mod
+
 
 class BadPrimeError(ValueError):
-    pass
-
-
-class ResourceLimitError(RuntimeError):
     pass
 
 
@@ -171,9 +169,9 @@ def disc_mod(space, coords, p):
     binary cubic is exact, and its coefficients, reduced mod p, go through
     disc_dtype."""
     dtype = disc_dtype(p - 1)
-    cubic = (np.asarray(c % p).astype(dtype, copy=False)
+    cubic = (mod(c, p).astype(dtype, copy=False)
              for c in space.binary_cubic(np.asarray(coords, dtype=np.int64)))
-    return (disc_cubic(*cubic) % p).astype(np.int64, copy=False)
+    return mod(disc_cubic(*cubic), p).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

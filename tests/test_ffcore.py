@@ -1,7 +1,8 @@
-"""Exact-arithmetic kernels: squarefree factoring, square roots mod p,
-histograms, the all-target character sum against a pairing-matrix oracle
-and its derived cap; and the plain-Python F_{p^k} oracle (tests/fpk.py)
-behind the F_{p^2} base-locus count in test_orbits."""
+"""Exact-arithmetic kernels: squarefree factoring, the one array reduction
+mod p and the rounding step, square roots mod p, histograms, the all-target
+character sum against a pairing-matrix oracle and its derived cap; and the
+plain-Python F_{p^k} oracle (tests/fpk.py) behind the F_{p^2} base-locus
+count in test_orbits."""
 
 import math
 from fractions import Fraction
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
-from pvsieve import orbits
-from pvsieve.spaces import (CUBIC, ResourceLimitError, disc_mod,
+from pvsieve import fourier, orbits
+from pvsieve.spaces import (CUBIC, QUARTIC, ResourceLimitError, disc_mod,
                             pairing_weights_mod)
 
 import fpk
@@ -31,6 +32,87 @@ def test_factor_squarefree():
         fc.factor_squarefree(12)
     with pytest.raises(fc.InvalidModulusError):
         fc.factor_squarefree(0)
+
+
+# ---------------------------------------------------------------------------
+# the one array reduction, and the rounding step of the character sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
+@pytest.mark.parametrize("p", [2, 3, 59, 24439, 2 ** 31 - 1])
+def test_mod_matches_python_remainder(dtype, p):
+    # negative values and the dtype's extremes, elementwise against Python
+    # %; an object array also carries integers far past int64
+    if dtype is object:
+        lo, hi = -2 ** 200, 2 ** 200
+    else:
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    rng = np.random.default_rng(p)
+    vals = [lo, lo + 1, -p - 1, -p, -p + 1, -1, 0, 1, p - 1, p, p + 1,
+            hi - 1, hi]
+    vals += [int(v) for v in rng.integers(max(lo, -2 ** 63),
+                                          min(hi, 2 ** 63 - 1), size=200)]
+    vals = [v for v in vals if lo <= v <= hi]
+    x = np.array(vals, dtype=dtype)
+    if dtype is not object and p > hi:
+        with pytest.raises(OverflowError):      # the residues do not fit
+            fc.mod(x, p)
+        return
+    got = fc.mod(x, p)
+    assert got.dtype == x.dtype
+    assert [int(v) for v in got] == [v % p for v in vals]
+    assert [int(v) for v in x] == vals          # its input is left alone
+
+
+def test_mod_reducers_keep_their_input():
+    # no reducer writes over the array it is given: unreduced inputs
+    # (negative, past p) come back unchanged
+    rng = np.random.default_rng(1)
+    p = 5
+    X4 = rng.integers(-20, 20, size=(300, 4))
+    X12 = rng.integers(-20, 20, size=(300, 12))
+    r = tuple(rng.integers(-40, 40, size=300) for _ in range(4))
+    cond = fourier.CUBIC_COND
+    calls = [lambda: orbits.classify_batch(QUARTIC, X12, p),
+             lambda: fourier.cubic_class_batch(X4, p),
+             lambda: fourier.dual_cubic_class_batch(X4, p),
+             lambda: disc_mod(CUBIC, X4, p),
+             lambda: disc_mod(QUARTIC, X12, p),
+             lambda: fourier.ft_histograms(cond, p, X4[:3]),
+             lambda: orbits.encode_states(X12, p),
+             lambda: orbits.resolvent_root_count(*r, p)]
+    for call in calls:
+        before = [X4.copy(), X12.copy(), *(c.copy() for c in r)]
+        call()
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(before, [X4, X12, *r]))
+
+
+@pytest.mark.parametrize("p,r", [(59, 4), (13, 6)])
+def test_round_off_at_its_bound(p, r):
+    # the largest l of each space's cap, against Python ints: B at the
+    # largest partial-sum size p ((l-1)/2) ((l+1)/2), the values
+    # k l +- (l-1)/2 near it, where rint may land one step off, and random
+    # values in between
+    l = fc.ntt_modulus(p, r)[0]
+    top = p * ((l - 1) // 2) * ((l + 1) // 2)
+    assert top + l // 2 + 1 < 2 ** 53
+    k = top // l
+    near = [j * l + s * (l - 1) // 2 for j in range(k - 3, k)
+            for s in (-1, 1)]
+    rng = np.random.default_rng(l)
+    vals = [top, top - 1, *near, *(int(v) for v in rng.integers(
+        -top, top, size=1000, endpoint=True))]
+    vals += [-v for v in vals]
+    B = np.array(vals, dtype=np.float64)
+    assert [int(v) for v in B] == vals         # exact in float64
+    got = fc.round_off(B, l, np.empty_like(B))
+    for b, v in zip(vals, got.tolist()):
+        assert v == int(v) and (int(v) - b) % l == 0
+        assert abs(v) <= (l + 1) // 2
+    n = fc.centre(got.astype(np.int64), l)
+    assert [int(v) % l for v in n] == [v % l for v in vals]
+    assert np.abs(n).max() <= (l - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,3 +98,18 @@ def test_primes_upto():
     assert sieve.primes_upto(1).size == 0
     assert sieve.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(sieve.primes_upto(10_000)) == 1229
+
+
+def test_primes_upto_keeps_one_copy_of_its_primes():
+    # the mask and one int64 array of the 664 579 primes below 10^7, and
+    # nothing more than 1 MB beside them
+    import tracemalloc
+    n = 10 ** 7
+    tracemalloc.start()
+    try:
+        ps = sieve.primes_upto(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.dtype == np.int64 and ps.size == 664579
+    assert peak <= (n + 1) + ps.nbytes + 2 ** 20
