@@ -228,7 +228,7 @@ def character_sums(support, weights, p):
         np.matmul(powers[mod(wi * xy, p)], A, out=B)
         round_off(B, l, A)
         A.reshape(-1, p)[...] = B.T
-    del B                   # the int64 copy and centre's quotient take its place
+    del B                   # freed for the int64 copy and centre's quotient
     n = A.reshape(-1).astype(np.int64)
     del A
     return centre(n, l)
