@@ -29,15 +29,18 @@ The classifier reads one signature per nonzero element, (kind, n1).  kind
 is the type of the resolvent cubic 4 det(Ax + By) mod p: nonzero
 discriminant, triple root (its Hessian vanishes), double root, or
 identically zero, the last split by the span of the pencil (one form or
-two).  n1 is the number of F_p-points of the base locus A = B = 0 in P^2.
+two).  n1 is the number of F_p-points of the base locus A = B = 0 in P^2,
+counted from the pencil's singular members (pencil_counts): integer
+arithmetic throughout, one pass per member of P^1 and no sweep of P^2.
 signature_table(p) maps 17 signatures to the 19 nonzero labels.  Two
 signatures name two labels each, and one more invariant splits them: the
 quadratic character of the pencil's binary determinant form (split B11,
 nonsplit B2), and the number of F_p roots of the resolvent on P^1 (3: O_22,
-1: O_4).  On the nonsingular orbits Frobenius permutes the four base
-points and, through S_3, the three roots of the resolvent; the pair (F_p
-base points, F_p roots) reads off the cycle type (Bhargava, Higher
-composition laws III, Ann. Math. 2004; Wright-Yukie, Invent. Math. 1992).
+1: O_4), which the same passes count.  On the nonsingular orbits Frobenius
+permutes the four base points and, through S_3, the three roots of the
+resolvent; the pair (F_p base points, F_p roots) reads off the cycle type
+(Bhargava, Higher composition laws III, Ann. Math. 2004; Wright-Yukie,
+Invent. Math. 1992).
 Any other signature or split value raises ClassifierIncompleteError.  The
 map was checked over every orbit: against the exhaustive BFS at p = 3 and
 5, and on the rows (A, B_c), B_c running over the classes of form_classes,
@@ -50,7 +53,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import mod
-from .spaces import QUARTIC, disc_cubic, resolvent_cubic
+from .spaces import QUARTIC, disc_cubic, disc_dtype, resolvent_cubic
 
 
 class InvalidGroupElementError(ValueError):
@@ -341,44 +344,6 @@ def legendre_table(p):
     return chi
 
 
-def _proj_points_prime(p):
-    """Representatives of P^2(F_p): (1,y,z), (0,1,z), (0,0,1)."""
-    pts = [(1, y, z) for y in range(p) for z in range(p)]
-    pts += [(0, 1, z) for z in range(p)]
-    pts.append((0, 0, 1))
-    return np.array(pts, dtype=np.int64)
-
-
-# Cells of one (rows, p^2 + p + 1) block of base_locus_count; its float64
-# temporaries stay some tens of MB at every p.
-_BASE_LOCUS_CELLS = 1 << 21
-
-
-def base_locus_count(coords, p):
-    """#{[v] in P^2(F_p) : v A v^T = v B v^T = 0} per row of coords, whose
-    entries are reduced mod p, by blocks of rows.  The forms are evaluated
-    in float64 (BLAS), exactly: each value is an integer below
-    6 p^2 < 2^53, and its correctly rounded quotient by p is an integer only
-    when p divides it."""
-    coords = np.asarray(coords)
-    pts = _proj_points_prime(p)
-    # quadratic monomials (v1^2, v2^2, v3^2, 2v1v2, 2v1v3, 2v2v3)
-    MT = mod(np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
-                       2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
-                       2 * pts[:, 1] * pts[:, 2]]), p)
-    out = np.empty(coords.shape[0], dtype=np.int64)
-    step = max(1, _BASE_LOCUS_CELLS // len(pts))
-    for lo in range(0, coords.shape[0], step):
-        C = coords[lo:lo + step].astype(np.float64)
-        hit = True
-        for half in (C[:, :6], C[:, 6:]):
-            q = half @ MT
-            q /= p
-            hit = hit & (q == np.floor(q))
-        out[lo:lo + step] = hit.sum(axis=-1)
-    return out
-
-
 _MINOR2_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 
 
@@ -391,13 +356,44 @@ def _span_le_1(C, p):
     return dep
 
 
-def resolvent_root_count(r0, r1, r2, r3, p):
-    """#{[x:y] in P^1(F_p) : r0 x^3 + r1 x^2 y + r2 x y^2 + r3 y^3 = 0} per
-    entry: the root at infinity [1:0] when r0 = 0, plus the affine roots."""
-    count = (mod(r0, p) == 0).astype(np.int64)
-    for x in range(p):
-        count += mod(mod(mod(r0 * x + r1, p) * x + r2, p) * x + r3, p) == 0
-    return count
+def pencil_counts(C, r, p):
+    """(n1, roots) per row of C, an (n, 12) array reduced mod p, r the
+    reduced coefficients of its resolvent 4 det(xA + yB) in a dtype that
+    holds p^4 (spaces.disc_dtype(p - 1)): roots the number of members
+    [x:y] of P^1(F_p) with F = xA + yB singular, n1 the number of F_p-points
+    of the base locus A = B = 0 in P^2.
+
+    n1 = 1 + sum c(F) over the singular members, c(F) = p for F = 0,
+    chi(-delta) at rank 2, delta any nonzero diagonal entry of adj F, and 0
+    at rank 1.  Why (p odd): the zeros v in F_p^3 number
+    N = p^-2 sum_{s,t} sum_v e_p(v (sA + tB) v^T); (s, t) = 0 gives p^3,
+    and the others are lambda (x, y), lambda in F_p^*, [x:y] in P^1.  For F
+    of rank k, diagonal d_1..d_k under congruence, the inner sum is
+    p^(3-k) prod G(lambda d_i), G(a) = chi(a) g with g^2 = chi(-1) p.
+    Summed over lambda it vanishes at odd k, and is (p-1) p^2 chi(-d_1 d_2)
+    at k = 2 and (p-1) p^3 for F = 0.  At rank 2, adj F = mu w w^T with w
+    spanning ker F, mu in the square class of d_1 d_2; at rank 1 adj F = 0.
+    So N = p + (p-1) sum c(F), and n1 = (N - 1) / (p - 1).
+
+    One pass per member: [1:0] is a root where r0 = 0, [x:1] where the
+    Horner sum ((r0 x + r1) x + r2) x + r3, below p^4, is 0 mod p.  Only the
+    rows it hits form F and the diagonal of adj F, whose nonzero entries
+    share one square class, so chi(-delta) = sign(sum_i chi(-adj_ii))."""
+    chi = legendre_table(p)
+    r0, r1, r2, r3 = r
+    n1 = np.ones(len(C), dtype=np.int64)
+    roots = np.zeros(len(C), dtype=np.int64)
+    for x, y in [(1, 0)] + [(x, 1) for x in range(p)]:
+        R = r0 if y == 0 else mod(((r0 * x + r1) * x + r2) * x + r3, p)
+        hit = np.flatnonzero(R == 0)
+        G = C.T[:, hit]                         # (12, hits), one row a column
+        F = mod(x * G[:6] + y * G[6:], p)
+        minus_adj = mod(F[[3, 4, 5]] ** 2 - F[[0, 0, 1]] * F[[1, 2, 2]], p)
+        c = np.sign(chi[minus_adj].sum(axis=0))
+        c[~F.any(axis=0)] = p
+        n1[hit] += c
+        roots[hit] += 1
+    return n1, roots
 
 
 def _check_pair_space(space, p):
@@ -426,7 +422,7 @@ def signature_table(p):
     }
 
 
-def _determinant_character(C, r, p):
+def _determinant_character(C, roots, p):
     """+1 / -1 where a common-kernel pencil's binary determinant form splits
     / does not, read off the nonvanishing diagonal adjugate entries."""
     chi = legendre_table(p)
@@ -439,11 +435,11 @@ def _determinant_character(C, r, p):
     return np.sign(s)
 
 
-# signature -> (invariant (C, resolvent, p) -> value per row, its value on
-# each label of the signature's pair)
+# signature -> (invariant (C, roots, p) -> value per row, roots the rows'
+# resolvent roots on P^1, and its value on each label of the signature's pair)
 _SPLITS = {
     (1, 1): (_determinant_character, (1, -1)),
-    (2, 0): (lambda C, r, p: resolvent_root_count(*r, p), (3, 1)),
+    (2, 0): (lambda C, roots, p: roots, (3, 1)),
 }
 
 
@@ -457,8 +453,13 @@ def classify_batch(space, coords, p):
     """Label codes (index into LABELS) for an (n, 12) array mod p: each
     nonzero state's signature (kind, n1) looked up in signature_table."""
     _check_pair_space(space, p)
-    C = mod(np.asarray(coords, dtype=np.int64), p)
-    r0, r1, r2, r3 = r = tuple(mod(c, p) for c in resolvent_cubic(C))
+    # column-major: resolvent_cubic and pencil_counts read C by columns
+    C = mod(np.asarray(coords, dtype=np.int64, order="F"), p)
+    # disc_cubic's partial sums and pencil_counts' Horner sums stay below
+    # 54 (p - 1)^4, which disc_dtype's choice holds
+    dtype = disc_dtype(p - 1)
+    r0, r1, r2, r3 = r = tuple(mod(c, p).astype(dtype)
+                               for c in resolvent_cubic(C))
     triple = ((mod(r1 * r1 - 3 * r0 * r2, p) == 0)
               & (mod(r1 * r2 - 9 * r0 * r3, p) == 0)
               & (mod(r2 * r2 - 3 * r1 * r3, p) == 0))
@@ -466,7 +467,7 @@ def classify_batch(space, coords, p):
                     np.where(triple, 3, 4))
     f0 = np.flatnonzero((r0 == 0) & (r1 == 0) & (r2 == 0) & (r3 == 0))
     kind[f0] = np.where(_span_le_1(C[f0], p), 0, 1)
-    n1 = base_locus_count(C, p)
+    n1, roots = pencil_counts(C, r, p)
     width = p * p + p + 2                       # n1 <= p^2 + p + 1
     sig = kind * width + n1
 
@@ -477,7 +478,7 @@ def classify_batch(space, coords, p):
             out[rows] = LABELS.index(name)
             continue
         invariant, values = _SPLITS[k, m]
-        v = invariant(C[rows], tuple(c[rows] for c in r), p)
+        v = invariant(C[rows], roots[rows], p)
         out[rows] = np.where(v == values[0], *map(LABELS.index, name))
         odd = np.flatnonzero(~np.isin(v, values))
         if odd.size:

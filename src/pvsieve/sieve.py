@@ -133,7 +133,7 @@ def squarefree_upto(n):
     mask[0] = False
     for p in range(2, int(n ** 0.5) + 1):
         mask[p * p::p * p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(mask)
 
 
 def _divisors(n):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
 from pvsieve import fourier, orbits
-from pvsieve.spaces import (CUBIC, QUARTIC, ResourceLimitError, disc_mod,
-                            pairing_weights_mod)
+from pvsieve.spaces import (CUBIC, QUARTIC, ResourceLimitError, disc_dtype,
+                            disc_mod, pairing_weights_mod, resolvent_cubic)
 
 import fpk
 
@@ -66,12 +66,14 @@ def test_mod_matches_python_remainder(dtype, p):
 
 def test_mod_reducers_keep_their_input():
     # no reducer writes over the array it is given: unreduced inputs
-    # (negative, past p) come back unchanged
+    # (negative, past p) come back unchanged, and so do pencil_counts'
+    # reduced rows and resolvent coefficients
     rng = np.random.default_rng(1)
     p = 5
     X4 = rng.integers(-20, 20, size=(300, 4))
     X12 = rng.integers(-20, 20, size=(300, 12))
-    r = tuple(rng.integers(-40, 40, size=300) for _ in range(4))
+    C12 = X12 % p
+    r = tuple((c % p).astype(disc_dtype(p - 1)) for c in resolvent_cubic(C12))
     cond = fourier.CUBIC_COND
     calls = [lambda: orbits.classify_batch(QUARTIC, X12, p),
              lambda: fourier.cubic_class_batch(X4, p),
@@ -80,12 +82,12 @@ def test_mod_reducers_keep_their_input():
              lambda: disc_mod(QUARTIC, X12, p),
              lambda: fourier.ft_histograms(cond, p, X4[:3]),
              lambda: orbits.encode_states(X12, p),
-             lambda: orbits.resolvent_root_count(*r, p)]
+             lambda: orbits.pencil_counts(C12, r, p)]
     for call in calls:
-        before = [X4.copy(), X12.copy(), *(c.copy() for c in r)]
+        before = [X4.copy(), X12.copy(), C12.copy(), *(c.copy() for c in r)]
         call()
         assert all(np.array_equal(a, b)
-                   for a, b in zip(before, [X4, X12, *r]))
+                   for a, b in zip(before, [X4, X12, C12, *r]))
 
 
 @pytest.mark.parametrize("p,r", [(59, 4), (13, 6)])

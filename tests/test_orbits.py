@@ -6,8 +6,8 @@ import pytest
 from pvsieve import orbits as ob
 from pvsieve.fourier import FC_BY_DIM
 from pvsieve.sieve import primes_upto
-from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_mod, pairing_mod,
-                            resolvent_cubic)
+from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_dtype, disc_mod,
+                            pairing_mod, resolvent_cubic)
 
 import fpk
 
@@ -308,8 +308,9 @@ def _slow_count_fp2(c, p):
 
 
 def test_classify_memory_bounded_at_p11():
-    # base_locus_count works through blocks of rows, so its (rows, p^2 +
-    # p + 1) temporaries no longer grow with p (2^16 states: 223 MB before)
+    # pencil_counts makes one pass per member of P^1 over n-sized arrays,
+    # so nothing grows as p^2 per row (the point sweep it replaced held
+    # (rows, p^2 + p + 1) blocks; 2^16 states unblocked: 223 MB)
     import tracemalloc
     X = np.random.default_rng(3).integers(0, 11, size=(1 << 16, 12))
     tracemalloc.start()
@@ -321,9 +322,58 @@ def test_classify_memory_bounded_at_p11():
     assert peak < 100 * 2 ** 20
 
 
+def _proj_points(p):
+    """Representatives of P^2(F_p): (1,y,z), (0,1,z), (0,0,1)."""
+    pts = [(1, y, z) for y in range(p) for z in range(p)]
+    pts += [(0, 1, z) for z in range(p)]
+    pts.append((0, 0, 1))
+    return np.array(pts, dtype=np.int64)
+
+
+def _point_sweep(coords, p):
+    """n1's slow oracle: #{[v] in P^2(F_p) : v A v^T = v B v^T = 0} per row
+    of coords (reduced mod p), both forms evaluated at every point in
+    float64 by blocks of rows.  Exact: each value is an integer below
+    6 p^2 < 2^53, and its correctly rounded quotient by p is an integer
+    only when p divides it."""
+    pts = _proj_points(p)
+    # quadratic monomials (v1^2, v2^2, v3^2, 2v1v2, 2v1v3, 2v2v3)
+    MT = np.stack([pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
+                   2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
+                   2 * pts[:, 1] * pts[:, 2]]) % p
+    out = np.empty(len(coords), dtype=np.int64)
+    step = max(1, (1 << 21) // len(pts))
+    for lo in range(0, len(coords), step):
+        C = np.asarray(coords[lo:lo + step], dtype=np.float64)
+        hit = True
+        for half in (C[:, :6], C[:, 6:]):
+            q = half @ MT
+            q /= p
+            hit = hit & (q == np.floor(q))
+        out[lo:lo + step] = hit.sum(axis=-1)
+    return out
+
+
+def _pencil_counts(X, p):
+    """pencil_counts on the rows X, through classify_batch's reductions."""
+    C = np.asarray(X, dtype=np.int64) % p
+    dtype = disc_dtype(p - 1)
+    r = tuple((c % p).astype(dtype) for c in resolvent_cubic(C))
+    return ob.pencil_counts(C, r, p)
+
+
+def _half_zeroed(rng, p, rows):
+    # zeroed entries give rank-deficient members and zero resolvents
+    X = rng.integers(0, p, size=(rows, 12))
+    X[rng.random(X.shape) < 0.5] = 0
+    return X
+
+
 def test_base_locus_counts_match_bruteforce():
-    # independent slow oracles: the F_p count (p = 3) for a few elements,
-    # and the F_{p^2} count behind the O_22 / O_4 split
+    # independent slow oracles: the F_p count by plain Python (p = 3) for
+    # a few elements, the float64 point sweep, an int64 sweep at p = 59
+    # and 101, either side of the int32 bound on the Horner sums, and the
+    # F_{p^2} count behind the O_22 / O_4 split
     import itertools
     rng = np.random.default_rng(7)
     X = rng.integers(0, 3, size=(12, 12))
@@ -348,32 +398,54 @@ def test_base_locus_counts_match_bruteforce():
             cnt += qa == 0 and qb == 0
         return cnt
 
-    got1 = ob.base_locus_count(X, 3)
+    got1, _ = _pencil_counts(X, 3)
     for i in range(12):
         c = tuple(int(v) for v in X[i])
         assert got1[i] == slow_count_prime(c, 3)
+    assert np.array_equal(got1, _point_sweep(X, 3))
 
-    # the float64 blocks against int64 forms reduced mod p, at primes whose
-    # P^2 spans several blocks of rows
+    # int64 forms reduced mod p: disc_dtype(p - 1) is int32 at p = 59 and
+    # int64 at p = 101
     for p, rows in ((59, 1500), (101, 500)):
-        Z = rng.integers(0, p, size=(rows, 12))
-        v = ob._proj_points_prime(p).T
+        Z = _half_zeroed(rng, p, rows)
+        v = _proj_points(p).T
         M = np.stack([v[0] ** 2, v[1] ** 2, v[2] ** 2, 2 * v[0] * v[1],
                       2 * v[0] * v[2], 2 * v[1] * v[2]]) % p
         want = ((Z[:, :6] @ M % p == 0) & (Z[:, 6:] @ M % p == 0)).sum(1)
-        assert np.array_equal(ob.base_locus_count(Z, p), want)
+        assert np.array_equal(_pencil_counts(Z, p)[0], want)
 
     # nonsingular with no F_p base point: the four base points pair up over
     # F_{p^2} (O_22, 4 points) or form one Frobenius 4-cycle (O_4, none)
     for p in (3, 5, 7):
         Y = rng.integers(0, p, size=(400, 12))
-        Y = Y[(disc_mod(QUARTIC, Y, p) != 0)
-              & (ob.base_locus_count(Y, p) == 0)][:24]
+        Y = Y[(disc_mod(QUARTIC, Y, p) != 0) & (_point_sweep(Y, p) == 0)][:24]
         labels = [ob.LABELS[c] for c in ob.classify_batch(QUARTIC, Y, p)]
         assert {"O_22", "O_4"} <= set(labels)
         for y, name in zip(Y, labels):
             n2 = _slow_count_fp2([int(v) for v in y], p)
             assert (n2, name) in {(4, "O_22"), (0, "O_4")}, (p, y)
+
+
+def test_pencil_counts_every_state_p3():
+    # all 3^12 states: n1 against the point sweep
+    X = ob.decode_states(np.arange(3 ** 12, dtype=np.int64), 3)
+    assert np.array_equal(_pencil_counts(X, 3)[0], _point_sweep(X, 3))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 19])
+def test_pencil_counts_match_point_sweep(p):
+    # n1 against the point sweep; roots against the resolvent evaluated in
+    # Python ints at every [x:y] in P^1 (all p + 1 when it vanishes)
+    rng = np.random.default_rng(p)
+    X = _half_zeroed(rng, p, 4000)
+    n1, roots = _pencil_counts(X, p)
+    assert np.array_equal(n1, _point_sweep(X, p))
+    members = [(1, 0)] + [(x, 1) for x in range(p)]
+    for i in range(0, len(X), 40):
+        r = resolvent_cubic(tuple(int(v) for v in X[i]))
+        want = sum((r[0] * x ** 3 + r[1] * x * x * y + r[2] * x * y * y
+                    + r[3] * y ** 3) % p == 0 for x, y in members)
+        assert roots[i] == want
 
 
 def test_o22_with_resolvent_root_at_infinity():
@@ -382,18 +454,28 @@ def test_o22_with_resolvent_root_at_infinity():
     # of the three resolvent roots is the point at infinity
     x = (0, -1, -2, 0, 0, 0, 1, 2, 3, 0, 0, 0)
     for p in (5, 7):
-        r0, r1, r2, r3 = (c % p for c in resolvent_cubic(np.array([x])))
+        r0 = resolvent_cubic(np.array([x]))[0] % p
         assert r0[0] == 0 and disc_mod(QUARTIC, np.array([x]), p)[0] != 0
-        assert ob.resolvent_root_count(r0, r1, r2, r3, p)[0] == 3
+        assert _pencil_counts([x], p)[1][0] == 3
         assert _classify(QUARTIC, x, p) == "O_22"
+
+
+def _patched_counts(monkeypatch, n1=None, roots=None):
+    """Replace pencil_counts by one that overrides n1 or roots."""
+    real = ob.pencil_counts
+
+    def fake(C, r, p):
+        got_n1, got_roots = real(C, r, p)
+        return (got_n1 if n1 is None else np.full(len(C), n1),
+                got_roots if roots is None else np.full(len(C), roots))
+    monkeypatch.setattr(ob, "pencil_counts", fake)
 
 
 def test_unexpected_resolvent_root_count_raises(monkeypatch):
     # no F_p base point and neither 1 nor 3 resolvent roots is a gap to
     # report, not a state to label
     x = (1, 1, 1, 0, 0, 0, 1, 2, 3, 0, 0, 0)
-    monkeypatch.setattr(ob, "resolvent_root_count",
-                        lambda r0, r1, r2, r3, p: np.full(r0.shape, 2))
+    _patched_counts(monkeypatch, roots=2)
     with pytest.raises(ob.ClassifierIncompleteError,
                        match=r"p=7: signature \(nonsingular, n1=0\) splits"
                              r" to 2 at \(1, 1, 1, 0"):
@@ -404,8 +486,7 @@ def test_unknown_signature_raises(monkeypatch):
     # three F_p base points on a nonsingular pencil is no signature of the
     # table
     x = (1, 1, 1, 0, 0, 0, 1, 2, 3, 0, 0, 0)
-    monkeypatch.setattr(ob, "base_locus_count",
-                        lambda coords, p: np.full(len(coords), 3))
+    _patched_counts(monkeypatch, n1=3)
     with pytest.raises(ob.ClassifierIncompleteError,
                        match=r"p=7: signature \(nonsingular, n1=3\) is not"
                              r" in the table at \(1, 1, 1, 0"):

@@ -113,3 +113,31 @@ def test_primes_upto_keeps_one_copy_of_its_primes():
         tracemalloc.stop()
     assert ps.dtype == np.int64 and ps.size == 664579
     assert peak <= (n + 1) + ps.nbytes + 2 ** 20
+
+
+def test_squarefree_upto_matches_its_mask():
+    # one int64 array of the mask's indices: the same values as the
+    # copying np.nonzero(mask)[0].astype(np.int64) it replaced
+    for n in (0, 1, 2, 3, 4, 8, 9, 10, 97, 1000, 10 ** 4):
+        mask = np.ones(n + 1, dtype=bool)
+        mask[0] = False
+        for d in range(2, n + 1):
+            mask[d * d::d * d] = False
+        got = sieve.squarefree_upto(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.nonzero(mask)[0].astype(np.int64))
+
+
+def test_squarefree_upto_keeps_one_copy():
+    # the mask and one int64 array of the 6 079 291 squarefree numbers up
+    # to 10^7, and nothing more than 1 MB beside them
+    import tracemalloc
+    n = 10 ** 7
+    tracemalloc.start()
+    try:
+        sq = sieve.squarefree_upto(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.size == 6079291
+    assert peak <= (n + 1) + sq.nbytes + 2 ** 20
