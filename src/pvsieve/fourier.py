@@ -165,9 +165,9 @@ SpaceKernel = namedtuple("SpaceKernel",
 def space_kernel(space):
     """A space's transform machinery, chosen here and only here: classes
     (Y, p) -> each row's index into the space's CLOSED_FORMS lines; cost
-    p -> the steps grading one row takes, a step being one point of the
-    quartic base-locus count; histograms (cond, p, targets) -> brute-force
-    pairing histograms; check p, which refuses a prime past their cap;
+    p -> the price in steps of grading one row, which dual-bound's budget
+    charges; histograms (cond, p, targets) -> brute-force pairing
+    histograms; check p, which refuses a prime past their cap;
     suspects p -> what a mismatch at p implicates (text or None); and
     exhaustive (cond, p) -> (numerators, denominator) at every target in
     code order, or None.  The kernels are looked up at each call.
@@ -175,8 +175,11 @@ def space_kernel(space):
     Cubic: cubic_class_batch (about eight steps), ft_histograms (the roots
     on the p^3 a-fibres serving every target) within the sweep budget, the
     character sums of ffcore over the same roots scattered into one p^4
-    mask (p <= 59).  Quartic: the labels of orbits.classify_batch, whose
-    base-locus count visits the p^2 + p + 1 points of P^2(F_p);
+    mask (p <= 59).  Quartic: the labels of orbits.classify_batch, which
+    makes p + 1 integer passes over the rows, one per member of the pencil
+    on P^1 (orbits.pencil_counts), priced at p^2 + p + 1 steps: that
+    over-prices the passes, and pricing them at p + 1 would admit
+    dual-bound inputs that need a measurement of their own;
     ft_fibered_histograms (p <= 13), its fibres gathered from that mask
     through the resolvent, exact as disc(cx) = c^12 disc(x) makes the
     support jointly dilation-invariant, at targets that, past the orbit BFS

@@ -26,17 +26,18 @@ base points of the two conics (exponents mark multiplicity, digits the
 residue degrees); O_T11 and O_T2 are accepted as aliases of O_B11, O_B2.
 
 The classifier reads one signature per nonzero element, (kind, n1).  kind
-is the type of the resolvent cubic 4 det(Ax + By) mod p: nonzero
-discriminant, triple root (its Hessian vanishes), double root, or
-identically zero, the last split by the span of the pencil (one form or
-two).  n1 is the number of F_p-points of the base locus A = B = 0 in P^2,
-counted from the pencil's singular members (pencil_counts): integer
-arithmetic throughout, one pass per member of P^1 and no sweep of P^2.
+is the type of the resolvent cubic 4 det(Ax + By) mod p: three distinct
+roots, triple root (its Hessian vanishes), double root, or identically
+zero, the last split by the span of the pencil (one form or two).  n1 is
+the number of F_p-points of the base locus A = B = 0 in P^2.  Both are
+read off the pencil's singular members (pencil_counts): integer arithmetic
+throughout, one pass per member of P^1 and no sweep of P^2, counting the
+resolvent's roots, n1 and the members of rank 0 and of rank 1.
 signature_table(p) maps 17 signatures to the 19 nonzero labels.  Two
-signatures name two labels each, and one more invariant splits them: the
-quadratic character of the pencil's binary determinant form (split B11,
-nonsplit B2), and the number of F_p roots of the resolvent on P^1 (3: O_22,
-1: O_4), which the same passes count.  On the nonsingular orbits Frobenius
+signatures name two labels each, and one more count of the same passes
+splits them: the rank-1 members, the zeros of the pencil's binary
+determinant form (2: split B11, 0: nonsplit B2), and the F_p roots of the
+resolvent on P^1 (3: O_22, 1: O_4).  On the nonsingular orbits Frobenius
 permutes the four base points and, through S_3, the three roots of the
 resolvent; the pair (F_p base points, F_p roots) reads off the cycle type
 (Bhargava, Higher composition laws III, Ann. Math. 2004; Wright-Yukie,
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import mod
-from .spaces import QUARTIC, disc_cubic, disc_dtype, resolvent_cubic
+from .spaces import QUARTIC, disc_dtype, resolvent_cubic
 
 
 class InvalidGroupElementError(ValueError):
@@ -344,24 +345,13 @@ def legendre_table(p):
     return chi
 
 
-_MINOR2_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-
-
-def _span_le_1(C, p):
-    """True where the two 6-vectors (A|B) are linearly dependent mod p."""
-    A, B = C[..., :6], C[..., 6:]
-    dep = np.ones(C.shape[:-1], dtype=bool)
-    for i, j in _MINOR2_PAIRS:
-        dep &= mod(A[..., i] * B[..., j] - A[..., j] * B[..., i], p) == 0
-    return dep
-
-
 def pencil_counts(C, r, p):
-    """(n1, roots) per row of C, an (n, 12) array reduced mod p, r the
-    reduced coefficients of its resolvent 4 det(xA + yB) in a dtype that
-    holds p^4 (spaces.disc_dtype(p - 1)): roots the number of members
-    [x:y] of P^1(F_p) with F = xA + yB singular, n1 the number of F_p-points
-    of the base locus A = B = 0 in P^2.
+    """(n1, zeros, rank1, roots) per row of C, an (n, 12) array reduced mod
+    p, r the reduced coefficients of its resolvent 4 det(xA + yB) in a dtype
+    that holds p^4 (spaces.disc_dtype(p - 1)): roots the number of members
+    [x:y] of P^1(F_p) with F = xA + yB singular, zeros and rank1 the number
+    of those with F = 0 and with F of rank 1, and n1 the number of
+    F_p-points of the base locus A = B = 0 in P^2.
 
     n1 = 1 + sum c(F) over the singular members, c(F) = p for F = 0,
     chi(-delta) at rank 2, delta any nonzero diagonal entry of adj F, and 0
@@ -375,14 +365,40 @@ def pencil_counts(C, r, p):
     spanning ker F, mu in the square class of d_1 d_2; at rank 1 adj F = 0.
     So N = p + (p-1) sum c(F), and n1 = (N - 1) / (p - 1).
 
+    c also tells the ranks apart: it is p at F = 0, 0 at rank 1 and +-1 at
+    rank 2, where adj F = mu w w^T has a nonzero diagonal entry mu w_i^2.
+    So a member has rank 1 where F != 0 and -diag(adj F) is all zero.
+
+    classify_batch reads the resolvent's type off these counts.  A nonzero
+    binary cubic has at most 3 zeros on P^1, and p + 1 >= 4, so the
+    resolvent is 0 mod p exactly where roots = p + 1.  There a zero member,
+    xA + yB = 0 with (x, y) != 0, is a dependence of A and B, and a
+    dependence gives one: kind 0 where zeros > 0, kind 1 where not.  A
+    nonzero resolvent has a triple root exactly where its Hessian vanishes
+    (kind 3; at p = 3 a vanishing Hessian leaves r1 = r2 = 0, and
+    r0 x^3 + r3 y^3 is a cube).  Otherwise it has a double root exactly
+    where roots = 2 (kind 4): Frobenius fixes the one double root and its
+    one simple partner, so both are rational, while a cubic with three
+    distinct roots has 0, 1 or 3 rational ones, as dividing out two
+    rational linear factors leaves a rational third; this holds at p = 3
+    too.  The remaining rows, three distinct roots, are kind 2.  On the
+    common-kernel pencils the rank-1 members are the zeros of the binary
+    determinant form, where adj F = 0: 2 where it splits (B11), 0 where it
+    does not (B2); its one zero on O_Cs needs no split, as n1 = p + 1
+    tells O_Cs apart.
+
     One pass per member: [1:0] is a root where r0 = 0, [x:1] where the
     Horner sum ((r0 x + r1) x + r2) x + r3, below p^4, is 0 mod p.  Only the
     rows it hits form F and the diagonal of adj F, whose nonzero entries
-    share one square class, so chi(-delta) = sign(sum_i chi(-adj_ii))."""
+    share one square class, so chi(-delta) = sign(sum_i chi(-adj_ii)).
+    Each pass adds c to n1 and 1 + b [c = 0] + b^2 [c = p] to one tally in
+    base b = p + 2 (no count passes p + 1), split into roots, rank1 and
+    zeros once after the loop."""
     chi = legendre_table(p)
     r0, r1, r2, r3 = r
+    base = p + 2
     n1 = np.ones(len(C), dtype=np.int64)
-    roots = np.zeros(len(C), dtype=np.int64)
+    tally = np.zeros(len(C), dtype=np.int64)
     for x, y in [(1, 0)] + [(x, 1) for x in range(p)]:
         R = r0 if y == 0 else mod(((r0 * x + r1) * x + r2) * x + r3, p)
         hit = np.flatnonzero(R == 0)
@@ -392,8 +408,9 @@ def pencil_counts(C, r, p):
         c = np.sign(chi[minus_adj].sum(axis=0))
         c[~F.any(axis=0)] = p
         n1[hit] += c
-        roots[hit] += 1
-    return n1, roots
+        tally[hit] += 1 + base * (c == 0) + base * base * (c == p)
+    zeros = tally // (base * base)
+    return n1, zeros, mod(tally // base, base), mod(tally, base)
 
 
 def _check_pair_space(space, p):
@@ -410,7 +427,7 @@ KINDS = ("one-form pencil", "two-form pencil", "nonsingular", "triple root",
 
 def signature_table(p):
     """(kind, n1) -> label at the odd prime p, or the pair of labels that
-    _SPLITS decides between; kind indexes KINDS."""
+    one more count of pencil_counts decides between; kind indexes KINDS."""
     return {
         (0, 1): "O_D2", (0, p + 1): "O_D1^2", (0, 2 * p + 1): "O_D11",
         (1, 1): ("O_B11", "O_B2"), (1, p + 1): "O_Cs", (1, p + 2): "O_Cns",
@@ -422,27 +439,6 @@ def signature_table(p):
     }
 
 
-def _determinant_character(C, roots, p):
-    """+1 / -1 where a common-kernel pencil's binary determinant form splits
-    / does not, read off the nonvanishing diagonal adjugate entries."""
-    chi = legendre_table(p)
-    dA, dB, dS = (mod(sym_adjugate(F)[:, :3], p) for F in (
-        C[:, :6], C[:, 6:], mod(C[:, :6] + C[:, 6:], p)))
-    s = 0
-    for i in range(3):
-        mid = mod(dS[:, i] - dA[:, i] - dB[:, i], p)
-        s = s + chi[mod(mid * mid - 4 * dA[:, i] * dB[:, i], p)]
-    return np.sign(s)
-
-
-# signature -> (invariant (C, roots, p) -> value per row, roots the rows'
-# resolvent roots on P^1, and its value on each label of the signature's pair)
-_SPLITS = {
-    (1, 1): (_determinant_character, (1, -1)),
-    (2, 0): (lambda C, roots, p: roots, (3, 1)),
-}
-
-
 def _incomplete(p, kind, n1, state, why):
     return ClassifierIncompleteError(
         f"p={p}: signature ({KINDS[kind]}, n1={n1}) {why} at "
@@ -451,25 +447,28 @@ def _incomplete(p, kind, n1, state, why):
 
 def classify_batch(space, coords, p):
     """Label codes (index into LABELS) for an (n, 12) array mod p: each
-    nonzero state's signature (kind, n1) looked up in signature_table."""
+    nonzero state's signature (kind, n1) looked up in signature_table, with
+    kind read off pencil_counts and the resolvent's Hessian (the proofs are
+    in pencil_counts' docstring)."""
     _check_pair_space(space, p)
     # column-major: resolvent_cubic and pencil_counts read C by columns
     C = mod(np.asarray(coords, dtype=np.int64, order="F"), p)
-    # disc_cubic's partial sums and pencil_counts' Horner sums stay below
-    # 54 (p - 1)^4, which disc_dtype's choice holds
+    # pencil_counts' Horner sums stay below p^4 <= 54 (p - 1)^4, which
+    # disc_dtype's choice holds
     dtype = disc_dtype(p - 1)
     r0, r1, r2, r3 = r = tuple(mod(c, p).astype(dtype)
                                for c in resolvent_cubic(C))
     triple = ((mod(r1 * r1 - 3 * r0 * r2, p) == 0)
               & (mod(r1 * r2 - 9 * r0 * r3, p) == 0)
               & (mod(r2 * r2 - 3 * r1 * r3, p) == 0))
-    kind = np.where(mod(disc_cubic(r0, r1, r2, r3), p) != 0, 2,
-                    np.where(triple, 3, 4))
-    f0 = np.flatnonzero((r0 == 0) & (r1 == 0) & (r2 == 0) & (r3 == 0))
-    kind[f0] = np.where(_span_le_1(C[f0], p), 0, 1)
-    n1, roots = pencil_counts(C, r, p)
+    n1, zeros, rank1, roots = pencil_counts(C, r, p)
+    kind = np.where(roots == p + 1, np.where(zeros > 0, 0, 1),
+                    np.where(triple, 3, np.where(roots == 2, 4, 2)))
     width = p * p + p + 2                       # n1 <= p^2 + p + 1
     sig = kind * width + n1
+    # the count that splits each two-label signature, and its value on
+    # each of the two labels
+    splits = {(1, 1): (rank1, (2, 0)), (2, 0): (roots, (3, 1))}
 
     out = np.full(len(C), -1, dtype=np.int8)
     for (k, m), name in signature_table(p).items():
@@ -477,8 +476,8 @@ def classify_batch(space, coords, p):
         if isinstance(name, str):
             out[rows] = LABELS.index(name)
             continue
-        invariant, values = _SPLITS[k, m]
-        v = invariant(C[rows], roots[rows], p)
+        count, values = splits[k, m]
+        v = count[rows]
         out[rows] = np.where(v == values[0], *map(LABELS.index, name))
         odd = np.flatnonzero(~np.isin(v, values))
         if odd.size:

@@ -398,7 +398,7 @@ def test_base_locus_counts_match_bruteforce():
             cnt += qa == 0 and qb == 0
         return cnt
 
-    got1, _ = _pencil_counts(X, 3)
+    got1 = _pencil_counts(X, 3)[0]
     for i in range(12):
         c = tuple(int(v) for v in X[i])
         assert got1[i] == slow_count_prime(c, 3)
@@ -438,7 +438,7 @@ def test_pencil_counts_match_point_sweep(p):
     # Python ints at every [x:y] in P^1 (all p + 1 when it vanishes)
     rng = np.random.default_rng(p)
     X = _half_zeroed(rng, p, 4000)
-    n1, roots = _pencil_counts(X, p)
+    n1, _, _, roots = _pencil_counts(X, p)
     assert np.array_equal(n1, _point_sweep(X, p))
     members = [(1, 0)] + [(x, 1) for x in range(p)]
     for i in range(0, len(X), 40):
@@ -456,29 +456,92 @@ def test_o22_with_resolvent_root_at_infinity():
     for p in (5, 7):
         r0 = resolvent_cubic(np.array([x]))[0] % p
         assert r0[0] == 0 and disc_mod(QUARTIC, np.array([x]), p)[0] != 0
-        assert _pencil_counts([x], p)[1][0] == 3
+        assert _pencil_counts([x], p)[3][0] == 3
         assert _classify(QUARTIC, x, p) == "O_22"
 
 
-def _patched_counts(monkeypatch, n1=None, roots=None):
-    """Replace pencil_counts by one that overrides n1 or roots."""
+def _rank_mod(M, p):
+    """Rank of the integer matrix M (a list of rows) mod p, by elimination
+    in Python ints."""
+    M = [[v % p for v in row] for row in M]
+    rank = 0
+    for col in range(len(M[0])):
+        piv = next((i for i in range(rank, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][col], -1, p)
+        for i in range(len(M)):
+            if i != rank and M[i][col]:
+                f = M[i][col] * inv
+                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+def _sym3(c):
+    return [[c[0], c[3], c[4]], [c[3], c[1], c[5]], [c[4], c[5], c[2]]]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_pencil_member_counts_match_ranks(p):
+    # the members of each rank, against independent oracles in Python ints
+    # on half-zeroed rows and on rows (A, B) with B of rank 0, 1 and 2:
+    # zero members against the dependence of A and B (every 2x2 minor of
+    # the 2x6 matrix (A | B) vanishes), rank-1 members and all roots
+    # against the rank of xA + yB at every [x:y] of P^1
+    rng = np.random.default_rng(100 + p)
+    degenerate = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+                  (1, 1, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0)]
+    X = _half_zeroed(rng, p, 480)
+    X[240:, 6:] = np.repeat(degenerate, 60, axis=0)
+    _, zeros, rank1, roots = _pencil_counts(X, p)
+    members = [(1, 0)] + [(x, 1) for x in range(p)]
+    for i, row in enumerate(X.tolist()):
+        a, b = row[:6], row[6:]
+        dependent = all((a[j] * b[k] - a[k] * b[j]) % p == 0
+                        for j in range(6) for k in range(j + 1, 6))
+        want = 0 if not dependent else p + 1 if not any(row) else 1
+        assert zeros[i] == want, row
+        ranks = [_rank_mod(_sym3([x * u + y * v for u, v in zip(a, b)]), p)
+                 for x, y in members]
+        assert rank1[i] == ranks.count(1), row
+        assert roots[i] == sum(k < 3 for k in ranks), row
+
+
+def _patched_counts(monkeypatch, **override):
+    """Replace pencil_counts by one that overrides some of its counts,
+    given by name (n1, zeros, rank1, roots)."""
     real = ob.pencil_counts
 
     def fake(C, r, p):
-        got_n1, got_roots = real(C, r, p)
-        return (got_n1 if n1 is None else np.full(len(C), n1),
-                got_roots if roots is None else np.full(len(C), roots))
+        got = dict(zip(("n1", "zeros", "rank1", "roots"), real(C, r, p)))
+        got.update({k: np.full(len(C), v) for k, v in override.items()})
+        return got["n1"], got["zeros"], got["rank1"], got["roots"]
     monkeypatch.setattr(ob, "pencil_counts", fake)
 
 
 def test_unexpected_resolvent_root_count_raises(monkeypatch):
     # no F_p base point and neither 1 nor 3 resolvent roots is a gap to
-    # report, not a state to label
+    # report, not a state to label (2 roots would read as a double root)
     x = (1, 1, 1, 0, 0, 0, 1, 2, 3, 0, 0, 0)
-    _patched_counts(monkeypatch, roots=2)
+    _patched_counts(monkeypatch, roots=0)
     with pytest.raises(ob.ClassifierIncompleteError,
                        match=r"p=7: signature \(nonsingular, n1=0\) splits"
-                             r" to 2 at \(1, 1, 1, 0"):
+                             r" to 0 at \(1, 1, 1, 0"):
+        _classify(QUARTIC, x, 7)
+
+
+def test_unexpected_rank1_count_raises(monkeypatch):
+    # (v1^2, v2^2) is O_B11: its determinant form xy has 2 zeros on P^1;
+    # a common-kernel pencil with one rank-1 member and one F_p base point
+    # is a gap to report
+    x = (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+    assert _classify(QUARTIC, x, 7) == "O_B11"
+    _patched_counts(monkeypatch, rank1=1)
+    with pytest.raises(ob.ClassifierIncompleteError,
+                       match=r"p=7: signature \(two-form pencil, n1=1\)"
+                             r" splits to 1 at \(1, 0, 0, 0"):
         _classify(QUARTIC, x, 7)
 
 
