@@ -131,15 +131,19 @@ def cmd_ft_verify(args):
         if args.mode == "exhaustive":
             nums, den = kernel.exhaustive(cond, p)
             vals = list(closed.values.values())
-            # graded 2^20 codes at a time, so no p^4-row copy is ever held
-            cls = np.concatenate([fourier.target_classes(
-                space, orbits.decode_states(np.arange(
-                    s, min(s + (1 << 20), len(nums)), dtype=np.int64),
-                    p, r=space.r), p) for s in range(0, len(nums), 1 << 20)])
             num = np.array([v.numerator for v in vals], dtype=np.int64)
             dnm = np.array([v.denominator for v in vals], dtype=np.int64)
-            # nums / den == num / dnm per target, as exact cross products
-            bad = int(np.count_nonzero(nums * dnm[cls] != num[cls] * den))
+            # graded in chunks of targets whose (n, r) coordinate rows hold
+            # at most ffcore.CELL_BUDGET cells, so no other array as long as
+            # nums is formed; nums / den == num / dnm per target, as exact
+            # cross products
+            step, bad = max(1, ffcore.CELL_BUDGET // space.r), 0
+            for s in range(0, len(nums), step):
+                e = min(s + step, len(nums))
+                cls = fourier.target_classes(space, orbits.decode_states(
+                    np.arange(s, e, dtype=np.int64), p, r=space.r), p)
+                bad += int(np.count_nonzero(
+                    nums[s:e] * dnm[cls] != num[cls] * den))
             lines.append(f"{p}\texhaustive\t{len(nums)}\t{bad}\t"
                          f"{'ok' if bad == 0 else 'MISMATCH'}")
             if bad:

@@ -56,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as poly
 
-from . import fourier, sieve
+from . import ffcore, fourier, sieve
 from .ffcore import factor_squarefree, mod, sqrt_mod
 from .spaces import (CUBIC, MismatchError, ResourceLimitError, box_axis,
                      disc, disc_cubic, disc_dtype, space_by_name)
@@ -935,77 +935,133 @@ def _fibre_pair_count(K, ps):
     b^2 <= K^2, so nothing reaches p max(2p, K^2 + 1): int32 holds it for
     p < 2^15 (K <= 58 within geo_pair_count's point budget), and int64
     above, where the primes that reach the fibres are at most
-    54 K^4 < 2^30.  Per prime, the square roots of the h met (sqrt_mod)
-    and the inverses of 2 alpha per d and of 4c are found; the fibres are
-    then counted for a block of primes at once, about 2^18 (prime, fibre)
+    54 K^4 < 2^30.  The fibres are taken one chunk of consecutive d at a
+    time, and the primes one block at a time, so that a block's
+    (prime, fibre) cells in a chunk number at most ffcore.CELL_BUDGET (or
+    one d-row of one prime, if that is more); the h met, u = 2 alpha K - beta
+    and each fibre's h are formed per chunk, never over the whole box.
+    _chunk_root_count forms a block's residues in four work arrays of that
+    many cells, allocated once per call.  Per chunk, _prime_tables finds per
+    prime the square roots of the h met (sqrt_mod) and the inverses of
+    2 alpha by |d|, for as many primes at once as CELL_BUDGET cells over the
+    7K^2 + 1 values of h allow (at least one block).  The planes p | d are
+    counted for blocks of primes of at most CELL_BUDGET (prime, (b, c))
     cells."""
     t = np.arange(-K, K + 1, dtype=np.int64)
-    d, b, c = t[:, None, None], t[K:, None], t[K:]
-    alpha = -27 * d * d
-    beta = 18 * b * c * d - 4 * c ** 3
-    gamma = b * b * c * c - 4 * b ** 3 * d
+    b, c = t[K:, None], t[K:]
     w = (np.where(b > 0, 2, 1) * np.where(c > 0, 2, 1)).astype(np.int32)
     big = sum(p > 54 * K ** 4 for p in ps)      # past every |disc| of the box
     count = big * reducible_count(K) if big else 0
     ps = [p for p in ps if p <= 54 * K ** 4]
+    n_d = max(1, ffcore.CELL_BUDGET // w.size)    # d-rows per chunk
+    chunks = [t[i:i + n_d] for i in range(0, t.size, n_d)]
     for p in (p for p in ps if p < 5):
         Q, R = divmod(2 * K + 1, p)
-        hits = sum((mod(alpha * r * r + beta * r + gamma, p) == 0)
-                   * (Q + ((r + K) % p < R)) for r in range(p))
-        count += int(np.sum(hits * w))
+        for d in chunks:
+            d = d[:, None, None]
+            alpha = -27 * d * d
+            beta = 18 * b * c * d - 4 * c ** 3
+            gamma = b * b * c * c - 4 * b ** 3 * d
+            hits = sum((mod(alpha * r * r + beta * r + gamma, p) == 0)
+                       * (Q + ((r + K) % p < R)) for r in range(p))
+            count += int(np.sum(hits * w))
     ps = [p for p in ps if p >= 5]
-    rows = (t.size, (K + 1) ** 2)             # fibres: d, then (b, c)
-    # |2 K alpha - beta| < 76 K^3 < 2^31 (K <= 58): int32 for every block
-    num = (2 * K * alpha - beta).reshape(rows).astype(np.int32)
-    h_at = (c * c - 3 * b * d + 3 * K * K).reshape(rows)    # h + 3K^2 >= 0
-    hs = np.flatnonzero(np.bincount(h_at.ravel())) - 3 * K * K  # h met
-    w = w.ravel()
-    b2, c_bc = (np.broadcast_to(v, (K + 1, K + 1)).ravel() for v in (b * b, c))
-    per_block = max(1, 2 ** 18 // num.size)
+    # the fibres (b, c) of a d-row, flat
+    w, b_bc, c_bc = (np.broadcast_to(v, (K + 1, K + 1)).ravel()
+                     for v in (w, b, c))
+    c3, bc18 = (v.astype(np.int32) for v in (4 * c_bc ** 3, 18 * b_bc * c_bc))
+    cells = len(chunks[0]) * w.size                 # one prime's, per chunk
+    per_block = max(1, ffcore.CELL_BUDGET // cells)
+    work = {}         # dtype -> the four work arrays of a block, reused
+    for d in chunks:
+        # the h = c^2 - 3bd met in the chunk (hs), each fibre's index into
+        # hs, and u = 2 K alpha - beta = 4c^3 - (18bc + 54Kd) d, below
+        # 76 K^3 < 2^31 (K <= 58): int32
+        h_at = -3 * d[:, None] * b_bc
+        h_at += c_bc * c_bc + 3 * K * K             # h + 3K^2 >= 0
+        met = np.bincount(h_at.ravel()) > 0
+        hs = np.flatnonzero(met) - 3 * K * K
+        at = (np.cumsum(met) - 1)[h_at]
+        del h_at
+        d32 = d[:, None].astype(np.int32)
+        num = bc18 + 54 * K * d32
+        num *= d32
+        np.subtract(c3, num, out=num)
+        # the per-prime tables for a block of primes, at most CELL_BUDGET
+        # cells over the 7K^2 + 1 values of h, served to blocks of the
+        # work's size
+        per_table = max(per_block, ffcore.CELL_BUDGET // (7 * K * K + 1))
+        for i0 in range(0, len(ps), per_table):
+            primes = ps[i0:i0 + per_table]
+            dt = np.int32 if max(primes) < 2 ** 15 else np.int64
+            if dt not in work:
+                work[dt] = np.empty((4, per_block * cells), dtype=dt)
+            P, inv2a, v_of_h = _prime_tables(K, primes, hs, dt)
+            for j in range(0, len(primes), per_block):
+                count += _chunk_root_count(
+                    K, d, at, num, w, work[dt], P[j:j + per_block],
+                    inv2a[j:j + per_block], v_of_h[j:j + per_block])
+        del at, num                             # before the next chunk
+    # p | d: the planes d = 0 mod p, all alike, for a block of primes
+    per_block = max(1, ffcore.CELL_BUDGET // w.size)
     for i0 in range(0, len(ps), per_block):
-        block = ps[i0:i0 + per_block]
-        dt = np.int32 if max(block) < 2 ** 15 else np.int64
-        # per prime: s^2 = h mod p (-1 where h is not a square), and the
-        # inverses of 2 alpha by |d| and of 4c by c (0 where p divides them)
-        P = np.array(block, dtype=np.int64)[:, None]
-        hp = mod(np.broadcast_to(hs, (len(block), hs.size)), P)
-        s = np.empty(hp.shape, dtype=np.int64)
-        inv2a = np.empty((len(block), K + 1), dtype=dt)
-        inv4c = np.empty((len(block), K + 1), dtype=dt)
-        for i, p in enumerate(block):
-            s[i] = sqrt_mod(hp[i], p)
-            inv = [pow(x, -1, p) if x % p else 0 for x in range(K + 1)]
-            k2a, k4 = pow(-54, -1, p), pow(4, -1, p)
-            inv2a[i] = [k2a * y * y % p for y in inv]
-            inv4c[i] = [k4 * y % p for y in inv]
-        v_of_h = np.full((len(block), 7 * K * K + 1), -1, dtype=dt)
-        v_of_h[:, hs + 3 * K * K] = np.where(s < 0, -1,
-                                             mod(mod(4 * hp, P) * s, P))
-        P = P.astype(dt)
+        P = np.array(ps[i0:i0 + per_block], dtype=np.int64)[:, None]
+        inv4c = np.array([[pow(4 * y, -1, p) if y % p else 0
+                           for y in range(K + 1)] for p in P[:, 0].tolist()])
         Q, R = np.divmod(2 * K + 1, P)
-        P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]
-        # p not dividing d: the shifted roots j = (u +- v) / (2 alpha), with
-        # u = 2 alpha K - beta and v = 4 h s
-        u = mod(np.broadcast_to(num, (len(block), *rows)), P3)
-        v = np.take(v_of_h, h_at, axis=1)
-        k = inv2a[:, np.abs(t), None]
-        x = u + v
-        x *= k
-        j1 = mod(x, P3) < R3
-        u -= v
-        u *= k
-        j2 = mod(u, P3) < R3
-        one, two = v >= 0, v > 0                # at least one, two roots
-        hits = np.add(one & j1, two & j2, dtype=np.int8)
-        if min(block) <= 2 * K + 1:             # Q >= 1 for some p
-            hits += np.add(one, two, dtype=np.int8) * Q3
-        per_d = np.einsum("idk,k->id", hits, w)
-        count += int(np.sum(per_d * (t % P != 0)))
-        # p | d: the planes d = 0 mod p, all alike
-        j = mod(b2 * inv4c[:, c_bc] + K, P)
+        j = mod(b_bc * b_bc * inv4c[:, c_bc] + K, P)
         plane = np.where(c_bc % P == 0, 2 * K + 1, Q + (j < R))
         count += int((2 * (K // P[:, 0]) + 1) @ (plane @ w))
     return count
+
+
+def _prime_tables(K, primes, hs, dt):
+    """For _fibre_pair_count, per prime p >= 5 of primes, in dtype dt: P,
+    the primes as a column; the inverses of 2 alpha = -54 d^2 by |d| <= K
+    (0 where p divides d); and v = 4 h s at each h of hs, s^2 = h mod p, or
+    -1 where h is not a square mod p."""
+    P = np.array(primes, dtype=np.int64)[:, None]
+    v = mod(hs, P)                              # h mod p, then v in place
+    s = np.empty(v.shape, dtype=dt)
+    inv2a = np.empty((len(primes), K + 1), dtype=dt)
+    for i, p in enumerate(primes):
+        s[i] = sqrt_mod(v[i], p)
+        inv = [pow(y, -1, p) if y % p else 0 for y in range(K + 1)]
+        k2a = pow(-54, -1, p)
+        inv2a[i] = [k2a * y * y % p for y in inv]
+    v *= s
+    v *= 4
+    v = mod(v, P)
+    v[s < 0] = -1
+    return P.astype(dt), inv2a, v.astype(dt)
+
+
+def _chunk_root_count(K, d, at, num, w, work, P, inv2a, v_of_h):
+    """_fibre_pair_count's weighted root count over the fibres of one chunk
+    of d, p not dividing d, for a block of primes p >= 5 with the tables of
+    _prime_tables: at holds the index into their h of each of the chunk's
+    fibres (d, then (b, c) flat), num holds u = 2 alpha K - beta there, w
+    the fibre weights.  The (prime, fibre) residues are formed in the four
+    rows of work, reused from block to block."""
+    Q, R = np.divmod(2 * K + 1, P)
+    P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]
+    shape = (len(P), *num.shape)
+    u, v, x, t = (a[:math.prod(shape)].reshape(shape) for a in work)
+    # the shifted roots j = (u +- v) / (2 alpha), with v = 4 h s
+    mod(num, P3, out=u)
+    np.take(v_of_h, at, axis=1, out=v, mode="clip")   # at is in range
+    k = inv2a[:, np.abs(d), None]
+    np.add(u, v, out=x)
+    x *= k
+    j1 = mod(x, P3, out=t) < R3
+    u -= v
+    u *= k
+    j2 = mod(u, P3, out=t) < R3
+    one, two = v >= 0, v > 0                    # at least one, two roots
+    hits = np.add(one & j1, two & j2, dtype=np.int8)
+    if P.min() <= 2 * K + 1:                    # Q >= 1 for some p
+        hits += np.add(one, two, dtype=np.int8) * Q3
+    return int(np.sum(np.einsum("idk,k->id", hits, w) * (d % P != 0)))
 
 
 GEO_GRID = ((20, 1), (50, 1), (100, 5), (200, 5))

@@ -27,6 +27,14 @@ from fractions import Fraction
 
 import numpy as np
 
+# The cell budget of the cubic finite-field sweeps: each temporary of
+# fourier._cubic_support (a slab of consecutive d, p^2 fibres each),
+# experiments._fibre_pair_count (primes x fibres of a d-chunk) and the
+# exhaustive grading of cli.cmd_ft_verify (targets) holds at most this many
+# cells, or one d-plane, one d-row or one target where those alone exceed
+# it.  Read at each call.
+CELL_BUDGET = 2 ** 16
+
 
 class ResourceLimitError(RuntimeError):
     pass
@@ -90,16 +98,17 @@ def ft_value_from_histogram(h, r):
     return Fraction(int(_numerators(np.array(h.counts))), h.p ** r)
 
 
-def mod(x, p):
+def mod(x, p, out=None):
     """x mod p, in [0, p), as a new array: x - (x // p) p, formed in the one
-    array x // p allocates, as % allocates one; x is left as it is.
+    array x // p allocates, as % allocates one, or in out (an array other
+    than x, of the broadcast shape); x is left as it is.
 
     Serves integer arrays whose dtype holds p (int16, int32, int64) and
     object arrays of Python ints, exactly: the residue fits the dtype, and
     an intermediate (x // p) p that wraps round wraps back in the
     subtraction.  A dtype too narrow for p raises OverflowError.  p may also
     be an integer array that broadcasts against x."""
-    q = x // p
+    q = np.floor_divide(x, p, out=out)
     q *= p
     return np.subtract(x, q, out=q)
 

@@ -173,11 +173,14 @@ def space_kernel(space):
     code order, or None.  The kernels are looked up at each call.
 
     Cubic: cubic_class_batch (about eight steps), ft_histograms (the roots
-    on the p^3 a-fibres serving every target) within the sweep budget, the
-    character sums of ffcore over the same roots scattered into one p^4
-    mask (p <= 59).  Quartic: the labels of orbits.classify_batch, which
-    makes p + 1 integer passes over the rows, one per member of the pencil
-    on P^1 (orbits.pencil_counts), priced at p^2 + p + 1 steps: that
+    on the p^3 a-fibres serving every target, listed one slab of
+    ffcore.CELL_BUDGET fibres at a time, so that memory grows as p^2)
+    within the sweep budget, the character sums of ffcore over the same
+    roots scattered slab by slab into one p^4 mask (p <= 59), whose p^4
+    targets cli.cmd_ft_verify grades in chunks of the same budget.
+    Quartic: the labels of orbits.classify_batch, which makes p + 1 integer
+    passes over the rows, one per member of the pencil on P^1
+    (orbits.pencil_counts), priced at p^2 + p + 1 steps: that
     over-prices the passes, and pricing them at p + 1 would admit
     dual-bound inputs that need a measurement of their own;
     ft_fibered_histograms (p <= 13), its fibres gathered from that mask
@@ -206,9 +209,13 @@ def target_classes(space, Y, p):
 # ---------------------------------------------------------------------------
 
 def _cubic_support(p):
-    """The support {p | disc x} of V(F_p) as (a, f): for each of its states
-    (a, b, c, d), a and the fibre code f = b + c p + d p^2 (so the state
-    code, as orbits.encode_states, is a + p f).  The states are found by
+    """The support {p | disc x} of V(F_p), one slab of consecutive d at a
+    time: per slab, (d, a, f), with d the slab's values of d and, for each
+    of its states (a, b, c, d), a and the fibre code f = b + c p + d p^2 (so
+    the state code, as orbits.encode_states, is a + p f).  A slab holds
+    ffcore.CELL_BUDGET // p^2 values of d (at least one), so each of its
+    temporaries has at most max(CELL_BUDGET, p^2) cells; they are freed
+    before the slab is yielded (_support_slab).  The states are found by
     counting the roots of disc on each a-fibre (b, c, d) of F_p^3 (the
     geometric sieve's root count, over F_p).  On a fibre
     disc = alpha a^2 + beta a + gamma, with alpha = -27 d^2,
@@ -218,11 +225,27 @@ def _cubic_support(p):
       two roots when h is a nonzero square, one when p | h, none otherwise;
     - p | d: disc = c^2 (b^2 - 4ac): the one root b^2 / (4c) when p does not
       divide c, every a when it does (p fibres, listed as their p^2 states);
+      these lie on the plane d = 0, listed with the first slab;
     - p = 2, 3: 2 alpha = 0 mod p, so each residue of a is tried.
-    The fibre arrays are indexed [d, c, b], so f is their flat index; the
-    square roots of all residues are taken once."""
+    The square roots of all residues and the inverses are taken once."""
     t = np.arange(p, dtype=np.int64)
-    d, c, b = t[:, None, None], t[:, None], t
+    inv = sq = None
+    if p >= 5:
+        inv = np.array([0, *(pow(x, -1, p) for x in range(1, p))])
+        sq = ffcore.sqrt_mod(t, p)                 # -1: not a square
+    n_d = max(1, ffcore.CELL_BUDGET // (p * p))
+    for d0 in range(0, p, n_d):
+        d = t[d0:d0 + n_d]
+        yield d, *_support_slab(p, d, inv, sq)
+
+
+def _support_slab(p, d, inv, sq):
+    """(a, f) of _cubic_support on the fibres with d in the slab d; inv and
+    sq are the inverses and square roots (-1: none) of the residues mod p,
+    None for p < 5.  The fibre arrays are indexed [d, c, b], so f is
+    d[0] p^2 plus their flat index."""
+    t = np.arange(p, dtype=np.int64)
+    c, b, d = t[:, None], t, d[:, None, None]
     beta = 18 * b * c * d - 4 * c ** 3      # below 22 p^3, reduced in use
     if p < 5:
         alpha, gamma = -27 * d * d, b * b * c * c - 4 * b ** 3 * d
@@ -230,26 +253,38 @@ def _cubic_support(p):
               for a in range(p)]
         roots = [np.full(len(f), a) for a, f in enumerate(on)]
     else:
-        inv = np.array([0, *(pow(x, -1, p) for x in range(1, p))])
         h = mod(c * c - 3 * b * d, p)
-        s = ffcore.sqrt_mod(t, p)[h]                # -1: h not a square
-        v = 4 * h * s
+        s = sq[h]
+        on = [np.flatnonzero((d != 0) & (s >= 0)),     # a first root
+              np.flatnonzero((d != 0) & (s > 0))]      # and a second
+        v = h                                   # v = 4 h s, in h's place
+        v *= s
+        v *= 4
+        del s
         k = mod(pow(-54, -1, p) * inv[d] ** 2, p)  # 1 / (2 alpha)
-        one, two = (d != 0) & (s >= 0), (d != 0) & (s > 0)
-        c1 = t[1:, None]                           # d = 0, c != 0
-        on = [np.flatnonzero(one), np.flatnonzero(two),
-              (b + c1 * p).ravel(), np.tile(t, p)]
-        roots = [mod(((v - beta) * k)[one], p), mod(((-v - beta) * k)[two], p),
-                 mod(b * b * inv[c1] * inv[4], p).ravel(), np.repeat(t, p)]
-    return np.concatenate(roots), np.concatenate(on)
+        # the roots (v - beta) k and -(v + beta) k, formed in place
+        first = v - beta
+        first *= k
+        v += beta
+        v *= k
+        del beta
+        roots = [mod(first.ravel()[on[0]], p), mod(-v.ravel()[on[1]], p)]
+        del first, v, h
+        if d[0, 0, 0] == 0:                    # the plane d = 0
+            c1 = t[1:, None]                   # c != 0
+            on += [(b + c1 * p).ravel(), np.tile(t, p)]
+            roots += [mod(b * b * inv[c1] * inv[4], p).ravel(),
+                      np.repeat(t, p)]
+    return np.concatenate(roots), np.concatenate(on) + d[0, 0, 0] * p * p
 
 
 def _cubic_mask(p):
     """The support {p | disc x} of V(F_p) as a p^4 boolean mask in
-    state-code order: the codes a + p f of _cubic_support, scattered."""
-    a, f = _cubic_support(p)
+    state-code order: the codes a + p f of _cubic_support, scattered slab by
+    slab."""
     mask = np.zeros(p ** 4, dtype=bool)
-    mask[a + p * f] = True
+    for _, a, f in _cubic_support(p):
+        mask[a + p * f] = True
     return mask
 
 
@@ -280,10 +315,11 @@ def _pair_fibres(p, forms, Bs):
 def ft_histograms(cond, p, targets):
     """Pairing histograms of <x, y_j> over the cubic support {p | disc x},
     every target served by one listing of the support (_cubic_support, about
-    p^3 states).  <x, y> = w_1 y_1 a + <(0, b, c, d), y>, the second term
-    taken once per fibre; each target's histogram is one bincount of the
-    unreduced pairings, all below 4 p^2, folded mod p (its bins summed in
-    strides of p), so the states are never reduced one by one."""
+    p^3 states, one slab of d at a time).  <x, y> = w_1 y_1 a +
+    <(0, b, c, d), y>, the second term taken once per fibre of the slab;
+    each target's histogram adds one bincount of the unreduced pairings per
+    slab, all below 4 p^2, folded mod p (its bins summed in strides of p),
+    so the states are never reduced one by one."""
     space = cond.space
     if space is not CUBIC:
         raise ValueError("the per-target sweep is for the cubic space")
@@ -291,15 +327,16 @@ def ft_histograms(cond, p, targets):
     space.check_sweep(p)
     WT = mod(mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
              * w, p)
-    a, f = _cubic_support(p)
     t = np.arange(p, dtype=np.int64)
-    hists = []
-    for wa, wb, wc, wd in WT.tolist():
-        rest = wb * t + wc * t[:, None] + wd * t[:, None, None]
-        counts = np.bincount(wa * a + rest.ravel()[f], minlength=4 * p * p)
-        counts = counts.reshape(-1, p).sum(axis=0)
-        hists.append(ffcore.PairingHistogram(p, counts.tolist()))
-    return hists
+    counts = np.zeros((len(WT), p), dtype=np.int64)
+    for d, a, f in _cubic_support(p):
+        f -= d[0] * p * p                      # the fibre code in the slab
+        for j, (wa, wb, wc, wd) in enumerate(WT.tolist()):
+            rest = wb * t + wc * t[:, None] + wd * d[:, None, None]
+            bins = np.bincount(rest.ravel()[f] + wa * a, minlength=4 * p * p)
+            counts[j] += bins.reshape(-1, p).sum(axis=0)
+        del a, f                                # before the next slab
+    return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
 
 
 def ft_fibered_histograms(cond, p, targets):

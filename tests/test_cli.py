@@ -180,7 +180,8 @@ def test_exponent_rows(capsys):
 
 
 def test_exhaustive_mode_grades_in_blocks(monkeypatch, capsys):
-    # the p^4 targets are graded 2^20 codes at a time, never all at once
+    # the p^4 targets are graded in chunks of at most ffcore.CELL_BUDGET
+    # coordinate cells, never all at once
     target_classes, most = fourier.target_classes, [0]
 
     def recorded(space, Y, p):
@@ -190,7 +191,20 @@ def test_exhaustive_mode_grades_in_blocks(monkeypatch, capsys):
     assert run(["ft-verify", "--space", "cubic", "--primes", "37",
                 "--mode", "exhaustive"]) == 0
     assert "37\texhaustive\t1874161\t0\tok" in capsys.readouterr().out
-    assert 0 < most[0] <= 1 << 20
+    assert 0 < most[0] <= ffcore.CELL_BUDGET // 4
+
+
+def test_exhaustive_grading_budget_invariant(monkeypatch, capsys):
+    # one target per grading chunk (and one d per support slab) prints the
+    # same lines as the default cell budget
+    argv = ["ft-verify", "--space", "cubic", "--primes", "5..7",
+            "--mode", "exhaustive"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setattr(ffcore, "CELL_BUDGET", 1)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == default
+    assert "7\texhaustive\t2401\t0\tok" in default
 
 
 # -- determinism and state -------------------------------------------------

@@ -835,9 +835,9 @@ def test_geo_wide_walk_is_int32(monkeypatch):
         calls.append((K, list(ps)))
         return real_count(K, ps)
 
-    def spy_mod(x, p):
+    def spy_mod(x, p, out=None):
         dtypes.append((x.ndim, x.dtype))
-        return real_mod(x, p)
+        return real_mod(x, p, out=out)
     monkeypatch.setattr(ex, "_fibre_pair_count", spy_count)
     monkeypatch.setattr(ex, "mod", spy_mod)
     rep = ex.geo_pair_count(ex.GeoSieveQuery(lam=100000, m=10000,
@@ -914,6 +914,35 @@ def test_fibre_root_count_large_primes(K, window):
     ps = [int(p) for p in sieve.primes_upto(window[1]) if p >= window[0]]
     assert {65537, 786433, 4391} & set(ps)
     assert ex._fibre_pair_count(K, ps) == _walk_pair_count(K, ps)
+
+
+@pytest.mark.parametrize("query", [
+    *(ex.GeoSieveQuery(lam=lam, m=m) for lam, m in ex.GEO_GRID),
+    ex.GeoSieveQuery(lam=9, window=(2, 40)),
+    ex.GeoSieveQuery(lam=3, window=(4300, 4500))],
+    ids=[*(f"grid-{lam}-{m}" for lam, m in ex.GEO_GRID), "with-2-and-3",
+         "past-54K^4"])
+def test_geo_pair_count_budget_invariant(query, monkeypatch):
+    # the default cell budget and the smallest one (one d-row of one prime
+    # per block) count alike: on the sweep's grid, on a window holding 2
+    # and 3 (the residue sum), and on one straddling 54 K^4 = 4374
+    default = ex.geo_pair_count(query).count
+    monkeypatch.setattr(ex.ffcore, "CELL_BUDGET", 1)
+    assert ex.geo_pair_count(query).count == default
+
+
+def test_fibre_count_bounds_the_block_memory():
+    # at lam = 50 one prime's fibres over the whole box, 101 d-rows of
+    # 51^2 fibres, took a traced peak of 12.91 MiB; d-chunks of the default
+    # cell budget take at most a quarter of that
+    ex.geo_pair_count(ex.GeoSieveQuery(lam=5))
+    tracemalloc.start()
+    try:
+        ex.geo_pair_count(ex.GeoSieveQuery(lam=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.91 * 2 ** 20 / 4
 
 
 def test_geo_unknown_scheme():

@@ -2,6 +2,7 @@
 squarefree moduli, and the split identity."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -286,17 +287,37 @@ def test_cubic_root_count_matches_slice_walk(p):
         fourier.CUBIC_COND, p, targets)
 
 
+def _listed_support(p):
+    """(a, f) of every slab of fourier._cubic_support, joined, after
+    checking that the slabs run over consecutive d from 0 to p - 1, in
+    order, and that each fibre code f = b + c p + d p^2 has its d in its
+    slab."""
+    parts, next_d = [], 0
+    for d, a, f in fourier._cubic_support(p):
+        assert d.tolist() == list(range(next_d, next_d + len(d)))
+        assert ((f // (p * p) >= d[0]) & (f // (p * p) <= d[-1])).all()
+        next_d += len(d)
+        parts.append((a, f))
+    assert next_d == p
+    a, f = (np.concatenate(x) for x in zip(*parts))
+    return a, f
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 59])
-def test_cubic_support_roots_per_fibre(p):
-    """The listed support is {p | disc x}, each state once.  For p >= 5 each
+def test_cubic_support_roots_per_fibre(p, monkeypatch):
+    """The listed support is {p | disc x}, each state once, in slabs of d
+    under the default cell budget and with one d per slab.  For p >= 5 each
     a-fibre (b, c, d) carries as many roots as its kind says, and every kind
     is met: p not dividing d, two roots when h = c^2 - 3bd is a nonzero
     square, one when p | h, none when h is a non-square; p | d, one root
     when p does not divide c, p roots when it does."""
-    a, f = fourier._cubic_support(p)
+    a, f = _listed_support(p)
+    monkeypatch.setattr(ffcore, "CELL_BUDGET", 1)
+    a1, f1 = _listed_support(p)
     C = orbits.decode_states(np.arange(p ** 4, dtype=np.int64), p, r=4)
-    assert np.array_equal(np.sort(a + p * f),
-                          np.flatnonzero(disc_mod(CUBIC, C, p) == 0))
+    support = np.flatnonzero(disc_mod(CUBIC, C, p) == 0)
+    assert np.array_equal(np.sort(a + p * f), support)
+    assert np.array_equal(np.sort(a1 + p * f1), support)
     if p < 5:
         return
     roots = np.bincount(f, minlength=p ** 3)
@@ -311,6 +332,75 @@ def test_cubic_support_roots_per_fibre(p):
     for kind, on in kinds.items():
         assert on.any(), kind
         assert (roots[on] == want[kind]).all(), kind
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_cubic_support_slabs_are_the_direct_scan(p, monkeypatch):
+    """Slow oracle for the slab listing, one d per slab: the union of the
+    slabs' state codes a + p b + p^2 c + p^3 d is the set of states with
+    p | disc, found by evaluating disc at each of the p^4 states in Python
+    integers, no root formula involved."""
+    monkeypatch.setattr(ffcore, "CELL_BUDGET", 1)
+    codes = [a + p * f for _, a, f in fourier._cubic_support(p)]
+    assert len(codes) == p
+    want = [code for code, (d, c, b, a) in
+            enumerate(itertools.product(range(p), repeat=4))
+            if (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+                - 27 * a * a * d * d + 18 * a * b * c * d) % p == 0]
+    assert np.sort(np.concatenate(codes)).tolist() == want
+
+
+def _budget_invariant(monkeypatch, run):
+    """run() under the default cell budget, and again under the smallest
+    one (one d per slab, one d-row of one prime per block, one target per
+    grading chunk); both results."""
+    default = run()
+    monkeypatch.setattr(ffcore, "CELL_BUDGET", 1)
+    return default, run()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 59])
+def test_ft_histograms_budget_invariant(p, monkeypatch):
+    # the bad prime 3 has no pairing, so ft_histograms refuses it under
+    # every budget; its support listing is compared instead
+    if p == 3:
+        listed = _budget_invariant(monkeypatch, lambda: np.sort(
+            np.concatenate([a + p * f for _, a, f in
+                            fourier._cubic_support(p)])))
+        assert np.array_equal(*listed)
+        with pytest.raises(BadPrimeError):
+            fourier.ft_histograms(fourier.CUBIC_COND, p, [(1, 0, 0, 0)])
+        return
+    rng = np.random.default_rng(p)
+    targets = [*fourier._class_reps(CUBIC, p).values(),
+               *rng.integers(-3 * p, 3 * p, size=(5, 4)).tolist()]
+    default, smallest = _budget_invariant(monkeypatch, lambda: [
+        h.counts for h in fourier.ft_histograms(fourier.CUBIC_COND, p,
+                                                targets)])
+    assert default == smallest
+    assert fourier.ft_histograms(fourier.CUBIC_COND, p, []) == []
+
+
+@pytest.mark.parametrize("p", [5, 17])
+def test_cubic_mask_budget_invariant(p, monkeypatch):
+    assert np.array_equal(*_budget_invariant(
+        monkeypatch, lambda: fourier._cubic_mask(p)))
+
+
+def test_support_slabs_bound_the_histogram_memory():
+    # listing the p^3 support states at p = 59 at once, three targets'
+    # histograms took a traced peak of 12.26 MiB; slabs of the default cell
+    # budget take at most a quarter of that
+    import tracemalloc
+    targets = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 2, 3)]
+    fourier.ft_histograms(fourier.CUBIC_COND, 5, targets)
+    tracemalloc.start()
+    try:
+        fourier.ft_histograms(fourier.CUBIC_COND, 59, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.26 * 2 ** 20 / 4
 
 
 # p below, at and above d + 1 = 5, where the walker starts its recurrence;
