@@ -171,8 +171,8 @@ PSI_MASS = float(SmoothWeight.psihat(0.0))
 # box counts and E(X, q)
 # ---------------------------------------------------------------------------
 
-def box_radius(X, s=1.0, d=4):
-    return int(np.floor(s * X ** (1 / d) - 1e-12))
+def box_radius(X, s=1.0):
+    return int(np.floor(s * X ** (1 / CUBIC.r) - 1e-12))
 
 
 def _disc_slices(axis):
@@ -710,22 +710,24 @@ class DualBoundReport:
     n_q: int
     n_points: int
     qsplit_checked: int    # identity verified on every q0-divisible point
+    majorant: tuple        # dual_bound_majorant's; None on the pair space
 
 
 def _dual_box(space, Z):
-    """(Y, mult): the nonzero points of |x_i| <= Z up to a symmetry keeping
-    disc, content and every class, with the box points each stands for.
-    Cubic: _disc_slices's order-8 domain.  Pair space: the points after the
-    origin in lexicographic order, each with its negative (-1 in GL_2)."""
+    """(Y, mult, D): the nonzero points of |x_i| <= Z up to a symmetry keeping
+    disc, content and every class, the box points each stands for, and disc.
+    Cubic: _disc_slices's order-8 domain and discriminants.  Pair space: the
+    points after the origin in lexicographic order, each with its negative."""
     if space is CUBIC:
-        pieces = [(np.column_stack(np.broadcast_arrays(ia, *idx)) - Z, m)
-                  for ia, _, m, idx in _disc_slices(np.arange(-Z, Z + 1))]
-        Y, mult = (np.concatenate(c) for c in zip(*pieces))
+        pieces = [(np.column_stack(np.broadcast_arrays(ia, *idx)) - Z, m, D)
+                  for ia, D, m, idx in _disc_slices(np.arange(-Z, Z + 1))]
+        Y, mult, D = (np.concatenate(c) for c in zip(*pieces))
         keep = Y.any(axis=1)
-        return Y[keep], mult[keep]
+        return Y[keep], mult[keep], D[keep]
     n = (2 * Z + 1) ** space.r
     Y = np.unravel_index(np.arange(n // 2 + 1, n), (2 * Z + 1,) * space.r)
-    return np.stack(Y, axis=1) - Z, np.full(n // 2, 2)
+    Y = np.stack(Y, axis=1) - Z
+    return Y, np.full(n // 2, 2), disc(space, Y)
 
 
 def check_dual_bound(N, Z, space):
@@ -737,7 +739,8 @@ def check_dual_bound(N, Z, space):
     work, size = (N + 1) * per_q, 2 * N + 24 * space.r * n
     moduli = {}
     if work <= DUAL_BOUND_WORK and size <= DUAL_BOUND_BYTES:
-        moduli = {int(q): [p for p in factor_squarefree(int(q)) if space.m % p]
+        moduli = {int(q): [p for p in factor_squarefree(int(q))
+                           if not space.is_bad_prime(p)]
                   for q in sieve.squarefree_upto(2 * N) if q >= N}
         primes = set().union(*moduli.values())
         cost = fourier.space_kernel(space).cost
@@ -767,8 +770,8 @@ def dual_bound_sum(N, Z, space_id="cubic"):
     moduli = check_dual_bound(N, Z, space)
     cond = fourier.LocalCondition(space.space_id)
     names = tuple(fourier.CLOSED_FORMS[space.space_id])
-    Y, mult = _dual_box(space, Z)
-    mult0 = mult * (disc(space, Y) == 0)        # the disc = 0 points
+    Y, mult, D = _dual_box(space, Z)
+    mult0 = mult * (D == 0)                     # the disc = 0 points
     content = np.gcd.reduce(Y, axis=1)
     cls, absval = {}, {}
     for p in sorted(set().union(*moduli.values())):
@@ -798,22 +801,21 @@ def dual_bound_sum(N, Z, space_id="cubic"):
                     raise MismatchError(
                         f"split identity fails at q0={g}, q={q}, x={x}")
             checked += int(mult[rows].sum())
+    majorant = (dual_bound_majorant(N, moduli, mult, np.abs(D))
+                if space is CUBIC else None)
     return DualBoundReport(N=N, Z=Z, total=total, disc0_part=disc0,
                            nonzero_part=total - disc0, n_q=len(moduli),
-                           n_points=int(mult.sum()), qsplit_checked=checked)
+                           n_points=int(mult.sum()), qsplit_checked=checked,
+                           majorant=majorant)
 
 
-def dual_bound_majorant(N, Z):
-    """Assembled upper bound for the cubic dual_bound_sum: the disc = 0
-    points of the box are counted with the largest |class value| per prime
+def dual_bound_majorant(N, moduli, mult, D):
+    """Upper bound (maj0, maj1), exact, for the cubic dual_bound_sum over its
+    moduli and the rows of _dual_box with multiplicities mult and |disc| D:
+    disc = 0 points are counted with the largest |class value| per prime
     (the y = 0 line, fourier.omega), and disc != 0 points go through
     |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
-    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|, counted over
-    the rows of _dual_box with their multiplicities.  Exact rational
-    output (maj0, maj1), within the dual_bound_sum budget."""
-    moduli = check_dual_bound(N, Z, CUBIC)
-    Y, mult = _dual_box(CUBIC, Z)
-    D = np.abs(disc(CUBIC, Y))
+    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|."""
     maj0 = int(mult[D == 0].sum()) * sum(
         (math.prod((fourier.omega(CUBIC, p) for p in ps), start=1)
          for ps in moduli.values()), Fraction(0))
@@ -925,7 +927,7 @@ def _fibre_pair_count(K, ps):
       otherwise;
     - p | d: disc = c^2 (b^2 - 4ac) mod p: the one root b^2 / (4c) when p
       does not divide c, every a when it does;
-    - p in {2, 3}: 2 alpha = 0 mod p, so each residue of a is tried;
+    - p in {2, 3}: 2 alpha = 0 mod p, so _support_pair_count counts them;
     - p > 54 K^4, past every |disc| of the box: p | disc only where
       disc = 0, so each such p adds reducible_count(K).
     A root r stands for the Q + [(r + K) mod p < R] points of [-K, K] in
@@ -950,22 +952,13 @@ def _fibre_pair_count(K, ps):
     t = np.arange(-K, K + 1, dtype=np.int64)
     b, c = t[K:, None], t[K:]
     w = (np.where(b > 0, 2, 1) * np.where(c > 0, 2, 1)).astype(np.int32)
+    count = sum(_support_pair_count(K, p) for p in ps if 54 % p == 0)
+    ps = [p for p in ps if 54 % p]              # 2 alpha = -54 d^2 invertible
     big = sum(p > 54 * K ** 4 for p in ps)      # past every |disc| of the box
-    count = big * reducible_count(K) if big else 0
+    count += big * reducible_count(K) if big else 0
     ps = [p for p in ps if p <= 54 * K ** 4]
     n_d = max(1, ffcore.CELL_BUDGET // w.size)    # d-rows per chunk
     chunks = [t[i:i + n_d] for i in range(0, t.size, n_d)]
-    for p in (p for p in ps if p < 5):
-        Q, R = divmod(2 * K + 1, p)
-        for d in chunks:
-            d = d[:, None, None]
-            alpha = -27 * d * d
-            beta = 18 * b * c * d - 4 * c ** 3
-            gamma = b * b * c * c - 4 * b ** 3 * d
-            hits = sum((mod(alpha * r * r + beta * r + gamma, p) == 0)
-                       * (Q + ((r + K) % p < R)) for r in range(p))
-            count += int(np.sum(hits * w))
-    ps = [p for p in ps if p >= 5]
     # the fibres (b, c) of a d-row, flat
     w, b_bc, c_bc = (np.broadcast_to(v, (K + 1, K + 1)).ravel()
                      for v in (w, b, c))
@@ -1013,6 +1006,16 @@ def _fibre_pair_count(K, ps):
         plane = np.where(c_bc % P == 0, 2 * K + 1, Q + (j < R))
         count += int((2 * (K // P[:, 0]) + 1) @ (plane @ w))
     return count
+
+
+def _support_pair_count(K, p):
+    """#{x in [-K, K]^4 : p | disc(x)} over the support states x mod p of
+    fourier._cubic_support, each standing for the prod n(x_i) box points in
+    its class, n(r) = Q + [(r + K) mod p < R], 2K + 1 = Q p + R."""
+    Q, R = divmod(2 * K + 1, p)
+    n = Q + (mod(np.arange(p) + K, p) < R)      # box points per class
+    fibre = np.multiply.outer(np.multiply.outer(n, n), n).ravel()
+    return sum(int(n[a] @ fibre[f]) for _, a, f in fourier._cubic_support(p))
 
 
 def _prime_tables(K, primes, hs, dt):

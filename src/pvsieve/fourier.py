@@ -121,7 +121,7 @@ def ft_closed_form(cond, p, label):
     """The closed-form transform at a prime for a target class (cubic) or
     orbit label (quartic, aliases accepted).  Bad primes are refused."""
     space = cond.space
-    if p in space.bad_primes:
+    if space.is_bad_prime(p):
         raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
     label = orbits.LABEL_ALIASES.get(label, label)
     try:
@@ -180,9 +180,9 @@ def space_kernel(space):
     targets cli.cmd_ft_verify grades in chunks of the same budget.
     Quartic: the labels of orbits.classify_batch, which makes p + 1 integer
     passes over the rows, one per member of the pencil on P^1
-    (orbits.pencil_counts), priced at p^2 + p + 1 steps: that
-    over-prices the passes, and pricing them at p + 1 would admit
-    dual-bound inputs that need a measurement of their own;
+    (orbits.pencil_counts), priced at 200 + 1.2 (p + 1) steps: the upper
+    envelope, 194 + 1.13 (p + 1), of 52 single-call timings of 265 720 rows
+    in fresh processes at p = 5 to 457, rounded up;
     ft_fibered_histograms (p <= 13), its fibres gathered from that mask
     through the resolvent, exact as disc(cx) = c^12 disc(x) makes the
     support jointly dilation-invariant, at targets that, past the orbit BFS
@@ -193,7 +193,7 @@ def space_kernel(space):
                            ft_bruteforce_exhaustive_cubic)
     return SpaceKernel(
         lambda Y, p: orbits.classify_batch(space, Y, p),
-        lambda p: p * p + p + 1, ft_fibered_histograms,
+        lambda p: 200 + 1.2 * (p + 1), ft_fibered_histograms,
         lambda p: ffcore.ntt_modulus(p, space.r // 2),
         lambda p: ("the closed form or the classifier"
                    if p ** space.r > space.sweep_limit else None), None)
@@ -226,55 +226,53 @@ def _cubic_support(p):
     - p | d: disc = c^2 (b^2 - 4ac): the one root b^2 / (4c) when p does not
       divide c, every a when it does (p fibres, listed as their p^2 states);
       these lie on the plane d = 0, listed with the first slab;
-    - p = 2, 3: 2 alpha = 0 mod p, so each residue of a is tried.
+    - p = 2, 3: 2 alpha = 0 mod p, so disc_mod scans the slab's states.
     The square roots of all residues and the inverses are taken once."""
     t = np.arange(p, dtype=np.int64)
-    inv = sq = None
     if p >= 5:
         inv = np.array([0, *(pow(x, -1, p) for x in range(1, p))])
         sq = ffcore.sqrt_mod(t, p)                 # -1: not a square
     n_d = max(1, ffcore.CELL_BUDGET // (p * p))
     for d0 in range(0, p, n_d):
         d = t[d0:d0 + n_d]
-        yield d, *_support_slab(p, d, inv, sq)
+        if p >= 5:
+            yield d, *_support_slab(p, d, inv, sq)
+            continue
+        x = np.arange(d0 * p ** 3, (d0 + d.size) * p ** 3)
+        x = x[disc_mod(CUBIC, orbits.decode_states(x, p, r=4), p) == 0]
+        yield d, mod(x, p), x // p
 
 
 def _support_slab(p, d, inv, sq):
-    """(a, f) of _cubic_support on the fibres with d in the slab d; inv and
-    sq are the inverses and square roots (-1: none) of the residues mod p,
-    None for p < 5.  The fibre arrays are indexed [d, c, b], so f is
-    d[0] p^2 plus their flat index."""
+    """(a, f) of _cubic_support on the fibres with d in the slab d, p >= 5;
+    inv and sq are the inverses and square roots (-1: none) of the residues
+    mod p.  The fibre arrays are indexed [d, c, b], so f is d[0] p^2 plus
+    their flat index."""
     t = np.arange(p, dtype=np.int64)
     c, b, d = t[:, None], t, d[:, None, None]
     beta = 18 * b * c * d - 4 * c ** 3      # below 22 p^3, reduced in use
-    if p < 5:
-        alpha, gamma = -27 * d * d, b * b * c * c - 4 * b ** 3 * d
-        on = [np.flatnonzero(mod(alpha * a * a + beta * a + gamma, p) == 0)
-              for a in range(p)]
-        roots = [np.full(len(f), a) for a, f in enumerate(on)]
-    else:
-        h = mod(c * c - 3 * b * d, p)
-        s = sq[h]
-        on = [np.flatnonzero((d != 0) & (s >= 0)),     # a first root
-              np.flatnonzero((d != 0) & (s > 0))]      # and a second
-        v = h                                   # v = 4 h s, in h's place
-        v *= s
-        v *= 4
-        del s
-        k = mod(pow(-54, -1, p) * inv[d] ** 2, p)  # 1 / (2 alpha)
-        # the roots (v - beta) k and -(v + beta) k, formed in place
-        first = v - beta
-        first *= k
-        v += beta
-        v *= k
-        del beta
-        roots = [mod(first.ravel()[on[0]], p), mod(-v.ravel()[on[1]], p)]
-        del first, v, h
-        if d[0, 0, 0] == 0:                    # the plane d = 0
-            c1 = t[1:, None]                   # c != 0
-            on += [(b + c1 * p).ravel(), np.tile(t, p)]
-            roots += [mod(b * b * inv[c1] * inv[4], p).ravel(),
-                      np.repeat(t, p)]
+    h = mod(c * c - 3 * b * d, p)
+    s = sq[h]
+    on = [np.flatnonzero((d != 0) & (s >= 0)),     # a first root
+          np.flatnonzero((d != 0) & (s > 0))]      # and a second
+    v = h                                   # v = 4 h s, in h's place
+    v *= s
+    v *= 4
+    del s
+    k = mod(pow(-54, -1, p) * inv[d] ** 2, p)  # 1 / (2 alpha)
+    # the roots (v - beta) k and -(v + beta) k, formed in place
+    first = v - beta
+    first *= k
+    v += beta
+    v *= k
+    del beta
+    roots = [mod(first.ravel()[on[0]], p), mod(-v.ravel()[on[1]], p)]
+    del first, v, h
+    if d[0, 0, 0] == 0:                    # the plane d = 0
+        c1 = t[1:, None]                   # c != 0
+        on += [(b + c1 * p).ravel(), np.tile(t, p)]
+        roots += [mod(b * b * inv[c1] * inv[4], p).ravel(),
+                  np.repeat(t, p)]
     return np.concatenate(roots), np.concatenate(on) + d[0, 0, 0] * p * p
 
 
@@ -514,9 +512,10 @@ def _class_reps(space, p):
     for start in range(0, n_states, chunk):
         codes = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
         C = entries[orbits.decode_states(codes, 3, r=space.r)]
-        cls, first = np.unique(target_classes(space, C, p), return_index=True)
-        for i, c in sorted(zip(first, cls)):
-            found.setdefault(names[c], tuple(int(v) for v in C[i]))
+        cls = target_classes(space, C, p)
+        first = [np.flatnonzero(cls == c)[:1] for c in range(len(names))]
+        for i in np.sort(np.concatenate(first)).tolist():
+            found.setdefault(names[cls[i]], tuple(int(v) for v in C[i]))
         if len(found) == len(names):
             return found
     missing = [n for n in names if n not in found]

@@ -341,7 +341,7 @@ def decompose_orbits(space, p):
 def legendre_table(p):
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
-    chi[np.unique(mod(np.arange(1, p, dtype=np.int64) ** 2, p))] = 1
+    chi[mod(np.arange(1, p, dtype=np.int64) ** 2, p)] = 1
     return chi
 
 
@@ -416,7 +416,7 @@ def pencil_counts(C, r, p):
 def _check_pair_space(space, p):
     if space is not QUARTIC:
         raise ValueError("orbits and their labels are for the pair space")
-    if p in space.bad_primes:
+    if space.is_bad_prime(p):
         raise ValueError(f"p={p} excluded (bad prime)")
 
 

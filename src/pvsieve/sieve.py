@@ -43,7 +43,7 @@ def exponent_table(space):
     pair space's, so any other space is refused."""
     if space is not QUARTIC:
         raise ValueError("the exponent table is for the pair space")
-    d = space.d
+    d = space.r                                 # the degree of disc
     rows = []
     for j in sorted(FC_BY_DIM.keys() - {0}):    # the singular dimensions
         n_exp = j + FC_BY_DIM[j] + 1

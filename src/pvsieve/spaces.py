@@ -1,18 +1,18 @@
 """The two lattices under study and their basic invariants.
 
 cubic   : V(Z) = integral binary cubic forms a u^3 + b u^2 v + c u v^2 + d v^3,
-          coords (a, b, c, d), r = d = 4, acted on by GL_2.
+          coords (a, b, c, d), r = 4, acted on by GL_2.
 quartic : V(Z) = pairs (A, B) of integral symmetric 3x3 matrices, coords
           (a11,a22,a33,a12,a13,a23, b11,b22,b33,b12,b13,b23) storing matrix
           entries (so the quadratic form has cross coefficient 2*a12 etc.),
-          r = d = 12, acted on by GL_2 x GL_3.
+          r = 12, acted on by GL_2 x GL_3.
 
 A SpaceDescriptor carries everything the Fourier pipeline needs to know
 about its space, as data:
 
-  space_id, r, d  name, dimension of V, degree of disc (r = d for both);
-  m, bad_primes   the dual-lattice index parameter and the primes where
-                  the pairing degenerates (cubic 3, {3}; quartic 2, {2});
+  space_id, r     name, dimension of V (also the degree of disc);
+  m               the dual-lattice index parameter (cubic 3, quartic 2); the
+                  bad primes, where the pairing degenerates, divide it;
   weights         the pairing [x, y] = sum w_i x_i y_i over Q:
                   cubic (1, 1/3, 1/3, 1), i.e. x1 y1 + (x2 y2 + x3 y3)/3
                   + x4 y4; quartic (1,1,1,2,2,2) on each matrix, i.e.
@@ -113,17 +113,15 @@ def _form_itself(coords):
 @dataclass(frozen=True)
 class SpaceDescriptor:
     space_id: str
-    r: int                  # dimension of V
-    d: int                  # degree of disc
+    r: int                  # dimension of V and degree of disc
     m: int                  # dual lattice index parameter
-    bad_primes: frozenset
     weights: tuple          # pairing weights, as Fractions
     binary_cubic: object    # coords -> cubic with disc(x) as its disc
     sweep_limit: int        # most states p^r a sweep may visit
 
-    def __post_init__(self):
-        if self.r != self.d:
-            raise ValueError("both supported spaces have r = d")
+    def is_bad_prime(self, p):
+        """p divides m: the pairing degenerates, the closed forms fail."""
+        return self.m % p == 0
 
     def check_sweep(self, p):
         """Refuse a finite-field sweep of p^r states beyond sweep_limit."""
@@ -134,11 +132,11 @@ class SpaceDescriptor:
 
 _PAIR_W = (1, 1, 1, 2, 2, 2) * 2
 
-CUBIC = SpaceDescriptor("cubic", 4, 4, 3, frozenset({3}),
+CUBIC = SpaceDescriptor("cubic", 4, 3,
                         weights=tuple(map(Fraction, (1, "1/3", "1/3", 1))),
                         binary_cubic=_form_itself,
                         sweep_limit=60 ** 4)
-QUARTIC = SpaceDescriptor("quartic", 12, 12, 2, frozenset({2}),
+QUARTIC = SpaceDescriptor("quartic", 12, 2,
                           weights=tuple(map(Fraction, _PAIR_W)),
                           binary_cubic=resolvent_cubic,
                           sweep_limit=6 ** 12)
@@ -181,7 +179,7 @@ def disc_mod(space, coords, p):
 def pairing_weights_mod(space, p):
     """The pairing as an integer weight vector mod p (so that
     [x,y] = sum w_i x_i y_i mod p).  Bad primes are refused."""
-    if p in space.bad_primes:
+    if space.is_bad_prime(p):
         raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
     return np.array([w.numerator * pow(w.denominator, -1, p) % p
                      for w in space.weights], dtype=np.int64)

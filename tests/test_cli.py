@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pvsieve import cli, experiments, ffcore, fourier, orbits
-from pvsieve.spaces import CUBIC
+from pvsieve.spaces import CUBIC, QUARTIC
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,6 +54,11 @@ def test_cubic_range_skips_bad_prime(tmp_path, capsys):
     assert "skipped_bad=3" in text
     assert "\n3\t" not in text          # no rows at the bad prime
     assert "5\tpV\t29/125\t29/125\tok" in text
+
+
+def test_prime_range_skips_the_primes_dividing_m():
+    assert cli._parse_primes("2..13", CUBIC) == ([2, 5, 7, 11, 13], [3])
+    assert cli._parse_primes("2..13", QUARTIC) == ([3, 5, 7, 11, 13], [2])
 
 
 def test_nonprime_rejected():
@@ -344,7 +349,7 @@ def test_dual_bound_budget_before_work(monkeypatch):
         raise AssertionError("grading started before the preflight")
     monkeypatch.setattr(orbits, "classify_batch", boom)
     monkeypatch.setattr(fourier, "cubic_class_batch", boom)
-    for Z, N in (("2", "3"), ("1", "90")):
+    for Z, N in (("2", "3"), ("1", "222")):
         assert run(["dual-bound", "--space", "quartic", "--N", N,
                     "--Z", Z]) == 3
 
@@ -355,7 +360,7 @@ def test_dual_bound_budget_before_work(monkeypatch):
         raise Admitted
     monkeypatch.setattr(experiments, "dual_bound_sum", admitted)
     for argv in (["--N", "200", "--Z", "20"],
-                 ["--space", "quartic", "--N", "30", "--Z", "1"]):
+                 ["--space", "quartic", "--N", "221", "--Z", "1"]):
         with pytest.raises(Admitted):
             run(["dual-bound", *argv])
 

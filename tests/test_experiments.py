@@ -611,9 +611,10 @@ def test_dual_box_stands_for_the_nonzero_box(space, Z):
     # the rows are distinct nonzero points standing for (2Z + 1)^r - 1 box
     # points, and carry the box's histogram of (disc, content) and, on the
     # cubic space, of the class at p = 2, 5, 7 as well
-    Y, mult = ex._dual_box(space, Z)
+    Y, mult, D = ex._dual_box(space, Z)
     r = space.r
     assert int(mult.sum()) == (2 * Z + 1) ** r - 1
+    assert np.array_equal(D, disc(space, Y))
     assert len({tuple(y) for y in Y.tolist()}) == len(Y)
     assert Y.any(axis=1).all()
     box = np.indices((2 * Z + 1,) * r, dtype=np.int64).reshape(r, -1).T - Z
@@ -714,6 +715,7 @@ def test_dual_bound_quartic_matches_orbit_sizes():
     rep = ex.dual_bound_sum(2, 1, space_id="quartic")
     assert rep.total == want == Fraction(3488019184, 6561)
     assert (rep.n_q, rep.n_points, rep.qsplit_checked) == (2, 3 ** 12 - 1, 0)
+    assert rep.majorant is None                 # the majorant is cubic only
 
 
 def _majorant_oracle(N, Z):
@@ -731,13 +733,13 @@ def _majorant_oracle(N, Z):
 
 @pytest.mark.parametrize("N", [5, 7])
 def test_dual_bound_majorant_matches_per_point(N):
-    assert ex.dual_bound_majorant(N, 2)[1] == _majorant_oracle(N, 2)
+    assert ex.dual_bound_sum(N, 2).majorant[1] == _majorant_oracle(N, 2)
 
 
 def test_dual_bound_majorant_dominates():
     for N in (5, 7):
         rep = ex.dual_bound_sum(N, 2)
-        maj0, maj1 = ex.dual_bound_majorant(N, 2)
+        maj0, maj1 = rep.majorant
         assert rep.disc0_part <= maj0
         assert rep.nonzero_part <= maj1
 
@@ -894,8 +896,8 @@ def _walk_pair_count(K, ps):
 @pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8])
 def test_fibre_root_count_matches_the_walk(K):
     # p < 2K + 1 puts several box points in one class; p = 2, 3 take the
-    # residue sum; the planes p | d (with p | c among them) and the fibres
-    # with p | h are all met at these K
+    # sum over the support states, at K = 0 as well; the planes p | d (with
+    # p | c among them) and the fibres with p | h are all met at these K
     for p in (2, 3, 5, 7, 11, 13, 17):
         assert ex._fibre_pair_count(K, [p]) == _walk_pair_count(K, [p]), p
     ps = [2, 3, 5, 7, 11, 13, 17]
@@ -925,7 +927,7 @@ def test_fibre_root_count_large_primes(K, window):
 def test_geo_pair_count_budget_invariant(query, monkeypatch):
     # the default cell budget and the smallest one (one d-row of one prime
     # per block) count alike: on the sweep's grid, on a window holding 2
-    # and 3 (the residue sum), and on one straddling 54 K^4 = 4374
+    # and 3 (the support-state sum), and on one straddling 54 K^4 = 4374
     default = ex.geo_pair_count(query).count
     monkeypatch.setattr(ex.ffcore, "CELL_BUDGET", 1)
     assert ex.geo_pair_count(query).count == default

@@ -44,14 +44,14 @@ def _support_slices(space, p, n, suffix=()):
     The slow oracle of the support kernels, by a second algorithm: the
     state-by-state walk.  The tail grid is decoded once.  Along t,
     disc(tail, t, *suffix) is an integer polynomial f(t) of degree
-    <= space.d (disc is homogeneous of degree d;
-    test_disc_degree_bound_along_each_coordinate), so its (d + 1)-th
+    <= space.r (disc is homogeneous of degree r;
+    test_disc_degree_bound_along_each_coordinate), so its (r + 1)-th
     forward difference vanishes identically over Z.  The walker takes
-    f(0), ..., f(d) from disc_mod, turns them into the differences
+    f(0), ..., f(r) from disc_mod, turns them into the differences
     Delta^k f(0), and steps them along t by
     Delta^k f(t + 1) = Delta^k f(t) + Delta^(k+1) f(t).  Reduction mod p is
     a ring map, so the recurrence is exact on residues at every p.  When
-    p <= d + 1 every slice comes from disc_mod."""
+    p <= r + 1 every slice comes from disc_mod."""
     X = np.empty((p ** (n - 1), space.r), dtype=np.int16)
     X[:, :n - 1] = orbits.decode_states(
         np.arange(p ** (n - 1), dtype=np.int64), p, r=n - 1)
@@ -60,12 +60,12 @@ def _support_slices(space, p, n, suffix=()):
     def at(t):
         X[:, n - 1] = t
         return X
-    if p <= space.d + 1:
+    if p <= space.r + 1:
         for t in range(p):
             yield disc_mod(space, at(t), p) == 0
         return
     # D[k] = Delta^k f(0) mod p, by Newton's differences of the seeds
-    D = [disc_mod(space, at(t), p) for t in range(space.d + 1)]
+    D = [disc_mod(space, at(t), p) for t in range(space.r + 1)]
     for k in range(1, len(D)):
         for j in range(len(D) - 1, k - 1, -1):
             D[j] = (D[j] - D[j - 1]) % p
@@ -448,10 +448,10 @@ def test_resolvent_coefficient_order():
 
 @pytest.mark.parametrize("space", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
 def test_disc_degree_bound_along_each_coordinate(space):
-    """disc has degree <= d in any one coordinate: the (d + 1)-th forward
+    """disc has degree <= r in any one coordinate: the (r + 1)-th forward
     difference along it vanishes, in Python ints, at random points."""
     rng = np.random.default_rng(space.r)
-    n = space.d + 1
+    n = space.r + 1
     binom = [(-1) ** (n - k) * comb(n, k) for k in range(n + 1)]
     for x in rng.integers(-9, 10, size=(4, space.r)).tolist():
         for i in range(space.r):

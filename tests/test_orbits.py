@@ -426,6 +426,13 @@ def test_base_locus_counts_match_bruteforce():
             assert (n2, name) in {(4, "O_22"), (0, "O_4")}, (p, y)
 
 
+def test_legendre_table_is_eulers_criterion():
+    for p in primes_upto(101).tolist():
+        want = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1
+                      for x in range(1, p)]
+        assert ob.legendre_table(p).tolist() == want, p
+
+
 def test_pencil_counts_every_state_p3():
     # all 3^12 states: n1 against the point sweep
     X = ob.decode_states(np.arange(3 ** 12, dtype=np.int64), 3)

@@ -13,15 +13,18 @@ from pvsieve.spaces import CUBIC, QUARTIC
 
 
 def test_descriptors():
-    assert (CUBIC.r, CUBIC.d, CUBIC.m) == (4, 4, 3)
-    assert (QUARTIC.r, QUARTIC.d, QUARTIC.m) == (12, 12, 2)
-    assert CUBIC.bad_primes == {3}
-    assert QUARTIC.bad_primes == {2}
+    assert (CUBIC.r, CUBIC.m) == (4, 3)
+    assert (QUARTIC.r, QUARTIC.m) == (12, 2)
+    assert [f.name for f in dataclasses.fields(CUBIC)] == [
+        "space_id", "r", "m", "weights", "binary_cubic", "sweep_limit"]
+    # the bad primes are exactly the primes dividing m
+    primes = [p for p in range(2, 51) if all(p % k for k in range(2, p))]
+    for space, bad in ((CUBIC, [3]), (QUARTIC, [2])):
+        assert [p for p in primes if space.is_bad_prime(p)] == bad
+        assert bad == [p for p in primes if space.m % p == 0]
     assert sp.space_by_name("cubic") is CUBIC
     with pytest.raises(ValueError):
         sp.space_by_name("quintic")
-    with pytest.raises(ValueError, match="r = d"):
-        dataclasses.replace(CUBIC, d=3)
 
 
 # ---------------------------------------------------------------------------
