@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, experiments, ffcore, fourier, orbits, sieve
-from .spaces import (QUARTIC, BadPrimeError, MismatchError,
-                     ResourceLimitError, space_by_name)
+from .ffcore import ResourceLimitError
+from .spaces import QUARTIC, BadPrimeError, MismatchError, space_by_name
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -41,7 +41,7 @@ def _parse(convert, text, what):
 
 
 # The largest value --primes and --prime may name, far above every kernel's
-# reach (cubic per class p <= 60, quartic p <= 13, orbits p <= 5): checked
+# reach (cubic per class p <= 401, quartic p <= 13, orbits p <= 5): checked
 # before the one sieve of the parse, whose mask it keeps within 64 KB.
 PRIME_ARG_MAX = 2 ** 16
 
@@ -258,7 +258,7 @@ def cmd_dual_bound(args):
     space = _parse(space_by_name, args.space, "space")
     if args.N < 1 or args.Z < 0:
         raise ConfigError("need N >= 1 and Z >= 0")
-    rep = experiments.dual_bound_sum(args.N, args.Z, space_id=args.space)
+    rep = experiments.dual_bound_sum(args.N, args.Z, space)
     cfg = {"space": args.space, "N": args.N, "Z": args.Z}
     lines = [_header("dual-bound", cfg),
              f"n_q\t{rep.n_q}",

@@ -57,9 +57,9 @@ import numpy as np
 from numpy.polynomial import polynomial as poly
 
 from . import ffcore, fourier, sieve
-from .ffcore import factor_squarefree, mod, sqrt_mod
-from .spaces import (CUBIC, MismatchError, ResourceLimitError, box_axis,
-                     disc, disc_cubic, disc_dtype, space_by_name)
+from .ffcore import ResourceLimitError, factor_squarefree, mod, sqrt_mod
+from .spaces import (CUBIC, MismatchError, box_axis, disc, disc_cubic,
+                     disc_dtype)
 
 
 class QuadratureError(RuntimeError):
@@ -753,7 +753,7 @@ def check_dual_bound(N, Z, space):
     return moduli
 
 
-def dual_bound_sum(N, Z, space_id="cubic"):
+def dual_bound_sum(N, Z, space=CUBIC):
     """Exact sum over squarefree q in [N, 2N] and nonzero lattice x with
     |x_i| <= Z of |FT_q(x)|, split by disc(x) = 0 / != 0.
 
@@ -766,7 +766,6 @@ def dual_bound_sum(N, Z, space_id="cubic"):
     Every (q, x) with q0 = gcd(q, content of x) > 1 has the split identity
     FT_q(x) = FT_{q0}(x) FT_{q/q0}(x/q0) checked, as the equality of the
     classes of x and x/q0 at the primes of q/q0 not dividing m."""
-    space = space_by_name(space_id)
     moduli = check_dual_bound(N, Z, space)
     cond = fourier.LocalCondition(space.space_id)
     names = tuple(fourier.CLOSED_FORMS[space.space_id])

@@ -158,6 +158,20 @@ def _three_classes(K, grading):
     return cls
 
 
+# The most a-fibres p^3 the cubic per-class kernel may visit: 401^3 passes,
+# 409^3 does not.  Its memory grows as p^2 (one slab of fibres at a time),
+# its work as p^3: p = 401 takes about 6 s and 54 MB in a fresh process on
+# 2 vCPUs.
+CUBIC_FIBRES = 2 ** 26
+
+
+def _check_fibres(p):
+    """Refuse a cubic per-class sweep of p^3 a-fibres past CUBIC_FIBRES."""
+    if p ** 3 > CUBIC_FIBRES:
+        raise ffcore.ResourceLimitError(
+            f"p={p}: {p ** 3} a-fibres exceed the per-class budget")
+
+
 SpaceKernel = namedtuple("SpaceKernel",
                          "classes cost histograms check suspects exhaustive")
 
@@ -174,10 +188,11 @@ def space_kernel(space):
 
     Cubic: cubic_class_batch (about eight steps), ft_histograms (the roots
     on the p^3 a-fibres serving every target, listed one slab of
-    ffcore.CELL_BUDGET fibres at a time, so that memory grows as p^2)
-    within the sweep budget, the character sums of ffcore over the same
-    roots scattered slab by slab into one p^4 mask (p <= 59), whose p^4
-    targets cli.cmd_ft_verify grades in chunks of the same budget.
+    ffcore.CELL_BUDGET fibres at a time, so that memory grows as p^2),
+    priced in fibres: p^3 <= CUBIC_FIBRES, so p <= 401; the character sums
+    of ffcore over the same roots scattered slab by slab into one p^4 mask
+    (p <= 59), whose p^4 targets cli.cmd_ft_verify grades in chunks of the
+    same cell budget.
     Quartic: the labels of orbits.classify_batch, which makes p + 1 integer
     passes over the rows, one per member of the pencil on P^1
     (orbits.pencil_counts), priced at 200 + 1.2 (p + 1) steps: the upper
@@ -186,17 +201,17 @@ def space_kernel(space):
     ft_fibered_histograms (p <= 13), its fibres gathered from that mask
     through the resolvent, exact as disc(cx) = c^12 disc(x) makes the
     support jointly dilation-invariant, at targets that, past the orbit BFS
-    budget (p >= 7), no BFS checks."""
+    budget (orbits.BFS_STATES: p >= 7), no BFS checks."""
     if space is CUBIC:
         return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
-                           space.check_sweep, lambda p: None,
+                           _check_fibres, lambda p: None,
                            ft_bruteforce_exhaustive_cubic)
     return SpaceKernel(
         lambda Y, p: orbits.classify_batch(space, Y, p),
         lambda p: 200 + 1.2 * (p + 1), ft_fibered_histograms,
         lambda p: ffcore.ntt_modulus(p, space.r // 2),
         lambda p: ("the closed form or the classifier"
-                   if p ** space.r > space.sweep_limit else None), None)
+                   if p ** space.r > orbits.BFS_STATES else None), None)
 
 
 def target_classes(space, Y, p):
@@ -317,12 +332,13 @@ def ft_histograms(cond, p, targets):
     <(0, b, c, d), y>, the second term taken once per fibre of the slab;
     each target's histogram adds one bincount of the unreduced pairings per
     slab, all below 4 p^2, folded mod p (its bins summed in strides of p),
-    so the states are never reduced one by one."""
+    so the states are never reduced one by one.  Refused past CUBIC_FIBRES
+    fibres (p > 401)."""
     space = cond.space
     if space is not CUBIC:
         raise ValueError("the per-target sweep is for the cubic space")
     w = pairing_weights_mod(space, p)          # refuses bad primes
-    space.check_sweep(p)
+    _check_fibres(p)
     WT = mod(mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
              * w, p)
     t = np.arange(p, dtype=np.int64)

@@ -314,13 +314,20 @@ def form_classes(p):
     return cls, reps, g
 
 
+# The most states p^12 the orbit BFS may visit: 5^12 passes, 7^12 does not.
+BFS_STATES = 6 ** 12
+
+
 def decompose_orbits(space, p):
-    """Exhaustive orbit decomposition of the pair space mod p (p in {3,5}).
+    """Exhaustive orbit decomposition of the pair space mod p: p^12 states,
+    refused past BFS_STATES (so p in {3, 5}) before any closure move.
 
     Labels the BFS representatives with one classify_batch() call; the
     result must biject onto the 20 labels for odd p."""
     _check_pair_space(space, p)
-    space.check_sweep(p)
+    if p ** space.r > BFS_STATES:
+        raise ffcore.ResourceLimitError(
+            f"p={p}: {p ** space.r} states exceed the orbit BFS budget")
     label, sizes, reps = _closure(
         p ** 12, [_pair_move(g, p) for g in generators(space, p)])
     rep_coords = decode_states(reps, p)

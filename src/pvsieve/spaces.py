@@ -19,13 +19,12 @@ about its space, as data:
                   tr(A A') + tr(B B');
   binary_cubic    coords -> the binary cubic whose discriminant is disc(x),
                   exactly: the form itself for the cubic space, the
-                  resolvent 4*det(Ax + By) for the quartic space;
-  sweep_limit     the most states p^r a finite-field sweep may visit
-                  (cubic 60^4, quartic 6^12: 5^12 passes, 7^12 does not).
+                  resolvent 4*det(Ax + By) for the quartic space.
 
 disc, disc_mod and pairing_weights_mod read these fields and never branch
 on the space.  Elements are plain coordinate tuples or (n, r) integer
-arrays.
+arrays.  Work budgets are not facts about a space: each belongs to the
+module whose kernel spends the work.
 """
 
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffcore import ResourceLimitError, mod
+from .ffcore import mod
 
 
 class BadPrimeError(ValueError):
@@ -117,29 +116,20 @@ class SpaceDescriptor:
     m: int                  # dual lattice index parameter
     weights: tuple          # pairing weights, as Fractions
     binary_cubic: object    # coords -> cubic with disc(x) as its disc
-    sweep_limit: int        # most states p^r a sweep may visit
 
     def is_bad_prime(self, p):
         """p divides m: the pairing degenerates, the closed forms fail."""
         return self.m % p == 0
-
-    def check_sweep(self, p):
-        """Refuse a finite-field sweep of p^r states beyond sweep_limit."""
-        if p ** self.r > self.sweep_limit:
-            raise ResourceLimitError(
-                f"p={p}: {p ** self.r} states exceed the sweep budget")
 
 
 _PAIR_W = (1, 1, 1, 2, 2, 2) * 2
 
 CUBIC = SpaceDescriptor("cubic", 4, 3,
                         weights=tuple(map(Fraction, (1, "1/3", "1/3", 1))),
-                        binary_cubic=_form_itself,
-                        sweep_limit=60 ** 4)
+                        binary_cubic=_form_itself)
 QUARTIC = SpaceDescriptor("quartic", 12, 2,
                           weights=tuple(map(Fraction, _PAIR_W)),
-                          binary_cubic=resolvent_cubic,
-                          sweep_limit=6 ** 12)
+                          binary_cubic=resolvent_cubic)
 
 _SPACES = {"cubic": CUBIC, "quartic": QUARTIC}
 

@@ -93,8 +93,6 @@ def test_resource_cap_before_work(monkeypatch):
     assert run(["lod", "--X", "1e9"]) == 3
     assert run(["dual-bound", "--space", "quartic", "--N", "3", "--Z",
                 "2"]) == 3
-    assert run(["ft-verify", "--space", "cubic", "--primes", "61",
-                "--no-cache"]) == 3
     # 60001^4 box points: past int64, refused before the primes are sieved
     assert run(["geosieve", "--lam", "30000"]) == 3
     # the first prime past the exhaustive cap is refused before the sweep
@@ -104,16 +102,23 @@ def test_resource_cap_before_work(monkeypatch):
     def boom(*a, **k):
         raise AssertionError("a kernel started before the preflight")
     for module, name in ((fourier, "ft_histograms"),
+                         (fourier, "_cubic_support"),
                          (fourier, "ft_bruteforce_exhaustive_cubic"),
                          (fourier, "ft_fibered_histograms"),
                          (ffcore, "character_sums"),
                          (orbits, "form_classes"),
-                         (orbits, "classify_batch")):
+                         (orbits, "classify_batch"),
+                         (orbits, "_closure")):
         monkeypatch.setattr(module, name, boom)
+    # per class, p^3 a-fibres: 401^3 fits fourier.CUBIC_FIBRES, 409^3 does
+    # not, and is refused before the sweep at 401 starts
+    assert run(["ft-verify", "--space", "cubic", "--primes", "401,409",
+                "--no-cache"]) == 3
     assert run(["ft-verify", "--space", "cubic", "--primes", "59,61",
                 "--mode", "exhaustive", "--no-cache"]) == 3
-    # the fibred quartic kernel stops at p = 13
+    # the fibred quartic kernel stops at p = 13, the orbit BFS at p = 5
     assert run(["ft-verify", "--space", "quartic", "--primes", "13,17"]) == 3
+    assert run(["orbits", "--prime", "7"]) == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -147,6 +152,15 @@ def test_allocation_failure_is_a_resource_limit(monkeypatch, capsys):
     assert run(["reducible", "--Y", "25"]) == 3
     assert capsys.readouterr().err == (
         "resource limit: allocation failed: Unable to allocate 9.31 GiB\n")
+
+
+def test_per_class_cubic_past_60(capsys):
+    # the per-class budget is priced in a-fibres, so p past 60 runs
+    assert run(["ft-verify", "--space", "cubic", "--primes", "61..101",
+                "--no-cache"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 * 9          # 61, 67, ..., 101: nine primes
+    assert all(row.endswith("\tok") for row in rows)
 
 
 def test_exhaustive_mode_cubic_only():

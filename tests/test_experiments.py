@@ -15,8 +15,9 @@ import pytest
 
 from pvsieve import experiments as ex
 from pvsieve import fourier, orbits, sieve
-from pvsieve.spaces import (CUBIC, QUARTIC, ResourceLimitError, box_axis,
-                            disc, disc_cubic, disc_dtype)
+from pvsieve.ffcore import ResourceLimitError
+from pvsieve.spaces import (CUBIC, QUARTIC, box_axis, disc, disc_cubic,
+                            disc_dtype, space_by_name)
 
 
 @pytest.fixture(scope="module")
@@ -644,7 +645,7 @@ def test_dual_bound_sum_grades_the_domain(N, Z, space_id, cap, monkeypatch):
         sizes.append(len(Y))
         return real(space, Y, p)
     monkeypatch.setattr(fourier, "target_classes", spy)
-    ex.dual_bound_sum(N, Z, space_id)
+    ex.dual_bound_sum(N, Z, space_by_name(space_id))
     assert sizes and max(sizes) <= cap
 
 
@@ -712,7 +713,7 @@ def test_dual_bound_quartic_matches_orbit_sizes():
     want = 3 ** 12 - 1 + sum(
         size * abs(fourier.ft_closed_form(fourier.QUARTIC_COND, 3, name))
         for name, (size, _) in table.entries.items() if name != "O_0")
-    rep = ex.dual_bound_sum(2, 1, space_id="quartic")
+    rep = ex.dual_bound_sum(2, 1, QUARTIC)
     assert rep.total == want == Fraction(3488019184, 6561)
     assert (rep.n_q, rep.n_points, rep.qsplit_checked) == (2, 3 ** 12 - 1, 0)
     assert rep.majorant is None                 # the majorant is cubic only
@@ -756,7 +757,7 @@ def test_dual_bound_quartic_propagates_classifier_gap(monkeypatch):
         raise orbits.ClassifierIncompleteError("p=11: forced for the test")
     monkeypatch.setattr(orbits, "classify_batch", boom)
     with pytest.raises(orbits.ClassifierIncompleteError):
-        ex.dual_bound_sum(11, 1, space_id="quartic")
+        ex.dual_bound_sum(11, 1, QUARTIC)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from pvsieve import ffcore as fc
 from pvsieve import fourier, orbits
-from pvsieve.spaces import (CUBIC, QUARTIC, ResourceLimitError, disc_dtype,
-                            disc_mod, pairing_weights_mod, resolvent_cubic)
+from pvsieve.spaces import (CUBIC, QUARTIC, disc_dtype, disc_mod,
+                            pairing_weights_mod, resolvent_cubic)
 
 import fpk
 
@@ -238,7 +238,7 @@ def test_ntt_modulus_derives_the_cap(r, last, refused):
     assert 2 * last ** r < l and last * (l / 2) ** 2 < 2 ** 53
     assert not any(_is_prime(m) for m in range(2 * last ** r + 1, l, last))
     assert w != 1 and pow(w, last, l) == 1
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(fc.ResourceLimitError):
         fc.ntt_modulus(refused, r)
 
 

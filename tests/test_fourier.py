@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsieve import ffcore, fourier, orbits, sieve
+from pvsieve.ffcore import ResourceLimitError
 from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc,
                             disc_mod, dual_disc_cubic, pairing_weights_mod,
-                            resolvent_cubic, ResourceLimitError)
+                            resolvent_cubic)
 
 
 def _sweep_oracle(cond, p, targets):
@@ -237,9 +238,17 @@ def _rand_gl(rng, n, p):
             return tuple(tuple(int(v) for v in row) for row in m)
 
 
-def test_sweep_resource_limit():
+def test_sweep_resource_limit(monkeypatch):
+    # p^3 a-fibres: 409^3 is past fourier.CUBIC_FIBRES, refused before the
+    # support is listed
+    def boom(*a, **k):
+        raise AssertionError("the support was listed past the budget")
+    monkeypatch.setattr(fourier, "_cubic_support", boom)
+    assert 401 ** 3 <= fourier.CUBIC_FIBRES < 409 ** 3
     with pytest.raises(ResourceLimitError):
-        fourier.ft_histograms(fourier.CUBIC_COND, 61, [(0,) * 4])
+        fourier.ft_histograms(fourier.CUBIC_COND, 409, [(0,) * 4])
+    with pytest.raises(ResourceLimitError):
+        fourier.space_kernel(CUBIC).check(409)
 
 
 def test_sweep_is_for_the_cubic_space():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvsieve import orbits as ob
+from pvsieve.ffcore import ResourceLimitError
 from pvsieve.fourier import FC_BY_DIM
 from pvsieve.sieve import primes_upto
 from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_dtype, disc_mod,
@@ -209,10 +210,18 @@ def test_decompose_p3(table3):
     assert table3.entries["O_0"] == (1, (0,) * 12)
 
 
-def test_decompose_rejects(table3):
+def test_decompose_rejects(table3, monkeypatch):
     with pytest.raises(ValueError):
         ob.decompose_orbits(CUBIC, 5)
-    with pytest.raises(Exception):
+
+    # 5^12 states fit orbits.BFS_STATES, 7^12 do not: refused before any
+    # closure move runs
+    def boom(*a, **k):
+        raise AssertionError("a closure move ran past the BFS budget")
+    monkeypatch.setattr(ob, "_closure", boom)
+    monkeypatch.setattr(ob, "_pair_move", boom)
+    assert 5 ** 12 <= ob.BFS_STATES < 7 ** 12
+    with pytest.raises(ResourceLimitError):
         ob.decompose_orbits(QUARTIC, 7)
 
 

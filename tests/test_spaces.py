@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pvsieve import spaces as sp
+from pvsieve.ffcore import ResourceLimitError
 from pvsieve.spaces import CUBIC, QUARTIC
 
 
@@ -16,7 +17,7 @@ def test_descriptors():
     assert (CUBIC.r, CUBIC.m) == (4, 3)
     assert (QUARTIC.r, QUARTIC.m) == (12, 2)
     assert [f.name for f in dataclasses.fields(CUBIC)] == [
-        "space_id", "r", "m", "weights", "binary_cubic", "sweep_limit"]
+        "space_id", "r", "m", "weights", "binary_cubic"]
     # the bad primes are exactly the primes dividing m
     primes = [p for p in range(2, 51) if all(p % k for k in range(2, p))]
     for space, bad in ((CUBIC, [3]), (QUARTIC, [2])):
@@ -232,7 +233,7 @@ def test_box_progression_membership():
 def test_box_resource_limit():
     # X = 10^9 is a 355^4-point box, beyond the box engines' point budget
     from pvsieve import experiments as ex
-    with pytest.raises(sp.ResourceLimitError):
+    with pytest.raises(ResourceLimitError):
         ex.disc_value_buckets(10 ** 9)
-    with pytest.raises(sp.ResourceLimitError):
+    with pytest.raises(ResourceLimitError):
         ex.weighted_count(1, 10 ** 9)
