@@ -329,7 +329,8 @@ def _shard_cuts(discs):
     n = sum(d.size for d in discs)
     S = -(-n // _SHARD_POINTS)
     sample = np.sort(np.concatenate([d[::_SAMPLE_STRIDE] for d in discs]))
-    cuts = np.unique(sample[np.arange(1, S) * sample.size // S]).tolist()
+    cuts = sample[np.arange(1, S) * sample.size // S]       # ascending
+    cuts = cuts[_run_starts(cuts)].tolist()
     below = [0] + [sum(int(np.count_nonzero(d < c)) for d in discs)
                    for c in cuts] + [n]
     out = []
@@ -770,8 +771,13 @@ def dual_bound_sum(N, Z, space=CUBIC):
     cond = fourier.LocalCondition(space.space_id)
     names = tuple(fourier.CLOSED_FORMS[space.space_id])
     Y, mult, D = _dual_box(space, Z)
+    # the majorant first, so its working set is freed before the grading
+    majorant = (dual_bound_majorant(N, moduli, mult, np.abs(D))
+                if space is CUBIC else None)
     mult0 = mult * (D == 0)                     # the disc = 0 points
     content = np.gcd.reduce(Y, axis=1)
+    shared = np.flatnonzero(content > 1)        # the rows q0 can exceed 1 at
+    content = content[shared]
     cls, absval = {}, {}
     for p in sorted(set().union(*moduli.values())):
         cls[p] = fourier.target_classes(space, Y, p)
@@ -790,8 +796,9 @@ def dual_bound_sum(N, Z, space=CUBIC):
             total += int(tally[c]) * values[c]
             disc0 += int(tally0[c]) * values[c]
         q0 = np.gcd(content, q)
-        for g in np.unique(q0[q0 > 1]).tolist():
-            rows = np.flatnonzero(q0 == g)
+        gs = np.sort(q0[q0 > 1])
+        for g in gs[_run_starts(gs)].tolist():
+            rows = shared[q0 == g]
             for p in (p for p in ps if g % p):
                 scaled = fourier.target_classes(space, Y[rows] // g, p)
                 bad = np.flatnonzero(cls[p][rows] != scaled)
@@ -800,8 +807,6 @@ def dual_bound_sum(N, Z, space=CUBIC):
                     raise MismatchError(
                         f"split identity fails at q0={g}, q={q}, x={x}")
             checked += int(mult[rows].sum())
-    majorant = (dual_bound_majorant(N, moduli, mult, np.abs(D))
-                if space is CUBIC else None)
     return DualBoundReport(N=N, Z=Z, total=total, disc0_part=disc0,
                            nonzero_part=total - disc0, n_q=len(moduli),
                            n_points=int(mult.sum()), qsplit_checked=checked,
@@ -814,34 +819,123 @@ def dual_bound_majorant(N, moduli, mult, D):
     disc = 0 points are counted with the largest |class value| per prime
     (the y = 0 line, fourier.omega), and disc != 0 points go through
     |FT_q(x)| <= q*^-3 gcd(disc x, q*^3) and the divisor-sum bound
-    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|."""
+    sum_{f | m} f (N/f^{1/3} + 1), once per distinct |disc|.
+
+    The distinct values are factored at once (_factor_slots), ordered by
+    their number of primes, most first, and their divisors listed a chunk
+    of values at a time (_divisor_rows), at most ffcore.CELL_BUDGET rows a
+    chunk (or one value's divisors, if more).  Each divisor f <= 8N^3 adds
+    count * f into the bucket of icbrt(f), taken from the float cube root
+    and corrected by one either way in int64.  count * f < 2^62 (counts are
+    box points, below 2^31, and f <= |disc| < 2^31 at the sizes
+    check_dual_bound admits, Z <= 28; OverflowError otherwise), and
+    bincount adds its 32-bit halves in float64, each bucket's sum below
+    2^32 times the chunk's rows, far below 2^53: every sum is exact."""
     maj0 = int(mult[D == 0].sum()) * sum(
         (math.prod((fourier.omega(CUBIC, p) for p in ps), start=1)
          for ps in moduli.values()), Fraction(0))
     values, inv = np.unique(D[D > 0], return_inverse=True)
     counts = np.bincount(inv, weights=mult[D > 0]).astype(np.int64)
     n_star = max(1, -(-N // 3))        # least possible q* = q / (q,3)
-    weights = {}       # icbrt(f) -> sum of count * f over f | disc, f <= 8N^3
-    for value, count in zip(values.tolist(), counts.tolist()):
-        for f in sieve._divisors(value):
-            if f <= (2 * N) ** 3:
-                c = _icbrt(f)
-                weights[c] = weights.get(c, 0) + count * f
+    if values.size and int(counts.max()) * int(values[-1]) >= 2 ** 62:
+        raise OverflowError("count * |disc| reaches 2^62")
+    P, E = _factor_slots(values)
+    order = np.argsort(-np.count_nonzero(E, axis=0), kind="stable")
+    ends = np.cumsum(np.prod(E[:, order] + 1, axis=0, dtype=np.int64))
+    weights = np.zeros(2 * N + 1, dtype=object)   # icbrt(f) -> sum count*f
+    i = 0
+    while i < values.size:
+        j = max(i + 1, int(np.searchsorted(
+            ends, ffcore.CELL_BUDGET + (ends[i - 1] if i else 0), "right")))
+        cols = order[i:j]
+        owner, f = _divisor_rows(P[:, cols], E[:, cols])
+        keep = np.flatnonzero(f <= (2 * N) ** 3)
+        owner, f = owner[keep], f[keep]
+        c = np.cbrt(f).astype(np.int64)         # off by at most one
+        c -= c ** 3 > f
+        c += (c + 1) ** 3 <= f
+        w = counts[cols][owner] * f
+        lo = np.bincount(c, weights=w & 0xFFFFFFFF, minlength=weights.size)
+        hi = np.bincount(c, weights=w >> 32, minlength=weights.size)
+        weights += hi.astype(np.int64).astype(object) * 2 ** 32
+        weights += lo.astype(np.int64)
+        i = j
     # q squarefree, f | q^3  =>  rad(f) | q and f <= rad(f)^3, so the
     # interval holds at most N / f^(1/3) + 1 <= N / c + 1 such q
-    maj1 = sum((w * (Fraction(N, c) + 1) for c, w in weights.items()),
-               Fraction(0)) / n_star ** 3
+    maj1 = sum((w * (Fraction(N, c) + 1) for c, w in enumerate(weights)
+                if w), Fraction(0)) / n_star ** 3
     return maj0, maj1
 
 
-def _icbrt(f):
-    """The largest integer whose cube is <= f."""
-    c = round(f ** (1 / 3))
-    while c ** 3 > f:
-        c -= 1
-    while (c + 1) ** 3 <= f:
-        c += 1
-    return c
+def _factor_slots(values):
+    """(P, E): the prime factorizations of the positive integer values, one
+    column per value, with its distinct primes ascending in the first rows
+    (P, of the values' dtype) and their exponents (E, int8), both 0 in the
+    unused rows.
+
+    A table of the least prime factor of every n <= max(values), 0 where n
+    is 1 or prime, is built by striking the multiples of each prime
+    p <= sqrt(max) from p^2 on, the largest prime first, so each entry
+    ends at the least prime whose square is at most n; a composite n's
+    least prime factor always is one.  Its dtype holds sqrt(max).  Each
+    value is then divided by its least prime factor until 1 is left, the
+    values with factors left taken together at each step."""
+    top = int(values[-1]) if values.size else 1
+    root = math.isqrt(top)
+    spf = np.zeros(top + 1, dtype=np.min_scalar_type(root))
+    for p in sieve.primes_upto(root)[::-1].tolist():
+        spf[p * p::p] = p
+    # n <= top has at most as many distinct primes as the largest
+    # primorial <= top; past 47 the primorials pass 2^63
+    primorials = np.cumprod(sieve.primes_upto(47).astype(object))
+    P = np.zeros((max(1, np.count_nonzero(primorials <= top)), values.size),
+                 dtype=values.dtype)
+    E = np.zeros(P.shape, dtype=np.int8)
+    rem = values.astype(np.int64)
+    cols = np.flatnonzero(rem > 1)
+    k = np.zeros(values.size, dtype=np.int64)     # the slot being filled
+    last = np.zeros(values.size, dtype=np.int64)  # its prime
+    while cols.size:
+        n = rem[cols]
+        p = spf[n].astype(np.int64)
+        p[p == 0] = n[p == 0]                    # n prime
+        k[cols] += (p != last[cols]) & (last[cols] != 0)
+        last[cols] = p
+        P[k[cols], cols] = p
+        E[k[cols], cols] += 1
+        rem[cols] = n // p
+        cols = cols[rem[cols] > 1]
+    return P, E
+
+
+def _divisor_rows(P, E):
+    """(owner, f): every divisor f of each value factored as (P, E) by
+    _factor_slots, with the index of its value, the rows of a value
+    together.  The values must come with their number of primes
+    descending, so that those with a prime in slot s are a prefix.
+
+    Row t of a value with tau divisors, 0 <= t < tau, is the divisor whose
+    exponents are the digits of t in the mixed radix (e_0 + 1, e_1 + 1, ...)
+    of its exponents: one pass per slot peels a digit off the rows of the
+    prefix and multiplies in that power of the slot's prime, read from a
+    table of the prefix's powers."""
+    tau = np.prod(E + 1, axis=0, dtype=np.int64)
+    ends = np.cumsum(tau)
+    owner = np.repeat(np.arange(tau.size), tau)
+    t = np.arange(owner.size) - np.repeat(ends - tau, tau)
+    f = np.ones(owner.size, dtype=np.int64)
+    for p, e in zip(P, E):
+        m = np.count_nonzero(e)
+        if not m:
+            break
+        rows = slice(0, int(ends[m - 1]))
+        o = owner[rows]
+        r = e[o] + np.int64(1)
+        q = t[rows] // r
+        powers = p[:m, None].astype(np.int64) ** np.arange(int(e.max()) + 1)
+        f[rows] *= powers[o, t[rows] - q * r]
+        t[rows] = q
+    return owner, f
 
 
 # ---------------------------------------------------------------------------
@@ -942,12 +1036,12 @@ def _fibre_pair_count(K, ps):
     one d-row of one prime, if that is more); the h met, u = 2 alpha K - beta
     and each fibre's h are formed per chunk, never over the whole box.
     _chunk_root_count forms a block's residues in four work arrays of that
-    many cells, allocated once per call.  Per chunk, _prime_tables finds per
-    prime the square roots of the h met (sqrt_mod) and the inverses of
-    2 alpha by |d|, for as many primes at once as CELL_BUDGET cells over the
-    7K^2 + 1 values of h allow (at least one block).  The planes p | d are
-    counted for blocks of primes of at most CELL_BUDGET (prime, (b, c))
-    cells."""
+    many cells, allocated once per call.  The inverses of 2 alpha by |d| are
+    found once per call, for every prime; per chunk, _prime_tables finds per
+    prime the square roots of the h met (sqrt_mod), for as many primes at
+    once as CELL_BUDGET cells over the 7K^2 + 1 values of h allow (at least
+    one block).  The planes p | d are counted for blocks of primes of at
+    most CELL_BUDGET (prime, (b, c)) cells."""
     t = np.arange(-K, K + 1, dtype=np.int64)
     b, c = t[K:, None], t[K:]
     w = (np.where(b > 0, 2, 1) * np.where(c > 0, 2, 1)).astype(np.int32)
@@ -965,6 +1059,13 @@ def _fibre_pair_count(K, ps):
     cells = len(chunks[0]) * w.size                 # one prime's, per chunk
     per_block = max(1, ffcore.CELL_BUDGET // cells)
     work = {}         # dtype -> the four work arrays of a block, reused
+    # the inverses of 2 alpha = -54 d^2 by |d| <= K (0 where p divides d),
+    # per prime, once per call; int32 holds them, as p <= 54 K^4 < 2^30
+    inv2a = np.zeros((len(ps), K + 1), dtype=np.int32)
+    for i, p in enumerate(ps):
+        k2a = pow(-54, -1, p)
+        inv2a[i] = [k2a * pow(y, -2, p) % p if y % p else 0
+                    for y in range(K + 1)]
     for d in chunks:
         # the h = c^2 - 3bd met in the chunk (hs), each fibre's index into
         # hs, and u = 2 K alpha - beta = 4c^3 - (18bc + 54Kd) d, below
@@ -988,11 +1089,12 @@ def _fibre_pair_count(K, ps):
             dt = np.int32 if max(primes) < 2 ** 15 else np.int64
             if dt not in work:
                 work[dt] = np.empty((4, per_block * cells), dtype=dt)
-            P, inv2a, v_of_h = _prime_tables(K, primes, hs, dt)
+            P, v_of_h = _prime_tables(primes, hs, dt)
+            inv = inv2a[i0:i0 + per_table]
             for j in range(0, len(primes), per_block):
                 count += _chunk_root_count(
                     K, d, at, num, w, work[dt], P[j:j + per_block],
-                    inv2a[j:j + per_block], v_of_h[j:j + per_block])
+                    inv[j:j + per_block], v_of_h[j:j + per_block])
         del at, num                             # before the next chunk
     # p | d: the planes d = 0 mod p, all alike, for a block of primes
     per_block = max(1, ffcore.CELL_BUDGET // w.size)
@@ -1017,34 +1119,30 @@ def _support_pair_count(K, p):
     return sum(int(n[a] @ fibre[f]) for _, a, f in fourier._cubic_support(p))
 
 
-def _prime_tables(K, primes, hs, dt):
+def _prime_tables(primes, hs, dt):
     """For _fibre_pair_count, per prime p >= 5 of primes, in dtype dt: P,
-    the primes as a column; the inverses of 2 alpha = -54 d^2 by |d| <= K
-    (0 where p divides d); and v = 4 h s at each h of hs, s^2 = h mod p, or
-    -1 where h is not a square mod p."""
+    the primes as a column, and v = 4 h s at each h of hs, s^2 = h mod p,
+    or -1 where h is not a square mod p."""
     P = np.array(primes, dtype=np.int64)[:, None]
     v = mod(hs, P)                              # h mod p, then v in place
     s = np.empty(v.shape, dtype=dt)
-    inv2a = np.empty((len(primes), K + 1), dtype=dt)
     for i, p in enumerate(primes):
         s[i] = sqrt_mod(v[i], p)
-        inv = [pow(y, -1, p) if y % p else 0 for y in range(K + 1)]
-        k2a = pow(-54, -1, p)
-        inv2a[i] = [k2a * y * y % p for y in inv]
     v *= s
     v *= 4
     v = mod(v, P)
     v[s < 0] = -1
-    return P.astype(dt), inv2a, v.astype(dt)
+    return P.astype(dt), v.astype(dt)
 
 
 def _chunk_root_count(K, d, at, num, w, work, P, inv2a, v_of_h):
     """_fibre_pair_count's weighted root count over the fibres of one chunk
     of d, p not dividing d, for a block of primes p >= 5 with the tables of
-    _prime_tables: at holds the index into their h of each of the chunk's
-    fibres (d, then (b, c) flat), num holds u = 2 alpha K - beta there, w
-    the fibre weights.  The (prime, fibre) residues are formed in the four
-    rows of work, reused from block to block."""
+    _prime_tables and their rows inv2a of inverses of 2 alpha by |d|: at
+    holds the index into their h of each of the chunk's fibres (d, then
+    (b, c) flat), num holds u = 2 alpha K - beta there, w the fibre
+    weights.  The (prime, fibre) residues are formed in the four rows of
+    work, reused from block to block."""
     Q, R = np.divmod(2 * K + 1, P)
     P3, Q3, R3 = P[:, :, None], Q[:, :, None], R[:, :, None]
     shape = (len(P), *num.shape)
@@ -1093,33 +1191,39 @@ def reducible_count(Y):
     primitive and sign-normalized, uniquely.  Its coefficients are q^2 u,
     -(2pq u + q^2 v), p^2 u + 2pq v and -p^2 v: the outer two cap |u| and
     |v|, and for each root direction and each u the middle two are
-    |A + B v| <= Y, an integer interval of v (a test of u alone when
-    B = 0).  The count adds the lengths of the intersections over one row
-    of u per direction, less the point u = v = 0, which every direction's
-    u = 0 interval holds; the zero form adds 1."""
+    |A + B v| <= Y, an integer interval of v.  The direction (0, 1) leaves
+    u and v free in [-Y, Y]; with the zero form it adds (2Y + 1)^2.  For
+    q >= 1 the middle two are |q^2 v + 2pq u| <= Y and
+    |2|p| q v + sign(p) p^2 u| <= Y, the second no constraint at p = 0,
+    where |v| <= Y already.  The directions of one q share the row of u, so
+    they are taken in blocks of (direction, u) cells of at most
+    ffcore.CELL_BUDGET (or one row, if it is longer); the count adds the
+    lengths of the intersections, less one per direction for the point
+    u = v = 0, which every direction's u = 0 interval holds."""
     Y = int(Y)
     if Y < 0:
         raise ValueError("Y must be >= 0")
-    count = 1                                # the zero form
-    rt = int(math.isqrt(Y))
-    for qq in range(0, rt + 1):
-        for pp in range(-rt, rt + 1):
-            if math.gcd(qq, pp) != 1 or (qq == 0 and pp != 1):
-                continue
-            u_cap = Y // (qq * qq) if qq else Y
-            v_cap = Y // (pp * pp) if pp else Y
-            u = np.arange(-u_cap, u_cap + 1, dtype=np.int64)
-            lo, hi = np.full(u.size, -v_cap), np.full(u.size, v_cap)
-            for A, B in ((-2 * pp * qq * u, -qq * qq),
-                         (pp * pp * u, 2 * pp * qq)):
-                if B == 0:
-                    hi[np.abs(A) > Y] = -v_cap - 1         # empty
-                    continue
-                if B < 0:
-                    A, B = -A, -B
-                np.maximum(lo, -((Y + A) // B), out=lo)
-                np.minimum(hi, (Y - A) // B, out=hi)
-            count += int(np.maximum(hi - lo + 1, 0).sum()) - 1
+    count = (2 * Y + 1) ** 2         # the zero form and the direction (0, 1)
+    rt = math.isqrt(Y)
+    p_all = np.arange(-rt, rt + 1, dtype=np.int64)
+    for q in range(1, rt + 1):
+        u_cap = Y // (q * q)
+        u = np.arange(-u_cap, u_cap + 1, dtype=np.int64)
+        ps = p_all[np.gcd(p_all, q) == 1]
+        step = max(1, ffcore.CELL_BUDGET // u.size)
+        for i in range(0, ps.size, step):
+            p = ps[i:i + step, None]
+            v_cap = Y // np.maximum(p * p, 1)
+            A = 2 * q * p * u
+            lo = np.maximum(-v_cap, -((Y + A) // (q * q)))
+            hi = np.minimum(v_cap, (Y - A) // (q * q))
+            A = np.sign(p) * p * p * u
+            B = np.maximum(2 * q * np.abs(p), 1)
+            np.maximum(lo, -((Y + A) // B), out=lo)
+            np.minimum(hi, (Y - A) // B, out=hi)
+            hi -= lo
+            hi += 1
+            count += int(np.maximum(hi, 0).sum()) - p.size
     return count
 
 

@@ -14,7 +14,6 @@ Two small pieces of exact arithmetic sit underneath the counting work:
   flip on floating-point noise.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,10 +133,3 @@ def squarefree_upto(n):
     for p in range(2, int(n ** 0.5) + 1):
         mask[p * p::p * p] = False
     return np.flatnonzero(mask)
-
-
-def _divisors(n):
-    """The divisors of a positive integer n < 2^63, ascending."""
-    small = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
-    small = small[n % small == 0].tolist()
-    return sorted(set(small + [n // f for f in small]))

@@ -737,6 +737,73 @@ def test_dual_bound_majorant_matches_per_point(N):
     assert ex.dual_bound_sum(N, 2).majorant[1] == _majorant_oracle(N, 2)
 
 
+def _majorant_loop(N, moduli, mult, D):
+    """dual_bound_majorant one distinct |disc| at a time: each value's
+    divisors by trial division up to its square root, each divisor's
+    integer cube root by a float guess corrected in Python ints."""
+    maj0 = int(mult[D == 0].sum()) * sum(
+        (math.prod((fourier.omega(CUBIC, p) for p in ps), start=1)
+         for ps in moduli.values()), Fraction(0))
+    values, inv = np.unique(D[D > 0], return_inverse=True)
+    counts = np.bincount(inv, weights=mult[D > 0]).astype(np.int64)
+    n_star = max(1, -(-N // 3))
+    weights = {}
+    for value, count in zip(values.tolist(), counts.tolist()):
+        small = [f for f in range(1, math.isqrt(value) + 1) if value % f == 0]
+        for f in set(small + [value // f for f in small]):
+            if f <= (2 * N) ** 3:
+                c = round(f ** (1 / 3))
+                while c ** 3 > f:
+                    c -= 1
+                while (c + 1) ** 3 <= f:
+                    c += 1
+                weights[c] = weights.get(c, 0) + count * f
+    maj1 = sum((w * (Fraction(N, c) + 1) for c, w in weights.items()),
+               Fraction(0)) / n_star ** 3
+    return maj0, maj1
+
+
+def _majorant_inputs(N, Z):
+    _, mult, D = ex._dual_box(CUBIC, Z)
+    return N, ex.check_dual_bound(N, Z, CUBIC), mult, np.abs(D)
+
+
+@pytest.mark.parametrize("N, Z", [(5, 2), (10, 3), (30, 4), (60, 8)])
+def test_dual_bound_majorant_matches_loop(N, Z):
+    args = _majorant_inputs(N, Z)
+    assert ex.dual_bound_majorant(*args) == _majorant_loop(*args)
+
+
+def test_dual_bound_majorant_chunked(monkeypatch):
+    # a budget of 64 divisor rows splits (30, 4)'s values into many chunks
+    args = _majorant_inputs(30, 4)
+    chunks = []
+
+    def spy(P, E):
+        chunks.append(P.shape[1])
+        return divisor_rows(P, E)
+    divisor_rows = ex._divisor_rows
+    monkeypatch.setattr(ex, "_divisor_rows", spy)
+    monkeypatch.setattr(ex.ffcore, "CELL_BUDGET", 64)
+    assert ex.dual_bound_majorant(*args) == _majorant_loop(*args)
+    assert len(chunks) > 10 and sum(chunks) == np.unique(args[3]).size - 1
+
+
+def test_divisor_rows_list_every_divisor():
+    values = np.arange(1, 2 ** 12 + 1, dtype=np.int64)
+    P, E = ex._factor_slots(values)
+    assert (np.prod(np.where(E > 0, P, 1) ** E.astype(np.int64), axis=0)
+            == values).all()
+    order = np.argsort(-np.count_nonzero(E, axis=0), kind="stable")
+    owner, f = ex._divisor_rows(P[:, order], E[:, order])
+    got = {}
+    for o, d in zip(order[owner].tolist(), f.tolist()):
+        got.setdefault(o + 1, []).append(d)
+    assert {v: sorted(ds) for v, ds in got.items()} == {
+        v: [d for d in range(1, v + 1) if v % d == 0]
+        for v in values.tolist()}
+
+
 def test_dual_bound_majorant_dominates():
     for N in (5, 7):
         rep = ex.dual_bound_sum(N, 2)
@@ -986,6 +1053,44 @@ def _meshgrid_reducible_count(Y):
             ok = np.all([np.abs(x) <= Y for x in coeffs], axis=0)
             count += int(np.count_nonzero(ok & ((U != 0) | (W != 0))))
     return count
+
+
+def _reducible_loop(Y):
+    """reducible_count one root direction at a time: the (u, v) intervals
+    of each direction over its own row of u."""
+    count = 1
+    rt = math.isqrt(Y)
+    for qq in range(0, rt + 1):
+        for pp in range(-rt, rt + 1):
+            if math.gcd(qq, pp) != 1 or (qq == 0 and pp != 1):
+                continue
+            u_cap = Y // (qq * qq) if qq else Y
+            v_cap = Y // (pp * pp) if pp else Y
+            u = np.arange(-u_cap, u_cap + 1, dtype=np.int64)
+            lo, hi = np.full(u.size, -v_cap), np.full(u.size, v_cap)
+            for A, B in ((-2 * pp * qq * u, -qq * qq),
+                         (pp * pp * u, 2 * pp * qq)):
+                if B == 0:
+                    hi[np.abs(A) > Y] = -v_cap - 1         # empty
+                    continue
+                if B < 0:
+                    A, B = -A, -B
+                np.maximum(lo, -((Y + A) // B), out=lo)
+                np.minimum(hi, (Y - A) // B, out=hi)
+            count += int(np.maximum(hi - lo + 1, 0).sum()) - 1
+    return count
+
+
+@pytest.mark.parametrize("Y", [*range(61), 200, 400, 2000])
+def test_reducible_count_direction_loop_oracle(Y):
+    assert ex.reducible_count(Y) == _reducible_loop(Y)
+
+
+def test_reducible_count_blocks(monkeypatch):
+    # a budget of 16 cells takes every direction of Y = 400 on its own
+    want = ex.reducible_count(400)
+    monkeypatch.setattr(ex.ffcore, "CELL_BUDGET", 16)
+    assert ex.reducible_count(400) == want == _reducible_loop(400)
 
 
 @pytest.mark.parametrize("Y", [0, 1, 4, 9, 25, 50, 100])

@@ -2,10 +2,14 @@
 import is either a leftover of deleted code or a dependency nobody needs.
 A stdlib-ast stand-in for the unused-import rule of pyflakes / ruff.  And
 every module a pvsieve module imports is the stdlib's, numpy's or pvsieve's
-own, with numpy the one declared dependency."""
+own, with numpy the one declared dependency.  And the exact-sum and lod
+commands run without loading numpy.ma, whose import alone costs about
+10 ms."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +81,20 @@ def test_numpy_is_the_one_dependency():
     with open(ROOT / "pyproject.toml", "rb") as f:
         deps = tomllib.load(f)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_exact_sums_and_lod_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_* loads numpy.ma (np.ma.is_masked)
+    script = (
+        "import contextlib, io, sys\n"
+        "from pvsieve import cli\n"
+        "for argv in (['dual-bound', '--N', '10', '--Z', '3'],\n"
+        "             ['reducible'], ['lod', '--X', '1e5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
