@@ -113,6 +113,23 @@ def mod(x, p, out=None):
     return np.subtract(x, q, out=q)
 
 
+def residues(x, p, dtype, order="C"):
+    """The integer array x reduced mod p, as a new array of the given dtype
+    and memory order; dtype must hold p.  Where every entry already lies in
+    (-p, p) the entries are cast and the negative ones moved up by p, with
+    no division; otherwise mod reduces each column of x straight into its
+    column of the result, so no copy of x in a wider dtype is made."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, dtype=dtype, order=order)
+    if x.size == 0 or -p < int(x.min()) and int(x.max()) < p:
+        out[...] = x
+        np.add(out, p, out=out, where=out < 0)
+    else:
+        for i in range(x.shape[-1]):
+            mod(x[..., i], p, out=out[..., i])
+    return out
+
+
 def pow_mod(x, e, p):
     """x^e mod p at each x of an array (0 <= x < p < 2^31), by squaring."""
     out = np.ones_like(x)

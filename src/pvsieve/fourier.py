@@ -34,6 +34,7 @@ lattice), the grading polynomial is dstar(k) = disc(rho(k))/27, which stays
 meaningful mod 3; the same three values apply at every p including 3.
 """
 
+import functools
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass
@@ -43,9 +44,9 @@ import numpy as np
 
 from . import ffcore, orbits
 from .ffcore import mod
-from .spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc_dtype,
-                     disc_mod, dual_disc_cubic, pairing_weights_mod,
-                     space_by_name)
+from .spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc_cubic,
+                     disc_dtype, disc_mod, dual_disc_cubic,
+                     pairing_weights_mod, space_by_name)
 
 
 class InvalidLabelError(ValueError):
@@ -147,14 +148,17 @@ def omega(space, p):
 
 def cubic_class_batch(coords, p):
     """Index into CUBIC_CLASSES per row: 0 y = 0, 1 disc(y) = 0 and y != 0,
-    2 nonsingular."""
-    C = mod(np.asarray(coords, dtype=np.int64), p)
-    return _three_classes(C, disc_mod(CUBIC, C, p))
+    2 nonsingular.  The rows are reduced once, column by column, into
+    disc_dtype(p - 1), and disc_cubic reads those columns."""
+    K = ffcore.residues(coords, p, disc_dtype(p - 1), order="F")
+    return _three_classes(K, mod(disc_cubic(*K.T), p))
 
 
 def _three_classes(K, grading):
+    """The three classes from the grading and the rows K, reduced mod p
+    (so a row is zero where the OR of its entries is)."""
     cls = np.where(grading == 0, 1, 2).astype(np.int8)
-    cls[~K.any(axis=-1)] = 0
+    cls[functools.reduce(np.bitwise_or, K.T) == 0] = 0
     return cls
 
 
@@ -366,9 +370,19 @@ def ft_fibered_histograms(cond, p, targets):
     c^12 disc(x) makes the support jointly dilation-invariant, so
     G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1; n_1 follows from the
     support size N = sum_c |class c| |fibre c|.  The seven fibres come from
-    _pair_fibres, all listed before the per-target gathers, in int16, which
-    is exact while p^4 < 2^15.  ffcore.ntt_modulus caps p (p <= 13) before
-    form_classes runs, and keeps |G_k| <= p^12 < 2^53."""
+    _pair_fibres, all listed before the gathers, in int16, which is exact
+    while p^4 < 2^15.  ffcore.ntt_modulus caps p (p <= 13) before
+    form_classes runs, and keeps |G_k| <= p^12 < 2^53.
+
+    The same invariance moves each target to its alpha's class: with
+    alpha = h alpha_d h^T (form_classes again), (A, B) -> (h^T A h, h^T B h)
+    maps the B with tr(B beta) = k onto those with tr(B beta') = k,
+    beta' = h^-1 beta h^-T, and each fibre sum at alpha onto the one at
+    alpha_d.  So every G_k of (alpha, beta) is that of (alpha_d, beta'),
+    and each class c makes one gather F_c(g_B^T alpha_d g_B) per class d
+    met among the alphas (at most 7, whatever the number of targets); each
+    target adds one bincount of its beta' pairings, unreduced (below
+    6 p^2) and folded mod p."""
     space = cond.space
     if space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
@@ -376,27 +390,52 @@ def ft_fibered_histograms(cond, p, targets):
     half = space.r // 2
     ffcore.ntt_modulus(p, half)
     T = mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
-    alphas = orbits.sym_from_cols(T[:, :half])
-    wbeta = mod(T[:, half:] * w[half:], p)
     cls, reps, g = orbits.form_classes(p)
     forms = orbits.decode_states(np.arange(p ** half, dtype=np.int64), p,
                                  r=half)
     rows, cols = zip(*orbits._SYM_INDEX)
-    G, N = np.zeros((len(T), p)), 0
+    code = orbits.encode_states(T[:, :half], p)
+    d_of, h = cls[code], g[code].astype(np.int64)
+    hinv = _inverse_mod(h, p)
+    beta = mod(hinv @ orbits.sym_from_cols(T[:, half:]) @ hinv.transpose(
+        0, 2, 1), p)[:, rows, cols]
+    # the pairings tr(B beta'), below 6 p^2, in int16
+    wbeta = mod(beta * w[half:], p).astype(np.int16)
+    # in int32: each entry of g_B^T alpha_d g_B is a sum of 9 products
+    # below p^3, and its code, read off the upper triangle, is below p^6
+    alpha = orbits.sym_from_cols(forms[reps].astype(np.int32))
+    pow_p = np.zeros((3, 3), dtype=np.int32)
+    pow_p[rows, cols] = p ** np.arange(half)
+    G, N = np.zeros((len(T), 6 * p * p)), 0
     fibres = _pair_fibres(p, forms, forms[reps])
     for c in range(len(reps)):
         # each mask is dropped once summed, before its class's gathers
         F = ffcore.character_sums(fibres.pop(0), w[:half], p)
-        gc, Bc = g[cls == c].astype(np.int64), forms[cls == c]
+        on = cls == c
+        gc, Bc = g[on].astype(np.int32), forms[on]
         N += len(Bc) * F[0]           # F_c(0) = |fibre c|
-        for j, alpha in enumerate(alphas):
-            moved = mod(gc.transpose(0, 2, 1) @ alpha @ gc, p)[:, rows, cols]
-            G[j] += np.bincount(mod(Bc @ wbeta[j], p), minlength=p,
-                                weights=F[orbits.encode_states(moved, p)])
+        for d in sorted(set(d_of.tolist())):
+            moved = mod(gc.transpose(0, 2, 1) @ alpha[d] @ gc, p)
+            H = F[moved.reshape(-1, 9) @ pow_p.ravel()]
+            for j in np.flatnonzero(d_of == d).tolist():
+                G[j] += np.bincount(Bc @ wbeta[j], minlength=6 * p * p,
+                                    weights=H)
+    G = G.reshape(len(T), -1, p).sum(axis=1)
     num = ffcore._numerators(G.astype(np.int64))
     counts = np.repeat(((N - num) // p)[:, None], p, axis=1)
     counts[:, 0] += num
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
+
+
+def _inverse_mod(h, p):
+    """The inverses mod p of the (n, 3, 3) integer matrices h, invertible
+    mod p: the adjugate, whose columns are the cross products of h's rows,
+    times the inverse of det h."""
+    a, b, c = h[:, 0], h[:, 1], h[:, 2]
+    adj = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=2)
+    det = mod((a * adj[:, :, 0]).sum(axis=1), p)
+    inv = np.array([pow(int(v), -1, p) for v in det], dtype=np.int64)
+    return mod(adj * inv[:, None, None], p)
 
 
 def ft_bruteforce_multi(cond, p, targets):
@@ -425,9 +464,8 @@ def ft_bruteforce_exhaustive_cubic(cond, p):
 
 def dual_cubic_class_batch(kcoords, p):
     """0: k = 0; 1: dstar(k) = 0, k != 0; 2: nonsingular."""
-    K = mod(np.asarray(kcoords, dtype=np.int64), p)
-    D = mod(dual_disc_cubic(K.astype(disc_dtype(p - 1))), p)
-    return _three_classes(K, D)
+    K = ffcore.residues(kcoords, p, disc_dtype(p - 1), order="F")
+    return _three_classes(K, mod(dual_disc_cubic(K), p))
 
 
 def dual_ft_value(p, cls):

@@ -32,7 +32,14 @@ zero, the last split by the span of the pencil (one form or two).  n1 is
 the number of F_p-points of the base locus A = B = 0 in P^2.  Both are
 read off the pencil's singular members (pencil_counts): integer arithmetic
 throughout, one pass per member of P^1 and no sweep of P^2, counting the
-resolvent's roots, n1 and the members of rank 0 and of rank 1.
+resolvent's roots, n1 and the members of rank 0 and of rank 1.  Each step
+runs at the narrowest width its bound allows, and falls back to int64
+where the bound fails: the rows are reduced once into int16 residues
+(p < 2^15); the resolvent is formed from them in int32 (216 (p - 1)^3 <
+2^31, p <= 216) and its Horner sums run in disc_dtype(p - 1) (int32 to
+p = 79); each pencil member gathers the whole rows it hits and forms F in
+int16 (p^2 < 2^15, p <= 181); n1 and the tally are int32 ((p + 2)^3 <
+2^31, p <= 1288).
 signature_table(p) maps 17 signatures to the 19 nonzero labels.  Two
 signatures name two labels each, and one more count of the same passes
 splits them: the rank-1 members, the zeros of the pencil's binary
@@ -353,9 +360,10 @@ def legendre_table(p):
 
 
 def pencil_counts(C, r, p):
-    """(n1, zeros, rank1, roots) per row of C, an (n, 12) array reduced mod
-    p, r the reduced coefficients of its resolvent 4 det(xA + yB) in a dtype
-    that holds p^4 (spaces.disc_dtype(p - 1)): roots the number of members
+    """(n1, zeros, rank1, roots) per row of C, an (n, 12) integer array
+    reduced mod p (classify_batch passes int16), r the reduced coefficients
+    of its resolvent 4 det(xA + yB) in a dtype that holds p^4
+    (spaces.disc_dtype(p - 1)): roots the number of members
     [x:y] of P^1(F_p) with F = xA + yB singular, zeros and rank1 the number
     of those with F = 0 and with F of rank 1, and n1 the number of
     F_p-points of the base locus A = B = 0 in P^2.
@@ -396,26 +404,38 @@ def pencil_counts(C, r, p):
 
     One pass per member: [1:0] is a root where r0 = 0, [x:1] where the
     Horner sum ((r0 x + r1) x + r2) x + r3, below p^4, is 0 mod p.  Only the
-    rows it hits form F and the diagonal of adj F, whose nonzero entries
-    share one square class, so chi(-delta) = sign(sum_i chi(-adj_ii)).
-    Each pass adds c to n1 and 1 + b [c = 0] + b^2 [c = p] to one tally in
-    base b = p + 2 (no count passes p + 1), split into roots, rank1 and
-    zeros once after the loop."""
+    rows it hits are gathered, whole, to form F and the diagonal of adj F,
+    whose nonzero entries share one square class, so chi(-delta) is the
+    bitwise OR of the three chi(-adj_ii) (int8: all 1, or all -1, where not
+    0); F = 0 where the OR of its six residues is 0.  Each pass adds c to n1
+    and 1 + b [c = 0] + b^2 [c = p] to one tally in base b = p + 2 (no
+    count passes p + 1), split into roots, rank1 and zeros once after the
+    loop.
+
+    Widths: F and the -adj_ii in int16 while p^2 < 2^15 (p <= 181), as
+    x A + y B is below p (p - 1) and |f_i^2 - f_j f_k| below p^2, else
+    int64; n1 (at most p^2 + p + 1) and the tally (below b^3) in int32
+    while b^3 < 2^31 (p <= 1288), else int64."""
     chi = legendre_table(p)
     r0, r1, r2, r3 = r
     base = p + 2
-    n1 = np.ones(len(C), dtype=np.int64)
-    tally = np.zeros(len(C), dtype=np.int64)
+    # n1 <= p^2 + p + 1 and the tally < base^3
+    count = np.int32 if base ** 3 < 2 ** 31 else np.int64
+    # x A + y B < p (p - 1) and |f_i^2 - f_j f_k| < p^2
+    work = np.int16 if p * p < 2 ** 15 else np.int64
+    n1 = np.ones(len(C), dtype=count)
+    tally = np.zeros(len(C), dtype=count)
     for x, y in [(1, 0)] + [(x, 1) for x in range(p)]:
         R = r0 if y == 0 else mod(((r0 * x + r1) * x + r2) * x + r3, p)
         hit = np.flatnonzero(R == 0)
-        G = C.T[:, hit]                         # (12, hits), one row a column
-        F = mod(x * G[:6] + y * G[6:], p)
-        minus_adj = mod(F[[3, 4, 5]] ** 2 - F[[0, 0, 1]] * F[[1, 2, 2]], p)
-        c = np.sign(chi[minus_adj].sum(axis=0))
-        c[~F.any(axis=0)] = p
+        G = C[hit].astype(work, copy=False)     # whole rows
+        f0, f1, f2, f3, f4, f5 = mod(x * G[:, :6] + y * G[:, 6:], p).T
+        c = (chi[mod(f3 * f3 - f0 * f1, p)] | chi[mod(f4 * f4 - f0 * f2, p)]
+             | chi[mod(f5 * f5 - f1 * f2, p)]).astype(count)
+        c[(f0 | f1 | f2 | f3 | f4 | f5) == 0] = p
         n1[hit] += c
-        tally[hit] += 1 + base * (c == 0) + base * base * (c == p)
+        tally[hit] += np.where(c == p, base * base + 1,
+                               np.where(c == 0, base + 1, 1)).astype(count)
     zeros = tally // (base * base)
     return n1, zeros, mod(tally // base, base), mod(tally, base)
 
@@ -453,18 +473,18 @@ def _incomplete(p, kind, n1, state, why):
 
 
 def classify_batch(space, coords, p):
-    """Label codes (index into LABELS) for an (n, 12) array mod p: each
+    """Label codes (index into LABELS) for an (n, 12) integer array: each
     nonzero state's signature (kind, n1) looked up in signature_table, with
     kind read off pencil_counts and the resolvent's Hessian (the proofs are
-    in pencil_counts' docstring)."""
+    in pencil_counts' docstring).  The rows are reduced once, into int16
+    residues while p < 2^15, and their resolvent is formed from those in
+    int32 while p <= 216 (_reduce); pencil_counts works on those residues
+    in int16 while p <= 181 and counts in int32 while p <= 1288, each
+    falling back to int64 past its bound.  The zero rows are those whose
+    every pencil member is zero."""
     _check_pair_space(space, p)
-    # column-major: resolvent_cubic and pencil_counts read C by columns
-    C = mod(np.asarray(coords, dtype=np.int64, order="F"), p)
-    # pencil_counts' Horner sums stay below p^4 <= 54 (p - 1)^4, which
-    # disc_dtype's choice holds
-    dtype = disc_dtype(p - 1)
-    r0, r1, r2, r3 = r = tuple(mod(c, p).astype(dtype)
-                               for c in resolvent_cubic(C))
+    C, r = _reduce(coords, p)
+    r0, r1, r2, r3 = r
     triple = ((mod(r1 * r1 - 3 * r0 * r2, p) == 0)
               & (mod(r1 * r2 - 9 * r0 * r3, p) == 0)
               & (mod(r2 * r2 - 3 * r1 * r3, p) == 0))
@@ -473,25 +493,39 @@ def classify_batch(space, coords, p):
                     np.where(triple, 3, np.where(roots == 2, 4, 2)))
     width = p * p + p + 2                       # n1 <= p^2 + p + 1
     sig = kind * width + n1
-    # the count that splits each two-label signature, and its value on
-    # each of the two labels
-    splits = {(1, 1): (rank1, (2, 0)), (2, 0): (roots, (3, 1))}
-
-    out = np.full(len(C), -1, dtype=np.int8)
-    for (k, m), name in signature_table(p).items():
-        rows = np.flatnonzero(sig == k * width + m)
+    # one label per signature, -1 where there is none; the two-label
+    # signatures are split by one more count, and its value on each label
+    table = signature_table(p)
+    lut = np.full(len(KINDS) * width, -1, dtype=np.int8)
+    for (k, m), name in table.items():
         if isinstance(name, str):
-            out[rows] = LABELS.index(name)
-            continue
-        count, values = splits[k, m]
+            lut[k * width + m] = LABELS.index(name)
+    out = lut[sig]
+    splits = {(1, 1): (rank1, (2, 0)), (2, 0): (roots, (3, 1))}
+    for (k, m), (count, values) in splits.items():
+        rows = np.flatnonzero(sig == k * width + m)
         v = count[rows]
-        out[rows] = np.where(v == values[0], *map(LABELS.index, name))
+        out[rows] = np.where(v == values[0], *map(LABELS.index, table[k, m]))
         odd = np.flatnonzero(~np.isin(v, values))
         if odd.size:
             raise _incomplete(p, k, m, C[rows[odd[0]]],
                               f"splits to {v[odd[0]]}")
-    out[~C.any(axis=1)] = LABELS.index("O_0")
+    # every member of P^1 is zero exactly where A = B = 0
+    out[zeros == p + 1] = LABELS.index("O_0")
     if (out < 0).any():
         i = int(np.flatnonzero(out < 0)[0])
         raise _incomplete(p, kind[i], n1[i], C[i], "is not in the table")
     return out
+
+
+def _reduce(coords, p):
+    """classify_batch's inputs to pencil_counts: (C, r), C the rows of
+    coords reduced mod p, int16 while p < 2^15 (else int64), in C order so
+    that each pencil member gathers whole rows; r the coefficients of
+    their resolvent, formed from C (int32 while p <= 216,
+    spaces.resolvent_dtype) and reduced mod p in disc_dtype(p - 1), which
+    holds pencil_counts' Horner sums, below p^4 <= 54 (p - 1)^4."""
+    C = ffcore.residues(coords, p, np.int16 if p < 2 ** 15 else np.int64)
+    dtype = disc_dtype(p - 1)
+    return C, tuple(mod(c, p).astype(dtype, copy=False)
+                    for c in resolvent_cubic(C))

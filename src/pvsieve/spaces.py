@@ -72,29 +72,50 @@ def _det3_sym(a11, a22, a33, a12, a13, a23):
 
 def resolvent_cubic(coords):
     """Coefficients (c0, c1, c2, c3) of 4*det(Ax + By) for a quartic-space
-    element.  Exact integers, on tuples and on integer arrays alike.
+    element.  Exact integers, on tuples and on integer arrays alike; on an
+    array, in the dtype of resolvent_dtype(M), M = max |entry|.
 
     det(Ax+By) is cubic in (x,y); four evaluations determine it:
-    det A, det B, det(A+B), det(A-B).
+    det A, det B, det(A+B), det(A-B).  Each determinant is formed from
+    columns cast one at a time, so no widened copy of the rows is made.
     """
     if not isinstance(coords, np.ndarray):
         x = np.array([int(c) for c in coords], dtype=object)
         return tuple(int(c) for c in resolvent_cubic(x))
-    # with |entries| <= M every determinant, partial sum and coefficient
-    # below stays within 216 M^3; int64 while that fits, else exact
-    M = int(np.abs(coords).max(initial=0))
-    coords = coords.astype(np.int64 if 216 * M ** 3 < 2 ** 63 else object,
-                           copy=False)
-    A = coords[..., 0:6]
-    B = coords[..., 6:12]
-    dA = _det3_sym(*(A[..., i] for i in range(6)))
-    dB = _det3_sym(*(B[..., i] for i in range(6)))
-    dP = _det3_sym(*((A[..., i] + B[..., i]) for i in range(6)))
-    dM = _det3_sym(*((A[..., i] - B[..., i]) for i in range(6)))
+    dtype = resolvent_dtype(_max_abs(coords))
+
+    def col(i):
+        return coords[..., i].astype(dtype)
+
+    dA = _det3_sym(*(col(i) for i in range(6)))
+    dB = _det3_sym(*(col(i) for i in range(6, 12)))
+    dP = _det3_sym(*(col(i) + col(i + 6) for i in range(6)))
+    dM = _det3_sym(*(col(i) - col(i + 6) for i in range(6)))
     c0, c3 = dA, dB
     c1 = (dP - dM) // 2 - c3
     c2 = (dP + dM) // 2 - c0
     return 4 * c0, 4 * c1, 4 * c2, 4 * c3
+
+
+def resolvent_dtype(M):
+    """The narrowest exact dtype for resolvent_cubic on |entries| <= M: the
+    entries of A +- B are at most 2M, so each determinant and each partial
+    sum is at most 48 M^3, dP - dM at most 96 M^3 and each coefficient at
+    most 4 (48 + 6) M^3 = 216 M^3.  int32 while that is below 2^31
+    (M <= 215), int64 below 2^63, exact object arrays beyond."""
+    bound = 216 * M ** 3
+    if bound < 2 ** 31:
+        return np.int32
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _max_abs(x):
+    """max |x| over an integer array as a Python int (0 when empty); taken
+    from the extremes, since np.abs of the int64 minimum is negative."""
+    x = np.asarray(x)
+    if x.size == 0:
+        return 0
+    return max(int(x.max()), -int(x.min()))
 
 
 def _form_itself(coords):
@@ -147,7 +168,7 @@ def disc(space, coords):
     largest coefficient, as in disc_mod."""
     cubic = space.binary_cubic(coords)
     if isinstance(coords, np.ndarray):
-        M = max(int(np.abs(c).max(initial=0)) for c in cubic)
+        M = max(_max_abs(c) for c in cubic)
         cubic = (np.asarray(c).astype(disc_dtype(M)) for c in cubic)
     return disc_cubic(*cubic)
 

@@ -267,6 +267,92 @@ def test_fibered_kernel_matches_sweep_p3(seed):
                                                      targets)
 
 
+def _per_target_histograms(cond, p, targets):
+    """The fibred histograms by one gather per target and form class: each
+    target's own alpha moved by every g_B, in int64 (the kernel before it
+    moved each target to its alpha's class)."""
+    space = cond.space
+    w = pairing_weights_mod(space, p)
+    T = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
+    alphas = orbits.sym_from_cols(T[:, :6])
+    wbeta = T[:, 6:] * w[6:] % p
+    cls, reps, g = orbits.form_classes(p)
+    forms = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
+    rows, cols = zip(*orbits._SYM_INDEX)
+    G, N = np.zeros((len(T), p)), 0
+    for c, fibre in enumerate(fourier._pair_fibres(p, forms, forms[reps])):
+        F = ffcore.character_sums(fibre, w[:6], p)
+        gc, Bc = g[cls == c].astype(np.int64), forms[cls == c]
+        N += len(Bc) * F[0]
+        for j, alpha in enumerate(alphas):
+            moved = (gc.transpose(0, 2, 1) @ alpha @ gc % p)[:, rows, cols]
+            G[j] += np.bincount(Bc @ wbeta[j] % p, minlength=p,
+                                weights=F[orbits.encode_states(moved, p)])
+    num = ffcore._numerators(G.astype(np.int64))
+    counts = np.repeat(((N - num) // p)[:, None], p, axis=1)
+    counts[:, 0] += num
+    return counts.tolist()
+
+
+def _alpha_of_rank(rng, p, rank, n):
+    """n forms of the given rank (0, 1 or 2) mod p, as sym_from_cols'
+    columns: lambda v v^T, and u u^T + lambda v v^T with u, v independent."""
+    out = []
+    while len(out) < n:
+        u, v = rng.integers(0, p, size=(2, 3))
+        lam = int(rng.integers(1, p))
+        if not v.any() or not (np.cross(u, v) % p).any():
+            continue
+        M = lam * np.outer(v, v) + (rank == 2) * np.outer(u, u)
+        out.append([M[i, j] % p for i, j in orbits._SYM_INDEX])
+    return np.array(out) * (rank > 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fibered_kernel_matches_per_target_gathers(p):
+    """Every count of the alpha-class kernel against the per-target
+    gathers, at the 20 label representatives and at random targets whose
+    alpha is 0, of rank 1 and of rank 2."""
+    rng = np.random.default_rng(p)
+    reps = list(fourier._class_reps(QUARTIC, p).values())
+    T = rng.integers(0, p, size=(9, 12))
+    for k in range(3):
+        T[3 * k:3 * k + 3, :6] = _alpha_of_rank(rng, p, k, 3)
+    targets = np.vstack([reps, T])
+    fib = fourier.ft_fibered_histograms(fourier.QUARTIC_COND, p, targets)
+    assert [h.counts for h in fib] == _per_target_histograms(
+        fourier.QUARTIC_COND, p, targets)
+
+
+def test_inverse_mod():
+    rng = np.random.default_rng(0)
+    for p in (3, 5, 13):
+        h = np.array([_rand_gl(rng, 3, p) for _ in range(20)])
+        inv = fourier._inverse_mod(h, p)
+        assert (h @ inv % p == np.eye(3, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 83, 24439])
+def test_cubic_classes_match_disc(p):
+    """The cubic and dual classes, rows reduced once into disc_dtype(p - 1)
+    columns, against the exact discriminants: on rows inside (-p, p), cast
+    without a division, and on rows past it, zero rows mod p included."""
+    rng = np.random.default_rng(p)
+    near = rng.integers(-p + 1, p, size=(300, 4))
+    far = rng.integers(-5 * p, 5 * p, size=(300, 4))
+    near[::5] = 0
+    far[::5] = p * far[1::5]
+    for X in (near, far):
+        rows = X.tolist()
+        zero = [not any(v % p for v in row) for row in rows]
+        want = [0 if z else 1 if disc(CUBIC, row) % p == 0 else 2
+                for z, row in zip(zero, rows)]
+        assert fourier.cubic_class_batch(X, p).tolist() == want
+        want = [0 if z else 1 if dual_disc_cubic(row) % p == 0 else 2
+                for z, row in zip(zero, rows)]
+        assert fourier.dual_cubic_class_batch(X, p).tolist() == want
+
+
 # p = 2, where the root count tries each a, and p >= 5, where it solves the
 # quadratic in a
 @pytest.mark.parametrize("p", [2, 5, 7, 11, 13])

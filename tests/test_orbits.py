@@ -7,8 +7,8 @@ from pvsieve import orbits as ob
 from pvsieve.ffcore import ResourceLimitError
 from pvsieve.fourier import FC_BY_DIM
 from pvsieve.sieve import primes_upto
-from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_dtype, disc_mod,
-                            pairing_mod, resolvent_cubic)
+from pvsieve.spaces import (CUBIC, QUARTIC, disc, disc_mod, pairing_mod,
+                            resolvent_cubic)
 
 import fpk
 
@@ -319,7 +319,9 @@ def _slow_count_fp2(c, p):
 def test_classify_memory_bounded_at_p11():
     # pencil_counts makes one pass per member of P^1 over n-sized arrays,
     # so nothing grows as p^2 per row (the point sweep it replaced held
-    # (rows, p^2 + p + 1) blocks; 2^16 states unblocked: 223 MB)
+    # (rows, p^2 + p + 1) blocks; 2^16 states unblocked: 223 MB).  The
+    # rows are held once, as int16 residues (1.5 MB here), and every
+    # n-sized temporary is int32 or narrower: about 5.2 MB traced
     import tracemalloc
     X = np.random.default_rng(3).integers(0, 11, size=(1 << 16, 12))
     tracemalloc.start()
@@ -328,7 +330,19 @@ def test_classify_memory_bounded_at_p11():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2 ** 20
+    assert peak <= 7 * 2 ** 20
+
+
+def test_classify_reduces_any_integer_rows():
+    # the rows as residues, shifted into (-p, 0] (cast, no division), past
+    # +-p (reduced column by column) and as int16 give the same labels
+    rng = np.random.default_rng(9)
+    for p in (3, 7, 13):
+        X = _half_zeroed(rng, p, 2000)
+        want = ob.classify_batch(QUARTIC, X, p)
+        shift = p * rng.integers(-40, 40, size=X.shape)
+        for Y in (X - p * (X > 0), X + shift, X.astype(np.int16)):
+            assert np.array_equal(ob.classify_batch(QUARTIC, Y, p), want)
 
 
 def _proj_points(p):
@@ -365,10 +379,7 @@ def _point_sweep(coords, p):
 
 def _pencil_counts(X, p):
     """pencil_counts on the rows X, through classify_batch's reductions."""
-    C = np.asarray(X, dtype=np.int64) % p
-    dtype = disc_dtype(p - 1)
-    r = tuple((c % p).astype(dtype) for c in resolvent_cubic(C))
-    return ob.pencil_counts(C, r, p)
+    return ob.pencil_counts(*ob._reduce(X, p), p)
 
 
 def _half_zeroed(rng, p, rows):
@@ -448,16 +459,18 @@ def test_pencil_counts_every_state_p3():
     assert np.array_equal(_pencil_counts(X, 3)[0], _point_sweep(X, 3))
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 19])
+# p = 211 and 457: int64 Horner sums and members (past p = 181), the
+# resolvent in int32 at 211 and in int64 at 457 (past M = 215)
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 211, 457])
 def test_pencil_counts_match_point_sweep(p):
     # n1 against the point sweep; roots against the resolvent evaluated in
     # Python ints at every [x:y] in P^1 (all p + 1 when it vanishes)
     rng = np.random.default_rng(p)
-    X = _half_zeroed(rng, p, 4000)
+    X = _half_zeroed(rng, p, 4000 if p < 100 else 40)
     n1, _, _, roots = _pencil_counts(X, p)
     assert np.array_equal(n1, _point_sweep(X, p))
     members = [(1, 0)] + [(x, 1) for x in range(p)]
-    for i in range(0, len(X), 40):
+    for i in range(0, len(X), 40 if p < 100 else 4):
         r = resolvent_cubic(tuple(int(v) for v in X[i]))
         want = sum((r[0] * x ** 3 + r[1] * x * x * y + r[2] * x * y * y
                     + r[3] * y ** 3) % p == 0 for x, y in members)

@@ -76,6 +76,45 @@ def test_disc_array_exact_past_int64(space, row):
         assert tuple(int(c[0]) for c in got) == sp.resolvent_cubic(row)
 
 
+def test_arrays_at_the_int64_extremes_match_the_tuple_paths():
+    # np.abs of the int64 minimum is negative, so a bound read off
+    # np.abs(x).max() took these rows for small ones and wrapped them: the
+    # first resolvent came out (0, 4, 8, 4), the first cubic disc -3
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    for row in [(lo, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0),
+                (hi, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0),
+                (lo, hi, 1, lo, 0, 2, hi, -1, lo, 0, 3, hi)]:
+        X = np.array([row], dtype=np.int64)
+        got = tuple(int(c[0]) for c in sp.resolvent_cubic(X))
+        assert got == sp.resolvent_cubic(row)
+        assert int(sp.disc(QUARTIC, X)[0]) == sp.disc(QUARTIC, row)
+    assert sp.resolvent_cubic((lo, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0)) == (
+        -36893488147419103232, -73786976294838206460,
+        -36893488147419103224, 4)
+    for row in [(lo, 1, 1, 1), (hi, 1, 1, 1), (lo, hi, lo, 1)]:
+        X = np.array([row], dtype=np.int64)
+        assert int(sp.disc(CUBIC, X)[0]) == sp.disc(CUBIC, row)
+    assert sp.disc(CUBIC, np.array([(lo, 1, 1, 1)])).dtype == object
+
+
+@pytest.mark.parametrize("M", [215, 216])
+def test_resolvent_either_side_of_the_int32_tier(M):
+    # 216 M^3 < 2^31 exactly while M <= 215; rows of +-M in mixed signs
+    # and random rows in [-M, M], against Python ints
+    want_dtype = np.int32 if M == 215 else np.int64
+    assert sp.resolvent_dtype(M) == want_dtype
+    rng = np.random.default_rng(M)
+    X = np.vstack([M * rng.choice([-1, 1], size=(200, 12)),
+                   rng.integers(-M, M + 1, size=(200, 12))])
+    got = sp.resolvent_cubic(X)
+    assert all(c.dtype == want_dtype for c in got)
+    for i, row in enumerate(X.tolist()):
+        assert tuple(int(c[i]) for c in got) == sp.resolvent_cubic(row)
+    # the int16 rows classify_batch passes give the same columns
+    assert all(np.array_equal(a, b) for a, b in
+               zip(got, sp.resolvent_cubic(X.astype(np.int16))))
+
+
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
        st.integers(-30, 30), st.integers(-2, 2))
 def test_disc_homogeneous_cubic(a, b, c, d, lam):
