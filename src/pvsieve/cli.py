@@ -175,11 +175,11 @@ def cmd_orbits(args):
     lines = [_header("orbits", cfg),
              "# label\tdim\tfc\tcardinality\trep"]
     for name in orbits.LABELS:
-        size, rep = table.entries[name]
+        size, rep = table[name]
         dim = orbits.LABEL_DIM[name]
         lines.append(f"{name}\t{dim}\t{fourier.FC_BY_DIM[dim]}\t{size}\t"
                      f"{','.join(map(str, rep))}")
-    lines.append(f"# total\t{sum(sz for sz, _ in table.entries.values())}")
+    lines.append(f"# total\t{sum(sz for sz, _ in table.values())}")
     _emit(lines, args.out)
     return EXIT_PASS
 

@@ -57,7 +57,8 @@ import numpy as np
 from numpy.polynomial import polynomial as poly
 
 from . import ffcore, fourier, sieve
-from .ffcore import ResourceLimitError, factor_squarefree, mod, sqrt_mod
+from .ffcore import (ResourceLimitError, divisible, factor_squarefree, mod,
+                     sqrt_mod)
 from .spaces import (CUBIC, MismatchError, box_axis, disc, disc_cubic,
                      disc_dtype)
 
@@ -230,41 +231,6 @@ def weighted_count(q, X, weight=None):
     total = serve_buckets(*disc_value_buckets(X, weight), q)
     main = main_term(q, X, weight)
     return total, main, total - main
-
-
-def divisible(vals, d):
-    """Exact boolean mask of d | vals, for an integer d >= 1.
-
-    On a signed integer array this is the multiply-by-inverse test of
-    Granlund and Montgomery ("Division by invariant integers using
-    multiplication", PLDI 1994) on the w-bit unsigned view, with no
-    division.  Write d = 2^e m with m odd, m' = m^-1 mod 2^w and
-    L = floor((2^(w-1) - 1) / m).  The multiples of m in the signed range
-    are k m with |k| <= L, and v -> v m' mod 2^w is a bijection sending
-    k m to k, so m | v exactly when (v m' + L) mod 2^w <= 2L; and 2^e | v
-    exactly when the low e bits of v are zero.  The test holds for every
-    d and every value, the dtype's minimum included.  Any other dtype is
-    refused."""
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"divisor must be >= 1, got {d}")
-    if vals.dtype.kind != "i":
-        raise TypeError(f"divisible takes signed integers, not {vals.dtype}")
-    w = 8 * vals.dtype.itemsize
-    u = vals.view(f"u{vals.dtype.itemsize}")
-    word = u.dtype.type
-    e = (d & -d).bit_length() - 1
-    m = d >> e
-    if m > 1:
-        L = ((1 << (w - 1)) - 1) // m
-        t = u * word(pow(m, -1, 1 << w))
-        t += word(L)
-        ok = t <= word(2 * L)
-    else:
-        ok = np.ones(vals.shape, dtype=bool)
-    if e:
-        ok &= (u & word((1 << min(e, w)) - 1)) == 0
-    return ok
 
 
 _SHARD_POINTS = 2 ** 21      # domain points of one value-range shard, at most
@@ -603,9 +569,6 @@ class PoissonReport:
     @property
     def abs_gap(self):
         return abs(self.lhs - self.rhs)
-    @property
-    def rel_gap_double(self):
-        return abs(self.lhs - self.rhs_double) / abs(self.lhs)
 
 
 def _dual_value_grid(q):
@@ -1167,12 +1130,13 @@ def _chunk_root_count(K, d, at, num, w, work, P, inv2a, v_of_h):
 GEO_GRID = ((20, 1), (50, 1), (100, 5), (200, 5))
 
 
-def geo_sweep(grid=GEO_GRID):
+def geo_sweep():
     """The disc = 0 pair count over the standard (lam, m) ladder, with the
     witnessed constant (the lam = 20 ratio) and the fitted exponent of
     count/(P lam^0.1) against lam/m, which the codimension-1 bound caps at
     r - a = 3."""
-    reports = [geo_pair_count(GeoSieveQuery(lam=lam, m=m)) for lam, m in grid]
+    reports = [geo_pair_count(GeoSieveQuery(lam=lam, m=m))
+               for lam, m in GEO_GRID]
     xs = [r.query.lam / r.query.m for r in reports]
     ys = [r.count / (r.query.prime_window()[0] * r.query.lam ** 0.1)
           for r in reports]

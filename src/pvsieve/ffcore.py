@@ -1,6 +1,6 @@
-"""Exact arithmetic kernels: squarefree factoring, residues, powers and
-square roots mod p over arrays, primitive roots, pairing histograms and the
-all-target character sum.
+"""Exact arithmetic kernels: squarefree factoring, residues, divisibility
+tests, powers and square roots mod p over arrays, primitive roots, pairing
+histograms and the all-target character sum.
 
 The central trick here is that the Fourier transform of a {0,1}-valued,
 dilation-invariant function on (Z/p)^r against a fixed target y is a rational
@@ -128,6 +128,41 @@ def residues(x, p, dtype, order="C"):
         for i in range(x.shape[-1]):
             mod(x[..., i], p, out=out[..., i])
     return out
+
+
+def divisible(vals, d):
+    """Exact boolean mask of d | vals, for an integer d >= 1.
+
+    On a signed integer array this is the multiply-by-inverse test of
+    Granlund and Montgomery ("Division by invariant integers using
+    multiplication", PLDI 1994) on the w-bit unsigned view, with no
+    division.  Write d = 2^e m with m odd, m' = m^-1 mod 2^w and
+    L = floor((2^(w-1) - 1) / m).  The multiples of m in the signed range
+    are k m with |k| <= L, and v -> v m' mod 2^w is a bijection sending
+    k m to k, so m | v exactly when (v m' + L) mod 2^w <= 2L; and 2^e | v
+    exactly when the low e bits of v are zero.  The test holds for every
+    d and every value, the dtype's minimum included.  Any other dtype is
+    refused."""
+    d = int(d)
+    if d < 1:
+        raise ValueError(f"divisor must be >= 1, got {d}")
+    if vals.dtype.kind != "i":
+        raise TypeError(f"divisible takes signed integers, not {vals.dtype}")
+    w = 8 * vals.dtype.itemsize
+    u = vals.view(f"u{vals.dtype.itemsize}")
+    word = u.dtype.type
+    e = (d & -d).bit_length() - 1
+    m = d >> e
+    if m > 1:
+        L = ((1 << (w - 1)) - 1) // m
+        t = u * word(pow(m, -1, 1 << w))
+        t += word(L)
+        ok = t <= word(2 * L)
+    else:
+        ok = np.ones(vals.shape, dtype=bool)
+    if e:
+        ok &= (u & word((1 << min(e, w)) - 1)) == 0
+    return ok
 
 
 def pow_mod(x, e, p):

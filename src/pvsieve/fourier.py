@@ -32,6 +32,10 @@ There is also a dual-side table for the cubic space: with the plain dot
 product x.k as character argument (k the preimage coordinates of the dual
 lattice), the grading polynomial is dstar(k) = disc(rho(k))/27, which stays
 meaningful mod 3; the same three values apply at every p including 3.
+
+At a squarefree modulus q on V(Z) the transform is the product of these
+per-prime values over the primes of q that do not divide m
+(experiments.dual_bound_sum multiplies them out).
 """
 
 import functools
@@ -61,10 +65,6 @@ class LocalCondition:
     @property
     def space(self):
         return space_by_name(self.space_id)
-
-
-CUBIC_COND = LocalCondition("cubic")
-QUARTIC_COND = LocalCondition("quartic")
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,6 @@ FC_BY_DIM = {j: max(-min(e for _, e in CLOSED_FORMS["quartic"][n])
                     for n in names)
              for j, names in orbits.U_GROUPS.items()}
 
-CUBIC_CLASSES = tuple(CLOSED_FORMS["cubic"])
-
 
 def _lines(space):
     """The closed-form table of one space: class -> (coefficient, exponent)
@@ -132,10 +130,6 @@ def ft_closed_form(cond, p, label):
             f"unknown {space.space_id} class {label!r}") from None
 
 
-def ft_closed_form_cubic(p, cls):
-    return ft_closed_form(CUBIC_COND, p, cls)
-
-
 def omega(space, p):
     """Psi-hat_p(0) = density of p | disc, exact.
 
@@ -147,9 +141,10 @@ def omega(space, p):
 
 
 def cubic_class_batch(coords, p):
-    """Index into CUBIC_CLASSES per row: 0 y = 0, 1 disc(y) = 0 and y != 0,
-    2 nonsingular.  The rows are reduced once, column by column, into
-    disc_dtype(p - 1), and disc_cubic reads those columns."""
+    """Index into the cubic CLOSED_FORMS lines per row: 0 y = 0,
+    1 disc(y) = 0 and y != 0, 2 nonsingular.  The rows are reduced once,
+    column by column, into disc_dtype(p - 1), and disc_cubic reads those
+    columns."""
     K = ffcore.residues(coords, p, disc_dtype(p - 1), order="F")
     return _three_classes(K, mod(disc_cubic(*K.T), p))
 
@@ -445,10 +440,6 @@ def ft_bruteforce_multi(cond, p, targets):
     return [ffcore.ft_value_from_histogram(h, cond.space.r) for h in hists]
 
 
-def ft_bruteforce(cond, p, y):
-    return ft_bruteforce_multi(cond, p, [tuple(y)])[0]
-
-
 def ft_bruteforce_exhaustive_cubic(cond, p):
     """(numerators, p^4): exact FT numerators at every y in V(F_p), in
     state-code order, from the character sums over the support."""
@@ -476,38 +467,6 @@ def dual_ft_value(p, cls):
     if cls not in range(len(lines)):
         raise InvalidLabelError(f"dual class {cls!r}")
     return _poly(p, *lines[cls])
-
-
-# ---------------------------------------------------------------------------
-# squarefree moduli on V(Z)
-# ---------------------------------------------------------------------------
-
-def ft_on_lattice(cond, q, y):
-    """Psi-hat_q at an integer argument, squarefree q: the (q, m) factor is
-    dropped (the dual-lattice index m acts trivially there), the rest is the
-    per-prime closed form, multiplied out."""
-    space = cond.space
-    row = np.array([tuple(y)], dtype=np.int64)
-    names = tuple(_lines(space))
-    value = Fraction(1)
-    for p in ffcore.factor_squarefree(int(q // np.gcd(q, space.m))):
-        label = names[target_classes(space, row, p)[0]]
-        value *= ft_closed_form(cond, p, label)
-    return value
-
-
-def ft_qsplit_check(cond, q0, q1, x):
-    """The split identity: for x in q0 V(Z) and coprime squarefree q0, q1,
-    FT_{q0 q1}(x) = FT_{q0}(x) * FT_{q1}(x / q0)."""
-    coords = tuple(x)
-    if any(c % q0 for c in coords):
-        raise ValueError(f"x not in {q0}V(Z)")
-    if np.gcd(q0, q1) != 1:
-        raise ValueError("moduli not coprime")
-    lhs = ft_on_lattice(cond, q0 * q1, coords)
-    rhs = (ft_on_lattice(cond, q0, coords)
-           * ft_on_lattice(cond, q1, tuple(c // q0 for c in coords)))
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +501,13 @@ def fourier_table_closed_form(cond, p):
                                 for n in _lines(cond.space)})
 
 
-def fourier_table_bruteforce(cond, p, reps_by_name=None):
-    """Brute-force table at class/orbit representatives, by default those
-    of _class_reps."""
-    if reps_by_name is None:
-        reps_by_name = _class_reps(cond.space, p)
-    names = list(reps_by_name)
-    vals = ft_bruteforce_multi(cond, p, [reps_by_name[n] for n in names])
+def fourier_table_bruteforce(cond, p):
+    """Brute-force table at the class/orbit representatives of
+    _class_reps."""
+    reps = _class_reps(cond.space, p)
+    vals = ft_bruteforce_multi(cond, p, list(reps.values()))
     return FourierTable(p=p, space_id=cond.space_id, source="bruteforce",
-                        values=dict(zip(names, vals)))
+                        values=dict(zip(reps, vals)))
 
 
 def _class_reps(space, p):
@@ -576,7 +533,3 @@ def _class_reps(space, p):
     raise orbits.ClassifierIncompleteError(
         f"p={p}: no state with entries in {{0, 1, {nu}}} has class "
         f"{', '.join(missing)}")
-
-
-def _cubic_class_reps(p):
-    return _class_reps(CUBIC, p)

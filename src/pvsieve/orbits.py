@@ -1,9 +1,12 @@
-"""G(F_p)-orbits on the two spaces: action, exhaustive BFS decomposition,
-and the invariant classifier for pairs of ternary quadratic forms.
+"""G(F_p)-orbits of the pair space: the action, the exhaustive BFS
+decomposition, and the invariant classifier for pairs of ternary quadratic
+forms.
 
 One closure (_closure) serves both breadth-first searches: the orbits of
-the pair space (decompose_orbits) and the GL_3-classes of ternary forms
-(form_classes) that the fibred quartic kernel walks.
+the pair space (decompose_orbits, a {label: (size, rep)} table) and the
+GL_3-classes of ternary forms (form_classes) that the fibred quartic kernel
+walks.  Both move states by the generators of generators(p), plain (g2, g3)
+matrix pairs.
 
 The 20 orbit labels for the pair space (p odd) and their grouping by
 dimension i (LABEL_DIM); the Fourier-decay exponent of each group,
@@ -55,17 +58,11 @@ map was checked over every orbit: against the exhaustive BFS at p = 3 and
 at p = 3, 5, 7 and 11, where the same 18 signatures (O_0 counted) occur.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import ffcore
-from .ffcore import mod
+from .ffcore import divisible, mod
 from .spaces import QUARTIC, disc_dtype, resolvent_cubic
-
-
-class InvalidGroupElementError(ValueError):
-    pass
 
 
 class ClassifierIncompleteError(RuntimeError):
@@ -98,47 +95,8 @@ NONSINGULAR_LABELS = U_GROUPS[12]
 
 
 # ---------------------------------------------------------------------------
-# group elements and the action
+# the action
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupElement:
-    p: int
-    g2: tuple                  # 2x2, row-major nested tuples
-    g3: tuple = None           # 3x3 for the pair space, None for cubics
-
-    def __post_init__(self):
-        p = self.p
-        d2 = _det2(self.g2) % p
-        if d2 == 0:
-            raise InvalidGroupElementError(f"g2 singular mod {p}")
-        if self.g3 is not None and _det3(self.g3) % p == 0:
-            raise InvalidGroupElementError(f"g3 singular mod {p}")
-
-
-def _det2(g):
-    return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-
-
-def _det3(g):
-    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-
-
-def act_cubic_batch(g2, coords, p):
-    """Substitution action on coefficient rows: (g.f)(x,y) = f((x,y) g)."""
-    (a, b), (c, d) = g2
-    C = mod(np.asarray(coords, dtype=np.int64), p)
-    c0, c1, c2, c3 = (C[..., i] for i in range(4))
-    n0 = c0 * a ** 3 + c1 * a * a * b + c2 * a * b * b + c3 * b ** 3
-    n1 = (3 * a * a * c * c0 + (a * a * d + 2 * a * b * c) * c1
-          + (2 * a * b * d + b * b * c) * c2 + 3 * b * b * d * c3)
-    n2 = (3 * a * c * c * c0 + (2 * a * c * d + b * c * c) * c1
-          + (a * d * d + 2 * b * c * d) * c2 + 3 * b * d * d * c3)
-    n3 = c0 * c ** 3 + c1 * c * c * d + c2 * c * d * d + c3 * d ** 3
-    return mod(np.stack([n0, n1, n2, n3], axis=-1), p)
-
 
 def sym_from_cols(c):
     """(n,6) columns a11,a22,a33,a12,a13,a23 -> (n,3,3) symmetric matrices."""
@@ -184,33 +142,19 @@ def act_pair_batch(g2, g3, coords, p):
     return mod(np.concatenate([r * A2 + s * B2, t * A2 + u * B2], axis=-1), p)
 
 
-def act(space, g, x):
-    """Single-element action on a coordinate tuple; the result is reduced
-    mod g.p."""
-    arr = np.array(tuple(x), dtype=np.int64)[None, :]
-    if space is not QUARTIC:
-        out = act_cubic_batch(g.g2, arr, g.p)[0]
-    elif g.g3 is None:
-        raise InvalidGroupElementError("pair space needs a g3 factor")
-    else:
-        out = act_pair_batch(g.g2, g.g3, arr, g.p)[0]
-    return tuple(int(v) for v in out)
-
-
-def generators(space, p):
-    """Standard generating set: transvection, coordinate permutation, and a
-    primitive-root diagonal twist, per GL factor."""
+def generators(p):
+    """Generators (g2, g3) of GL_2 x GL_3 over F_p, as nested tuples: per
+    factor a transvection, a cyclic coordinate permutation and a
+    primitive-root diagonal twist, the other factor the identity.  Each
+    factor has determinant 1, -1 or r, a unit mod p."""
     r = ffcore.primitive_root(p)
-    g2s = [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((r, 0), (0, 1))]
-    if space is not QUARTIC:
-        return [GroupElement(p, g2) for g2 in g2s]
     I2 = ((1, 0), (0, 1))
     I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    g2s = [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((r, 0), (0, 1))]
     g3s = [((1, 0, 0), (1, 1, 0), (0, 0, 1)),
            ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
            ((r, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return ([GroupElement(p, g2, I3) for g2 in g2s]
-            + [GroupElement(p, I2, g3) for g3 in g3s])
+    return [(g2, I3) for g2 in g2s] + [(I2, g3) for g3 in g3s]
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +178,6 @@ def encode_states(coords, p):
     coords = mod(np.asarray(coords, dtype=np.int64), p)
     pow_p = p ** np.arange(coords.shape[-1], dtype=np.int64)
     return coords @ pow_p
-
-
-@dataclass
-class OrbitTable:
-    """Orbits of the pair space mod p: label -> (cardinality, representative).
-
-    orbit_of holds the full state-code -> orbit-index map from the BFS and
-    index_label the orbit-index -> label assignment."""
-    p: int
-    entries: dict
-    orbit_of: np.ndarray = field(default=None, repr=False, compare=False)
-    index_label: tuple = field(default=None, repr=False, compare=False)
 
 
 def _closure(n, moves, reached=None):
@@ -283,9 +215,9 @@ def _closure(n, moves, reached=None):
     return index, np.array(sizes), np.array(reps, dtype=np.int64)
 
 
-def _pair_move(g, p):
-    """The codes -> codes map of one pair-space group element, decoding
-    2^19 codes at a time."""
+def _pair_move(g2, g3, p):
+    """The codes -> codes map of the pair-space group element (g2, g3),
+    decoding 2^19 codes at a time."""
     chunk = 1 << 19
 
     def move(codes):
@@ -293,7 +225,7 @@ def _pair_move(g, p):
         for lo in range(0, codes.size, chunk):
             sl = slice(lo, lo + chunk)
             out[sl] = encode_states(
-                act_pair_batch(g.g2, g.g3, decode_states(codes[sl], p), p), p)
+                act_pair_batch(g2, g3, decode_states(codes[sl], p), p), p)
         return out
     return move
 
@@ -309,7 +241,7 @@ def form_classes(p):
     its g by h on the left."""
     n = p ** 6
     forms = decode_states(np.arange(n, dtype=np.int64), p, r=6)
-    gens = [np.array(e.g3, dtype=np.int64) for e in generators(QUARTIC, p)[3:]]
+    gens = [np.array(g3, dtype=np.int64) for _, g3 in generators(p)[3:]]
     g = np.tile(np.eye(3, dtype=np.int16), (n, 1, 1))
 
     def reached(j, parents, children):
@@ -329,23 +261,23 @@ def decompose_orbits(space, p):
     """Exhaustive orbit decomposition of the pair space mod p: p^12 states,
     refused past BFS_STATES (so p in {3, 5}) before any closure move.
 
-    Labels the BFS representatives with one classify_batch() call; the
-    result must biject onto the 20 labels for odd p."""
+    Returns {label: (size, rep)}, rep the smallest state code of the orbit
+    as a coordinate tuple.  Labels the BFS representatives with one
+    classify_batch() call; the result must biject onto the 20 labels for
+    odd p."""
     _check_pair_space(space, p)
     if p ** space.r > BFS_STATES:
         raise ffcore.ResourceLimitError(
             f"p={p}: {p ** space.r} states exceed the orbit BFS budget")
-    label, sizes, reps = _closure(
-        p ** 12, [_pair_move(g, p) for g in generators(space, p)])
+    _, sizes, reps = _closure(
+        p ** 12, [_pair_move(g2, g3, p) for g2, g3 in generators(p)])
     rep_coords = decode_states(reps, p)
     names = [LABELS[c] for c in classify_batch(space, rep_coords, p)]
     if sorted(names) != sorted(LABELS):
         raise ClassifierIncompleteError(
             f"p={p}: BFS found {len(names)} orbits, labels {sorted(names)}")
-    entries = {name: (int(sz), tuple(int(v) for v in rc))
-               for name, sz, rc in zip(names, sizes, rep_coords)}
-    return OrbitTable(p=p, entries=entries, orbit_of=label,
-                      index_label=tuple(names))
+    return {name: (int(sz), tuple(int(v) for v in rc))
+            for name, sz, rc in zip(names, sizes, rep_coords)}
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +334,9 @@ def pencil_counts(C, r, p):
     does not (B2); its one zero on O_Cs needs no split, as n1 = p + 1
     tells O_Cs apart.
 
-    One pass per member: [1:0] is a root where r0 = 0, [x:1] where the
-    Horner sum ((r0 x + r1) x + r2) x + r3, below p^4, is 0 mod p.  Only the
+    One pass per member: [1:0] is a root where r0 = 0, [x:1] where p
+    divides the Horner sum ((r0 x + r1) x + r2) x + r3, below p^4, by
+    ffcore.divisible's multiply-by-inverse test, with no division.  Only the
     rows it hits are gathered, whole, to form F and the diagonal of adj F,
     whose nonzero entries share one square class, so chi(-delta) is the
     bitwise OR of the three chi(-adj_ii) (int8: all 1, or all -1, where not
@@ -426,8 +359,8 @@ def pencil_counts(C, r, p):
     n1 = np.ones(len(C), dtype=count)
     tally = np.zeros(len(C), dtype=count)
     for x, y in [(1, 0)] + [(x, 1) for x in range(p)]:
-        R = r0 if y == 0 else mod(((r0 * x + r1) * x + r2) * x + r3, p)
-        hit = np.flatnonzero(R == 0)
+        hit = np.flatnonzero(r0 == 0 if y == 0 else
+                             divisible(((r0 * x + r1) * x + r2) * x + r3, p))
         G = C[hit].astype(work, copy=False)     # whole rows
         f0, f1, f2, f3, f4, f5 = mod(x * G[:, :6] + y * G[:, 6:], p).T
         c = (chi[mod(f3 * f3 - f0 * f1, p)] | chi[mod(f4 * f4 - f0 * f2, p)]

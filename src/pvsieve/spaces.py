@@ -196,12 +196,6 @@ def pairing_weights_mod(space, p):
                      for w in space.weights], dtype=np.int64)
 
 
-def pairing_mod(space, x, y, p):
-    w = pairing_weights_mod(space, p)
-    return int(np.dot(w * (np.asarray(x, dtype=np.int64) % p),
-                      np.asarray(y, dtype=np.int64) % p) % p)
-
-
 def dual_disc_cubic(k):
     """The discriminant polynomial seen by the dual coordinates: the dual
     lattice maps into V(Z) by rho(a, q, r, d) = (a, 3q, 3r, d), and

@@ -1,0 +1,116 @@
+"""Slow, independent oracles for the tests, and the test-side names of the
+two local conditions: the library holds only what the program runs.
+
+Group elements are plain (g2, g3) pairs of nested tuples, as
+orbits.generators gives them; on the cubic space only g2 acts and g3 may
+be None.  Everything here works in Python ints or in int64 with `%`, one
+element or one small batch at a time.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from pvsieve import ffcore, fourier, orbits
+from pvsieve.spaces import CUBIC, pairing_weights_mod
+
+CUBIC_COND = fourier.LocalCondition("cubic")
+QUARTIC_COND = fourier.LocalCondition("quartic")
+
+# the cubic classes, in the order of cubic_class_batch's indices
+CUBIC_CLASSES = tuple(fourier.CLOSED_FORMS["cubic"])
+
+
+# ---------------------------------------------------------------------------
+# the group action
+# ---------------------------------------------------------------------------
+
+def det(m):
+    """Determinant of a square integer matrix given as nested rows, by
+    cofactor expansion along the first row, in Python ints."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:]
+                                          for row in m[1:]])
+               for j in range(len(m)))
+
+
+def act_cubic_batch(g2, coords, p):
+    """Substitution action on binary cubic coefficient rows, reduced mod p:
+    (g.f)(x, y) = f((x, y) g2)."""
+    (a, b), (c, d) = g2
+    C = np.asarray(coords, dtype=np.int64) % p
+    c0, c1, c2, c3 = (C[..., i] for i in range(4))
+    n0 = c0 * a ** 3 + c1 * a * a * b + c2 * a * b * b + c3 * b ** 3
+    n1 = (3 * a * a * c * c0 + (a * a * d + 2 * a * b * c) * c1
+          + (2 * a * b * d + b * b * c) * c2 + 3 * b * b * d * c3)
+    n2 = (3 * a * c * c * c0 + (2 * a * c * d + b * c * c) * c1
+          + (a * d * d + 2 * b * c * d) * c2 + 3 * b * d * d * c3)
+    n3 = c0 * c ** 3 + c1 * c * c * d + c2 * c * d * d + c3 * d ** 3
+    return np.stack([n0, n1, n2, n3], axis=-1) % p
+
+
+def act(space, g, x, p):
+    """The action of g = (g2, g3) on one coordinate tuple x, reduced mod p:
+    act_cubic_batch on the cubic space, orbits.act_pair_batch on the pair
+    space."""
+    g2, g3 = g
+    row = np.array([tuple(x)], dtype=np.int64)
+    out = (act_cubic_batch(g2, row, p) if space is CUBIC
+           else orbits.act_pair_batch(g2, g3, row, p))[0]
+    return tuple(int(v) for v in out)
+
+
+def pairing_mod(space, x, y, p):
+    """The pairing [x, y] mod p of two coordinate tuples, from the weights
+    of spaces.pairing_weights_mod (which refuses bad primes)."""
+    w = pairing_weights_mod(space, p)
+    return int(np.dot(w * (np.asarray(x, dtype=np.int64) % p),
+                      np.asarray(y, dtype=np.int64) % p) % p)
+
+
+# ---------------------------------------------------------------------------
+# transforms
+# ---------------------------------------------------------------------------
+
+def bruteforce_table(cond, p, reps_by_name):
+    """The brute-force FourierTable at the given class/orbit
+    representatives, from fourier.ft_bruteforce_multi."""
+    vals = fourier.ft_bruteforce_multi(cond, p, list(reps_by_name.values()))
+    return fourier.FourierTable(p=p, space_id=cond.space_id,
+                                source="bruteforce",
+                                values=dict(zip(reps_by_name, vals)))
+
+
+def ft_on_lattice(cond, q, y):
+    """Psi-hat_q at an integer argument, squarefree q: the (q, m) factor is
+    dropped (the dual-lattice index m acts trivially there), the rest is the
+    per-prime closed form, multiplied out."""
+    space = cond.space
+    row = np.array([tuple(y)], dtype=np.int64)
+    names = tuple(fourier.CLOSED_FORMS[space.space_id])
+    value = Fraction(1)
+    for p in ffcore.factor_squarefree(int(q // np.gcd(q, space.m))):
+        label = names[fourier.target_classes(space, row, p)[0]]
+        value *= fourier.ft_closed_form(cond, p, label)
+    return value
+
+
+def ft_qsplit_check(cond, q0, q1, x):
+    """The split identity: for x in q0 V(Z) and coprime squarefree q0, q1,
+    FT_{q0 q1}(x) = FT_{q0}(x) * FT_{q1}(x / q0)."""
+    coords = tuple(x)
+    if any(c % q0 for c in coords):
+        raise ValueError(f"x not in {q0}V(Z)")
+    if np.gcd(q0, q1) != 1:
+        raise ValueError("moduli not coprime")
+    lhs = ft_on_lattice(cond, q0 * q1, coords)
+    rhs = (ft_on_lattice(cond, q0, coords)
+           * ft_on_lattice(cond, q1, tuple(c // q0 for c in coords)))
+    return lhs == rhs
+
+
+def rel_gap_double(rep):
+    """The Poisson check's relative gap at the doubled radius 2Z:
+    |lhs - rhs_double| / |lhs| of an experiments.PoissonReport."""
+    return abs(rep.lhs - rep.rhs_double) / abs(rep.lhs)

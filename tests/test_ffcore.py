@@ -18,6 +18,7 @@ from pvsieve.spaces import (CUBIC, QUARTIC, disc_dtype, disc_mod,
                             pairing_weights_mod, resolvent_cubic)
 
 import fpk
+from oracles import CUBIC_COND
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ def test_mod_reducers_keep_their_input():
     X12 = rng.integers(-20, 20, size=(300, 12))
     C12 = X12 % p
     r = tuple((c % p).astype(disc_dtype(p - 1)) for c in resolvent_cubic(C12))
-    cond = fourier.CUBIC_COND
+    cond = CUBIC_COND
     calls = [lambda: orbits.classify_batch(QUARTIC, X12, p),
              lambda: fourier.cubic_class_batch(X4, p),
              lambda: fourier.dual_cubic_class_batch(X4, p),

@@ -17,6 +17,9 @@ from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc,
                             disc_mod, dual_disc_cubic, pairing_weights_mod,
                             resolvent_cubic)
 
+from oracles import (CUBIC_CLASSES, CUBIC_COND, QUARTIC_COND, act,
+                     bruteforce_table, det, ft_on_lattice, ft_qsplit_check)
+
 
 def _sweep_oracle(cond, p, targets):
     """Pairing histograms by the plain sweep: decode every state in chunks
@@ -100,19 +103,18 @@ def _slice_walk_histograms(cond, p, targets):
 GOOD_CUBIC_PRIMES = [p for p in sieve.primes_upto(59).tolist() if p != 3]
 
 
+def _cubic(p, cls):
+    return fourier.ft_closed_form(CUBIC_COND, p, cls)
+
+
 def _quartic(p, label):
-    return fourier.ft_closed_form(fourier.QUARTIC_COND, p, label)
-
-
-@pytest.fixture(scope="module")
-def table3():
-    return orbits.decompose_orbits(QUARTIC, 3)
+    return fourier.ft_closed_form(QUARTIC_COND, p, label)
 
 
 @pytest.fixture(scope="module")
 def brute3(table3):
     reps = {n: rep for n, (sz, rep) in table3.entries.items()}
-    return fourier.fourier_table_bruteforce(fourier.QUARTIC_COND, 3, reps)
+    return bruteforce_table(QUARTIC_COND, 3, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +122,9 @@ def brute3(table3):
 # ---------------------------------------------------------------------------
 
 def test_cubic_closed_form_values():
-    assert fourier.ft_closed_form_cubic(5, "pV") == Fraction(29, 125)
-    assert fourier.ft_closed_form_cubic(5, "disc0") == Fraction(4, 125)
-    assert fourier.ft_closed_form_cubic(5, "nonsing") == Fraction(-1, 125)
+    assert _cubic(5, "pV") == Fraction(29, 125)
+    assert _cubic(5, "disc0") == Fraction(4, 125)
+    assert _cubic(5, "nonsing") == Fraction(-1, 125)
     assert fourier.omega(CUBIC, 7) == Fraction(49 + 7 - 1, 343)
     # the zero-target line holds at the bad prime too: 33 of the 81 forms
     # mod 3 have 3 | disc
@@ -141,18 +143,18 @@ def test_quartic_closed_form_values():
 
 def test_bad_primes_rejected():
     with pytest.raises(BadPrimeError):
-        fourier.ft_closed_form_cubic(3, "pV")
+        _cubic(3, "pV")
     with pytest.raises(BadPrimeError):
         _quartic(2, "O_0")
     with pytest.raises(BadPrimeError):
-        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
+        fourier.ft_fibered_histograms(QUARTIC_COND, 2, [(0,) * 12])
     with pytest.raises(BadPrimeError):
-        fourier.ft_histograms(fourier.CUBIC_COND, 3, [(0,) * 4])
+        fourier.ft_histograms(CUBIC_COND, 3, [(0,) * 4])
 
 
 def test_unknown_label_rejected():
     with pytest.raises(fourier.InvalidLabelError):
-        fourier.ft_closed_form_cubic(5, "bogus")
+        _cubic(5, "bogus")
     with pytest.raises(ValueError):
         _quartic(5, "O_bogus")
 
@@ -166,7 +168,7 @@ def test_unknown_label_rejected():
 @pytest.mark.parametrize("p", [2, 5, 7, 37])
 def test_cubic_exhaustive_vs_closed_form(p):
     """Every target y in V(F_p) hits its class value exactly."""
-    num, den = fourier.ft_bruteforce_exhaustive_cubic(fourier.CUBIC_COND, p)
+    num, den = fourier.ft_bruteforce_exhaustive_cubic(CUBIC_COND, p)
     codes = np.arange(p ** 4, dtype=np.int64)
     C = orbits.decode_states(codes, p, r=4)
     d0 = disc_mod(CUBIC, C, p) == 0
@@ -174,9 +176,9 @@ def test_cubic_exhaustive_vs_closed_form(p):
     cls_of = fourier.cubic_class_batch(C, p)
     for i, (cls, mask) in enumerate((("pV", zero), ("disc0", d0 & ~zero),
                                      ("nonsing", ~d0))):
-        assert fourier.CUBIC_CLASSES[i] == cls
+        assert CUBIC_CLASSES[i] == cls
         assert np.array_equal(cls_of == i, mask)
-        want = fourier.ft_closed_form_cubic(p, cls)
+        want = _cubic(p, cls)
         got = {int(v) for v in num[mask]}
         assert got == {want.numerator * (den // want.denominator)}
 
@@ -209,8 +211,9 @@ def test_quartic_support_density(table3, brute3):
 
 def test_multi_target_matches_single():
     ys = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]
-    multi = fourier.ft_bruteforce_multi(fourier.CUBIC_COND, 5, ys)
-    singles = [fourier.ft_bruteforce(fourier.CUBIC_COND, 5, y) for y in ys]
+    multi = fourier.ft_bruteforce_multi(CUBIC_COND, 5, ys)
+    singles = [fourier.ft_bruteforce_multi(CUBIC_COND, 5, [y])[0]
+               for y in ys]
     assert multi == singles
 
 
@@ -219,9 +222,9 @@ def test_constant_on_orbits_bruteforce(table3):
     rep = table3.entries["O_D11"][1]
     pts = [rep]
     for _ in range(2):
-        g = orbits.GroupElement(3, _rand_gl(rng, 2, 3), _rand_gl(rng, 3, 3))
-        pts.append(orbits.act(QUARTIC, g, pts[-1]))
-    vals = fourier.ft_bruteforce_multi(fourier.QUARTIC_COND, 3, pts)
+        g = _rand_gl(rng, 2, 3), _rand_gl(rng, 3, 3)
+        pts.append(act(QUARTIC, g, pts[-1], 3))
+    vals = fourier.ft_bruteforce_multi(QUARTIC_COND, 3, pts)
     assert vals[0] == vals[1] == vals[2]
     assert vals[0] == _quartic(3, "O_D11")
 
@@ -230,11 +233,7 @@ def _rand_gl(rng, n, p):
     while True:
         g = rng.integers(0, p, size=(n, n))
         m = g.tolist()
-        if n == 2:
-            det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
-        else:
-            det = orbits._det3(m) % p
-        if det:
+        if det(m) % p:
             return tuple(tuple(int(v) for v in row) for row in m)
 
 
@@ -246,14 +245,14 @@ def test_sweep_resource_limit(monkeypatch):
     monkeypatch.setattr(fourier, "_cubic_support", boom)
     assert 401 ** 3 <= fourier.CUBIC_FIBRES < 409 ** 3
     with pytest.raises(ResourceLimitError):
-        fourier.ft_histograms(fourier.CUBIC_COND, 409, [(0,) * 4])
+        fourier.ft_histograms(CUBIC_COND, 409, [(0,) * 4])
     with pytest.raises(ResourceLimitError):
         fourier.space_kernel(CUBIC).check(409)
 
 
 def test_sweep_is_for_the_cubic_space():
     with pytest.raises(ValueError, match="cubic space"):
-        fourier.ft_histograms(fourier.QUARTIC_COND, 3, [(0,) * 12])
+        fourier.ft_histograms(QUARTIC_COND, 3, [(0,) * 12])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -262,8 +261,8 @@ def test_fibered_kernel_matches_sweep_p3(seed):
     random targets."""
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, 3, size=(5, 12))
-    fib = fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 3, targets)
-    assert [h.counts for h in fib] == _sweep_oracle(fourier.QUARTIC_COND, 3,
+    fib = fourier.ft_fibered_histograms(QUARTIC_COND, 3, targets)
+    assert [h.counts for h in fib] == _sweep_oracle(QUARTIC_COND, 3,
                                                      targets)
 
 
@@ -319,9 +318,9 @@ def test_fibered_kernel_matches_per_target_gathers(p):
     for k in range(3):
         T[3 * k:3 * k + 3, :6] = _alpha_of_rank(rng, p, k, 3)
     targets = np.vstack([reps, T])
-    fib = fourier.ft_fibered_histograms(fourier.QUARTIC_COND, p, targets)
+    fib = fourier.ft_fibered_histograms(QUARTIC_COND, p, targets)
     assert [h.counts for h in fib] == _per_target_histograms(
-        fourier.QUARTIC_COND, p, targets)
+        QUARTIC_COND, p, targets)
 
 
 def test_inverse_mod():
@@ -362,8 +361,8 @@ def test_cubic_sweep_matches_plain_sweep(p):
     rng = np.random.default_rng(p)
     targets = [*fourier._class_reps(CUBIC, p).values(),
                *rng.integers(-60, 60, size=(6, 4)).tolist()]
-    got = fourier.ft_histograms(fourier.CUBIC_COND, p, targets)
-    assert [h.counts for h in got] == _sweep_oracle(fourier.CUBIC_COND, p,
+    got = fourier.ft_histograms(CUBIC_COND, p, targets)
+    assert [h.counts for h in got] == _sweep_oracle(CUBIC_COND, p,
                                                     targets)
 
 
@@ -377,9 +376,9 @@ def test_cubic_root_count_matches_slice_walk(p):
                (-p, 0, 0, 1), (2 * p + 1, 1, 0, 5),
                *rng.integers(-60, 60, size=(6, 4)).tolist()]
     assert {y[0] % p == 0 for y in targets} == {True, False}
-    got = fourier.ft_histograms(fourier.CUBIC_COND, p, targets)
+    got = fourier.ft_histograms(CUBIC_COND, p, targets)
     assert [h.counts for h in got] == _slice_walk_histograms(
-        fourier.CUBIC_COND, p, targets)
+        CUBIC_COND, p, targets)
 
 
 def _listed_support(p):
@@ -464,16 +463,16 @@ def test_ft_histograms_budget_invariant(p, monkeypatch):
                             fourier._cubic_support(p)])))
         assert np.array_equal(*listed)
         with pytest.raises(BadPrimeError):
-            fourier.ft_histograms(fourier.CUBIC_COND, p, [(1, 0, 0, 0)])
+            fourier.ft_histograms(CUBIC_COND, p, [(1, 0, 0, 0)])
         return
     rng = np.random.default_rng(p)
     targets = [*fourier._class_reps(CUBIC, p).values(),
                *rng.integers(-3 * p, 3 * p, size=(5, 4)).tolist()]
     default, smallest = _budget_invariant(monkeypatch, lambda: [
-        h.counts for h in fourier.ft_histograms(fourier.CUBIC_COND, p,
+        h.counts for h in fourier.ft_histograms(CUBIC_COND, p,
                                                 targets)])
     assert default == smallest
-    assert fourier.ft_histograms(fourier.CUBIC_COND, p, []) == []
+    assert fourier.ft_histograms(CUBIC_COND, p, []) == []
 
 
 @pytest.mark.parametrize("p", [5, 17])
@@ -488,10 +487,10 @@ def test_support_slabs_bound_the_histogram_memory():
     # budget take at most a quarter of that
     import tracemalloc
     targets = [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 2, 3)]
-    fourier.ft_histograms(fourier.CUBIC_COND, 5, targets)
+    fourier.ft_histograms(CUBIC_COND, 5, targets)
     tracemalloc.start()
     try:
-        fourier.ft_histograms(fourier.CUBIC_COND, 59, targets)
+        fourier.ft_histograms(CUBIC_COND, 59, targets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -602,11 +601,11 @@ def test_fibered_kernel_cap(monkeypatch):
         raise AssertionError("form_classes started before the cap")
     monkeypatch.setattr(orbits, "form_classes", boom)
     with pytest.raises(ResourceLimitError):
-        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 17, [(0,) * 12])
+        fourier.ft_fibered_histograms(QUARTIC_COND, 17, [(0,) * 12])
     with pytest.raises(BadPrimeError):
-        fourier.ft_fibered_histograms(fourier.QUARTIC_COND, 2, [(0,) * 12])
+        fourier.ft_fibered_histograms(QUARTIC_COND, 2, [(0,) * 12])
     with pytest.raises(ValueError, match="pair space"):
-        fourier.ft_fibered_histograms(fourier.CUBIC_COND, 5, [(0,) * 4])
+        fourier.ft_fibered_histograms(CUBIC_COND, 5, [(0,) * 4])
 
 
 # ---------------------------------------------------------------------------
@@ -679,15 +678,15 @@ def test_dual_values_at_3():
 # ---------------------------------------------------------------------------
 
 def test_lattice_q1_is_one():
-    assert fourier.ft_on_lattice(fourier.CUBIC_COND, 1, (1, 2, 3, 4)) == 1
+    assert ft_on_lattice(CUBIC_COND, 1, (1, 2, 3, 4)) == 1
 
 
 def test_lattice_drops_m_part():
     # q = 15 on the cubic side: the factor (15, 3) = 3 contributes nothing
-    v = fourier.ft_on_lattice(fourier.CUBIC_COND, 15, (1, 2, 0, 1))
+    v = ft_on_lattice(CUBIC_COND, 15, (1, 2, 0, 1))
     cls = fourier.cubic_class_batch([(1, 2, 0, 1)], 5)[0]
-    assert v == fourier.ft_closed_form_cubic(5, fourier.CUBIC_CLASSES[cls])
-    vq = fourier.ft_on_lattice(fourier.QUARTIC_COND, 6, (1,) + (0,) * 11)
+    assert v == _cubic(5, CUBIC_CLASSES[cls])
+    vq = ft_on_lattice(QUARTIC_COND, 6, (1,) + (0,) * 11)
     label = orbits.classify_batch(QUARTIC, [(1,) + (0,) * 11], 3)[0]
     assert vq == _quartic(3, orbits.LABELS[label])
 
@@ -696,21 +695,21 @@ def test_lattice_exact_past_int64():
     # disc(-1, 1, 1, -1) = 0; int64 discriminants used to wrap mod 24439
     # and file the target as nonsingular
     p = 24439
-    v = fourier.ft_on_lattice(fourier.CUBIC_COND, p, (-1, 1, 1, -1))
+    v = ft_on_lattice(CUBIC_COND, p, (-1, 1, 1, -1))
     assert v == Fraction(p - 1, p ** 3)
 
 
 def test_lattice_multiplicative():
     y = (1, 0, -1, 2)
-    v35 = fourier.ft_on_lattice(fourier.CUBIC_COND, 35, y)
-    v5 = fourier.ft_on_lattice(fourier.CUBIC_COND, 5, y)
-    v7 = fourier.ft_on_lattice(fourier.CUBIC_COND, 7, y)
+    v35 = ft_on_lattice(CUBIC_COND, 35, y)
+    v5 = ft_on_lattice(CUBIC_COND, 5, y)
+    v7 = ft_on_lattice(CUBIC_COND, 7, y)
     assert v35 == v5 * v7
     # at the zero target the transform is the density omega, multiplied out
     # over the primes of q with the m-part dropped
-    zero = fourier.ft_on_lattice(fourier.CUBIC_COND, 15, (0,) * 4)
+    zero = ft_on_lattice(CUBIC_COND, 15, (0,) * 4)
     assert zero == fourier.omega(CUBIC, 5)
-    zero = fourier.ft_on_lattice(fourier.QUARTIC_COND, 105, (0,) * 12)
+    zero = ft_on_lattice(QUARTIC_COND, 105, (0,) * 12)
     assert zero == (fourier.omega(QUARTIC, 3) * fourier.omega(QUARTIC, 5)
                     * fourier.omega(QUARTIC, 7))
 
@@ -721,14 +720,14 @@ def test_lattice_multiplicative():
 def test_qsplit_identity_cubic(base, qs):
     q0, q1 = qs
     x = tuple(q0 * c for c in base)
-    assert fourier.ft_qsplit_check(fourier.CUBIC_COND, q0, q1, x)
+    assert ft_qsplit_check(CUBIC_COND, q0, q1, x)
 
 
 def test_qsplit_rejects_bad_input():
     with pytest.raises(ValueError):
-        fourier.ft_qsplit_check(fourier.CUBIC_COND, 5, 7, (1, 5, 5, 5))
+        ft_qsplit_check(CUBIC_COND, 5, 7, (1, 5, 5, 5))
     with pytest.raises(ValueError):
-        fourier.ft_qsplit_check(fourier.CUBIC_COND, 5, 10, (5, 5, 5, 5))
+        ft_qsplit_check(CUBIC_COND, 5, 10, (5, 5, 5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +752,13 @@ def test_fourier_table_roundtrip(tmp_path, brute3):
 
 
 def test_closed_form_table_complete():
-    t = fourier.fourier_table_closed_form(fourier.QUARTIC_COND, 7)
+    t = fourier.fourier_table_closed_form(QUARTIC_COND, 7)
     assert tuple(t.values) == orbits.LABELS
-    tc = fourier.fourier_table_closed_form(fourier.CUBIC_COND, 7)
+    tc = fourier.fourier_table_closed_form(CUBIC_COND, 7)
     assert tuple(tc.values) == ("pV", "disc0", "nonsing")
 
 
 def test_cubic_class_reps_scan():
-    reps = fourier._cubic_class_reps(5)
+    reps = fourier._class_reps(CUBIC, 5)
     cls = fourier.cubic_class_batch(list(reps.values()), 5)
-    assert [fourier.CUBIC_CLASSES[c] for c in cls] == list(reps)
+    assert [CUBIC_CLASSES[c] for c in cls] == list(reps)

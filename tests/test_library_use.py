@@ -1,18 +1,17 @@
 """Every module-level function, class and constant of pvsieve, and every
-method and property of its top-level classes, is read by the program itself,
-by the benchmark harness or by the acceptance tests: library code whose only
-caller is a unit test is either deleted or given a real caller.  A read is
-a loaded name, an attribute or an imported name; the definition itself is
-not one.  Likewise every field of a pvsieve dataclass is read as an
-attribute by those readers."""
+method and property of its top-level classes, is read by the program itself
+or by the benchmark harness: library code whose only caller is a test is
+either deleted, moved to the tests (tests/oracles.py) or given a real
+caller.  A read is a loaded name, an attribute or an imported name; the
+definition itself is not one.  Likewise every field of a pvsieve dataclass
+is read as an attribute by those readers."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pvsieve"
-READERS = (sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-           + [ROOT / "tests" / "test_acceptance.py"])
+READERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def module_level_names(source):
