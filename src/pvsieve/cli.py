@@ -41,7 +41,7 @@ def _parse(convert, text, what):
 
 
 # The largest value --primes and --prime may name, far above every kernel's
-# reach (cubic per class p <= 401, quartic p <= 13, orbits p <= 5): checked
+# reach (cubic per class p <= 401, quartic and orbits p <= 13): checked
 # before the one sieve of the parse, whose mask it keeps within 64 KB.
 PRIME_ARG_MAX = 2 ** 16
 
@@ -441,7 +441,10 @@ def main(argv=None):
     except MemoryError as e:          # numpy's _ArrayMemoryError included
         print(f"resource limit: allocation failed: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MismatchError as e:
+    except (MismatchError, orbits.ClassifierIncompleteError,
+            ffcore.NonInvariantSupportError) as e:
+        # a checked identity failed: the classifier's table, or the
+        # dilation invariance behind the exact transform
         print(f"MISMATCH {e}", file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -199,8 +199,9 @@ def space_kernel(space):
     in fresh processes at p = 5 to 457, rounded up;
     ft_fibered_histograms (p <= 13), its fibres gathered from that mask
     through the resolvent, exact as disc(cx) = c^12 disc(x) makes the
-    support jointly dilation-invariant, at targets that, past the orbit BFS
-    budget (orbits.BFS_STATES: p >= 7), no BFS checks."""
+    support jointly dilation-invariant, at targets whose labels, past
+    p = 5, no exhaustive BFS has checked (the tests run one at p = 3, and
+    the frozen p = 5 table came from one)."""
     if space is CUBIC:
         return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
                            _check_fibres, lambda p: None,
@@ -209,8 +210,8 @@ def space_kernel(space):
         lambda Y, p: orbits.classify_batch(space, Y, p),
         lambda p: 200 + 1.2 * (p + 1), ft_fibered_histograms,
         lambda p: ffcore.ntt_modulus(p, space.r // 2),
-        lambda p: ("the closed form or the classifier"
-                   if p ** space.r > orbits.BFS_STATES else None), None)
+        lambda p: "the closed form or the classifier" if p > 5 else None,
+        None)
 
 
 def target_classes(space, Y, p):
@@ -377,7 +378,9 @@ def ft_fibered_histograms(cond, p, targets):
     and each class c makes one gather F_c(g_B^T alpha_d g_B) per class d
     met among the alphas (at most 7, whatever the number of targets); each
     target adds one bincount of its beta' pairings, unreduced (below
-    6 p^2) and folded mod p."""
+    6 p^2) and folded mod p.  Each class is walked orbits.ROW_BUDGET forms
+    B at a time, its gathers and bincounts summed over the chunks, so the
+    working set of the moves stays within that many rows."""
     space = cond.space
     if space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
@@ -406,15 +409,17 @@ def ft_fibered_histograms(cond, p, targets):
     for c in range(len(reps)):
         # each mask is dropped once summed, before its class's gathers
         F = ffcore.character_sums(fibres.pop(0), w[:half], p)
-        on = cls == c
-        gc, Bc = g[on].astype(np.int32), forms[on]
-        N += len(Bc) * F[0]           # F_c(0) = |fibre c|
-        for d in sorted(set(d_of.tolist())):
-            moved = mod(gc.transpose(0, 2, 1) @ alpha[d] @ gc, p)
-            H = F[moved.reshape(-1, 9) @ pow_p.ravel()]
-            for j in np.flatnonzero(d_of == d).tolist():
-                G[j] += np.bincount(Bc @ wbeta[j], minlength=6 * p * p,
-                                    weights=H)
+        on = np.flatnonzero(cls == c)
+        N += len(on) * F[0]           # F_c(0) = |fibre c|
+        for lo in range(0, len(on), orbits.ROW_BUDGET):
+            rows_c = on[lo:lo + orbits.ROW_BUDGET]
+            gc, Bc = g[rows_c].astype(np.int32), forms[rows_c]
+            for d in sorted(set(d_of.tolist())):
+                moved = mod(gc.transpose(0, 2, 1) @ alpha[d] @ gc, p)
+                H = F[moved.reshape(-1, 9) @ pow_p.ravel()]
+                for j in np.flatnonzero(d_of == d).tolist():
+                    G[j] += np.bincount(Bc @ wbeta[j], minlength=6 * p * p,
+                                        weights=H)
     G = G.reshape(len(T), -1, p).sum(axis=1)
     num = ffcore._numerators(G.astype(np.int64))
     counts = np.repeat(((N - num) // p)[:, None], p, axis=1)

@@ -1,12 +1,15 @@
-"""G(F_p)-orbits of the pair space: the action, the exhaustive BFS
-decomposition, and the invariant classifier for pairs of ternary quadratic
+"""G(F_p)-orbits of the pair space: the GL_3-classes of ternary forms, the
+orbit census, and the invariant classifier for pairs of ternary quadratic
 forms.
 
-One closure (_closure) serves both breadth-first searches: the orbits of
-the pair space (decompose_orbits, a {label: (size, rep)} table) and the
-GL_3-classes of ternary forms (form_classes) that the fibred quartic kernel
-walks.  Both move states by the generators of generators(p), plain (g2, g3)
-matrix pairs.
+A breadth-first closure (_closure) under the three GL_3 generators of
+generators(p) finds the seven classes of ternary forms (form_classes),
+which the fibred quartic kernel walks.  The orbit table of the pair space
+(decompose_orbits, a {label: (size, rep)} table) is a census over those
+classes: classify_batch labels the p^6 rows (A, B_c) of each class
+representative B_c, and each class weighs its counts by its size.  No
+p^12 search runs in the library; the tests keep one at p = 3 as the slow
+reference.
 
 The 20 orbit labels for the pair space (p odd) and their grouping by
 dimension i (LABEL_DIM); the Fourier-decay exponent of each group,
@@ -55,7 +58,8 @@ Invent. Math. 1992).
 Any other signature or split value raises ClassifierIncompleteError.  The
 map was checked over every orbit: against the exhaustive BFS at p = 3 and
 5, and on the rows (A, B_c), B_c running over the classes of form_classes,
-at p = 3, 5, 7 and 11, where the same 18 signatures (O_0 counted) occur.
+at p = 3, 5, 7, 11 and 13, where the same 18 signatures (O_0 counted)
+occur.
 """
 
 import numpy as np
@@ -132,33 +136,18 @@ def _congruence_matrix(g3, p):
                         dtype=np.int64), p)
 
 
-def act_pair_batch(g2, g3, coords, p):
-    """(g2,g3).(A,B) = (r A' + s B', t A' + u B') with A' = g3 A g3^T."""
-    C = mod(np.asarray(coords, dtype=np.int64), p)
-    T = _congruence_matrix(g3, p).T
-    A2 = mod(C[..., :6] @ T, p)
-    B2 = mod(C[..., 6:] @ T, p)
-    (r, s), (t, u) = g2
-    return mod(np.concatenate([r * A2 + s * B2, t * A2 + u * B2], axis=-1), p)
-
-
 def generators(p):
-    """Generators (g2, g3) of GL_2 x GL_3 over F_p, as nested tuples: per
-    factor a transvection, a cyclic coordinate permutation and a
-    primitive-root diagonal twist, the other factor the identity.  Each
-    factor has determinant 1, -1 or r, a unit mod p."""
+    """Generators of GL_3(F_p), as nested tuples: a transvection, a cyclic
+    coordinate permutation and a primitive-root diagonal twist, of
+    determinant 1, 1 and r, a unit mod p."""
     r = ffcore.primitive_root(p)
-    I2 = ((1, 0), (0, 1))
-    I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    g2s = [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((r, 0), (0, 1))]
-    g3s = [((1, 0, 0), (1, 1, 0), (0, 0, 1)),
-           ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-           ((r, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return [(g2, I3) for g2 in g2s] + [(I2, g3) for g3 in g3s]
+    return [((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+            ((r, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
 # ---------------------------------------------------------------------------
-# exhaustive orbit decomposition (pair space, p in {3,5})
+# form classes and the orbit census (pair space, p <= 13)
 # ---------------------------------------------------------------------------
 
 def decode_states(codes, p, r=12):
@@ -215,21 +204,6 @@ def _closure(n, moves, reached=None):
     return index, np.array(sizes), np.array(reps, dtype=np.int64)
 
 
-def _pair_move(g2, g3, p):
-    """The codes -> codes map of the pair-space group element (g2, g3),
-    decoding 2^19 codes at a time."""
-    chunk = 1 << 19
-
-    def move(codes):
-        out = np.empty(codes.size, dtype=np.int64)
-        for lo in range(0, codes.size, chunk):
-            sl = slice(lo, lo + chunk)
-            out[sl] = encode_states(
-                act_pair_batch(g2, g3, decode_states(codes[sl], p), p), p)
-        return out
-    return move
-
-
 def form_classes(p):
     """GL_3(F_p)-classes of the ternary forms B (six coordinates, as in
     sym_from_cols) under B -> g B g^T.
@@ -241,7 +215,7 @@ def form_classes(p):
     its g by h on the left."""
     n = p ** 6
     forms = decode_states(np.arange(n, dtype=np.int64), p, r=6)
-    gens = [np.array(g3, dtype=np.int64) for _, g3 in generators(p)[3:]]
+    gens = [np.array(h, dtype=np.int64) for h in generators(p)]
     g = np.tile(np.eye(3, dtype=np.int16), (n, 1, 1))
 
     def reached(j, parents, children):
@@ -253,31 +227,61 @@ def form_classes(p):
     return cls, reps, g
 
 
-# The most states p^12 the orbit BFS may visit: 5^12 passes, 7^12 does not.
-BFS_STATES = 6 ** 12
+# The most forms p^6 whose classes form_classes finds for the census: 13^6
+# pass, 17^6 do not.
+FORM_STATES = 2 ** 24
+
+# The most rows (A, B_c) the census classifies in one classify_batch call,
+# and the most forms B of one class the fibred quartic kernel moves at a
+# time.  At p = 13 it keeps the fibred kernel's peak near 380 MB in a fresh
+# process (630 MB with each class moved whole); 2^18 saves nothing more.
+ROW_BUDGET = 2 ** 19
 
 
 def decompose_orbits(space, p):
-    """Exhaustive orbit decomposition of the pair space mod p: p^12 states,
-    refused past BFS_STATES (so p in {3, 5}) before any closure move.
+    """The orbit table of the pair space mod p, {label: (size, rep)}, rep
+    the smallest state code of the orbit as a coordinate tuple, keys in
+    ascending order of rep.  Refused past FORM_STATES forms (so p <= 13)
+    before form_classes runs.
 
-    Returns {label: (size, rep)}, rep the smallest state code of the orbit
-    as a coordinate tuple.  Labels the BFS representatives with one
-    classify_batch() call; the result must biject onto the 20 labels for
-    odd p."""
+    A census over the GL_3-classes c of B (form_classes): each (A, B) with
+    B in class c is g.(A', B_c) for exactly one A', so
+    |O| = sum_c |class c| #{A : label(A, B_c) = O}.  B holds the high digits
+    of a code and each B_c is the smallest of its class, so the smallest
+    code of O pairs the least B_c that O meets with the least A labelled O
+    beside it.  The rows (A, B_c), A in code order, are classified
+    ROW_BUDGET at a time.  Raises ClassifierIncompleteError unless the 20
+    labels are all met and the sizes sum to p^12."""
     _check_pair_space(space, p)
-    if p ** space.r > BFS_STATES:
+    half = space.r // 2
+    n = p ** half
+    if n > FORM_STATES:
         raise ffcore.ResourceLimitError(
-            f"p={p}: {p ** space.r} states exceed the orbit BFS budget")
-    _, sizes, reps = _closure(
-        p ** 12, [_pair_move(g2, g3, p) for g2, g3 in generators(p)])
-    rep_coords = decode_states(reps, p)
-    names = [LABELS[c] for c in classify_batch(space, rep_coords, p)]
-    if sorted(names) != sorted(LABELS):
+            f"p={p}: {n} forms exceed the orbit census budget")
+    cls, reps, _ = form_classes(p)
+    class_sizes = np.bincount(cls).tolist()
+    sizes = np.zeros(len(LABELS), dtype=np.int64)
+    first = {}                             # label -> its smallest code
+    for size, code in zip(class_sizes, reps.tolist()):
+        Bc = decode_states(np.array([code]), p, r=half)
+        for lo in range(0, n, ROW_BUDGET):
+            A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p,
+                              r=half)
+            labels = classify_batch(
+                space, np.hstack([A, np.repeat(Bc, len(A), axis=0)]), p)
+            counts = np.bincount(labels, minlength=len(LABELS))
+            for i in np.flatnonzero(counts).tolist():
+                if i not in first:
+                    first[i] = code * n + lo + int(np.argmax(labels == i))
+            sizes += size * counts
+    if len(first) < len(LABELS) or sizes.sum() != p ** space.r:
         raise ClassifierIncompleteError(
-            f"p={p}: BFS found {len(names)} orbits, labels {sorted(names)}")
-    return {name: (int(sz), tuple(int(v) for v in rc))
-            for name, sz, rc in zip(names, sizes, rep_coords)}
+            f"p={p}: the census met {len(first)} labels, "
+            f"{int(sizes.sum())} states of {p ** space.r}")
+    order = sorted(first, key=first.get)
+    rep_coords = decode_states(np.array([first[i] for i in order]), p)
+    return {LABELS[i]: (int(sizes[i]), tuple(rc.tolist()))
+            for i, rc in zip(order, rep_coords)}
 
 
 # ---------------------------------------------------------------------------

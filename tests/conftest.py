@@ -7,20 +7,17 @@ import pytest
 from pvsieve import orbits
 from pvsieve.spaces import QUARTIC
 
-Orbits3 = namedtuple("Orbits3", "entries labels")
+from oracles import pair_bfs
+
+Orbits3 = namedtuple("Orbits3", "entries labels bfs")
 
 
 @pytest.fixture(scope="session")
 def table3():
-    """The pair space's orbits at p = 3, from two breadth-first searches:
-    entries, decompose_orbits' {label: (size, rep)}, and labels, the LABELS
-    index of every state code in code order, from a closure of its own
-    (orbits._closure) whose representatives classify_batch labels, as
-    decompose_orbits labels its own."""
-    p = 3
-    index, _, reps = orbits._closure(
-        p ** 12, [orbits._pair_move(g2, g3, p)
-                  for g2, g3 in orbits.generators(p)])
-    rep_labels = orbits.classify_batch(QUARTIC, orbits.decode_states(reps, p),
-                                       p)
-    return Orbits3(orbits.decompose_orbits(QUARTIC, p), rep_labels[index])
+    """The pair space's orbits at p = 3: entries, decompose_orbits'
+    {label: (size, rep)}, a census over the classes of B; and from the
+    exhaustive breadth-first search of oracles.pair_bfs, labels, the
+    LABELS index of every state code in code order, and bfs, its own
+    {label: (size, rep)} table."""
+    labels, bfs = pair_bfs(3)
+    return Orbits3(orbits.decompose_orbits(QUARTIC, 3), labels, bfs)

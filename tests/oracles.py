@@ -2,9 +2,10 @@
 two local conditions: the library holds only what the program runs.
 
 Group elements are plain (g2, g3) pairs of nested tuples, as
-orbits.generators gives them; on the cubic space only g2 acts and g3 may
+pair_generators gives them; on the cubic space only g2 acts and g3 may
 be None.  Everything here works in Python ints or in int64 with `%`, one
-element or one small batch at a time.
+element or one small batch at a time, but for the orbit BFS of the pair
+space (pair_bfs), which visits all p^12 states.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from pvsieve import ffcore, fourier, orbits
-from pvsieve.spaces import CUBIC, pairing_weights_mod
+from pvsieve.spaces import CUBIC, QUARTIC, pairing_weights_mod
 
 CUBIC_COND = fourier.LocalCondition("cubic")
 QUARTIC_COND = fourier.LocalCondition("quartic")
@@ -50,15 +51,67 @@ def act_cubic_batch(g2, coords, p):
     return np.stack([n0, n1, n2, n3], axis=-1) % p
 
 
+def act_pair_batch(g2, g3, coords, p):
+    """(g2,g3).(A,B) = (r A' + s B', t A' + u B') with A' = g3 A g3^T."""
+    C = np.asarray(coords, dtype=np.int64) % p
+    T = orbits._congruence_matrix(g3, p).T
+    A2 = C[..., :6] @ T % p
+    B2 = C[..., 6:] @ T % p
+    (r, s), (t, u) = g2
+    return np.concatenate([r * A2 + s * B2, t * A2 + u * B2], axis=-1) % p
+
+
 def act(space, g, x, p):
     """The action of g = (g2, g3) on one coordinate tuple x, reduced mod p:
-    act_cubic_batch on the cubic space, orbits.act_pair_batch on the pair
+    act_cubic_batch on the cubic space, act_pair_batch on the pair
     space."""
     g2, g3 = g
     row = np.array([tuple(x)], dtype=np.int64)
     out = (act_cubic_batch(g2, row, p) if space is CUBIC
-           else orbits.act_pair_batch(g2, g3, row, p))[0]
+           else act_pair_batch(g2, g3, row, p))[0]
     return tuple(int(v) for v in out)
+
+
+def pair_generators(p):
+    """Generators (g2, g3) of GL_2 x GL_3 over F_p: per factor a
+    transvection, a swap or cyclic permutation and a primitive-root
+    diagonal twist, the other factor the identity; the GL_3 half is
+    orbits.generators."""
+    r = ffcore.primitive_root(p)
+    I2 = ((1, 0), (0, 1))
+    I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    g2s = [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((r, 0), (0, 1))]
+    return ([(g2, I3) for g2 in g2s]
+            + [(I2, g3) for g3 in orbits.generators(p)])
+
+
+def pair_bfs(p):
+    """The orbits of the pair space mod p by breadth-first search over all
+    p^12 state codes (orbits._closure under pair_generators, decoding 2^19
+    codes a move at a time): (index, table), index the LABELS index of
+    every state in code order and table {label: (size, rep)}, rep the
+    smallest code of the orbit as a coordinate tuple, in the order the
+    search finds them.  The representatives are labelled by
+    orbits.classify_batch."""
+    chunk = 1 << 19
+
+    def pair_move(g2, g3):
+        def move(codes):
+            out = np.empty(codes.size, dtype=np.int64)
+            for lo in range(0, codes.size, chunk):
+                sl = slice(lo, lo + chunk)
+                out[sl] = orbits.encode_states(act_pair_batch(
+                    g2, g3, orbits.decode_states(codes[sl], p), p), p)
+            return out
+        return move
+
+    index, sizes, reps = orbits._closure(
+        p ** 12, [pair_move(g2, g3) for g2, g3 in pair_generators(p)])
+    rep_coords = orbits.decode_states(reps, p)
+    labels = orbits.classify_batch(QUARTIC, rep_coords, p)
+    table = {orbits.LABELS[c]: (int(sz), tuple(rc.tolist()))
+             for c, sz, rc in zip(labels, sizes, rep_coords)}
+    return labels[index], table
 
 
 def pairing_mod(space, x, y, p):

@@ -9,10 +9,12 @@ modulus and its split identity) live in tests/oracles.py, and the p = 3
 orbit table is the session fixture of tests/conftest.py.
 
 The p = 5 orbit data embedded below (P5_ORBITS) was produced by the same
-breadth-first closure that decompose_orbits runs at p = 3; at p = 5 that
+breadth-first closure that tests/oracles.py runs at p = 3; at p = 5 that
 sweep costs about half an hour, so its output is frozen here and
 revalidated cheaply through classify_batch, which never saw the BFS.
-The p = 5 transform table comes from the fibred kernel, in about a second.
+decompose_orbits, a census over the classes of B, reproduces it in under
+a second (tests/test_orbits.py).  The p = 5 transform table comes from
+the fibred kernel, in about a second.
 """
 
 from fractions import Fraction

@@ -116,9 +116,9 @@ def test_resource_cap_before_work(monkeypatch):
                 "--no-cache"]) == 3
     assert run(["ft-verify", "--space", "cubic", "--primes", "59,61",
                 "--mode", "exhaustive", "--no-cache"]) == 3
-    # the fibred quartic kernel stops at p = 13, the orbit BFS at p = 5
+    # the fibred quartic kernel and the orbit census stop at p = 13
     assert run(["ft-verify", "--space", "quartic", "--primes", "13,17"]) == 3
-    assert run(["orbits", "--prime", "7"]) == 3
+    assert run(["orbits", "--prime", "17"]) == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -179,6 +179,34 @@ def test_orbit_table_output(tmp_path, capsys):
     # the whole table byte for byte, the fc column included
     assert _workloads().digest(text) == (
         "83c7aee165bfc4cfc8a360e51b115f8f40ba58f4007991fe9374b8590834c0e7")
+
+
+def test_orbit_table_past_p5(capsys):
+    # the census reaches p = 7, where no breadth-first search could
+    assert run(["orbits", "--prime", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"# total\t{7 ** 12}"
+    assert sum(1 for l in lines if l.startswith("O_")) == 20
+
+
+def test_classifier_gap_is_a_mismatch(monkeypatch, capsys):
+    # a checked identity that fails inside a kernel is a mathematical
+    # mismatch: one MISMATCH line on stderr, exit 1, nothing on stdout
+    def gap(*a, **k):
+        raise orbits.ClassifierIncompleteError("p=3: forced for the test")
+    monkeypatch.setattr(orbits, "classify_batch", gap)
+    assert run(["orbits", "--prime", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "MISMATCH p=3: forced for the test\n"
+
+    monkeypatch.undo()
+
+    def skewed(*a, **k):
+        raise ffcore.NonInvariantSupportError("forced for the test")
+    monkeypatch.setattr(ffcore, "character_sums", skewed)
+    assert run(["ft-verify", "--space", "quartic", "--primes", "3"]) == 1
+    assert capsys.readouterr().err == "MISMATCH forced for the test\n"
 
 
 def test_exponent_rows(capsys):

@@ -323,6 +323,18 @@ def test_fibered_kernel_matches_per_target_gathers(p):
         QUARTIC_COND, p, targets)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_fibered_kernel_row_chunks(p, monkeypatch):
+    """The fibred histograms walked a few forms B at a time, with ragged
+    chunks at every class's end, equal those walked whole."""
+    targets = np.vstack([list(fourier._class_reps(QUARTIC, p).values()),
+                         np.random.default_rng(p).integers(0, p, (4, 12))])
+    whole = fourier.ft_fibered_histograms(QUARTIC_COND, p, targets)
+    monkeypatch.setattr(orbits, "ROW_BUDGET", 999)
+    chunked = fourier.ft_fibered_histograms(QUARTIC_COND, p, targets)
+    assert [h.counts for h in chunked] == [h.counts for h in whole]
+
+
 def test_inverse_mod():
     rng = np.random.default_rng(0)
     for p in (3, 5, 13):

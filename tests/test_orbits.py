@@ -1,4 +1,5 @@
-"""Group action, orbit BFS, and the invariant classifier (pair space)."""
+"""Group action, form classes, the orbit census against the BFS oracle,
+and the invariant classifier (pair space)."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from pvsieve.sieve import primes_upto
 from pvsieve.spaces import CUBIC, QUARTIC, disc, disc_mod, resolvent_cubic
 
 import fpk
-from oracles import QUARTIC_COND, act, act_cubic_batch, det, pairing_mod
+from oracles import (QUARTIC_COND, act, act_cubic_batch, act_pair_batch,
+                     det, pair_generators, pairing_mod)
 
 # Exhaustive BFS results, frozen.  p=3 was additionally cross-checked against
 # an independent implementation of the same decomposition; the nonsingular
@@ -85,10 +87,12 @@ def test_act_identity_and_swap():
 
 
 def test_generators_invertible():
-    # the six generators of GL_2 x GL_3 at every odd prime up to 101: two
-    # factors each, both invertible mod p
+    # the three GL_3 generators of the library and the six of GL_2 x GL_3
+    # the BFS oracle moves by, at every odd prime up to 101: every factor
+    # invertible mod p
     for p in primes_upto(101)[1:].tolist():
-        gens = ob.generators(p)
+        assert len(ob.generators(p)) == 3
+        gens = pair_generators(p)
         assert len(gens) == 6
         for g2, g3 in gens:
             assert det(g2) % p and det(g3) % p, (p, g2, g3)
@@ -142,7 +146,7 @@ def test_disc_invariance_under_action(space, p):
 def test_disc_invariance_under_generators(space, p):
     # unimodular generators leave disc unchanged identically (checked on an
     # exhaustive small box reduced mod p); on the cubic space g2 acts
-    gens = [(g2, g3) for g2, g3 in ob.generators(p)
+    gens = [(g2, g3) for g2, g3 in pair_generators(p)
             if det(g2) % p == 1 and det(g3) % p == 1]
     assert gens
     rng = np.random.default_rng(9)
@@ -151,7 +155,7 @@ def test_disc_invariance_under_generators(space, p):
         if space.space_id == "cubic":
             Y = act_cubic_batch(g2, X, p)
         else:
-            Y = ob.act_pair_batch(g2, g3, X, p)
+            Y = act_pair_batch(g2, g3, X, p)
         assert np.array_equal(disc_mod(space, Y, p), disc_mod(space, X, p))
 
 
@@ -191,28 +195,59 @@ def test_pairing_compatible_with_involution(space, p):
 # decomposition + classifier
 # ---------------------------------------------------------------------------
 
-def test_decompose_p3(table3):
+def test_decompose_p3(table3, monkeypatch):
     assert len(table3.entries) == 20
     assert sum(sz for sz, _ in table3.entries.values()) == 3 ** 12
     for name, want in P3_SIZES.items():
         assert table3.entries[name][0] == want, name
     # representative = smallest state code in the orbit; orbit of 0 is {0}
     assert table3.entries["O_0"] == (1, (0,) * 12)
+    # the census against the exhaustive BFS: sizes, representatives and
+    # key order (ascending representative code)
+    assert list(table3.entries.items()) == list(table3.bfs.items())
+    # the rows walked a few at a time, across the chunk seams
+    monkeypatch.setattr(ob, "ROW_BUDGET", 100)
+    assert ob.decompose_orbits(QUARTIC, 3) == table3.entries
 
 
-def test_decompose_rejects(table3, monkeypatch):
+def test_decompose_p5():
+    # the census against the frozen p = 5 BFS table, representatives
+    # included
+    from test_acceptance import P5_ORBITS
+    got = ob.decompose_orbits(QUARTIC, 5)
+    assert got == {n: (sz, rep) for n, (rep, sz) in P5_ORBITS.items()}
+    codes = [int(ob.encode_states(rep, 5)) for _, rep in got.values()]
+    assert codes == sorted(codes)
+
+
+def test_decompose_rejects(monkeypatch):
     with pytest.raises(ValueError):
         ob.decompose_orbits(CUBIC, 5)
 
-    # 5^12 states fit orbits.BFS_STATES, 7^12 do not: refused before any
-    # closure move runs
+    # 13^6 forms fit orbits.FORM_STATES, 17^6 do not: refused before
+    # form_classes or a closure runs
     def boom(*a, **k):
-        raise AssertionError("a closure move ran past the BFS budget")
+        raise AssertionError("a kernel ran past the census budget")
+    monkeypatch.setattr(ob, "form_classes", boom)
     monkeypatch.setattr(ob, "_closure", boom)
-    monkeypatch.setattr(ob, "_pair_move", boom)
-    assert 5 ** 12 <= ob.BFS_STATES < 7 ** 12
+    assert 13 ** 6 <= ob.FORM_STATES < 17 ** 6
     with pytest.raises(ResourceLimitError):
-        ob.decompose_orbits(QUARTIC, 7)
+        ob.decompose_orbits(QUARTIC, 17)
+
+
+def test_census_incomplete_raises(monkeypatch):
+    # a classifier that never names one label leaves the census short of
+    # it, and the sizes still sum to p^12: a gap to report
+    real = ob.classify_batch
+
+    def never(*args):
+        out = real(*args)
+        out[out == ob.LABELS.index("O_4")] = ob.LABELS.index("O_22")
+        return out
+    monkeypatch.setattr(ob, "classify_batch", never)
+    with pytest.raises(ob.ClassifierIncompleteError,
+                       match="p=3: the census met 19 labels"):
+        ob.decompose_orbits(QUARTIC, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -587,29 +622,12 @@ def test_signature_table_keys(p):
     assert sorted(names + ["O_0"]) == sorted(ob.LABELS)
 
 
-def _census(p):
-    """|O_l| for each label at p: sum over the GL_3-classes c of ternary
-    forms of |class c| #{A : label(A, B_c) = l}.  Every pair (A, B) with B
-    in class c is g.(A', B_c) for one A', so the rows (A, B_c) meet every
-    orbit."""
-    cls, reps, _ = ob.form_classes(p)
-    A = ob.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
-    sizes = np.zeros(len(ob.LABELS), dtype=np.int64)
-    for c, code in enumerate(reps):
-        Bc = ob.decode_states(np.array([code]), p, r=6)
-        X = np.concatenate([A, np.repeat(Bc, len(A), axis=0)], axis=1)
-        counts = np.bincount(ob.classify_batch(QUARTIC, X, p),
-                             minlength=len(ob.LABELS))
-        sizes += int(np.count_nonzero(cls == c)) * counts
-    return dict(zip(ob.LABELS, sizes.tolist()))
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_census_identities(p):
     # Fourier inversion at 0, Parseval, and the count of singular states,
     # summed over the census orbit sizes with the closed-form transforms
     from pvsieve import fourier
-    sizes = _census(p)
+    sizes = {n: sz for n, (sz, _) in ob.decompose_orbits(QUARTIC, p).items()}
     assert sum(sizes.values()) == p ** 12
     assert sizes == {3: P3_SIZES, 5: P5_SIZES}.get(p, sizes)
     ft = {n: fourier.ft_closed_form(QUARTIC_COND, p, n)
