@@ -175,6 +175,12 @@ def pow_mod(x, e, p):
     return out
 
 
+def inverses(p):
+    """The inverse mod the prime p of each residue 0..p-1 (0 at 0), as
+    int64: x^(p-2), by pow_mod."""
+    return pow_mod(np.arange(p, dtype=np.int64), p - 2, p)
+
+
 def sqrt_mod(a, p):
     """A square root mod the odd prime p of each residue of an int64 array
     (0 <= a < p < 2^31), or -1 where it is not a square.  A scatter of the

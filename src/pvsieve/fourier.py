@@ -197,9 +197,10 @@ def space_kernel(space):
     (orbits.pencil_counts), priced at 200 + 1.2 (p + 1) steps: the upper
     envelope, 194 + 1.13 (p + 1), of 52 single-call timings of 265 720 rows
     in fresh processes at p = 5 to 457, rounded up;
-    ft_fibered_histograms (p <= 13), its fibres gathered from that mask
-    through the resolvent, exact as disc(cx) = c^12 disc(x) makes the
-    support jointly dilation-invariant, at targets whose labels, past
+    ft_fibered_histograms (p <= 13), over the classes and frames of
+    orbits.form_frames, its fibres over the canonical forms gathered from
+    that mask through the resolvent, exact as disc(cx) = c^12 disc(x) makes
+    the support jointly dilation-invariant, at targets whose labels, past
     p = 5, no exhaustive BFS has checked (the tests run one at p = 3, and
     the frozen p = 5 table came from one)."""
     if space is CUBIC:
@@ -227,7 +228,7 @@ def _cubic_support(p):
     """The support {p | disc x} of V(F_p), one slab of consecutive d at a
     time: per slab, (d, a, f), with d the slab's values of d and, for each
     of its states (a, b, c, d), a and the fibre code f = b + c p + d p^2 (so
-    the state code, as orbits.encode_states, is a + p f).  A slab holds
+    the state code, in decode_states' order, is a + p f).  A slab holds
     ffcore.CELL_BUDGET // p^2 values of d (at least one), so each of its
     temporaries has at most max(CELL_BUDGET, p^2) cells; they are freed
     before the slab is yielded (_support_slab).  The states are found by
@@ -359,28 +360,31 @@ def ft_fibered_histograms(cond, p, targets):
 
     The support is invariant under (A, B) -> (g A g^T, g B g^T), g in GL_3,
     and <(A, B), (alpha, beta)> = tr(A alpha) + tr(B beta).  diag(c, 1) in
-    GL_2 scales disc by c^6, so each fibre {A : (A, B_c) in supp} has exact
-    character sums F_c (ffcore).  With B = g_B B_c g_B^T (form_classes),
-    the support's sum at a target is sum_k w^k G_k, G_k the sum of
-    F_c(g_B^T alpha g_B) over the B with tr(B beta) = k.  disc(cx) =
-    c^12 disc(x) makes the support jointly dilation-invariant, so
-    G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1; n_1 follows from the
-    support size N = sum_c |class c| |fibre c|.  The seven fibres come from
-    _pair_fibres, all listed before the gathers, in int16, which is exact
-    while p^4 < 2^15.  ffcore.ntt_modulus caps p (p <= 13) before
-    form_classes runs, and keeps |G_k| <= p^12 < 2^53.
+    GL_2 scales disc by c^6, so each fibre {A : (A, D_c) in supp} over a
+    canonical form D_c has exact character sums F_c (ffcore).  With
+    B = g_B D_c g_B^T (orbits.form_frames), the support's sum at a target
+    is sum_k w^k G_k, G_k the sum of F_c(g_B^T alpha g_B) over the B with
+    tr(B beta) = k.  disc(cx) = c^12 disc(x) makes the support jointly
+    dilation-invariant, so G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1;
+    n_1 follows from the support size N = sum_c |class c| |fibre c|.  The
+    seven fibres come from _pair_fibres, all listed before the gathers, in
+    int16, which is exact while p^4 < 2^15.  ffcore.ntt_modulus caps p
+    (p <= 13) before any form is classed, and keeps |G_k| <= p^12 < 2^53.
 
     The same invariance moves each target to its alpha's class: with
-    alpha = h alpha_d h^T (form_classes again), (A, B) -> (h^T A h, h^T B h)
+    alpha = h alpha_d h^T (form_frames again), (A, B) -> (h^T A h, h^T B h)
     maps the B with tr(B beta) = k onto those with tr(B beta') = k,
     beta' = h^-1 beta h^-T, and each fibre sum at alpha onto the one at
-    alpha_d.  So every G_k of (alpha, beta) is that of (alpha_d, beta'),
-    and each class c makes one gather F_c(g_B^T alpha_d g_B) per class d
-    met among the alphas (at most 7, whatever the number of targets); each
-    target adds one bincount of its beta' pairings, unreduced (below
-    6 p^2) and folded mod p.  Each class is walked orbits.ROW_BUDGET forms
-    B at a time, its gathers and bincounts summed over the chunks, so the
-    working set of the moves stays within that many rows."""
+    alpha_d, a canonical form.  So every G_k of (alpha, beta) is that of
+    (alpha_d, beta'), and each class c makes one gather F_c(g_B^T alpha_d
+    g_B) per class d met among the alphas (at most 7, whatever the number
+    of targets); alpha_d is diagonal, so entry (i, j) of g_B^T alpha_d g_B
+    is sum_k alpha_d,kk g_ki g_kj.  Each target adds one bincount of its
+    beta' pairings, unreduced (below 6 p^2) and folded mod p.  The classes
+    of the p^6 forms are found ROW_BUDGET forms at a time, and each class
+    is walked orbits.ROW_BUDGET forms B at a time, their frames found per
+    chunk and the gathers and bincounts summed over the chunks, so no
+    frame array of p^6 forms is held."""
     space = cond.space
     if space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
@@ -388,35 +392,37 @@ def ft_fibered_histograms(cond, p, targets):
     half = space.r // 2
     ffcore.ntt_modulus(p, half)
     T = mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
-    cls, reps, g = orbits.form_classes(p)
     forms = orbits.decode_states(np.arange(p ** half, dtype=np.int64), p,
                                  r=half)
+    budget = orbits.ROW_BUDGET
+    cls = np.concatenate([orbits.form_frames(forms[lo:lo + budget], p)[0]
+                          for lo in range(0, len(forms), budget)])
+    canon = orbits.canonical_forms(p)
     rows, cols = zip(*orbits._SYM_INDEX)
-    code = orbits.encode_states(T[:, :half], p)
-    d_of, h = cls[code], g[code].astype(np.int64)
-    hinv = _inverse_mod(h, p)
-    beta = mod(hinv @ orbits.sym_from_cols(T[:, half:]) @ hinv.transpose(
-        0, 2, 1), p)[:, rows, cols]
+    d_of, h = orbits.form_frames(T[:, :half], p)
+    hinv = _inverse_mod(np.moveaxis(h, -1, 0).astype(np.int64), p)
+    beta = T[:, half:][:, orbits._SYM_FULL].reshape(-1, 3, 3)
+    beta = mod(hinv @ beta @ hinv.transpose(0, 2, 1), p)[:, rows, cols]
     # the pairings tr(B beta'), below 6 p^2, in int16
     wbeta = mod(beta * w[half:], p).astype(np.int16)
-    # in int32: each entry of g_B^T alpha_d g_B is a sum of 9 products
-    # below p^3, and its code, read off the upper triangle, is below p^6
-    alpha = orbits.sym_from_cols(forms[reps].astype(np.int32))
-    pow_p = np.zeros((3, 3), dtype=np.int32)
-    pow_p[rows, cols] = p ** np.arange(half)
+    # each entry of g_B^T alpha_d g_B, a sum of 3 products below p^3, in
+    # int16 (3 p^3 < 2^15 at p <= 13), and its code, read off the upper
+    # triangle, below p^6, in int32
+    pow_p = p ** np.arange(half, dtype=np.int32)
     G, N = np.zeros((len(T), 6 * p * p)), 0
-    fibres = _pair_fibres(p, forms, forms[reps])
-    for c in range(len(reps)):
+    fibres = _pair_fibres(p, forms, canon)
+    for c in range(len(canon)):
         # each mask is dropped once summed, before its class's gathers
         F = ffcore.character_sums(fibres.pop(0), w[:half], p)
         on = np.flatnonzero(cls == c)
         N += len(on) * F[0]           # F_c(0) = |fibre c|
-        for lo in range(0, len(on), orbits.ROW_BUDGET):
-            rows_c = on[lo:lo + orbits.ROW_BUDGET]
-            gc, Bc = g[rows_c].astype(np.int32), forms[rows_c]
+        for lo in range(0, len(on), budget):
+            Bc = forms[on[lo:lo + budget]]
+            g = orbits.form_frames(Bc, p)[1]
+            gg = g[:, rows] * g[:, cols]     # g_ki g_kj, (3, 6, chunk)
             for d in sorted(set(d_of.tolist())):
-                moved = mod(gc.transpose(0, 2, 1) @ alpha[d] @ gc, p)
-                H = F[moved.reshape(-1, 9) @ pow_p.ravel()]
+                moved = np.einsum("k,kem->em", canon[d, :3], gg)
+                H = np.take(F, np.einsum("e,em->m", pow_p, mod(moved, p)))
                 for j in np.flatnonzero(d_of == d).tolist():
                     G[j] += np.bincount(Bc @ wbeta[j], minlength=6 * p * p,
                                         weights=H)
@@ -430,12 +436,11 @@ def ft_fibered_histograms(cond, p, targets):
 def _inverse_mod(h, p):
     """The inverses mod p of the (n, 3, 3) integer matrices h, invertible
     mod p: the adjugate, whose columns are the cross products of h's rows,
-    times the inverse of det h."""
+    times the inverse of det h, looked up in ffcore.inverses."""
     a, b, c = h[:, 0], h[:, 1], h[:, 2]
     adj = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=2)
     det = mod((a * adj[:, :, 0]).sum(axis=1), p)
-    inv = np.array([pow(int(v), -1, p) for v in det], dtype=np.int64)
-    return mod(adj * inv[:, None, None], p)
+    return mod(adj * ffcore.inverses(p)[det][:, None, None], p)
 
 
 def ft_bruteforce_multi(cond, p, targets):

@@ -2,14 +2,16 @@
 orbit census, and the invariant classifier for pairs of ternary quadratic
 forms.
 
-A breadth-first closure (_closure) under the three GL_3 generators of
-generators(p) finds the seven classes of ternary forms (form_classes),
-which the fibred quartic kernel walks.  The orbit table of the pair space
-(decompose_orbits, a {label: (size, rep)} table) is a census over those
-classes: classify_batch labels the p^6 rows (A, B_c) of each class
-representative B_c, and each class weighs its counts by its size.  No
-p^12 search runs in the library; the tests keep one at p = 3 as the slow
-reference.
+The class of a ternary form is its rank and one square class, and
+form_frames reads it off a vectorized congruence diagonalization, with a
+frame g, B = g D_c g^T, over the canonical diagonal forms D_c of the seven
+classes (canonical_forms); the fibred quartic kernel walks the classes
+with those frames.  The orbit table of the pair space (decompose_orbits, a
+{label: (size, rep)} table) is a census over the classes: classify_batch
+labels the p^6 rows (A, B_c) of each class's smallest code B_c, and each
+class weighs its counts by its size.  No search over an orbit runs in the
+library; the tests keep breadth-first searches over the forms and, at
+p = 3, over the pair space as the slow references.
 
 The 20 orbit labels for the pair space (p odd) and their grouping by
 dimension i (LABEL_DIM); the Fourier-decay exponent of each group,
@@ -57,7 +59,7 @@ resolvent; the pair (F_p base points, F_p roots) reads off the cycle type
 Invent. Math. 1992).
 Any other signature or split value raises ClassifierIncompleteError.  The
 map was checked over every orbit: against the exhaustive BFS at p = 3 and
-5, and on the rows (A, B_c), B_c running over the classes of form_classes,
+5, and on the rows (A, B_c), B_c running over the classes of form_frames,
 at p = 3, 5, 7, 11 and 13, where the same 18 signatures (O_0 counted)
 occur.
 """
@@ -102,24 +104,16 @@ NONSINGULAR_LABELS = U_GROUPS[12]
 # the action
 # ---------------------------------------------------------------------------
 
-def sym_from_cols(c):
-    """(n,6) columns a11,a22,a33,a12,a13,a23 -> (n,3,3) symmetric matrices."""
-    M = np.empty(c.shape[:-1] + (3, 3), dtype=c.dtype)
-    M[..., 0, 0] = c[..., 0]
-    M[..., 1, 1] = c[..., 1]
-    M[..., 2, 2] = c[..., 2]
-    M[..., 0, 1] = M[..., 1, 0] = c[..., 3]
-    M[..., 0, 2] = M[..., 2, 0] = c[..., 4]
-    M[..., 1, 2] = M[..., 2, 1] = c[..., 5]
-    return M
-
-
+# A form's six coordinates a11, a22, a33, a12, a13, a23 are the entries
+# _SYM_INDEX of its symmetric matrix, and c[..., _SYM_FULL].reshape(..., 3, 3)
+# is the matrix itself, read row by row from those coordinates.
 _SYM_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_FULL = [0, 3, 4, 3, 1, 5, 4, 5, 2]
 
 
 def sym_adjugate(c):
-    """The adjugate of symmetric 3x3 matrices given as the (..., 6) columns
-    of sym_from_cols, as the same 6 columns (the adjugate of a symmetric
+    """The adjugate of symmetric 3x3 matrices given as their (..., 6)
+    coordinates, as the same 6 coordinates (the adjugate of a symmetric
     matrix is symmetric), unreduced, in c's dtype."""
     a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
     return np.stack([a22 * a33 - a23 * a23, a11 * a33 - a13 * a13,
@@ -127,27 +121,8 @@ def sym_adjugate(c):
                      a12 * a23 - a13 * a22, a12 * a13 - a11 * a23], axis=-1)
 
 
-def _congruence_matrix(g3, p):
-    """The 6x6 matrix of A -> g3 A g3^T on the coordinates of sym_from_cols:
-    M[(i,j),(k,l)] = g_ik g_jl + [k != l] g_il g_jk, reduced mod p."""
-    g = mod(np.asarray(g3, dtype=np.int64), p)
-    return mod(np.array([[g[i, k] * g[j, l] + (k != l) * g[i, l] * g[j, k]
-                          for k, l in _SYM_INDEX] for i, j in _SYM_INDEX],
-                        dtype=np.int64), p)
-
-
-def generators(p):
-    """Generators of GL_3(F_p), as nested tuples: a transvection, a cyclic
-    coordinate permutation and a primitive-root diagonal twist, of
-    determinant 1, 1 and r, a unit mod p."""
-    r = ffcore.primitive_root(p)
-    return [((1, 0, 0), (1, 1, 0), (0, 0, 1)),
-            ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-            ((r, 0, 0), (0, 1, 0), (0, 0, 1))]
-
-
 # ---------------------------------------------------------------------------
-# form classes and the orbit census (pair space, p <= 13)
+# form classes and the orbit census (pair space)
 # ---------------------------------------------------------------------------
 
 def decode_states(codes, p, r=12):
@@ -163,106 +138,140 @@ def decode_states(codes, p, r=12):
     return out
 
 
-def encode_states(coords, p):
-    coords = mod(np.asarray(coords, dtype=np.int64), p)
-    pow_p = p ** np.arange(coords.shape[-1], dtype=np.int64)
-    return coords @ pow_p
+# The GL_3(F_p)-classes of ternary forms, p odd: the zero form and, at each
+# rank 1, 2 and 3, the two square classes of the product of the pivots.
+FORM_CLASSES = 7
 
 
-def _closure(n, moves, reached=None):
-    """Orbits of n state codes under the group the moves generate, by BFS.
-
-    Each move maps an array of codes to their images under one generator.
-    Within one move the action is a bijection, so its images carry no
-    duplicates; marking the index between moves removes the rest.  Seeds
-    scan upward, so each representative is the smallest code in its orbit.
-    reached(j, parents, children), if given, is told of the codes move j
-    reached first.  Returns (index, sizes, reps), index the int8 orbit of
-    every code."""
-    index = np.full(n, -1, dtype=np.int8)
-    sizes, reps = [], []
-    block = 1 << 22         # the seed scan never builds an n-sized mask
-    for lo in range(0, n, block):
-        while (index[lo:lo + block] < 0).any():
-            seed = lo + int(np.argmax(index[lo:lo + block] < 0))
-            index[seed] = len(reps)
-            frontier = np.array([seed], dtype=np.int64)
-            total = 1
-            while frontier.size:
-                nxt = []
-                for j, move in enumerate(moves):
-                    cand = move(frontier)
-                    fresh = index[cand] < 0
-                    index[cand[fresh]] = len(reps)
-                    if reached is not None:
-                        reached(j, frontier[fresh], cand[fresh])
-                    nxt.append(cand[fresh])
-                frontier = np.concatenate(nxt)
-                total += int(frontier.size)
-            sizes.append(total)
-            reps.append(seed)
-    return index, np.array(sizes), np.array(reps, dtype=np.int64)
+def canonical_forms(p):
+    """The class representatives of form_frames, as (FORM_CLASSES, 6) int16
+    coordinates: the zero form, then for r = 1, 2, 3 the rank-r forms
+    diag(1, .., 1, e, 0, ..), e = 1 and e = nu, the least non-square mod p."""
+    nu = int(np.argmax(legendre_table(p) < 0))
+    diag = [(0, 0, 0), (1, 0, 0), (nu, 0, 0), (1, 1, 0), (1, nu, 0),
+            (1, 1, 1), (1, 1, nu)]
+    return np.hstack([diag, np.zeros((FORM_CLASSES, 3))]).astype(np.int16)
 
 
-def form_classes(p):
-    """GL_3(F_p)-classes of the ternary forms B (six coordinates, as in
-    sym_from_cols) under B -> g B g^T.
+def form_frames(forms, p):
+    """The GL_3(F_p)-class of each ternary form and a frame for it, p odd:
+    (cls, g) for the (n, 6) coordinates forms, reduced mod p; cls (int8)
+    indexes canonical_forms(p), and g[:, :, m] of the (3, 3, n) g is an
+    invertible matrix with B_m = g D g^T, D the canonical form of B_m's
+    class.  This is the one place the class is defined.
 
-    Returns (cls, reps, g) over the p^6 forms in state-code order: cls the
-    class index, reps the smallest code of each class, and g an element of
-    GL_3 with B = g B_c g^T, B_c the representative of B's class.  The
-    closure runs under the three GL_3 generators; moving B by h multiplies
-    its g by h on the left."""
-    n = p ** 6
-    forms = decode_states(np.arange(n, dtype=np.int64), p, r=6)
-    gens = [np.array(h, dtype=np.int64) for h in generators(p)]
-    g = np.tile(np.eye(3, dtype=np.int16), (n, 1, 1))
+    Over F_p, p odd, a ternary form is congruent to a diagonal one, and its
+    class is fixed by its rank r and the square class of the product of its
+    r nonzero diagonal entries: class 2r - 1 + [the product is a
+    non-square], and 0 for B = 0.
 
-    def reached(j, parents, children):
-        g[children] = mod(gens[j] @ g[parents], p)
+    Symmetric Gaussian elimination moves B by congruences B -> E B E^T and
+    the frame by g -> g E^-1, from g = 1, so that the input is g B g^T
+    throughout.  At k = 0, 1 the pivot B_kk is made nonzero wherever the
+    trailing block is not zero, by transvections e_i += c e_j: for the
+    first j > k with B_jj or B_kj nonzero, e_k += c e_j sets B_kk to
+    c (2 B_kj + c B_jj), nonzero for c = 1 or for c = -1; where B_12 is the
+    only nonzero entry, e_1 += e_2 first sets B_11 to 2 B_12.  Clearing row
+    and column k adds l_j times column j of g to its column k,
+    l_j = B_kj / B_kk.  Each pivot d = s^2 delta, delta 1 or nu (the least
+    non-square), is then scaled to delta (column times s); a pair nu, nu
+    becomes 1, 1 by (g_i, g_j) -> (g_i + b g_j, b g_i - g_j), 1 + b^2 = nu
+    (nu - 1 is a square); and a lone nu moves to the last pivot by
+    swapping places with a 1.  Each fix-up touches only the rows that need
+    it, and the entries are one array each, in int16 while p < 128 (every
+    intermediate is below 2 p^2 + p in size), else int64; the inverses of
+    the pivots and their roots s are lookups in p-entry tables."""
+    work = np.int16 if p < 128 else np.int64
+    chi = legendre_table(p)
+    nu = int(np.argmax(chi < 0))
+    s = np.arange(1, p)
+    root = np.ones(p, dtype=work)                  # d = root[d]^2 delta
+    root[mod(s * s, p)] = root[mod(nu * s * s, p)] = s
+    b = 1 + int(np.argmax(mod(s * s, p) == nu - 1))
+    # entry (i, j) of each form and of its frame: B[i, j] and g[i, j], views
+    # of the rows of B9 and g9
+    B9 = np.asarray(forms).T.astype(work)[_SYM_FULL]
+    g9 = np.zeros_like(B9)
+    g9[[0, 4, 8]] = 1
+    B, g = B9.reshape(3, 3, -1), g9.reshape(3, 3, -1)
 
-    moves = [lambda codes, T=_congruence_matrix(h, p).T:
-             encode_states(forms[codes] @ T, p) for h in gens]
-    cls, _, reps = _closure(n, moves, reached)
-    return cls, reps, g
+    def move(rows, i, j, c):                       # e_i += c e_j
+        S, G = np.take(B, rows, axis=-1), np.take(g, rows, axis=-1)
+        S[i] += c * S[j]
+        S[:, i] += c * S[:, j]
+        G[:, j] -= c * G[:, i]
+        B9[:, rows] = mod(S, p).reshape(9, -1)
+        g9[:, rows] = mod(G, p).reshape(9, -1)
+
+    move(np.flatnonzero((B[1, 2] != 0) & (
+        (B[0, 0] | B[0, 1] | B[0, 2] | B[1, 1] | B[2, 2]) == 0)), 1, 2, 1)
+    inv = ffcore.inverses(p).astype(work)
+    for k in (0, 1):
+        for j in range(k + 1, 3):
+            rows = np.flatnonzero((B[k, k] == 0) & ((B[j, j] | B[k, j]) != 0))
+            c = mod(2 * B[k, j, rows] + B[j, j, rows], p) == 0
+            move(rows, k, j, (1 - 2 * c).astype(work))
+        l = mod(B[k, k + 1:] * np.take(inv, B[k, k]), p)
+        B[k + 1:, k + 1:] = mod(B[k + 1:, k + 1:] - l[:, None] * B[k, k + 1:],
+                                p)
+        g[:, k] = mod(g[:, k] + (g[:, k + 1:] * l).sum(axis=1, dtype=work), p)
+    d = B9[[0, 4, 8]]
+    t = np.take(chi, d)                  # 1 or -1 a pivot, 0 past the rank
+    g9[...] = mod(g * np.take(root, d), p).reshape(9, -1)
+    for i in (0, 1):                     # nu, nu -> 1, 1; nu, 1 -> 1, nu
+        rows = np.flatnonzero((t[i] < 0) & (t[i + 1] != 0))
+        pair = t[i + 1, rows] < 0
+        G = np.take(g, rows, axis=-1)
+        gi, gj = G[:, i].copy(), G[:, i + 1].copy()
+        G[:, i] = np.where(pair, gi + b * gj, gj)
+        G[:, i + 1] = np.where(pair, b * gi - gj, gi)
+        g9[:, rows] = mod(G, p).reshape(9, -1)
+        t[i, rows], t[i + 1, rows] = 1, np.where(pair, 1, -1)
+    rank = np.count_nonzero(t, axis=0)
+    return (2 * rank - (rank > 0) + (t < 0).any(axis=0)).astype(np.int8), g
 
 
-# The most forms p^6 whose classes form_classes finds for the census: 13^6
-# pass, 17^6 do not.
-FORM_STATES = 2 ** 24
+# The most rows (A, B_c) the orbit census classifies, FORM_CLASSES p^6:
+# p = 19 passes, 23 does not.
+CENSUS_ROWS = 2 ** 29
 
 # The most rows (A, B_c) the census classifies in one classify_batch call,
-# and the most forms B of one class the fibred quartic kernel moves at a
-# time.  At p = 13 it keeps the fibred kernel's peak near 380 MB in a fresh
-# process (630 MB with each class moved whole); 2^18 saves nothing more.
+# the most forms whose classes it finds in one form_frames call, and the
+# most forms B of one class the fibred quartic kernel moves at a time.  At
+# p = 13 it keeps the fibred kernel's peak near 380 MB in a fresh process
+# (630 MB with each class moved whole); 2^18 saves nothing more.
 ROW_BUDGET = 2 ** 19
 
 
 def decompose_orbits(space, p):
     """The orbit table of the pair space mod p, {label: (size, rep)}, rep
     the smallest state code of the orbit as a coordinate tuple, keys in
-    ascending order of rep.  Refused past FORM_STATES forms (so p <= 13)
-    before form_classes runs.
+    ascending order of rep.  Refused past CENSUS_ROWS rows (so p <= 19)
+    before any form is classed.
 
-    A census over the GL_3-classes c of B (form_classes): each (A, B) with
+    A census over the GL_3-classes c of B (form_frames): each (A, B) with
     B in class c is g.(A', B_c) for exactly one A', so
     |O| = sum_c |class c| #{A : label(A, B_c) = O}.  B holds the high digits
-    of a code and each B_c is the smallest of its class, so the smallest
-    code of O pairs the least B_c that O meets with the least A labelled O
-    beside it.  The rows (A, B_c), A in code order, are classified
-    ROW_BUDGET at a time.  Raises ClassifierIncompleteError unless the 20
-    labels are all met and the sizes sum to p^12."""
+    of a code and B_c is taken as the smallest code of its class, so the
+    smallest code of O pairs the least B_c that O meets with the least A
+    labelled O beside it.  The forms are classed, and the rows (A, B_c), A
+    in code order, classified, ROW_BUDGET at a time.  Raises
+    ClassifierIncompleteError unless the 20 labels are all met and the
+    sizes sum to p^12."""
     _check_pair_space(space, p)
     half = space.r // 2
     n = p ** half
-    if n > FORM_STATES:
+    if FORM_CLASSES * n > CENSUS_ROWS:
         raise ffcore.ResourceLimitError(
-            f"p={p}: {n} forms exceed the orbit census budget")
-    cls, reps, _ = form_classes(p)
-    class_sizes = np.bincount(cls).tolist()
+            f"p={p}: {FORM_CLASSES * n} rows exceed the orbit census budget")
+    cls = np.concatenate([form_frames(decode_states(np.arange(
+        lo, min(lo + ROW_BUDGET, n)), p, r=half), p)[0]
+        for lo in range(0, n, ROW_BUDGET)])
+    reps = [int(np.argmax(cls == c)) for c in range(FORM_CLASSES)]
     sizes = np.zeros(len(LABELS), dtype=np.int64)
     first = {}                             # label -> its smallest code
-    for size, code in zip(class_sizes, reps.tolist()):
+    for c in np.argsort(reps).tolist():
+        size, code = int(np.count_nonzero(cls == c)), reps[c]
         Bc = decode_states(np.array([code]), p, r=half)
         for lo in range(0, n, ROW_BUDGET):
             A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p,

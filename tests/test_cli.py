@@ -106,9 +106,8 @@ def test_resource_cap_before_work(monkeypatch):
                          (fourier, "ft_bruteforce_exhaustive_cubic"),
                          (fourier, "ft_fibered_histograms"),
                          (ffcore, "character_sums"),
-                         (orbits, "form_classes"),
-                         (orbits, "classify_batch"),
-                         (orbits, "_closure")):
+                         (orbits, "form_frames"),
+                         (orbits, "classify_batch")):
         monkeypatch.setattr(module, name, boom)
     # per class, p^3 a-fibres: 401^3 fits fourier.CUBIC_FIBRES, 409^3 does
     # not, and is refused before the sweep at 401 starts
@@ -116,9 +115,9 @@ def test_resource_cap_before_work(monkeypatch):
                 "--no-cache"]) == 3
     assert run(["ft-verify", "--space", "cubic", "--primes", "59,61",
                 "--mode", "exhaustive", "--no-cache"]) == 3
-    # the fibred quartic kernel and the orbit census stop at p = 13
+    # the fibred quartic kernel stops at p = 13, the orbit census at 19
     assert run(["ft-verify", "--space", "quartic", "--primes", "13,17"]) == 3
-    assert run(["orbits", "--prime", "17"]) == 3
+    assert run(["orbits", "--prime", "23"]) == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,7 @@ from pvsieve.spaces import (CUBIC, QUARTIC, disc_dtype, disc_mod,
                             pairing_weights_mod, resolvent_cubic)
 
 import fpk
-from oracles import CUBIC_COND
+from oracles import CUBIC_COND, encode_states
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_mod_reducers_keep_their_input():
              lambda: disc_mod(CUBIC, X4, p),
              lambda: disc_mod(QUARTIC, X12, p),
              lambda: fourier.ft_histograms(cond, p, X4[:3]),
-             lambda: orbits.encode_states(X12, p),
+             lambda: orbits.form_frames(C12[:, 6:], p),
              lambda: orbits.pencil_counts(C12, r, p)]
     for call in calls:
         before = [X4.copy(), X12.copy(), C12.copy(), *(c.copy() for c in r)]
@@ -209,7 +209,7 @@ def test_radon_matches_oracle_on_random_cones(p, r):
     pts = rng.integers(0, p, size=(4, r))
     lines = (np.arange(1, p)[:, None, None] * pts[None]).reshape(-1, r) % p
     sup = np.zeros(p ** r, dtype=bool)
-    sup[orbits.encode_states(lines, p)] = True
+    sup[encode_states(lines, p)] = True
     w = rng.integers(1, p, size=r)
     assert np.array_equal(fc.character_sums(sup, w, p),
                           fc._numerators(slow_radon_histogram(sup, w, p)))

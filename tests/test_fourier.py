@@ -18,7 +18,8 @@ from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc,
                             resolvent_cubic)
 
 from oracles import (CUBIC_CLASSES, CUBIC_COND, QUARTIC_COND, act,
-                     bruteforce_table, det, ft_on_lattice, ft_qsplit_check)
+                     bruteforce_table, det, encode_states, ft_on_lattice,
+                     ft_qsplit_check, sym_from_cols)
 
 
 def _sweep_oracle(cond, p, targets):
@@ -273,20 +274,22 @@ def _per_target_histograms(cond, p, targets):
     space = cond.space
     w = pairing_weights_mod(space, p)
     T = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
-    alphas = orbits.sym_from_cols(T[:, :6])
+    alphas = sym_from_cols(T[:, :6])
     wbeta = T[:, 6:] * w[6:] % p
-    cls, reps, g = orbits.form_classes(p)
     forms = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
+    cls, g = orbits.form_frames(forms, p)
+    g = np.moveaxis(g, -1, 0).astype(np.int64)
+    canon = orbits.canonical_forms(p)
     rows, cols = zip(*orbits._SYM_INDEX)
     G, N = np.zeros((len(T), p)), 0
-    for c, fibre in enumerate(fourier._pair_fibres(p, forms, forms[reps])):
+    for c, fibre in enumerate(fourier._pair_fibres(p, forms, canon)):
         F = ffcore.character_sums(fibre, w[:6], p)
-        gc, Bc = g[cls == c].astype(np.int64), forms[cls == c]
+        gc, Bc = g[cls == c], forms[cls == c]
         N += len(Bc) * F[0]
         for j, alpha in enumerate(alphas):
             moved = (gc.transpose(0, 2, 1) @ alpha @ gc % p)[:, rows, cols]
             G[j] += np.bincount(Bc @ wbeta[j] % p, minlength=p,
-                                weights=F[orbits.encode_states(moved, p)])
+                                weights=F[encode_states(moved, p)])
     num = ffcore._numerators(G.astype(np.int64))
     counts = np.repeat(((N - num) // p)[:, None], p, axis=1)
     counts[:, 0] += num
@@ -525,16 +528,16 @@ def test_support_slices_cubic(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_support_slices_quartic_fibres(p):
-    """The resolvent-gather fibre over each form-class representative B_c is
-    the oracle's {A : (A, B_c) in supp}, in code order (p <= d + 1 = 13, so
+    """The resolvent-gather fibre over each canonical form B_c is the
+    oracle's {A : (A, B_c) in supp}, in code order (p <= d + 1 = 13, so
     the oracle's slices are disc_mod's)."""
     A = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
-    _, reps, _ = orbits.form_classes(p)
-    got = fourier._pair_fibres(p, A, A[reps])
-    assert len(got) == len(reps) == 7
-    for rep, fibre in zip(reps, got):
+    canon = orbits.canonical_forms(p)
+    got = fourier._pair_fibres(p, A, canon)
+    assert len(got) == len(canon) == 7
+    for rep, fibre in zip(canon, got):
         walked = np.concatenate(list(_support_slices(QUARTIC, p, 6,
-                                                     suffix=A[rep])))
+                                                     suffix=rep)))
         assert np.array_equal(fibre, walked), rep
 
 
@@ -610,8 +613,8 @@ def test_fibered_kernel_cap(monkeypatch):
         check(17)
 
     def boom(*a, **k):
-        raise AssertionError("form_classes started before the cap")
-    monkeypatch.setattr(orbits, "form_classes", boom)
+        raise AssertionError("form_frames started before the cap")
+    monkeypatch.setattr(orbits, "form_frames", boom)
     with pytest.raises(ResourceLimitError):
         fourier.ft_fibered_histograms(QUARTIC_COND, 17, [(0,) * 12])
     with pytest.raises(BadPrimeError):

@@ -12,7 +12,8 @@ from pvsieve.spaces import CUBIC, QUARTIC, disc, disc_mod, resolvent_cubic
 
 import fpk
 from oracles import (QUARTIC_COND, act, act_cubic_batch, act_pair_batch,
-                     det, pair_generators, pairing_mod)
+                     det, encode_states, form_classes_bfs, generators,
+                     pair_generators, pairing_mod, sym_from_cols)
 
 # Exhaustive BFS results, frozen.  p=3 was additionally cross-checked against
 # an independent implementation of the same decomposition; the nonsingular
@@ -69,9 +70,11 @@ def test_frozen_sizes_are_consistent():
 # ---------------------------------------------------------------------------
 
 def test_sym_adjugate_times_matrix_is_det():
-    """adj(A) A = det(A) I on random integer symmetric matrices."""
+    """adj(A) A = det(A) I on random integer symmetric matrices, each read
+    off its coordinates by orbits._SYM_FULL as by the oracle."""
     c = np.random.default_rng(6).integers(-40, 41, size=(500, 6))
-    A, adj = ob.sym_from_cols(c), ob.sym_from_cols(ob.sym_adjugate(c))
+    A, adj = sym_from_cols(c), sym_from_cols(ob.sym_adjugate(c))
+    assert np.array_equal(c[:, ob._SYM_FULL].reshape(-1, 3, 3), A)
     det = np.linalg.det(A.astype(float)).round().astype(np.int64)
     assert np.array_equal(adj @ A, det[:, None, None] * np.eye(3, dtype=int))
 
@@ -87,11 +90,11 @@ def test_act_identity_and_swap():
 
 
 def test_generators_invertible():
-    # the three GL_3 generators of the library and the six of GL_2 x GL_3
-    # the BFS oracle moves by, at every odd prime up to 101: every factor
-    # invertible mod p
+    # the three GL_3 generators the form BFS moves by and the six of
+    # GL_2 x GL_3 the pair BFS moves by, at every odd prime up to 101:
+    # every factor invertible mod p
     for p in primes_upto(101)[1:].tolist():
-        assert len(ob.generators(p)) == 3
+        assert len(generators(p)) == 3
         gens = pair_generators(p)
         assert len(gens) == 6
         for g2, g3 in gens:
@@ -216,7 +219,7 @@ def test_decompose_p5():
     from test_acceptance import P5_ORBITS
     got = ob.decompose_orbits(QUARTIC, 5)
     assert got == {n: (sz, rep) for n, (rep, sz) in P5_ORBITS.items()}
-    codes = [int(ob.encode_states(rep, 5)) for _, rep in got.values()]
+    codes = [int(encode_states(rep, 5)) for _, rep in got.values()]
     assert codes == sorted(codes)
 
 
@@ -224,15 +227,15 @@ def test_decompose_rejects(monkeypatch):
     with pytest.raises(ValueError):
         ob.decompose_orbits(CUBIC, 5)
 
-    # 13^6 forms fit orbits.FORM_STATES, 17^6 do not: refused before
-    # form_classes or a closure runs
+    # the census rows, 7 p^6, fit orbits.CENSUS_ROWS at p = 19, not at 23:
+    # refused before any form is classed
     def boom(*a, **k):
         raise AssertionError("a kernel ran past the census budget")
-    monkeypatch.setattr(ob, "form_classes", boom)
-    monkeypatch.setattr(ob, "_closure", boom)
-    assert 13 ** 6 <= ob.FORM_STATES < 17 ** 6
+    monkeypatch.setattr(ob, "form_frames", boom)
+    monkeypatch.setattr(ob, "classify_batch", boom)
+    assert 7 * 19 ** 6 <= ob.CENSUS_ROWS < 7 * 23 ** 6
     with pytest.raises(ResourceLimitError):
-        ob.decompose_orbits(QUARTIC, 17)
+        ob.decompose_orbits(QUARTIC, 23)
 
 
 def test_census_incomplete_raises(monkeypatch):
@@ -250,19 +253,38 @@ def test_census_incomplete_raises(monkeypatch):
         ob.decompose_orbits(QUARTIC, 3)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_form_classes(p):
-    """Seven GL_3-classes of ternary forms, each form B = g_B B_c g_B^T with
-    g_B invertible and B_c the smallest code of its class."""
-    cls, reps, g = ob.form_classes(p)
-    assert len(reps) == 7 and sorted(set(cls.tolist())) == list(range(7))
-    forms = ob.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
-    G = g.astype(np.int64)
-    Bc = ob.sym_from_cols(forms[reps].astype(np.int64))[cls]
-    moved = np.einsum("nij,njk,nlk->nil", G, Bc, G) % p
-    assert np.array_equal(moved, ob.sym_from_cols(forms.astype(np.int64)))
-    assert all(det(m.tolist()) % p for m in G)
-    assert [int(np.argmax(cls == c)) for c in range(7)] == reps.tolist()
+    """Seven GL_3-classes of ternary forms, each form B = g B_c g^T with g
+    invertible and B_c the canonical form of its class; up to p = 7 the
+    classes and their smallest codes are the breadth-first search's."""
+    n = p ** 6
+    canon = ob.canonical_forms(p).astype(np.int32)
+    cls = np.empty(n, dtype=np.int8)
+    for lo in range(0, n, ob.ROW_BUDGET):
+        forms = ob.decode_states(np.arange(lo, min(lo + ob.ROW_BUDGET, n)),
+                                 p, r=6)
+        cls[lo:lo + len(forms)], g = ob.form_frames(forms, p)
+        # entries below p: each sum below 3 p^3 and |det g| < 6 p^3, exact
+        # in int32
+        g = g.astype(np.int32)
+        # the canonical forms are diagonal: (g D g^T)_ij = sum_k d_k g_ik g_jk
+        d = canon[cls[lo:lo + len(forms)], :3].T
+        for col, (i, j) in enumerate(ob._SYM_INDEX):
+            moved = d[0] * g[i, 0] * g[j, 0] + d[1] * g[i, 1] * g[j, 1]
+            moved += d[2] * g[i, 2] * g[j, 2]
+            assert np.array_equal(moved % p, forms[:, col])
+        det = (g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
+               - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
+               + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
+        assert (det % p).all()
+    met, reps = np.unique(cls, return_index=True)
+    assert met.tolist() == list(range(7))
+    if p <= 7:
+        bfs_cls, bfs_reps = form_classes_bfs(p)
+        order = np.argsort(reps)
+        assert reps[order].tolist() == bfs_reps.tolist()
+        assert np.array_equal(np.argsort(order)[cls], bfs_cls)
 
 
 def test_classify_agrees_with_bfs_everywhere_p3(table3):
