@@ -48,9 +48,9 @@ import numpy as np
 
 from . import ffcore, orbits
 from .ffcore import mod
-from .spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc_cubic,
-                     disc_dtype, disc_mod, dual_disc_cubic,
-                     pairing_weights_mod, space_by_name)
+from .spaces import (CUBIC, QUARTIC, BadPrimeError, disc_cubic, disc_dtype,
+                     disc_mod, dual_disc_cubic, pairing_weights_mod,
+                     space_by_name)
 
 
 class InvalidLabelError(ValueError):
@@ -118,11 +118,10 @@ def _poly(p, *pairs):
 
 def ft_closed_form(cond, p, label):
     """The closed-form transform at a prime for a target class (cubic) or
-    orbit label (quartic, aliases accepted).  Bad primes are refused."""
+    orbit label (quartic).  Bad primes are refused."""
     space = cond.space
     if space.is_bad_prime(p):
         raise BadPrimeError(f"p={p} is a bad prime for {space.space_id}")
-    label = orbits.LABEL_ALIASES.get(label, label)
     try:
         return _poly(p, *_lines(space)[label])
     except KeyError:
@@ -199,10 +198,10 @@ def space_kernel(space):
     in fresh processes at p = 5 to 457, rounded up;
     ft_fibered_histograms (p <= 13), over the classes and frames of
     orbits.form_frames, its fibres over the canonical forms gathered from
-    that mask through the resolvent, exact as disc(cx) = c^12 disc(x) makes
-    the support jointly dilation-invariant, at targets whose labels, past
-    p = 5, no exhaustive BFS has checked (the tests run one at p = 3, and
-    the frozen p = 5 table came from one)."""
+    that mask at the resolvents of orbits.canonical_resolvents, exact as
+    disc(cx) = c^12 disc(x) makes the support jointly dilation-invariant,
+    at targets whose labels, past p = 5, no exhaustive BFS has checked (the
+    tests run one at p = 3, and the frozen p = 5 table came from one)."""
     if space is CUBIC:
         return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
                            _check_fibres, lambda p: None,
@@ -302,27 +301,22 @@ def _cubic_mask(p):
     return mask
 
 
-def _pair_fibres(p, forms, Bs):
-    """For each B of Bs, the fibre {A : (A, B) in supp} of the pair space as
-    a boolean mask over forms, the p^6 forms A in code order (int16, as
-    decode_states gives them).
+def _pair_fibres(p, forms):
+    """For each canonical form D_c (orbits.canonical_forms), the fibre
+    {A : (A, D_c) in supp} of the pair space as a boolean mask over forms,
+    the p^6 forms A in code order (int16, as decode_states gives them).
 
-    disc(A, B) is the disc of the resolvent cubic 4 det(Ax + By), whose
-    coefficients, in spaces.resolvent_cubic's order, are 4 (det A,
-    tr(adj(A) B), tr(A adj(B)), det B).  So each fibre is one gather from
-    _cubic_mask at the code of those four mod p.  det A and adj(A) are taken
-    once for all the Bs, in int16: for p <= 13 every product of residues,
-    every sum of six such and every code (< p^4) is below 2^15."""
-    mask = _cubic_mask(p)
-    w = np.array([1, 1, 1, 2, 2, 2], dtype=np.int16)   # tr(XY) = sum w x y
-    adj = mod(orbits.sym_adjugate(forms), p)
-    code = mod(4 * mod(_det3_sym(*forms.T), p), p)
-    fibres = []
-    for B in Bs:
-        c1 = mod(adj @ (w * B) * 4, p)
-        c2 = mod(forms @ mod(w * orbits.sym_adjugate(B), p) * 4, p)
-        c3 = 4 * _det3_sym(*B.tolist()) % p
-        fibres.append(mask[code + p * c1 + p * p * c2 + p ** 3 * c3])
+    disc(A, B) is the disc of the resolvent cubic 4 det(Ax + By), so each
+    fibre is one gather from _cubic_mask at the code of the resolvent's
+    coefficients mod p, orbits.canonical_resolvents, taken
+    orbits.ROW_BUDGET forms at a time.  Those come in int16, and so does
+    the code: it is below p^4 < 2^15 for p <= 13."""
+    mask, n, budget = _cubic_mask(p), len(forms), orbits.ROW_BUDGET
+    fibres = [np.empty(n, dtype=bool) for _ in range(orbits.FORM_CLASSES)]
+    for lo in range(0, n, budget):
+        r = orbits.canonical_resolvents(forms[lo:lo + budget], p)
+        for fibre, (r0, r1, r2, r3) in zip(fibres, r):
+            fibre[lo:lo + budget] = mask[r0 + p * (r1 + p * (r2 + p * r3))]
     return fibres
 
 
@@ -410,7 +404,7 @@ def ft_fibered_histograms(cond, p, targets):
     # triangle, below p^6, in int32
     pow_p = p ** np.arange(half, dtype=np.int32)
     G, N = np.zeros((len(T), 6 * p * p)), 0
-    fibres = _pair_fibres(p, forms, canon)
+    fibres = _pair_fibres(p, forms)
     for c in range(len(canon)):
         # each mask is dropped once summed, before its class's gathers
         F = ffcore.character_sums(fibres.pop(0), w[:half], p)

@@ -5,13 +5,15 @@ forms.
 The class of a ternary form is its rank and one square class, and
 form_frames reads it off a vectorized congruence diagonalization, with a
 frame g, B = g D_c g^T, over the canonical diagonal forms D_c of the seven
-classes (canonical_forms); the fibred quartic kernel walks the classes
-with those frames.  The orbit table of the pair space (decompose_orbits, a
-{label: (size, rep)} table) is a census over the classes: classify_batch
-labels the p^6 rows (A, B_c) of each class's smallest code B_c, and each
-class weighs its counts by its size.  No search over an orbit runs in the
-library; the tests keep breadth-first searches over the forms and, at
-p = 3, over the pair space as the slow references.
+classes (canonical_forms), each the smallest code of its class.  The
+orbit census and the fibred quartic kernel both walk the rows (A, D_c),
+A over all p^6 forms, and read their resolvents from one kernel
+(canonical_resolvents).  The orbit table of the pair space
+(decompose_orbits, a {label: (size, rep)} table) is that census: the
+classifier's labelling step labels the p^6 rows (A, D_c) of each class,
+and each class weighs its counts by its size.  No search over an orbit
+runs in the library; the tests keep breadth-first searches over the forms
+and, at p = 3, over the pair space as the slow references.
 
 The 20 orbit labels for the pair space (p odd) and their grouping by
 dimension i (LABEL_DIM); the Fourier-decay exponent of each group,
@@ -31,7 +33,7 @@ B11/B2/Cs = common-kernel pencils graded by the binary determinant form
 (split / nonsplit / degenerate); Cns = everywhere-singular pencil without a
 common kernel.  The remaining labels follow the splitting type of the four
 base points of the two conics (exponents mark multiplicity, digits the
-residue degrees); O_T11 and O_T2 are accepted as aliases of O_B11, O_B2.
+residue degrees).
 
 The classifier reads one signature per nonzero element, (kind, n1).  kind
 is the type of the resolvent cubic 4 det(Ax + By) mod p: three distinct
@@ -45,9 +47,10 @@ runs at the narrowest width its bound allows, and falls back to int64
 where the bound fails: the rows are reduced once into int16 residues
 (p < 2^15); the resolvent is formed from them in int32 (216 (p - 1)^3 <
 2^31, p <= 216) and its Horner sums run in disc_dtype(p - 1) (int32 to
-p = 79); each pencil member gathers the whole rows it hits and forms F in
-int16 (p^2 < 2^15, p <= 181); n1 and the tally are int32 ((p + 2)^3 <
-2^31, p <= 1288).
+p = 79), or, in the census, in canonical_resolvents' dtype (int16 to
+p = 13, where p^4 < 2^15); each pencil member gathers the whole rows it
+hits and forms F in int16 (p^2 < 2^15, p <= 181); n1 and the tally are
+int32 ((p + 2)^3 < 2^31, p <= 1288).
 signature_table(p) maps 17 signatures to the 19 nonzero labels.  Two
 signatures name two labels each, and one more count of the same passes
 splits them: the rank-1 members, the zeros of the pencil's binary
@@ -59,7 +62,7 @@ resolvent; the pair (F_p base points, F_p roots) reads off the cycle type
 Invent. Math. 1992).
 Any other signature or split value raises ClassifierIncompleteError.  The
 map was checked over every orbit: against the exhaustive BFS at p = 3 and
-5, and on the rows (A, B_c), B_c running over the classes of form_frames,
+5, and on the rows (A, D_c), D_c running over the classes of form_frames,
 at p = 3, 5, 7, 11 and 13, where the same 18 signatures (O_0 counted)
 occur.
 """
@@ -68,7 +71,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import divisible, mod
-from .spaces import QUARTIC, disc_dtype, resolvent_cubic
+from .spaces import QUARTIC, _det3_sym, disc_dtype, resolvent_cubic
 
 
 class ClassifierIncompleteError(RuntimeError):
@@ -94,9 +97,6 @@ LABELS = tuple(LABEL_DIM)
 U_GROUPS = {i: tuple(n for n in LABELS if LABEL_DIM[n] == i)
             for i in sorted(set(LABEL_DIM.values()))}
 
-# alternate names for the dimension-8 kernel pair
-LABEL_ALIASES = {"O_T11": "O_B11", "O_T2": "O_B2"}
-
 NONSINGULAR_LABELS = U_GROUPS[12]
 
 
@@ -109,16 +109,6 @@ NONSINGULAR_LABELS = U_GROUPS[12]
 # is the matrix itself, read row by row from those coordinates.
 _SYM_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SYM_FULL = [0, 3, 4, 3, 1, 5, 4, 5, 2]
-
-
-def sym_adjugate(c):
-    """The adjugate of symmetric 3x3 matrices given as their (..., 6)
-    coordinates, as the same 6 coordinates (the adjugate of a symmetric
-    matrix is symmetric), unreduced, in c's dtype."""
-    a11, a22, a33, a12, a13, a23 = (c[..., i] for i in range(6))
-    return np.stack([a22 * a33 - a23 * a23, a11 * a33 - a13 * a13,
-                     a11 * a22 - a12 * a12, a13 * a23 - a12 * a33,
-                     a12 * a23 - a13 * a22, a12 * a13 - a11 * a23], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +136,15 @@ FORM_CLASSES = 7
 def canonical_forms(p):
     """The class representatives of form_frames, as (FORM_CLASSES, 6) int16
     coordinates: the zero form, then for r = 1, 2, 3 the rank-r forms
-    diag(1, .., 1, e, 0, ..), e = 1 and e = nu, the least non-square mod p."""
+    diag(e, 1, .., 1, 0, ..), e = 1 and e = nu, the least non-square mod p.
+    Each is the smallest code of its class: every class has a diagonal
+    member, and a code compares a23, a13 and a12 before the diagonal, then
+    a33, a22 and a11 in turn, so the least member of a class of rank r puts
+    0 past the r-th place, 1 in places 2 to r and in place 1 the least
+    residue of the class's square class."""
     nu = int(np.argmax(legendre_table(p) < 0))
-    diag = [(0, 0, 0), (1, 0, 0), (nu, 0, 0), (1, 1, 0), (1, nu, 0),
-            (1, 1, 1), (1, 1, nu)]
+    diag = [(0, 0, 0), (1, 0, 0), (nu, 0, 0), (1, 1, 0), (nu, 1, 0),
+            (1, 1, 1), (nu, 1, 1)]
     return np.hstack([diag, np.zeros((FORM_CLASSES, 3))]).astype(np.int16)
 
 
@@ -176,11 +171,12 @@ def form_frames(forms, p):
     l_j = B_kj / B_kk.  Each pivot d = s^2 delta, delta 1 or nu (the least
     non-square), is then scaled to delta (column times s); a pair nu, nu
     becomes 1, 1 by (g_i, g_j) -> (g_i + b g_j, b g_i - g_j), 1 + b^2 = nu
-    (nu - 1 is a square); and a lone nu moves to the last pivot by
-    swapping places with a 1.  Each fix-up touches only the rows that need
-    it, and the entries are one array each, in int16 while p < 128 (every
-    intermediate is below 2 p^2 + p in size), else int64; the inverses of
-    the pivots and their roots s are lookups in p-entry tables."""
+    (nu - 1 is a square); and a lone nu moves to the first pivot by
+    swapping places with a 1, as canonical_forms has it.  Each fix-up
+    touches only the rows that need it, and the entries are one array each,
+    in int16 while p < 128 (every intermediate is below 2 p^2 + p in size),
+    else int64; the inverses of the pivots and their roots s are lookups in
+    p-entry tables."""
     work = np.int16 if p < 128 else np.int64
     chi = legendre_table(p)
     nu = int(np.argmax(chi < 0))
@@ -218,28 +214,57 @@ def form_frames(forms, p):
     d = B9[[0, 4, 8]]
     t = np.take(chi, d)                  # 1 or -1 a pivot, 0 past the rank
     g9[...] = mod(g * np.take(root, d), p).reshape(9, -1)
-    for i in (0, 1):                     # nu, nu -> 1, 1; nu, 1 -> 1, nu
-        rows = np.flatnonzero((t[i] < 0) & (t[i + 1] != 0))
-        pair = t[i + 1, rows] < 0
+    for i in (1, 0):                     # nu, nu -> 1, 1; 1, nu -> nu, 1
+        rows = np.flatnonzero((t[i + 1] < 0) & (t[i] != 0))
+        pair = t[i, rows] < 0
         G = np.take(g, rows, axis=-1)
         gi, gj = G[:, i].copy(), G[:, i + 1].copy()
         G[:, i] = np.where(pair, gi + b * gj, gj)
         G[:, i + 1] = np.where(pair, b * gi - gj, gi)
         g9[:, rows] = mod(G, p).reshape(9, -1)
-        t[i, rows], t[i + 1, rows] = 1, np.where(pair, 1, -1)
+        t[i, rows], t[i + 1, rows] = np.where(pair, 1, -1), 1
     rank = np.count_nonzero(t, axis=0)
     return (2 * rank - (rank > 0) + (t < 0).any(axis=0)).astype(np.int8), g
 
 
-# The most rows (A, B_c) the orbit census classifies, FORM_CLASSES p^6:
+def canonical_resolvents(A, p):
+    """The resolvents of the rows (A, D_c), D_c running over
+    canonical_forms(p), for the (n, 6) forms A reduced mod p: for each
+    class c in turn, (r0, r1, r2, r3), the coefficients of 4 det(xA + yD_c)
+    in spaces.resolvent_cubic's order, reduced mod p.  r0 = 4 det A is one
+    array for every class and r3 = 4 det D_c one Python int a class.
+
+    det(xA + yD) = x^3 det A + x^2 y tr(adj(A) D) + x y^2 tr(A adj(D))
+    + y^3 det D, and D_c = diag(d1, d2, d3), so tr(adj(A) D_c) is
+    sum_i d_i adj(A)_ii and tr(A adj(D_c)) is sum_i a_ii d_j d_k,
+    {i, j, k} = {1, 2, 3}: det A and the diagonal of adj A are taken once
+    for all seven classes.  det A and the two sums are below 3 (p - 1)^3 in
+    size, 4 times them below 12 (p - 1)^3, so they run in int16 while that
+    is below 2^15 (p <= 13), else in _reduce's disc_dtype(p - 1), whose
+    bound 54 (p - 1)^4 is larger (int32 to p = 79).  The coefficients come
+    in that dtype, which holds pencil_counts' Horner sums, below p^4."""
+    work = np.int16 if 12 * (p - 1) ** 3 < 2 ** 15 else disc_dtype(p - 1)
+    a11, a22, a33, a12, a13, a23 = (A[:, i].astype(work, copy=False)
+                                    for i in range(6))
+    r0 = mod(4 * _det3_sym(a11, a22, a33, a12, a13, a23), p)
+    adj = (a22 * a33 - a23 * a23, a11 * a33 - a13 * a13,
+           a11 * a22 - a12 * a12)
+    for d1, d2, d3 in canonical_forms(p)[:, :3].tolist():
+        r1 = mod(4 * (d1 * adj[0] + d2 * adj[1] + d3 * adj[2]), p)
+        r2 = mod(4 * (d2 * d3 * a11 + d1 * d3 * a22 + d1 * d2 * a33), p)
+        yield r0, r1, r2, 4 * d1 * d2 * d3 % p
+
+
+# The most rows (A, D_c) the orbit census labels, FORM_CLASSES p^6:
 # p = 19 passes, 23 does not.
 CENSUS_ROWS = 2 ** 29
 
-# The most rows (A, B_c) the census classifies in one classify_batch call,
-# the most forms whose classes it finds in one form_frames call, and the
-# most forms B of one class the fibred quartic kernel moves at a time.  At
-# p = 13 it keeps the fibred kernel's peak near 380 MB in a fresh process
-# (630 MB with each class moved whole); 2^18 saves nothing more.
+# The most forms A the census decodes, classes and labels beside each D_c
+# at a time, and the most forms A or B the fibred quartic kernel gathers
+# fibres for or moves, one class at a time.  At p = 13 it keeps the fibred
+# kernel's peak near 300 MB in a fresh process (630 MB with each class
+# moved whole, 327 MB with the fibres gathered over all p^6 forms at once);
+# 2^18 saves nothing more.
 ROW_BUDGET = 2 ** 19
 
 
@@ -250,12 +275,14 @@ def decompose_orbits(space, p):
     before any form is classed.
 
     A census over the GL_3-classes c of B (form_frames): each (A, B) with
-    B in class c is g.(A', B_c) for exactly one A', so
-    |O| = sum_c |class c| #{A : label(A, B_c) = O}.  B holds the high digits
-    of a code and B_c is taken as the smallest code of its class, so the
-    smallest code of O pairs the least B_c that O meets with the least A
-    labelled O beside it.  The forms are classed, and the rows (A, B_c), A
-    in code order, classified, ROW_BUDGET at a time.  Raises
+    B in class c is g.(A', D_c) for exactly one A', so
+    |O| = sum_c |class c| #{A : label(A, D_c) = O}.  B holds the high digits
+    of a code and D_c is the smallest code of its class (canonical_forms),
+    so the smallest code of O is the least, over the classes c that O
+    meets, of D_c beside the least A labelled O there.  The forms A are
+    decoded ROW_BUDGET at a time, in code order; each chunk is classed once,
+    for the class sizes, and labelled beside each D_c by the classifier's
+    labelling step, with the resolvents of canonical_resolvents.  Raises
     ClassifierIncompleteError unless the 20 labels are all met and the
     sizes sum to p^12."""
     _check_pair_space(space, p)
@@ -264,31 +291,32 @@ def decompose_orbits(space, p):
     if FORM_CLASSES * n > CENSUS_ROWS:
         raise ffcore.ResourceLimitError(
             f"p={p}: {FORM_CLASSES * n} rows exceed the orbit census budget")
-    cls = np.concatenate([form_frames(decode_states(np.arange(
-        lo, min(lo + ROW_BUDGET, n)), p, r=half), p)[0]
-        for lo in range(0, n, ROW_BUDGET)])
-    reps = [int(np.argmax(cls == c)) for c in range(FORM_CLASSES)]
-    sizes = np.zeros(len(LABELS), dtype=np.int64)
-    first = {}                             # label -> its smallest code
-    for c in np.argsort(reps).tolist():
-        size, code = int(np.count_nonzero(cls == c)), reps[c]
-        Bc = decode_states(np.array([code]), p, r=half)
-        for lo in range(0, n, ROW_BUDGET):
-            A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p,
-                              r=half)
-            labels = classify_batch(
-                space, np.hstack([A, np.repeat(Bc, len(A), axis=0)]), p)
-            counts = np.bincount(labels, minlength=len(LABELS))
-            for i in np.flatnonzero(counts).tolist():
-                if i not in first:
-                    first[i] = code * n + lo + int(np.argmax(labels == i))
-            sizes += size * counts
-    if len(first) < len(LABELS) or sizes.sum() != p ** space.r:
+    canon = canonical_forms(p)
+    # the code of each D_c times n: the high digits of its rows' codes
+    high = n * (canon.astype(np.int64) @ p ** np.arange(half, dtype=np.int64))
+    size = np.zeros(FORM_CLASSES, dtype=np.int64)       # |class c|
+    # counts[c, i] = #{A : label(A, D_c) = i}; first[c, i] the least code
+    # of those rows (A, D_c), p^12 while there is none
+    counts = np.zeros((FORM_CLASSES, len(LABELS)), dtype=np.int64)
+    first = np.full_like(counts, p ** space.r)
+    for lo in range(0, n, ROW_BUDGET):
+        A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p, r=half)
+        size += np.bincount(form_frames(A, p)[0], minlength=FORM_CLASSES)
+        for c, r in enumerate(canonical_resolvents(A, p)):
+            C = np.hstack([A, np.broadcast_to(canon[c], A.shape)])
+            labels = _label(C, r, p)
+            got = np.bincount(labels, minlength=len(LABELS))
+            for i in np.flatnonzero((got > 0) & (counts[c] == 0)).tolist():
+                first[c, i] = high[c] + lo + int(np.argmax(labels == i))
+            counts[c] += got
+    sizes, first = size @ counts, first.min(axis=0)
+    met = np.count_nonzero(counts.any(axis=0))
+    if met < len(LABELS) or sizes.sum() != p ** space.r:
         raise ClassifierIncompleteError(
-            f"p={p}: the census met {len(first)} labels, "
+            f"p={p}: the census met {met} labels, "
             f"{int(sizes.sum())} states of {p ** space.r}")
-    order = sorted(first, key=first.get)
-    rep_coords = decode_states(np.array([first[i] for i in order]), p)
+    order = np.argsort(first).tolist()
+    rep_coords = decode_states(first[order], p)
     return {LABELS[i]: (int(sizes[i]), tuple(rc.tolist()))
             for i, rc in zip(order, rep_coords)}
 
@@ -306,9 +334,9 @@ def legendre_table(p):
 
 def pencil_counts(C, r, p):
     """(n1, zeros, rank1, roots) per row of C, an (n, 12) integer array
-    reduced mod p (classify_batch passes int16), r the reduced coefficients
-    of its resolvent 4 det(xA + yB) in a dtype that holds p^4
-    (spaces.disc_dtype(p - 1)): roots the number of members
+    reduced mod p (_label's callers pass int16), r the reduced coefficients
+    of its resolvent 4 det(xA + yB) in a dtype that holds p^4 (arrays, or
+    Python ints constant over the rows): roots the number of members
     [x:y] of P^1(F_p) with F = xA + yB singular, zeros and rank1 the number
     of those with F = 0 and with F of rank 1, and n1 the number of
     F_p-points of the base locus A = B = 0 in P^2.
@@ -329,7 +357,7 @@ def pencil_counts(C, r, p):
     rank 2, where adj F = mu w w^T has a nonzero diagonal entry mu w_i^2.
     So a member has rank 1 where F != 0 and -diag(adj F) is all zero.
 
-    classify_batch reads the resolvent's type off these counts.  A nonzero
+    _label reads the resolvent's type off these counts.  A nonzero
     binary cubic has at most 3 zeros on P^1, and p + 1 >= 4, so the
     resolvent is 0 mod p exactly where roots = p + 1.  There a zero member,
     xA + yB = 0 with (x, y) != 0, is a dependence of A and B, and a
@@ -419,17 +447,23 @@ def _incomplete(p, kind, n1, state, why):
 
 
 def classify_batch(space, coords, p):
-    """Label codes (index into LABELS) for an (n, 12) integer array: each
+    """Label codes (index into LABELS) for an (n, 12) integer array: the
+    rows are reduced once, into int16 residues while p < 2^15, and their
+    resolvent is formed from those in int32 while p <= 216 (_reduce); then
+    _label labels them."""
+    _check_pair_space(space, p)
+    return _label(*_reduce(coords, p), p)
+
+
+def _label(C, r, p):
+    """Label codes (index into LABELS) for the rows C, reduced mod p, with
+    r their resolvent's coefficients as pencil_counts takes them: each
     nonzero state's signature (kind, n1) looked up in signature_table, with
     kind read off pencil_counts and the resolvent's Hessian (the proofs are
-    in pencil_counts' docstring).  The rows are reduced once, into int16
-    residues while p < 2^15, and their resolvent is formed from those in
-    int32 while p <= 216 (_reduce); pencil_counts works on those residues
-    in int16 while p <= 181 and counts in int32 while p <= 1288, each
-    falling back to int64 past its bound.  The zero rows are those whose
-    every pencil member is zero."""
-    _check_pair_space(space, p)
-    C, r = _reduce(coords, p)
+    in pencil_counts' docstring).  pencil_counts works on the residues in
+    int16 while p <= 181 and counts in int32 while p <= 1288, each falling
+    back to int64 past its bound.  The zero rows are those whose every
+    pencil member is zero."""
     r0, r1, r2, r3 = r
     triple = ((mod(r1 * r1 - 3 * r0 * r2, p) == 0)
               & (mod(r1 * r2 - 9 * r0 * r3, p) == 0)
@@ -465,7 +499,7 @@ def classify_batch(space, coords, p):
 
 
 def _reduce(coords, p):
-    """classify_batch's inputs to pencil_counts: (C, r), C the rows of
+    """classify_batch's inputs to _label: (C, r), C the rows of
     coords reduced mod p, int16 while p < 2^15 (else int64), in C order so
     that each pencil member gathers whole rows; r the coefficients of
     their resolvent, formed from C (int32 while p <= 216,

@@ -107,6 +107,8 @@ def test_resource_cap_before_work(monkeypatch):
                          (fourier, "ft_fibered_histograms"),
                          (ffcore, "character_sums"),
                          (orbits, "form_frames"),
+                         (orbits, "canonical_resolvents"),
+                         (orbits, "_label"),
                          (orbits, "classify_batch")):
         monkeypatch.setattr(module, name, boom)
     # per class, p^3 a-fibres: 401^3 fits fourier.CUBIC_FIBRES, 409^3 does
@@ -183,9 +185,13 @@ def test_orbit_table_output(tmp_path, capsys):
 def test_orbit_table_past_p5(capsys):
     # the census reaches p = 7, where no breadth-first search could
     assert run(["orbits", "--prime", "7"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    text = capsys.readouterr().out
+    lines = text.splitlines()
     assert lines[-1] == f"# total\t{7 ** 12}"
     assert sum(1 for l in lines if l.startswith("O_")) == 20
+    # no search checks the reps at p = 7: the table is pinned byte for byte
+    assert _workloads().digest(text) == (
+        "4da487eaa4eb69abc685bb5c34fee8cc4a19f3f28b7611392e200df4e602758a")
 
 
 def test_classifier_gap_is_a_mismatch(monkeypatch, capsys):
@@ -193,7 +199,7 @@ def test_classifier_gap_is_a_mismatch(monkeypatch, capsys):
     # mismatch: one MISMATCH line on stderr, exit 1, nothing on stdout
     def gap(*a, **k):
         raise orbits.ClassifierIncompleteError("p=3: forced for the test")
-    monkeypatch.setattr(orbits, "classify_batch", gap)
+    monkeypatch.setattr(orbits, "_label", gap)
     assert run(["orbits", "--prime", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from pvsieve import ffcore, fourier, orbits, sieve
 from pvsieve.ffcore import ResourceLimitError
-from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, _det3_sym, disc,
-                            disc_mod, dual_disc_cubic, pairing_weights_mod,
+from pvsieve.spaces import (CUBIC, QUARTIC, BadPrimeError, disc, disc_mod,
+                            dual_disc_cubic, pairing_weights_mod,
                             resolvent_cubic)
 
 from oracles import (CUBIC_CLASSES, CUBIC_COND, QUARTIC_COND, act,
@@ -138,8 +138,6 @@ def test_quartic_closed_form_values():
     assert _quartic(3, "O_D1^2") == Fraction(128, 6561)
     for name in orbits.NONSINGULAR_LABELS:
         assert _quartic(3, name) == Fraction(-1, 6561)
-    # aliases resolve
-    assert _quartic(5, "O_T11") == _quartic(5, "O_B11")
 
 
 def test_bad_primes_rejected():
@@ -279,10 +277,9 @@ def _per_target_histograms(cond, p, targets):
     forms = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
     cls, g = orbits.form_frames(forms, p)
     g = np.moveaxis(g, -1, 0).astype(np.int64)
-    canon = orbits.canonical_forms(p)
     rows, cols = zip(*orbits._SYM_INDEX)
     G, N = np.zeros((len(T), p)), 0
-    for c, fibre in enumerate(fourier._pair_fibres(p, forms, canon)):
+    for c, fibre in enumerate(fourier._pair_fibres(p, forms)):
         F = ffcore.character_sums(fibre, w[:6], p)
         gc, Bc = g[cls == c], forms[cls == c]
         N += len(Bc) * F[0]
@@ -533,7 +530,7 @@ def test_support_slices_quartic_fibres(p):
     the oracle's slices are disc_mod's)."""
     A = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
     canon = orbits.canonical_forms(p)
-    got = fourier._pair_fibres(p, A, canon)
+    got = fourier._pair_fibres(p, A)
     assert len(got) == len(canon) == 7
     for rep, fibre in zip(canon, got):
         walked = np.concatenate(list(_support_slices(QUARTIC, p, 6,
@@ -542,17 +539,24 @@ def test_support_slices_quartic_fibres(p):
 
 
 def test_resolvent_coefficient_order():
-    """The fibres' coefficients (det A, tr(adj(A) B), tr(A adj(B)), det B)
-    are resolvent_cubic's, divided by 4, in its order, on random integer
-    pairs."""
-    rng = np.random.default_rng(12)
-    X = rng.integers(-50, 51, size=(1000, 12))
-    A, B = X[:, :6], X[:, 6:]
-    w = np.array([1, 1, 1, 2, 2, 2])             # tr(XY) = sum w x y
-    ours = (_det3_sym(*A.T), (orbits.sym_adjugate(A) * B) @ w,
-            (A * orbits.sym_adjugate(B)) @ w, _det3_sym(*B.T))
-    for got, want in zip(ours, resolvent_cubic(X)):
-        assert np.array_equal(4 * got, want)
+    """orbits.canonical_resolvents gives resolvent_cubic's coefficients of
+    the rows (A, D_c) mod p, in its order, for every canonical form D_c:
+    on random forms, the form whose entries are all p - 1, and one with
+    det A = 2 (p - 1)^3.  Its int16 width holds to p = 13, the last prime
+    under its bound 12 (p - 1)^3 < 2^15; p = 17 to 79 run in int32 and
+    p = 83 in int64 (spaces.disc_dtype)."""
+    for p in (3, 5, 7, 11, 13, 17, 19, 79, 83):
+        A = np.random.default_rng(p).integers(0, p, size=(1000, 6))
+        A[0], A[1] = p - 1, (0, 0, 0, p - 1, p - 1, p - 1)
+        A = A.astype(np.int16)
+        canon = orbits.canonical_forms(p)
+        got = list(orbits.canonical_resolvents(A, p))
+        assert len(got) == len(canon) == 7
+        for D, r in zip(canon, got):
+            X = np.hstack([A, np.broadcast_to(D, A.shape)]).astype(np.int64)
+            for ours, want in zip(r, resolvent_cubic(X)):
+                assert np.array_equal(np.broadcast_to(ours, want.shape),
+                                      want % p), (p, D)
 
 
 @pytest.mark.parametrize("space", [CUBIC, QUARTIC], ids=["cubic", "quartic"])

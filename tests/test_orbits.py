@@ -13,7 +13,7 @@ from pvsieve.spaces import CUBIC, QUARTIC, disc, disc_mod, resolvent_cubic
 import fpk
 from oracles import (QUARTIC_COND, act, act_cubic_batch, act_pair_batch,
                      det, encode_states, form_classes_bfs, generators,
-                     pair_generators, pairing_mod, sym_from_cols)
+                     pair_generators, pairing_mod)
 
 # Exhaustive BFS results, frozen.  p=3 was additionally cross-checked against
 # an independent implementation of the same decomposition; the nonsingular
@@ -48,7 +48,6 @@ def test_label_tables():
     # (i, fc) pairs exactly as published
     assert sorted(set((i, FC_BY_DIM[i]) for i in ob.LABEL_DIM.values())) == [
         (0, -1), (4, -3), (7, -4), (8, -5), (10, -6), (11, -7), (12, -8)]
-    assert ob.LABEL_ALIASES == {"O_T11": "O_B11", "O_T2": "O_B2"}
     assert set(ob.U_GROUPS[12]) == {"O_1111", "O_112", "O_22", "O_13", "O_4"}
 
 
@@ -68,16 +67,6 @@ def test_frozen_sizes_are_consistent():
 # ---------------------------------------------------------------------------
 # action
 # ---------------------------------------------------------------------------
-
-def test_sym_adjugate_times_matrix_is_det():
-    """adj(A) A = det(A) I on random integer symmetric matrices, each read
-    off its coordinates by orbits._SYM_FULL as by the oracle."""
-    c = np.random.default_rng(6).integers(-40, 41, size=(500, 6))
-    A, adj = sym_from_cols(c), sym_from_cols(ob.sym_adjugate(c))
-    assert np.array_equal(c[:, ob._SYM_FULL].reshape(-1, 3, 3), A)
-    det = np.linalg.det(A.astype(float)).round().astype(np.int64)
-    assert np.array_equal(adj @ A, det[:, None, None] * np.eye(3, dtype=int))
-
 
 def test_act_identity_and_swap():
     p = 7
@@ -231,23 +220,24 @@ def test_decompose_rejects(monkeypatch):
     # refused before any form is classed
     def boom(*a, **k):
         raise AssertionError("a kernel ran past the census budget")
-    monkeypatch.setattr(ob, "form_frames", boom)
-    monkeypatch.setattr(ob, "classify_batch", boom)
+    for name in ("form_frames", "canonical_resolvents", "_label",
+                 "classify_batch"):
+        monkeypatch.setattr(ob, name, boom)
     assert 7 * 19 ** 6 <= ob.CENSUS_ROWS < 7 * 23 ** 6
     with pytest.raises(ResourceLimitError):
         ob.decompose_orbits(QUARTIC, 23)
 
 
 def test_census_incomplete_raises(monkeypatch):
-    # a classifier that never names one label leaves the census short of
-    # it, and the sizes still sum to p^12: a gap to report
-    real = ob.classify_batch
+    # a labelling step that never names one label leaves the census short
+    # of it, and the sizes still sum to p^12: a gap to report
+    real = ob._label
 
     def never(*args):
         out = real(*args)
         out[out == ob.LABELS.index("O_4")] = ob.LABELS.index("O_22")
         return out
-    monkeypatch.setattr(ob, "classify_batch", never)
+    monkeypatch.setattr(ob, "_label", never)
     with pytest.raises(ob.ClassifierIncompleteError,
                        match="p=3: the census met 19 labels"):
         ob.decompose_orbits(QUARTIC, 3)
@@ -256,8 +246,9 @@ def test_census_incomplete_raises(monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_form_classes(p):
     """Seven GL_3-classes of ternary forms, each form B = g B_c g^T with g
-    invertible and B_c the canonical form of its class; up to p = 7 the
-    classes and their smallest codes are the breadth-first search's."""
+    invertible and B_c the canonical form of its class, whose code is the
+    smallest of the class; up to p = 7 the classes and their smallest codes
+    are the breadth-first search's."""
     n = p ** 6
     canon = ob.canonical_forms(p).astype(np.int32)
     cls = np.empty(n, dtype=np.int8)
@@ -280,6 +271,7 @@ def test_form_classes(p):
         assert (det % p).all()
     met, reps = np.unique(cls, return_index=True)
     assert met.tolist() == list(range(7))
+    assert reps.tolist() == (canon @ p ** np.arange(6)).tolist()
     if p <= 7:
         bfs_cls, bfs_reps = form_classes_bfs(p)
         order = np.argsort(reps)
