@@ -245,7 +245,7 @@ def _cubic_support(p):
     The square roots of all residues and the inverses are taken once."""
     t = np.arange(p, dtype=np.int64)
     if p >= 5:
-        inv = np.array([0, *(pow(x, -1, p) for x in range(1, p))])
+        inv = ffcore.inverses(p)
         sq = ffcore.sqrt_mod(t, p)                 # -1: not a square
     n_d = max(1, ffcore.CELL_BUDGET // (p * p))
     for d0 in range(0, p, n_d):
@@ -301,23 +301,25 @@ def _cubic_mask(p):
     return mask
 
 
-def _pair_fibres(p, forms):
-    """For each canonical form D_c (orbits.canonical_forms), the fibre
-    {A : (A, D_c) in supp} of the pair space as a boolean mask over forms,
-    the p^6 forms A in code order (int16, as decode_states gives them).
+def _pair_fibres(p):
+    """(cls, fibres) over the p^6 forms A in code order, from one pass of
+    orbits.form_chunks: cls the class of each form (orbits.form_frames),
+    and for each canonical form D_c (orbits.canonical_forms) the fibre
+    {A : (A, D_c) in supp} of the pair space as a boolean mask.
 
     disc(A, B) is the disc of the resolvent cubic 4 det(Ax + By), so each
     fibre is one gather from _cubic_mask at the code of the resolvent's
-    coefficients mod p, orbits.canonical_resolvents, taken
-    orbits.ROW_BUDGET forms at a time.  Those come in int16, and so does
-    the code: it is below p^4 < 2^15 for p <= 13."""
-    mask, n, budget = _cubic_mask(p), len(forms), orbits.ROW_BUDGET
+    coefficients mod p, orbits.canonical_resolvents, taken a chunk of
+    forms at a time.  Those come in int16, and so does the code: it is
+    below p^4 < 2^15 for p <= 13."""
+    mask, n, cls = _cubic_mask(p), p ** 6, []
     fibres = [np.empty(n, dtype=bool) for _ in range(orbits.FORM_CLASSES)]
-    for lo in range(0, n, budget):
-        r = orbits.canonical_resolvents(forms[lo:lo + budget], p)
+    for lo, A, c in orbits.form_chunks(p):
+        cls.append(c)
+        r = orbits.canonical_resolvents(A, p)
         for fibre, (r0, r1, r2, r3) in zip(fibres, r):
-            fibre[lo:lo + budget] = mask[r0 + p * (r1 + p * (r2 + p * r3))]
-    return fibres
+            fibre[lo:lo + len(A)] = mask[r0 + p * (r1 + p * (r2 + p * r3))]
+    return np.concatenate(cls), fibres
 
 
 def ft_histograms(cond, p, targets):
@@ -362,8 +364,9 @@ def ft_fibered_histograms(cond, p, targets):
     dilation-invariant, so G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1;
     n_1 follows from the support size N = sum_c |class c| |fibre c|.  The
     seven fibres come from _pair_fibres, all listed before the gathers, in
-    int16, which is exact while p^4 < 2^15.  ffcore.ntt_modulus caps p
-    (p <= 13) before any form is classed, and keeps |G_k| <= p^12 < 2^53.
+    int16, which is exact while p^4 < 2^15, with the class of every form
+    from the same walk.  ffcore.ntt_modulus caps p (p <= 13) before any
+    form is classed, and keeps |G_k| <= p^12 < 2^53.
 
     The same invariance moves each target to its alpha's class: with
     alpha = h alpha_d h^T (form_frames again), (A, B) -> (h^T A h, h^T B h)
@@ -374,11 +377,11 @@ def ft_fibered_histograms(cond, p, targets):
     g_B) per class d met among the alphas (at most 7, whatever the number
     of targets); alpha_d is diagonal, so entry (i, j) of g_B^T alpha_d g_B
     is sum_k alpha_d,kk g_ki g_kj.  Each target adds one bincount of its
-    beta' pairings, unreduced (below 6 p^2) and folded mod p.  The classes
-    of the p^6 forms are found ROW_BUDGET forms at a time, and each class
-    is walked orbits.ROW_BUDGET forms B at a time, their frames found per
-    chunk and the gathers and bincounts summed over the chunks, so no
-    frame array of p^6 forms is held."""
+    beta' pairings, unreduced (below 6 p^2) and folded mod p.  Each class
+    is walked orbits.ROW_BUDGET forms B at a time, each chunk decoded from
+    its codes and its frames found there, and the gathers and bincounts
+    summed over the chunks, so neither the coordinates nor the frames of
+    the p^6 forms are held as one array."""
     space = cond.space
     if space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
@@ -386,11 +389,7 @@ def ft_fibered_histograms(cond, p, targets):
     half = space.r // 2
     ffcore.ntt_modulus(p, half)
     T = mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
-    forms = orbits.decode_states(np.arange(p ** half, dtype=np.int64), p,
-                                 r=half)
     budget = orbits.ROW_BUDGET
-    cls = np.concatenate([orbits.form_frames(forms[lo:lo + budget], p)[0]
-                          for lo in range(0, len(forms), budget)])
     canon = orbits.canonical_forms(p)
     rows, cols = zip(*orbits._SYM_INDEX)
     d_of, h = orbits.form_frames(T[:, :half], p)
@@ -404,14 +403,14 @@ def ft_fibered_histograms(cond, p, targets):
     # triangle, below p^6, in int32
     pow_p = p ** np.arange(half, dtype=np.int32)
     G, N = np.zeros((len(T), 6 * p * p)), 0
-    fibres = _pair_fibres(p, forms)
+    cls, fibres = _pair_fibres(p)
     for c in range(len(canon)):
         # each mask is dropped once summed, before its class's gathers
         F = ffcore.character_sums(fibres.pop(0), w[:half], p)
         on = np.flatnonzero(cls == c)
         N += len(on) * F[0]           # F_c(0) = |fibre c|
         for lo in range(0, len(on), budget):
-            Bc = forms[on[lo:lo + budget]]
+            Bc = orbits.decode_states(on[lo:lo + budget], p, r=half)
             g = orbits.form_frames(Bc, p)[1]
             gg = g[:, rows] * g[:, cols]     # g_ki g_kj, (3, 6, chunk)
             for d in sorted(set(d_of.tolist())):

@@ -7,13 +7,15 @@ form_frames reads it off a vectorized congruence diagonalization, with a
 frame g, B = g D_c g^T, over the canonical diagonal forms D_c of the seven
 classes (canonical_forms), each the smallest code of its class.  The
 orbit census and the fibred quartic kernel both walk the rows (A, D_c),
-A over all p^6 forms, and read their resolvents from one kernel
+A over all p^6 forms: they read the forms and their classes from one
+walk (form_chunks) and the resolvents from one kernel
 (canonical_resolvents).  The orbit table of the pair space
 (decompose_orbits, a {label: (size, rep)} table) is that census: the
 classifier's labelling step labels the p^6 rows (A, D_c) of each class,
-and each class weighs its counts by its size.  No search over an orbit
-runs in the library; the tests keep breadth-first searches over the forms
-and, at p = 3, over the pair space as the slow references.
+taking A and the one form D_c as two arrays, and each class weighs its
+counts by its size.  No search over an orbit runs in the library; the
+tests keep breadth-first searches over the forms and, at p = 3, over the
+pair space as the slow references.
 
 The 20 orbit labels for the pair space (p odd) and their grouping by
 dimension i (LABEL_DIM); the Fourier-decay exponent of each group,
@@ -48,9 +50,10 @@ where the bound fails: the rows are reduced once into int16 residues
 (p < 2^15); the resolvent is formed from them in int32 (216 (p - 1)^3 <
 2^31, p <= 216) and its Horner sums run in disc_dtype(p - 1) (int32 to
 p = 79), or, in the census, in canonical_resolvents' dtype (int16 to
-p = 13, where p^4 < 2^15); each pencil member gathers the whole rows it
-hits and forms F in int16 (p^2 < 2^15, p <= 181); n1 and the tally are
-int32 ((p + 2)^3 < 2^31, p <= 1288).
+p = 13, where p^4 < 2^15); each pencil member gathers the forms A it
+hits, and B where B has rows (the census's D_c is one form), and forms F
+in int16 (p^2 < 2^15, p <= 181); n1 and the tally are int32
+((p + 2)^3 < 2^31, p <= 1288).
 signature_table(p) maps 17 signatures to the 19 nonzero labels.  Two
 signatures name two labels each, and one more count of the same passes
 splits them: the rank-1 members, the zeros of the pencil's binary
@@ -259,13 +262,24 @@ def canonical_resolvents(A, p):
 # p = 19 passes, 23 does not.
 CENSUS_ROWS = 2 ** 29
 
-# The most forms A the census decodes, classes and labels beside each D_c
-# at a time, and the most forms A or B the fibred quartic kernel gathers
-# fibres for or moves, one class at a time.  At p = 13 it keeps the fibred
-# kernel's peak near 300 MB in a fresh process (630 MB with each class
-# moved whole, 327 MB with the fibres gathered over all p^6 forms at once);
-# 2^18 saves nothing more.
+# The most forms form_chunks decodes and classes at a time, for the census
+# to label beside each D_c and the fibred quartic kernel to gather fibres
+# for, and the most forms B that kernel moves, one class at a time.  At
+# p = 13 it keeps the fibred kernel's peak near 240 MB in a fresh process
+# (630 MB with each class moved whole, 327 MB with the fibres gathered over
+# all p^6 forms at once); 2^18 saves nothing more.
 ROW_BUDGET = 2 ** 19
+
+
+def form_chunks(p):
+    """The p^6 ternary forms in code order, ROW_BUDGET at a time: per chunk
+    (lo, A, cls), A the int16 coordinates of the forms lo, lo + 1, ..
+    (decode_states) and cls their classes (form_frames).  The one walk of
+    the forms: the census and the fibred quartic kernel both read it."""
+    n = p ** 6
+    for lo in range(0, n, ROW_BUDGET):
+        A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p, r=6)
+        yield lo, A, form_frames(A, p)[0]
 
 
 def decompose_orbits(space, p):
@@ -279,12 +293,12 @@ def decompose_orbits(space, p):
     |O| = sum_c |class c| #{A : label(A, D_c) = O}.  B holds the high digits
     of a code and D_c is the smallest code of its class (canonical_forms),
     so the smallest code of O is the least, over the classes c that O
-    meets, of D_c beside the least A labelled O there.  The forms A are
-    decoded ROW_BUDGET at a time, in code order; each chunk is classed once,
-    for the class sizes, and labelled beside each D_c by the classifier's
-    labelling step, with the resolvents of canonical_resolvents.  Raises
-    ClassifierIncompleteError unless the 20 labels are all met and the
-    sizes sum to p^12."""
+    meets, of D_c beside the least A labelled O there.  The forms A come
+    from form_chunks, whose classes give the class sizes; each chunk is
+    labelled beside each D_c by the classifier's labelling step, which
+    takes A and the one form D_c as two arrays, with the resolvents of
+    canonical_resolvents.  Raises ClassifierIncompleteError unless the 20
+    labels are all met and the sizes sum to p^12."""
     _check_pair_space(space, p)
     half = space.r // 2
     n = p ** half
@@ -299,12 +313,10 @@ def decompose_orbits(space, p):
     # of those rows (A, D_c), p^12 while there is none
     counts = np.zeros((FORM_CLASSES, len(LABELS)), dtype=np.int64)
     first = np.full_like(counts, p ** space.r)
-    for lo in range(0, n, ROW_BUDGET):
-        A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p, r=half)
-        size += np.bincount(form_frames(A, p)[0], minlength=FORM_CLASSES)
+    for lo, A, cls in form_chunks(p):
+        size += np.bincount(cls, minlength=FORM_CLASSES)
         for c, r in enumerate(canonical_resolvents(A, p)):
-            C = np.hstack([A, np.broadcast_to(canon[c], A.shape)])
-            labels = _label(C, r, p)
+            labels = _label(A, canon[c], r, p)
             got = np.bincount(labels, minlength=len(LABELS))
             for i in np.flatnonzero((got > 0) & (counts[c] == 0)).tolist():
                 first[c, i] = high[c] + lo + int(np.argmax(labels == i))
@@ -332,14 +344,15 @@ def legendre_table(p):
     return chi
 
 
-def pencil_counts(C, r, p):
-    """(n1, zeros, rank1, roots) per row of C, an (n, 12) integer array
-    reduced mod p (_label's callers pass int16), r the reduced coefficients
-    of its resolvent 4 det(xA + yB) in a dtype that holds p^4 (arrays, or
-    Python ints constant over the rows): roots the number of members
-    [x:y] of P^1(F_p) with F = xA + yB singular, zeros and rank1 the number
-    of those with F = 0 and with F of rank 1, and n1 the number of
-    F_p-points of the base locus A = B = 0 in P^2.
+def pencil_counts(A, B, r, p):
+    """(n1, zeros, rank1, roots) per row (A, B): A an (n, 6) integer array
+    of forms and B either (n, 6) forms or one (6,) form beside every row,
+    both reduced mod p (_label's callers pass int16); r the reduced
+    coefficients of the resolvent 4 det(xA + yB) in a dtype that holds p^4
+    (arrays, or Python ints constant over the rows): roots the number of
+    members [x:y] of P^1(F_p) with F = xA + yB singular, zeros and rank1
+    the number of those with F = 0 and with F of rank 1, and n1 the number
+    of F_p-points of the base locus A = B = 0 in P^2.
 
     n1 = 1 + sum c(F) over the singular members, c(F) = p for F = 0,
     chi(-delta) at rank 2, delta any nonzero diagonal entry of adj F, and 0
@@ -378,8 +391,9 @@ def pencil_counts(C, r, p):
     One pass per member: [1:0] is a root where r0 = 0, [x:1] where p
     divides the Horner sum ((r0 x + r1) x + r2) x + r3, below p^4, by
     ffcore.divisible's multiply-by-inverse test, with no division.  Only the
-    rows it hits are gathered, whole, to form F and the diagonal of adj F,
-    whose nonzero entries share one square class, so chi(-delta) is the
+    rows it hits are gathered, from A and from B where B has rows (one form
+    B is used as it is), to form F and the diagonal of adj F, whose
+    nonzero entries share one square class, so chi(-delta) is the
     bitwise OR of the three chi(-adj_ii) (int8: all 1, or all -1, where not
     0); F = 0 where the OR of its six residues is 0.  Each pass adds c to n1
     and 1 + b [c = 0] + b^2 [c = p] to one tally in base b = p + 2 (no
@@ -397,13 +411,13 @@ def pencil_counts(C, r, p):
     count = np.int32 if base ** 3 < 2 ** 31 else np.int64
     # x A + y B < p (p - 1) and |f_i^2 - f_j f_k| < p^2
     work = np.int16 if p * p < 2 ** 15 else np.int64
-    n1 = np.ones(len(C), dtype=count)
-    tally = np.zeros(len(C), dtype=count)
+    n1 = np.ones(len(A), dtype=count)
+    tally = np.zeros(len(A), dtype=count)
     for x, y in [(1, 0)] + [(x, 1) for x in range(p)]:
         hit = np.flatnonzero(r0 == 0 if y == 0 else
                              divisible(((r0 * x + r1) * x + r2) * x + r3, p))
-        G = C[hit].astype(work, copy=False)     # whole rows
-        f0, f1, f2, f3, f4, f5 = mod(x * G[:, :6] + y * G[:, 6:], p).T
+        f0, f1, f2, f3, f4, f5 = mod(x * A[hit].astype(work, copy=False)
+                                     + y * (B if B.ndim == 1 else B[hit]), p).T
         c = (chi[mod(f3 * f3 - f0 * f1, p)] | chi[mod(f4 * f4 - f0 * f2, p)]
              | chi[mod(f5 * f5 - f1 * f2, p)]).astype(count)
         c[(f0 | f1 | f2 | f3 | f4 | f5) == 0] = p
@@ -440,10 +454,11 @@ def signature_table(p):
     }
 
 
-def _incomplete(p, kind, n1, state, why):
+def _incomplete(p, kind, n1, A, B, i, why):
+    """The gap at the row (A, B) i, B rows or one form as _label takes it."""
     return ClassifierIncompleteError(
         f"p={p}: signature ({KINDS[kind]}, n1={n1}) {why} at "
-        f"{tuple(int(v) for v in state)}")
+        f"{(*A[i].tolist(), *np.broadcast_to(B, A.shape)[i].tolist())}")
 
 
 def classify_batch(space, coords, p):
@@ -455,12 +470,13 @@ def classify_batch(space, coords, p):
     return _label(*_reduce(coords, p), p)
 
 
-def _label(C, r, p):
-    """Label codes (index into LABELS) for the rows C, reduced mod p, with
-    r their resolvent's coefficients as pencil_counts takes them: each
-    nonzero state's signature (kind, n1) looked up in signature_table, with
-    kind read off pencil_counts and the resolvent's Hessian (the proofs are
-    in pencil_counts' docstring).  pencil_counts works on the residues in
+def _label(A, B, r, p):
+    """Label codes (index into LABELS) for the rows (A, B) as pencil_counts
+    takes them, B (n, 6) forms or one (6,) form beside every row of A, with
+    r their resolvent's coefficients: each nonzero state's signature
+    (kind, n1) looked up in signature_table, with kind read off
+    pencil_counts and the resolvent's Hessian (the proofs are in
+    pencil_counts' docstring).  pencil_counts works on the residues in
     int16 while p <= 181 and counts in int32 while p <= 1288, each falling
     back to int64 past its bound.  The zero rows are those whose every
     pencil member is zero."""
@@ -468,7 +484,7 @@ def _label(C, r, p):
     triple = ((mod(r1 * r1 - 3 * r0 * r2, p) == 0)
               & (mod(r1 * r2 - 9 * r0 * r3, p) == 0)
               & (mod(r2 * r2 - 3 * r1 * r3, p) == 0))
-    n1, zeros, rank1, roots = pencil_counts(C, r, p)
+    n1, zeros, rank1, roots = pencil_counts(A, B, r, p)
     kind = np.where(roots == p + 1, np.where(zeros > 0, 0, 1),
                     np.where(triple, 3, np.where(roots == 2, 4, 2)))
     width = p * p + p + 2                       # n1 <= p^2 + p + 1
@@ -488,24 +504,24 @@ def _label(C, r, p):
         out[rows] = np.where(v == values[0], *map(LABELS.index, table[k, m]))
         odd = np.flatnonzero(~np.isin(v, values))
         if odd.size:
-            raise _incomplete(p, k, m, C[rows[odd[0]]],
+            raise _incomplete(p, k, m, A, B, rows[odd[0]],
                               f"splits to {v[odd[0]]}")
     # every member of P^1 is zero exactly where A = B = 0
     out[zeros == p + 1] = LABELS.index("O_0")
     if (out < 0).any():
         i = int(np.flatnonzero(out < 0)[0])
-        raise _incomplete(p, kind[i], n1[i], C[i], "is not in the table")
+        raise _incomplete(p, kind[i], n1[i], A, B, i, "is not in the table")
     return out
 
 
 def _reduce(coords, p):
-    """classify_batch's inputs to _label: (C, r), C the rows of
-    coords reduced mod p, int16 while p < 2^15 (else int64), in C order so
-    that each pencil member gathers whole rows; r the coefficients of
-    their resolvent, formed from C (int32 while p <= 216,
-    spaces.resolvent_dtype) and reduced mod p in disc_dtype(p - 1), which
-    holds pencil_counts' Horner sums, below p^4 <= 54 (p - 1)^4."""
+    """classify_batch's inputs to _label: (A, B, r), A and B the two
+    halves of the rows of coords reduced mod p, int16 while p < 2^15 (else
+    int64); r the coefficients of their resolvent, formed from the
+    residues (int32 while p <= 216, spaces.resolvent_dtype) and reduced
+    mod p in disc_dtype(p - 1), which holds pencil_counts' Horner sums,
+    below p^4 <= 54 (p - 1)^4."""
     C = ffcore.residues(coords, p, np.int16 if p < 2 ** 15 else np.int64)
     dtype = disc_dtype(p - 1)
-    return C, tuple(mod(c, p).astype(dtype, copy=False)
-                    for c in resolvent_cubic(C))
+    return C[:, :6], C[:, 6:], tuple(mod(c, p).astype(dtype, copy=False)
+                                     for c in resolvent_cubic(C))

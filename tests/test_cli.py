@@ -106,6 +106,7 @@ def test_resource_cap_before_work(monkeypatch):
                          (fourier, "ft_bruteforce_exhaustive_cubic"),
                          (fourier, "ft_fibered_histograms"),
                          (ffcore, "character_sums"),
+                         (orbits, "form_chunks"),
                          (orbits, "form_frames"),
                          (orbits, "canonical_resolvents"),
                          (orbits, "_label"),

@@ -83,7 +83,7 @@ def test_mod_reducers_keep_their_input():
              lambda: disc_mod(QUARTIC, X12, p),
              lambda: fourier.ft_histograms(cond, p, X4[:3]),
              lambda: orbits.form_frames(C12[:, 6:], p),
-             lambda: orbits.pencil_counts(C12, r, p)]
+             lambda: orbits.pencil_counts(C12[:, :6], C12[:, 6:], r, p)]
     for call in calls:
         before = [X4.copy(), X12.copy(), C12.copy(), *(c.copy() for c in r)]
         call()

@@ -279,7 +279,7 @@ def _per_target_histograms(cond, p, targets):
     g = np.moveaxis(g, -1, 0).astype(np.int64)
     rows, cols = zip(*orbits._SYM_INDEX)
     G, N = np.zeros((len(T), p)), 0
-    for c, fibre in enumerate(fourier._pair_fibres(p, forms)):
+    for c, fibre in enumerate(fourier._pair_fibres(p)[1]):
         F = ffcore.character_sums(fibre, w[:6], p)
         gc, Bc = g[cls == c], forms[cls == c]
         N += len(Bc) * F[0]
@@ -524,13 +524,17 @@ def test_support_slices_cubic(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_support_slices_quartic_fibres(p):
+def test_support_slices_quartic_fibres(p, monkeypatch):
     """The resolvent-gather fibre over each canonical form B_c is the
     oracle's {A : (A, B_c) in supp}, in code order (p <= d + 1 = 13, so
-    the oracle's slices are disc_mod's)."""
+    the oracle's slices are disc_mod's), and the classes that come with
+    the fibres are form_frames' over all the forms; the forms are walked
+    100 at a time, across the chunk seams."""
     A = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
     canon = orbits.canonical_forms(p)
-    got = fourier._pair_fibres(p, A)
+    monkeypatch.setattr(orbits, "ROW_BUDGET", 100)
+    cls, got = fourier._pair_fibres(p)
+    assert np.array_equal(cls, orbits.form_frames(A, p)[0])
     assert len(got) == len(canon) == 7
     for rep, fibre in zip(canon, got):
         walked = np.concatenate(list(_support_slices(QUARTIC, p, 6,

@@ -220,8 +220,8 @@ def test_decompose_rejects(monkeypatch):
     # refused before any form is classed
     def boom(*a, **k):
         raise AssertionError("a kernel ran past the census budget")
-    for name in ("form_frames", "canonical_resolvents", "_label",
-                 "classify_batch"):
+    for name in ("form_chunks", "form_frames", "canonical_resolvents",
+                 "_label", "classify_batch"):
         monkeypatch.setattr(ob, name, boom)
     assert 7 * 19 ** 6 <= ob.CENSUS_ROWS < 7 * 23 ** 6
     with pytest.raises(ResourceLimitError):
@@ -241,6 +241,29 @@ def test_census_incomplete_raises(monkeypatch):
     with pytest.raises(ob.ClassifierIncompleteError,
                        match="p=3: the census met 19 labels"):
         ob.decompose_orbits(QUARTIC, 3)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_split_labelling_matches_classify_batch(p):
+    """The census's labelling step, A and the one form D_c as two arrays
+    with canonical_resolvents' r, against classify_batch on the stacked
+    rows (A, D_c), for every class c: random forms A, and the rows whose
+    A half is zero or a multiple of D_c (A = 0, A = lambda D_c).
+    pencil_counts gives the same counts with B one form as with that form
+    repeated as rows."""
+    rng = np.random.default_rng(p)
+    rand = rng.integers(0, p, size=(600, 6))
+    lam = rng.integers(1, p, size=(100, 1))
+    for c, D in enumerate(ob.canonical_forms(p)):
+        A = np.vstack([rand, np.zeros((50, 6), dtype=np.int64),
+                       lam * D % p]).astype(np.int16)
+        r = list(ob.canonical_resolvents(A, p))[c]
+        rows = np.tile(D, (len(A), 1))
+        want = ob.classify_batch(QUARTIC, np.hstack([A, rows]), p)
+        assert np.array_equal(ob._label(A, D, r, p), want), (p, c)
+        for one, each in zip(ob.pencil_counts(A, D, r, p),
+                             ob.pencil_counts(A, rows, r, p)):
+            assert np.array_equal(one, each), (p, c)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -580,9 +603,9 @@ def _patched_counts(monkeypatch, **override):
     given by name (n1, zeros, rank1, roots)."""
     real = ob.pencil_counts
 
-    def fake(C, r, p):
-        got = dict(zip(("n1", "zeros", "rank1", "roots"), real(C, r, p)))
-        got.update({k: np.full(len(C), v) for k, v in override.items()})
+    def fake(A, B, r, p):
+        got = dict(zip(("n1", "zeros", "rank1", "roots"), real(A, B, r, p)))
+        got.update({k: np.full(len(A), v) for k, v in override.items()})
         return got["n1"], got["zeros"], got["rank1"], got["roots"]
     monkeypatch.setattr(ob, "pencil_counts", fake)
 
@@ -620,6 +643,12 @@ def test_unknown_signature_raises(monkeypatch):
                        match=r"p=7: signature \(nonsingular, n1=3\) is not"
                              r" in the table at \(1, 1, 1, 0"):
         _classify(QUARTIC, x, 7)
+    # with B one form beside the rows, as the census passes D_c, the
+    # report still names the whole state
+    A, B, r = ob._reduce([x], 7)
+    with pytest.raises(ob.ClassifierIncompleteError,
+                       match=r"at \(1, 1, 1, 0, 0, 0, 1, 2, 3, 0, 0, 0\)$"):
+        ob._label(A, B[0], r, 7)
 
 
 @pytest.mark.parametrize("p", primes_upto(101)[1:].tolist())
