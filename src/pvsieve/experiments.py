@@ -25,11 +25,12 @@ on the pair space that sum halves the box by x -> -x) in ascending order,
 with the tail ordered by d, then b, then c.  Each point's weight is its bump
 value times its multiplicity, a power of two, so folding the
 multiplicity in is exact.  The walk is kept, and its value range is cut
-into shards of at most _SHARD_POINTS points (a value with more keeps a
-shard of its own); each shard is built from its own points, in walk
-order.  Within a shard the pass sorts every group of 8 slices once,
-by disc value, then slice, then point (_group_buckets), sums each slice
-by value in point order and then the group by value in slice order, and
+into shards of at most _SHARD_POINTS // W points for W = _WORKERS, the
+cores this process may run on (a value with more keeps a shard of its
+own); each shard is built from its own points, in walk order.  Within a
+shard the pass sorts every group of 8 slices once, by disc value, then
+slice, then point (_group_buckets), sums each slice by value in point
+order and then the group by value in slice order, and
 merges the groups as a binary counter: a new group merges with the last
 one of the same level, and at the end the leftovers merge from the
 newest back.  That is the tree of merging the groups pairwise level by
@@ -42,14 +43,21 @@ the terms of each value in run order, and a q-query sums the matching
 buckets in value order: one q through serve_buckets, every squarefree
 q <= Q of an E(X, q) sum through _serve_squarefree, whose prime pass and
 divisor-tree descent select the same buckets in the same order.  The
-order of every floating-point operation is fixed, so every number here
-is reproducible bit-for-bit run to run.  The bump's transform, and with
+shard builds, and the serving of each chunk of _SERVE_PRIMES consecutive
+primes, are tasks run on up to W threads (_in_order).  A task reads
+only arrays no task writes, evaluates its own expressions and no other
+task's, and the calling thread combines the results in task order, so
+the number of threads and their timing decide which thread evaluates an
+expression, never the expression.  The order of every floating-point
+operation is fixed, so every number here is reproducible bit-for-bit run
+to run and on any number of cores.  The bump's transform, and with
 it the mass in every main term, is one trapezoid rule whose alias error
 is bounded (SmoothWeight.psihat).
 """
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,8 +241,27 @@ def weighted_count(q, X, weight=None):
     return total, main, total - main
 
 
-_SHARD_POINTS = 2 ** 21      # domain points of one value-range shard, at most
+_SHARD_POINTS = 2 ** 21      # domain points being built at once, at most
 _SAMPLE_STRIDE = 64          # every 64th point of a slice places the cuts
+_WORKERS = len(os.sched_getaffinity(0))     # the cores this process may use
+
+
+def _in_order(fn, tasks):
+    """[fn(t) for t in tasks], the tasks run on up to _WORKERS threads.
+
+    Inline when there is one worker or one task.  Otherwise a thread pool
+    is created for the call and joined before it returns, also when a task
+    raises: the first exception in task order reaches the caller as it was
+    raised, and the tasks not yet started are cancelled.  The results keep
+    the order of the tasks, whichever thread ran them.  A task must not
+    call a function that perfbench's tracer wraps (tracer.LAYERS), since
+    its span stack assumes calls on one thread."""
+    tasks = list(tasks)
+    if _WORKERS == 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor   # ~7 ms to import
+    with ThreadPoolExecutor(min(_WORKERS, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _bucket_radius(X, s):
@@ -256,25 +283,29 @@ def disc_value_buckets(X, weight=None):
     any q | disc query afterwards is a divisibility scan of the value
     array.  Boxes beyond the point budget are refused.
 
-    The walk runs once and keeps each slice's discriminants and its
-    multiplicities (int8).  The value range is then cut into shards of at
-    most _SHARD_POINTS points (_shard_cuts; a value with more keeps a
-    shard of its own), each shard's table is built from its points alone
-    (_shard_buckets), and the tables concatenate in value order.  A
-    value's terms all fall in one shard, in walk order, and every group
-    of 8 slices enters each shard's merge tree, empty or not, so each sum
-    is the floating-point expression of one unsharded build, bit for bit.
-    Only one shard is being built at a time, beside the finished tables
-    and the walk, and the walk is freed before the concatenation."""
+    The walk runs once, on the calling thread, and keeps each slice's
+    discriminants and its multiplicities (int8).  The value range is then
+    cut into shards of at most _SHARD_POINTS // _WORKERS points
+    (_shard_cuts; a value with more keeps a shard of its own), each
+    shard's table is built from its points alone (_shard_buckets) as one
+    task of _in_order, _WORKERS shards at a time, and the tables
+    concatenate in value order.  A value's terms all fall in one shard,
+    in walk order, and every group of 8 slices enters each shard's merge
+    tree, empty or not, so each sum is the floating-point expression of
+    one unsharded build, bit for bit, whatever the number of shards or
+    the thread that builds them.  At most _SHARD_POINTS points are being
+    built at once, beside the finished tables and the walk, and the walk
+    is freed before the concatenation."""
     weight = weight or SmoothWeight()
     R = _bucket_radius(X, weight.s)
     xs = np.arange(-R, R + 1, dtype=np.int64)
     w1 = weight.psi(xs / (weight.s * X ** 0.25))
     walk = [(ia, disc, mult.astype(np.int8), tail)
             for ia, disc, mult, tail in _disc_slices(xs)]
-    cuts = _shard_cuts([disc for _, disc, _, _ in walk])
-    tables = [_shard_buckets(walk, w1, lo, hi)
-              for lo, hi in zip([None, *cuts], [*cuts, None])]
+    cuts = _shard_cuts([disc for _, disc, _, _ in walk],
+                       _SHARD_POINTS // _WORKERS)
+    tables = _in_order(lambda cut: _shard_buckets(walk, w1, *cut),
+                       zip([None, *cuts], [*cuts, None]))
     del walk
     if len(tables) == 1:
         return tables[0]
@@ -282,18 +313,18 @@ def disc_value_buckets(X, weight=None):
     return np.concatenate(vals), np.concatenate(sums)
 
 
-def _shard_cuts(discs):
+def _shard_cuts(discs, limit):
     """The values cutting the walked discriminants into value ranges of at
-    most _SHARD_POINTS points each; a value with more points than that
-    keeps a range of its own.
+    most limit points each; a value with more points than that keeps a
+    range of its own.
 
     The first cuts are the S - 1 quantiles of a sample of every
-    _SAMPLE_STRIDE-th point of each slice, S = ceil(n / _SHARD_POINTS)
-    for the n points (equal quantiles collapse).  The points below each
-    cut are then counted exactly, and a range that the sample left too
-    large is cut again at exact ranks of its own sorted values."""
+    _SAMPLE_STRIDE-th point of each slice, S = ceil(n / limit) for the n
+    points (equal quantiles collapse).  The points below each cut are
+    then counted exactly, and a range that the sample left too large is
+    cut again at exact ranks of its own sorted values."""
     n = sum(d.size for d in discs)
-    S = -(-n // _SHARD_POINTS)
+    S = -(-n // limit)
     sample = np.sort(np.concatenate([d[::_SAMPLE_STRIDE] for d in discs]))
     cuts = sample[np.arange(1, S) * sample.size // S]       # ascending
     cuts = cuts[_run_starts(cuts)].tolist()
@@ -301,12 +332,12 @@ def _shard_cuts(discs):
                    for c in cuts] + [n]
     out = []
     for lo, hi, k in zip([None, *cuts], [*cuts, None], np.diff(below)):
-        if k > _SHARD_POINTS:
+        if k > limit:
             v = np.sort(np.concatenate([d[_rows_in(d, lo, hi)]
                                         for d in discs]))
             i = 0
-            while v.size - i > _SHARD_POINTS:
-                j = np.searchsorted(v, v[i + _SHARD_POINTS])
+            while v.size - i > limit:
+                j = np.searchsorted(v, v[i + limit])
                 if j == i:              # one value past the bound: whole
                     j = np.searchsorted(v, v[i], side="right")
                     if j == v.size:
@@ -432,42 +463,58 @@ def serve_buckets(vals, sums, q):
 
 
 _SERVE_BLOCK = 1 << 17       # values per block of the prime pass
+_SERVE_PRIMES = 16           # consecutive primes of one serving task
 
 
 def _serve_squarefree(vals, sums, Q):
     """{q: serve_buckets(vals, sums, q)} for every squarefree q <= Q, each
     sum bit-identical to that whole-table scan.
 
-    One pass over the values in blocks of _SERVE_BLOCK runs divisible once
-    per prime P <= Q per block and keeps P's matching indices.  A
-    composite q is then served from its parent q / p, p = pmin(q), down
-    the divisor tree: the parent's values and sums, in value order, are
-    kept while its children are served, and q's are the ones p divides.
-    Those are exactly the buckets a scan of the whole table for q selects,
-    in the same order, so np.sum adds the same terms in the same order."""
+    The primes P <= Q are taken _SERVE_PRIMES consecutive ones at a time,
+    each chunk one task of _in_order.  A task makes one pass over the
+    values in blocks of _SERVE_BLOCK, runs divisible once per prime of
+    its chunk per block and keeps that prime's matching indices.  It then
+    serves every q whose largest prime P is in its chunk, from its parent
+    q / p, p = pmin(q), down the divisor tree rooted at P: the parent's
+    values and sums, in value order, are kept while its children are
+    served, and q's are the ones p divides.  Those are exactly the buckets
+    a scan of the whole table for q selects, in the same order, so np.sum
+    adds the same terms in the same order.  No two tasks serve the same
+    q, and their entries are merged in chunk order."""
     ps = [int(p) for p in sieve.primes_upto(Q)]
-    hits = [[] for _ in ps]
-    for i0 in range(0, vals.size, _SERVE_BLOCK):
-        block = vals[i0:i0 + _SERVE_BLOCK]
-        for p, h in zip(ps, hits):
-            keep = np.flatnonzero(divisible(block, p)).astype(np.int32)
-            keep += i0                  # tables stay below 2^31
-            h.append(keep)
+
+    def serve_chunk(k0):
+        """The entries of the q whose largest prime is ps[k0 + i], i below
+        _SERVE_PRIMES."""
+        chunk = ps[k0:k0 + _SERVE_PRIMES]
+        hits = [[] for _ in chunk]
+        for i0 in range(0, vals.size, _SERVE_BLOCK):
+            block = vals[i0:i0 + _SERVE_BLOCK]
+            for p, h in zip(chunk, hits):
+                keep = np.flatnonzero(divisible(block, p)).astype(np.int32)
+                keep += i0              # tables stay below 2^31
+                h.append(keep)
+        served = {}
+
+        def descend(q, v, s, i):
+            """Serve q's children p q, p = ps[j] for j < i (p below
+            pmin(q))."""
+            served[q] = float(np.sum(s))
+            for j, p in enumerate(ps[:i]):
+                if p * q > Q:
+                    break
+                keep = np.flatnonzero(divisible(v, p))
+                descend(p * q, v[keep], s[keep], j)
+
+        for i, p in enumerate(chunk):
+            idx = np.concatenate(hits[i])
+            hits[i] = None
+            descend(p, vals[idx], sums[idx], k0 + i)
+        return served
+
     lat = {1: float(np.sum(sums))}
-
-    def descend(q, v, s, i):
-        """Serve q's children p q, p = ps[j] for j < i (p below pmin(q))."""
-        lat[q] = float(np.sum(s))
-        for j, p in enumerate(ps[:i]):
-            if p * q > Q:
-                break
-            keep = np.flatnonzero(divisible(v, p))
-            descend(p * q, v[keep], s[keep], j)
-
-    for i, p in enumerate(ps):
-        idx = np.concatenate(hits[i])
-        hits[i] = None
-        descend(p, vals[idx], sums[idx], i)
+    for part in _in_order(serve_chunk, range(0, len(ps), _SERVE_PRIMES)):
+        lat.update(part)
     return lat
 
 
@@ -520,9 +567,11 @@ def lod_error_sum(cfg=None):
     distribution savings it is supposed to exhibit.
 
     Each X builds one disc_value_buckets table and serves every q from it
-    by _serve_squarefree: one blocked pass of the primes P <= X^alpha,
-    then each composite q from q / pmin(q) down the divisor tree; every
-    lattice value is bit-identical to serve_buckets on the whole table.
+    by _serve_squarefree: one task per chunk of consecutive primes
+    P <= X^alpha, a blocked pass for its primes and then each q whose
+    largest prime is among them, from q / pmin(q) down the divisor tree;
+    every lattice value is bit-identical to serve_buckets on the whole
+    table.
     q_rows are the rows of the largest X of the grid, wherever it
     stands.  A grid with any X past the point budget is refused before
     any table is built."""

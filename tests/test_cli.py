@@ -3,6 +3,8 @@ output, no state on disk."""
 
 import importlib.util
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from pvsieve import cli, experiments, ffcore, fourier, orbits
+from pvsieve.ffcore import ResourceLimitError
 from pvsieve.spaces import CUBIC, QUARTIC
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -345,14 +348,51 @@ def test_lod_prints_the_q_rows_of_the_largest_X(capsys):
 
 
 def test_lod_output_does_not_depend_on_the_shard_size(monkeypatch, capsys):
-    # 5 and 19 value-range shards of the bucket build print the same bytes
-    # as one
+    # 7 and 23 value-range shards of the bucket build print the same bytes
+    # as one, and so do 13 and 51, or 20 and 78, of at most 2^12 / W points
+    # built W at a time, with the two serving tasks of each X, on W = 2
+    # and 3 workers, the threads switching every 10 us
     outs = []
-    for points in (experiments._SHARD_POINTS, 2 ** 12):
-        monkeypatch.setattr(experiments, "_SHARD_POINTS", points)
-        assert run(["lod", "--X", "1e4,3e4"]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+    whole, interval = experiments._SHARD_POINTS, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_WORKERS", workers)
+            for points in (whole, 2 ** 12):
+                monkeypatch.setattr(experiments, "_SHARD_POINTS", points)
+                assert run(["lod", "--X", "1e4,3e4"]) == 0
+                outs.append(capsys.readouterr().out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs == outs[:1] * 6
+
+
+@pytest.mark.parametrize("error", [MemoryError, ResourceLimitError])
+@pytest.mark.parametrize("task", ["_group_buckets", "divisible"])
+def test_lod_worker_error_reaches_the_caller(task, error, monkeypatch,
+                                             capsys):
+    # an exception raised on a worker thread, in a shard build or in a
+    # serving task, is the one lod_error_sum raises, lod exits 3 as on one
+    # thread, and no worker thread outlives the call
+    err = error("raised on a worker thread")
+    real = getattr(experiments, task)
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise err
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_WORKERS", 2)
+    monkeypatch.setattr(experiments, "_SHARD_POINTS", 2 ** 12)
+    monkeypatch.setattr(experiments, task, failing)
+    before = threading.active_count()
+    with pytest.raises(error) as caught:
+        experiments.lod_error_sum(experiments.LodConfig(X_grid=(10 ** 4,)))
+    assert caught.value is err
+    assert threading.active_count() == before
+    assert run(["lod", "--X", "1e4"]) == 3
+    assert "raised on a worker thread" in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_lod_budget_before_work(monkeypatch, capsys):

@@ -7,6 +7,7 @@ everything here is sized to run in seconds.
 
 import itertools
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -350,16 +351,19 @@ def _buckets_oracle(X, weight):
 
 @pytest.mark.parametrize("X", [10 ** 4, 3 * 10 ** 4, 10 ** 5, 4 * 10 ** 5,
                                54 * 10 ** 5])
-def test_buckets_bit_identical_to_pairwise_tree(X, weight):
+def test_buckets_bit_identical_to_pairwise_tree(X, weight, monkeypatch):
     # R + 1 = 10, 14, 18, 26 and 49 slices of the fundamental domain: 2,
     # 2, 3, 4 and 7 groups of 8, so the binary counter ends with one, one,
     # two, one and three tables left to fold, and only three tables tell
-    # the fold's order apart
-    vals, sums = ex.disc_value_buckets(X, weight)
+    # the fold's order apart; on 1, 2 and 3 workers (X = 4e5 and 5.4e6
+    # build 2 and 17 shards of at most 2^21 / 3 points on three)
     want_vals, want_sums = _buckets_oracle(X, weight)
-    assert vals.dtype == want_vals.dtype == np.int32
-    assert np.array_equal(vals, want_vals)
-    assert sums.tobytes() == want_sums.tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ex, "_WORKERS", workers)
+        vals, sums = ex.disc_value_buckets(X, weight)
+        assert vals.dtype == want_vals.dtype == np.int32
+        assert np.array_equal(vals, want_vals), workers
+        assert sums.tobytes() == want_sums.tobytes(), workers
 
 
 @pytest.mark.parametrize("X, shard_points, n_shards, empty_group", [
@@ -372,34 +376,46 @@ def test_sharded_buckets_bit_identical(X, shard_points, n_shards,
                                        empty_group, weight, monkeypatch):
     # each value range builds its table alone, and every group enters its
     # merge tree, empty or not, so the shard tables concatenate to the
-    # bytes of one unsharded build
-    sizes, group = [], ex._group_buckets
+    # bytes of one unsharded build; on two workers the shards hold at
+    # most half as many points, two being built at once
+    shard, group = ex._shard_buckets, ex._group_buckets
+    local = threading.local()
 
-    def spy(discs, weights):
-        sizes.append(sum(d.size for d in discs))
+    def shard_spy(walk, w1, lo, hi):
+        local.sizes = sizes.setdefault(lo, [])    # this thread's shard
+        return shard(walk, w1, lo, hi)
+
+    def group_spy(discs, weights):
+        local.sizes.append(sum(d.size for d in discs))
         return group(discs, weights)
 
     monkeypatch.setattr(ex, "_SHARD_POINTS", shard_points)
-    monkeypatch.setattr(ex, "_group_buckets", spy)
-    vals, sums = ex.disc_value_buckets(X, weight)
+    monkeypatch.setattr(ex, "_shard_buckets", shard_spy)
+    monkeypatch.setattr(ex, "_group_buckets", group_spy)
     want_vals, want_sums = _buckets_oracle(X, weight)
-    assert vals.tobytes() == want_vals.tobytes()
-    assert sums.tobytes() == want_sums.tobytes()
     R = ex.box_radius(X)
-    per_shard = np.reshape(sizes, (n_shards, -(-(R + 1) // 8)))
-    assert per_shard.sum() == (R + 1) ** 3 * (2 * R + 1)    # domain points
-    assert per_shard.sum(axis=1).max() <= shard_points
-    assert (per_shard == 0).any() == empty_group
+    for workers in (1, 2):
+        monkeypatch.setattr(ex, "_WORKERS", workers)
+        sizes = {}
+        vals, sums = ex.disc_value_buckets(X, weight)
+        assert vals.tobytes() == want_vals.tobytes(), workers
+        assert sums.tobytes() == want_sums.tobytes(), workers
+        per_shard = np.array(list(sizes.values()))
+        assert per_shard.shape[1] == -(-(R + 1) // 8)          # groups
+        assert per_shard.sum() == (R + 1) ** 3 * (2 * R + 1)    # points
+        assert per_shard.sum(axis=1).max() <= shard_points // workers
+        if workers == 1:
+            assert len(per_shard) == n_shards
+            assert (per_shard == 0).any() == empty_group
 
 
-def test_shard_cuts_are_exact(monkeypatch):
+def test_shard_cuts_are_exact():
     # the sample's cuts are recounted exactly: every range holds at most
-    # _SHARD_POINTS points, except a value with more (disc = 0, 169
+    # the limit of 100 points, except a value with more (disc = 0, 169
     # points of the X = 1e4 domain), which keeps a range of its own
-    monkeypatch.setattr(ex, "_SHARD_POINTS", 100)
     discs = [d for _, d, _, _ in ex._disc_slices(np.arange(-9, 10))]
     every = np.sort(np.concatenate(discs))
-    cuts = ex._shard_cuts(discs)
+    cuts = ex._shard_cuts(discs, 100)
     assert cuts == sorted(set(cuts)) and {0, 1} <= set(cuts)
     counts = np.diff([0, *np.searchsorted(every, cuts), every.size])
     assert counts[cuts.index(1)] == np.count_nonzero(every == 0) == 169
@@ -432,20 +448,24 @@ def test_lod_served_by_largest_prime_bit_identical(weight):
         assert lat == float(np.sum(sums[wide % q == 0])), q
 
 
-def test_lod_divisor_tree_over_four_blocks_bit_identical(weight):
+def test_lod_divisor_tree_over_four_blocks_bit_identical(weight,
+                                                        monkeypatch):
     # 471 578 values span four blocks of the prime pass, and q = 210 and
-    # 330 are served three levels down the divisor tree
+    # 330 are served three levels down the divisor tree; the 67 primes
+    # up to 331 make five serving tasks, on 1, 2 and 3 workers
     X = 4 * 10 ** 5
-    rep = ex.lod_error_sum(ex.LodConfig(X_grid=(X,)))
     vals, sums = _buckets_oracle(X, weight)
     assert vals.size == 471578
     assert 3 * ex._SERVE_BLOCK < vals.size <= 4 * ex._SERVE_BLOCK
     wide = vals.astype(np.int64)
-    qs = [row[0] for row in rep.q_rows]
-    assert qs == [int(q) for q in sieve.squarefree_upto(331)]
-    assert {210, 330} <= set(qs)
-    for q, lat, _, _ in rep.q_rows:
-        assert lat == float(np.sum(sums[wide % q == 0])), q
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ex, "_WORKERS", workers)
+        rep = ex.lod_error_sum(ex.LodConfig(X_grid=(X,)))
+        qs = [row[0] for row in rep.q_rows]
+        assert qs == [int(q) for q in sieve.squarefree_upto(331)]
+        assert {210, 330} <= set(qs)
+        for q, lat, _, _ in rep.q_rows:
+            assert lat == float(np.sum(sums[wide % q == 0])), (q, workers)
 
 
 def test_group_sort_refuses_values_that_are_not_int32():

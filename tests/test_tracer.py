@@ -6,6 +6,7 @@ arguments; a rename or a reordered signature would silently empty a layer.
 import importlib
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -53,3 +54,41 @@ def test_tracer_layers_resolve_and_install_cleanly():
     assert metrics["experiments.geo_pair_count.pair_tests"] == 7 ** 4 * 2
     assert metrics["experiments.weighted_count.calls"] == 1
     assert metrics["spaces.disc_cubic.points"] > 0
+
+
+def test_lod_spans_nest_while_workers_run(monkeypatch, capsys):
+    # lod builds its shards and serves its primes on worker threads, and no
+    # traced function runs there, since the tracer keeps one span stack:
+    # every span opens on the main thread and closes within its parent's
+    # interval, and tracing leaves stdout as it was
+    from pvsieve import cli, experiments
+    monkeypatch.setattr(experiments, "_WORKERS", 2)
+    monkeypatch.setattr(experiments, "_SHARD_POINTS", 2 ** 14)
+    argv = ["lod", "--X", "1e4,1e5"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    t, off_main = _load_tracer().Tracer(), []
+    opener = t._open
+
+    def spy(name):
+        if threading.current_thread() is not threading.main_thread():
+            off_main.append(name)
+        return opener(name)
+
+    t._open = spy
+    t.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        t.uninstall()
+    assert capsys.readouterr().out == plain
+    assert off_main == []
+    names = {span[0] for span in t.spans}
+    assert {"cli.main", "experiments.disc_value_buckets", "spaces.disc_cubic",
+            "sieve.primes_upto", "sieve.squarefree_upto",
+            "ffcore.factor_squarefree"} <= names
+    for name, t0, t1, parent, _, _ in t.spans:
+        assert t1 is not None and t0 <= t1, name
+        if parent is not None:
+            _, p0, p1, *_ = t.spans[parent]
+            assert p0 <= t0 and t1 <= p1, name
