@@ -41,7 +41,7 @@ def _parse(convert, text, what):
 
 
 # The largest value --primes and --prime may name, far above every kernel's
-# reach (cubic per class p <= 401, quartic p <= 13, orbits p <= 19): checked
+# reach (cubic per class p <= 401, quartic p <= 19, orbits p <= 19): checked
 # before the one sieve of the parse, whose mask it keeps within 64 KB.
 PRIME_ARG_MAX = 2 ** 16
 

@@ -224,8 +224,8 @@ def primitive_root(p):
 def ntt_modulus(p, r):
     """(l, w): l the least prime l = 1 mod p with l > 2 p^r and
     p (l/2)^2 < 2^53, w of order p in F_l; ResourceLimitError when there is
-    none.  That is character_sums' only cap: r = 4 up to p = 59, r = 6 up to
-    p = 13."""
+    none.  That is character_sums' only cap: r = 4 up to p = 59, r = 5 up to
+    p = 23, r = 6 up to p = 13."""
     # l = 1 mod p from the least past 2 p^r while p l^2 < 2^55
     for l in range(2 * p ** r + 1, math.isqrt((2 ** 55 - 1) // p) + 1, p):
         if all(l % d for d in range(2, math.isqrt(l) + 1)):

@@ -170,6 +170,19 @@ def _check_fibres(p):
             f"p={p}: {p ** 3} a-fibres exceed the per-class budget")
 
 
+# The most pair states p^12 the fibred quartic kernel may count: each of its
+# float64 bincount sums is an integer of size at most p^12, exact below
+# 2^53, so 19 passes and 23 does not.
+PAIR_STATES = 2 ** 53
+
+
+def _check_pair_states(p):
+    """Refuse a fibred quartic sweep of p^12 pair states past PAIR_STATES."""
+    if p ** 12 >= PAIR_STATES:
+        raise ffcore.ResourceLimitError(
+            f"p={p}: {p ** 12} pair states reach PAIR_STATES = 2^53")
+
+
 SpaceKernel = namedtuple("SpaceKernel",
                          "classes cost histograms check suspects exhaustive")
 
@@ -196,12 +209,14 @@ def space_kernel(space):
     (orbits.pencil_counts), priced at 200 + 1.2 (p + 1) steps: the upper
     envelope, 194 + 1.13 (p + 1), of 52 single-call timings of 265 720 rows
     in fresh processes at p = 5 to 457, rounded up;
-    ft_fibered_histograms (p <= 13), over the classes and frames of
-    orbits.form_frames, its fibres over the canonical forms gathered from
-    that mask at the resolvents of orbits.canonical_resolvents, exact as
-    disc(cx) = c^12 disc(x) makes the support jointly dilation-invariant,
-    at targets whose labels, past p = 5, no exhaustive BFS has checked (the
-    tests run one at p = 3, and the frozen p = 5 table came from one)."""
+    ft_fibered_histograms, over the classes and frames of one walk of the
+    forms B (orbits.form_chunks), the slices a11 = 0 of its fibres over the
+    canonical forms gathered from that mask at the resolvents of
+    orbits.canonical_resolvents, capped by its exact float64 sums:
+    p^12 < PAIR_STATES, so p <= 19; exact as disc(cx) = c^12 disc(x) makes
+    the support jointly dilation-invariant, at targets whose labels, past
+    p = 5, no exhaustive BFS has checked (the tests run one at p = 3, and
+    the frozen p = 5 table came from one)."""
     if space is CUBIC:
         return SpaceKernel(cubic_class_batch, lambda p: 8, ft_histograms,
                            _check_fibres, lambda p: None,
@@ -209,7 +224,7 @@ def space_kernel(space):
     return SpaceKernel(
         lambda Y, p: orbits.classify_batch(space, Y, p),
         lambda p: 200 + 1.2 * (p + 1), ft_fibered_histograms,
-        lambda p: ffcore.ntt_modulus(p, space.r // 2),
+        _check_pair_states,
         lambda p: "the closed form or the classifier" if p > 5 else None,
         None)
 
@@ -302,24 +317,23 @@ def _cubic_mask(p):
 
 
 def _pair_fibres(p):
-    """(cls, fibres) over the p^6 forms A in code order, from one pass of
-    orbits.form_chunks: cls the class of each form (orbits.form_frames),
-    and for each canonical form D_c (orbits.canonical_forms) the fibre
-    {A : (A, D_c) in supp} of the pair space as a boolean mask.
+    """For each canonical form D_c but the zero form
+    (orbits.canonical_forms), the slice a11 = 0 of the fibre
+    {A : (A, D_c) in supp} of the pair space: a p^5 boolean mask in the code
+    order of the other five coordinates (a22, a33, a12, a13, a23), which is
+    fibre[::p], a11 being the lowest digit.  The zero form's fibre is all
+    of F_p^6, as disc(A, 0) = 0.
 
     disc(A, B) is the disc of the resolvent cubic 4 det(Ax + By), so each
-    fibre is one gather from _cubic_mask at the code of the resolvent's
-    coefficients mod p, orbits.canonical_resolvents, taken a chunk of
-    forms at a time.  Those come in int16, and so does the code: it is
-    below p^4 < 2^15 for p <= 13."""
-    mask, n, cls = _cubic_mask(p), p ** 6, []
-    fibres = [np.empty(n, dtype=bool) for _ in range(orbits.FORM_CLASSES)]
-    for lo, A, c in orbits.form_chunks(p):
-        cls.append(c)
-        r = orbits.canonical_resolvents(A, p)
-        for fibre, (r0, r1, r2, r3) in zip(fibres, r):
-            fibre[lo:lo + len(A)] = mask[r0 + p * (r1 + p * (r2 + p * r3))]
-    return np.concatenate(cls), fibres
+    slice is one gather from _cubic_mask at the code of the resolvent's
+    coefficients mod p, orbits.canonical_resolvents, over the p^5 forms
+    with a11 = 0.  The code comes in the resolvents' dtype, which holds it:
+    it is below p^4, and that dtype is int16 only while p^4 < 2^15."""
+    mask = _cubic_mask(p)
+    A = orbits.decode_states(p * np.arange(p ** 5), p, r=6)     # a11 = 0
+    r = orbits.canonical_resolvents(A, p)
+    next(r)                                     # the zero form
+    return [mask[r0 + p * (r1 + p * (r2 + p * r3))] for r0, r1, r2, r3 in r]
 
 
 def ft_histograms(cond, p, targets):
@@ -350,6 +364,10 @@ def ft_histograms(cond, p, targets):
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
 
 
+# the (row, column) of each of a form's six coordinates in its matrix
+_ROWS, _COLS = zip(*orbits._SYM_INDEX)
+
+
 def ft_fibered_histograms(cond, p, targets):
     """Pairing histograms of the pair space at the targets (alpha, beta),
     fibred over B.
@@ -362,68 +380,85 @@ def ft_fibered_histograms(cond, p, targets):
     is sum_k w^k G_k, G_k the sum of F_c(g_B^T alpha g_B) over the B with
     tr(B beta) = k.  disc(cx) = c^12 disc(x) makes the support jointly
     dilation-invariant, so G_1 = ... = G_{p-1} and n_0 - n_1 = G_0 - G_1;
-    n_1 follows from the support size N = sum_c |class c| |fibre c|.  The
-    seven fibres come from _pair_fibres, all listed before the gathers, in
-    int16, which is exact while p^4 < 2^15, with the class of every form
-    from the same walk.  ffcore.ntt_modulus caps p (p <= 13) before any
-    form is classed, and keeps |G_k| <= p^12 < 2^53.
+    n_1 follows from the support size N = sum_c |class c| |fibre c|.
+    Each G_k is a float64 sum of at most p^6 values F_c, each at most p^6
+    in size, exact while p^12 < PAIR_STATES (p <= 19), which is checked
+    before any form is classed.
+
+    The fibres live on the hyperplane a11 = 0.  [[1, b], [0, 1]] in GL_2
+    maps (A, D_c) to (A + b D_c, D_c), so for c >= 1 the fibre is invariant
+    under A -> A + b D_c, and a11(D_c) is nonzero: each A is A' + b D_c for
+    one b and one A' with a11 = 0.  So F_c(alpha) =
+    p S_c(alpha') [tr(D_c alpha) = 0 mod p], alpha' the last five
+    coordinates of alpha and S_c the r = 5 character sums of the slice
+    a11 = 0 of the fibre (_pair_fibres), all six held at once, p^5 each.
+    The zero form's fibre is all of F_p^6, so F_0 = p^6 [alpha = 0].
 
     The same invariance moves each target to its alpha's class: with
     alpha = h alpha_d h^T (form_frames again), (A, B) -> (h^T A h, h^T B h)
     maps the B with tr(B beta) = k onto those with tr(B beta') = k,
-    beta' = h^-1 beta h^-T, and each fibre sum at alpha onto the one at
-    alpha_d, a canonical form.  So every G_k of (alpha, beta) is that of
-    (alpha_d, beta'), and each class c makes one gather F_c(g_B^T alpha_d
-    g_B) per class d met among the alphas (at most 7, whatever the number
-    of targets); alpha_d is diagonal, so entry (i, j) of g_B^T alpha_d g_B
-    is sum_k alpha_d,kk g_ki g_kj.  Each target adds one bincount of its
-    beta' pairings, unreduced (below 6 p^2) and folded mod p.  Each class
-    is walked orbits.ROW_BUDGET forms B at a time, each chunk decoded from
-    its codes and its frames found there, and the gathers and bincounts
-    summed over the chunks, so neither the coordinates nor the frames of
-    the p^6 forms are held as one array."""
-    space = cond.space
-    if space is not QUARTIC:
+    beta' = h^-1 beta h^-T (_graded_targets), and each fibre sum at alpha
+    onto the one at alpha_d, a canonical form.  So every G_k of
+    (alpha, beta) is that of (alpha_d, beta'), and each chunk of forms B
+    makes one gather of F_c(g_B^T alpha_d g_B), c the class of each B, per
+    class d met among the alphas (at most 7, whatever the number of
+    targets), its condition read as tr(D_c g_B^T alpha_d g_B) =
+    tr(B alpha_d) (_fibre_index).  Each target adds one bincount of its
+    beta' pairings, unreduced (below 6 p^2, in int16) and folded mod p.
+    The forms B come from one walk (orbits.form_chunks), orbits.ROW_BUDGET
+    at a time, each decoded once and its class and frame found once, and
+    the gathers and bincounts are summed over the chunks, so neither the
+    coordinates nor the frames of the p^6 forms are held as one array."""
+    if cond.space is not QUARTIC:
         raise ValueError("the fibred kernel is for the pair space")
-    w = pairing_weights_mod(space, p)          # refuses bad primes
-    half = space.r // 2
-    ffcore.ntt_modulus(p, half)
-    T = mod(np.asarray(targets, dtype=np.int64).reshape(-1, space.r), p)
-    budget = orbits.ROW_BUDGET
-    canon = orbits.canonical_forms(p)
-    rows, cols = zip(*orbits._SYM_INDEX)
-    d_of, h = orbits.form_frames(T[:, :half], p)
-    hinv = _inverse_mod(np.moveaxis(h, -1, 0).astype(np.int64), p)
-    beta = T[:, half:][:, orbits._SYM_FULL].reshape(-1, 3, 3)
-    beta = mod(hinv @ beta @ hinv.transpose(0, 2, 1), p)[:, rows, cols]
-    # the pairings tr(B beta'), below 6 p^2, in int16
-    wbeta = mod(beta * w[half:], p).astype(np.int16)
-    # each entry of g_B^T alpha_d g_B, a sum of 3 products below p^3, in
-    # int16 (3 p^3 < 2^15 at p <= 13), and its code, read off the upper
-    # triangle, below p^6, in int32
-    pow_p = p ** np.arange(half, dtype=np.int32)
-    G, N = np.zeros((len(T), 6 * p * p)), 0
-    cls, fibres = _pair_fibres(p)
-    for c in range(len(canon)):
-        # each mask is dropped once summed, before its class's gathers
-        F = ffcore.character_sums(fibres.pop(0), w[:half], p)
-        on = np.flatnonzero(cls == c)
-        N += len(on) * F[0]           # F_c(0) = |fibre c|
-        for lo in range(0, len(on), budget):
-            Bc = orbits.decode_states(on[lo:lo + budget], p, r=half)
-            g = orbits.form_frames(Bc, p)[1]
-            gg = g[:, rows] * g[:, cols]     # g_ki g_kj, (3, 6, chunk)
-            for d in sorted(set(d_of.tolist())):
-                moved = np.einsum("k,kem->em", canon[d, :3], gg)
-                H = np.take(F, np.einsum("e,em->m", pow_p, mod(moved, p)))
-                for j in np.flatnonzero(d_of == d).tolist():
-                    G[j] += np.bincount(Bc @ wbeta[j], minlength=6 * p * p,
-                                        weights=H)
-    G = G.reshape(len(T), -1, p).sum(axis=1)
-    num = ffcore._numerators(G.astype(np.int64))
-    counts = np.repeat(((N - num) // p)[:, None], p, axis=1)
-    counts[:, 0] += num
+    w = pairing_weights_mod(QUARTIC, p)        # refuses bad primes
+    _check_pair_states(p)
+    d_of, wb = _graded_targets(targets, w, p)
+    # p S_c in row c; the zero form's row stays 0, its F_0 = p^6 [alpha = 0]
+    # taken as p^6 states in N and p^6 in n_0 at the alpha = 0 targets
+    S = np.zeros((orbits.FORM_CLASSES, p ** 5), dtype=np.int64)
+    for c, fibre in enumerate(_pair_fibres(p), 1):
+        S[c] = p * ffcore.character_sums(fibre, w[1:6], p)
+    G, N = np.zeros((len(d_of), 6 * p * p)), p ** 6
+    ds = sorted(set(d_of.tolist()))           # the classes of the alphas
+    for _, B, cls, g in orbits.form_chunks(p):
+        N += S[cls, 0].sum()                    # F_c(0) = |fibre c|
+        for d, (code, on) in zip(ds, _fibre_index(B, g, ds, p)):
+            H = np.where(on, S[cls, code], 0)
+            for j in np.flatnonzero(d_of == d).tolist():
+                G[j] += np.bincount(B @ wb[j], weights=H, minlength=6 * p * p)
+    G = G.reshape(len(G), -1, p).sum(axis=1)
+    num = ffcore._numerators(G.astype(np.int64)) + p ** 6 * (d_of == 0)
+    counts = ((N - num) // p)[:, None] + np.outer(num, np.arange(p) == 0)
     return [ffcore.PairingHistogram(p, c.tolist()) for c in counts]
+
+
+def _graded_targets(targets, w, p):
+    """(d_of, wb) for the (alpha, beta) targets: d_of the class of each
+    alpha = h alpha_d h^T (orbits.form_frames) and wb the weighted
+    coordinates of beta' = h^-1 beta h^-T mod p, in int16, so that a
+    form's pairing tr(B beta') is B @ wb[j], below 6 p^2 < 2^15."""
+    T = mod(np.asarray(targets, dtype=np.int64).reshape(-1, 12), p)
+    d_of, h = orbits.form_frames(T[:, :6], p)
+    hinv = _inverse_mod(np.moveaxis(h, -1, 0).astype(np.int64), p)
+    beta = T[:, 6:][:, orbits._SYM_FULL].reshape(-1, 3, 3)
+    beta = mod(hinv @ beta @ hinv.transpose(0, 2, 1), p)[:, _ROWS, _COLS]
+    return d_of, mod(beta * w[6:], p).astype(np.int16)
+
+
+def _fibre_index(B, g, ds, p):
+    """Where each form B reads its fibre sum at each canonical form alpha_d:
+    for the (n, 6) forms B, their (3, 3, n) frames g and the classes ds of
+    the alpha_d, per alpha_d (code, on), code the int32 code, below p^5,
+    of the last five coordinates of g^T alpha_d g mod p, and on whether
+    tr(B alpha_d) = 0 mod p.  Entry (i, j) of g^T alpha_d g is
+    sum_k alpha_d,kk g_ki g_kj, three products below p^3, formed in int16
+    (3 p^3 < 2^15 while p <= 19); tr(B alpha_d) is below 3 p^2, in int16."""
+    gg = g[:, _ROWS[1:]] * g[:, _COLS[1:]]       # g_ki g_kj, (3, 5, n)
+    pow_p = p ** np.arange(5, dtype=np.int32)
+    for a in orbits.canonical_forms(p)[ds, :3]:
+        moved = mod(np.einsum("k,kem->em", a, gg), p)
+        yield pow_p @ moved, ffcore.divisible(B[:, :3] @ a, p)
 
 
 def _inverse_mod(h, p):

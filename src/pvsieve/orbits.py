@@ -6,9 +6,9 @@ The class of a ternary form is its rank and one square class, and
 form_frames reads it off a vectorized congruence diagonalization, with a
 frame g, B = g D_c g^T, over the canonical diagonal forms D_c of the seven
 classes (canonical_forms), each the smallest code of its class.  The
-orbit census and the fibred quartic kernel both walk the rows (A, D_c),
-A over all p^6 forms: they read the forms and their classes from one
-walk (form_chunks) and the resolvents from one kernel
+orbit census and the fibred quartic kernel both read the p^6 forms with
+their classes from one walk (form_chunks), which gives each chunk's
+frames too, and the resolvents of the rows (A, D_c) from one kernel
 (canonical_resolvents).  The orbit table of the pair space
 (decompose_orbits, a {label: (size, rep)} table) is that census: the
 classifier's labelling step labels the p^6 rows (A, D_c) of each class,
@@ -262,24 +262,23 @@ def canonical_resolvents(A, p):
 # p = 19 passes, 23 does not.
 CENSUS_ROWS = 2 ** 29
 
-# The most forms form_chunks decodes and classes at a time, for the census
-# to label beside each D_c and the fibred quartic kernel to gather fibres
-# for, and the most forms B that kernel moves, one class at a time.  At
-# p = 13 it keeps the fibred kernel's peak near 240 MB in a fresh process
-# (630 MB with each class moved whole, 327 MB with the fibres gathered over
-# all p^6 forms at once); 2^18 saves nothing more.
+# The most forms form_chunks decodes, classes and frames at a time, for the
+# census to label beside each D_c and the fibred quartic kernel to move its
+# targets by.  At p = 13 that kernel peaks near 160 MB in process (107 MB
+# at 2^18 forms, 228 MB at 2^20).
 ROW_BUDGET = 2 ** 19
 
 
 def form_chunks(p):
     """The p^6 ternary forms in code order, ROW_BUDGET at a time: per chunk
-    (lo, A, cls), A the int16 coordinates of the forms lo, lo + 1, ..
-    (decode_states) and cls their classes (form_frames).  The one walk of
-    the forms: the census and the fibred quartic kernel both read it."""
+    (lo, A, cls, g), A the int16 coordinates of the forms lo, lo + 1, ..
+    (decode_states), and cls their classes and g their frames, from one
+    form_frames call.  The one walk of the forms: the census reads the
+    classes, the fibred quartic kernel the classes and the frames."""
     n = p ** 6
     for lo in range(0, n, ROW_BUDGET):
         A = decode_states(np.arange(lo, min(lo + ROW_BUDGET, n)), p, r=6)
-        yield lo, A, form_frames(A, p)[0]
+        yield lo, A, *form_frames(A, p)
 
 
 def decompose_orbits(space, p):
@@ -313,7 +312,8 @@ def decompose_orbits(space, p):
     # of those rows (A, D_c), p^12 while there is none
     counts = np.zeros((FORM_CLASSES, len(LABELS)), dtype=np.int64)
     first = np.full_like(counts, p ** space.r)
-    for lo, A, cls in form_chunks(p):
+    for lo, A, cls, g in form_chunks(p):
+        del g                     # no frames held while the chunk is labelled
         size += np.bincount(cls, minlength=FORM_CLASSES)
         for c, r in enumerate(canonical_resolvents(A, p)):
             labels = _label(A, canon[c], r, p)

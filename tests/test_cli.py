@@ -121,8 +121,8 @@ def test_resource_cap_before_work(monkeypatch):
                 "--no-cache"]) == 3
     assert run(["ft-verify", "--space", "cubic", "--primes", "59,61",
                 "--mode", "exhaustive", "--no-cache"]) == 3
-    # the fibred quartic kernel stops at p = 13, the orbit census at 19
-    assert run(["ft-verify", "--space", "quartic", "--primes", "13,17"]) == 3
+    # the fibred quartic kernel and the orbit census both stop at p = 19
+    assert run(["ft-verify", "--space", "quartic", "--primes", "19,23"]) == 3
     assert run(["orbits", "--prime", "23"]) == 3
 
 

@@ -230,7 +230,8 @@ def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-@pytest.mark.parametrize("r,last,refused", [(4, 59, 61), (6, 13, 17)])
+@pytest.mark.parametrize("r,last,refused", [(4, 59, 61), (5, 23, 29),
+                                            (6, 13, 17)])
 def test_ntt_modulus_derives_the_cap(r, last, refused):
     # the modulus alone, no transform: the least prime l = 1 mod p past
     # 2 p^r, with every float64 partial sum p (l/2)^2 below 2^53

@@ -265,10 +265,19 @@ def test_fibered_kernel_matches_sweep_p3(seed):
                                                      targets)
 
 
+def _oracle_fibres(p):
+    """The full fibre {A : (A, D_c) in supp} over each canonical form D_c,
+    a p^6 boolean mask in code order, from _support_slices (p <= d + 1 =
+    13, so its slices are disc_mod's over the rows (A, D_c))."""
+    return [np.concatenate(list(_support_slices(QUARTIC, p, 6, suffix=rep)))
+            for rep in orbits.canonical_forms(p)]
+
+
 def _per_target_histograms(cond, p, targets):
     """The fibred histograms by one gather per target and form class: each
-    target's own alpha moved by every g_B, in int64 (the kernel before it
-    moved each target to its alpha's class)."""
+    target's own alpha moved by every g_B, in int64, from the r = 6
+    character sums of the oracle's full fibres (the kernel before it moved
+    each target to its alpha's class and read the fibres on a11 = 0)."""
     space = cond.space
     w = pairing_weights_mod(space, p)
     T = np.asarray(targets, dtype=np.int64).reshape(-1, space.r) % p
@@ -279,7 +288,7 @@ def _per_target_histograms(cond, p, targets):
     g = np.moveaxis(g, -1, 0).astype(np.int64)
     rows, cols = zip(*orbits._SYM_INDEX)
     G, N = np.zeros((len(T), p)), 0
-    for c, fibre in enumerate(fourier._pair_fibres(p)[1]):
+    for c, fibre in enumerate(_oracle_fibres(p)):
         F = ffcore.character_sums(fibre, w[:6], p)
         gc, Bc = g[cls == c], forms[cls == c]
         N += len(Bc) * F[0]
@@ -325,8 +334,9 @@ def test_fibered_kernel_matches_per_target_gathers(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_fibered_kernel_row_chunks(p, monkeypatch):
-    """The fibred histograms walked a few forms B at a time, with ragged
-    chunks at every class's end, equal those walked whole."""
+    """The fibred histograms walked a few forms B at a time, with a ragged
+    last chunk and the classes of B mixed in every chunk, equal those
+    walked whole."""
     targets = np.vstack([list(fourier._class_reps(QUARTIC, p).values()),
                          np.random.default_rng(p).integers(0, p, (4, 12))])
     whole = fourier.ft_fibered_histograms(QUARTIC_COND, p, targets)
@@ -524,22 +534,45 @@ def test_support_slices_cubic(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_support_slices_quartic_fibres(p, monkeypatch):
-    """The resolvent-gather fibre over each canonical form B_c is the
-    oracle's {A : (A, B_c) in supp}, in code order (p <= d + 1 = 13, so
-    the oracle's slices are disc_mod's), and the classes that come with
-    the fibres are form_frames' over all the forms; the forms are walked
-    100 at a time, across the chunk seams."""
+def test_support_slices_quartic_fibres(p):
+    """The resolvent-gather slice a11 = 0 of the fibre over each canonical
+    form D_c, c >= 1, is the oracle's full fibre {A : (A, D_c) in supp}
+    read at a11 = 0, fibre[::p] in code order; the zero form's fibre is
+    every form."""
+    oracle = _oracle_fibres(p)
+    got = fourier._pair_fibres(p)
+    assert len(got) == len(oracle) - 1 == 6
+    assert oracle[0].all()
+    for c, (fibre, walked) in enumerate(zip(got, oracle[1:]), 1):
+        assert fibre.shape == (p ** 5,)
+        assert np.array_equal(fibre, walked[::p]), c
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fibre_sums_live_on_a11_zero(p):
+    """The lemma behind the fibred kernel, on the oracle's full fibres:
+    each fibre over D_c, c >= 1, is invariant under A -> A + b D_c, and its
+    r = 6 character sums are F_c(alpha) = p S_c(alpha')
+    [tr(D_c alpha) = 0 mod p] at every alpha, S_c the r = 5 sums of the
+    kernel's slice a11 = 0 and alpha' the last five coordinates of alpha
+    (code // p); the zero form's are F_0 = p^6 [alpha = 0]."""
+    w = pairing_weights_mod(QUARTIC, p)[:6]
     A = orbits.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
-    canon = orbits.canonical_forms(p)
-    monkeypatch.setattr(orbits, "ROW_BUDGET", 100)
-    cls, got = fourier._pair_fibres(p)
-    assert np.array_equal(cls, orbits.form_frames(A, p)[0])
-    assert len(got) == len(canon) == 7
-    for rep, fibre in zip(canon, got):
-        walked = np.concatenate(list(_support_slices(QUARTIC, p, 6,
-                                                     suffix=rep)))
-        assert np.array_equal(fibre, walked), rep
+    canon = orbits.canonical_forms(p).astype(np.int64)
+    oracle = _oracle_fibres(p)
+    F0 = ffcore.character_sums(oracle[0], w, p)
+    assert F0[0] == p ** 6 and not F0[1:].any()
+    for c, (fibre, piece) in enumerate(zip(oracle[1:],
+                                           fourier._pair_fibres(p)), 1):
+        D = canon[c]
+        for b in range(1, p):
+            assert np.array_equal(fibre[encode_states(A + b * D, p)],
+                                  fibre), (c, b)
+        assert np.array_equal(piece, fibre[::p]), c
+        S = ffcore.character_sums(piece, w[1:], p)
+        on = (A[:, :3].astype(np.int64) @ D[:3]) % p == 0
+        want = np.where(on, p * S[np.arange(p ** 6) // p], 0)
+        assert np.array_equal(ffcore.character_sums(fibre, w, p), want), c
 
 
 def test_resolvent_coefficient_order():
@@ -613,22 +646,59 @@ def test_class_reps_missing_class(monkeypatch, space, module, grading,
 
 
 def test_fibered_kernel_cap(monkeypatch):
+    """p^12 pair states: 19^12 < fourier.PAIR_STATES = 2^53 <= 23^12, so
+    19 is admitted and 23 refused, before any form is classed."""
     kernel = fourier.space_kernel(QUARTIC)
     assert kernel.exhaustive is None
+    assert 19 ** 12 < fourier.PAIR_STATES == 2 ** 53 <= 23 ** 12
     check = kernel.check
-    check(13)
-    with pytest.raises(ResourceLimitError):
-        check(17)
+    check(19)
+    with pytest.raises(ResourceLimitError, match=r"PAIR_STATES = 2\^53"):
+        check(23)
 
     def boom(*a, **k):
         raise AssertionError("form_frames started before the cap")
     monkeypatch.setattr(orbits, "form_frames", boom)
-    with pytest.raises(ResourceLimitError):
-        fourier.ft_fibered_histograms(QUARTIC_COND, 17, [(0,) * 12])
+    with pytest.raises(ResourceLimitError, match=r"PAIR_STATES = 2\^53"):
+        fourier.ft_fibered_histograms(QUARTIC_COND, 23, [(0,) * 12])
     with pytest.raises(BadPrimeError):
         fourier.ft_fibered_histograms(QUARTIC_COND, 2, [(0,) * 12])
     with pytest.raises(ValueError, match="pair space"):
         fourier.ft_fibered_histograms(CUBIC_COND, 5, [(0,) * 4])
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_fibered_kernel_widths(p):
+    """The fibred kernel's int16 and int32 steps at the cap, against int64
+    recomputations, on random frames and forms with every entry p - 1 among
+    them, at every canonical form alpha_d: the entries of g^T alpha_d g
+    (below 3 p^3 < 2^15 unreduced) and their slice codes (below p^5),
+    tr(B alpha_d) (below 3 p^2), and the pairings B @ wb (below 6 p^2)."""
+    rng = np.random.default_rng(p)
+    n = 2000
+    g = rng.integers(0, p, size=(3, 3, n)).astype(np.int16)
+    g[..., 0] = p - 1
+    B = orbits.decode_states(rng.integers(0, p ** 6, size=n), p, r=6)
+    B[0] = p - 1
+    alphas = orbits.canonical_forms(p)[:, :3].astype(np.int64)
+    G, B64 = g.astype(np.int64), B.astype(np.int64)
+    rows, cols = zip(*orbits._SYM_INDEX[1:])
+    got = list(fourier._fibre_index(B, g, range(len(alphas)), p))
+    assert len(got) == len(alphas) == 7
+    for a, (code, on) in zip(alphas, got):
+        moved = np.einsum("k,kem->em", a, G[:, rows] * G[:, cols])
+        assert moved.max() < 3 * p ** 3 < 2 ** 15
+        assert code.dtype == np.int32 and code.max() < p ** 5
+        assert np.array_equal(code, encode_states(moved.T, p))
+        assert np.array_equal(on, B64[:, :3] @ a % p == 0)
+    T = rng.integers(0, p, size=(8, 12))
+    T[0] = p - 1
+    wb = fourier._graded_targets(T, pairing_weights_mod(QUARTIC, p), p)[1]
+    assert wb.dtype == np.int16 and 0 <= wb.min() <= wb.max() < p
+    for v in wb:
+        pair = B @ v
+        assert np.array_equal(pair, B64 @ v.astype(np.int64))
+        assert pair.max() < 6 * p * p < 2 ** 15
 
 
 # ---------------------------------------------------------------------------

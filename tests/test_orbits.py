@@ -302,6 +302,21 @@ def test_form_classes(p):
         assert np.array_equal(np.argsort(order)[cls], bfs_cls)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_form_chunks_walk(p, monkeypatch):
+    """The one walk of the forms, 100 at a time across the chunk seams: the
+    chunks start at lo in code order, and their forms, classes and frames,
+    concatenated, are decode_states' and form_frames' over all p^6 forms."""
+    forms = ob.decode_states(np.arange(p ** 6, dtype=np.int64), p, r=6)
+    cls, g = ob.form_frames(forms, p)
+    monkeypatch.setattr(ob, "ROW_BUDGET", 100)
+    lo, A, c, h = zip(*ob.form_chunks(p))
+    assert list(lo) == list(range(0, p ** 6, 100))
+    assert np.array_equal(np.concatenate(A), forms)
+    assert np.array_equal(np.concatenate(c), cls)
+    assert np.array_equal(np.concatenate(h, axis=-1), g)
+
+
 def test_classify_agrees_with_bfs_everywhere_p3(table3):
     codes = np.arange(3 ** 12, dtype=np.int64)
     coords = ob.decode_states(codes, 3)
